@@ -23,22 +23,29 @@ impl CacheAccess {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp (monotone per cache).
-    used: u64,
-}
-
 /// A set-associative cache.
+///
+/// Host layout: two packed words per way instead of a struct, so a set
+/// of eight ways is one host cache line of tags, plus one byte per set
+/// naming its most recently touched way.
 #[derive(Debug, Clone)]
 pub struct Cache {
     line_bytes: u32,
+    line_shift: u32,
+    set_shift: u32,
     sets: usize,
     ways: usize,
-    lines: Vec<Line>,
+    /// Per way: `tag << 1 | 1`, or 0 for an invalid way (never equal to
+    /// a lookup key, whose low bit is set).
+    tags: Vec<u64>,
+    /// Per way: `lru_stamp << 1 | dirty`; 0 for an invalid way. Stamps
+    /// of valid ways are unique and at least 1, so ordering these words
+    /// orders the stamps, with invalid ways first.
+    meta: Vec<u64>,
+    /// Per set: the way holding the set's largest stamp. Stamps are
+    /// only ever compared within a set, so touching that way again
+    /// cannot change any later victim choice and needs no new stamp.
+    mru: Vec<u8>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -51,13 +58,17 @@ impl Cache {
     ///
     /// # Panics
     /// If the geometry is inconsistent (size not divisible into sets,
-    /// or non-power-of-two line size).
+    /// non-power-of-two line size or set count, lines under 2 bytes, or
+    /// more than 256 ways).
     pub fn new(size_bytes: u32, line_bytes: u32, ways: usize) -> Cache {
         assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
+            line_bytes.is_power_of_two() && line_bytes >= 2,
+            "line size must be a power of two, at least 2 (got {line_bytes})"
         );
-        assert!(ways > 0, "need at least one way");
+        assert!(
+            (1..=256).contains(&ways),
+            "need between 1 and 256 ways (got {ways})"
+        );
         let total_lines = (size_bytes / line_bytes) as usize;
         assert!(
             total_lines > 0 && total_lines.is_multiple_of(ways),
@@ -67,9 +78,13 @@ impl Cache {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
             line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             sets,
             ways,
-            lines: vec![Line::default(); total_lines],
+            tags: vec![0; total_lines],
+            meta: vec![0; total_lines],
+            mru: vec![0; sets],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -87,80 +102,74 @@ impl Cache {
         self.sets
     }
 
-    fn index_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.line_bytes as u64;
-        ((line as usize) & (self.sets - 1), line / self.sets as u64)
+    /// Set index and lookup key (`tag << 1 | 1`) of `addr`'s line.
+    fn set_and_key(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        let set = (line as usize) & (self.sets - 1);
+        (set, (line >> self.set_shift) << 1 | 1)
+    }
+
+    /// Bring `addr`'s line in as the most recent of its set, marking it
+    /// dirty on `write`; a miss evicts the least recent way (the first
+    /// invalid one if any) and starts the line dirty only on `write`.
+    fn touch(&mut self, addr: u64, write: bool) -> CacheAccess {
+        let (set, key) = self.set_and_key(addr);
+        let base = set * self.ways;
+        let recent = base + self.mru[set] as usize;
+        if self.tags[recent] == key {
+            self.meta[recent] |= write as u64;
+            return CacheAccess::Hit;
+        }
+        self.tick += 1;
+        let tags = &mut self.tags[base..base + self.ways];
+        let meta = &mut self.meta[base..base + self.ways];
+        // One pass: find the line, and the first minimum of `meta` in
+        // case it is absent.
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for way in 0..tags.len() {
+            if tags[way] == key {
+                meta[way] = self.tick << 1 | (meta[way] & 1) | write as u64;
+                self.mru[set] = way as u8;
+                return CacheAccess::Hit;
+            }
+            if meta[way] < oldest {
+                (victim, oldest) = (way, meta[way]);
+            }
+        }
+        let dirty_writeback = oldest & 1 == 1;
+        self.writebacks += dirty_writeback as u64;
+        tags[victim] = key;
+        meta[victim] = self.tick << 1 | write as u64;
+        self.mru[set] = victim as u8;
+        CacheAccess::Miss { dirty_writeback }
     }
 
     /// Access the line containing `addr`; `write` marks it dirty.
     pub fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
-        self.tick += 1;
-        let (set, tag) = self.index_and_tag(addr);
-        let base = set * self.ways;
-        let set_lines = &mut self.lines[base..base + self.ways];
-
-        if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.used = self.tick;
-            line.dirty |= write;
+        let outcome = self.touch(addr, write);
+        if outcome.is_hit() {
             self.hits += 1;
-            return CacheAccess::Hit;
+        } else {
+            self.misses += 1;
         }
-
-        // Miss: fill, evicting the LRU way.
-        self.misses += 1;
-        let victim = set_lines
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.used } else { 0 })
-            .expect("ways > 0");
-        let dirty_writeback = victim.valid && victim.dirty;
-        if dirty_writeback {
-            self.writebacks += 1;
-        }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            used: self.tick,
-        };
-        CacheAccess::Miss { dirty_writeback }
+        outcome
     }
 
     /// Probe without modifying state (no LRU update).
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.index_and_tag(addr);
+        let (set, key) = self.set_and_key(addr);
         let base = set * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.tags[base..base + self.ways].contains(&key)
     }
 
     /// Insert the line containing `addr` without counting a demand
     /// access (prefetch fill). Returns whether a dirty victim was
     /// evicted.
     pub fn fill(&mut self, addr: u64) -> bool {
-        self.tick += 1;
-        let (set, tag) = self.index_and_tag(addr);
-        let base = set * self.ways;
-        let set_lines = &mut self.lines[base..base + self.ways];
-        if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.used = self.tick;
-            return false;
-        }
-        let victim = set_lines
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.used } else { 0 })
-            .expect("ways > 0");
-        let dirty = victim.valid && victim.dirty;
-        if dirty {
-            self.writebacks += 1;
-        }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: false,
-            used: self.tick,
-        };
-        dirty
+        self.touch(addr, false)
+            == CacheAccess::Miss {
+                dirty_writeback: true,
+            }
     }
 
     /// Demand hits so far.
@@ -190,7 +199,9 @@ impl Cache {
 
     /// Invalidate everything and zero statistics.
     pub fn reset(&mut self) {
-        self.lines.iter_mut().for_each(|l| *l = Line::default());
+        self.tags.fill(0);
+        self.meta.fill(0);
+        self.mru.fill(0);
         self.tick = 0;
         self.hits = 0;
         self.misses = 0;
@@ -303,5 +314,37 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_pow2_line_rejected() {
         let _ = Cache::new(1024, 48, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "between 1 and 256 ways")]
+    fn more_ways_than_the_recent_way_hint_can_name_rejected() {
+        let _ = Cache::new(512 * 64, 64, 512);
+    }
+
+    #[test]
+    fn most_recent_way_shortcut_keeps_dirty_bits_and_lru_order() {
+        // Direct-mapped set 0: a read fill, then a write that takes the
+        // most-recent-way shortcut, must still leave the line dirty.
+        let mut c = Cache::new(128, 64, 1);
+        c.access(0, false);
+        c.access(8, true);
+        assert_eq!(
+            c.access(128, false),
+            CacheAccess::Miss {
+                dirty_writeback: true
+            }
+        );
+        // Two ways: repeats of the recent line take no new stamp, and
+        // the other line is still the one evicted.
+        let mut c = Cache::new(128, 64, 2);
+        c.access(0, false);
+        c.access(64, false);
+        for _ in 0..3 {
+            c.access(64, false);
+            c.fill(64);
+        }
+        c.access(128, false);
+        assert!(!c.contains(0) && c.contains(64) && c.contains(128));
     }
 }

@@ -92,7 +92,13 @@ pub struct MemoryHierarchy {
 
 impl MemoryHierarchy {
     /// Build from parameters.
+    ///
+    /// # Panics
+    /// If a level's geometry is inconsistent (see [`Cache::new`]), or
+    /// `l1_cycles` is 0: a hit costs at least a cycle, and the reference
+    /// CPU prices every access by what it costs beyond an L1 hit.
     pub fn new(params: HierarchyParams) -> MemoryHierarchy {
+        assert!(params.l1_cycles >= 1, "l1_cycles must be at least 1");
         MemoryHierarchy {
             params,
             l1: Cache::new(params.l1_bytes, params.line_bytes, params.l1_ways),
@@ -110,11 +116,17 @@ impl MemoryHierarchy {
         self.params
     }
 
+    /// log2 of the line size, which [`Cache::new`] has checked is a
+    /// power of two.
+    fn line_shift(&self) -> u32 {
+        self.params.line_bytes.trailing_zeros()
+    }
+
     /// One demand access to `addr`; returns its latency in cycles.
     pub fn access(&mut self, addr: u64, write: bool) -> u64 {
         self.accesses += 1;
         let p = self.params;
-        let line = addr / p.line_bytes as u64;
+        let line_shift = self.line_shift();
 
         let cycles = if self.l1.access(addr, write).is_hit() {
             p.l1_cycles
@@ -130,8 +142,8 @@ impl MemoryHierarchy {
         if p.prefetch {
             // Prefetches fill L2 and L3 so the next demand access pays
             // only the L2 latency instead of DRAM.
-            for pf_line in self.prefetcher.observe(line) {
-                let pf_addr = pf_line * p.line_bytes as u64;
+            for pf_line in self.prefetcher.observe(addr >> line_shift) {
+                let pf_addr = pf_line << line_shift;
                 self.l2.fill(pf_addr);
                 self.l3.fill(pf_addr);
             }
@@ -145,10 +157,15 @@ impl MemoryHierarchy {
     /// line is one access, and the latencies sum (worst case — the
     /// refcpu model divides by its memory-level parallelism factor).
     pub fn access_range(&mut self, addr: u64, bytes: u64, write: bool) -> u64 {
-        let line = self.params.line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + bytes.max(1) - 1) / line;
-        (first..=last).map(|l| self.access(l * line, write)).sum()
+        let line_shift = self.line_shift();
+        let first = addr >> line_shift;
+        let last = (addr + bytes.max(1) - 1) >> line_shift;
+        if first == last {
+            return self.access(addr, write);
+        }
+        (first..=last)
+            .map(|l| self.access(l << line_shift, write))
+            .sum()
     }
 
     /// Demand statistics per level `(l1, l2, l3)`.
@@ -294,5 +311,14 @@ mod tests {
         h.reset();
         assert_eq!(h.accesses(), 0);
         assert_eq!(h.dram_accesses(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "l1_cycles must be at least 1")]
+    fn zero_cycle_l1_rejected() {
+        let _ = MemoryHierarchy::new(HierarchyParams {
+            l1_cycles: 0,
+            ..HierarchyParams::default()
+        });
     }
 }

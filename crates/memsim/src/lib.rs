@@ -25,6 +25,6 @@ pub mod sram;
 pub use address::GlobalAddr;
 pub use cache::{Cache, CacheAccess};
 pub use hierarchy::{HierarchyParams, LevelStats, MemoryHierarchy};
-pub use prefetch::StreamPrefetcher;
+pub use prefetch::{PrefetchRun, StreamPrefetcher};
 pub use sdram::{Sdram, SdramParams};
 pub use sram::{LocalStore, SramParams};

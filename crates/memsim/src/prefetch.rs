@@ -8,40 +8,67 @@
 //! `confirm_after` consecutive line accesses it prefetches `depth`
 //! lines ahead.
 
-/// A detected access stream.
-#[derive(Debug, Clone, Copy)]
-struct Stream {
-    /// Next expected line index.
-    next_line: u64,
-    /// +1 or -1 line per access.
+/// The lines one [`StreamPrefetcher::observe`] asks for: `count` lines
+/// stepping by `dir` away from the observed `line`. Iterates them
+/// nearest first; an access that confirms nothing yields none.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PrefetchRun {
+    line: u64,
     dir: i64,
-    /// Consecutive confirmations so far.
-    hits: u32,
-    /// Replacement age.
-    last_used: u64,
+    count: u32,
+}
+
+impl Iterator for PrefetchRun {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        self.count = self.count.checked_sub(1)?;
+        self.line = self.line.wrapping_add_signed(self.dir);
+        Some(self.line)
+    }
 }
 
 /// Stream prefetcher over line indices (`addr / line_bytes` is done by
 /// the caller's hierarchy so the prefetcher is line-size agnostic).
+///
+/// The stream table is flat arrays indexed by slot, so the match scan
+/// reads little but `next_line`, and replacement order is kept as a
+/// list of slots instead of a timestamp per slot.
 #[derive(Debug, Clone)]
 pub struct StreamPrefetcher {
-    streams: Vec<Option<Stream>>,
+    /// Next expected line index.
+    next_line: Vec<u64>,
+    /// +1 or -1 line per access.
+    dir: Vec<i64>,
+    /// Consecutive confirmations so far; 0 marks an empty slot.
+    hits: Vec<u32>,
+    /// Every slot, least recently used first. Slots used by the same
+    /// access (the two hypotheses of one allocation, or the never-used
+    /// ones) are in index order.
+    lru: Vec<u8>,
     confirm_after: u32,
     depth: u32,
-    tick: u64,
     issued: u64,
 }
 
 impl StreamPrefetcher {
     /// `table_size` concurrent streams, confirmed after `confirm_after`
     /// sequential accesses, prefetching `depth` lines ahead.
+    ///
+    /// # Panics
+    /// If `table_size` is 0 or above 256.
     pub fn new(table_size: usize, confirm_after: u32, depth: u32) -> StreamPrefetcher {
-        assert!(table_size > 0, "need at least one stream slot");
+        assert!(
+            (1..=256).contains(&table_size),
+            "need between 1 and 256 stream slots (got {table_size})"
+        );
         StreamPrefetcher {
-            streams: vec![None; table_size],
+            next_line: vec![0; table_size],
+            dir: vec![0; table_size],
+            hits: vec![0; table_size],
+            lru: (0..table_size).map(|slot| slot as u8).collect(),
             confirm_after,
             depth,
-            tick: 0,
             issued: 0,
         }
     }
@@ -53,47 +80,55 @@ impl StreamPrefetcher {
     }
 
     /// Observe a demand access to `line`; returns the lines to prefetch
-    /// (possibly empty).
-    pub fn observe(&mut self, line: u64) -> Vec<u64> {
-        self.tick += 1;
-        // Match an existing stream expecting this line.
-        for slot in self.streams.iter_mut().flatten() {
-            if slot.next_line == line {
-                slot.hits += 1;
-                slot.last_used = self.tick;
-                slot.next_line = line.wrapping_add_signed(slot.dir);
-                if slot.hits >= self.confirm_after {
-                    let out: Vec<u64> = (1..=self.depth as u64)
-                        .map(|k| line.wrapping_add_signed(slot.dir * k as i64))
-                        .collect();
-                    self.issued += out.len() as u64;
-                    return out;
-                }
-                return Vec::new();
+    /// (possibly none).
+    ///
+    /// A repeat access to the line a stream has just moved past matches
+    /// nothing and allocates a duplicate hypothesis, which later
+    /// confirms like any other; see DESIGN.md §7.
+    pub fn observe(&mut self, line: u64) -> PrefetchRun {
+        // Match the first stream expecting this line.
+        let expecting = (0..self.next_line.len())
+            .find(|&slot| self.next_line[slot] == line && self.hits[slot] != 0);
+        if let Some(slot) = expecting {
+            let dir = self.dir[slot];
+            self.hits[slot] += 1;
+            self.next_line[slot] = line.wrapping_add_signed(dir);
+            let at =
+                (self.lru.iter().position(|&s| s as usize == slot)).expect("every slot is listed");
+            self.lru.copy_within(at + 1.., at);
+            *self.lru.last_mut().expect("at least one slot") = slot as u8;
+            if self.hits[slot] < self.confirm_after {
+                return PrefetchRun::default();
             }
+            self.issued += u64::from(self.depth);
+            return PrefetchRun {
+                line,
+                dir,
+                count: self.depth,
+            };
         }
-        // New stream hypotheses in both directions: allocate ascending
-        // (the common case); a descending access pattern will allocate
-        // on its second miss via the `line-1` expectation below.
-        self.allocate(line.wrapping_add(1), 1);
+        // New stream hypotheses in both directions: ascending into the
+        // least recently used slot, descending into the next least.
+        // Line 0 has nothing below it, and with one slot the descending
+        // hypothesis replaces the ascending one.
+        let n = self.lru.len();
+        let taken = if line > 0 && n > 1 { 2 } else { 1 };
+        let (ascending, descending) = (self.lru[0], self.lru[taken - 1]);
+        self.allocate(ascending as usize, line.wrapping_add(1), 1);
         if line > 0 {
-            self.allocate(line - 1, -1);
+            self.allocate(descending as usize, line - 1, -1);
         }
-        Vec::new()
+        // Both are now the most recent, listed in index order.
+        self.lru.copy_within(taken.., 0);
+        let used = [ascending.min(descending), ascending.max(descending)];
+        self.lru[n - taken..].copy_from_slice(&used[2 - taken..]);
+        PrefetchRun::default()
     }
 
-    fn allocate(&mut self, next_line: u64, dir: i64) {
-        let slot = self
-            .streams
-            .iter_mut()
-            .min_by_key(|s| s.map_or(0, |s| s.last_used))
-            .expect("table_size > 0");
-        *slot = Some(Stream {
-            next_line,
-            dir,
-            hits: 1,
-            last_used: self.tick,
-        });
+    fn allocate(&mut self, slot: usize, next_line: u64, dir: i64) {
+        self.next_line[slot] = next_line;
+        self.dir[slot] = dir;
+        self.hits[slot] = 1;
     }
 
     /// Total prefetches issued.
@@ -103,8 +138,9 @@ impl StreamPrefetcher {
 
     /// Forget all streams.
     pub fn reset(&mut self) {
-        self.streams.iter_mut().for_each(|s| *s = None);
-        self.tick = 0;
+        self.hits.fill(0);
+        // Never-used slots are listed in index order.
+        self.lru.sort_unstable();
         self.issued = 0;
     }
 }
@@ -116,10 +152,11 @@ mod tests {
     #[test]
     fn ascending_stream_confirms_and_prefetches() {
         let mut p = StreamPrefetcher::new(4, 2, 4);
-        assert!(p.observe(100).is_empty()); // allocate (counts as 1st access)
-                                            // 2nd sequential access confirms the stream and prefetches.
-        assert_eq!(p.observe(101), vec![102, 103, 104, 105]);
-        assert_eq!(p.observe(102), vec![103, 104, 105, 106]);
+        // Allocates (counts as the 1st access).
+        assert_eq!(p.observe(100).count(), 0);
+        // 2nd sequential access confirms the stream and prefetches.
+        assert!(p.observe(101).eq(102..=105));
+        assert!(p.observe(102).eq(103..=106));
     }
 
     #[test]
@@ -127,15 +164,14 @@ mod tests {
         let mut p = StreamPrefetcher::new(4, 2, 2);
         p.observe(200);
         p.observe(199);
-        let pf = p.observe(198);
-        assert_eq!(pf, vec![197, 196]);
+        assert!(p.observe(198).eq([197, 196]));
     }
 
     #[test]
     fn random_accesses_never_confirm() {
         let mut p = StreamPrefetcher::new(8, 2, 4);
         for line in [5u64, 900, 13, 77, 4096, 2, 555, 31] {
-            assert!(p.observe(line).is_empty());
+            assert_eq!(p.observe(line).count(), 0);
         }
         assert_eq!(p.issued(), 0);
     }
@@ -147,9 +183,31 @@ mod tests {
         p.observe(1);
         let mut total = 0;
         for line in 2..50u64 {
-            total += p.observe(line).len();
+            total += p.observe(line).count();
         }
         assert_eq!(total, 48);
+    }
+
+    #[test]
+    fn same_line_repeats_allocate_duplicate_streams_that_all_confirm() {
+        // Eight 8-byte accesses per 64-byte line. The first access to a
+        // line advances the stream that expected it; the other seven
+        // match nothing and each allocate another stream expecting the
+        // next line. Every access to that next line then finds a
+        // duplicate of its own to confirm, so prefetches are issued
+        // four per access, not four per line. Only line 0, which no
+        // stream expected, is free. This is part of the pinned Table I
+        // denominator (DESIGN.md §7): changing it moves
+        // `sim.cycles.ffbp_ref.refcpu`.
+        let mut p = StreamPrefetcher::intel_like();
+        for access in 0..8u64 {
+            assert_eq!(p.observe(access * 8 / 64).count(), 0);
+        }
+        for access in 8..4_000_000u64 {
+            let line = access * 8 / 64;
+            assert!(p.observe(line).eq(line + 1..=line + 4), "access {access}");
+        }
+        assert_eq!(p.issued(), 15_999_968);
     }
 
     #[test]
@@ -159,7 +217,7 @@ mod tests {
         // a 2-slot table, evicting older streams; just ensure no panic
         // and no spurious prefetch.
         for line in (0..20u64).map(|i| i * 1000) {
-            assert!(p.observe(line).is_empty());
+            assert_eq!(p.observe(line).count(), 0);
         }
     }
 
@@ -169,7 +227,7 @@ mod tests {
         p.observe(10);
         p.observe(11);
         p.reset();
-        assert!(p.observe(12).is_empty());
+        assert_eq!(p.observe(12).count(), 0);
         assert_eq!(p.issued(), 0);
     }
 }

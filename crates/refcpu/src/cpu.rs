@@ -20,7 +20,16 @@ pub struct RefCpu {
 
 impl RefCpu {
     /// Fresh core with cold caches.
+    ///
+    /// # Panics
+    /// If `mlp` is not finite and positive (every stall is divided by
+    /// it), or the hierarchy is rejected by [`MemoryHierarchy::new`].
     pub fn new(params: RefCpuParams) -> RefCpu {
+        assert!(
+            params.mlp.is_finite() && params.mlp > 0.0,
+            "mlp must be finite and positive (got {})",
+            params.mlp
+        );
         RefCpu {
             hierarchy: MemoryHierarchy::new(params.hierarchy),
             params,
@@ -55,13 +64,15 @@ impl RefCpu {
     fn mem(&mut self, addr: u64, bytes: u64, write: bool) {
         let latency = self.hierarchy.access_range(addr, bytes, write);
         let l1 = self.params.hierarchy.l1_cycles;
-        let lines = latency.div_ceil(self.params.hierarchy.l1_cycles).max(1);
-        let _ = lines;
         // L1-hit time is already covered by the issue-slot pricing in
         // `compute`; only the portion beyond L1, divided by the MLP the
-        // out-of-order window extracts, stalls the core.
-        let beyond_l1 = latency.saturating_sub(l1) as f64;
-        let stall = beyond_l1 / self.params.mlp;
+        // out-of-order window extracts, stalls the core. An L1 hit
+        // would add `0.0 / mlp` = +0.0 to both accumulators, which
+        // changes neither (`mlp` is finite and positive).
+        if latency <= l1 {
+            return;
+        }
+        let stall = (latency - l1) as f64 / self.params.mlp;
         self.mem_stall_cycles += stall;
         self.cycles += stall;
     }
@@ -316,5 +327,18 @@ mod tests {
         c.reset();
         assert_eq!(c.elapsed(), Cycle::ZERO);
         assert_eq!(c.hierarchy().accesses(), 0);
+    }
+
+    #[test]
+    fn mlp_must_be_finite_and_positive() {
+        for mlp in [0.0, -4.0, f64::NAN, f64::INFINITY] {
+            let built = std::panic::catch_unwind(|| {
+                RefCpu::new(RefCpuParams {
+                    mlp,
+                    ..RefCpuParams::default()
+                })
+            });
+            assert!(built.is_err(), "mlp {mlp} accepted");
+        }
     }
 }

@@ -244,3 +244,29 @@ fn every_mapping_on_every_platform_matches_the_plain_algorithms() {
         "expected every supported (mapping, platform) pair to run once"
     );
 }
+
+/// The reference-CPU model is the denominator of every Table I
+/// speedup, and `results/table1_baseline.json` only pins its `time_ms`.
+/// `tests/golden/refcpu_records.jsonl` holds the four records below as
+/// the commit before the host fast path through `memsim` serialised
+/// them; a host-speed change must reproduce every byte (cycles,
+/// `dram_access`, `mem_stall_cycles` per phase, `mem_stall_fraction`).
+/// A deliberate model change regenerates the file and says what moved.
+#[test]
+fn refcpu_records_match_the_checked_in_bytes() {
+    let ffbp_w = FfbpWorkload::small();
+    let af_w = AutofocusWorkload::small();
+    let mut af_without_prefetch = autofocus_ref::params();
+    af_without_prefetch.hierarchy.prefetch = false;
+    let fresh = [
+        ffbp_ref::run(&ffbp_w, RefCpuParams::default()).record,
+        ffbp_ref::run(&ffbp_w, RefCpuParams::without_prefetch()).record,
+        autofocus_ref::run(&af_w, autofocus_ref::params()).record,
+        autofocus_ref::run(&af_w, af_without_prefetch).record,
+    ];
+    let expected = include_str!("golden/refcpu_records.jsonl");
+    assert_eq!(expected.lines().count(), fresh.len());
+    for (record, line) in fresh.iter().zip(expected.lines()) {
+        assert_eq!(record.to_json().to_string(), line, "{}", record.label);
+    }
+}
