@@ -29,10 +29,10 @@ use std::process::ExitCode;
 
 use autotune::{tune, Objective, Strategy, TuneConfig, Tuning};
 use desim::Json;
-use sar_epiphany::mapping_named;
+use sar_epiphany::mapping_named_placed;
 use sim_harness::{
-    check_overwrite, platform_named, run_ctx, BenchHarness, Diagnostic, MappingRun, RunContext,
-    Workload, RESULTS_DIR,
+    check_overwrite, platform_named, run, BenchHarness, Diagnostic, MappingRun, Workload,
+    RESULTS_DIR,
 };
 
 fn main() -> ExitCode {
@@ -102,16 +102,12 @@ fn functional_bits(r: &MappingRun) -> (Vec<BitPair>, Option<BitPair>) {
     (sweep, r.best.map(|(a, b)| (a.to_bits(), b.to_bits())))
 }
 
-/// Simulate one placement override through the ordinary harness.
-fn simulate(t: &Tuning, place: Option<sim_harness::Placement>) -> Result<MappingRun, Diagnostic> {
-    let m = mapping_named(&t.mapping).expect("tuned mapping is registered");
+/// Simulate the pair with `place` through the ordinary harness.
+fn simulate(t: &Tuning, place: sim_harness::Placement) -> Result<MappingRun, Diagnostic> {
+    let m = mapping_named_placed(&t.mapping, place).expect("tuned mapping is registered");
     let p = platform_named(&t.platform).expect("tuned platform is registered");
     let w = Workload::named("autofocus", t.config.small).expect("autofocus is registered");
-    let mut ctx = RunContext::plain();
-    if let Some(place) = place {
-        ctx = ctx.with_placement(place);
-    }
-    run_ctx(m.as_ref(), &w, p.as_ref(), &ctx)
+    run(m.as_ref(), &w, p.as_ref())
         .map_err(|e| Diagnostic::hard("CLI001", t.config.pair.clone(), e.to_string()))
 }
 
@@ -159,8 +155,8 @@ fn drive(h: &BenchHarness) -> Result<bool, Diagnostic> {
     // The static model proposed; the simulator disposes. Both runs go
     // through the identical harness path, differing only in the
     // placement override.
-    let base = simulate(&tuning, None)?;
-    let tuned = simulate(&tuning, Some(tuning.best))?;
+    let base = simulate(&tuning, tuning.initial)?;
+    let tuned = simulate(&tuning, tuning.best)?;
     let identical = functional_bits(&base) == functional_bits(&tuned);
     let (base_json, base_within) = simulated_side(&base, &tuning.initial_cost);
     let (tuned_json, tuned_within) = simulated_side(&tuned, &tuning.best_cost);

@@ -6,18 +6,14 @@
 //! whole report is byte-deterministic per seed.
 
 use autotune::{tune, Objective, TuneConfig};
-use sar_epiphany::mapping_named;
-use sim_harness::{platform_named, run_ctx, MappingRun, RunContext, Workload};
+use sar_epiphany::mapping_named_placed;
+use sim_harness::{platform_named, run, MappingRun, Placement, Workload};
 
-fn simulate(place: Option<sim_harness::Placement>) -> MappingRun {
-    let m = mapping_named("autofocus_mpmd").expect("registered");
+fn simulate(place: Placement) -> MappingRun {
+    let m = mapping_named_placed("autofocus_mpmd", place).expect("registered");
     let p = platform_named("epiphany").expect("registered");
     let w = Workload::named("autofocus", true).expect("registered");
-    let mut ctx = RunContext::plain();
-    if let Some(place) = place {
-        ctx = ctx.with_placement(place);
-    }
-    run_ctx(m.as_ref(), &w, p.as_ref(), &ctx).expect("pair simulates")
+    run(m.as_ref(), &w, p.as_ref()).expect("pair simulates")
 }
 
 fn small_cfg() -> TuneConfig {
@@ -35,8 +31,8 @@ fn tuned_placement_beats_the_hand_mapping_in_the_simulator() {
         "static search found no improvement"
     );
 
-    let base = simulate(None);
-    let tuned = simulate(Some(t.best));
+    let base = simulate(t.initial);
+    let tuned = simulate(t.best);
 
     // The win condition: the tuned placement's simulated run beats the
     // hand mapping on total energy (the pipeline is compute-bound, so
@@ -91,8 +87,8 @@ fn mesh_objective_also_improves_simulated_mesh_energy() {
     cfg.objective = Objective::MeshEnergy;
     let t = tune(&cfg).expect("pair is tunable");
     assert!(t.best_score < t.initial_score);
-    let base = simulate(None);
-    let tuned = simulate(Some(t.best));
+    let base = simulate(t.initial);
+    let tuned = simulate(t.best);
     assert!(tuned.record.energy.mesh_j < base.record.energy.mesh_j);
 }
 

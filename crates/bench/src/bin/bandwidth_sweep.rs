@@ -6,12 +6,12 @@
 //! Usage: `cargo run -p bench --bin bandwidth_sweep --release [-- --json]`
 
 use epiphany::EpiphanyParams;
-use sar_epiphany::autofocus_mpmd::{self, Placement};
 use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sar_epiphany::workloads::AutofocusWorkload;
-use sim_harness::BenchHarness;
+use sar_epiphany::{autofocus_mpmd, autofocus_seq};
+use sim_harness::{AutofocusWorkload, BenchHarness, Placement, RunContext};
 
 fn main() {
+    let ctx = RunContext::plain();
     let mut h = BenchHarness::new("bandwidth_sweep");
     let fw = bench::reduced_ffbp(256, 1001);
     let aw = AutofocusWorkload::paper();
@@ -23,10 +23,10 @@ fn main() {
     for bpc in [1u64, 2, 4, 8, 16, 32] {
         let mut p = EpiphanyParams::default();
         p.emesh.elink_bytes_per_cycle = bpc;
-        let mut f = ffbp_spmd::run(&fw, p, SpmdOptions::default());
-        let mut ap = autofocus_mpmd::params();
+        let mut f = ffbp_spmd::run(&fw, p, SpmdOptions::default(), &ctx);
+        let mut ap = autofocus_seq::params();
         ap.emesh.elink_bytes_per_cycle = bpc;
-        let mut a = autofocus_mpmd::run(&aw, ap, Placement::neighbor());
+        let mut a = autofocus_mpmd::run(&aw, ap, Placement::neighbor(), &ctx);
         h.say(format_args!(
             "{:>10} {:>16.2} {:>18.0} {:>11.1}%",
             bpc,

@@ -10,10 +10,10 @@ use desim::Frequency;
 use epiphany::EpiphanyParams;
 use sar_epiphany::autofocus_seq;
 use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sar_epiphany::workloads::AutofocusWorkload;
-use sim_harness::BenchHarness;
+use sim_harness::{AutofocusWorkload, BenchHarness, RunContext};
 
 fn main() {
+    let ctx = RunContext::plain();
     let mut h = BenchHarness::new("clock_sweep");
     let fw = bench::reduced_ffbp(256, 1001);
     let aw = AutofocusWorkload::paper();
@@ -27,12 +27,12 @@ fn main() {
             clock: Frequency::mhz(mhz),
             ..EpiphanyParams::default()
         };
-        let mut f = ffbp_spmd::run(&fw, p, SpmdOptions::default());
+        let mut f = ffbp_spmd::run(&fw, p, SpmdOptions::default(), &ctx);
         let ap = EpiphanyParams {
             clock: Frequency::mhz(mhz),
             ..autofocus_seq::params()
         };
-        let mut a = autofocus_seq::run(&aw, ap);
+        let mut a = autofocus_seq::run(&aw, ap, &ctx);
         h.say(format_args!(
             "{:>7} MHz {:>16.2} {:>20.0} {:>14.6}",
             mhz,

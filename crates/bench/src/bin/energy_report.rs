@@ -13,7 +13,7 @@
 //! Usage: `cargo run -p bench --bin energy_report --release [-- --full] [-- --json]`
 
 use desim::RunRecord;
-use sar_epiphany::harness_impls::mapping_named;
+use sar_epiphany::mapping_named;
 use sim_harness::{platform_named, run, BenchHarness, Workload};
 
 fn show(h: &mut BenchHarness, record: RunRecord) {

@@ -8,10 +8,11 @@
 //!
 //! Usage: `cargo run -p bench --bin fault_sweep --release [-- --json --seed N]`
 
-use sar_epiphany::autofocus_mpmd::{self, Placement};
 use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sar_epiphany::workloads::{AutofocusWorkload, FfbpWorkload};
-use sim_harness::{BenchHarness, FaultPlan, FaultState};
+use sar_epiphany::{autofocus_mpmd, autofocus_seq};
+use sim_harness::{
+    AutofocusWorkload, BenchHarness, FaultPlan, FaultState, FfbpWorkload, Placement, RunContext,
+};
 
 /// A mixed-kind random fault group spec: `n` of each perturbation kind
 /// drawn from the first `window` cycles of the run.
@@ -58,13 +59,12 @@ fn main() {
         // inside it. Flag drops stay pending here (the SPMD drain uses
         // local flags, not remote writes) — only the timing kinds bite.
         let plan = FaultPlan::parse(&spec(n, 400_000), seed).expect("sweep spec parses");
-        let faults = FaultState::from_plan(&plan);
-        let r = ffbp_spmd::run_faulted(
+        let ctx = RunContext::plain().with_faults(FaultState::from_plan(&plan));
+        let r = ffbp_spmd::run(
             &fw,
             epiphany::EpiphanyParams::default(),
             SpmdOptions::default(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
+            &ctx,
         );
         let ms = r.record.millis();
         if n == 0 {
@@ -88,14 +88,8 @@ fn main() {
         // flag drops do bite (every inter-stage message is a remote
         // flag write) and cost watchdog timeouts.
         let plan = FaultPlan::parse(&spec(n, 40_000), seed).expect("sweep spec parses");
-        let faults = FaultState::from_plan(&plan);
-        let r = autofocus_mpmd::run_faulted(
-            &aw,
-            autofocus_mpmd::params(),
-            Placement::neighbor(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
-        );
+        let ctx = RunContext::plain().with_faults(FaultState::from_plan(&plan));
+        let r = autofocus_mpmd::run(&aw, autofocus_seq::params(), Placement::neighbor(), &ctx);
         let ms = r.record.millis();
         if n == 0 {
             af_base = ms;

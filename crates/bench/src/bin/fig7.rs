@@ -13,9 +13,8 @@ use std::path::Path;
 
 use sar_core::gbp::gbp;
 use sar_core::quality::{image_entropy, normalized_rmse, peak_sidelobe_ratio_db};
-use sar_epiphany::workloads::FfbpWorkload;
 use sar_epiphany::{ffbp_ref, ffbp_seq};
-use sim_harness::BenchHarness;
+use sim_harness::{BenchHarness, FfbpWorkload, RunContext};
 
 fn main() {
     let mut h = BenchHarness::new("fig7");
@@ -57,7 +56,11 @@ fn main() {
         .image
         .write_pgm(&out.join("fig7c_ffbp_intel.pgm"), -50.0)
         .expect("write (c)");
-    let epiphany = ffbp_seq::run(&w, epiphany::EpiphanyParams::default());
+    let epiphany = ffbp_seq::run(
+        &w,
+        epiphany::EpiphanyParams::default(),
+        &RunContext::plain(),
+    );
     epiphany
         .image
         .write_pgm(&out.join("fig7d_ffbp_epiphany.pgm"), -50.0)

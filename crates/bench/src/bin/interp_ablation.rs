@@ -10,8 +10,7 @@ use sar_core::ffbp::{ffbp, FfbpConfig, InterpKind};
 use sar_core::gbp::gbp;
 use sar_core::quality::{image_entropy, normalized_rmse};
 use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sar_epiphany::workloads::FfbpWorkload;
-use sim_harness::BenchHarness;
+use sim_harness::{BenchHarness, FfbpWorkload, RunContext};
 
 fn main() {
     let mut h = BenchHarness::new("interp_ablation");
@@ -37,7 +36,12 @@ fn main() {
             },
             ..base.clone()
         };
-        let mut machine = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
+        let mut machine = ffbp_spmd::run(
+            &w,
+            EpiphanyParams::default(),
+            SpmdOptions::default(),
+            &RunContext::plain(),
+        );
         let plain = ffbp(&w.data, &w.geom, &w.config);
         let rmse = normalized_rmse(&plain.image, &reference.image);
         let entropy = image_entropy(&plain.image);

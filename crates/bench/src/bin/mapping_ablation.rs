@@ -5,9 +5,8 @@
 //!
 //! Usage: `cargo run -p bench --bin mapping_ablation --release [-- --json]`
 
-use sar_epiphany::autofocus_mpmd::{self, Placement};
-use sar_epiphany::workloads::AutofocusWorkload;
-use sim_harness::BenchHarness;
+use sar_epiphany::{autofocus_mpmd, autofocus_seq};
+use sim_harness::{AutofocusWorkload, BenchHarness, Placement, RunContext};
 
 fn main() {
     let mut h = BenchHarness::new("mapping_ablation");
@@ -24,7 +23,7 @@ fn main() {
         ("neighbor", Placement::neighbor()),
         ("scattered", Placement::scattered()),
     ] {
-        let mut r = autofocus_mpmd::run(&w, autofocus_mpmd::params(), place);
+        let mut r = autofocus_mpmd::run(&w, autofocus_seq::params(), place, &RunContext::plain());
         h.say(format_args!(
             "{:>12} {:>12.3} {:>16.0} {:>11.3e} J {:>13} cyc",
             name,

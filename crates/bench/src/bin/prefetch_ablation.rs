@@ -8,9 +8,10 @@ use epiphany::EpiphanyParams;
 use refcpu::RefCpuParams;
 use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
 use sar_epiphany::{ffbp_ref, ffbp_seq};
-use sim_harness::BenchHarness;
+use sim_harness::{BenchHarness, RunContext};
 
 fn main() {
+    let ctx = RunContext::plain();
     let mut h = BenchHarness::new("prefetch_ablation");
     let w = bench::reduced_ffbp(256, 1001);
     h.say(format_args!(
@@ -18,7 +19,7 @@ fn main() {
         w.geom.num_pulses, w.geom.num_bins
     ));
 
-    let with = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
+    let with = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default(), &ctx);
     let without = ffbp_spmd::run(
         &w,
         EpiphanyParams::default(),
@@ -26,19 +27,20 @@ fn main() {
             prefetch: false,
             ..SpmdOptions::default()
         },
+        &ctx,
     );
     h.say("\nEpiphany SPMD (16 cores):");
     h.say(format_args!(
         "  prefetch ON : {:>10.2} ms   local {} / external {}",
         with.record.millis(),
-        with.local_hits,
-        with.external_misses
+        with.record.metric("local_hits").unwrap_or(0.0),
+        with.record.metric("external_misses").unwrap_or(0.0)
     ));
     h.say(format_args!(
         "  prefetch OFF: {:>10.2} ms   local {} / external {}",
         without.record.millis(),
-        without.local_hits,
-        without.external_misses
+        without.record.metric("local_hits").unwrap_or(0.0),
+        without.record.metric("external_misses").unwrap_or(0.0)
     ));
     h.say(format_args!(
         "  prefetch speedup: {}",
@@ -57,7 +59,7 @@ fn main() {
     // Sequential side: Epiphany's naive port vs the i7 with and
     // without *its* prefetcher — the other half of the paper's
     // memory-system argument.
-    let seq = ffbp_seq::run(&w, EpiphanyParams::default());
+    let seq = ffbp_seq::run(&w, EpiphanyParams::default(), &ctx);
     let i7 = ffbp_ref::run(&w, RefCpuParams::default());
     let i7_nopf = ffbp_ref::run(&w, RefCpuParams::without_prefetch());
     h.say("\nSequential configurations:");

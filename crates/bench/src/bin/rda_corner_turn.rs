@@ -14,7 +14,7 @@
 //! runtime, energy and mesh traffic per platform.
 
 use desim::{Json, RunRecord};
-use sar_epiphany::harness_impls::mapping_named;
+use sar_epiphany::mapping_named;
 use sim_harness::{platform_named, run, BenchHarness, Workload};
 
 /// Sum of `f` over the phases whose family name is `name`.

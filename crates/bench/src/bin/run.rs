@@ -44,11 +44,10 @@
 //! `--faults` spec, `CLI007` for an unreadable, malformed or
 //! out-of-bounds `--placement` file.
 
-use sar_epiphany::autofocus_mpmd::Placement;
-use sar_epiphany::harness_impls::{all_mappings, mapping_named_placed};
+use sar_epiphany::{all_mappings, mapping_named_placed};
 use sim_harness::{
     all_platforms, platform_named, run_ctx, BenchHarness, Diagnostic, FaultPlan, FaultState,
-    Mapping, Platform, RunContext, Workload,
+    Mapping, Placement, Platform, RunContext, Workload,
 };
 
 /// `path` for run 0, `path` with `-n` spliced before the extension for

@@ -6,8 +6,7 @@
 
 use epiphany::EpiphanyParams;
 use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sar_epiphany::workloads::FfbpWorkload;
-use sim_harness::BenchHarness;
+use sim_harness::{BenchHarness, FfbpWorkload, RunContext};
 
 fn main() {
     let mut h = BenchHarness::new("scaling");
@@ -33,6 +32,7 @@ fn main() {
                 cores: Some(cores),
                 ..SpmdOptions::default()
             },
+            &RunContext::plain(),
         );
         let ms = r.record.millis();
         let base = *base_ms.get_or_insert(ms);
@@ -44,7 +44,7 @@ fn main() {
             speedup,
             100.0 * speedup / cores as f64,
             100.0 * r.record.elink_utilization(),
-            r.external_misses
+            r.record.metric("external_misses").unwrap_or(0.0)
         ));
         r.record.set_metric("speedup_vs_1", speedup);
         h.record(r.record);

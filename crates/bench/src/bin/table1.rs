@@ -6,8 +6,7 @@
 //! plus a `"table"` key with the rendered rows — the same shape as the
 //! checked-in golden baseline `results/table1_baseline.json`.
 
-use sar_epiphany::workloads::{AutofocusWorkload, FfbpWorkload};
-use sim_harness::BenchHarness;
+use sim_harness::{AutofocusWorkload, BenchHarness, FfbpWorkload};
 
 fn main() {
     let mut h = BenchHarness::new("table1");

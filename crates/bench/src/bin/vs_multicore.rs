@@ -13,7 +13,7 @@
 use epiphany::EpiphanyParams;
 use sar_core::parallel::ffbp_parallel;
 use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sim_harness::{BenchHarness, EPIPHANY_POWER_W};
+use sim_harness::{BenchHarness, RunContext, EPIPHANY_POWER_W};
 
 /// Assumed host package power under load, watts (a mobile/desktop
 /// multicore; adjust for your machine).
@@ -57,7 +57,12 @@ fn main() {
         h.record(record);
     }
 
-    let epi = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
+    let epi = ffbp_spmd::run(
+        &w,
+        EpiphanyParams::default(),
+        SpmdOptions::default(),
+        &RunContext::plain(),
+    );
     let secs = epi.record.elapsed.seconds();
     let mpx = pixels / secs / 1e6;
     h.say(format_args!(

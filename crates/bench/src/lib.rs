@@ -28,7 +28,7 @@
 
 use sar_core::geometry::SarGeometry;
 use sar_core::scene::{simulate_compressed_data, Scene};
-use sar_epiphany::workloads::FfbpWorkload;
+use sim_harness::FfbpWorkload;
 
 /// An FFBP workload reduced to `pulses x bins` (power-of-two pulses),
 /// six-target scene, deterministic seed — the knob the sweeps turn.

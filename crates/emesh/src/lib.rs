@@ -10,25 +10,21 @@
 //!   east-edge eLink on the evaluation board.
 //!
 //! Routing is dimension-ordered (X then Y) with a single-cycle routing
-//! latency per hop and round-robin five-direction arbitration at each
-//! node. This crate models each directed link as a FIFO server
-//! ([`desim::FifoResource`]) — contention, serialization and per-hop
-//! latency are captured at transaction granularity, which is the level
-//! the paper's arguments live at (neighbour-only mapping, the 64x
-//! on-chip/off-chip bandwidth ratio, congestion at the correlator core).
-//!
-//! The stand-alone [`arbiter::RoundRobinArbiter`] implements the
-//! five-direction rotating-priority grant used for same-cycle conflicts.
+//! latency per hop. The hardware arbitrates each node's five
+//! directions round-robin; this crate does not model that grant —
+//! it models each directed link as a FIFO server
+//! ([`desim::FifoResource`]), so same-cycle conflicts resolve in
+//! request order. Contention, serialization and per-hop latency are
+//! captured at transaction granularity, which is the level the paper's
+//! arguments live at (neighbour-only mapping, the 64x on-chip/off-chip
+//! bandwidth ratio, congestion at the correlator core).
 
 #![forbid(unsafe_code)]
 
-pub mod arbiter;
 pub mod network;
-pub mod packet;
 pub mod routing;
 pub mod topology;
 
 pub use network::{EMesh, MeshNetwork, TransferResult};
-pub use packet::{Packet, PacketKind};
 pub use routing::{route_xy, Direction};
 pub use topology::{Coord, Mesh2D, NodeId};

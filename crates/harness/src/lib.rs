@@ -32,7 +32,9 @@ pub use cli::{check_overwrite, BenchHarness, RESULTS_DIR};
 pub use desim::{PhaseRecord, RunRecord, RUN_RECORD_VERSION};
 pub use diag::{Diagnostic, Report, Severity};
 pub use faultsim::{FaultPlan, FaultState};
-pub use mapping::{run, run_ctx, run_traced, HarnessError, Mapping, MappingRun, RunContext};
+pub use mapping::{
+    run, run_ctx, run_traced, HarnessError, ImageRun, Mapping, MappingRun, RunContext, SweepRun,
+};
 pub use model::{
     BarrierDecl, Bound, BufferDecl, ChannelDecl, FlagDecl, PhaseDecl, ProgramModel, TrafficDecl,
     WorkDecl,

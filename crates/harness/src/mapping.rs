@@ -9,29 +9,25 @@ use desim::{
     PowerRecord, PowerTimeline, RunRecord,
 };
 use faultsim::FaultState;
+use sar_core::autofocus::best_shift;
 use sar_core::image::ComplexImage;
 
 use crate::model::ProgramModel;
-use crate::placement::Placement;
 use crate::platform::{Platform, PlatformKind};
 use crate::workload::Workload;
 
 /// Everything a driver may consult while executing: the run's event
-/// timeline, its fault schedule, and an optional placement override.
-/// [`run_ctx`] passes it through to [`Mapping::execute_ctx`];
-/// [`run_traced`] wraps a bare tracer in a fault-free context, so the
-/// two entry points price identically when no faults are armed.
+/// timeline and its fault schedule. [`run_ctx`] passes it through to
+/// [`Mapping::execute`]; [`run_traced`] wraps a bare tracer in a
+/// fault-free context, so the two entry points price identically when
+/// no faults are armed. Drivers without a recovery story never arm
+/// `faults` on their chip.
 #[derive(Clone)]
 pub struct RunContext {
     /// Event timeline (disabled unless the caller requested a trace).
     pub tracer: Tracer,
     /// Fault schedule (disabled unless the caller armed one).
     pub faults: FaultState,
-    /// Placement override for placement-aware mappings (`None` keeps
-    /// the mapping's own placement). Mappings without a placement
-    /// ignore it — injecting a placement never changes kernel results,
-    /// only routing.
-    pub placement: Option<Placement>,
 }
 
 impl Default for RunContext {
@@ -39,7 +35,6 @@ impl Default for RunContext {
         RunContext {
             tracer: Tracer::disabled(),
             faults: FaultState::disabled(),
-            placement: None,
         }
     }
 }
@@ -64,13 +59,6 @@ impl RunContext {
         self.faults = faults;
         self
     }
-
-    /// Override the placement of placement-aware mappings.
-    #[must_use]
-    pub fn with_placement(mut self, placement: Placement) -> RunContext {
-        self.placement = Some(placement);
-        self
-    }
 }
 
 /// What a mapping returns: the machine record plus whichever functional
@@ -79,7 +67,7 @@ impl RunContext {
 pub struct MappingRun {
     /// The priced run.
     pub record: RunRecord,
-    /// The formed image (FFBP mappings).
+    /// The formed image (FFBP and RDA mappings).
     pub image: Option<ComplexImage>,
     /// `(shift, criterion)` per hypothesis (autofocus mappings).
     pub sweep: Option<Vec<(f32, f32)>>,
@@ -95,6 +83,55 @@ impl MappingRun {
             image: None,
             sweep: None,
             best: None,
+        }
+    }
+}
+
+/// What an image-forming driver (FFBP, RDA) returns.
+pub struct ImageRun {
+    /// The machine record.
+    pub record: RunRecord,
+    /// The formed image (identical on every machine).
+    pub image: ComplexImage,
+}
+
+/// What an autofocus driver returns.
+pub struct SweepRun {
+    /// The machine record (one phase per hypothesis).
+    pub record: RunRecord,
+    /// `(shift, criterion)` per hypothesis.
+    pub sweep: Vec<(f32, f32)>,
+    /// The winning compensation.
+    pub best: (f32, f32),
+}
+
+impl SweepRun {
+    /// A criterion sweep and the hypothesis that wins it.
+    pub fn new(record: RunRecord, sweep: Vec<(f32, f32)>) -> SweepRun {
+        let best = best_shift(&sweep);
+        SweepRun {
+            record,
+            sweep,
+            best,
+        }
+    }
+}
+
+impl From<ImageRun> for MappingRun {
+    fn from(r: ImageRun) -> MappingRun {
+        MappingRun {
+            image: Some(r.image),
+            ..MappingRun::record_only(r.record)
+        }
+    }
+}
+
+impl From<SweepRun> for MappingRun {
+    fn from(r: SweepRun) -> MappingRun {
+        MappingRun {
+            sweep: Some(r.sweep),
+            best: Some(r.best),
+            ..MappingRun::record_only(r.record)
         }
     }
 }
@@ -149,29 +186,17 @@ pub trait Mapping {
     fn supports(&self, kind: PlatformKind) -> bool;
     /// Run the workload. Called through [`crate::run`], which validates
     /// kernel/platform compatibility first and stamps record identity
-    /// after. `tracer` is the run's event timeline — disabled unless
-    /// the caller requested a trace; drivers with machine models hand
-    /// it to the chip, others may ignore it (the harness synthesises
-    /// phase spans from the record).
+    /// after. `ctx.tracer` is the run's event timeline — disabled
+    /// unless the caller requested a trace; drivers with machine models
+    /// hand it to the chip, others may ignore it (the harness
+    /// synthesises phase spans from the record). Only mappings with a
+    /// recovery story arm `ctx.faults`.
     fn execute(
         &self,
         workload: &Workload,
         platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError>;
-    /// Run the workload with a full run context (tracer + fault
-    /// schedule). The default forwards to [`Mapping::execute`] and
-    /// ignores the fault schedule — only mappings with a recovery
-    /// story override this, and they must keep the fault-free path
-    /// bit-identical to `execute`.
-    fn execute_ctx(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
         ctx: &RunContext,
-    ) -> Result<MappingRun, HarnessError> {
-        self.execute(workload, platform, &ctx.tracer)
-    }
+    ) -> Result<MappingRun, HarnessError>;
     /// What the mapping declares about its memory, channels and
     /// synchronisation — the input to the `sarlint` static checks
     /// (DESIGN.md §3 S14). `None` means the mapping makes no checkable
@@ -233,7 +258,7 @@ pub fn run_ctx(
             platform: platform.label().to_string(),
         });
     }
-    let mut out = mapping.execute_ctx(workload, platform, ctx)?;
+    let mut out = mapping.execute(workload, platform, ctx)?;
     out.record.kernel = mapping.kernel().to_string();
     out.record.mapping = mapping.name().to_string();
     out.record.platform = platform.label().to_string();
@@ -403,7 +428,7 @@ mod tests {
             &self,
             _w: &Workload,
             _p: &dyn Platform,
-            _tracer: &Tracer,
+            _ctx: &RunContext,
         ) -> Result<MappingRun, HarnessError> {
             let span = TimeSpan::new(Cycle(1000), Frequency::ghz(1.0));
             let mut record = RunRecord::new("null", span);

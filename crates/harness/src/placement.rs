@@ -5,8 +5,7 @@
 //! [`Placement::rebased`] renumbers onto wider meshes while preserving
 //! every core's `(x, y)` coordinate, so hop counts — and therefore the
 //! mesh-energy profile — survive the move. The type lives in the
-//! harness (not `sar-epiphany`) so [`RunContext`](crate::RunContext)
-//! can carry a placement override and the `autotune` search engine can
+//! harness (not `sar-epiphany`) so the `autotune` search engine can
 //! manipulate placements without depending on the drivers.
 //!
 //! Placements round-trip through JSON (`{"version": 1, "range": ...,
@@ -40,7 +39,7 @@ impl Placement {
     /// The paper-style neighbour mapping on the 4x4 mesh: each block's
     /// range column feeds an adjacent beam column, and both beam
     /// columns sit next to the correlator.
-    pub fn neighbor() -> Placement {
+    pub const fn neighbor() -> Placement {
         // Node ids are row-major on the 4x4 mesh: id = y * 4 + x.
         Placement {
             range: [[0, 4, 8], [3, 7, 11]], // columns x=0 and x=3

@@ -13,84 +13,45 @@
 //! on-chip/off-chip bandwidth ratio) for the pipeline not bottlenecking
 //! at the correlator.
 
-use desim::{Cycle, OpCounts, RunRecord};
+use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
-use faultsim::FaultState;
 use memsim::GlobalAddr;
 use sar_core::autofocus::criterion::{BeamStageOut, RangeStageOut};
-use sar_core::autofocus::{beam_stage, best_shift, correlate_partial, range_stage};
+use sar_core::autofocus::{beam_stage, correlate_partial, range_stage};
+use sim_harness::{AutofocusWorkload, Placement, RunContext, SweepRun};
 
-use crate::autofocus_seq::AUTOFOCUS_PAIRING;
 use crate::layout::BANK_CHILD_A;
-use crate::workloads::AutofocusWorkload;
 
-/// Epiphany parameters specialised to this kernel.
-pub fn params() -> EpiphanyParams {
-    EpiphanyParams {
-        pairing_efficiency: AUTOFOCUS_PAIRING,
-        ..EpiphanyParams::default()
-    }
-}
-
-// The placement type lives in the harness (so `RunContext` can carry
-// an override and `autotune` can search over it); re-exported here
-// where it historically lived, next to the drivers that consume it.
-pub use sim_harness::Placement;
-
-/// Outcome of the MPMD run.
-pub struct AutofocusMpmdRun {
-    /// Machine record (one phase per hypothesis, with per-stage
-    /// occupancy and correlator wait/queue-depth metrics).
-    pub record: RunRecord,
-    /// `(shift, criterion)` per hypothesis.
-    pub sweep: Vec<(f32, f32)>,
-    /// The winning compensation.
-    pub best: (f32, f32),
-}
-
-/// Execute the autofocus workload on the 13-core pipeline.
-pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, place: Placement) -> AutofocusMpmdRun {
-    run_traced(w, params, place, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline: the chip emits its spans into
-/// `tracer`.
-pub fn run_traced(
-    w: &AutofocusWorkload,
-    params: EpiphanyParams,
-    place: Placement,
-    tracer: desim::trace::Tracer,
-) -> AutofocusMpmdRun {
-    run_faulted(w, params, place, tracer, FaultState::disabled())
-}
-
-/// [`run_traced`] under a fault schedule. Two recovery policies
-/// compose here: every inter-stage flag message goes through
-/// [`Chip::send_reliable`] (producer-side watchdog, so a dropped flag
-/// costs a timeout and a re-send instead of a hang), and a core that
-/// halts permanently is handled by *drain-and-restart* — the current
-/// hypothesis's in-flight results are discarded, the dead core's
-/// stage is remapped onto one of the three spare cores
+/// Execute the autofocus workload on the 13-core pipeline, emitting
+/// the chip's spans into `ctx.tracer` and running under `ctx.faults`.
+/// The record carries one phase per hypothesis, with per-stage
+/// occupancy and correlator wait/queue-depth metrics.
+///
+/// Two recovery policies compose here: every inter-stage flag message
+/// goes through [`Chip::send_reliable`] (producer-side watchdog, so a
+/// dropped flag costs a timeout and a re-send instead of a hang), and
+/// a core that halts permanently is handled by *drain-and-restart* —
+/// the current hypothesis's in-flight results are discarded, the dead
+/// core's stage is remapped onto one of the three spare cores
 /// ([`Placement::remap`], re-staging the block data if it was a range
 /// core), and the hypothesis is re-run on the repaired pipeline. The
 /// sweep is bit-identical to the fault-free run because a restarted
-/// hypothesis recomputes exactly the same values. With `faults`
-/// disabled this is exactly [`run_traced`].
-pub fn run_faulted(
+/// hypothesis recomputes exactly the same values.
+pub fn run(
     w: &AutofocusWorkload,
     params: EpiphanyParams,
     mut place: Placement,
-    tracer: desim::trace::Tracer,
-    faults: FaultState,
-) -> AutofocusMpmdRun {
+    ctx: &RunContext,
+) -> SweepRun {
+    let faults = &ctx.faults;
     assert_eq!(
         place.cores().len(),
         13,
         "the mapping must use 13 distinct cores"
     );
     let mut chip = Chip::from_params(params);
-    chip.set_tracer(tracer);
+    chip.set_tracer(ctx.tracer.clone());
     chip.set_faults(faults.clone());
     // Placements are written in E16G3 (4-column) ids; renumber onto
     // the chip's actual mesh, preserving coordinates and hop counts.
@@ -286,24 +247,28 @@ pub fn run_faulted(
         }
     }
 
-    let best = best_shift(&sweep);
-    AutofocusMpmdRun {
-        record: chip.report("Autofocus / Epiphany, 13 cores @ 1 GHz (MPMD pipeline)", 13),
+    SweepRun::new(
+        chip.report("Autofocus / Epiphany, 13 cores @ 1 GHz (MPMD pipeline)", 13),
         sweep,
-        best,
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autofocus_seq;
+    use crate::autofocus_seq::{self, params};
+    use faultsim::FaultState;
+
+    /// A fault-free, untraced run.
+    fn run(w: &AutofocusWorkload, params: EpiphanyParams, place: Placement) -> SweepRun {
+        super::run(w, params, place, &RunContext::plain())
+    }
 
     #[test]
     fn pipeline_computes_the_same_criterion_as_sequential() {
         let w = AutofocusWorkload::small();
         let mpmd = run(&w, params(), Placement::neighbor());
-        let seq = autofocus_seq::run(&w, autofocus_seq::params());
+        let seq = autofocus_seq::run(&w, params(), &RunContext::plain());
         assert_eq!(mpmd.sweep.len(), seq.sweep.len());
         for ((s1, v1), (s2, v2)) in mpmd.sweep.iter().zip(&seq.sweep) {
             assert_eq!(s1, s2);
@@ -318,7 +283,7 @@ mod tests {
     fn thirteen_cores_pipeline_much_faster_than_one() {
         let w = AutofocusWorkload::paper();
         let mpmd = run(&w, params(), Placement::neighbor());
-        let seq = autofocus_seq::run(&w, autofocus_seq::params());
+        let seq = autofocus_seq::run(&w, params(), &RunContext::plain());
         let speedup = seq.record.elapsed.seconds() / mpmd.record.elapsed.seconds();
         assert!(
             speedup > 4.0,
@@ -386,12 +351,11 @@ mod tests {
             }],
         );
         let faults = FaultState::from_plan(&plan);
-        let r = run_faulted(
+        let r = super::run(
             &w,
             params(),
             Placement::neighbor(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
+            &RunContext::plain().with_faults(faults.clone()),
         );
         assert_eq!(
             r.sweep, clean.sweep,
@@ -419,12 +383,11 @@ mod tests {
             ],
         );
         let faults = FaultState::from_plan(&plan);
-        let r = run_faulted(
+        let r = super::run(
             &w,
             params(),
             Placement::neighbor(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
+            &RunContext::plain().with_faults(faults.clone()),
         );
         assert_eq!(r.sweep, clean.sweep);
         let t = faults.totals();
@@ -452,12 +415,11 @@ mod tests {
             ],
         );
         let go = || {
-            run_faulted(
+            super::run(
                 &w,
                 params(),
                 Placement::neighbor(),
-                desim::trace::Tracer::disabled(),
-                FaultState::from_plan(&plan),
+                &RunContext::plain().with_faults(FaultState::from_plan(&plan)),
             )
         };
         let (a, b) = (go(), go());

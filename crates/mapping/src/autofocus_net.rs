@@ -10,19 +10,18 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use desim::{OpCounts, RunRecord};
+use desim::OpCounts;
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
 use memsim::GlobalAddr;
 use sar_core::autofocus::criterion::{
     beam_stage, correlate_partial, range_stage, AutofocusConfig, BeamStageOut, RangeStageOut,
 };
-use sar_core::autofocus::{best_shift, Block6};
+use sar_core::autofocus::Block6;
+use sim_harness::{AutofocusWorkload, Placement, RunContext, SweepRun};
 use streams::{Actor, FireCtx, Network};
 
-use crate::autofocus_mpmd::Placement;
 use crate::layout::BANK_CHILD_A;
-use crate::workloads::AutofocusWorkload;
 
 /// Tokens flowing through the pipeline.
 pub enum AfToken {
@@ -142,7 +141,7 @@ struct CorrActor {
 }
 
 impl Actor<AfToken> for CorrActor {
-    fn fire(&mut self, inputs: Vec<AfToken>, _ctx: &mut FireCtx<'_, AfToken>) {
+    fn fire(&mut self, inputs: Vec<AfToken>, ctx: &mut FireCtx<'_, AfToken>) {
         assert_eq!(inputs.len(), 6, "correlator joins six beam streams");
         let mut minus: [Option<BeamStageOut>; 3] = Default::default();
         let mut plus: [Option<BeamStageOut>; 3] = Default::default();
@@ -162,7 +161,7 @@ impl Actor<AfToken> for CorrActor {
         let plus = plus.map(|o| o.expect("three plus inputs"));
         let mut counts = OpCounts::default();
         let partial = correlate_partial(&minus, &plus, &mut counts);
-        _ctx.charge(&counts);
+        ctx.charge(&counts);
         let mut results = self.results.borrow_mut();
         match results.last_mut() {
             Some((s, acc)) if *s == hyp_shift => *acc += partial,
@@ -171,34 +170,20 @@ impl Actor<AfToken> for CorrActor {
     }
 }
 
-/// Outcome of the network run.
-pub struct AutofocusNetRun {
-    /// Machine record (one phase per hypothesis, with the channels'
-    /// high-water queue depth as a per-phase metric).
-    pub record: RunRecord,
-    /// `(shift, criterion)` per hypothesis.
-    pub sweep: Vec<(f32, f32)>,
-    /// The winning compensation.
-    pub best: (f32, f32),
-    /// Total actor firings (pipeline activity).
-    pub firings: u64,
-}
-
-/// Run the workload on the declarative pipeline with `place`.
-pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, place: Placement) -> AutofocusNetRun {
-    run_traced(w, params, place, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline: the chip emits its spans into
-/// `tracer`.
-pub fn run_traced(
+/// Run the workload on the declarative pipeline with `place`; the
+/// chip emits its spans into `ctx.tracer`. The record carries one
+/// phase per hypothesis (with the channels' high-water queue depth as
+/// a per-phase metric) and the total actor firings — the pipeline's
+/// activity — as the `firings` metric. The process network has no
+/// fault-recovery story, so `ctx.faults` is never armed.
+pub fn run(
     w: &AutofocusWorkload,
     params: EpiphanyParams,
     place: Placement,
-    tracer: desim::trace::Tracer,
-) -> AutofocusNetRun {
+    ctx: &RunContext,
+) -> SweepRun {
     let mut chip = Chip::from_params(params);
-    chip.set_tracer(tracer);
+    chip.set_tracer(ctx.tracer.clone());
     // Placements use canonical E16G3 (4-column) ids; renumber onto
     // the chip's actual mesh, preserving coordinates and hop counts.
     let place = place.rebased(chip.mesh_dims().0, chip.mesh_dims().1);
@@ -266,9 +251,8 @@ pub fn run_traced(
             }
         }
     }
-    // Wait: port order on the beam actor must be range windows 0,1,2 —
-    // connections above iterate (win, b), giving beam b inputs in
-    // window order 0,1,2 as required. The correlator's six ports are
+    // ...in (win, b) order, so beam b's input ports are range windows
+    // 0,1,2 as its actor requires. The correlator's six ports are
     // block 0 beams 0-2 then block 1 beams 0-2:
     #[allow(clippy::needless_range_loop)]
     for blk in 0..2 {
@@ -307,37 +291,30 @@ pub fn run_traced(
         net.chip_mut().phase_end();
     }
 
-    let record = net
+    let mut record = net
         .chip()
         .report("Autofocus / Epiphany, 13 cores (streams network)", 13);
+    record.set_metric("firings", firings as f64);
     let sweep = results.borrow().clone();
-    let best = best_shift(&sweep);
-    AutofocusNetRun {
-        record,
-        sweep,
-        best,
-        firings,
-    }
+    SweepRun::new(record, sweep)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::autofocus_mpmd;
-    use crate::autofocus_seq::AUTOFOCUS_PAIRING;
+    use crate::autofocus_seq::params;
 
-    fn params() -> EpiphanyParams {
-        EpiphanyParams {
-            pairing_efficiency: AUTOFOCUS_PAIRING,
-            ..EpiphanyParams::default()
-        }
+    /// An untraced run.
+    fn run(w: &AutofocusWorkload, params: EpiphanyParams, place: Placement) -> SweepRun {
+        super::run(w, params, place, &RunContext::plain())
     }
 
     #[test]
     fn network_matches_the_hand_written_mapping_numerically() {
         let w = AutofocusWorkload::small();
         let net = run(&w, params(), Placement::neighbor());
-        let hand = autofocus_mpmd::run(&w, autofocus_mpmd::params(), Placement::neighbor());
+        let hand = autofocus_mpmd::run(&w, params(), Placement::neighbor(), &RunContext::plain());
         assert_eq!(net.sweep.len(), hand.sweep.len());
         for ((s1, v1), (s2, v2)) in net.sweep.iter().zip(&hand.sweep) {
             assert!((s1 - s2).abs() < 1e-6, "shift grid mismatch: {s1} vs {s2}");
@@ -356,7 +333,7 @@ mod tests {
         // sizes; scheduling differences stay within a small band.
         let w = AutofocusWorkload::paper();
         let net = run(&w, params(), Placement::neighbor());
-        let hand = autofocus_mpmd::run(&w, autofocus_mpmd::params(), Placement::neighbor());
+        let hand = autofocus_mpmd::run(&w, params(), Placement::neighbor(), &RunContext::plain());
         let ratio = net.record.elapsed.seconds() / hand.record.elapsed.seconds();
         assert!(
             (0.7..1.4).contains(&ratio),
@@ -372,7 +349,7 @@ mod tests {
         let net = run(&w, params(), Placement::neighbor());
         // Per (hypothesis, iteration): 6 range + 6 beam + 1 corr = 13.
         let rounds = w.hypotheses as u64 * 3;
-        assert_eq!(net.firings, 13 * rounds);
+        assert_eq!(net.record.metric("firings"), Some((13 * rounds) as f64));
     }
 
     #[test]

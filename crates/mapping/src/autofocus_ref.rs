@@ -6,11 +6,10 @@
 //! because the i7's clock advantage is offset by executing almost twice
 //! the instructions (no FMA) on a latency-bound dependence chain.
 
-use desim::{OpCounts, RunRecord};
+use desim::OpCounts;
 use refcpu::{RefCpu, RefCpuParams};
-use sar_core::autofocus::{best_shift, focus_criterion};
-
-use crate::workloads::AutofocusWorkload;
+use sar_core::autofocus::focus_criterion;
+use sim_harness::{AutofocusWorkload, SweepRun};
 
 /// Sustained IPC for the Neville dependence chains of this kernel:
 /// each interpolation level waits on the previous one, so the
@@ -19,26 +18,22 @@ use crate::workloads::AutofocusWorkload;
 /// [`RefCpuParams::default`] IPC).
 pub const AUTOFOCUS_SUSTAINED_IPC: f64 = 0.8;
 
-/// Reference-model parameters specialised to this kernel.
-pub fn params() -> RefCpuParams {
+/// `base` specialised to this kernel.
+pub fn specialised(base: RefCpuParams) -> RefCpuParams {
     RefCpuParams {
         sustained_ipc: AUTOFOCUS_SUSTAINED_IPC,
-        ..RefCpuParams::default()
+        ..base
     }
 }
 
-/// Outcome of the reference run.
-pub struct AutofocusRefRun {
-    /// Machine record (one phase per hypothesis).
-    pub record: RunRecord,
-    /// `(shift, criterion)` per hypothesis.
-    pub sweep: Vec<(f32, f32)>,
-    /// The winning compensation.
-    pub best: (f32, f32),
+/// Reference-model parameters specialised to this kernel.
+pub fn params() -> RefCpuParams {
+    specialised(RefCpuParams::default())
 }
 
-/// Execute the autofocus workload on the reference CPU model.
-pub fn run(w: &AutofocusWorkload, params: RefCpuParams) -> AutofocusRefRun {
+/// Execute the autofocus workload on the reference CPU model (one
+/// record phase per hypothesis).
+pub fn run(w: &AutofocusWorkload, params: RefCpuParams) -> SweepRun {
     let mut cpu = RefCpu::new(params);
     let mut counts = OpCounts::default();
     let mut charged = OpCounts::default();
@@ -61,12 +56,10 @@ pub fn run(w: &AutofocusWorkload, params: RefCpuParams) -> AutofocusRefRun {
         sweep.push((shift, v));
     }
 
-    let best = best_shift(&sweep);
-    AutofocusRefRun {
-        record: cpu.report("Autofocus / Intel i7 model, 1 core @ 2.67 GHz"),
+    SweepRun::new(
+        cpu.report("Autofocus / Intel i7 model, 1 core @ 2.67 GHz"),
         sweep,
-        best,
-    }
+    )
 }
 
 #[cfg(test)]

@@ -6,50 +6,38 @@
 //! the reference CPU needs. The paper measures 0.8x the i7 throughput
 //! at 1/2.67 the clock.
 
-use desim::{OpCounts, RunRecord};
+use desim::OpCounts;
 use epiphany::{Chip, EpiphanyParams};
 use memsim::GlobalAddr;
-use sar_core::autofocus::{best_shift, focus_criterion};
+use sar_core::autofocus::focus_criterion;
+use sim_harness::{AutofocusWorkload, RunContext, SweepRun};
 
 use crate::layout::BANK_CHILD_A;
-use crate::workloads::AutofocusWorkload;
 
 /// Dual-issue pairing efficiency for this kernel: the hand-scheduled
 /// interpolation loop pairs FPU ops with its loads/stores well.
 pub const AUTOFOCUS_PAIRING: f64 = 0.9;
 
-/// Epiphany parameters specialised to this kernel.
-pub fn params() -> EpiphanyParams {
+/// `base` specialised to this kernel (every autofocus mapping on the
+/// chip runs the same interpolation loops).
+pub fn specialised(base: EpiphanyParams) -> EpiphanyParams {
     EpiphanyParams {
         pairing_efficiency: AUTOFOCUS_PAIRING,
-        ..EpiphanyParams::default()
+        ..base
     }
 }
 
-/// Outcome of the sequential Epiphany run.
-pub struct AutofocusSeqRun {
-    /// Machine record (one phase per hypothesis).
-    pub record: RunRecord,
-    /// `(shift, criterion)` per hypothesis.
-    pub sweep: Vec<(f32, f32)>,
-    /// The winning compensation.
-    pub best: (f32, f32),
+/// Epiphany parameters specialised to this kernel.
+pub fn params() -> EpiphanyParams {
+    specialised(EpiphanyParams::default())
 }
 
-/// Execute the autofocus workload on one core of the Epiphany model.
-pub fn run(w: &AutofocusWorkload, params: EpiphanyParams) -> AutofocusSeqRun {
-    run_traced(w, params, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline: the chip emits its spans into
-/// `tracer`.
-pub fn run_traced(
-    w: &AutofocusWorkload,
-    params: EpiphanyParams,
-    tracer: desim::trace::Tracer,
-) -> AutofocusSeqRun {
+/// Execute the autofocus workload on one core of the Epiphany model
+/// (one record phase per hypothesis); the chip emits its spans into
+/// `ctx.tracer`.
+pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, ctx: &RunContext) -> SweepRun {
     let mut chip = Chip::from_params(params);
-    chip.set_tracer(tracer);
+    chip.set_tracer(ctx.tracer.clone());
     let core = 0usize;
     let mut counts = OpCounts::default();
     let mut charged = OpCounts::default();
@@ -77,12 +65,10 @@ pub fn run_traced(
         sweep.push((shift, v));
     }
 
-    let best = best_shift(&sweep);
-    AutofocusSeqRun {
-        record: chip.report("Autofocus / Epiphany, 1 core @ 1 GHz (sequential)", 1),
+    SweepRun::new(
+        chip.report("Autofocus / Epiphany, 1 core @ 1 GHz (sequential)", 1),
         sweep,
-        best,
-    }
+    )
 }
 
 #[cfg(test)]
@@ -93,7 +79,7 @@ mod tests {
     #[test]
     fn same_criterion_values_as_the_reference_machine() {
         let w = AutofocusWorkload::small();
-        let a = run(&w, params());
+        let a = run(&w, params(), &RunContext::plain());
         let b = autofocus_ref::run(&w, autofocus_ref::params());
         assert_eq!(a.sweep, b.sweep, "machines must compute identical numerics");
         assert_eq!(a.best, b.best);
@@ -104,7 +90,7 @@ mod tests {
         // Table I: Epiphany sequential reaches 0.8x the i7 throughput.
         // Accept a generous band around that shape.
         let w = AutofocusWorkload::paper();
-        let seq = run(&w, params());
+        let seq = run(&w, params(), &RunContext::plain());
         let reference = autofocus_ref::run(&w, autofocus_ref::params());
         let ratio = reference.record.elapsed.seconds() / seq.record.elapsed.seconds();
         assert!(
@@ -116,7 +102,7 @@ mod tests {
     #[test]
     fn no_external_reads_after_the_initial_dma() {
         let w = AutofocusWorkload::paper();
-        let r = run(&w, params());
+        let r = run(&w, params(), &RunContext::plain());
         assert_eq!(
             r.record.counters.get("ext_read"),
             0,

@@ -8,27 +8,19 @@
 //! work — the mechanism the paper credits for the i7's 2.8x advantage
 //! over a single Epiphany core on this kernel.
 
-use desim::{OpCounts, RunRecord};
+use desim::OpCounts;
 use refcpu::{RefCpu, RefCpuParams};
 use sar_core::ffbp::grid::Subaperture;
 use sar_core::ffbp::interp::nearest_indices;
 use sar_core::ffbp::merge::combine_sample_with_lookup;
 use sar_core::ffbp::pipeline::stage0;
-use sar_core::image::ComplexImage;
+use sim_harness::{FfbpWorkload, ImageRun};
 
 use crate::layout::ExternalLayout;
-use crate::workloads::FfbpWorkload;
 
-/// Outcome of the reference run.
-pub struct FfbpRefRun {
-    /// Machine record (one phase per merge iteration).
-    pub record: RunRecord,
-    /// The formed image (identical to the other machines' output).
-    pub image: ComplexImage,
-}
-
-/// Execute the FFBP workload on the reference CPU model.
-pub fn run(w: &FfbpWorkload, params: RefCpuParams) -> FfbpRefRun {
+/// Execute the FFBP workload on the reference CPU model (one record
+/// phase per merge iteration).
+pub fn run(w: &FfbpWorkload, params: RefCpuParams) -> ImageRun {
     let geom = &w.geom;
     let layout = ExternalLayout::new(geom.num_pulses as u32, geom.num_bins as u32);
     let mut cpu = RefCpu::new(params);
@@ -96,7 +88,7 @@ pub fn run(w: &FfbpWorkload, params: RefCpuParams) -> FfbpRefRun {
     }
 
     let full = stage.into_iter().next().expect("non-empty stage");
-    FfbpRefRun {
+    ImageRun {
         record: cpu.report("FFBP / Intel i7 model, 1 core @ 2.67 GHz"),
         image: full.data,
     }

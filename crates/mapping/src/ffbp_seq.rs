@@ -7,41 +7,24 @@
 //! despite executing fewer instructions). Result rows are posted back
 //! with non-stalling writes.
 
-use desim::{OpCounts, RunRecord};
+use desim::OpCounts;
 use epiphany::{Chip, EpiphanyParams};
 use sar_core::ffbp::grid::Subaperture;
 use sar_core::ffbp::interp::nearest_indices;
 use sar_core::ffbp::merge::combine_sample_with_lookup;
 use sar_core::ffbp::pipeline::stage0;
-use sar_core::image::ComplexImage;
+use sim_harness::{FfbpWorkload, ImageRun, RunContext};
 
 use crate::layout::ExternalLayout;
-use crate::workloads::FfbpWorkload;
 
-/// Outcome of the sequential Epiphany run.
-pub struct FfbpSeqRun {
-    /// Machine record (one phase per merge iteration).
-    pub record: RunRecord,
-    /// The formed image.
-    pub image: ComplexImage,
-}
-
-/// Execute the FFBP workload on one core of the Epiphany model.
-pub fn run(w: &FfbpWorkload, params: EpiphanyParams) -> FfbpSeqRun {
-    run_traced(w, params, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline: the chip emits its spans into
-/// `tracer`.
-pub fn run_traced(
-    w: &FfbpWorkload,
-    params: EpiphanyParams,
-    tracer: desim::trace::Tracer,
-) -> FfbpSeqRun {
+/// Execute the FFBP workload on one core of the Epiphany model (one
+/// record phase per merge iteration); the chip emits its spans into
+/// `ctx.tracer`.
+pub fn run(w: &FfbpWorkload, params: EpiphanyParams, ctx: &RunContext) -> ImageRun {
     let geom = &w.geom;
     let layout = ExternalLayout::new(geom.num_pulses as u32, geom.num_bins as u32);
     let mut chip = Chip::from_params(params);
-    chip.set_tracer(tracer);
+    chip.set_tracer(ctx.tracer.clone());
     let core = 0usize;
     let mut counts = OpCounts::default();
     let mut charged = OpCounts::default();
@@ -120,7 +103,7 @@ pub fn run_traced(
     }
 
     let full = stage.into_iter().next().expect("non-empty stage");
-    FfbpSeqRun {
+    ImageRun {
         record: chip.report("FFBP / Epiphany, 1 core @ 1 GHz (sequential)", 1),
         image: full.data,
     }
@@ -136,7 +119,7 @@ mod tests {
     #[test]
     fn image_matches_the_plain_algorithm() {
         let w = FfbpWorkload::small();
-        let machine = run(&w, EpiphanyParams::default());
+        let machine = run(&w, EpiphanyParams::default(), &RunContext::plain());
         let plain = ffbp(&w.data, &w.geom, &w.config);
         assert_eq!(machine.image.as_slice(), plain.image.as_slice());
     }
@@ -146,7 +129,7 @@ mod tests {
         // The paper's headline shape for this row: 0.36x the i7 —
         // blocking uncached SDRAM reads dominate.
         let w = FfbpWorkload::small();
-        let seq = run(&w, EpiphanyParams::default());
+        let seq = run(&w, EpiphanyParams::default(), &RunContext::plain());
         let reference = ffbp_ref::run(&w, RefCpuParams::default());
         let speedup = reference.record.elapsed.seconds() / seq.record.elapsed.seconds();
         assert!(
@@ -158,7 +141,7 @@ mod tests {
     #[test]
     fn external_reads_dominate_the_counters() {
         let w = FfbpWorkload::small();
-        let r = run(&w, EpiphanyParams::default());
+        let r = run(&w, EpiphanyParams::default(), &RunContext::plain());
         let reads = r.record.counters.get("ext_read");
         // Two reads per output sample, minus out-of-swath skips.
         let samples = w.pixels() * u64::from(w.geom.merge_iterations());

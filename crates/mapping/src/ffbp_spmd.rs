@@ -14,19 +14,18 @@
 //! writes. This is exactly the behaviour the paper describes — and the
 //! reason the 16-core speedup saturates at ~12x over one core.
 
-use desim::{Cycle, OpCounts, RunRecord};
+use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
-use faultsim::FaultState;
 use sar_core::ffbp::grid::Subaperture;
 use sar_core::ffbp::interp::nearest_indices;
 use sar_core::ffbp::merge::combine_sample_with_lookup;
 use sar_core::ffbp::pipeline::stage0;
 use sar_core::geometry::merge_geometry;
-use sar_core::image::ComplexImage;
+use sim_harness::{FfbpWorkload, ImageRun, RunContext};
 
 use crate::layout::{ExternalLayout, BANK_CHILD_A, BANK_CHILD_B};
-use crate::workloads::FfbpWorkload;
+use crate::spmd::{checkpointed, chip_for};
 
 /// Knobs for the ablation benches.
 #[derive(Debug, Clone, Copy)]
@@ -52,72 +51,30 @@ impl Default for SpmdOptions {
     }
 }
 
-/// Outcome of the SPMD run.
-pub struct FfbpSpmdRun {
-    /// Machine record (one phase per merge iteration, carrying that
-    /// iteration's time, energy, eLink utilisation and hit/miss split).
-    pub record: RunRecord,
-    /// The formed image.
-    pub image: ComplexImage,
-    /// Contributing-element reads served from the prefetched banks.
-    pub local_hits: u64,
-    /// Contributing-element reads that went to external memory.
-    pub external_misses: u64,
-}
-
-/// Execute the FFBP workload on the Epiphany model with `opts`.
-pub fn run(w: &FfbpWorkload, params: EpiphanyParams, opts: SpmdOptions) -> FfbpSpmdRun {
-    run_traced(w, params, opts, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline: the chip emits its spans into
-/// `tracer`.
-pub fn run_traced(
+/// Execute the FFBP workload on the Epiphany model with `opts`,
+/// emitting the chip's spans into `ctx.tracer` and running under
+/// `ctx.faults`. The record carries one phase per merge iteration
+/// (that iteration's time, energy, eLink utilisation and hit/miss
+/// split) and the run totals as the `local_hits` / `external_misses`
+/// metrics: contributing-element reads served from the prefetched
+/// banks, and those that went to external memory.
+///
+/// The recovery story is checkpoint/restart at merge-iteration
+/// granularity ([`checkpointed`]): every iteration's inputs live in
+/// SDRAM (the previous stage's output), so a core that halts
+/// mid-iteration is dropped and the whole iteration redone on the
+/// survivors — the paper's 16-core mapping degrades to a 15-core one
+/// instead of hanging, and the formed image is bit-identical to the
+/// fault-free run.
+pub fn run(
     w: &FfbpWorkload,
     params: EpiphanyParams,
     opts: SpmdOptions,
-    tracer: desim::trace::Tracer,
-) -> FfbpSpmdRun {
-    run_faulted(w, params, opts, tracer, FaultState::disabled())
-}
-
-/// [`run_traced`] under a fault schedule. The recovery story is
-/// checkpoint/restart at merge-iteration granularity: every
-/// iteration's inputs live in SDRAM (the previous stage's output), so
-/// a core that halts mid-iteration is detected at the end-of-merge
-/// health check, dropped from the active set, and the whole iteration
-/// is redone on the survivors — the paper's 16-core mapping degrades
-/// to a 15-core one instead of hanging. The redone work is accounted
-/// as recovery cycles/energy in the fault record; the formed image is
-/// bit-identical to the fault-free run because the restart recomputes
-/// the same output slice values. With `faults` disabled this is
-/// exactly [`run_traced`].
-pub fn run_faulted(
-    w: &FfbpWorkload,
-    params: EpiphanyParams,
-    opts: SpmdOptions,
-    tracer: desim::trace::Tracer,
-    faults: FaultState,
-) -> FfbpSpmdRun {
+    ctx: &RunContext,
+) -> ImageRun {
     let geom = &w.geom;
-    let n_cores = opts.cores.unwrap_or_else(|| params.cores());
-    // The platform's declared mesh, unless the ablation asks for more
-    // cores than it has — then the minimal covering mesh.
-    let mut chip = if n_cores <= params.cores() {
-        Chip::from_params(params)
-    } else {
-        Chip::with_cores(params, n_cores)
-    };
-    chip.set_tracer(tracer);
-    chip.set_faults(faults.clone());
-    assert!(
-        n_cores <= chip.cores(),
-        "requested more cores than the chip has"
-    );
-    // Cores still participating; halted cores drop out at the
-    // end-of-iteration health check. A partial set occupies a compact
-    // subgrid so its communication pattern matches a dedicated chip.
-    let mut active: Vec<usize> = chip.subgrid_cores(n_cores);
+    let (mut chip, mut active) = chip_for(params, opts.cores, ctx);
+    let n_cores = active.len();
 
     let layout = ExternalLayout::new(geom.num_pulses as u32, geom.num_bins as u32);
     let mut counts = OpCounts::default();
@@ -130,18 +87,7 @@ pub fn run_faulted(
     let mut stage_idx = 0u32;
 
     while stage.len() > 1 {
-        // One checkpointed attempt per pass: if a core halts during
-        // the iteration, drop it from the active set and redo the
-        // whole iteration — the inputs (previous stage) are still in
-        // SDRAM, and the output region is simply rewritten.
-        let next = loop {
-            let attempt_t0 = chip.elapsed();
-            let attempt_e0 = if faults.is_enabled() {
-                chip.energy().total_j()
-            } else {
-                0.0
-            };
-            chip.phase_begin("merge");
+        let merge = |chip: &mut Chip, active: &[usize], last_write: &mut [Cycle]| {
             let (hits0, misses0) = (local_hits, external_misses);
             let child_beams = stage[0].grid.n_beams as u32;
             let out_grid = stage[0].grid.refined();
@@ -158,9 +104,7 @@ pub fn run_faulted(
                 .collect();
 
             // Work units: one output beam each, dealt round-robin
-            // over the surviving cores. Indexed by chip core id —
-            // subgrid ids are sparse, so size for the whole chip.
-            let mut last_write: Vec<Cycle> = vec![Cycle::ZERO; chip.cores()];
+            // over the surviving cores.
             let mut task = 0usize;
             // Blocking miss fetches issue back to back with no other
             // chip calls between them (the interleaved merge
@@ -264,42 +208,13 @@ pub fn run_faulted(
                     last_write[core] = last_write[core].max(arrival);
                 }
             }
-
-            // End of iteration: drain posted writes (the next stage
-            // reads this one's output), then barrier.
-            for &core in &active {
-                chip.wait_flag(core, last_write[core]);
-            }
-            chip.barrier(&active);
             chip.phase_metric("local_hits", (local_hits - hits0) as f64);
             chip.phase_metric("external_misses", (external_misses - misses0) as f64);
-
-            // Health check at the checkpoint: cores that halted during
-            // this iteration may have dropped their output slices, so
-            // the iteration cannot be trusted and is redone without
-            // them.
-            let dead: Vec<usize> = faults
-                .newly_halted(chip.elapsed())
-                .into_iter()
-                .map(|c| c as usize)
-                .filter(|c| active.contains(c))
-                .collect();
-            if dead.is_empty() {
-                chip.phase_end();
-                break next;
-            }
-            chip.phase_metric("halted_cores", dead.len() as f64);
-            chip.phase_end();
-            active.retain(|c| !dead.contains(c));
-            assert!(
-                !active.is_empty(),
-                "every core halted; the SPMD mapping cannot recover"
-            );
-            faults.add_degraded_cores(dead.len() as u64);
-            faults.add_recovery_cycles(chip.elapsed().saturating_sub(attempt_t0).raw());
-            faults.add_recovery_energy((chip.energy().total_j() - attempt_e0).max(0.0));
+            next
         };
-        stage = next;
+        // The next stage reads this one's output, hence the drain and
+        // barrier that close the checkpointed phase.
+        stage = checkpointed(&mut chip, &ctx.faults, &mut active, "merge", merge);
         stage_idx += 1;
     }
 
@@ -310,11 +225,9 @@ pub fn run_faulted(
     );
     record.set_metric("local_hits", local_hits as f64);
     record.set_metric("external_misses", external_misses as f64);
-    FfbpSpmdRun {
+    ImageRun {
         record,
         image: full.data,
-        local_hits,
-        external_misses,
     }
 }
 
@@ -322,7 +235,19 @@ pub fn run_faulted(
 mod tests {
     use super::*;
     use crate::ffbp_seq;
+    use faultsim::FaultState;
     use sar_core::ffbp::ffbp;
+
+    /// A fault-free, untraced run.
+    fn run(w: &FfbpWorkload, params: EpiphanyParams, opts: SpmdOptions) -> ImageRun {
+        super::run(w, params, opts, &RunContext::plain())
+    }
+
+    fn metric(r: &ImageRun, key: &str) -> u64 {
+        r.record
+            .metric(key)
+            .expect("the driver stamps its hit/miss totals") as u64
+    }
 
     #[test]
     fn image_matches_the_plain_algorithm() {
@@ -342,7 +267,7 @@ mod tests {
         // because later iterations spill to external memory.
         let w = FfbpWorkload::small();
         let par = run(&w, EpiphanyParams::default(), SpmdOptions::default());
-        let seq = ffbp_seq::run(&w, EpiphanyParams::default());
+        let seq = ffbp_seq::run(&w, EpiphanyParams::default(), &RunContext::plain());
         let speedup = seq.record.elapsed.seconds() / par.record.elapsed.seconds();
         assert!(
             speedup > 4.0,
@@ -366,10 +291,11 @@ mod tests {
         w.data = sar_core::scene::simulate_compressed_data(&scene, 0.0, 1);
         let r = run(&w, EpiphanyParams::default(), SpmdOptions::default());
         assert_eq!(
-            r.external_misses, 0,
+            metric(&r, "external_misses"),
+            0,
             "single-pulse children have one beam: prefetch must cover everything"
         );
-        assert!(r.local_hits > 0);
+        assert!(metric(&r, "local_hits") > 0);
     }
 
     #[test]
@@ -392,15 +318,15 @@ mod tests {
         };
         let r = run(&w, EpiphanyParams::default(), SpmdOptions::default());
         assert!(
-            r.external_misses > 0,
+            metric(&r, "external_misses") > 0,
             "deep merges must spill outside the two prefetched beams"
         );
         // But prefetch still covers the majority overall.
-        let total = r.local_hits + r.external_misses;
+        let total = metric(&r, "local_hits") + metric(&r, "external_misses");
         assert!(
-            r.local_hits * 2 > total,
+            metric(&r, "local_hits") * 2 > total,
             "prefetch should cover most accesses: {} of {}",
-            r.local_hits,
+            metric(&r, "local_hits"),
             total
         );
     }
@@ -418,7 +344,7 @@ mod tests {
             },
         );
         assert!(without.record.elapsed.seconds() > with.record.elapsed.seconds());
-        assert_eq!(without.local_hits, 0);
+        assert_eq!(metric(&without, "local_hits"), 0);
     }
 
     #[test]
@@ -434,12 +360,11 @@ mod tests {
             }],
         );
         let faults = FaultState::from_plan(&plan);
-        let r = run_faulted(
+        let r = super::run(
             &w,
             EpiphanyParams::default(),
             SpmdOptions::default(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
+            &RunContext::plain().with_faults(faults.clone()),
         );
         assert_eq!(
             r.image.as_slice(),
@@ -473,12 +398,11 @@ mod tests {
             }],
         );
         let go = || {
-            run_faulted(
+            super::run(
                 &w,
                 EpiphanyParams::default(),
                 SpmdOptions::default(),
-                desim::trace::Tracer::disabled(),
-                FaultState::from_plan(&plan),
+                &RunContext::plain().with_faults(FaultState::from_plan(&plan)),
             )
         };
         let (a, b) = (go(), go());

@@ -1,601 +1,234 @@
-//! [`sim_harness::Mapping`] implementations for every driver in this
-//! crate (plus the host-parallel FFBP from `sar-core`), and the
-//! registry the unified runner resolves `--mapping` names against.
+//! The mapping registry: one [`Row`] per registered mapping — its
+//! identity, the platform family it runs on, how to run its driver and
+//! how to build its program model — and the single
+//! [`sim_harness::Mapping`] implementation over rows that the unified
+//! runner resolves `--mapping` names against.
 //!
-//! Kernel-specialised parameter overrides (the autofocus IPC and
-//! pairing figures) are applied here, on top of whatever parameters the
+//! A row's `run` applies the kernel's parameter specialisation (the
+//! autofocus IPC and pairing figures) on top of whatever parameters the
 //! platform supplies — so a record produced through the harness prices
-//! exactly like one from the direct driver call.
+//! exactly like one from the direct driver call with `params()`.
 
-use desim::trace::Tracer;
+use sim_harness::PlatformKind::{Epiphany, Host, RefCpu};
 use sim_harness::{
-    HarnessError, Mapping, MappingRun, Platform, PlatformKind, ProgramModel, RunContext, Workload,
+    HarnessError, ImageRun, Mapping, MappingRun, Placement, Platform, PlatformKind, ProgramModel,
+    RunContext, Workload,
 };
 
-use crate::autofocus_mpmd::Placement;
-use crate::autofocus_ref::AUTOFOCUS_SUSTAINED_IPC;
-use crate::autofocus_seq::AUTOFOCUS_PAIRING;
+use crate::program_model as pm;
 use crate::{
     autofocus_mpmd, autofocus_net, autofocus_ref, autofocus_seq, ffbp_ref, ffbp_seq, ffbp_spmd,
     rda_seq, rda_spmd,
 };
 
-fn kernel_mismatch(mapping: &dyn Mapping, workload: &Workload) -> HarnessError {
-    HarnessError::KernelMismatch {
-        mapping: mapping.name().to_string(),
-        workload: workload.kernel().to_string(),
-    }
+/// One registered mapping.
+#[derive(Clone, Copy)]
+struct Row {
+    /// Identity stamped into records and resolved by `--mapping`.
+    name: &'static str,
+    /// The kernel the driver runs.
+    kernel: &'static str,
+    /// The one platform family the driver runs on.
+    family: PlatformKind,
+    /// Stage-to-core placement, for the two pipeline mappings (the
+    /// registry default is the paper's neighbour mapping); `None` for
+    /// mappings that have none to override.
+    place: Option<Placement>,
+    /// Run the driver. `None` when the workload is another kernel's or
+    /// the platform has no parameters for this family.
+    run: fn(&Row, &Workload, &dyn Platform, &RunContext) -> Option<MappingRun>,
+    /// The mapping's declared program model on a `(cols, rows)` mesh.
+    model: fn(&Row, &Workload, (u16, u16)) -> Option<ProgramModel>,
 }
 
-fn unsupported(mapping: &dyn Mapping, platform: &dyn Platform) -> HarnessError {
-    HarnessError::UnsupportedPlatform {
-        mapping: mapping.name().to_string(),
-        platform: platform.label().to_string(),
-    }
-}
-
-/// The mesh a program model should declare for `platform`: the chip's
-/// real geometry for the Epiphany family, the canonical 4x4 otherwise
-/// (non-Epiphany platforms never reach an Epiphany model's analyzer
-/// checks — `supports` gates them first).
-fn platform_mesh(platform: &dyn Platform) -> (u16, u16) {
-    platform
-        .epiphany_params()
-        .map_or((4, 4), |p| (p.mesh_cols, p.mesh_rows))
-}
-
-/// FFBP on one reference-CPU core (Table I row 1).
-pub struct FfbpRefMapping;
-
-impl Mapping for FfbpRefMapping {
-    fn name(&self) -> &'static str {
-        "ffbp_ref"
-    }
-    fn kernel(&self) -> &'static str {
-        "ffbp"
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        kind == PlatformKind::RefCpu
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        _tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .ffbp()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let params = platform
-            .refcpu_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        let r = ffbp_ref::run(w, params);
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
-    }
-    fn program_model(&self, workload: &Workload, _platform: &dyn Platform) -> Option<ProgramModel> {
-        workload.ffbp().map(crate::program_model::ffbp_ref_model)
-    }
-}
-
-/// FFBP on one Epiphany core (Table I row 2).
-pub struct FfbpSeqMapping;
-
-impl Mapping for FfbpSeqMapping {
-    fn name(&self) -> &'static str {
-        "ffbp_seq"
-    }
-    fn kernel(&self) -> &'static str {
-        "ffbp"
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        kind == PlatformKind::Epiphany
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .ffbp()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        let r = ffbp_seq::run_traced(w, params, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
-    }
-    fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
-        workload
-            .ffbp()
-            .map(|w| crate::program_model::ffbp_seq_model(w, platform_mesh(platform)))
-    }
-}
-
-/// FFBP on 16 Epiphany cores, SPMD (Table I row 3).
-#[derive(Default)]
-pub struct FfbpSpmdMapping {
-    /// Driver knobs (cores, prefetch). Default: the paper's 16 cores.
-    pub opts: ffbp_spmd::SpmdOptions,
-}
-
-impl Mapping for FfbpSpmdMapping {
-    fn name(&self) -> &'static str {
-        "ffbp_spmd"
-    }
-    fn kernel(&self) -> &'static str {
-        "ffbp"
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        kind == PlatformKind::Epiphany
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .ffbp()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        let r = ffbp_spmd::run_traced(w, params, self.opts, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
-    }
-    fn execute_ctx(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        ctx: &RunContext,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .ffbp()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        let r =
-            ffbp_spmd::run_faulted(w, params, self.opts, ctx.tracer.clone(), ctx.faults.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
-    }
-    fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
-        workload
-            .ffbp()
-            .map(|w| crate::program_model::ffbp_spmd_model(w, &self.opts, platform_mesh(platform)))
-    }
-}
+/// Table I rows 1-3, the host-thread FFBP, Table I rows 4-6, the
+/// `streams` process network, and the two RDA ports. The SPMD rows run
+/// their drivers' default options: every core the mesh provides.
+static ROWS: [Row; 10] = [
+    Row {
+        name: "ffbp_ref",
+        kernel: "ffbp",
+        family: RefCpu,
+        place: None,
+        run: |_, w, p, _| Some(ffbp_ref::run(w.ffbp()?, p.refcpu_params()?).into()),
+        model: |_, w, _| w.ffbp().map(pm::ffbp_ref_model),
+    },
+    Row {
+        name: "ffbp_seq",
+        kernel: "ffbp",
+        family: Epiphany,
+        place: None,
+        run: |_, w, p, ctx| Some(ffbp_seq::run(w.ffbp()?, p.epiphany_params()?, ctx).into()),
+        model: |_, w, mesh| w.ffbp().map(|w| pm::ffbp_seq_model(w, mesh)),
+    },
+    Row {
+        name: "ffbp_spmd",
+        kernel: "ffbp",
+        family: Epiphany,
+        place: None,
+        run: |_, w, p, ctx| {
+            Some(ffbp_spmd::run(w.ffbp()?, p.epiphany_params()?, Default::default(), ctx).into())
+        },
+        model: |_, w, mesh| Some(pm::ffbp_spmd_model(w.ffbp()?, &Default::default(), mesh)),
+    },
+    Row {
+        name: "ffbp_host",
+        kernel: "ffbp",
+        family: Host,
+        place: None,
+        run: ffbp_host,
+        model: |_, _, _| None,
+    },
+    Row {
+        name: "autofocus_ref",
+        kernel: "autofocus",
+        family: RefCpu,
+        place: None,
+        run: |_, w, p, _| {
+            let params = autofocus_ref::specialised(p.refcpu_params()?);
+            Some(autofocus_ref::run(w.autofocus()?, params).into())
+        },
+        model: |_, w, _| w.autofocus().map(pm::autofocus_ref_model),
+    },
+    Row {
+        name: "autofocus_seq",
+        kernel: "autofocus",
+        family: Epiphany,
+        place: None,
+        run: |_, w, p, ctx| {
+            let params = autofocus_seq::specialised(p.epiphany_params()?);
+            Some(autofocus_seq::run(w.autofocus()?, params, ctx).into())
+        },
+        model: |_, w, mesh| w.autofocus().map(|w| pm::autofocus_seq_model(w, mesh)),
+    },
+    Row {
+        name: "autofocus_mpmd",
+        kernel: "autofocus",
+        family: Epiphany,
+        place: Some(Placement::neighbor()),
+        run: |row, w, p, ctx| {
+            let params = autofocus_seq::specialised(p.epiphany_params()?);
+            Some(autofocus_mpmd::run(w.autofocus()?, params, row.place?, ctx).into())
+        },
+        model: |row, w, mesh| Some(pm::autofocus_mpmd_model(w.autofocus()?, &row.place?, mesh)),
+    },
+    Row {
+        name: "autofocus_net",
+        kernel: "autofocus",
+        family: Epiphany,
+        place: Some(Placement::neighbor()),
+        run: |row, w, p, ctx| {
+            let params = autofocus_seq::specialised(p.epiphany_params()?);
+            Some(autofocus_net::run(w.autofocus()?, params, row.place?, ctx).into())
+        },
+        model: |row, w, mesh| {
+            Some(pm::autofocus_pipeline_model(
+                w.autofocus()?,
+                &row.place?,
+                mesh,
+            ))
+        },
+    },
+    Row {
+        name: "rda_seq",
+        kernel: "rda",
+        family: Epiphany,
+        place: None,
+        run: |_, w, p, ctx| Some(rda_seq::run(w.rda()?, p.epiphany_params()?, ctx).into()),
+        model: |_, w, mesh| w.rda().map(|w| pm::rda_seq_model(w, mesh)),
+    },
+    Row {
+        name: "rda_spmd",
+        kernel: "rda",
+        family: Epiphany,
+        place: None,
+        run: |_, w, p, ctx| {
+            Some(rda_spmd::run(w.rda()?, p.epiphany_params()?, Default::default(), ctx).into())
+        },
+        model: |_, w, mesh| Some(pm::rda_spmd_model(w.rda()?, &Default::default(), mesh)),
+    },
+];
 
 /// FFBP on the host's own threads, wall-clock timed.
-pub struct FfbpHostMapping;
+fn ffbp_host(_: &Row, w: &Workload, p: &dyn Platform, _: &RunContext) -> Option<MappingRun> {
+    let (w, threads) = (w.ffbp()?, p.host_threads()?);
+    let label = format!("FFBP / host, {threads} threads (std::thread)");
+    let (mut record, r) = sim_harness::BenchHarness::host_record(&label, || {
+        sar_core::parallel::ffbp_parallel(&w.data, &w.geom, &w.config, threads)
+    });
+    record.set_metric("threads", threads as f64);
+    record.set_metric("merge_iterations", f64::from(r.iterations));
+    let image = r.image;
+    Some(ImageRun { record, image }.into())
+}
 
-impl Mapping for FfbpHostMapping {
+impl Mapping for Row {
     fn name(&self) -> &'static str {
-        "ffbp_host"
+        self.name
     }
     fn kernel(&self) -> &'static str {
-        "ffbp"
+        self.kernel
     }
     fn supports(&self, kind: PlatformKind) -> bool {
-        kind == PlatformKind::Host
+        kind == self.family
     }
     fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        _tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .ffbp()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let threads = platform
-            .host_threads()
-            .ok_or_else(|| unsupported(self, platform))?;
-        let label = format!("FFBP / host, {threads} threads (std::thread)");
-        let (mut record, r) = sim_harness::BenchHarness::host_record(&label, || {
-            sar_core::parallel::ffbp_parallel(&w.data, &w.geom, &w.config, threads)
-        });
-        record.set_metric("threads", threads as f64);
-        record.set_metric("merge_iterations", f64::from(r.iterations));
-        Ok(MappingRun {
-            record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
-    }
-}
-
-/// Autofocus on one reference-CPU core (Table I row 4).
-pub struct AutofocusRefMapping;
-
-impl Mapping for AutofocusRefMapping {
-    fn name(&self) -> &'static str {
-        "autofocus_ref"
-    }
-    fn kernel(&self) -> &'static str {
-        "autofocus"
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        kind == PlatformKind::RefCpu
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        _tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .autofocus()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let mut params = platform
-            .refcpu_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        params.sustained_ipc = AUTOFOCUS_SUSTAINED_IPC;
-        let r = autofocus_ref::run(w, params);
-        Ok(MappingRun {
-            record: r.record,
-            image: None,
-            sweep: Some(r.sweep),
-            best: Some(r.best),
-        })
-    }
-    fn program_model(&self, workload: &Workload, _platform: &dyn Platform) -> Option<ProgramModel> {
-        workload
-            .autofocus()
-            .map(crate::program_model::autofocus_ref_model)
-    }
-}
-
-/// Autofocus on one Epiphany core (Table I row 5).
-pub struct AutofocusSeqMapping;
-
-impl Mapping for AutofocusSeqMapping {
-    fn name(&self) -> &'static str {
-        "autofocus_seq"
-    }
-    fn kernel(&self) -> &'static str {
-        "autofocus"
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        kind == PlatformKind::Epiphany
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .autofocus()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let mut params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        params.pairing_efficiency = AUTOFOCUS_PAIRING;
-        let r = autofocus_seq::run_traced(w, params, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: None,
-            sweep: Some(r.sweep),
-            best: Some(r.best),
-        })
-    }
-    fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
-        workload
-            .autofocus()
-            .map(|w| crate::program_model::autofocus_seq_model(w, platform_mesh(platform)))
-    }
-}
-
-/// Autofocus as the hand-written 13-core MPMD pipeline (Table I row 6).
-pub struct AutofocusMpmdMapping {
-    /// Stage-to-core placement. Default: the paper's neighbour mapping.
-    pub place: Placement,
-}
-
-impl Default for AutofocusMpmdMapping {
-    fn default() -> Self {
-        AutofocusMpmdMapping {
-            place: Placement::neighbor(),
-        }
-    }
-}
-
-impl Mapping for AutofocusMpmdMapping {
-    fn name(&self) -> &'static str {
-        "autofocus_mpmd"
-    }
-    fn kernel(&self) -> &'static str {
-        "autofocus"
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        kind == PlatformKind::Epiphany
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .autofocus()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let mut params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        params.pairing_efficiency = AUTOFOCUS_PAIRING;
-        let r = autofocus_mpmd::run_traced(w, params, self.place, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: None,
-            sweep: Some(r.sweep),
-            best: Some(r.best),
-        })
-    }
-    fn execute_ctx(
         &self,
         workload: &Workload,
         platform: &dyn Platform,
         ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .autofocus()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let mut params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        params.pairing_efficiency = AUTOFOCUS_PAIRING;
-        let r = autofocus_mpmd::run_faulted(
-            w,
-            params,
-            ctx.placement.unwrap_or(self.place),
-            ctx.tracer.clone(),
-            ctx.faults.clone(),
-        );
-        Ok(MappingRun {
-            record: r.record,
-            image: None,
-            sweep: Some(r.sweep),
-            best: Some(r.best),
+        (self.run)(self, workload, platform, ctx).ok_or_else(|| {
+            let mapping = self.name.to_string();
+            if workload.kernel() == self.kernel {
+                let platform = platform.label().to_string();
+                HarnessError::UnsupportedPlatform { mapping, platform }
+            } else {
+                let workload = workload.kernel().to_string();
+                HarnessError::KernelMismatch { mapping, workload }
+            }
         })
     }
     fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
-        workload.autofocus().map(|w| {
-            crate::program_model::autofocus_mpmd_model(w, &self.place, platform_mesh(platform))
-        })
-    }
-}
-
-/// Autofocus as the declarative `streams` process network.
-pub struct AutofocusNetMapping {
-    /// Stage-to-core placement. Default: the paper's neighbour mapping.
-    pub place: Placement,
-}
-
-impl Default for AutofocusNetMapping {
-    fn default() -> Self {
-        AutofocusNetMapping {
-            place: Placement::neighbor(),
-        }
-    }
-}
-
-impl Mapping for AutofocusNetMapping {
-    fn name(&self) -> &'static str {
-        "autofocus_net"
-    }
-    fn kernel(&self) -> &'static str {
-        "autofocus"
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        kind == PlatformKind::Epiphany
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .autofocus()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let mut params = platform
+        // The chip's real geometry for the Epiphany family, the
+        // canonical 4x4 otherwise (other platforms never reach an
+        // Epiphany model's analyzer checks — `supports` gates them).
+        let mesh = platform
             .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        params.pairing_efficiency = AUTOFOCUS_PAIRING;
-        let r = autofocus_net::run_traced(w, params, self.place, tracer.clone());
-        let mut run = MappingRun {
-            record: r.record,
-            image: None,
-            sweep: Some(r.sweep),
-            best: Some(r.best),
-        };
-        run.record.set_metric("firings", r.firings as f64);
-        Ok(run)
-    }
-    fn execute_ctx(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        ctx: &RunContext,
-    ) -> Result<MappingRun, HarnessError> {
-        // The process network has no fault-recovery story, so only the
-        // tracer and the placement override flow through.
-        let placed = AutofocusNetMapping {
-            place: ctx.placement.unwrap_or(self.place),
-        };
-        placed.execute(workload, platform, &ctx.tracer)
-    }
-    fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
-        workload.autofocus().map(|w| {
-            crate::program_model::autofocus_pipeline_model(w, &self.place, platform_mesh(platform))
-        })
-    }
-}
-
-/// RDA on one Epiphany core (the sequential reference port).
-pub struct RdaSeqMapping;
-
-impl Mapping for RdaSeqMapping {
-    fn name(&self) -> &'static str {
-        "rda_seq"
-    }
-    fn kernel(&self) -> &'static str {
-        "rda"
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        kind == PlatformKind::Epiphany
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .rda()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        let r = rda_seq::run_traced(w, params, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
-    }
-    fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
-        workload
-            .rda()
-            .map(|w| crate::program_model::rda_seq_model(w, platform_mesh(platform)))
-    }
-}
-
-/// RDA SPMD over the full mesh, with the tiled corner-turn phase.
-#[derive(Default)]
-pub struct RdaSpmdMapping {
-    /// Driver knobs (core pin). Default: every core the mesh provides.
-    pub opts: rda_spmd::RdaSpmdOptions,
-}
-
-impl Mapping for RdaSpmdMapping {
-    fn name(&self) -> &'static str {
-        "rda_spmd"
-    }
-    fn kernel(&self) -> &'static str {
-        "rda"
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        kind == PlatformKind::Epiphany
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .rda()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        let r = rda_spmd::run_traced(w, params, self.opts, tracer.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
-    }
-    fn execute_ctx(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        ctx: &RunContext,
-    ) -> Result<MappingRun, HarnessError> {
-        let w = workload
-            .rda()
-            .ok_or_else(|| kernel_mismatch(self, workload))?;
-        let params = platform
-            .epiphany_params()
-            .ok_or_else(|| unsupported(self, platform))?;
-        let r = rda_spmd::run_faulted(w, params, self.opts, ctx.tracer.clone(), ctx.faults.clone());
-        Ok(MappingRun {
-            record: r.record,
-            image: Some(r.image),
-            sweep: None,
-            best: None,
-        })
-    }
-    fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
-        workload
-            .rda()
-            .map(|w| crate::program_model::rda_spmd_model(w, &self.opts, platform_mesh(platform)))
+            .map_or((4, 4), |p| (p.mesh_cols, p.mesh_rows));
+        (self.model)(self, workload, mesh)
     }
 }
 
 /// Every mapping, for exhaustive cross-machine sweeps.
 pub fn all_mappings() -> Vec<Box<dyn Mapping>> {
-    vec![
-        Box::new(FfbpRefMapping),
-        Box::new(FfbpSeqMapping),
-        Box::new(FfbpSpmdMapping::default()),
-        Box::new(FfbpHostMapping),
-        Box::new(AutofocusRefMapping),
-        Box::new(AutofocusSeqMapping),
-        Box::new(AutofocusMpmdMapping::default()),
-        Box::new(AutofocusNetMapping::default()),
-        Box::new(RdaSeqMapping),
-        Box::new(RdaSpmdMapping::default()),
-    ]
+    ROWS.iter()
+        .map(|row| Box::new(*row) as Box<dyn Mapping>)
+        .collect()
 }
 
 /// Look a mapping up by its record name (the `--mapping` flag of the
 /// unified runner).
 pub fn mapping_named(name: &str) -> Option<Box<dyn Mapping>> {
-    all_mappings().into_iter().find(|m| m.name() == name)
+    let row = ROWS.iter().find(|row| row.name == name)?;
+    Some(Box::new(*row))
 }
 
 /// [`mapping_named`] with a stage-to-core placement override — only
 /// the two pipeline mappings are placeable; other names return their
 /// registry default.
 pub fn mapping_named_placed(name: &str, place: Placement) -> Option<Box<dyn Mapping>> {
-    match name {
-        "autofocus_mpmd" => Some(Box::new(AutofocusMpmdMapping { place })),
-        "autofocus_net" => Some(Box::new(AutofocusNetMapping { place })),
-        _ => mapping_named(name),
+    let mut row = *ROWS.iter().find(|row| row.name == name)?;
+    if row.place.is_some() {
+        row.place = Some(place);
     }
+    Some(Box::new(row))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_harness::{all_platforms, platform_named, run};
+    use sim_harness::{all_platforms, platform_named, run, AutofocusWorkload};
 
     #[test]
     fn names_round_trip_through_the_registry() {
@@ -607,18 +240,21 @@ mod tests {
     }
 
     #[test]
-    fn every_mapping_supports_exactly_one_platform_family() {
-        use sim_harness::PlatformKind::*;
-        for m in all_mappings() {
-            let supported = [Epiphany, RefCpu, Host]
-                .into_iter()
-                .filter(|&k| m.supports(k))
-                .count();
+    fn only_the_pipeline_mappings_take_a_placement() {
+        let epiphany = platform_named("epiphany").unwrap();
+        for row in &ROWS {
+            let w = Workload::named(row.kernel, true).unwrap();
+            let default = row.program_model(&w, epiphany.as_ref());
+            let placed = mapping_named_placed(row.name, Placement::scattered())
+                .expect("registered")
+                .program_model(&w, epiphany.as_ref());
+            let placeable = matches!(row.name, "autofocus_mpmd" | "autofocus_net");
+            assert_eq!(row.place.is_some(), placeable, "{}", row.name);
             assert_eq!(
-                supported,
-                1,
-                "mapping {} supports {supported} families",
-                m.name()
+                default.map(|m| m.cores) != placed.map(|m| m.cores),
+                placeable,
+                "{}: an override must move the model's cores iff the row is placeable",
+                row.name
             );
         }
     }
@@ -647,27 +283,61 @@ mod tests {
         }
     }
 
+    /// `run_ctx` validates the pair before it calls `execute`; a row
+    /// entered directly must reject a foreign workload or platform on
+    /// its own, with the same errors.
+    #[test]
+    fn every_row_rejects_foreign_workloads_and_platforms_when_executed_directly() {
+        let ctx = RunContext::plain();
+        for row in &ROWS {
+            let own = Workload::named(row.kernel, true).unwrap();
+            let foreign_kernel = if row.kernel == "rda" { "ffbp" } else { "rda" };
+            let foreign = Workload::named(foreign_kernel, true).unwrap();
+            for p in all_platforms() {
+                // A foreign workload is a kernel mismatch on any platform.
+                assert!((row.run)(row, &foreign, p.as_ref(), &ctx).is_none());
+                let err = row.execute(&foreign, p.as_ref(), &ctx).err().unwrap();
+                assert_eq!(
+                    err.to_string(),
+                    format!(
+                        "mapping '{}' cannot run a '{foreign_kernel}' workload",
+                        row.name
+                    )
+                );
+                if p.kind() == row.family {
+                    continue;
+                }
+                assert!((row.run)(row, &own, p.as_ref(), &ctx).is_none());
+                let err = row.execute(&own, p.as_ref(), &ctx).err().unwrap();
+                assert_eq!(
+                    err.to_string(),
+                    format!(
+                        "mapping '{}' does not support platform '{}'",
+                        row.name,
+                        p.label()
+                    )
+                );
+            }
+        }
+    }
+
     #[test]
     fn specialised_params_flow_through_the_harness() {
         // Running through the harness must price identically to the
         // direct driver call with its kernel-specialised params().
-        let w = crate::workloads::AutofocusWorkload::small();
-        let direct = crate::autofocus_seq::run(&w, crate::autofocus_seq::params());
+        let w = AutofocusWorkload::small();
+        let direct = autofocus_seq::run(&w, autofocus_seq::params(), &RunContext::plain());
         let platform = platform_named("epiphany").unwrap();
-        let via = run(
-            &AutofocusSeqMapping,
-            &Workload::Autofocus(w),
-            platform.as_ref(),
-        )
-        .unwrap();
+        let seq = mapping_named("autofocus_seq").unwrap();
+        let via = run(seq.as_ref(), &Workload::Autofocus(w), platform.as_ref()).unwrap();
         assert_eq!(via.record.elapsed.cycles, direct.record.elapsed.cycles);
     }
 
     #[test]
     fn faults_flow_through_the_harness_context() {
         use faultsim::{FaultEvent, FaultPlan, FaultState};
-        use sim_harness::{run_ctx, RunContext};
-        let w = crate::workloads::AutofocusWorkload::small();
+        use sim_harness::run_ctx;
+        let w = AutofocusWorkload::small();
         let platform = platform_named("epiphany").unwrap();
         let plan = FaultPlan::from_events(
             17,
@@ -676,8 +346,9 @@ mod tests {
             }],
         );
         let ctx = RunContext::plain().with_faults(FaultState::from_plan(&plan));
+        let mpmd = mapping_named("autofocus_mpmd").unwrap();
         let via = run_ctx(
-            &AutofocusMpmdMapping::default(),
+            mpmd.as_ref(),
             &Workload::Autofocus(w),
             platform.as_ref(),
             &ctx,

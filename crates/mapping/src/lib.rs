@@ -36,9 +36,10 @@ pub mod layout;
 pub mod program_model;
 pub mod rda_seq;
 pub mod rda_spmd;
+mod spmd;
 pub mod table1;
-pub mod workloads;
 
 pub use harness_impls::{all_mappings, mapping_named, mapping_named_placed};
 pub use table1::{table1, Table1, Table1Row};
-pub use workloads::{AutofocusWorkload, FfbpWorkload, RdaWorkload};
+// `benchmark/` names these two workloads through this crate.
+pub use sim_harness::{AutofocusWorkload, FfbpWorkload};

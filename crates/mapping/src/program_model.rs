@@ -24,15 +24,16 @@ use sar_core::rda::{
     rcmc_shift,
 };
 use sar_core::signal::{lfm_chirp, MatchedFilter};
-use sim_harness::{BarrierDecl, Bound, FlagDecl, ProgramModel, TrafficDecl, WorkDecl};
+use sim_harness::{
+    AutofocusWorkload, BarrierDecl, Bound, FfbpWorkload, FlagDecl, Placement, ProgramModel,
+    RdaWorkload, TrafficDecl, WorkDecl,
+};
 
-use crate::autofocus_mpmd::Placement;
 use crate::autofocus_ref::AUTOFOCUS_SUSTAINED_IPC;
 use crate::autofocus_seq::AUTOFOCUS_PAIRING;
 use crate::ffbp_spmd::SpmdOptions;
 use crate::layout::{ExternalLayout, RdaLayout, BANK_CHILD_A, BANK_CHILD_B};
 use crate::rda_spmd::{transpose_ops, RdaSpmdOptions, TILE};
-use crate::workloads::{AutofocusWorkload, FfbpWorkload, RdaWorkload};
 
 /// Bytes of one autofocus block in a range core's prefetch bank (a
 /// 6x6 block of complex pixels, as DMA'd by the pipeline drivers).

@@ -11,7 +11,7 @@
 //! 3. `azimuth` — Doppler rows from C plus the RCMC-shifted gathers,
 //!    focused bin-major rows out to B.
 
-use desim::{OpCounts, RunRecord};
+use desim::OpCounts;
 use epiphany::{Chip, EpiphanyParams};
 use sar_core::complex::c32;
 use sar_core::image::ComplexImage;
@@ -20,36 +20,20 @@ use sar_core::rda::{
     rcmc_shift,
 };
 use sar_core::signal::{lfm_chirp, MatchedFilter};
+use sim_harness::{ImageRun, RdaWorkload, RunContext};
 
 use crate::layout::RdaLayout;
-use crate::workloads::RdaWorkload;
 
-/// Outcome of the sequential Epiphany RDA run.
-pub struct RdaSeqRun {
-    /// Machine record (one phase per pipeline stage).
-    pub record: RunRecord,
-    /// The focused image.
-    pub image: ComplexImage,
-}
-
-/// Execute the RDA workload on one core of the Epiphany model.
-pub fn run(w: &RdaWorkload, params: EpiphanyParams) -> RdaSeqRun {
-    run_traced(w, params, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline: the chip emits its spans into
-/// `tracer`.
-pub fn run_traced(
-    w: &RdaWorkload,
-    params: EpiphanyParams,
-    tracer: desim::trace::Tracer,
-) -> RdaSeqRun {
+/// Execute the RDA workload on one core of the Epiphany model (one
+/// record phase per pipeline stage); the chip emits its spans into
+/// `ctx.tracer`.
+pub fn run(w: &RdaWorkload, params: EpiphanyParams, ctx: &RunContext) -> ImageRun {
     let geom = &w.geom;
     let n = geom.num_pulses;
     let bins = geom.num_bins;
     let layout = RdaLayout::new(n as u32, bins as u32, w.raw.cols() as u32);
     let mut chip = Chip::from_params(params);
-    chip.set_tracer(tracer);
+    chip.set_tracer(ctx.tracer.clone());
     let core = 0usize;
     let waveform = lfm_chirp(w.config.chirp);
     let mf = MatchedFilter::new(&waveform, w.raw.cols());
@@ -130,7 +114,7 @@ pub fn run_traced(
     }
     chip.phase_end();
 
-    RdaSeqRun {
+    ImageRun {
         record: chip.report("RDA / Epiphany, 1 core @ 1 GHz (sequential)", 1),
         image,
     }
@@ -144,7 +128,7 @@ mod tests {
     #[test]
     fn image_matches_the_plain_algorithm() {
         let w = RdaWorkload::small();
-        let machine = run(&w, EpiphanyParams::default());
+        let machine = run(&w, EpiphanyParams::default(), &RunContext::plain());
         let plain = rda(&w.raw, &w.geom, &w.config);
         assert_eq!(machine.image.as_slice(), plain.image.as_slice());
     }
@@ -152,7 +136,7 @@ mod tests {
     #[test]
     fn every_input_sample_is_a_blocking_read() {
         let w = RdaWorkload::small();
-        let r = run(&w, EpiphanyParams::default());
+        let r = run(&w, EpiphanyParams::default(), &RunContext::plain());
         let reads = r.record.counters.get("ext_read");
         let raw_samples = (w.raw.rows() * w.raw.cols()) as u64;
         let matrix = (w.geom.num_pulses * w.geom.num_bins) as u64;

@@ -21,16 +21,15 @@
 //!    from deeper bins' rows with blocking reads, azimuth reference
 //!    multiply + inverse FFT, focused row posted to region C.
 //!
-//! Every phase reads one region and writes a different one, so the
-//! recovery story is the FFBP SPMD one verbatim: a core that halts is
-//! detected at the end-of-phase health check, dropped, and the whole
-//! phase redone on the survivors — bit-identical output, with the
-//! redone work accounted as recovery cycles/energy.
+//! Every phase reads one region and writes a different one, so each
+//! runs as one [`checkpointed`] phase: a core that halts is detected at
+//! the end-of-phase health check, dropped, and the whole phase redone
+//! on the survivors — bit-identical output, with the redone work
+//! accounted as recovery cycles/energy.
 
-use desim::{Cycle, OpCounts, RunRecord};
+use desim::OpCounts;
 use epiphany::dma::DmaDirection;
-use epiphany::{Chip, EpiphanyParams};
-use faultsim::FaultState;
+use epiphany::EpiphanyParams;
 use sar_core::complex::c32;
 use sar_core::image::ComplexImage;
 use sar_core::rda::{
@@ -38,9 +37,10 @@ use sar_core::rda::{
     rcmc_shift,
 };
 use sar_core::signal::{lfm_chirp, MatchedFilter};
+use sim_harness::{ImageRun, RdaWorkload, RunContext};
 
 use crate::layout::{RdaLayout, BANK_CHILD_A, BANK_CHILD_B, PIXEL_BYTES};
-use crate::workloads::RdaWorkload;
+use crate::spmd::{checkpointed, chip_for};
 
 /// Corner-turn tile edge, in elements. 32 x 32 c32 tiles are 8 KB —
 /// exactly one local bank in, one out.
@@ -51,16 +51,8 @@ pub const TILE: usize = 32;
 pub struct RdaSpmdOptions {
     /// Cores to use. `None` (the default) means every core the
     /// platform's mesh provides; `Some(n)` pins the count on a compact
-    /// [`Chip::subgrid_cores`] subgrid.
+    /// [`epiphany::Chip::subgrid_cores`] subgrid.
     pub cores: Option<usize>,
-}
-
-/// Outcome of the SPMD RDA run.
-pub struct RdaSpmdRun {
-    /// Machine record (one phase per pipeline stage).
-    pub record: RunRecord,
-    /// The focused image.
-    pub image: ComplexImage,
 }
 
 /// The local-transpose ledger for one `elems`-element tile (also used
@@ -75,100 +67,37 @@ pub fn transpose_ops(elems: u64) -> OpCounts {
     }
 }
 
-/// Execute the RDA workload on the Epiphany model with `opts`.
-pub fn run(w: &RdaWorkload, params: EpiphanyParams, opts: RdaSpmdOptions) -> RdaSpmdRun {
-    run_traced(w, params, opts, desim::trace::Tracer::disabled())
-}
-
-/// [`run`] with an event timeline.
-pub fn run_traced(
+/// Execute the RDA workload on the Epiphany model with `opts`,
+/// emitting the chip's spans into `ctx.tracer` and running under
+/// `ctx.faults` (checkpoint/restart at phase granularity — see the
+/// module docs). The record carries one phase per pipeline stage.
+pub fn run(
     w: &RdaWorkload,
     params: EpiphanyParams,
     opts: RdaSpmdOptions,
-    tracer: desim::trace::Tracer,
-) -> RdaSpmdRun {
-    run_faulted(w, params, opts, tracer, FaultState::disabled())
-}
-
-/// [`run_traced`] under a fault schedule (checkpoint/restart at phase
-/// granularity — see the module docs).
-pub fn run_faulted(
-    w: &RdaWorkload,
-    params: EpiphanyParams,
-    opts: RdaSpmdOptions,
-    tracer: desim::trace::Tracer,
-    faults: FaultState,
-) -> RdaSpmdRun {
+    ctx: &RunContext,
+) -> ImageRun {
     let geom = &w.geom;
     let n = geom.num_pulses;
     let bins = geom.num_bins;
     let layout = RdaLayout::new(n as u32, bins as u32, w.raw.cols() as u32);
-    let n_cores = opts.cores.unwrap_or_else(|| params.cores());
-    let mut chip = if n_cores <= params.cores() {
-        Chip::from_params(params)
-    } else {
-        Chip::with_cores(params, n_cores)
-    };
-    chip.set_tracer(tracer);
-    chip.set_faults(faults.clone());
+    let (mut chip, mut active) = chip_for(params, opts.cores, ctx);
+    let n_cores = active.len();
     let bank_bytes = u64::from(params.sram.bank_bytes);
-    let mut active: Vec<usize> = chip.subgrid_cores(n_cores);
 
     let waveform = lfm_chirp(w.config.chirp);
     let mf = MatchedFilter::new(&waveform, w.raw.cols());
     let mut counts = OpCounts::default();
     let mut charged = OpCounts::default();
 
-    // One checkpointed attempt loop per phase: on a halt, drop the
-    // dead cores and redo the phase (its input region is intact).
-    // Returns whether the attempt survived; the caller's closure runs
-    // the phase body.
-    macro_rules! checkpointed {
-        ($name:literal, $body:expr) => {
-            loop {
-                let attempt_t0 = chip.elapsed();
-                let attempt_e0 = if faults.is_enabled() {
-                    chip.energy().total_j()
-                } else {
-                    0.0
-                };
-                chip.phase_begin($name);
-                let mut last_write: Vec<Cycle> = vec![Cycle::ZERO; chip.cores()];
-                #[allow(clippy::redundant_closure_call)]
-                ($body)(&mut chip, &active, &mut last_write);
-                for &core in &active {
-                    chip.wait_flag(core, last_write[core]);
-                }
-                chip.barrier(&active);
-                let dead: Vec<usize> = faults
-                    .newly_halted(chip.elapsed())
-                    .into_iter()
-                    .map(|c| c as usize)
-                    .filter(|c| active.contains(c))
-                    .collect();
-                if dead.is_empty() {
-                    chip.phase_end();
-                    break;
-                }
-                chip.phase_metric("halted_cores", dead.len() as f64);
-                chip.phase_end();
-                active.retain(|c| !dead.contains(c));
-                assert!(
-                    !active.is_empty(),
-                    "every core halted; the SPMD mapping cannot recover"
-                );
-                faults.add_degraded_cores(dead.len() as u64);
-                faults.add_recovery_cycles(chip.elapsed().saturating_sub(attempt_t0).raw());
-                faults.add_recovery_energy((chip.energy().total_j() - attempt_e0).max(0.0));
-            }
-        };
-    }
-
     // Phase 1: range compression, A -> B (pulse-major).
     let mut rc = ComplexImage::zeros(n, bins);
-    checkpointed!(
+    checkpointed(
+        &mut chip,
+        &ctx.faults,
+        &mut active,
         "range",
-        |chip: &mut Chip, active: &[usize], last_write: &mut [Cycle]| {
+        |chip, active, last_write| {
             for k in 0..n {
                 let core = active[k % active.len()];
                 let row_bytes = layout.raw_row_bytes();
@@ -201,16 +130,19 @@ pub fn run_faulted(
                     chip.write_external(core, layout.rc_addr(k as u32, 0), layout.rc_row_bytes());
                 last_write[core] = last_write[core].max(arrival);
             }
-        }
+        },
     );
 
     // Phase 2: tiled corner turn, B -> C. Pure transpose traffic:
     // strided 2D DMA in, local transpose, strided 2D DMA out.
     let tile_rows = n.div_ceil(TILE);
     let tile_cols = bins.div_ceil(TILE);
-    checkpointed!(
+    checkpointed(
+        &mut chip,
+        &ctx.faults,
+        &mut active,
         "corner_turn",
-        |chip: &mut Chip, active: &[usize], _last_write: &mut [Cycle]| {
+        |chip, active, _| {
             let mut task = 0usize;
             for ti in 0..tile_rows {
                 for tj in 0..tile_cols {
@@ -244,14 +176,17 @@ pub fn run_faulted(
                 }
             }
             chip.phase_metric("tiles", (tile_rows * tile_cols) as f64);
-        }
+        },
     );
 
     // Phase 3: azimuth FFT per bin, C -> B (bin-major).
     let mut rd = ComplexImage::zeros(bins, n);
-    checkpointed!(
+    checkpointed(
+        &mut chip,
+        &ctx.faults,
+        &mut active,
         "doppler",
-        |chip: &mut Chip, active: &[usize], last_write: &mut [Cycle]| {
+        |chip, active, last_write| {
             let mut col = vec![c32::ZERO; n];
             for i in 0..bins {
                 let core = active[i % active.len()];
@@ -275,14 +210,17 @@ pub fn run_faulted(
                     chip.write_external(core, layout.rd_addr(i as u32, 0), layout.col_bytes());
                 last_write[core] = last_write[core].max(arrival);
             }
-        }
+        },
     );
 
     // Phase 4: RCMC + azimuth compression per bin, B -> C (bin-major).
     let mut image = ComplexImage::zeros(n, bins);
-    checkpointed!(
+    checkpointed(
+        &mut chip,
+        &ctx.faults,
+        &mut active,
         "azimuth",
-        |chip: &mut Chip, active: &[usize], last_write: &mut [Cycle]| {
+        |chip, active, last_write| {
             let mut gathers: Vec<memsim::GlobalAddr> = Vec::with_capacity(n);
             for i in 0..bins {
                 let core = active[i % active.len()];
@@ -317,10 +255,10 @@ pub fn run_faulted(
                     chip.write_external(core, layout.ct_addr(i as u32, 0), layout.col_bytes());
                 last_write[core] = last_write[core].max(arrival);
             }
-        }
+        },
     );
 
-    RdaSpmdRun {
+    ImageRun {
         record: chip.report(
             &format!("RDA / Epiphany, {n_cores} cores @ 1 GHz (SPMD)"),
             n_cores,
@@ -333,6 +271,13 @@ pub fn run_faulted(
 mod tests {
     use super::*;
     use crate::rda_seq;
+    use desim::Cycle;
+    use faultsim::FaultState;
+
+    /// A fault-free, untraced run.
+    fn run(w: &RdaWorkload, params: EpiphanyParams, opts: RdaSpmdOptions) -> ImageRun {
+        super::run(w, params, opts, &RunContext::plain())
+    }
     use sar_core::rda::rda;
 
     #[test]
@@ -340,7 +285,7 @@ mod tests {
         let w = RdaWorkload::small();
         let spmd = run(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
         let plain = rda(&w.raw, &w.geom, &w.config);
-        let seq = rda_seq::run(&w, EpiphanyParams::default());
+        let seq = rda_seq::run(&w, EpiphanyParams::default(), &RunContext::plain());
         assert_eq!(spmd.image.as_slice(), plain.image.as_slice());
         assert_eq!(spmd.image.as_slice(), seq.image.as_slice());
     }
@@ -367,7 +312,7 @@ mod tests {
     fn parallel_beats_sequential() {
         let w = RdaWorkload::small();
         let par = run(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
-        let seq = rda_seq::run(&w, EpiphanyParams::default());
+        let seq = rda_seq::run(&w, EpiphanyParams::default(), &RunContext::plain());
         let speedup = seq.record.elapsed.seconds() / par.record.elapsed.seconds();
         assert!(
             speedup > 4.0,
@@ -439,12 +384,11 @@ mod tests {
             }],
         );
         let faults = FaultState::from_plan(&plan);
-        let r = run_faulted(
+        let r = super::run(
             &w,
             EpiphanyParams::default(),
             RdaSpmdOptions::default(),
-            desim::trace::Tracer::disabled(),
-            faults.clone(),
+            &RunContext::plain().with_faults(faults.clone()),
         );
         assert_eq!(
             r.image.as_slice(),
@@ -470,12 +414,11 @@ mod tests {
             }],
         );
         let go = || {
-            run_faulted(
+            super::run(
                 &w,
                 EpiphanyParams::default(),
                 RdaSpmdOptions::default(),
-                desim::trace::Tracer::disabled(),
-                FaultState::from_plan(&plan),
+                &RunContext::plain().with_faults(FaultState::from_plan(&plan)),
             )
         };
         let (a, b) = (go(), go());

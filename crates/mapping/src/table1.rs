@@ -4,13 +4,11 @@
 use std::fmt;
 
 use desim::Json;
-use sim_harness::{run, EpiphanyPlatform, Mapping, MappingRun, RefCpuPlatform, Workload};
-
-use crate::harness_impls::{
-    AutofocusMpmdMapping, AutofocusRefMapping, AutofocusSeqMapping, FfbpRefMapping, FfbpSeqMapping,
-    FfbpSpmdMapping,
+use sim_harness::{
+    run, AutofocusWorkload, EpiphanyPlatform, FfbpWorkload, MappingRun, RefCpuPlatform, Workload,
 };
-use crate::workloads::{AutofocusWorkload, FfbpWorkload};
+
+use crate::harness_impls::mapping_named;
 
 pub use sim_harness::{EPIPHANY_POWER_W, INTEL_POWER_W};
 
@@ -62,16 +60,17 @@ pub struct Table1 {
 pub fn table1(ffbp_w: &FfbpWorkload, af_w: &AutofocusWorkload) -> Table1 {
     let intel = RefCpuPlatform::default();
     let epiphany = EpiphanyPlatform::default();
-    let pair = |mapping: &dyn Mapping, workload: &Workload, on_intel: bool| -> MappingRun {
+    let pair = |mapping: &str, workload: &Workload, on_intel: bool| -> MappingRun {
+        let mapping = mapping_named(mapping).expect("Table I mappings are all registered");
         let platform: &dyn sim_harness::Platform = if on_intel { &intel } else { &epiphany };
-        run(mapping, workload, platform).expect("Table I pairs are all supported")
+        run(mapping.as_ref(), workload, platform).expect("Table I pairs are all supported")
     };
 
     // --- FFBP ---
     let ffbp_workload = Workload::Ffbp(ffbp_w.clone());
-    let f_ref = pair(&FfbpRefMapping, &ffbp_workload, true);
-    let f_seq = pair(&FfbpSeqMapping, &ffbp_workload, false);
-    let f_par = pair(&FfbpSpmdMapping::default(), &ffbp_workload, false);
+    let f_ref = pair("ffbp_ref", &ffbp_workload, true);
+    let f_seq = pair("ffbp_seq", &ffbp_workload, false);
+    let f_par = pair("ffbp_spmd", &ffbp_workload, false);
     let t_ref = f_ref.record.elapsed.seconds();
 
     let ffbp = vec![
@@ -109,9 +108,9 @@ pub fn table1(ffbp_w: &FfbpWorkload, af_w: &AutofocusWorkload) -> Table1 {
 
     // --- Autofocus ---
     let af_workload = Workload::Autofocus(af_w.clone());
-    let a_ref = pair(&AutofocusRefMapping, &af_workload, true);
-    let a_seq = pair(&AutofocusSeqMapping, &af_workload, false);
-    let a_par = pair(&AutofocusMpmdMapping::default(), &af_workload, false);
+    let a_ref = pair("autofocus_ref", &af_workload, true);
+    let a_seq = pair("autofocus_seq", &af_workload, false);
+    let a_par = pair("autofocus_mpmd", &af_workload, false);
     let px = af_w.pixels() as f64;
     let thr = |secs: f64| px / secs;
     let t_aref = a_ref.record.elapsed.seconds();

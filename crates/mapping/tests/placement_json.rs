@@ -4,7 +4,7 @@
 //! deterministic `desim` RNG, so a failure replays exactly.
 
 use desim::rng::SmallRng;
-use sar_epiphany::autofocus_mpmd::Placement;
+use sim_harness::Placement;
 
 /// A random 13-distinct-core placement on the canonical 4x6 id range
 /// (some ids deliberately off the 4x4 mesh — the JSON schema does not

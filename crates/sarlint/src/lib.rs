@@ -83,8 +83,8 @@ pub fn analyze_pair(mapping: &dyn Mapping, workload: &Workload, platform: &dyn P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sar_epiphany::autofocus_mpmd::Placement;
     use sar_epiphany::{mapping_named, mapping_named_placed};
+    use sim_harness::Placement;
     use sim_harness::{platform_named, Severity};
 
     fn pair(mapping: &str, platform: &str) -> Report {

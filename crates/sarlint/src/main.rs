@@ -23,12 +23,11 @@
 use std::process::ExitCode;
 
 use desim::Json;
-use sar_epiphany::autofocus_mpmd::Placement;
 use sar_epiphany::{all_mappings, mapping_named_placed};
 use sarlint::{analyze_pair, cost, dynamic};
 use sim_harness::{
-    all_platforms, platform_named, BenchHarness, Diagnostic, Mapping, Platform, Workload,
-    RUN_RECORD_VERSION,
+    all_platforms, platform_named, BenchHarness, Diagnostic, Mapping, Placement, Platform,
+    Workload, RUN_RECORD_VERSION,
 };
 
 fn main() -> ExitCode {

@@ -8,10 +8,9 @@
 //! corruption, so every test pins one check against one invariant.
 
 use memsim::SramParams;
-use sar_epiphany::autofocus_mpmd::Placement;
 use sar_epiphany::{all_mappings, mapping_named, mapping_named_placed};
 use sarlint::{analyze_model, analyze_pair};
-use sim_harness::{all_platforms, ProgramModel, Workload};
+use sim_harness::{all_platforms, Placement, ProgramModel, Workload};
 
 /// The genuine pipeline model the corruptions start from.
 fn pipeline_model() -> ProgramModel {

@@ -5,106 +5,74 @@
 //! counters drifts (`SL016`), and a landing-free run reports the
 //! vacuous note.
 
-use desim::trace::Tracer;
 use sar_epiphany::mapping_named;
 use sarlint::dynamic::cross_check;
 use sim_harness::{
     platform_named, Bound, HarnessError, Mapping, MappingRun, Platform, PlatformKind, ProgramModel,
-    Severity, Workload,
+    RunContext, Severity, Workload,
 };
 
-/// Delegates execution to a real mapping but exports a model with
-/// every inbox shrunk to a single word — the run's observed landings
+/// `autofocus_mpmd`, executed as registered, but exporting its program
+/// model through `corrupt` — what the run does and what the model
+/// declares no longer agree.
+struct Corrupted {
+    inner: Box<dyn Mapping>,
+    corrupt: fn(&mut ProgramModel),
+}
+
+impl Corrupted {
+    fn mpmd(corrupt: fn(&mut ProgramModel)) -> Corrupted {
+        let inner = mapping_named("autofocus_mpmd").expect("registered");
+        Corrupted { inner, corrupt }
+    }
+}
+
+impl Mapping for Corrupted {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn kernel(&self) -> &'static str {
+        self.inner.kernel()
+    }
+    fn supports(&self, kind: PlatformKind) -> bool {
+        self.inner.supports(kind)
+    }
+    fn execute(
+        &self,
+        workload: &Workload,
+        platform: &dyn Platform,
+        ctx: &RunContext,
+    ) -> Result<MappingRun, HarnessError> {
+        self.inner.execute(workload, platform, ctx)
+    }
+    fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
+        let mut m = self.inner.program_model(workload, platform)?;
+        (self.corrupt)(&mut m);
+        Some(m)
+    }
+}
+
+/// Every inbox shrunk to a single word — the run's observed landings
 /// can no longer be covered by the declarations.
-struct UnderDeclared(Box<dyn Mapping>);
-
-impl Mapping for UnderDeclared {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn kernel(&self) -> &'static str {
-        self.0.kernel()
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        self.0.supports(kind)
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        self.0.execute(workload, platform, tracer)
-    }
-    fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
-        let mut m = self.0.program_model(workload, platform)?;
-        for b in &mut m.buffers {
-            b.bytes = 8;
-        }
-        Some(m)
+fn under_declare(m: &mut ProgramModel) {
+    for b in &mut m.buffers {
+        b.bytes = 8;
     }
 }
 
-/// Delegates execution to a real mapping but declares one extra inbox
-/// on a core the driver never writes to — over-declared communication.
-struct OverDeclared(Box<dyn Mapping>);
-
-impl Mapping for OverDeclared {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn kernel(&self) -> &'static str {
-        self.0.kernel()
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        self.0.supports(kind)
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        self.0.execute(workload, platform, tracer)
-    }
-    fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
-        let mut m = self.0.program_model(workload, platform)?;
-        // Bank 3 of core 0 receives nothing in the pipeline drivers.
-        m.buffer("phantom_inbox", 0, 3, 0, 64);
-        Some(m)
-    }
+/// One extra inbox on a core the driver never writes to (bank 3 of
+/// core 0 receives nothing in the pipeline drivers).
+fn over_declare(m: &mut ProgramModel) {
+    m.buffer("phantom_inbox", 0, 3, 0, 64);
 }
 
-/// Delegates execution to a real mapping but inflates every declared
-/// flag-wait count far beyond what the driver performs.
-struct Drifted(Box<dyn Mapping>);
-
-impl Mapping for Drifted {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn kernel(&self) -> &'static str {
-        self.0.kernel()
-    }
-    fn supports(&self, kind: PlatformKind) -> bool {
-        self.0.supports(kind)
-    }
-    fn execute(
-        &self,
-        workload: &Workload,
-        platform: &dyn Platform,
-        tracer: &Tracer,
-    ) -> Result<MappingRun, HarnessError> {
-        self.0.execute(workload, platform, tracer)
-    }
-    fn program_model(&self, workload: &Workload, platform: &dyn Platform) -> Option<ProgramModel> {
-        let mut m = self.0.program_model(workload, platform)?;
-        for ph in &mut m.workload {
-            for w in &mut ph.work {
-                w.flag_waits = Bound::exact(1e6);
-            }
+/// Every declared flag-wait count inflated far beyond what the driver
+/// performs.
+fn drift(m: &mut ProgramModel) {
+    for ph in &mut m.workload {
+        for w in &mut ph.work {
+            w.flag_waits = Bound::exact(1e6);
         }
-        Some(m)
     }
 }
 
@@ -132,7 +100,7 @@ fn truthful_spmd_mapping_passes_the_cross_check() {
 
 #[test]
 fn under_declared_model_is_caught_as_sl009() {
-    let m = UnderDeclared(mapping_named("autofocus_mpmd").expect("registered"));
+    let m = Corrupted::mpmd(under_declare);
     let w = Workload::named("autofocus", true).expect("registered");
     let p = platform_named("epiphany").expect("registered");
     let r = cross_check(&m, &w, p.as_ref());
@@ -142,7 +110,7 @@ fn under_declared_model_is_caught_as_sl009() {
 
 #[test]
 fn over_declared_buffer_warns_as_sl010() {
-    let m = OverDeclared(mapping_named("autofocus_mpmd").expect("registered"));
+    let m = Corrupted::mpmd(over_declare);
     let w = Workload::named("autofocus", true).expect("registered");
     let p = platform_named("epiphany").expect("registered");
     let r = cross_check(&m, &w, p.as_ref());
@@ -164,7 +132,7 @@ fn over_declared_buffer_warns_as_sl010() {
 
 #[test]
 fn counter_drift_warns_as_sl016() {
-    let m = Drifted(mapping_named("autofocus_mpmd").expect("registered"));
+    let m = Corrupted::mpmd(drift);
     let w = Workload::named("autofocus", true).expect("registered");
     let p = platform_named("epiphany").expect("registered");
     let r = cross_check(&m, &w, p.as_ref());

@@ -4,15 +4,16 @@
 //!
 //! Run with: `cargo run --example epiphany_autofocus --release`
 
-use sar_repro::sar_epiphany::autofocus_mpmd::{self, Placement};
+use sar_repro::sar_epiphany::autofocus_mpmd;
 use sar_repro::sar_epiphany::autofocus_seq;
-use sar_repro::sar_epiphany::workloads::AutofocusWorkload;
+use sar_repro::sim_harness::{AutofocusWorkload, Placement, RunContext};
 
 fn main() {
+    let ctx = RunContext::plain();
     let w = AutofocusWorkload::paper();
 
-    let seq = autofocus_seq::run(&w, autofocus_seq::params());
-    let mpmd = autofocus_mpmd::run(&w, autofocus_mpmd::params(), Placement::neighbor());
+    let seq = autofocus_seq::run(&w, autofocus_seq::params(), &ctx);
+    let mpmd = autofocus_mpmd::run(&w, autofocus_seq::params(), Placement::neighbor(), &ctx);
 
     println!("{}", seq.record);
     println!();

@@ -5,10 +5,12 @@
 //! Run with: `cargo run --example epiphany_ffbp --release`
 
 use sar_repro::epiphany::EpiphanyParams;
+use sar_repro::sar_epiphany::ffbp_seq;
 use sar_repro::sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sar_repro::sar_epiphany::{ffbp_seq, workloads::FfbpWorkload};
+use sar_repro::sim_harness::{FfbpWorkload, RunContext};
 
 fn main() {
+    let ctx = RunContext::plain();
     // A reduced workload keeps the example quick; the full Table I run
     // lives in `cargo run -p bench --bin table1 --release`.
     let geom = sar_repro::sar_core::geometry::SarGeometry {
@@ -22,18 +24,24 @@ fn main() {
         config: Default::default(),
     };
 
-    let seq = ffbp_seq::run(&w, EpiphanyParams::default());
-    let par = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
+    let seq = ffbp_seq::run(&w, EpiphanyParams::default(), &ctx);
+    let par = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default(), &ctx);
 
     println!("{}", seq.record);
     println!();
     println!("{}", par.record);
     println!();
+    let hits = par
+        .record
+        .metric("local_hits")
+        .expect("stamped by the driver");
+    let misses = par
+        .record
+        .metric("external_misses")
+        .expect("stamped by the driver");
     println!(
-        "prefetch coverage: {} local / {} external ({:.1}% hit rate)",
-        par.local_hits,
-        par.external_misses,
-        100.0 * par.local_hits as f64 / (par.local_hits + par.external_misses) as f64
+        "prefetch coverage: {hits} local / {misses} external ({:.1}% hit rate)",
+        100.0 * hits / (hits + misses)
     );
     println!(
         "16-core speedup over one Epiphany core: {:.2}x (paper, full size: 11.7x)",

@@ -8,9 +8,8 @@ use sar_repro::sar_core::geometry::SarGeometry;
 use sar_repro::sar_core::quality::{normalized_rmse, response_width, Axis};
 use sar_repro::sar_core::scene::{simulate_compressed_data, simulate_with_track, Scene};
 use sar_repro::sar_core::track::FlightTrack;
-use sar_repro::sar_epiphany::autofocus_mpmd::Placement;
-use sar_repro::sar_epiphany::workloads::AutofocusWorkload;
 use sar_repro::sar_epiphany::{autofocus_net, autofocus_seq};
+use sar_repro::sim_harness::{AutofocusWorkload, Placement, RunContext};
 
 #[test]
 fn track_errors_defocus_and_autofocus_recovers() {
@@ -76,9 +75,10 @@ fn perturbed_track_broadens_the_response() {
 
 #[test]
 fn process_network_agrees_with_hand_written_mapping_end_to_end() {
+    let ctx = RunContext::plain();
     let w = AutofocusWorkload::paper();
-    let seq = autofocus_seq::run(&w, autofocus_seq::params());
-    let net = autofocus_net::run(&w, autofocus_seq::params(), Placement::neighbor());
+    let seq = autofocus_seq::run(&w, autofocus_seq::params(), &ctx);
+    let net = autofocus_net::run(&w, autofocus_seq::params(), Placement::neighbor(), &ctx);
     // Numerics match the sequential reference...
     for ((s1, v1), (s2, v2)) in seq.sweep.iter().zip(&net.sweep) {
         assert_eq!(s1, s2);

@@ -6,38 +6,47 @@
 use sar_repro::desim::Frequency;
 use sar_repro::epiphany::EpiphanyParams;
 use sar_repro::refcpu::RefCpuParams;
-use sar_repro::sar_epiphany::autofocus_mpmd::{self, Placement};
+use sar_repro::sar_epiphany::autofocus_mpmd;
 use sar_repro::sar_epiphany::ffbp_spmd::{self, SpmdOptions};
 use sar_repro::sar_epiphany::rda_spmd::{self, RdaSpmdOptions};
-use sar_repro::sar_epiphany::workloads::{AutofocusWorkload, FfbpWorkload, RdaWorkload};
 use sar_repro::sar_epiphany::{autofocus_ref, autofocus_seq, ffbp_ref, ffbp_seq, rda_seq};
+use sar_repro::sim_harness::{AutofocusWorkload, FfbpWorkload, Placement, RdaWorkload, RunContext};
 
 #[test]
 fn all_machines_form_the_same_ffbp_image() {
+    let ctx = RunContext::plain();
     let w = FfbpWorkload::small();
     let a = ffbp_ref::run(&w, RefCpuParams::default()).image;
-    let b = ffbp_seq::run(&w, EpiphanyParams::default()).image;
-    let c = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default()).image;
+    let b = ffbp_seq::run(&w, EpiphanyParams::default(), &ctx).image;
+    let c = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default(), &ctx).image;
     assert_eq!(a.as_slice(), b.as_slice());
     assert_eq!(b.as_slice(), c.as_slice());
 }
 
 #[test]
 fn all_machines_form_the_same_rda_image() {
+    let ctx = RunContext::plain();
     let w = RdaWorkload::small();
     let plain = sar_repro::sar_core::rda::rda(&w.raw, &w.geom, &w.config).image;
-    let a = rda_seq::run(&w, EpiphanyParams::default()).image;
-    let b = rda_spmd::run(&w, EpiphanyParams::default(), RdaSpmdOptions::default()).image;
+    let a = rda_seq::run(&w, EpiphanyParams::default(), &ctx).image;
+    let b = rda_spmd::run(
+        &w,
+        EpiphanyParams::default(),
+        RdaSpmdOptions::default(),
+        &ctx,
+    )
+    .image;
     assert_eq!(plain.as_slice(), a.as_slice());
     assert_eq!(a.as_slice(), b.as_slice());
 }
 
 #[test]
 fn all_machines_compute_the_same_criterion_sweep() {
+    let ctx = RunContext::plain();
     let w = AutofocusWorkload::small();
     let a = autofocus_ref::run(&w, autofocus_ref::params()).sweep;
-    let b = autofocus_seq::run(&w, autofocus_seq::params()).sweep;
-    let c = autofocus_mpmd::run(&w, autofocus_mpmd::params(), Placement::neighbor()).sweep;
+    let b = autofocus_seq::run(&w, autofocus_seq::params(), &ctx).sweep;
+    let c = autofocus_mpmd::run(&w, autofocus_seq::params(), Placement::neighbor(), &ctx).sweep;
     assert_eq!(a, b);
     for ((s1, v1), (s2, v2)) in b.iter().zip(&c) {
         assert_eq!(s1, s2);
@@ -47,15 +56,20 @@ fn all_machines_compute_the_same_criterion_sweep() {
 
 #[test]
 fn simulated_runs_are_deterministic() {
+    let ctx = RunContext::plain();
     let w = FfbpWorkload::small();
-    let a = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
-    let b = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
+    let a = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default(), &ctx);
+    let b = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default(), &ctx);
     assert_eq!(a.record.elapsed.cycles, b.record.elapsed.cycles);
-    assert_eq!(a.external_misses, b.external_misses);
+    assert_eq!(
+        a.record.metric("external_misses"),
+        b.record.metric("external_misses")
+    );
 }
 
 #[test]
 fn faster_clock_means_less_wall_time_same_cycles() {
+    let ctx = RunContext::plain();
     let w = AutofocusWorkload::small();
     let slow = autofocus_seq::run(
         &w,
@@ -63,6 +77,7 @@ fn faster_clock_means_less_wall_time_same_cycles() {
             clock: Frequency::mhz(400.0),
             ..autofocus_seq::params()
         },
+        &ctx,
     );
     let fast = autofocus_seq::run(
         &w,
@@ -70,6 +85,7 @@ fn faster_clock_means_less_wall_time_same_cycles() {
             clock: Frequency::ghz(1.0),
             ..autofocus_seq::params()
         },
+        &ctx,
     );
     assert_eq!(slow.record.elapsed.cycles, fast.record.elapsed.cycles);
     let ratio = slow.record.elapsed.seconds() / fast.record.elapsed.seconds();
@@ -81,11 +97,12 @@ fn faster_clock_means_less_wall_time_same_cycles() {
 
 #[test]
 fn wider_elink_speeds_up_ffbp() {
+    let ctx = RunContext::plain();
     let w = FfbpWorkload::small();
     let mut narrow_params = EpiphanyParams::default();
     narrow_params.emesh.elink_bytes_per_cycle = 1;
-    let narrow = ffbp_spmd::run(&w, narrow_params, SpmdOptions::default());
-    let nominal = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
+    let narrow = ffbp_spmd::run(&w, narrow_params, SpmdOptions::default(), &ctx);
+    let nominal = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default(), &ctx);
     assert!(
         narrow.record.elapsed.seconds() > nominal.record.elapsed.seconds(),
         "an 8x narrower eLink must hurt FFBP"
@@ -94,12 +111,13 @@ fn wider_elink_speeds_up_ffbp() {
 
 #[test]
 fn slower_sdram_hurts_the_sequential_port_most() {
+    let ctx = RunContext::plain();
     let w = FfbpWorkload::small();
     let mut slow_mem = EpiphanyParams::default();
     slow_mem.sdram.row_hit_cycles *= 4;
     slow_mem.sdram.row_miss_cycles *= 4;
-    let seq_nominal = ffbp_seq::run(&w, EpiphanyParams::default());
-    let seq_slow = ffbp_seq::run(&w, slow_mem);
+    let seq_nominal = ffbp_seq::run(&w, EpiphanyParams::default(), &ctx);
+    let seq_slow = ffbp_seq::run(&w, slow_mem, &ctx);
     let penalty = seq_slow.record.elapsed.seconds() / seq_nominal.record.elapsed.seconds();
     assert!(
         penalty > 1.5,
@@ -136,7 +154,7 @@ fn prefetchless_i7_approaches_epiphany_seq_behaviour() {
         stalls < 0.10,
         "cached i7 should be compute-bound, stalls {stalls:.2}"
     );
-    let epi = ffbp_seq::run(&w, EpiphanyParams::default());
+    let epi = ffbp_seq::run(&w, EpiphanyParams::default(), &RunContext::plain());
     let busy_fraction = {
         // All stall time on the Epiphany port is eLink/SDRAM latency.
         let total = epi.record.elapsed.seconds();
@@ -268,5 +286,65 @@ fn refcpu_records_match_the_checked_in_bytes() {
     assert_eq!(expected.lines().count(), fresh.len());
     for (record, line) in fresh.iter().zip(expected.lines()) {
         assert_eq!(record.to_json().to_string(), line, "{}", record.label);
+    }
+}
+
+/// One line of `RunRecord` JSON per run below, in this order: every
+/// supported Mapping × Platform pair at small scale through
+/// `sim_harness::run` (`ffbp_host` is wall-clock timed and skipped),
+/// the three mappings with a recovery story on `epiphany` under
+/// `specs/faults_demo.json` seed 42 through `run_ctx`, and
+/// `autofocus_mpmd` with the scattered placement.
+fn registry_records() -> Vec<String> {
+    use sar_repro::sar_epiphany::{all_mappings, mapping_named, mapping_named_placed};
+    use sar_repro::sim_harness::{
+        all_platforms, platform_named, run, run_ctx, FaultPlan, FaultState, Workload,
+    };
+
+    let line = |out: sar_repro::sim_harness::MappingRun| out.record.to_json().to_string();
+    let mut lines = Vec::new();
+    for m in all_mappings() {
+        if m.name() == "ffbp_host" {
+            continue;
+        }
+        let w = Workload::named(m.kernel(), true).expect("kernel resolves");
+        for p in all_platforms() {
+            if m.supports(p.kind()) {
+                lines.push(line(run(m.as_ref(), &w, p.as_ref()).expect("pair runs")));
+            }
+        }
+    }
+    let epiphany = platform_named("epiphany").expect("platform resolves");
+    let spec = include_str!("../specs/faults_demo.json");
+    for name in ["ffbp_spmd", "autofocus_mpmd", "rda_spmd"] {
+        let m = mapping_named(name).expect("registered");
+        let w = Workload::named(m.kernel(), true).expect("kernel resolves");
+        let plan = FaultPlan::parse(spec, 42).expect("spec parses");
+        let ctx = RunContext::plain().with_faults(FaultState::from_plan(&plan));
+        lines.push(line(
+            run_ctx(m.as_ref(), &w, epiphany.as_ref(), &ctx).expect("faulted run converges"),
+        ));
+    }
+    let scattered = mapping_named_placed("autofocus_mpmd", Placement::scattered())
+        .expect("autofocus_mpmd is placeable");
+    let w = Workload::named("autofocus", true).expect("kernel resolves");
+    lines.push(line(
+        run(scattered.as_ref(), &w, epiphany.as_ref()).expect("scattered run"),
+    ));
+    lines
+}
+
+/// The refactoring gate for the registry: `tests/golden/registry_records.jsonl`
+/// was written by the commit before `harness_impls.rs` became a table,
+/// so a change to how mappings are registered, entered or placed must
+/// reproduce every byte of every record. A deliberate model change
+/// regenerates the file and says what moved.
+#[test]
+fn registry_records_match_the_checked_in_bytes() {
+    let fresh = registry_records();
+    let expected = include_str!("golden/registry_records.jsonl");
+    assert_eq!(expected.lines().count(), fresh.len());
+    for (i, (record, line)) in fresh.iter().zip(expected.lines()).enumerate() {
+        assert!(record == line, "record {i} differs: {}", &record[..120]);
     }
 }

@@ -8,13 +8,14 @@ use sar_repro::desim::Json;
 use sar_repro::epiphany::EpiphanyParams;
 use sar_repro::sar_core::ffbp::ffbp;
 use sar_repro::sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sar_repro::sar_epiphany::workloads::FfbpWorkload;
+use sar_repro::sim_harness::{FfbpWorkload, RunContext};
 
 #[test]
 fn e64_sixteen_core_subgrid_reproduces_the_golden_image() {
+    let ctx = RunContext::plain();
     let w = FfbpWorkload::small();
     let plain = ffbp(&w.data, &w.geom, &w.config).image;
-    let e16 = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
+    let e16 = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default(), &ctx);
     let sub = ffbp_spmd::run(
         &w,
         EpiphanyParams::e64(),
@@ -22,6 +23,7 @@ fn e64_sixteen_core_subgrid_reproduces_the_golden_image() {
             cores: Some(16),
             ..SpmdOptions::default()
         },
+        &ctx,
     );
     // The subgrid run carries the e64 identity but the e16 slice
     // assignment...
@@ -65,9 +67,10 @@ fn e64_sixteen_core_subgrid_reproduces_the_golden_image() {
 
 #[test]
 fn the_full_e64_beats_the_e16_on_the_same_image() {
+    let ctx = RunContext::plain();
     let w = FfbpWorkload::small();
-    let e16 = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default());
-    let e64 = ffbp_spmd::run(&w, EpiphanyParams::e64(), SpmdOptions::default());
+    let e16 = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default(), &ctx);
+    let e64 = ffbp_spmd::run(&w, EpiphanyParams::e64(), SpmdOptions::default(), &ctx);
     assert_eq!(e64.image.as_slice(), e16.image.as_slice());
     assert!(
         e64.record.elapsed.cycles < e16.record.elapsed.cycles,

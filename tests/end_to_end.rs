@@ -8,7 +8,7 @@ use sar_repro::sar_core::quality::energy_concentration;
 use sar_repro::sar_core::scene::{simulate_via_chirp, Scene};
 use sar_repro::sar_core::signal::ChirpParams;
 use sar_repro::sar_epiphany::table1;
-use sar_repro::sar_epiphany::workloads::{AutofocusWorkload, FfbpWorkload};
+use sar_repro::sim_harness::{AutofocusWorkload, FfbpWorkload};
 
 /// Expected (beam, bin) of a target on the final polar grid.
 fn expected_position(geom: &SarGeometry, x: f32, y: f32) -> (usize, usize) {

@@ -4,7 +4,7 @@
 //! record carries nonzero fault accounting, and re-running the same
 //! seed reproduces the record exactly.
 
-use sar_epiphany::harness_impls::FfbpSpmdMapping;
+use sar_epiphany::mapping_named;
 use sim_harness::{platform_named, run_ctx, FaultPlan, FaultState, RunContext, Workload};
 
 const SPEC: &str = r#"{
@@ -23,21 +23,17 @@ fn faulted_run(seed: u64) -> sim_harness::MappingRun {
     let ctx = RunContext::plain().with_faults(FaultState::from_plan(&plan));
     let platform = platform_named("epiphany").expect("platform resolves");
     let workload = Workload::named("ffbp", true).expect("workload resolves");
-    run_ctx(
-        &FfbpSpmdMapping::default(),
-        &workload,
-        platform.as_ref(),
-        &ctx,
-    )
-    .expect("faulted run converges")
+    let mapping = mapping_named("ffbp_spmd").expect("mapping resolves");
+    run_ctx(mapping.as_ref(), &workload, platform.as_ref(), &ctx).expect("faulted run converges")
 }
 
 #[test]
 fn recovered_image_is_bit_identical_to_fault_free() {
     let platform = platform_named("epiphany").unwrap();
     let workload = Workload::named("ffbp", true).unwrap();
+    let mapping = mapping_named("ffbp_spmd").unwrap();
     let clean = run_ctx(
-        &FfbpSpmdMapping::default(),
+        mapping.as_ref(),
         &workload,
         platform.as_ref(),
         &RunContext::plain(),

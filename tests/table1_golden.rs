@@ -7,9 +7,8 @@
 //! baseline and say why in the commit).
 
 use sar_repro::desim::Json;
-use sar_repro::sar_epiphany::workloads::{AutofocusWorkload, FfbpWorkload};
 use sar_repro::sar_epiphany::{table1, Table1Row};
-use sar_repro::sim_harness::RUN_RECORD_VERSION;
+use sar_repro::sim_harness::{AutofocusWorkload, FfbpWorkload, RUN_RECORD_VERSION};
 
 const REL_TOL: f64 = 1e-9;
 

@@ -5,7 +5,7 @@
 
 use sar_repro::desim::trace::Tracer;
 use sar_repro::desim::Json;
-use sar_repro::sar_epiphany::harness_impls::mapping_named;
+use sar_repro::sar_epiphany::mapping_named;
 use sar_repro::sim_harness::{platform_named, run_traced, Workload};
 
 /// Run `ffbp_spmd` on the Epiphany at small scale with a recording
