@@ -10,7 +10,7 @@
 //! `sarlint` can never disagree about which placements are admissible
 //! — both sides share the `emesh` hop arithmetic.
 
-use sar_epiphany::program_model::PipelineProbe;
+use sar_epiphany::pipeline::PipelineProbe;
 use sarlint::cost::{cost_model, CostReport};
 use sim_harness::{platform_named, Placement, Platform, Report, Workload};
 

@@ -120,3 +120,28 @@ fn reports_are_byte_identical_per_seed_across_processes() {
     assert_eq!(greedy.best_score, base_greedy.best_score);
     assert_eq!(greedy.evals, base_greedy.evals);
 }
+
+/// `results/autotune_report.json` is the tracked output of the binary
+/// run with its default flags (paper scale, both strategies, both
+/// simulated placements): a change to the probe, the model wiring, the
+/// cost model or the search that moves a byte of it must be deliberate
+/// — regenerate the file and say what moved.
+#[test]
+fn default_run_regenerates_the_tracked_report() {
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("autotune_report.json");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_autotune"))
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("binary runs");
+    assert!(run.status.success(), "{run:?}");
+    let tracked = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/autotune_report.json"
+    );
+    assert!(
+        std::fs::read(&out).expect("report written") == std::fs::read(tracked).expect("tracked"),
+        "{} differs from results/autotune_report.json",
+        out.display()
+    );
+}

@@ -10,15 +10,18 @@
 //! * `bandwidth_sweep` — off-chip bandwidth sensitivity (A4),
 //! * `clock_sweep` — 400 MHz board vs 1 GHz spec (A5),
 //! * `merge_base` — merge base 2 vs 4 (A6),
-//! * `mapping_ablation` — neighbour vs scattered placement (E5),
 //! * `energy_report` — component-level energy breakdowns (E3),
 //! * `autofocus_recovery` — the Figure-4 pipeline under non-linear
 //!   tracks (A7),
 //! * `loader_cost` — SPMD vs MPMD program-load cost (A8),
 //! * `vs_multicore` — real host threads vs the simulated Epiphany on
 //!   throughput per watt (A9),
+//! * `fault_sweep` — recovery cost under swept fault rates (A10),
+//! * `rda_corner_turn` — the RDA corner turn's mesh and SDRAM pressure
+//!   against FFBP on the same scene (E6),
 //! * `run` — the unified runner: any registered Mapping × Platform ×
-//!   Workload triple through `sim_harness::run`.
+//!   Workload triple through `sim_harness::run` (`--placement
+//!   neighbor|scattered` is the Figure 9 placement study, E5).
 //!
 //! Every binary sits on [`sim_harness::BenchHarness`]: the shared
 //! `--small` / `--json` / `--out P` / `--no-write` flags, and one

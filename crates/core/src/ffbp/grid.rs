@@ -85,6 +85,18 @@ impl Subaperture {
         }
     }
 
+    /// The zeroed output of merging the adjacent children `a` and `b`:
+    /// centred midway between them, covering both lengths, on the
+    /// refined grid.
+    pub fn merged_shell(a: &Subaperture, b: &Subaperture, num_bins: usize) -> Subaperture {
+        Subaperture::zeros(
+            (a.center_y + b.center_y) / 2.0,
+            a.length + b.length,
+            a.grid.refined(),
+            num_bins,
+        )
+    }
+
     /// Bytes occupied by the sample matrix (complex64 pixels).
     pub fn data_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<c32>()

@@ -107,13 +107,8 @@ pub fn merge_pair(
         "children must have equal length"
     );
     let l = b.center_y - a.center_y;
-    let out_grid = a.grid.refined();
-    let mut out = Subaperture::zeros(
-        (a.center_y + b.center_y) / 2.0,
-        a.length + b.length,
-        out_grid,
-        geom.num_bins,
-    );
+    let mut out = Subaperture::merged_shell(a, b, geom.num_bins);
+    let out_grid = out.grid;
     for j in 0..out_grid.n_beams {
         merge_pair_row(
             a,

@@ -39,14 +39,7 @@ pub fn ffbp_parallel(
         // beam) units from a shared queue.
         let mut outputs: Vec<Subaperture> = pairs
             .iter()
-            .map(|(a, b)| {
-                Subaperture::zeros(
-                    (a.center_y + b.center_y) / 2.0,
-                    a.length + b.length,
-                    out_grid,
-                    geom.num_bins,
-                )
-            })
+            .map(|(a, b)| Subaperture::merged_shell(a, b, geom.num_bins))
             .collect();
 
         // Split each output into per-beam row slices we can distribute.

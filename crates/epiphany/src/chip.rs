@@ -36,6 +36,21 @@ struct MeshSnapshot {
     link_busy: Vec<Cycle>,
 }
 
+/// What [`Chip::phase_end`] measures over the closing phase, kept
+/// beside the phase's span for [`Chip::report`].
+#[derive(Debug)]
+struct PhaseStats {
+    /// Modelled energy the phase accounted for, by component.
+    energy: EnergyBreakdown,
+    /// eLink busy cycles reserved during the phase.
+    elink_busy: Cycle,
+    /// Busy cycles summed over all cores (the stall-vs-compute split
+    /// of the attribution block).
+    core_busy: Cycle,
+    /// Mesh traffic of the phase.
+    mesh: MeshUtilization,
+}
+
 /// The E16G3 (or a scaled N×M sibling) machine model.
 pub struct Chip {
     params: EpiphanyParams,
@@ -51,10 +66,10 @@ pub struct Chip {
     /// Per-core operation counters (slot-indexed; materialised into
     /// string-keyed [`Counters`] only at observation points).
     counters: Vec<CoreCounters>,
-    /// Per-core event timers (two ctimers per core, as on the E16G3).
-    timers: Vec<[Option<Cycle>; 2]>,
     /// Phase-scoped statistics (see [`Chip::phase_begin`]).
     phases: PhaseTimeline,
+    /// One entry per closed span of `phases`, in the same order.
+    phase_stats: Vec<PhaseStats>,
     /// Modelled energy breakdown at the open phase's start.
     phase_energy0: EnergyBreakdown,
     /// eLink busy cycles at the open phase's start.
@@ -95,8 +110,8 @@ impl Chip {
             t: vec![Cycle::ZERO; n],
             busy: vec![Cycle::ZERO; n],
             counters: (0..n).map(|_| CoreCounters::new()).collect(),
-            timers: vec![[None; 2]; n],
             phases: PhaseTimeline::new(),
+            phase_stats: Vec::new(),
             phase_energy0: EnergyBreakdown::default(),
             phase_elink0: Cycle::ZERO,
             phase_sdram0: Cycle::ZERO,
@@ -229,20 +244,6 @@ impl Chip {
         best.expect("ceil(sqrt(n)) always yields a candidate")
     }
 
-    /// A chip with at least `n` usable cores: the paper's E16G3 for
-    /// `n <= 16`, otherwise the minimal [`Chip::mesh_for_cores`] mesh.
-    /// Replaces the ad-hoc sizing mapping drivers used to hand-roll
-    /// (which forced square meshes and over-provisioned non-square
-    /// core counts).
-    pub fn with_cores(params: EpiphanyParams, n: usize) -> Chip {
-        if n <= 16 {
-            Chip::e16g3(params)
-        } else {
-            let (cols, rows) = Chip::mesh_for_cores(n);
-            Chip::new(params, cols, rows)
-        }
-    }
-
     /// Parameters in use.
     pub fn params(&self) -> &EpiphanyParams {
         self.params_ref()
@@ -326,39 +327,6 @@ impl Chip {
         c.add(slot::FPU_INSTR, block.fpu_instrs);
         c.add(slot::IALU_LS_INSTR, block.ialu_ls_instrs);
         c.add(slot::LOCAL_ACCESS, block.local_accesses);
-    }
-
-    /// Fast-forward a compute-only span: `reps` repetitions of the
-    /// same op-count region, with no mesh or SDRAM interaction in
-    /// flight on `core`. Advances the cursor and the counters in
-    /// closed form (one multiply each) instead of `reps` round-trips
-    /// through [`Chip::compute`] — byte-identical output, because the
-    /// per-rep cycle cost and counter deltas are constants and `u64`
-    /// addition is exact.
-    ///
-    /// With a tracer attached the span executor falls back to per-rep
-    /// execution so the timeline keeps every `compute` span.
-    pub fn compute_span(&mut self, core: CoreId, ops: &OpCounts, reps: u64) {
-        let block = CostBlock::lower(ops, &self.params);
-        self.compute_block_span(core, &block, reps);
-    }
-
-    /// [`Chip::compute_span`] for an already-lowered block.
-    pub fn compute_block_span(&mut self, core: CoreId, block: &CostBlock, reps: u64) {
-        if reps == 0 {
-            return;
-        }
-        if self.tracer.is_enabled() {
-            for _ in 0..reps {
-                self.compute_block(core, block);
-            }
-            return;
-        }
-        self.spend(core, Cycle(block.cycles(&self.params) * reps));
-        let c = &mut self.counters[core];
-        c.add(slot::FPU_INSTR, block.fpu_instrs * reps);
-        c.add(slot::IALU_LS_INSTR, block.ialu_ls_instrs * reps);
-        c.add(slot::LOCAL_ACCESS, block.local_accesses * reps);
     }
 
     // ---- on-chip communication -------------------------------------------
@@ -519,8 +487,7 @@ impl Chip {
     /// latencies, and the whole span absorbs into the fabric in
     /// closed form ([`EMesh::absorb_offchip_reads`]): `O(1)` per-link
     /// work per span instead of a dozen FIFO walks per read. This is
-    /// the read-side analogue of [`Chip::compute_span`] and the
-    /// dominant win for FFBP, whose inner loop is a run of 8-byte
+    /// the dominant win for FFBP, whose inner loop is a run of 8-byte
     /// external reads per output row.
     ///
     /// Otherwise the reads fall back to per-event execution one at a
@@ -763,24 +730,6 @@ impl Chip {
         landed.end
     }
 
-    // ---- timers ----------------------------------------------------------------
-
-    /// Arm ctimer `ch` (0 or 1) of `core` at the core's current time.
-    pub fn timer_start(&mut self, core: CoreId, ch: usize) {
-        self.timers[core][ch] = Some(self.t[core]);
-    }
-
-    /// Read-and-stop ctimer `ch`: cycles since [`Chip::timer_start`].
-    ///
-    /// # Panics
-    /// If the timer was never started.
-    pub fn timer_stop(&mut self, core: CoreId, ch: usize) -> Cycle {
-        let started = self.timers[core][ch]
-            .take()
-            .expect("timer_stop without timer_start");
-        self.t[core] - started
-    }
-
     // ---- synchronisation -----------------------------------------------------
 
     /// Flag-based consumer wait: `core` spins on the flag word until
@@ -915,55 +864,17 @@ impl Chip {
             .copied()
             .fold(Cycle::ZERO, |a, b| a + b)
             .saturating_sub(self.phase_busy0);
-        self.phases.metric("energy_j", denergy.total_j());
-        self.phases.metric("elink_busy_cycles", elink.raw() as f64);
         self.phases
             .metric("sdram_busy_cycles", sdram_busy.raw() as f64);
 
-        // Component-resolved energy deltas, smuggled through reserved
-        // `power::` keys that report() lifts into the phase's
-        // PhasePower entry (and strips from the metric map).
-        for (name, joules) in denergy.components() {
-            self.phases.metric(&format!("power::{name}_j"), joules);
-        }
-        self.phases
-            .metric("power::busy_cycles", core_busy.raw() as f64);
-
-        // Mesh deltas since phase_begin, smuggled through reserved
-        // metric keys that report() lifts into PhaseRecord::mesh.
+        // Mesh deltas since phase_begin.
         let now_mesh = self.mesh_snapshot();
         let m0 = &self.phase_mesh0;
-        self.phases.metric(
-            "mesh::cmesh_byte_hops",
-            (now_mesh.cmesh_byte_hops - m0.cmesh_byte_hops) as f64,
-        );
-        self.phases.metric(
-            "mesh::rmesh_byte_hops",
-            (now_mesh.rmesh_byte_hops - m0.rmesh_byte_hops) as f64,
-        );
-        self.phases.metric(
-            "mesh::xmesh_byte_hops",
-            (now_mesh.xmesh_byte_hops - m0.xmesh_byte_hops) as f64,
-        );
-        self.phases.metric(
-            "mesh::transfers",
-            (now_mesh.transfers - m0.transfers) as f64,
-        );
-        let busy_delta: u64 = now_mesh
-            .link_busy
-            .iter()
-            .zip(&m0.link_busy)
-            .map(|(now, was)| now.saturating_sub(*was).raw())
-            .sum();
-        self.phases
-            .metric("mesh::link_busy_cycles", busy_delta as f64);
-        let max_link_delta = now_mesh
-            .link_busy
-            .iter()
-            .zip(&m0.link_busy)
-            .map(|(now, was)| now.saturating_sub(*was).raw())
-            .max()
-            .unwrap_or(0);
+        let link_deltas = || {
+            let pairs = now_mesh.link_busy.iter().zip(&m0.link_busy);
+            pairs.map(|(now, was)| now.saturating_sub(*was).raw())
+        };
+        let max_link_delta = link_deltas().max().unwrap_or(0);
 
         let (now, merged) = (self.elapsed(), self.merged_counters());
         // Like per-phase eLink utilisation, not asserted ≤ 1: link
@@ -972,13 +883,24 @@ impl Chip {
             .phases
             .open_start()
             .map_or(0, |s| now.saturating_sub(s).raw());
-        let busiest = if span_cycles > 0 {
+        let busiest_link_utilization = if span_cycles > 0 {
             max_link_delta as f64 / span_cycles as f64
         } else {
             0.0
         };
-        self.phases
-            .metric("mesh::busiest_link_utilization", busiest);
+        self.phase_stats.push(PhaseStats {
+            energy: denergy,
+            elink_busy: elink,
+            core_busy,
+            mesh: MeshUtilization {
+                cmesh_byte_hops: now_mesh.cmesh_byte_hops - m0.cmesh_byte_hops,
+                rmesh_byte_hops: now_mesh.rmesh_byte_hops - m0.rmesh_byte_hops,
+                xmesh_byte_hops: now_mesh.xmesh_byte_hops - m0.xmesh_byte_hops,
+                transfers: now_mesh.transfers - m0.transfers,
+                link_busy_cycles: link_deltas().sum(),
+                busiest_link_utilization,
+            },
+        });
         self.phases.end(now, &merged);
         self.mark_power(now, e_now);
 
@@ -1109,32 +1031,11 @@ impl Chip {
             .phases
             .spans()
             .iter()
-            .map(|span| {
+            .zip(&self.phase_stats)
+            .map(|(span, stats)| {
+                let mesh = stats.mesh;
+                let denergy = stats.energy;
                 let mut metrics = span.metrics.clone();
-                let energy_j = metrics.remove("energy_j").unwrap_or(0.0);
-                let elink_busy = metrics.remove("elink_busy_cycles").unwrap_or(0.0);
-                let mesh = MeshUtilization {
-                    cmesh_byte_hops: metrics.remove("mesh::cmesh_byte_hops").unwrap_or(0.0) as u64,
-                    rmesh_byte_hops: metrics.remove("mesh::rmesh_byte_hops").unwrap_or(0.0) as u64,
-                    xmesh_byte_hops: metrics.remove("mesh::xmesh_byte_hops").unwrap_or(0.0) as u64,
-                    transfers: metrics.remove("mesh::transfers").unwrap_or(0.0) as u64,
-                    link_busy_cycles: metrics.remove("mesh::link_busy_cycles").unwrap_or(0.0)
-                        as u64,
-                    busiest_link_utilization: metrics
-                        .remove("mesh::busiest_link_utilization")
-                        .unwrap_or(0.0),
-                };
-                // Lift the component-resolved energy deltas smuggled by
-                // phase_end into the phase's power entry.
-                let denergy = EnergyBreakdown {
-                    compute_j: metrics.remove("power::compute_j").unwrap_or(0.0),
-                    sram_j: metrics.remove("power::sram_j").unwrap_or(0.0),
-                    mesh_j: metrics.remove("power::mesh_j").unwrap_or(0.0),
-                    elink_j: metrics.remove("power::elink_j").unwrap_or(0.0),
-                    sdram_j: metrics.remove("power::sdram_j").unwrap_or(0.0),
-                    static_j: metrics.remove("power::static_j").unwrap_or(0.0),
-                };
-                let core_busy = metrics.remove("power::busy_cycles").unwrap_or(0.0);
                 for (name, delta) in span.counters.iter() {
                     metrics.insert(name.to_string(), delta as f64);
                 }
@@ -1145,7 +1046,7 @@ impl Chip {
                 // its span (the tail drains during a later phase).
                 let span_cycles = span.cycles().raw() as f64;
                 let elink_utilization = if span_cycles > 0.0 {
-                    elink_busy / span_cycles
+                    stats.elink_busy.raw() as f64 / span_cycles
                 } else {
                     0.0
                 };
@@ -1153,7 +1054,7 @@ impl Chip {
                 // core-cycle budget. Only cores actually used count —
                 // idle cores are clock-gated and cost static power only.
                 let compute_fraction = if span_cycles > 0.0 && cores_used > 0 {
-                    (core_busy / (cores_used as f64 * span_cycles)).min(1.0)
+                    (stats.core_busy.raw() as f64 / (cores_used as f64 * span_cycles)).min(1.0)
                 } else {
                     0.0
                 };
@@ -1178,7 +1079,7 @@ impl Chip {
                     index: span.index,
                     start_ms: TimeSpan::new(span.start, self.params.clock).millis(),
                     time_ms: TimeSpan::new(span.cycles(), self.params.clock).millis(),
-                    energy_j,
+                    energy_j: denergy.total_j(),
                     elink_utilization,
                     mesh,
                     metrics,
@@ -1227,8 +1128,8 @@ impl Chip {
         self.t.iter_mut().for_each(|t| *t = Cycle::ZERO);
         self.busy.iter_mut().for_each(|b| *b = Cycle::ZERO);
         self.counters.iter_mut().for_each(CoreCounters::clear);
-        self.timers.iter_mut().for_each(|t| *t = [None; 2]);
         self.phases.clear();
+        self.phase_stats.clear();
         self.phase_energy0 = EnergyBreakdown::default();
         self.phase_elink0 = Cycle::ZERO;
         self.phase_sdram0 = Cycle::ZERO;
@@ -1502,12 +1403,6 @@ mod tests {
                     || (cols as usize * (rows as usize - 1)) < n,
                 "{n} cores: {cols}x{rows} is not minimal"
             );
-            let chip = Chip::with_cores(EpiphanyParams::default(), n);
-            assert!(chip.cores() >= n);
-            if n <= 16 {
-                // Paper fidelity: small runs stay on the E16G3 mesh.
-                assert_eq!(chip.cores(), 16);
-            }
         }
         // The old ad-hoc sizing forced square meshes: 17 cores got 25.
         assert_eq!(Chip::mesh_for_cores(17), (6, 3));
@@ -1647,8 +1542,6 @@ mod tests {
         assert_eq!(pm.total_byte_hops(), r.counters.get("mesh_byte_hops"));
         assert_eq!(pm.transfers, r.counters.get("mesh_transfers"));
         assert!(pm.busiest_link_utilization > 0.0);
-        // Reserved keys were lifted out of the free-form metrics.
-        assert!(r.phases[0].metrics.keys().all(|k| !k.starts_with("mesh::")));
     }
 
     #[test]
@@ -1782,38 +1675,6 @@ mod tests {
         assert!(strided > flat, "strided {strided} vs contiguous {flat}");
         assert_eq!(c2.counters(0).get("dma_2d"), 1);
         assert_eq!(c2.counters(0).get("dma_bytes"), 8192);
-    }
-
-    #[test]
-    fn timers_measure_core_cycles() {
-        let mut c = chip();
-        c.timer_start(0, 0);
-        c.compute(
-            0,
-            &OpCounts {
-                flops: 800,
-                ..OpCounts::default()
-            },
-        );
-        let elapsed = c.timer_stop(0, 0);
-        assert_eq!(elapsed, Cycle(1000));
-        // Timers are per core and per channel.
-        c.timer_start(1, 1);
-        c.compute(
-            1,
-            &OpCounts {
-                flops: 80,
-                ..OpCounts::default()
-            },
-        );
-        assert_eq!(c.timer_stop(1, 1), Cycle(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "without timer_start")]
-    fn stopping_an_unarmed_timer_panics() {
-        let mut c = chip();
-        let _ = c.timer_stop(0, 0);
     }
 
     #[test]
@@ -1982,58 +1843,6 @@ mod tests {
         assert_eq!(c.elapsed(), Cycle::ZERO);
         assert_eq!(c.counters(3).get("fpu_instr"), 0);
         assert_eq!(c.fabric().elink.busy_cycles(), Cycle::ZERO);
-    }
-
-    #[test]
-    fn compute_span_is_identical_to_repeated_compute() {
-        let ops = OpCounts {
-            flops: 37,
-            fmas: 12,
-            ialu: 11,
-            loads: 5,
-            stores: 3,
-            sqrts: 1,
-            ..OpCounts::default()
-        };
-        for reps in [0u64, 1, 2, 7, 1000] {
-            let mut fast = chip();
-            fast.compute_span(0, &ops, reps);
-            let mut slow = chip();
-            for _ in 0..reps {
-                slow.compute(0, &ops);
-            }
-            assert_eq!(fast.now(0), slow.now(0), "reps={reps}");
-            assert_eq!(fast.busy(0), slow.busy(0), "reps={reps}");
-            let pairs = |c: &Chip| c.counters(0).iter().collect::<Vec<_>>();
-            assert_eq!(pairs(&fast), pairs(&slow), "reps={reps}");
-            // Energy is priced off the counters, so it must be
-            // bit-identical, not merely close.
-            assert_eq!(
-                fast.energy().total_j().to_bits(),
-                slow.energy().total_j().to_bits(),
-                "reps={reps}"
-            );
-        }
-    }
-
-    #[test]
-    fn compute_span_with_a_tracer_keeps_every_span() {
-        let ops = OpCounts {
-            flops: 100,
-            ..OpCounts::default()
-        };
-        let tracer = Tracer::enabled();
-        let mut traced = chip();
-        traced.set_tracer(tracer.clone());
-        traced.compute_span(0, &ops, 5);
-        // Per-rep fallback: five compute spans on the core track.
-        assert_eq!(tracer.event_count(), 5);
-        // The fallback still lands the cursor exactly where the
-        // closed form does.
-        let mut fast = chip();
-        fast.compute_span(0, &ops, 5);
-        assert_eq!(traced.now(0), fast.now(0));
-        assert_eq!(traced.counters(0).get("fpu_instr"), 500);
     }
 
     /// Every observable the report layer reads must agree between two

@@ -180,7 +180,7 @@ pub trait Mapping {
     /// Identity stamped into [`RunRecord::mapping`] and resolved by the
     /// `--mapping` flag (e.g. `"ffbp_spmd"`).
     fn name(&self) -> &'static str;
-    /// The kernel this runs: `"ffbp"` or `"autofocus"`.
+    /// The kernel this runs: `"ffbp"`, `"rda"` or `"autofocus"`.
     fn kernel(&self) -> &'static str;
     /// Whether the mapping can execute on `kind`.
     fn supports(&self, kind: PlatformKind) -> bool;

@@ -148,8 +148,13 @@ impl AutofocusWorkload {
         }
     }
 
-    /// The tested compensation for hypothesis `h` of `self.hypotheses`.
+    /// The tested compensation for hypothesis `h` of `self.hypotheses`:
+    /// an even grid over `[-max_shift, max_shift]`. A one-point grid
+    /// tests no compensation at all (shift 0).
     pub fn shift(&self, h: usize) -> f32 {
+        if self.hypotheses == 1 {
+            return 0.0;
+        }
         -self.max_shift + 2.0 * self.max_shift * h as f32 / (self.hypotheses - 1) as f32
     }
 
@@ -256,6 +261,8 @@ mod tests {
         assert!(w.f_minus.energy() > 0.0);
         assert_eq!(w.shift(0), -w.max_shift);
         assert_eq!(w.shift(w.hypotheses - 1), w.max_shift);
+        let one_point = AutofocusWorkload { hypotheses: 1, ..w };
+        assert_eq!(one_point.shift(0), 0.0);
     }
 
     #[test]

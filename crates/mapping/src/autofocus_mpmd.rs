@@ -14,14 +14,14 @@
 //! at the correlator.
 
 use desim::{Cycle, OpCounts};
-use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
-use memsim::GlobalAddr;
 use sar_core::autofocus::criterion::{BeamStageOut, RangeStageOut};
 use sar_core::autofocus::{beam_stage, correlate_partial, range_stage};
-use sim_harness::{AutofocusWorkload, Placement, RunContext, SweepRun};
+use sim_harness::{AutofocusWorkload, Placement, ProgramModel, RunContext, SweepRun};
 
-use crate::layout::BANK_CHILD_A;
+use crate::pipeline::{
+    beam_msg_bytes, criterion_addr, range_msg_bytes, stage_block, PipelineProbe,
+};
 
 /// Execute the autofocus workload on the 13-core pipeline, emitting
 /// the chip's spans into `ctx.tracer` and running under `ctx.faults`.
@@ -66,23 +66,12 @@ pub fn run(
     // Initial load: each range core DMAs its block from SDRAM.
     for (blk, range_cores) in place.range.iter().enumerate() {
         for &rc in range_cores {
-            let d = chip.dma_start(
-                rc,
-                DmaDirection::ExternalToLocal,
-                GlobalAddr::external(blk as u32 * 288),
-                BANK_CHILD_A,
-                288,
-            );
-            chip.dma_wait(rc, d);
+            stage_block(&mut chip, rc, blk);
         }
     }
 
-    let per_it = w.config.samples_per_iteration() as u64;
-    let range_msg_bytes = 6 * per_it * 8; // six rows of complex samples
-    let beam_msg_bytes = 3 * per_it * 8; // three windows of complex samples
-
-    let mut counts = [OpCounts::default(); 13];
-    let mut charged = [OpCounts::default(); 13];
+    let range_msg = u64::from(range_msg_bytes(&w.config));
+    let beam_msg = u64::from(beam_msg_bytes(&w.config));
 
     // Stage occupancy: share of the phase's span each stage's cores
     // spent busy. All snapshots are pure reads of the chip's cursors —
@@ -96,11 +85,9 @@ pub fn run(
         // One attempt per pass; a permanent halt discards the attempt
         // (drain-and-restart) and re-runs it on the repaired pipeline.
         'attempt: loop {
-            // The placement can change between attempts, so the slot
-            // map and stage groupings are derived fresh each time.
+            // The placement can change between attempts, so the stage
+            // groupings are derived fresh each time.
             let cores = place.cores();
-            let core_slot =
-                |core: usize| cores.iter().position(|&c| c == core).expect("mapped core");
             let range_cores: Vec<usize> = place.range.iter().flatten().copied().collect();
             let beam_cores: Vec<usize> = place.beam.iter().flatten().copied().collect();
 
@@ -135,14 +122,12 @@ pub fn run(
                     let mut deliveries = [[Cycle::ZERO; 3]; 3]; // [beam][range]
                     for wi in 0..3 {
                         let rc = place.range[blk][wi];
-                        let slot = core_slot(rc);
-                        let out = range_stage(block, wi, s, it, &w.config, &mut counts[slot]);
-                        let delta = counts[slot].since(&charged[slot]);
-                        charged[slot] = counts[slot];
-                        chip.compute(rc, &delta);
+                        let mut ops = OpCounts::default();
+                        let out = range_stage(block, wi, s, it, &w.config, &mut ops);
+                        chip.compute(rc, &ops);
                         for (bi, row) in deliveries.iter_mut().enumerate() {
                             let bc = place.beam[blk][bi];
-                            row[wi] = chip.send_reliable(rc, bc, range_msg_bytes);
+                            row[wi] = chip.send_reliable(rc, bc, range_msg);
                         }
                         range_out[wi] = Some(out);
                     }
@@ -151,14 +136,12 @@ pub fn run(
                     // Beam stage: each core waits for its three inputs.
                     for bi in 0..3 {
                         let bc = place.beam[blk][bi];
-                        let slot = core_slot(bc);
                         let ready = deliveries[bi].iter().copied().max().unwrap_or(Cycle::ZERO);
                         chip.wait_flag(bc, ready);
-                        let out = beam_stage(&range_out, bi, s, it, &w.config, &mut counts[slot]);
-                        let delta = counts[slot].since(&charged[slot]);
-                        charged[slot] = counts[slot];
-                        chip.compute(bc, &delta);
-                        let arr = chip.send_reliable(bc, place.corr, beam_msg_bytes);
+                        let mut ops = OpCounts::default();
+                        let out = beam_stage(&range_out, bi, s, it, &w.config, &mut ops);
+                        chip.compute(bc, &ops);
+                        let arr = chip.send_reliable(bc, place.corr, beam_msg);
                         corr_ready = corr_ready.max(arr);
                         corr_arrivals.push(arr);
                         beam_out[blk][bi] = Some(out);
@@ -170,7 +153,6 @@ pub fn run(
                     std::array::from_fn(|i| beam_out[0][i].take().expect("beam output"));
                 let plus: [BeamStageOut; 3] =
                     std::array::from_fn(|i| beam_out[1][i].take().expect("beam output"));
-                let slot = core_slot(place.corr);
                 // Queue depth seen by the correlator: messages already
                 // delivered when it reaches the wait (backlog), and how
                 // long it idles for the last one.
@@ -179,12 +161,11 @@ pub fn run(
                 corr_queue_peak = corr_queue_peak.max(backlog);
                 corr_wait_cycles += corr_ready.saturating_sub(consume_at).0;
                 chip.wait_flag(place.corr, corr_ready);
-                criterion += correlate_partial(&minus, &plus, &mut counts[slot]);
-                let delta = counts[slot].since(&charged[slot]);
-                charged[slot] = counts[slot];
-                chip.compute(place.corr, &delta);
+                let mut ops = OpCounts::default();
+                criterion += correlate_partial(&minus, &plus, &mut ops);
+                chip.compute(place.corr, &ops);
             }
-            chip.write_external(place.corr, GlobalAddr::external(0x10000 + 8 * h as u32), 8);
+            chip.write_external(place.corr, criterion_addr(h), 8);
             let span = (chip.elapsed() - t0).0.max(1);
             let occupancy =
                 |busy0: u64, busy1: u64, n: u64| (busy1 - busy0) as f64 / (n * span) as f64;
@@ -231,14 +212,7 @@ pub fn run(
                 // across hypotheses.
                 for (blk, rcs) in place.range.iter().enumerate() {
                     if rcs.contains(&spare) {
-                        let dma = chip.dma_start(
-                            spare,
-                            DmaDirection::ExternalToLocal,
-                            GlobalAddr::external(blk as u32 * 288),
-                            BANK_CHILD_A,
-                            288,
-                        );
-                        chip.dma_wait(spare, dma);
+                        stage_block(&mut chip, spare, blk);
                     }
                 }
             }
@@ -251,6 +225,12 @@ pub fn run(
         chip.report("Autofocus / Epiphany, 13 cores @ 1 GHz (MPMD pipeline)", 13),
         sweep,
     )
+}
+
+/// The static description of [`run`] with `place` on a `mesh`-sized
+/// platform ([`PipelineProbe::mpmd`]).
+pub fn model(w: &AutofocusWorkload, place: &Placement, mesh: (u16, u16)) -> ProgramModel {
+    PipelineProbe::mpmd(w).model(place, mesh)
 }
 
 #[cfg(test)]

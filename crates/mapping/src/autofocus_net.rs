@@ -11,17 +11,18 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use desim::OpCounts;
-use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
-use memsim::GlobalAddr;
 use sar_core::autofocus::criterion::{
     beam_stage, correlate_partial, range_stage, AutofocusConfig, BeamStageOut, RangeStageOut,
 };
 use sar_core::autofocus::Block6;
-use sim_harness::{AutofocusWorkload, Placement, RunContext, SweepRun};
+use sim_harness::{AutofocusWorkload, Placement, ProgramModel, RunContext, SweepRun};
 use streams::{Actor, FireCtx, Network};
 
-use crate::layout::BANK_CHILD_A;
+use crate::pipeline::{
+    beam_msg_bytes, criterion_addr, edges, range_msg_bytes, stage_block, stages, PipelineProbe,
+    Stage,
+};
 
 /// Tokens flowing through the pipeline.
 pub enum AfToken {
@@ -43,13 +44,7 @@ pub enum AfToken {
         iteration: usize,
     },
     /// A beam actor's window output.
-    Beam {
-        /// Interpolated windows.
-        out: Box<BeamStageOut>,
-        /// The hypothesis shift (for result bookkeeping; the trailing
-        /// block's sign is normalised back by the correlator's caller).
-        shift: f32,
-    },
+    Beam(Box<BeamStageOut>),
 }
 
 struct RangeActor {
@@ -73,7 +68,7 @@ impl Actor<AfToken> for RangeActor {
             &mut counts,
         );
         ctx.charge(&counts);
-        let bytes = 6 * self.cfg.samples_per_iteration() as u64 * 8;
+        let bytes = u64::from(range_msg_bytes(&self.cfg));
         for port in 0..3 {
             ctx.send(
                 port,
@@ -122,21 +117,15 @@ impl Actor<AfToken> for BeamActor {
             &mut counts,
         );
         ctx.charge(&counts);
-        let bytes = 3 * self.cfg.samples_per_iteration() as u64 * 8;
-        ctx.send(
-            0,
-            AfToken::Beam {
-                out: Box::new(out),
-                shift,
-            },
-            bytes,
-        );
+        let bytes = u64::from(beam_msg_bytes(&self.cfg));
+        ctx.send(0, AfToken::Beam(Box::new(out)), bytes);
     }
 }
 
 struct CorrActor {
-    /// `(hypothesis shift of the leading block, accumulated criterion)`
-    /// per hypothesis, three iterations accumulated in place.
+    /// `(shift, accumulated criterion)` per hypothesis. The driver
+    /// opens an entry before it feeds a hypothesis; every firing until
+    /// the next one (three iterations) accumulates into it.
     results: Rc<RefCell<Vec<(f32, f32)>>>,
 }
 
@@ -145,16 +134,14 @@ impl Actor<AfToken> for CorrActor {
         assert_eq!(inputs.len(), 6, "correlator joins six beam streams");
         let mut minus: [Option<BeamStageOut>; 3] = Default::default();
         let mut plus: [Option<BeamStageOut>; 3] = Default::default();
-        let mut hyp_shift = 0.0f32;
         for (slot, tok) in inputs.into_iter().enumerate() {
-            let AfToken::Beam { out, shift } = tok else {
+            let AfToken::Beam(out) = tok else {
                 panic!("correlator expects Beam tokens");
             };
             if slot < 3 {
                 minus[slot] = Some(*out);
             } else {
                 plus[slot - 3] = Some(*out);
-                hyp_shift = 2.0 * shift; // leading block carries +shift/2
             }
         }
         let minus = minus.map(|o| o.expect("three minus inputs"));
@@ -163,10 +150,7 @@ impl Actor<AfToken> for CorrActor {
         let partial = correlate_partial(&minus, &plus, &mut counts);
         ctx.charge(&counts);
         let mut results = self.results.borrow_mut();
-        match results.last_mut() {
-            Some((s, acc)) if *s == hyp_shift => *acc += partial,
-            _ => results.push((hyp_shift, partial)),
-        }
+        results.last_mut().expect("an open hypothesis").1 += partial;
     }
 }
 
@@ -193,72 +177,37 @@ pub fn run(
     // Initial block loads, as in the hand-written mapping.
     for (blk, cores) in place.range.iter().enumerate() {
         for &rc in cores {
-            let d = net.chip_mut().dma_start(
-                rc,
-                DmaDirection::ExternalToLocal,
-                GlobalAddr::external(blk as u32 * 288),
-                BANK_CHILD_A,
-                288,
-            );
-            net.chip_mut().dma_wait(rc, d);
+            stage_block(net.chip_mut(), rc, blk);
         }
     }
 
-    // Thirteen actors.
-    let corr = net.add_actor(
-        "corr",
-        place.corr,
-        Box::new(CorrActor {
-            results: results.clone(),
-        }),
-    );
-    let mut range_ids = [[None; 3], [None; 3]];
-    let mut beam_ids = [[None; 3], [None; 3]];
-    // Index-style loops below mirror the placement tables; the indices
-    // *are* the dataflow coordinates (block, window), so keep them.
-    #[allow(clippy::needless_range_loop)]
-    for blk in 0..2 {
-        let block = if blk == 0 { w.f_minus } else { w.f_plus };
-        for win in 0..3 {
-            range_ids[blk][win] = Some(net.add_actor(
-                &format!("range{blk}{win}"),
-                place.range[blk][win],
-                Box::new(RangeActor {
-                    block,
+    // Thirteen actors, wired along the pipeline's edges.
+    let actors: Vec<_> = stages()
+        .map(|stage| {
+            let behaviour: Box<dyn Actor<AfToken>> = match stage {
+                Stage::Range { blk, win } => Box::new(RangeActor {
+                    block: if blk == 0 { w.f_minus } else { w.f_plus },
                     window: win,
                     cfg: w.config,
                 }),
-            ));
-        }
-        for win in 0..3 {
-            beam_ids[blk][win] = Some(net.add_actor(
-                &format!("beam{blk}{win}"),
-                place.beam[blk][win],
-                Box::new(BeamActor {
+                Stage::Beam { win, .. } => Box::new(BeamActor {
                     window: win,
                     cfg: w.config,
                 }),
-            ));
-        }
-    }
-    // Channels: each range actor feeds all three beam actors of its
-    // block (the beam actor's input port = the range window index)...
-    #[allow(clippy::needless_range_loop)]
-    for blk in 0..2 {
-        for win in 0..3 {
-            for b in 0..3 {
-                net.connect(range_ids[blk][win].unwrap(), beam_ids[blk][b].unwrap());
-            }
-        }
-    }
-    // ...in (win, b) order, so beam b's input ports are range windows
-    // 0,1,2 as its actor requires. The correlator's six ports are
-    // block 0 beams 0-2 then block 1 beams 0-2:
-    #[allow(clippy::needless_range_loop)]
-    for blk in 0..2 {
-        for b in 0..3 {
-            net.connect(beam_ids[blk][b].unwrap(), corr);
-        }
+                Stage::Corr => Box::new(CorrActor {
+                    results: results.clone(),
+                }),
+            };
+            let id = net.add_actor(&stage.to_string(), stage.core(&place), behaviour);
+            (stage, id)
+        })
+        .collect();
+    let actor = |stage: Stage| {
+        let found = actors.iter().find(|(s, _)| *s == stage);
+        found.expect("every stage is an actor").1
+    };
+    for (from, to) in edges() {
+        net.connect(actor(from), actor(to));
     }
 
     // Drive the sweep one hypothesis at a time: feed that hypothesis'
@@ -267,25 +216,24 @@ pub fn run(
     let mut firings = 0u64;
     for h in 0..w.hypotheses {
         net.chip_mut().phase_begin("hypothesis");
-        let shift = -w.max_shift + 2.0 * w.max_shift * h as f32 / (w.hypotheses - 1) as f32;
+        let shift = w.shift(h);
+        results.borrow_mut().push((shift, 0.0));
         for it in 0..3 {
             for (blk, sign) in [(0usize, -0.5f32), (1, 0.5)] {
-                #[allow(clippy::needless_range_loop)]
                 for win in 0..3 {
                     net.feed(
-                        range_ids[blk][win].unwrap(),
+                        actor(Stage::Range { blk, win }),
                         AfToken::Cmd {
                             shift: sign * shift,
                             iteration: it,
                         },
-                        16,
                     );
                 }
             }
         }
         firings += net.run();
         net.chip_mut()
-            .write_external(place.corr, GlobalAddr::external(0x10000 + 8 * h as u32), 8);
+            .write_external(place.corr, criterion_addr(h), 8);
         let peak = net.take_queue_peak();
         net.chip_mut().phase_metric("queue_peak", peak as f64);
         net.chip_mut().phase_end();
@@ -297,6 +245,12 @@ pub fn run(
     record.set_metric("firings", firings as f64);
     let sweep = results.borrow().clone();
     SweepRun::new(record, sweep)
+}
+
+/// The static description of [`run`] with `place` on a `mesh`-sized
+/// platform ([`PipelineProbe::net`]).
+pub fn model(w: &AutofocusWorkload, place: &Placement, mesh: (u16, u16)) -> ProgramModel {
+    PipelineProbe::net(w).model(place, mesh)
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 use desim::OpCounts;
 use refcpu::{RefCpu, RefCpuParams};
 use sar_core::autofocus::focus_criterion;
-use sim_harness::{AutofocusWorkload, SweepRun};
+use sim_harness::{AutofocusWorkload, Bound, ProgramModel, SweepRun, WorkDecl};
+
+use crate::pipeline::BLOCK_BYTES;
 
 /// Sustained IPC for the Neville dependence chains of this kernel:
 /// each interpolation level waits on the previous one, so the
@@ -31,25 +33,30 @@ pub fn params() -> RefCpuParams {
     specialised(RefCpuParams::default())
 }
 
+/// One hypothesis of the staged criterion at `shift`, with its op
+/// ledger — what both sequential drivers charge per hypothesis. The
+/// ledger is data-independent, so their models declare the same call.
+pub(crate) fn hypothesis(w: &AutofocusWorkload, shift: f32) -> (f32, OpCounts) {
+    let mut ops = OpCounts::default();
+    let v = focus_criterion(&w.f_minus, &w.f_plus, shift, &w.config, &mut ops);
+    (v, ops)
+}
+
 /// Execute the autofocus workload on the reference CPU model (one
 /// record phase per hypothesis).
 pub fn run(w: &AutofocusWorkload, params: RefCpuParams) -> SweepRun {
     let mut cpu = RefCpu::new(params);
-    let mut counts = OpCounts::default();
-    let mut charged = OpCounts::default();
 
     // The two blocks stream in once (cold reads), then live in L1.
-    cpu.mem_read(0x1000, 288);
-    cpu.mem_read(0x2000, 288);
+    cpu.mem_read(0x1000, u64::from(BLOCK_BYTES));
+    cpu.mem_read(0x2000, u64::from(BLOCK_BYTES));
 
     let mut sweep = Vec::with_capacity(w.hypotheses);
     for h in 0..w.hypotheses {
         cpu.phase_begin("hypothesis");
         let shift = w.shift(h);
-        let v = focus_criterion(&w.f_minus, &w.f_plus, shift, &w.config, &mut counts);
-        let delta = counts.since(&charged);
-        charged = counts;
-        cpu.compute(&delta);
+        let (v, ops) = hypothesis(w, shift);
+        cpu.compute(&ops);
         // Criterion result written out.
         cpu.mem_write(0x3000 + 8 * h as u64, 8);
         cpu.phase_end();
@@ -60,6 +67,25 @@ pub fn run(w: &AutofocusWorkload, params: RefCpuParams) -> SweepRun {
         cpu.report("Autofocus / Intel i7 model, 1 core @ 2.67 GHz"),
         sweep,
     )
+}
+
+/// The static description of [`run`].
+pub fn model(w: &AutofocusWorkload) -> ProgramModel {
+    let mut m = ProgramModel::new(1, 1);
+    m.cores = vec![0];
+    m.sustained_ipc = Some(AUTOFOCUS_SUSTAINED_IPC);
+    let setup = m.phase("setup", 1);
+    let mut wd = WorkDecl::new(0);
+    // Two block reads, five 64 B lines each.
+    wd.mem_accesses = Bound::exact(f64::from(2 * BLOCK_BYTES.div_ceil(64)));
+    setup.work.push(wd);
+    let ph = m.phase("hypothesis", w.hypotheses as u64);
+    let mut wd = WorkDecl::new(0);
+    wd.exact_ops(hypothesis(w, 0.0).1);
+    wd.compute_calls = Bound::exact(1.0);
+    wd.mem_accesses = Bound::exact(1.0); // the 8 B criterion write-back
+    ph.work.push(wd);
+    m
 }
 
 #[cfg(test)]

@@ -6,13 +6,14 @@
 //! the reference CPU needs. The paper measures 0.8x the i7 throughput
 //! at 1/2.67 the clock.
 
-use desim::OpCounts;
+use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
 use memsim::GlobalAddr;
-use sar_core::autofocus::focus_criterion;
-use sim_harness::{AutofocusWorkload, RunContext, SweepRun};
+use sim_harness::{AutofocusWorkload, Bound, ProgramModel, RunContext, SweepRun, WorkDecl};
 
+use crate::autofocus_ref::hypothesis;
 use crate::layout::BANK_CHILD_A;
+use crate::pipeline::{criterion_addr, BLOCK_BYTES};
 
 /// Dual-issue pairing efficiency for this kernel: the hand-scheduled
 /// interpolation loop pairs FPU ops with its loads/stores well.
@@ -39,16 +40,14 @@ pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, ctx: &RunContext) -> S
     let mut chip = Chip::from_params(params);
     chip.set_tracer(ctx.tracer.clone());
     let core = 0usize;
-    let mut counts = OpCounts::default();
-    let mut charged = OpCounts::default();
 
     // DMA the two blocks from SDRAM into a local bank once.
     let d1 = chip.dma_start(
         core,
-        epiphany::dma::DmaDirection::ExternalToLocal,
+        DmaDirection::ExternalToLocal,
         GlobalAddr::external(0),
         BANK_CHILD_A,
-        2 * 288,
+        u64::from(2 * BLOCK_BYTES),
     );
     chip.dma_wait(core, d1);
 
@@ -56,11 +55,9 @@ pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, ctx: &RunContext) -> S
     for h in 0..w.hypotheses {
         chip.phase_begin("hypothesis");
         let shift = w.shift(h);
-        let v = focus_criterion(&w.f_minus, &w.f_plus, shift, &w.config, &mut counts);
-        let delta = counts.since(&charged);
-        charged = counts;
-        chip.compute(core, &delta);
-        chip.write_external(core, GlobalAddr::external(0x10000 + 8 * h as u32), 8);
+        let (v, ops) = hypothesis(w, shift);
+        chip.compute(core, &ops);
+        chip.write_external(core, criterion_addr(h), 8);
         chip.phase_end();
         sweep.push((shift, v));
     }
@@ -69,6 +66,31 @@ pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, ctx: &RunContext) -> S
         chip.report("Autofocus / Epiphany, 1 core @ 1 GHz (sequential)", 1),
         sweep,
     )
+}
+
+/// The static description of [`run`] on a `mesh`-sized platform: one
+/// DMA'd block pair in an upper bank, everything else register/stack
+/// traffic.
+pub fn model(w: &AutofocusWorkload, mesh: (u16, u16)) -> ProgramModel {
+    let mut m = ProgramModel::new(mesh.0, mesh.1);
+    m.cores = vec![0];
+    m.buffer("block_pair", 0, BANK_CHILD_A, 0, 2 * BLOCK_BYTES);
+    m.pairing_efficiency = Some(AUTOFOCUS_PAIRING);
+
+    let setup = m.phase("setup", 1);
+    let mut wd = WorkDecl::new(0);
+    wd.dma_msgs = Bound::exact(1.0);
+    wd.dma_bytes = Bound::exact(f64::from(2 * BLOCK_BYTES));
+    setup.work.push(wd);
+
+    let ph = m.phase("hypothesis", w.hypotheses as u64);
+    let mut wd = WorkDecl::new(0);
+    wd.exact_ops(hypothesis(w, 0.0).1);
+    wd.compute_calls = Bound::exact(1.0);
+    wd.ext_write_msgs = Bound::exact(1.0);
+    wd.ext_write_bytes = Bound::exact(8.0);
+    ph.work.push(wd);
+    m
 }
 
 #[cfg(test)]

@@ -8,90 +8,53 @@
 //! work — the mechanism the paper credits for the i7's 2.8x advantage
 //! over a single Epiphany core on this kernel.
 
-use desim::OpCounts;
 use refcpu::{RefCpu, RefCpuParams};
-use sar_core::ffbp::grid::Subaperture;
-use sar_core::ffbp::interp::nearest_indices;
-use sar_core::ffbp::merge::combine_sample_with_lookup;
-use sar_core::ffbp::pipeline::stage0;
-use sim_harness::{FfbpWorkload, ImageRun};
+use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, WorkDecl};
 
-use crate::layout::ExternalLayout;
+use crate::merge_walk::{merge_rows, merge_stages, probe_sample};
 
 /// Execute the FFBP workload on the reference CPU model (one record
 /// phase per merge iteration).
 pub fn run(w: &FfbpWorkload, params: RefCpuParams) -> ImageRun {
-    let geom = &w.geom;
-    let layout = ExternalLayout::new(geom.num_pulses as u32, geom.num_bins as u32);
     let mut cpu = RefCpu::new(params);
-    let mut counts = OpCounts::default();
-    let mut charged = OpCounts::default();
-
-    let mut stage: Vec<Subaperture> = stage0(&w.data, geom);
-    let mut stage_idx = 0u32;
-
-    while stage.len() > 1 {
+    let image = merge_stages(w, |stage, stage_idx| {
         cpu.phase_begin("merge");
-        let child_beams = stage[0].grid.n_beams as u32;
-        let out_grid = stage[0].grid.refined();
-        let mut next = Vec::with_capacity(stage.len() / 2);
-        for (pair_idx, pair) in stage.chunks(2).enumerate() {
-            let (a, b) = (&pair[0], &pair[1]);
-            let l = b.center_y - a.center_y;
-            let mut out = Subaperture::zeros(
-                (a.center_y + b.center_y) / 2.0,
-                a.length + b.length,
-                out_grid,
-                geom.num_bins,
-            );
-            let beam_base_a = 2 * pair_idx as u32 * child_beams;
-            let beam_base_b = beam_base_a + child_beams;
-            let out_beam_base = pair_idx as u32 * out_grid.n_beams as u32;
-            for j in 0..out_grid.n_beams {
-                let theta = out_grid.beam_theta(j);
-                for i in 0..geom.num_bins {
-                    let r = geom.bin_range(i);
-                    let (v, look) = combine_sample_with_lookup(
-                        a,
-                        b,
-                        geom,
-                        r,
-                        theta,
-                        l,
-                        w.config.interp,
-                        w.config.phase_correct,
-                        &mut counts,
-                    );
-                    // Demand traffic at the addresses the layout implies.
-                    if let Some((bin, beam)) = nearest_indices(a, geom, look.r1, look.theta1) {
-                        let addr = layout.addr(stage_idx, beam_base_a + beam as u32, bin as u32);
-                        cpu.mem_read(addr.0 as u64, 8);
-                    }
-                    if let Some((bin, beam)) = nearest_indices(b, geom, look.r2, look.theta2) {
-                        let addr = layout.addr(stage_idx, beam_base_b + beam as u32, bin as u32);
-                        cpu.mem_read(addr.0 as u64, 8);
-                    }
-                    let out_addr = layout.addr(stage_idx + 1, out_beam_base + j as u32, i as u32);
-                    cpu.mem_write(out_addr.0 as u64, 8);
-                    *out.data.at_mut(j, i) = v;
+        let next = merge_rows(w, stage, stage_idx, |row, out| {
+            let ops = row.combine(out, |i, hits| {
+                // Demand traffic at the addresses the layout implies.
+                for addr in row.child_addrs(hits) {
+                    cpu.mem_read(u64::from(addr.0), 8);
                 }
-                // Price this row's arithmetic.
-                let delta = counts.since(&charged);
-                charged = counts;
-                cpu.compute(&delta);
-            }
-            next.push(out);
-        }
+                cpu.mem_write(u64::from(row.out_addr(i).0), 8);
+            });
+            // Price this row's arithmetic.
+            cpu.compute(&ops);
+        });
         cpu.phase_end();
-        stage = next;
-        stage_idx += 1;
-    }
-
-    let full = stage.into_iter().next().expect("non-empty stage");
+        next
+    });
     ImageRun {
         record: cpu.report("FFBP / Intel i7 model, 1 core @ 2.67 GHz"),
-        image: full.data,
+        image,
     }
+}
+
+/// The static description of [`run`]: no mesh, no banks — the model
+/// exists purely for its workload declarations, so the cost model can
+/// bracket the i7 rows of Table I too.
+pub fn model(w: &FfbpWorkload) -> ProgramModel {
+    let mut m = ProgramModel::new(1, 1);
+    m.cores = vec![0];
+    let pixels = w.pixels() as f64;
+    let ph = m.phase("merge", u64::from(w.geom.merge_iterations()));
+    let mut wd = WorkDecl::new(0);
+    wd.exact_ops(probe_sample(w).scaled(w.pixels()));
+    wd.compute_calls = Bound::exact(w.geom.num_pulses as f64);
+    // Per sample: one 8 B result write always, plus zero to two
+    // in-swath demand reads — each touching one cache line.
+    wd.mem_accesses = Bound::range(pixels, 3.0 * pixels);
+    ph.work.push(wd);
+    m
 }
 
 #[cfg(test)]

@@ -7,106 +7,66 @@
 //! despite executing fewer instructions). Result rows are posted back
 //! with non-stalling writes.
 
-use desim::OpCounts;
 use epiphany::{Chip, EpiphanyParams};
-use sar_core::ffbp::grid::Subaperture;
-use sar_core::ffbp::interp::nearest_indices;
-use sar_core::ffbp::merge::combine_sample_with_lookup;
-use sar_core::ffbp::pipeline::stage0;
-use sim_harness::{FfbpWorkload, ImageRun, RunContext};
+use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext, WorkDecl};
 
 use crate::layout::ExternalLayout;
+use crate::merge_walk::{merge_rows, merge_stages, probe_sample};
 
 /// Execute the FFBP workload on one core of the Epiphany model (one
 /// record phase per merge iteration); the chip emits its spans into
 /// `ctx.tracer`.
 pub fn run(w: &FfbpWorkload, params: EpiphanyParams, ctx: &RunContext) -> ImageRun {
-    let geom = &w.geom;
-    let layout = ExternalLayout::new(geom.num_pulses as u32, geom.num_bins as u32);
     let mut chip = Chip::from_params(params);
     chip.set_tracer(ctx.tracer.clone());
     let core = 0usize;
-    let mut counts = OpCounts::default();
-    let mut charged = OpCounts::default();
-
-    let mut stage: Vec<Subaperture> = stage0(&w.data, geom);
-    let mut stage_idx = 0u32;
     // Each output row issues its blocking element fetches back to
     // back with nothing between them — buffered per row so the chip
     // can absorb the span in closed form (`read_external_run`).
-    let mut row_reads = Vec::with_capacity(2 * geom.num_bins);
+    let mut row_reads = Vec::with_capacity(2 * w.geom.num_bins);
 
-    while stage.len() > 1 {
+    let image = merge_stages(w, |stage, stage_idx| {
         chip.phase_begin("merge");
-        let child_beams = stage[0].grid.n_beams as u32;
-        let out_grid = stage[0].grid.refined();
-        let mut next = Vec::with_capacity(stage.len() / 2);
-        for (pair_idx, pair) in stage.chunks(2).enumerate() {
-            let (a, b) = (&pair[0], &pair[1]);
-            let l = b.center_y - a.center_y;
-            let mut out = Subaperture::zeros(
-                (a.center_y + b.center_y) / 2.0,
-                a.length + b.length,
-                out_grid,
-                geom.num_bins,
-            );
-            let beam_base_a = 2 * pair_idx as u32 * child_beams;
-            let beam_base_b = beam_base_a + child_beams;
-            let out_beam_base = pair_idx as u32 * out_grid.n_beams as u32;
-            for j in 0..out_grid.n_beams {
-                let theta = out_grid.beam_theta(j);
-                row_reads.clear();
-                for i in 0..geom.num_bins {
-                    let r = geom.bin_range(i);
-                    let (v, look) = combine_sample_with_lookup(
-                        a,
-                        b,
-                        geom,
-                        r,
-                        theta,
-                        l,
-                        w.config.interp,
-                        w.config.phase_correct,
-                        &mut counts,
-                    );
-                    // Both contributing elements are blocking external
-                    // reads (no cache, no prefetch in the naive port).
-                    if let Some((bin, beam)) = nearest_indices(a, geom, look.r1, look.theta1) {
-                        row_reads.push(layout.addr(
-                            stage_idx,
-                            beam_base_a + beam as u32,
-                            bin as u32,
-                        ));
-                    }
-                    if let Some((bin, beam)) = nearest_indices(b, geom, look.r2, look.theta2) {
-                        row_reads.push(layout.addr(
-                            stage_idx,
-                            beam_base_b + beam as u32,
-                            bin as u32,
-                        ));
-                    }
-                    *out.data.at_mut(j, i) = v;
-                }
-                chip.read_external_run(core, &row_reads, 8);
-                // Arithmetic for the row, then a posted row write-back.
-                let delta = counts.since(&charged);
-                charged = counts;
-                chip.compute(core, &delta);
-                let row_addr = layout.addr(stage_idx + 1, out_beam_base + j as u32, 0);
-                chip.write_external(core, row_addr, layout.beam_bytes());
-            }
-            next.push(out);
-        }
+        let next = merge_rows(w, stage, stage_idx, |row, out| {
+            row_reads.clear();
+            // Both contributing elements are blocking external reads
+            // (no cache, no prefetch in the naive port).
+            let ops = row.combine(out, |_, hits| row_reads.extend(row.child_addrs(hits)));
+            chip.read_external_run(core, &row_reads, 8);
+            // Arithmetic for the row, then a posted row write-back.
+            chip.compute(core, &ops);
+            chip.write_external(core, row.out_addr(0), row.layout.beam_bytes());
+        });
         chip.phase_end();
-        stage = next;
-        stage_idx += 1;
-    }
-
-    let full = stage.into_iter().next().expect("non-empty stage");
+        next
+    });
     ImageRun {
         record: chip.report("FFBP / Epiphany, 1 core @ 1 GHz (sequential)", 1),
-        image: full.data,
+        image,
     }
+}
+
+/// The static description of [`run`] on a `mesh`-sized platform: core 0
+/// streams every contributing element from external memory — no
+/// prefetch buffers, no channels.
+pub fn model(w: &FfbpWorkload, mesh: (u16, u16)) -> ProgramModel {
+    let mut m = ProgramModel::new(mesh.0, mesh.1);
+    m.cores = vec![0];
+    let pixels = w.pixels() as f64;
+    let rows = w.geom.num_pulses as f64;
+    let ph = m.phase("merge", u64::from(w.geom.merge_iterations()));
+    let mut wd = WorkDecl::new(0);
+    wd.exact_ops(probe_sample(w).scaled(w.pixels()));
+    wd.compute_calls = Bound::exact(rows);
+    // Each output sample fetches its in-swath contributors (of two
+    // candidates) with blocking 8 B reads; edge samples can fall out
+    // of one or both child swaths.
+    wd.ext_read_msgs = Bound::range(0.0, 2.0 * pixels);
+    wd.ext_read_bytes = Bound::range(0.0, 16.0 * pixels);
+    wd.ext_write_msgs = Bound::exact(rows);
+    wd.ext_write_bytes = Bound::exact(rows * ExternalLayout::of(w).beam_bytes() as f64);
+    ph.work.push(wd);
+    m
 }
 
 #[cfg(test)]

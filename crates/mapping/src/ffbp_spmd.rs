@@ -17,15 +17,17 @@
 use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
-use sar_core::ffbp::grid::Subaperture;
 use sar_core::ffbp::interp::nearest_indices;
-use sar_core::ffbp::merge::combine_sample_with_lookup;
-use sar_core::ffbp::pipeline::stage0;
 use sar_core::geometry::merge_geometry;
-use sim_harness::{FfbpWorkload, ImageRun, RunContext};
+use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext};
 
 use crate::layout::{ExternalLayout, BANK_CHILD_A, BANK_CHILD_B};
-use crate::spmd::{checkpointed, chip_for};
+use crate::merge_walk::{merge_rows, merge_stages, probe_sample};
+use crate::spmd::{self, checkpointed, chip_for, owned, owner};
+
+/// The upper local banks the two child beams are prefetched into:
+/// child `a`'s, then child `b`'s.
+const CHILD_BANKS: [usize; 2] = [BANK_CHILD_A, BANK_CHILD_B];
 
 /// Knobs for the ablation benches.
 #[derive(Debug, Clone, Copy)]
@@ -76,159 +78,135 @@ pub fn run(
     let (mut chip, mut active) = chip_for(params, opts.cores, ctx);
     let n_cores = active.len();
 
-    let layout = ExternalLayout::new(geom.num_pulses as u32, geom.num_bins as u32);
-    let mut counts = OpCounts::default();
-    let mut charged = OpCounts::default();
     let mut local_hits = 0u64;
     let mut external_misses = 0u64;
     let r_mid = geom.bin_range(geom.num_bins / 2);
+    // Blocking miss fetches issue back to back with no other chip
+    // calls between them (the interleaved merge arithmetic is
+    // host-side) — buffered per row so the chip can absorb each span
+    // in closed form.
+    let mut row_misses = Vec::new();
 
-    let mut stage: Vec<Subaperture> = stage0(&w.data, geom);
-    let mut stage_idx = 0u32;
-
-    while stage.len() > 1 {
+    let image = merge_stages(w, |stage, stage_idx| {
         let merge = |chip: &mut Chip, active: &[usize], last_write: &mut [Cycle]| {
             let (hits0, misses0) = (local_hits, external_misses);
-            let child_beams = stage[0].grid.n_beams as u32;
-            let out_grid = stage[0].grid.refined();
-            let mut next: Vec<Subaperture> = stage
-                .chunks(2)
-                .map(|p| {
-                    Subaperture::zeros(
-                        (p[0].center_y + p[1].center_y) / 2.0,
-                        p[0].length + p[1].length,
-                        out_grid,
-                        geom.num_bins,
-                    )
-                })
-                .collect();
+            let next = merge_rows(w, stage, stage_idx, |row, out| {
+                // Work units: one output beam each, dealt round-robin
+                // over the surviving cores.
+                let core = active[owner(row.out_beam as usize, active.len())];
+                let beam_bytes = row.layout.beam_bytes();
 
-            // Work units: one output beam each, dealt round-robin
-            // over the surviving cores.
-            let mut task = 0usize;
-            // Blocking miss fetches issue back to back with no other
-            // chip calls between them (the interleaved merge
-            // arithmetic is host-side) — buffered per row so the chip
-            // can absorb each span in closed form.
-            let mut row_misses = Vec::new();
-            for (pair_idx, pair) in stage.chunks(2).enumerate() {
-                let (a, b) = (&pair[0], &pair[1]);
-                let l = b.center_y - a.center_y;
-                let beam_base_a = 2 * pair_idx as u32 * child_beams;
-                let beam_base_b = beam_base_a + child_beams;
-                let out_beam_base = pair_idx as u32 * out_grid.n_beams as u32;
-
-                for j in 0..out_grid.n_beams {
-                    let core = active[task % active.len()];
-                    task += 1;
-                    let theta = out_grid.beam_theta(j);
-                    row_misses.clear();
-
-                    // Which child beams does this output beam map to at mid
-                    // range? Prefetch those two (one per upper bank).
+                // Which child beams does this output beam map to at mid
+                // range? Prefetch those two (one per upper bank).
+                let mut prefetched = [None; 2];
+                if opts.prefetch {
                     let mut pf_counts = OpCounts::default();
-                    let mid = merge_geometry(r_mid, theta, l, &mut pf_counts);
-                    let pf_a = nearest_indices(a, geom, mid.r1, mid.theta1).map(|(_, beam)| beam);
-                    let pf_b = nearest_indices(b, geom, mid.r2, mid.theta2).map(|(_, beam)| beam);
-                    if opts.prefetch {
-                        chip.compute(core, &pf_counts);
-                        let mut done = Cycle::ZERO;
-                        if let Some(beam) = pf_a {
-                            let addr = layout.addr(stage_idx, beam_base_a + beam as u32, 0);
+                    let mid = merge_geometry(r_mid, row.theta, row.l, &mut pf_counts);
+                    prefetched = [
+                        nearest_indices(row.a, geom, mid.r1, mid.theta1),
+                        nearest_indices(row.b, geom, mid.r2, mid.theta2),
+                    ]
+                    .map(|hit| hit.map(|(_, beam)| beam));
+                    chip.compute(core, &pf_counts);
+                    let mut done = Cycle::ZERO;
+                    for (child, beam) in prefetched.into_iter().enumerate() {
+                        if let Some(beam) = beam {
                             done = done.max(chip.dma_start(
                                 core,
                                 DmaDirection::ExternalToLocal,
-                                addr,
-                                BANK_CHILD_A,
-                                layout.beam_bytes(),
+                                row.child_addr(child, (0, beam)),
+                                CHILD_BANKS[child],
+                                beam_bytes,
                             ));
                         }
-                        if let Some(beam) = pf_b {
-                            let addr = layout.addr(stage_idx, beam_base_b + beam as u32, 0);
-                            done = done.max(chip.dma_start(
-                                core,
-                                DmaDirection::ExternalToLocal,
-                                addr,
-                                BANK_CHILD_B,
-                                layout.beam_bytes(),
-                            ));
-                        }
-                        chip.dma_wait(core, done);
                     }
-
-                    for i in 0..geom.num_bins {
-                        let r = geom.bin_range(i);
-                        let (v, look) = combine_sample_with_lookup(
-                            a,
-                            b,
-                            geom,
-                            r,
-                            theta,
-                            l,
-                            w.config.interp,
-                            w.config.phase_correct,
-                            &mut counts,
-                        );
-                        // Classify each contributing element: prefetched
-                        // bank (local load, already in the op counts) or
-                        // blocking external read.
-                        for (child, base, pf) in [
-                            (
-                                nearest_indices(a, geom, look.r1, look.theta1),
-                                beam_base_a,
-                                pf_a,
-                            ),
-                            (
-                                nearest_indices(b, geom, look.r2, look.theta2),
-                                beam_base_b,
-                                pf_b,
-                            ),
-                        ] {
-                            if let Some((bin, beam)) = child {
-                                if opts.prefetch && pf == Some(beam) {
-                                    local_hits += 1;
-                                } else {
-                                    external_misses += 1;
-                                    row_misses.push(layout.addr(
-                                        stage_idx,
-                                        base + beam as u32,
-                                        bin as u32,
-                                    ));
-                                }
-                            }
-                        }
-                        *next[pair_idx].data.at_mut(j, i) = v;
-                    }
-                    chip.read_external_run(core, &row_misses, 8);
-                    let delta = counts.since(&charged);
-                    charged = counts;
-                    chip.compute(core, &delta);
-                    let row_addr = layout.addr(stage_idx + 1, out_beam_base + j as u32, 0);
-                    let arrival = chip.write_external(core, row_addr, layout.beam_bytes());
-                    last_write[core] = last_write[core].max(arrival);
+                    chip.dma_wait(core, done);
                 }
-            }
+
+                row_misses.clear();
+                let ops = row.combine(out, |_, hits| {
+                    // Classify each contributing element: prefetched
+                    // bank (local load, already in the op counts) or
+                    // blocking external read.
+                    for (child, hit) in hits.into_iter().enumerate() {
+                        let Some((bin, beam)) = hit else { continue };
+                        if prefetched[child] == Some(beam) {
+                            local_hits += 1;
+                        } else {
+                            external_misses += 1;
+                            row_misses.push(row.child_addr(child, (bin, beam)));
+                        }
+                    }
+                });
+                chip.read_external_run(core, &row_misses, 8);
+                chip.compute(core, &ops);
+                let arrival = chip.write_external(core, row.out_addr(0), beam_bytes);
+                last_write[core] = last_write[core].max(arrival);
+            });
             chip.phase_metric("local_hits", (local_hits - hits0) as f64);
             chip.phase_metric("external_misses", (external_misses - misses0) as f64);
             next
         };
         // The next stage reads this one's output, hence the drain and
         // barrier that close the checkpointed phase.
-        stage = checkpointed(&mut chip, &ctx.faults, &mut active, "merge", merge);
-        stage_idx += 1;
-    }
+        checkpointed(&mut chip, &ctx.faults, &mut active, "merge", merge)
+    });
 
-    let full = stage.into_iter().next().expect("non-empty stage");
     let mut record = chip.report(
         &format!("FFBP / Epiphany, {n_cores} cores @ 1 GHz (SPMD)"),
         n_cores,
     );
     record.set_metric("local_hits", local_hits as f64);
     record.set_metric("external_misses", external_misses as f64);
-    ImageRun {
-        record,
-        image: full.data,
+    ImageRun { record, image }
+}
+
+/// The static description of [`run`] (§V-A) on a `mesh`-sized platform:
+/// the cores and mesh [`run`] would size, the two prefetch banks, and
+/// per merge iteration the rows the deal hands each core.
+pub fn model(w: &FfbpWorkload, opts: &SpmdOptions, mesh: (u16, u16)) -> ProgramModel {
+    let mut m = spmd::model(mesh, opts.cores, "merge_end");
+    let layout = ExternalLayout::of(w);
+    if opts.prefetch {
+        let bytes = u32::try_from(layout.beam_bytes()).expect("beam fits u32");
+        for c in m.cores.clone() {
+            m.buffer(format!("child_a[{c}]"), c, CHILD_BANKS[0], 0, bytes);
+            m.buffer(format!("child_b[{c}]"), c, CHILD_BANKS[1], 0, bytes);
+        }
     }
+
+    let n_active = m.cores.len();
+    let bins = w.geom.num_bins as f64;
+    let beam_bytes = layout.beam_bytes() as f64;
+    let per_sample = probe_sample(w);
+    // The per-row prefetch geometry lookup — also data-independent.
+    // (Declared with prefetch off too, where `run` skips it: an
+    // over-declaration `models.jsonl` pins; correcting it is a model
+    // change.)
+    let mut per_row = OpCounts::default();
+    merge_geometry(1.0, 0.0, 1.0, &mut per_row);
+    let iters = u64::from(w.geom.merge_iterations());
+    spmd::phase(&mut m, "merge", iters, |pos, wd| {
+        let rows = owned(w.geom.num_pulses, n_active, pos) as u64;
+        let rows_f = rows as f64;
+        let mut ops = per_sample.scaled(rows * w.geom.num_bins as u64);
+        ops.add(&per_row.scaled(rows));
+        wd.exact_ops(ops);
+        wd.compute_calls = Bound::exact(if opts.prefetch { 2.0 * rows_f } else { rows_f });
+        if opts.prefetch {
+            // Zero to two child beams prefetched per row, depending on
+            // which children the mid-range probe lands in.
+            wd.dma_msgs = Bound::range(0.0, 2.0 * rows_f);
+            wd.dma_bytes = Bound::range(0.0, 2.0 * rows_f * beam_bytes);
+        }
+        // Every contributing element the prefetch misses is a blocking
+        // 8 B external read.
+        wd.ext_read_msgs = Bound::range(0.0, 2.0 * rows_f * bins);
+        wd.ext_read_bytes = Bound::range(0.0, 16.0 * rows_f * bins);
+        wd.ext_write_msgs = Bound::exact(rows_f);
+        wd.ext_write_bytes = Bound::exact(rows_f * beam_bytes);
+    });
+    m
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@ use sim_harness::{
     RunContext, Workload,
 };
 
-use crate::program_model as pm;
 use crate::{
     autofocus_mpmd, autofocus_net, autofocus_ref, autofocus_seq, ffbp_ref, ffbp_seq, ffbp_spmd,
     rda_seq, rda_spmd,
@@ -51,7 +50,7 @@ static ROWS: [Row; 10] = [
         family: RefCpu,
         place: None,
         run: |_, w, p, _| Some(ffbp_ref::run(w.ffbp()?, p.refcpu_params()?).into()),
-        model: |_, w, _| w.ffbp().map(pm::ffbp_ref_model),
+        model: |_, w, _| w.ffbp().map(ffbp_ref::model),
     },
     Row {
         name: "ffbp_seq",
@@ -59,7 +58,7 @@ static ROWS: [Row; 10] = [
         family: Epiphany,
         place: None,
         run: |_, w, p, ctx| Some(ffbp_seq::run(w.ffbp()?, p.epiphany_params()?, ctx).into()),
-        model: |_, w, mesh| w.ffbp().map(|w| pm::ffbp_seq_model(w, mesh)),
+        model: |_, w, mesh| w.ffbp().map(|w| ffbp_seq::model(w, mesh)),
     },
     Row {
         name: "ffbp_spmd",
@@ -69,7 +68,7 @@ static ROWS: [Row; 10] = [
         run: |_, w, p, ctx| {
             Some(ffbp_spmd::run(w.ffbp()?, p.epiphany_params()?, Default::default(), ctx).into())
         },
-        model: |_, w, mesh| Some(pm::ffbp_spmd_model(w.ffbp()?, &Default::default(), mesh)),
+        model: |_, w, mesh| Some(ffbp_spmd::model(w.ffbp()?, &Default::default(), mesh)),
     },
     Row {
         name: "ffbp_host",
@@ -88,7 +87,7 @@ static ROWS: [Row; 10] = [
             let params = autofocus_ref::specialised(p.refcpu_params()?);
             Some(autofocus_ref::run(w.autofocus()?, params).into())
         },
-        model: |_, w, _| w.autofocus().map(pm::autofocus_ref_model),
+        model: |_, w, _| w.autofocus().map(autofocus_ref::model),
     },
     Row {
         name: "autofocus_seq",
@@ -99,7 +98,7 @@ static ROWS: [Row; 10] = [
             let params = autofocus_seq::specialised(p.epiphany_params()?);
             Some(autofocus_seq::run(w.autofocus()?, params, ctx).into())
         },
-        model: |_, w, mesh| w.autofocus().map(|w| pm::autofocus_seq_model(w, mesh)),
+        model: |_, w, mesh| w.autofocus().map(|w| autofocus_seq::model(w, mesh)),
     },
     Row {
         name: "autofocus_mpmd",
@@ -110,7 +109,7 @@ static ROWS: [Row; 10] = [
             let params = autofocus_seq::specialised(p.epiphany_params()?);
             Some(autofocus_mpmd::run(w.autofocus()?, params, row.place?, ctx).into())
         },
-        model: |row, w, mesh| Some(pm::autofocus_mpmd_model(w.autofocus()?, &row.place?, mesh)),
+        model: |row, w, mesh| Some(autofocus_mpmd::model(w.autofocus()?, &row.place?, mesh)),
     },
     Row {
         name: "autofocus_net",
@@ -121,13 +120,7 @@ static ROWS: [Row; 10] = [
             let params = autofocus_seq::specialised(p.epiphany_params()?);
             Some(autofocus_net::run(w.autofocus()?, params, row.place?, ctx).into())
         },
-        model: |row, w, mesh| {
-            Some(pm::autofocus_pipeline_model(
-                w.autofocus()?,
-                &row.place?,
-                mesh,
-            ))
-        },
+        model: |row, w, mesh| Some(autofocus_net::model(w.autofocus()?, &row.place?, mesh)),
     },
     Row {
         name: "rda_seq",
@@ -135,7 +128,7 @@ static ROWS: [Row; 10] = [
         family: Epiphany,
         place: None,
         run: |_, w, p, ctx| Some(rda_seq::run(w.rda()?, p.epiphany_params()?, ctx).into()),
-        model: |_, w, mesh| w.rda().map(|w| pm::rda_seq_model(w, mesh)),
+        model: |_, w, mesh| w.rda().map(|w| rda_seq::model(w, mesh)),
     },
     Row {
         name: "rda_spmd",
@@ -145,7 +138,7 @@ static ROWS: [Row; 10] = [
         run: |_, w, p, ctx| {
             Some(rda_spmd::run(w.rda()?, p.epiphany_params()?, Default::default(), ctx).into())
         },
-        model: |_, w, mesh| Some(pm::rda_spmd_model(w.rda()?, &Default::default(), mesh)),
+        model: |_, w, mesh| Some(rda_spmd::model(w.rda()?, &Default::default(), mesh)),
     },
 ];
 

@@ -9,6 +9,7 @@
 
 use memsim::GlobalAddr;
 use sar_core::complex::c32;
+use sim_harness::{FfbpWorkload, RdaWorkload};
 
 /// Bytes per complex pixel.
 pub const PIXEL_BYTES: u64 = std::mem::size_of::<c32>() as u64;
@@ -45,6 +46,12 @@ impl ExternalLayout {
             base0: 0,
             base1: half,
         }
+    }
+
+    /// The layout every FFBP driver and model gives `w`: one row per
+    /// pulse, one pixel per range bin.
+    pub fn of(w: &FfbpWorkload) -> ExternalLayout {
+        ExternalLayout::new(w.geom.num_pulses as u32, w.geom.num_bins as u32)
     }
 
     /// Base of the buffer holding stage `stage` data (stage 0 = raw
@@ -119,6 +126,15 @@ impl RdaLayout {
             base_b: raw_bytes as u32,
             base_c: (raw_bytes + image_bytes) as u32,
         }
+    }
+
+    /// The layout every RDA driver and model gives `w`.
+    pub fn of(w: &RdaWorkload) -> RdaLayout {
+        RdaLayout::new(
+            w.geom.num_pulses as u32,
+            w.geom.num_bins as u32,
+            w.raw.cols() as u32,
+        )
     }
 
     /// External address of raw sample `(pulse, sample)`.

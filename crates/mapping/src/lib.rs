@@ -33,7 +33,8 @@ pub mod ffbp_seq;
 pub mod ffbp_spmd;
 pub mod harness_impls;
 pub mod layout;
-pub mod program_model;
+mod merge_walk;
+pub mod pipeline;
 pub mod rda_seq;
 pub mod rda_spmd;
 mod spmd;
@@ -43,3 +44,11 @@ pub use harness_impls::{all_mappings, mapping_named, mapping_named_placed};
 pub use table1::{table1, Table1, Table1Row};
 // `benchmark/` names these two workloads through this crate.
 pub use sim_harness::{AutofocusWorkload, FfbpWorkload};
+
+/// The program-model tests, under the path they had when the builders
+/// lived in one `program_model.rs` (each builder now sits next to its
+/// driver as `<driver>::model`).
+#[cfg(test)]
+mod program_model {
+    mod tests;
+}

@@ -1,0 +1,322 @@
+//! What the two 13-core autofocus pipeline drivers —
+//! [`crate::autofocus_mpmd`] (hand-written) and [`crate::autofocus_net`]
+//! (the `streams` process network) — and their program model share:
+//! the block staging, the message sizes, the stage graph and the
+//! per-firing kernel probe. A driver and the model that prices it read
+//! these same items, so a change to the dataflow is made once.
+
+use std::fmt::{self, Write};
+
+use desim::OpCounts;
+use epiphany::dma::DmaDirection;
+use epiphany::Chip;
+use memsim::GlobalAddr;
+use sar_core::autofocus::criterion::AutofocusConfig;
+use sar_core::autofocus::{beam_stage, correlate_partial, range_stage, Block6};
+use sim_harness::{AutofocusWorkload, Bound, Placement, ProgramModel, TrafficDecl, WorkDecl};
+
+use crate::autofocus_seq::AUTOFOCUS_PAIRING;
+use crate::layout::{BANK_CHILD_A, PIXEL_BYTES};
+
+/// Bytes of one autofocus block (6x6 complex pixels) — in SDRAM, and in
+/// the upper local bank a range core (or the sequential drivers' one
+/// core) stages it into.
+pub const BLOCK_BYTES: u32 = std::mem::size_of::<Block6>() as u32;
+
+/// Bytes of a message carrying `vectors` vectors of one iteration's
+/// complex samples.
+fn msg_bytes(cfg: &AutofocusConfig, vectors: u64) -> u32 {
+    u32::try_from(vectors * cfg.samples_per_iteration() as u64 * PIXEL_BYTES)
+        .expect("message fits u32")
+}
+
+/// Bytes a range interpolator streams to each beam interpolator per
+/// firing: six rows of complex samples.
+pub(crate) fn range_msg_bytes(cfg: &AutofocusConfig) -> u32 {
+    msg_bytes(cfg, 6)
+}
+
+/// Bytes a beam interpolator streams to the correlator per firing:
+/// three windows of complex samples.
+pub(crate) fn beam_msg_bytes(cfg: &AutofocusConfig) -> u32 {
+    msg_bytes(cfg, 3)
+}
+
+/// DMA image block `blk` from SDRAM into `core`'s staging bank and
+/// wait for it to land.
+pub(crate) fn stage_block(chip: &mut Chip, core: usize, blk: usize) {
+    let done = chip.dma_start(
+        core,
+        DmaDirection::ExternalToLocal,
+        GlobalAddr::external(blk as u32 * BLOCK_BYTES),
+        BANK_CHILD_A,
+        u64::from(BLOCK_BYTES),
+    );
+    chip.dma_wait(core, done);
+}
+
+/// Where hypothesis `h`'s criterion value is written back in SDRAM.
+pub(crate) fn criterion_addr(h: usize) -> GlobalAddr {
+    GlobalAddr::external(0x10000 + 8 * h as u32)
+}
+
+/// One of the thirteen pipeline stages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    /// Range interpolator of block `blk` (0 = `f-`, 1 = `f+`), column
+    /// window `win`.
+    Range { blk: usize, win: usize },
+    /// Beam interpolator of block `blk`, row window `win`.
+    Beam { blk: usize, win: usize },
+    /// The correlation + summation stage both blocks share.
+    Corr,
+}
+
+impl Stage {
+    /// The core `place` runs this stage on.
+    pub fn core(self, place: &Placement) -> usize {
+        match self {
+            Stage::Range { blk, win } => place.range[blk][win],
+            Stage::Beam { blk, win } => place.beam[blk][win],
+            Stage::Corr => place.corr,
+        }
+    }
+
+    /// The stages this one streams to, in output-port order: a range
+    /// interpolator feeds the three beam interpolators of its block, a
+    /// beam interpolator feeds the correlator.
+    pub fn consumers(self) -> impl Iterator<Item = Stage> {
+        let fanout = match self {
+            Stage::Range { .. } => 3,
+            Stage::Beam { .. } => 1,
+            Stage::Corr => 0,
+        };
+        (0..fanout).map(move |win| match self {
+            Stage::Range { blk, .. } => Stage::Beam { blk, win },
+            _ => Stage::Corr,
+        })
+    }
+}
+
+/// The stage's actor name, and its end of a channel label.
+impl fmt::Display for Stage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Stage::Range { blk, win } => write!(f, "range{blk}{win}"),
+            Stage::Beam { blk, win } => write!(f, "beam{blk}{win}"),
+            Stage::Corr => f.write_str("corr"),
+        }
+    }
+}
+
+/// All thirteen stages: the correlator, then block by block the range
+/// and the beam interpolators. [`crate::autofocus_net`] creates its
+/// actors in this order, and its scheduler fires the lowest-numbered
+/// ready actor.
+pub(crate) fn stages() -> impl Iterator<Item = Stage> {
+    let block = |blk| {
+        let range = (0..3).map(move |win| Stage::Range { blk, win });
+        range.chain((0..3).map(move |win| Stage::Beam { blk, win }))
+    };
+    std::iter::once(Stage::Corr).chain((0..2).flat_map(block))
+}
+
+/// The 24 channels of the pipeline, in the order both the network and
+/// the model connect them. A consumer's input ports number its edges
+/// in this order: beam interpolator `b` receives range windows 0, 1, 2,
+/// and the correlator's six ports are block-major — what
+/// [`crate::autofocus_net`]'s actors rely on.
+pub(crate) fn edges() -> impl Iterator<Item = (Stage, Stage)> {
+    stages().flat_map(|from| from.consumers().map(move |to| (from, to)))
+}
+
+/// The placement-independent half of the pipeline model: per-firing op
+/// counts probed from the kernels plus the workload's message
+/// geometry. Probing runs the actual stage kernels (the expensive
+/// part); [`PipelineProbe::model`] only wires a placement, so a
+/// placement search probes once and rebuilds models per candidate
+/// cheaply.
+pub struct PipelineProbe {
+    range_ops: OpCounts,
+    beam_ops: OpCounts,
+    corr_ops: OpCounts,
+    range_msg: u32,
+    beam_msg: u32,
+    hypotheses: u64,
+    /// Flag waits a range core pays per hypothesis.
+    range_waits_per_hyp: f64,
+    /// Whether every channel carries the MPMD driver's recovery story.
+    mpmd_recovery: bool,
+}
+
+impl PipelineProbe {
+    /// Probe for the `streams` process network (`autofocus_net`): it
+    /// waits once per firing — range actors wait on their command
+    /// tokens too — and has no recovery story, so `sarlint` flags its
+    /// channels as recovery-free (SL011/SL012).
+    pub fn net(w: &AutofocusWorkload) -> PipelineProbe {
+        PipelineProbe::probed(w, 3.0, false)
+    }
+
+    /// Probe for the hand-written MPMD driver (`autofocus_mpmd`): its
+    /// range cores never wait — they fire as soon as the host loop
+    /// reaches them — and every channel (with its protocol flag) is
+    /// covered by the driver's recovery story: watchdog retry on a lost
+    /// flag, then drain-and-restart of the hypothesis with a spare-core
+    /// remap if the peer has halted.
+    pub fn mpmd(w: &AutofocusWorkload) -> PipelineProbe {
+        PipelineProbe::probed(w, 0.0, true)
+    }
+
+    /// Run one `range_stage`, one `beam_stage` and one
+    /// `correlate_partial` — the per-firing work of the three pipeline
+    /// stages, all data-independent.
+    fn probed(
+        w: &AutofocusWorkload,
+        range_waits_per_hyp: f64,
+        mpmd_recovery: bool,
+    ) -> PipelineProbe {
+        let cfg = &w.config;
+        // Window 0's ledger stands for its stage; the other windows
+        // only produce the next stage's inputs.
+        let mut range_ops = OpCounts::default();
+        let mut beam_ops = OpCounts::default();
+        let mut corr_ops = OpCounts::default();
+        let mut rest = OpCounts::default();
+        let range = [0, 1, 2].map(|win| {
+            let counts = if win == 0 { &mut range_ops } else { &mut rest };
+            range_stage(&w.f_minus, win, 0.0, 0, cfg, counts)
+        });
+        let beam = [0, 1, 2].map(|win| {
+            let counts = if win == 0 { &mut beam_ops } else { &mut rest };
+            beam_stage(&range, win, 0.0, 0, cfg, counts)
+        });
+        correlate_partial(&beam, &beam, &mut corr_ops);
+        PipelineProbe {
+            range_ops,
+            beam_ops,
+            corr_ops,
+            range_msg: range_msg_bytes(cfg),
+            beam_msg: beam_msg_bytes(cfg),
+            hypotheses: w.hypotheses as u64,
+            range_waits_per_hyp,
+            mpmd_recovery,
+        }
+    }
+
+    /// Wire the probed workload onto `place` on a `mesh`-sized platform
+    /// (no kernel execution).
+    ///
+    /// Buffers: each range core holds its DMA'd source block in an
+    /// upper bank; each beam core's bank 0 receives three posted range
+    /// messages per round; the correlator's bank 0 receives six beam
+    /// messages. Channels: the 24 `edges()`, each with its
+    /// flag-signalled posted-write protocol.
+    pub fn model(&self, place: &Placement, mesh: (u16, u16)) -> ProgramModel {
+        let mut m = ProgramModel::new(mesh.0, mesh.1);
+        // Placements use canonical E16G3 (4-column) ids; the model
+        // mirrors the drivers and renumbers onto the target mesh.
+        let place = place.rebased(mesh.0, mesh.1);
+        m.cores = place.cores();
+        let (range_msg, beam_msg) = (self.range_msg, self.beam_msg);
+
+        for (blk, range_cores) in place.range.iter().enumerate() {
+            for (win, &rc) in range_cores.iter().enumerate() {
+                m.buffer(
+                    format!("block{blk}[r{win}]"),
+                    rc,
+                    BANK_CHILD_A,
+                    0,
+                    BLOCK_BYTES,
+                );
+            }
+        }
+        for (blk, beam_cores) in place.beam.iter().enumerate() {
+            for (bi, &bc) in beam_cores.iter().enumerate() {
+                for win in 0..3u32 {
+                    m.buffer(
+                        format!("inbox_b{blk}{bi}[r{win}]"),
+                        bc,
+                        0,
+                        win * range_msg,
+                        range_msg,
+                    );
+                }
+            }
+        }
+        for slot in 0..6u32 {
+            m.buffer(
+                format!("inbox_corr[{slot}]"),
+                place.corr,
+                0,
+                slot * beam_msg,
+                beam_msg,
+            );
+        }
+        for (from, to) in edges() {
+            // Sized up front: `format!` cannot estimate a label made of
+            // two `Display` arguments and would grow it twice.
+            let mut label = String::with_capacity(16);
+            write!(label, "{from}->{to}").expect("writing to a String");
+            m.channel(label, from.core(&place), to.core(&place));
+        }
+
+        // Workload: six range-core DMAs up front, then per hypothesis
+        // three iterations of range -> beam -> correlate.
+        m.pairing_efficiency = Some(AUTOFOCUS_PAIRING);
+        let setup = m.phase("setup", 1);
+        for &rc in place.range.iter().flatten() {
+            let mut wd = WorkDecl::new(rc);
+            wd.dma_msgs = Bound::exact(1.0);
+            wd.dma_bytes = Bound::exact(f64::from(BLOCK_BYTES));
+            setup.work.push(wd);
+        }
+        let ph = m.phase("hypothesis", self.hypotheses);
+        // Three firings of `stage` per hypothesis, each posting one
+        // message to every consumer.
+        let mut fires = |stage: Stage| {
+            let (ops, waits, msg) = match stage {
+                Stage::Range { .. } => (&self.range_ops, self.range_waits_per_hyp, range_msg),
+                Stage::Beam { .. } => (&self.beam_ops, 3.0, beam_msg),
+                Stage::Corr => (&self.corr_ops, 3.0, 0),
+            };
+            let core = stage.core(&place);
+            let mut wd = WorkDecl::new(core);
+            wd.exact_ops(ops.scaled(3));
+            wd.compute_calls = Bound::exact(3.0);
+            wd.flag_waits = Bound::exact(waits);
+            if stage == Stage::Corr {
+                // The criterion write-back.
+                wd.ext_write_msgs = Bound::exact(1.0);
+                wd.ext_write_bytes = Bound::exact(8.0);
+            }
+            ph.work.push(wd);
+            for to in stage.consumers() {
+                ph.traffic.push(TrafficDecl {
+                    from: core,
+                    to: to.core(&place),
+                    messages: Bound::exact(3.0),
+                    bytes: Bound::exact(3.0 * f64::from(msg)),
+                });
+            }
+        };
+        for blk in 0..2 {
+            for win in 0..3 {
+                fires(Stage::Range { blk, win });
+            }
+        }
+        for blk in 0..2 {
+            for win in 0..3 {
+                fires(Stage::Beam { blk, win });
+            }
+        }
+        fires(Stage::Corr);
+
+        if self.mpmd_recovery {
+            let covered = m.declare_recovery("range", "retry_backoff+drain_restart")
+                + m.declare_recovery("beam", "retry_backoff+drain_restart");
+            debug_assert!(covered > 0, "the pipeline's channels must match");
+        }
+        m
+    }
+}

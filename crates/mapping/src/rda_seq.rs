@@ -20,104 +20,195 @@ use sar_core::rda::{
     rcmc_shift,
 };
 use sar_core::signal::{lfm_chirp, MatchedFilter};
-use sim_harness::{ImageRun, RdaWorkload, RunContext};
+use sim_harness::{Bound, ImageRun, ProgramModel, RdaWorkload, RunContext, WorkDecl};
 
 use crate::layout::RdaLayout;
+
+/// The RDA arithmetic both chip drivers ([`run`] and
+/// [`crate::rda_spmd::run`]) execute, one work unit at a time: a unit
+/// updates the functional matrices and returns its op ledger for the
+/// machine model to price.
+pub(crate) struct Stages<'a> {
+    w: &'a RdaWorkload,
+    mf: MatchedFilter,
+    /// Range-compressed matrix, pulse-major.
+    rc: ComplexImage,
+    /// Range–Doppler matrix, bin-major.
+    rd: ComplexImage,
+    /// The focused image.
+    pub image: ComplexImage,
+}
+
+impl<'a> Stages<'a> {
+    pub fn new(w: &'a RdaWorkload) -> Stages<'a> {
+        let (n, bins) = (w.geom.num_pulses, w.geom.num_bins);
+        Stages {
+            w,
+            mf: MatchedFilter::new(&lfm_chirp(w.config.chirp), w.raw.cols()),
+            rc: ComplexImage::zeros(n, bins),
+            rd: ComplexImage::zeros(bins, n),
+            image: ComplexImage::zeros(n, bins),
+        }
+    }
+
+    /// Range-compress pulse `k`.
+    pub fn range_row(&mut self, k: usize) -> OpCounts {
+        let mut ops = OpCounts::default();
+        let row = range_compress_row(&self.mf, self.w.raw.row(k), self.w.geom.num_bins, &mut ops);
+        self.rc.row_mut(k).copy_from_slice(&row);
+        ops
+    }
+
+    /// Azimuth FFT of range bin `i`'s pulse history.
+    pub fn doppler_bin(&mut self, i: usize) -> OpCounts {
+        let mut ops = OpCounts::default();
+        let col: Vec<c32> = (0..self.w.geom.num_pulses)
+            .map(|k| self.rc.at(k, i))
+            .collect();
+        let spectrum = doppler_spectrum(&col, &mut ops);
+        self.rd.row_mut(i).copy_from_slice(&spectrum);
+        ops
+    }
+
+    /// RCMC + azimuth compression of range bin `i`. The inverse FFT
+    /// returns circular lags; broadside is rotated to the middle row.
+    pub fn azimuth_bin(&mut self, i: usize) -> OpCounts {
+        let (geom, n) = (&self.w.geom, self.w.geom.num_pulses);
+        let mut ops = OpCounts::default();
+        let corrected = rcmc_correct(&self.rd, geom, i, self.w.config.rcmc, &mut ops);
+        let href = azimuth_reference(geom, i, &mut ops);
+        let line = azimuth_compress(&corrected, &href, &mut ops);
+        for k in 0..n {
+            *self.image.at_mut(k, i) = line[(k + n / 2) % n];
+        }
+        ops
+    }
+
+    /// Op ledgers of one range row, one Doppler bin and one azimuth
+    /// bin, probed by running each stage's kernels once on blank data
+    /// (a whole `Stages` would hold three image-sized matrices just to
+    /// price a model). All three are data-independent (the
+    /// `sar_core::rda` tests pin that), so one probe per stage is exact
+    /// for every unit of the run.
+    pub fn probe(w: &RdaWorkload) -> [OpCounts; 3] {
+        let (geom, n) = (&w.geom, w.geom.num_pulses);
+        let mf = MatchedFilter::new(&lfm_chirp(w.config.chirp), w.raw.cols());
+        let mut ops = [OpCounts::default(); 3];
+        range_compress_row(&mf, w.raw.row(0), geom.num_bins, &mut ops[0]);
+        doppler_spectrum(&vec![c32::ZERO; n], &mut ops[1]);
+        let rd = ComplexImage::zeros(geom.num_bins, n);
+        let corrected = rcmc_correct(&rd, geom, 0, w.config.rcmc, &mut ops[2]);
+        let href = azimuth_reference(geom, 0, &mut ops[2]);
+        azimuth_compress(&corrected, &href, &mut ops[2]);
+        ops
+    }
+}
+
+/// The RCMC gathers of range bin `i`: the `(bin, doppler)` cells its
+/// migration correction fetches from deeper in-swath rows, in issue
+/// order. Empty with RCMC off.
+pub(crate) fn rcmc_gathers(w: &RdaWorkload, i: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+    let cells = if w.config.rcmc { w.geom.num_pulses } else { 0 };
+    (0..cells).filter_map(move |m| {
+        let d = rcmc_shift(&w.geom, i, m);
+        (d > 0 && i + d < w.geom.num_bins).then_some(((i + d) as u32, m as u32))
+    })
+}
 
 /// Execute the RDA workload on one core of the Epiphany model (one
 /// record phase per pipeline stage); the chip emits its spans into
 /// `ctx.tracer`.
 pub fn run(w: &RdaWorkload, params: EpiphanyParams, ctx: &RunContext) -> ImageRun {
-    let geom = &w.geom;
-    let n = geom.num_pulses;
-    let bins = geom.num_bins;
-    let layout = RdaLayout::new(n as u32, bins as u32, w.raw.cols() as u32);
+    let (n, bins) = (w.geom.num_pulses as u32, w.geom.num_bins as u32);
+    let layout = RdaLayout::of(w);
     let mut chip = Chip::from_params(params);
     chip.set_tracer(ctx.tracer.clone());
     let core = 0usize;
-    let waveform = lfm_chirp(w.config.chirp);
-    let mf = MatchedFilter::new(&waveform, w.raw.cols());
-    let mut counts = OpCounts::default();
-    let mut charged = OpCounts::default();
+    let mut stages = Stages::new(w);
     // Blocking fetches issue back to back with nothing between them —
     // buffered per row so the chip absorbs each span in closed form.
-    let mut row_reads: Vec<memsim::GlobalAddr> = Vec::with_capacity(2 * n.max(w.raw.cols()));
+    let mut row_reads = Vec::with_capacity(2 * w.geom.num_pulses.max(w.raw.cols()));
 
     // Phase 1: range compression, A -> B (pulse-major).
     chip.phase_begin("range");
-    let mut rc = ComplexImage::zeros(n, bins);
     for k in 0..n {
         row_reads.clear();
-        for s in 0..w.raw.cols() {
-            row_reads.push(layout.raw_addr(k as u32, s as u32));
-        }
+        row_reads.extend((0..layout.echo_len).map(|s| layout.raw_addr(k, s)));
         chip.read_external_run(core, &row_reads, 8);
-        let row = range_compress_row(&mf, w.raw.row(k), bins, &mut counts);
-        rc.row_mut(k).copy_from_slice(&row);
-        let delta = counts.since(&charged);
-        charged = counts;
-        chip.compute(core, &delta);
-        chip.write_external(core, layout.rc_addr(k as u32, 0), layout.rc_row_bytes());
+        chip.compute(core, &stages.range_row(k as usize));
+        chip.write_external(core, layout.rc_addr(k, 0), layout.rc_row_bytes());
     }
     chip.phase_end();
 
     // Phase 2: corner turn + azimuth FFT, B (strided) -> C (bin-major).
     chip.phase_begin("doppler");
-    let mut rd = ComplexImage::zeros(bins, n);
-    let mut col = vec![c32::ZERO; n];
     for i in 0..bins {
         row_reads.clear();
-        for k in 0..n {
-            row_reads.push(layout.rc_addr(k as u32, i as u32));
-        }
+        row_reads.extend((0..n).map(|k| layout.rc_addr(k, i)));
         chip.read_external_run(core, &row_reads, 8);
-        for (k, c) in col.iter_mut().enumerate() {
-            *c = rc.at(k, i);
-        }
-        let spectrum = doppler_spectrum(&col, &mut counts);
-        rd.row_mut(i).copy_from_slice(&spectrum);
-        let delta = counts.since(&charged);
-        charged = counts;
-        chip.compute(core, &delta);
-        chip.write_external(core, layout.ct_addr(i as u32, 0), layout.col_bytes());
+        chip.compute(core, &stages.doppler_bin(i as usize));
+        chip.write_external(core, layout.ct_addr(i, 0), layout.col_bytes());
     }
     chip.phase_end();
 
     // Phase 3: RCMC + azimuth compression, C -> B (bin-major).
     chip.phase_begin("azimuth");
-    let mut image = ComplexImage::zeros(n, bins);
     for i in 0..bins {
         row_reads.clear();
-        for m in 0..n {
-            row_reads.push(layout.ct_addr(i as u32, m as u32));
-        }
-        if w.config.rcmc {
-            // The migration gathers land on deeper bins' rows.
-            for m in 0..n {
-                let d = rcmc_shift(geom, i, m);
-                if d > 0 && i + d < bins {
-                    row_reads.push(layout.ct_addr((i + d) as u32, m as u32));
-                }
-            }
-        }
+        row_reads.extend((0..n).map(|m| layout.ct_addr(i, m)));
+        // The migration gathers land on deeper bins' rows.
+        row_reads.extend(rcmc_gathers(w, i as usize).map(|(bin, m)| layout.ct_addr(bin, m)));
         chip.read_external_run(core, &row_reads, 8);
-        let corrected = rcmc_correct(&rd, geom, i, w.config.rcmc, &mut counts);
-        let href = azimuth_reference(geom, i, &mut counts);
-        let line = azimuth_compress(&corrected, &href, &mut counts);
-        for k in 0..n {
-            *image.at_mut(k, i) = line[(k + n / 2) % n];
-        }
-        let delta = counts.since(&charged);
-        charged = counts;
-        chip.compute(core, &delta);
-        chip.write_external(core, layout.rd_addr(i as u32, 0), layout.col_bytes());
+        chip.compute(core, &stages.azimuth_bin(i as usize));
+        chip.write_external(core, layout.rd_addr(i, 0), layout.col_bytes());
     }
     chip.phase_end();
 
     ImageRun {
         record: chip.report("RDA / Epiphany, 1 core @ 1 GHz (sequential)", 1),
-        image,
+        image: stages.image,
     }
+}
+
+/// The static description of [`run`] on a `mesh`-sized platform: three
+/// phases over the [`RdaLayout`] regions, every input sample a blocking
+/// 8 B external read, every result row a posted external write — no
+/// DMA, flags or barriers.
+pub fn model(w: &RdaWorkload, mesh: (u16, u16)) -> ProgramModel {
+    let mut m = ProgramModel::new(mesh.0, mesh.1);
+    m.cores = vec![0];
+    let layout = RdaLayout::of(w);
+    let [per_range_row, per_doppler_bin, per_azimuth_bin] = Stages::probe(w);
+    let (pulses, bins) = (u64::from(layout.pulses), u64::from(layout.bins));
+    let echo = u64::from(layout.echo_len);
+    let gathers = (0..w.geom.num_bins)
+        .map(|i| rcmc_gathers(w, i).count() as u64)
+        .sum::<u64>();
+
+    // One phase: `units` units of `per_unit` arithmetic, the 8 B reads
+    // they issue and one posted `row_bytes` result row each.
+    let mut phase = |name, per_unit: OpCounts, units: u64, reads: u64, row_bytes: u64| {
+        let mut wd = WorkDecl::new(0);
+        wd.exact_ops(per_unit.scaled(units));
+        wd.compute_calls = Bound::exact(units as f64);
+        wd.ext_read_msgs = Bound::exact(reads as f64);
+        wd.ext_read_bytes = Bound::exact((8 * reads) as f64);
+        wd.ext_write_msgs = Bound::exact(units as f64);
+        wd.ext_write_bytes = Bound::exact((units * row_bytes) as f64);
+        m.phase(name, 1).work.push(wd);
+    };
+    let (row, col) = (layout.rc_row_bytes(), layout.col_bytes());
+    phase("range", per_range_row, pulses, pulses * echo, row);
+    // The corner turn a single core pays as strided pointwise reads.
+    phase("doppler", per_doppler_bin, bins, bins * pulses, col);
+    phase(
+        "azimuth",
+        per_azimuth_bin,
+        bins,
+        bins * pulses + gathers,
+        col,
+    );
+    m
 }
 
 #[cfg(test)]

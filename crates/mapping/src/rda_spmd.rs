@@ -27,20 +27,14 @@
 //! on the survivors — bit-identical output, with the redone work
 //! accounted as recovery cycles/energy.
 
-use desim::OpCounts;
+use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::EpiphanyParams;
-use sar_core::complex::c32;
-use sar_core::image::ComplexImage;
-use sar_core::rda::{
-    azimuth_compress, azimuth_reference, doppler_spectrum, range_compress_row, rcmc_correct,
-    rcmc_shift,
-};
-use sar_core::signal::{lfm_chirp, MatchedFilter};
-use sim_harness::{ImageRun, RdaWorkload, RunContext};
+use sim_harness::{Bound, ImageRun, ProgramModel, RdaWorkload, RunContext};
 
 use crate::layout::{RdaLayout, BANK_CHILD_A, BANK_CHILD_B, PIXEL_BYTES};
-use crate::spmd::{checkpointed, chip_for};
+use crate::rda_seq::{rcmc_gathers, Stages};
+use crate::spmd::{self, checkpointed, chip_for, owned, owner};
 
 /// Corner-turn tile edge, in elements. 32 x 32 c32 tiles are 8 KB —
 /// exactly one local bank in, one out.
@@ -55,16 +49,57 @@ pub struct RdaSpmdOptions {
     pub cores: Option<usize>,
 }
 
-/// The local-transpose ledger for one `elems`-element tile (also used
-/// by the mapping's program model, so the declaration cannot drift
-/// from the driver).
-pub fn transpose_ops(elems: u64) -> OpCounts {
+/// The local-transpose ledger for one `elems`-element tile.
+fn transpose_ops(elems: u64) -> OpCounts {
     OpCounts {
         loads: 2 * elems,
         stores: 2 * elems,
         ialu: 2 * elems,
         ..OpCounts::default()
     }
+}
+
+/// One corner-turn tile: `rows` pulses from `pulse0` by `cols` bins
+/// from `bin0`.
+pub(crate) struct Tile {
+    pub pulse0: usize,
+    pub bin0: usize,
+    pub rows: usize,
+    pub cols: usize,
+}
+
+/// The corner turn's work units: the [`TILE`]-edged tiling of the
+/// `pulses x bins` matrix (ragged at the far edges), in deal order.
+pub(crate) fn tiles(pulses: usize, bins: usize) -> impl Iterator<Item = Tile> {
+    (0..pulses.div_ceil(TILE)).flat_map(move |ti| {
+        (0..bins.div_ceil(TILE)).map(move |tj| {
+            let (pulse0, bin0) = (ti * TILE, tj * TILE);
+            Tile {
+                pulse0,
+                bin0,
+                rows: TILE.min(pulses - pulse0),
+                cols: TILE.min(bins - bin0),
+            }
+        })
+    })
+}
+
+/// The DMA descriptors that fetch one raw pulse row into local banks
+/// of `bank_bytes`, as `(first sample, bank, bytes)`: the head into
+/// bank A and, when the row overflows one bank (paper-scale rows are
+/// 9,032 B), the tail into bank B.
+pub(crate) fn raw_row_parts(
+    layout: &RdaLayout,
+    bank_bytes: u64,
+) -> impl Iterator<Item = (u32, usize, u64)> {
+    let row_bytes = layout.raw_row_bytes();
+    let head = row_bytes.min(bank_bytes);
+    [
+        (0, BANK_CHILD_A, head),
+        ((head / PIXEL_BYTES) as u32, BANK_CHILD_B, row_bytes - head),
+    ]
+    .into_iter()
+    .filter(|&(_, _, bytes)| bytes > 0)
 }
 
 /// Execute the RDA workload on the Epiphany model with `opts`,
@@ -77,21 +112,14 @@ pub fn run(
     opts: RdaSpmdOptions,
     ctx: &RunContext,
 ) -> ImageRun {
-    let geom = &w.geom;
-    let n = geom.num_pulses;
-    let bins = geom.num_bins;
-    let layout = RdaLayout::new(n as u32, bins as u32, w.raw.cols() as u32);
+    let (n, bins) = (w.geom.num_pulses, w.geom.num_bins);
+    let layout = RdaLayout::of(w);
     let (mut chip, mut active) = chip_for(params, opts.cores, ctx);
     let n_cores = active.len();
     let bank_bytes = u64::from(params.sram.bank_bytes);
-
-    let waveform = lfm_chirp(w.config.chirp);
-    let mf = MatchedFilter::new(&waveform, w.raw.cols());
-    let mut counts = OpCounts::default();
-    let mut charged = OpCounts::default();
+    let mut stages = Stages::new(w);
 
     // Phase 1: range compression, A -> B (pulse-major).
-    let mut rc = ComplexImage::zeros(n, bins);
     checkpointed(
         &mut chip,
         &ctx.faults,
@@ -99,33 +127,20 @@ pub fn run(
         "range",
         |chip, active, last_write| {
             for k in 0..n {
-                let core = active[k % active.len()];
-                let row_bytes = layout.raw_row_bytes();
-                let head = row_bytes.min(bank_bytes);
-                let mut done = chip.dma_start(
-                    core,
-                    DmaDirection::ExternalToLocal,
-                    layout.raw_addr(k as u32, 0),
-                    BANK_CHILD_A,
-                    head,
-                );
-                if row_bytes > head {
-                    // Paper-scale raw rows (9,032 B) overflow one bank;
-                    // the tail lands in the second upper bank.
-                    done = done.max(chip.dma_start(
-                        core,
-                        DmaDirection::ExternalToLocal,
-                        layout.raw_addr(k as u32, (head / PIXEL_BYTES) as u32),
-                        BANK_CHILD_B,
-                        row_bytes - head,
-                    ));
-                }
+                let core = active[owner(k, active.len())];
+                let done = raw_row_parts(&layout, bank_bytes)
+                    .map(|(sample, bank, bytes)| {
+                        chip.dma_start(
+                            core,
+                            DmaDirection::ExternalToLocal,
+                            layout.raw_addr(k as u32, sample),
+                            bank,
+                            bytes,
+                        )
+                    })
+                    .fold(Cycle::ZERO, Cycle::max);
                 chip.dma_wait(core, done);
-                let row = range_compress_row(&mf, w.raw.row(k), bins, &mut counts);
-                rc.row_mut(k).copy_from_slice(&row);
-                let delta = counts.since(&charged);
-                charged = counts;
-                chip.compute(core, &delta);
+                chip.compute(core, &stages.range_row(k));
                 let arrival =
                     chip.write_external(core, layout.rc_addr(k as u32, 0), layout.rc_row_bytes());
                 last_write[core] = last_write[core].max(arrival);
@@ -135,61 +150,49 @@ pub fn run(
 
     // Phase 2: tiled corner turn, B -> C. Pure transpose traffic:
     // strided 2D DMA in, local transpose, strided 2D DMA out.
-    let tile_rows = n.div_ceil(TILE);
-    let tile_cols = bins.div_ceil(TILE);
     checkpointed(
         &mut chip,
         &ctx.faults,
         &mut active,
         "corner_turn",
         |chip, active, _| {
-            let mut task = 0usize;
-            for ti in 0..tile_rows {
-                for tj in 0..tile_cols {
-                    let core = active[task % active.len()];
-                    task += 1;
-                    let p0 = ti * TILE;
-                    let b0 = tj * TILE;
-                    let rows = TILE.min(n - p0);
-                    let cols = TILE.min(bins - b0);
-                    let done_in = chip.dma_start_2d(
-                        core,
-                        DmaDirection::ExternalToLocal,
-                        layout.rc_addr(p0 as u32, b0 as u32),
-                        BANK_CHILD_A,
-                        rows as u32,
-                        cols as u64 * PIXEL_BYTES,
-                        layout.rc_row_bytes() as u32,
-                    );
-                    chip.dma_wait(core, done_in);
-                    chip.compute(core, &transpose_ops((rows * cols) as u64));
-                    let done_out = chip.dma_start_2d(
-                        core,
-                        DmaDirection::LocalToExternal,
-                        layout.ct_addr(b0 as u32, p0 as u32),
-                        BANK_CHILD_B,
-                        cols as u32,
-                        rows as u64 * PIXEL_BYTES,
-                        layout.col_bytes() as u32,
-                    );
-                    chip.dma_wait(core, done_out);
-                }
+            for (task, tile) in tiles(n, bins).enumerate() {
+                let core = active[owner(task, active.len())];
+                let done_in = chip.dma_start_2d(
+                    core,
+                    DmaDirection::ExternalToLocal,
+                    layout.rc_addr(tile.pulse0 as u32, tile.bin0 as u32),
+                    BANK_CHILD_A,
+                    tile.rows as u32,
+                    tile.cols as u64 * PIXEL_BYTES,
+                    layout.rc_row_bytes() as u32,
+                );
+                chip.dma_wait(core, done_in);
+                chip.compute(core, &transpose_ops((tile.rows * tile.cols) as u64));
+                let done_out = chip.dma_start_2d(
+                    core,
+                    DmaDirection::LocalToExternal,
+                    layout.ct_addr(tile.bin0 as u32, tile.pulse0 as u32),
+                    BANK_CHILD_B,
+                    tile.cols as u32,
+                    tile.rows as u64 * PIXEL_BYTES,
+                    layout.col_bytes() as u32,
+                );
+                chip.dma_wait(core, done_out);
             }
-            chip.phase_metric("tiles", (tile_rows * tile_cols) as f64);
+            chip.phase_metric("tiles", tiles(n, bins).count() as f64);
         },
     );
 
     // Phase 3: azimuth FFT per bin, C -> B (bin-major).
-    let mut rd = ComplexImage::zeros(bins, n);
     checkpointed(
         &mut chip,
         &ctx.faults,
         &mut active,
         "doppler",
         |chip, active, last_write| {
-            let mut col = vec![c32::ZERO; n];
             for i in 0..bins {
-                let core = active[i % active.len()];
+                let core = active[owner(i, active.len())];
                 let done = chip.dma_start(
                     core,
                     DmaDirection::ExternalToLocal,
@@ -198,14 +201,7 @@ pub fn run(
                     layout.col_bytes(),
                 );
                 chip.dma_wait(core, done);
-                for (k, c) in col.iter_mut().enumerate() {
-                    *c = rc.at(k, i);
-                }
-                let spectrum = doppler_spectrum(&col, &mut counts);
-                rd.row_mut(i).copy_from_slice(&spectrum);
-                let delta = counts.since(&charged);
-                charged = counts;
-                chip.compute(core, &delta);
+                chip.compute(core, &stages.doppler_bin(i));
                 let arrival =
                     chip.write_external(core, layout.rd_addr(i as u32, 0), layout.col_bytes());
                 last_write[core] = last_write[core].max(arrival);
@@ -214,16 +210,15 @@ pub fn run(
     );
 
     // Phase 4: RCMC + azimuth compression per bin, B -> C (bin-major).
-    let mut image = ComplexImage::zeros(n, bins);
     checkpointed(
         &mut chip,
         &ctx.faults,
         &mut active,
         "azimuth",
         |chip, active, last_write| {
-            let mut gathers: Vec<memsim::GlobalAddr> = Vec::with_capacity(n);
+            let mut gathers = Vec::with_capacity(n);
             for i in 0..bins {
-                let core = active[i % active.len()];
+                let core = active[owner(i, active.len())];
                 let done = chip.dma_start(
                     core,
                     DmaDirection::ExternalToLocal,
@@ -233,24 +228,9 @@ pub fn run(
                 );
                 chip.dma_wait(core, done);
                 gathers.clear();
-                if w.config.rcmc {
-                    for m in 0..n {
-                        let d = rcmc_shift(geom, i, m);
-                        if d > 0 && i + d < bins {
-                            gathers.push(layout.rd_addr((i + d) as u32, m as u32));
-                        }
-                    }
-                }
+                gathers.extend(rcmc_gathers(w, i).map(|(bin, m)| layout.rd_addr(bin, m)));
                 chip.read_external_run(core, &gathers, 8);
-                let corrected = rcmc_correct(&rd, geom, i, w.config.rcmc, &mut counts);
-                let href = azimuth_reference(geom, i, &mut counts);
-                let line = azimuth_compress(&corrected, &href, &mut counts);
-                for k in 0..n {
-                    *image.at_mut(k, i) = line[(k + n / 2) % n];
-                }
-                let delta = counts.since(&charged);
-                charged = counts;
-                chip.compute(core, &delta);
+                chip.compute(core, &stages.azimuth_bin(i));
                 let arrival =
                     chip.write_external(core, layout.ct_addr(i as u32, 0), layout.col_bytes());
                 last_write[core] = last_write[core].max(arrival);
@@ -263,8 +243,92 @@ pub fn run(
             &format!("RDA / Epiphany, {n_cores} cores @ 1 GHz (SPMD)"),
             n_cores,
         ),
-        image,
+        image: stages.image,
     }
+}
+
+/// The static description of [`run`] on a `mesh`-sized platform. Each
+/// core stages DMA landings (raw pulse rows, corner-turn tiles,
+/// bin-major rows) in its two upper banks — declared bank-sized, since
+/// the raw-row head and the paper-scale bin-major rows fill one whole
+/// bank. The model has no platform parameters, so it assumes the
+/// default bank size.
+pub fn model(w: &RdaWorkload, opts: &RdaSpmdOptions, mesh: (u16, u16)) -> ProgramModel {
+    let mut m = spmd::model(mesh, opts.cores, "phase_end");
+    let bank = EpiphanyParams::default().sram.bank_bytes;
+    let layout = RdaLayout::of(w);
+    let [per_range_row, per_doppler_bin, per_azimuth_bin] = Stages::probe(w);
+    let (pulses, bins) = (w.geom.num_pulses, w.geom.num_bins);
+    let nc = m.cores.len();
+
+    // Bank A receives every inbound landing: raw-row heads,
+    // corner-turn tiles and bin-major rows. Bank B only ever receives
+    // the raw-row *tail*; the corner turn's outbound tile is staged
+    // there but written locally, never landed.
+    let raw_parts: Vec<_> = raw_row_parts(&layout, u64::from(bank)).collect();
+    for c in m.cores.clone() {
+        m.buffer(format!("stage_a[{c}]"), c, BANK_CHILD_A, 0, bank);
+        for &(_, tail_bank, bytes) in &raw_parts[1..] {
+            m.buffer(format!("raw_tail[{c}]"), c, tail_bank, 0, bytes as u32);
+        }
+    }
+
+    // Phase 1: one raw pulse row DMA'd in per owned pulse, the
+    // compressed row posted back.
+    let raw_row = layout.raw_row_bytes() as f64;
+    let rc_row = layout.rc_row_bytes() as f64;
+    spmd::phase(&mut m, "range", 1, |pos, wd| {
+        let rows = owned(pulses, nc, pos) as u64;
+        let rows_f = rows as f64;
+        wd.exact_ops(per_range_row.scaled(rows));
+        wd.compute_calls = Bound::exact(rows_f);
+        wd.dma_msgs = Bound::exact(raw_parts.len() as f64 * rows_f);
+        wd.dma_bytes = Bound::exact(rows_f * raw_row);
+        wd.ext_write_msgs = Bound::exact(rows_f);
+        wd.ext_write_bytes = Bound::exact(rows_f * rc_row);
+    });
+
+    // Phase 2: the tiled corner turn — per owned tile one strided 2D
+    // DMA in, a local transpose, one strided 2D DMA out. Pure traffic.
+    let mut tiles_per = vec![0u64; nc];
+    let mut elems_per = vec![0u64; nc];
+    for (task, tile) in tiles(pulses, bins).enumerate() {
+        tiles_per[owner(task, nc)] += 1;
+        elems_per[owner(task, nc)] += (tile.rows * tile.cols) as u64;
+    }
+    spmd::phase(&mut m, "corner_turn", 1, |pos, wd| {
+        wd.exact_ops(transpose_ops(elems_per[pos]));
+        wd.compute_calls = Bound::exact(tiles_per[pos] as f64);
+        wd.dma_msgs = Bound::exact(2.0 * tiles_per[pos] as f64);
+        wd.dma_bytes = Bound::exact(2.0 * 8.0 * elems_per[pos] as f64);
+    });
+
+    // Phases 3 and 4: bin-major rows in and out; the azimuth phase
+    // additionally issues its exact per-bin RCMC gathers as blocking
+    // 8 B reads.
+    let mut gathers_per = vec![0u64; nc];
+    for i in 0..bins {
+        gathers_per[owner(i, nc)] += rcmc_gathers(w, i).count() as u64;
+    }
+    let col_bytes = layout.col_bytes() as f64;
+    for (name, per_bin, gathers) in [
+        ("doppler", per_doppler_bin, &vec![0; nc]),
+        ("azimuth", per_azimuth_bin, &gathers_per),
+    ] {
+        spmd::phase(&mut m, name, 1, |pos, wd| {
+            let rows = owned(bins, nc, pos) as u64;
+            let rows_f = rows as f64;
+            wd.exact_ops(per_bin.scaled(rows));
+            wd.compute_calls = Bound::exact(rows_f);
+            wd.dma_msgs = Bound::exact(rows_f);
+            wd.dma_bytes = Bound::exact(rows_f * col_bytes);
+            wd.ext_read_msgs = Bound::exact(gathers[pos] as f64);
+            wd.ext_read_bytes = Bound::exact(8.0 * gathers[pos] as f64);
+            wd.ext_write_msgs = Bound::exact(rows_f);
+            wd.ext_write_bytes = Bound::exact(rows_f * col_bytes);
+        });
+    }
+    m
 }
 
 #[cfg(test)]

@@ -1,33 +1,107 @@
 //! What the SPMD drivers ([`crate::ffbp_spmd`], [`crate::rda_spmd`])
-//! share: the chip and active-core set for a pinned core count, and
-//! the checkpoint/restart recovery policy.
+//! and their program models share: the mesh and active-core set for a
+//! pinned core count, the round-robin deal of work units over those
+//! cores, and the checkpoint/restart recovery policy with the
+//! drain-flag + barrier protocol that closes every phase — executed by
+//! [`checkpointed`], declared by [`model`] and [`phase`].
 
 use desim::Cycle;
 use epiphany::{Chip, EpiphanyParams};
 use faultsim::FaultState;
-use sim_harness::RunContext;
+use sim_harness::{BarrierDecl, Bound, FlagDecl, PhaseDecl, ProgramModel, RunContext, WorkDecl};
 
-/// The chip an SPMD run of `cores` cores executes on, armed with the
-/// context's tracer and fault schedule, and the cores that take part.
-/// `None` means every core of the platform's mesh; a smaller count
-/// occupies a compact [`Chip::subgrid_cores`] subgrid so its hop
-/// counts match a dedicated chip; a larger one (ablations) gets the
-/// minimal covering mesh.
+/// The mesh an SPMD run of `cores` cores occupies on a platform whose
+/// mesh is `mesh`, and the cores that take part. `None` means every
+/// core of the platform's mesh; a smaller count occupies a compact
+/// [`Chip::subgrid_on`] subgrid so its hop counts match a dedicated
+/// chip; a larger one (ablations) gets the minimal covering mesh.
+pub(crate) fn sizing(mesh: (u16, u16), cores: Option<usize>) -> ((u16, u16), Vec<usize>) {
+    let platform_cores = mesh.0 as usize * mesh.1 as usize;
+    let n = cores.unwrap_or(platform_cores);
+    let (cols, rows) = if n <= platform_cores {
+        mesh
+    } else {
+        Chip::mesh_for_cores(n)
+    };
+    ((cols, rows), Chip::subgrid_on(cols, rows, n))
+}
+
+/// The chip an SPMD run of `cores` cores executes on ([`sizing`]),
+/// armed with the context's tracer and fault schedule, and the cores
+/// that take part.
 pub(crate) fn chip_for(
     params: EpiphanyParams,
     cores: Option<usize>,
     ctx: &RunContext,
 ) -> (Chip, Vec<usize>) {
-    let n_cores = cores.unwrap_or_else(|| params.cores());
-    let mut chip = if n_cores <= params.cores() {
-        Chip::from_params(params)
-    } else {
-        Chip::with_cores(params, n_cores)
-    };
+    let ((cols, rows), active) = sizing((params.mesh_cols, params.mesh_rows), cores);
+    let mut chip = Chip::new(params, cols, rows);
     chip.set_tracer(ctx.tracer.clone());
     chip.set_faults(ctx.faults.clone());
-    let active = chip.subgrid_cores(n_cores);
     (chip, active)
+}
+
+/// The round-robin deal: the position, among `n` active cores, of the
+/// core that takes work unit `unit`.
+pub(crate) fn owner(unit: usize, n: usize) -> usize {
+    unit % n
+}
+
+/// How many of `units` work units the deal hands the core at position
+/// `pos` of `n`.
+pub(crate) fn owned(units: usize, n: usize, pos: usize) -> usize {
+    units / n + usize::from(pos < units % n)
+}
+
+/// The model skeleton of an SPMD mapping sized by [`sizing`]: every
+/// active core drains its posted writes behind its own flag once per
+/// phase round and joins the barrier `barrier` — what [`checkpointed`]
+/// executes. A lost drain is recovered by redoing the phase from its
+/// intact input region.
+pub(crate) fn model(mesh: (u16, u16), cores: Option<usize>, barrier: &str) -> ProgramModel {
+    let ((cols, rows), active) = sizing(mesh, cores);
+    let mut m = ProgramModel::new(cols, rows);
+    for &c in &active {
+        m.flags.push(FlagDecl {
+            label: format!("drain[{c}]"),
+            setter: c,
+            waiter: c,
+            sets: 1,
+            waits: 1,
+            recovery: Some("checkpoint_restart".to_string()),
+        });
+    }
+    m.barriers.push(BarrierDecl {
+        label: barrier.to_string(),
+        participants: active.clone(),
+        arrivals: active.clone(),
+    });
+    m.cores = active;
+    m
+}
+
+/// Declare one [`checkpointed`] phase of `rounds` rounds on `m`:
+/// `work(pos, decl)` fills in what the core at deal position `pos`
+/// does per round; the closing drain wait and barrier are added here.
+pub(crate) fn phase(
+    m: &mut ProgramModel,
+    name: &str,
+    rounds: u64,
+    mut work: impl FnMut(usize, &mut WorkDecl),
+) {
+    let mut ph = PhaseDecl {
+        name: name.to_string(),
+        rounds,
+        barriers: 1,
+        ..PhaseDecl::default()
+    };
+    for (pos, &core) in m.cores.iter().enumerate() {
+        let mut wd = WorkDecl::new(core);
+        wd.flag_waits = Bound::exact(1.0);
+        work(pos, &mut wd);
+        ph.work.push(wd);
+    }
+    m.workload.push(ph);
 }
 
 /// Run `body` as one checkpointed phase named `phase` and return what
@@ -97,6 +171,41 @@ mod tests {
     use crate::{ffbp_spmd, rda_spmd};
     use faultsim::{FaultEvent, FaultPlan};
     use sim_harness::{FfbpWorkload, RdaWorkload};
+
+    #[test]
+    fn the_deal_hands_out_every_unit_exactly_once() {
+        // n divides units, n does not, n exceeds units, one core — and
+        // 15: the 16-core active set after `checkpointed` dropped one.
+        for (units, n) in [(64, 16), (129, 16), (5, 16), (7, 1), (129, 15)] {
+            let mut dealt = vec![0; n];
+            for unit in 0..units {
+                dealt[owner(unit, n)] += 1;
+            }
+            let counted: Vec<usize> = (0..n).map(|pos| owned(units, n, pos)).collect();
+            assert_eq!(dealt, counted, "{units} units over {n} cores");
+            assert_eq!(counted.iter().sum::<usize>(), units);
+        }
+    }
+
+    #[test]
+    fn sizing_is_what_the_chip_is_built_with() {
+        let ctx = RunContext::plain();
+        for (params, cores) in [
+            (EpiphanyParams::default(), None),
+            (EpiphanyParams::default(), Some(4)),
+            (EpiphanyParams::default(), Some(32)),
+            (EpiphanyParams::e64(), Some(16)),
+        ] {
+            let (mesh, active) = sizing((params.mesh_cols, params.mesh_rows), cores);
+            let (chip, chip_active) = chip_for(params, cores, &ctx);
+            assert_eq!(chip.mesh_dims(), mesh);
+            assert_eq!(chip_active, active);
+            let m = model((params.mesh_cols, params.mesh_rows), cores, "end");
+            assert_eq!((m.mesh, &m.cores), (mesh, &active));
+            assert_eq!(m.flags.len(), active.len());
+            assert_eq!(m.barriers[0].arrivals, active);
+        }
+    }
 
     #[test]
     fn a_halted_core_is_dropped_and_its_phase_redone() {

@@ -1,0 +1,116 @@
+//! The refactoring gate for the program models: every model a mapping
+//! can export — through the registry and through the driver options
+//! the registry never sets — must keep its bytes and its price.
+//!
+//! `tests/golden/models.jsonl` holds one line per case below, written
+//! by the commit before the model builders moved next to their drivers
+//! (when they were one `program_model.rs`): the FNV-1a 64 hash of the
+//! model's `Debug` rendering and the [`sarlint::cost::CostReport`] it
+//! prices to. A deliberate model change regenerates the file and says
+//! what moved.
+
+use desim::Json;
+use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
+use sar_epiphany::rda_spmd::{self, RdaSpmdOptions};
+use sar_epiphany::{all_mappings, mapping_named_placed};
+use sarlint::cost::cost_model;
+use sim_harness::{
+    all_platforms, platform_named, FfbpWorkload, Placement, Platform, ProgramModel, RdaWorkload,
+    Workload,
+};
+
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn line(case: &str, model: &ProgramModel, platform: &dyn Platform) -> String {
+    Json::obj()
+        .with("case", case)
+        .with(
+            "model_fnv",
+            format!("{:016x}", fnv1a64(&format!("{model:?}"))),
+        )
+        .with("cost", cost_model(model, platform).to_json())
+        .to_string()
+}
+
+/// The 16 registered pairs that export a model at small scale, then the
+/// cases only a direct call reaches: both pipeline mappings scattered,
+/// the SPMD drivers' core pins (subgrid, covering mesh, E64 corner),
+/// prefetch off, and `rda_spmd` at paper scale (where the raw-row tail
+/// buffers and the second DMA descriptor per row exist).
+fn model_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for m in all_mappings() {
+        let w = Workload::named(m.kernel(), true).expect("kernel resolves");
+        for p in all_platforms() {
+            if !m.supports(p.kind()) {
+                continue;
+            }
+            if let Some(model) = m.program_model(&w, p.as_ref()) {
+                let case = format!("{} x {}", m.name(), p.label());
+                lines.push(line(&case, &model, p.as_ref()));
+            }
+        }
+    }
+
+    let e16 = platform_named("epiphany").expect("platform resolves");
+    let e64 = platform_named("e64").expect("platform resolves");
+    let autofocus = Workload::named("autofocus", true).expect("kernel resolves");
+    for name in ["autofocus_mpmd", "autofocus_net"] {
+        let m = mapping_named_placed(name, Placement::scattered()).expect("placeable");
+        let model = m
+            .program_model(&autofocus, e16.as_ref())
+            .expect("exports a model");
+        lines.push(line(&format!("{name} scattered"), &model, e16.as_ref()));
+    }
+
+    let ffbp = FfbpWorkload::small();
+    let pinned = |cores| SpmdOptions {
+        cores: Some(cores),
+        ..SpmdOptions::default()
+    };
+    let no_prefetch = SpmdOptions {
+        prefetch: false,
+        ..SpmdOptions::default()
+    };
+    for (case, opts, platform) in [
+        ("ffbp_spmd cores=4", pinned(4), &e16),
+        ("ffbp_spmd cores=32 (covering mesh)", pinned(32), &e16),
+        ("ffbp_spmd prefetch=off", no_prefetch, &e16),
+        ("ffbp_spmd cores=16 on e64", pinned(16), &e64),
+    ] {
+        let params = platform.epiphany_params().expect("epiphany family");
+        let model = ffbp_spmd::model(&ffbp, &opts, (params.mesh_cols, params.mesh_rows));
+        lines.push(line(case, &model, platform.as_ref()));
+    }
+
+    for (case, w, opts) in [
+        (
+            "rda_spmd cores=4",
+            RdaWorkload::small(),
+            RdaSpmdOptions { cores: Some(4) },
+        ),
+        (
+            "rda_spmd paper scale",
+            RdaWorkload::paper(),
+            RdaSpmdOptions::default(),
+        ),
+    ] {
+        let model = rda_spmd::model(&w, &opts, (4, 4));
+        lines.push(line(case, &model, e16.as_ref()));
+    }
+    lines
+}
+
+#[test]
+fn program_models_match_the_checked_in_bytes() {
+    let fresh = model_lines();
+    let expected = include_str!("golden/models.jsonl");
+    assert_eq!(expected.lines().count(), fresh.len());
+    for (fresh, expected) in fresh.iter().zip(expected.lines()) {
+        assert_eq!(fresh, expected);
+    }
+}

@@ -39,7 +39,7 @@
 //! let doubler = net.add_actor("doubler", 0, Box::new(Doubler));
 //! let sink = net.add_actor("sink", 1, Box::new(Sink(Vec::new())));
 //! net.connect(doubler, sink);
-//! net.feed(doubler, 21, 8);
+//! net.feed(doubler, 21);
 //! net.run();
 //! ```
 

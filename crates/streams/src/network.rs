@@ -135,9 +135,8 @@ impl<T> Network<T> {
     }
 
     /// Inject an external token directly into `actor` (which must have
-    /// no input channels — a source). `bytes` models the host-side
-    /// delivery (charged as an external read by the source when fired).
-    pub fn feed(&mut self, actor: ActorId, token: T, bytes: u64) {
+    /// no input channels — a source).
+    pub fn feed(&mut self, actor: ActorId, token: T) {
         let slot = &self.actors[actor.0];
         assert!(
             slot.source.is_some() || slot.inputs.is_empty(),
@@ -162,7 +161,6 @@ impl<T> Network<T> {
         };
         let ready = self.chip.now(self.actors[actor.0].core);
         self.channels[chan.0].push(ready, token);
-        let _ = bytes;
     }
 
     /// Whether `actor` can fire now.
@@ -236,11 +234,6 @@ impl<T> Network<T> {
         self.channels[channel.0].tokens_carried
     }
 
-    /// High-water queue depth of `channel`.
-    pub fn max_queue_depth(&self, channel: ChannelId) -> u64 {
-        self.channels[channel.0].max_depth
-    }
-
     /// Deepest any channel queue has grown since construction (or the
     /// last [`Network::take_queue_peak`]).
     pub fn queue_peak(&self) -> u64 {
@@ -270,15 +263,6 @@ impl<T> Network<T> {
     /// Mutable chip access (e.g. initial DMA loads before running).
     pub fn chip_mut(&mut self) -> &mut Chip {
         &mut self.chip
-    }
-
-    /// Consume the network, returning the chip and the actors'
-    /// behaviours for inspection (sinks often accumulate results).
-    pub fn into_parts(self) -> (Chip, Vec<Box<dyn Actor<T>>>) {
-        (
-            self.chip,
-            self.actors.into_iter().map(|a| a.behaviour).collect(),
-        )
     }
 }
 
@@ -330,15 +314,12 @@ mod tests {
         net.connect(a, b);
         net.connect(b, sink);
         for v in [10u64, 20, 30] {
-            net.feed(a, v, 8);
+            net.feed(a, v);
         }
         let firings = net.run();
         assert_eq!(firings, 9); // 3 tokens x 3 actors
         assert_eq!(net.firings(sink), 3);
-        let (chip, actors) = net.into_parts();
-        assert!(chip.elapsed() > Cycle::ZERO);
-        // Downcast-free inspection: the sink is the third actor.
-        let _ = actors;
+        assert!(net.chip().elapsed() > Cycle::ZERO);
     }
 
     struct CollectProbe(std::rc::Rc<std::cell::RefCell<Vec<u64>>>);
@@ -356,7 +337,7 @@ mod tests {
         let sink = net.add_actor("sink", 1, Box::new(CollectProbe(results.clone())));
         net.connect(a, sink);
         for v in [1u64, 2, 3, 4] {
-            net.feed(a, v, 8);
+            net.feed(a, v);
         }
         net.run();
         assert_eq!(*results.borrow(), vec![2, 3, 4, 5]);
@@ -373,9 +354,9 @@ mod tests {
         let join = net.add_actor("join", 10, Box::new(CollectProbe(results.clone())));
         net.connect(left, join);
         net.connect(right, join);
-        net.feed(left, 100, 8);
-        net.feed(left, 200, 8);
-        net.feed(right, 1, 8);
+        net.feed(left, 100);
+        net.feed(left, 200);
+        net.feed(right, 1);
         net.run();
         // Only one pair available: (101) + (2).
         assert_eq!(*results.borrow(), vec![103]);
@@ -399,7 +380,7 @@ mod tests {
         let p = net.add_actor("heavy", 0, Box::new(Heavy));
         let s = net.add_actor("sink", 15, Box::new(CollectProbe(results.clone())));
         net.connect(p, s);
-        net.feed(p, 7, 8);
+        net.feed(p, 7);
         net.run();
         // Compute (10k FMA) + 4 KB across six hops must both show.
         let elapsed = net.chip().elapsed();
@@ -417,7 +398,7 @@ mod tests {
             net.connect(a, b);
             net.connect(b, s);
             for v in 0..20u64 {
-                net.feed(a, v, 64);
+                net.feed(a, v);
             }
             net.run();
             net.chip().elapsed()
@@ -436,7 +417,7 @@ mod tests {
         }
         let mut net = Network::new(chip());
         let a = net.add_actor("bad", 0, Box::new(Bad));
-        net.feed(a, 1, 8);
+        net.feed(a, 1);
         net.run();
     }
 
@@ -447,7 +428,7 @@ mod tests {
         let a = net.add_actor("a", 0, Box::new(AddOne));
         let b = net.add_actor("b", 1, Box::new(AddOne));
         net.connect(a, b);
-        net.feed(b, 1, 8);
+        net.feed(b, 1);
     }
 
     #[test]
@@ -456,16 +437,13 @@ mod tests {
         let mut net = Network::new(chip());
         let a = net.add_actor("inc", 0, Box::new(AddOne));
         let sink = net.add_actor("sink", 1, Box::new(CollectProbe(results.clone())));
-        let chan = net.connect(a, sink);
+        net.connect(a, sink);
         for v in 0..5u64 {
-            net.feed(a, v, 8);
+            net.feed(a, v);
         }
         // All five feeds queue on the synthetic source channel.
         assert_eq!(net.queue_peak(), 5);
         net.run();
-        // The greedy scheduler drains the source first, so the a->sink
-        // channel also backs up to five before the sink fires.
-        assert_eq!(net.max_queue_depth(chan), 5);
         assert_eq!(net.take_queue_peak(), 5);
         // After the drain every queue is empty, so the reset peak is 0.
         assert_eq!(net.queue_peak(), 0);

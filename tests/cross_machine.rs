@@ -6,9 +6,9 @@
 use sar_repro::desim::Frequency;
 use sar_repro::epiphany::EpiphanyParams;
 use sar_repro::refcpu::RefCpuParams;
-use sar_repro::sar_epiphany::autofocus_mpmd;
 use sar_repro::sar_epiphany::ffbp_spmd::{self, SpmdOptions};
 use sar_repro::sar_epiphany::rda_spmd::{self, RdaSpmdOptions};
+use sar_repro::sar_epiphany::{autofocus_mpmd, autofocus_net};
 use sar_repro::sar_epiphany::{autofocus_ref, autofocus_seq, ffbp_ref, ffbp_seq, rda_seq};
 use sar_repro::sim_harness::{AutofocusWorkload, FfbpWorkload, Placement, RdaWorkload, RunContext};
 
@@ -43,14 +43,32 @@ fn all_machines_form_the_same_rda_image() {
 #[test]
 fn all_machines_compute_the_same_criterion_sweep() {
     let ctx = RunContext::plain();
-    let w = AutofocusWorkload::small();
-    let a = autofocus_ref::run(&w, autofocus_ref::params()).sweep;
-    let b = autofocus_seq::run(&w, autofocus_seq::params(), &ctx).sweep;
-    let c = autofocus_mpmd::run(&w, autofocus_seq::params(), Placement::neighbor(), &ctx).sweep;
-    assert_eq!(a, b);
-    for ((s1, v1), (s2, v2)) in b.iter().zip(&c) {
-        assert_eq!(s1, s2);
-        assert!((v1 - v2).abs() <= 1e-3 * v1.abs().max(1.0));
+    // The test sweep, and the degenerate one-point grid: a single
+    // hypothesis tests no compensation (shift 0), on every driver.
+    let one_point = AutofocusWorkload {
+        hypotheses: 1,
+        ..AutofocusWorkload::small()
+    };
+    for w in [AutofocusWorkload::small(), one_point] {
+        let a = autofocus_ref::run(&w, autofocus_ref::params());
+        let b = autofocus_seq::run(&w, autofocus_seq::params(), &ctx);
+        assert_eq!(a.sweep.len(), w.hypotheses);
+        assert_eq!(a.sweep, b.sweep);
+        assert_eq!(a.best, b.best);
+        if w.hypotheses == 1 {
+            assert_eq!(a.sweep[0].0, 0.0);
+        }
+        for pipeline in [
+            autofocus_mpmd::run(&w, autofocus_seq::params(), Placement::neighbor(), &ctx),
+            autofocus_net::run(&w, autofocus_seq::params(), Placement::neighbor(), &ctx),
+        ] {
+            assert_eq!(pipeline.sweep.len(), w.hypotheses);
+            for ((s1, v1), (s2, v2)) in b.sweep.iter().zip(&pipeline.sweep) {
+                assert_eq!(s1, s2);
+                assert!((v1 - v2).abs() <= 1e-3 * v1.abs().max(1.0));
+            }
+            assert_eq!(pipeline.best.0, b.best.0);
+        }
     }
 }
 
@@ -346,5 +364,57 @@ fn registry_records_match_the_checked_in_bytes() {
     assert_eq!(expected.lines().count(), fresh.len());
     for (i, (record, line)) in fresh.iter().zip(expected.lines()).enumerate() {
         assert!(record == line, "record {i} differs: {}", &record[..120]);
+    }
+}
+
+/// The driver option paths `registry_records.jsonl` never takes, one
+/// `RunRecord` JSON line each in this order: `ffbp_spmd` pinned to a
+/// 4-core subgrid, over-subscribed to 32 cores (covering mesh), with
+/// prefetch off, and pinned to 16 cores of the E64; `rda_spmd` on 4
+/// cores; `autofocus_net` with the scattered placement.
+/// `tests/golden/option_records.jsonl` was written by the commit before
+/// the drivers and their program models started sharing their sizing,
+/// deal and staging code, so that sharing must reproduce every byte.
+#[test]
+fn option_records_match_the_checked_in_bytes() {
+    let ctx = RunContext::plain();
+    let ffbp_w = FfbpWorkload::small();
+    let e16 = EpiphanyParams::default();
+    let pinned = |cores| SpmdOptions {
+        cores: Some(cores),
+        ..SpmdOptions::default()
+    };
+    let no_prefetch = SpmdOptions {
+        prefetch: false,
+        ..SpmdOptions::default()
+    };
+    let fresh = [
+        ffbp_spmd::run(&ffbp_w, e16, pinned(4), &ctx).record,
+        ffbp_spmd::run(&ffbp_w, e16, pinned(32), &ctx).record,
+        ffbp_spmd::run(&ffbp_w, e16, no_prefetch, &ctx).record,
+        ffbp_spmd::run(&ffbp_w, EpiphanyParams::e64(), pinned(16), &ctx).record,
+        rda_spmd::run(
+            &RdaWorkload::small(),
+            e16,
+            RdaSpmdOptions { cores: Some(4) },
+            &ctx,
+        )
+        .record,
+        autofocus_net::run(
+            &AutofocusWorkload::small(),
+            autofocus_seq::params(),
+            Placement::scattered(),
+            &ctx,
+        )
+        .record,
+    ];
+    let expected = include_str!("golden/option_records.jsonl");
+    assert_eq!(expected.lines().count(), fresh.len());
+    for (record, line) in fresh.iter().zip(expected.lines()) {
+        assert!(
+            record.to_json().to_string() == line,
+            "{} differs",
+            record.label
+        );
     }
 }

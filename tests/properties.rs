@@ -222,7 +222,7 @@ fn stream_pipelines_deliver_every_token_in_order() {
             let sink = net.add_actor("sink", 15, Box::new(Probe(out.clone())));
             net.connect(prev, sink);
             for &v in &values {
-                net.feed(first, v, 8);
+                net.feed(first, v);
             }
             net.run();
             let elapsed = net.chip().elapsed();
