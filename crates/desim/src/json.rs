@@ -7,6 +7,12 @@
 //!
 //! Non-finite numbers (which JSON cannot represent) are written as
 //! `null`; the parser maps `null` back to [`Json::Null`].
+//!
+//! The parser reads its input once, left to right, so parse time is
+//! linear in the document. Specs and resumed documents come from
+//! outside the program: nesting is bounded ([`MAX_DEPTH`]), a number
+//! that overflows `f64` is an error, and every failure is a
+//! [`JsonError`] with a byte offset, never a panic.
 
 use std::fmt;
 
@@ -126,21 +132,28 @@ impl Json {
         }
     }
 
-    /// Parse a JSON document (must consume the full input).
+    /// Parse a JSON document (must consume the full input). Containers
+    /// may nest [`MAX_DEPTH`] deep; numbers must be finite.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing characters"));
         }
         Ok(value)
     }
 }
+
+/// Deepest container nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the bound is what keeps a hostile
+/// `[[[[…` from overflowing the stack; our deepest document is < 12.
+pub const MAX_DEPTH: usize = 128;
 
 fn write_number(out: &mut String, x: f64) {
     use fmt::Write;
@@ -275,11 +288,12 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -288,13 +302,13 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
@@ -307,7 +321,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_keyword(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -321,11 +335,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse one container, refusing to recurse past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = container(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -383,52 +411,61 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next delimiter in one piece. Both
+            // delimiters are ASCII, so the run ends on a char boundary
+            // of the (already valid) input text.
+            let rest = &self.text[self.pos..];
+            let Some(run) = rest.bytes().position(|b| b == b'"' || b == b'\\') else {
+                self.pos = self.text.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
+            }
             match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogates are not needed for our records.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => out.push(self.unicode_escape()?),
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// The four hex digits after the `u` at `at`.
+    fn hex4(&self, at: usize) -> Result<u32, JsonError> {
+        self.text
+            .get(at + 1..at + 5)
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| self.err("bad \\u escape"))
+    }
+
+    /// Decode the escape whose `u` is at `pos`, leaving `pos` on its
+    /// last digit. A high surrogate must be followed by an escaped low
+    /// one (JSON's spelling of a character beyond U+FFFF); any other
+    /// surrogate is not a character.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let mut code = self.hex4(self.pos)?;
+        if (0xD800..0xDC00).contains(&code)
+            && self.text.as_bytes().get(self.pos + 5..self.pos + 7) == Some(b"\\u")
+        {
+            let low = self.hex4(self.pos + 6)?;
+            if (0xDC00..0xE000).contains(&low) {
+                code = 0x1_0000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                self.pos += 6;
             }
         }
+        let c = char::from_u32(code).ok_or_else(|| self.err("bad \\u code point"))?;
+        self.pos += 4;
+        Ok(c)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -439,10 +476,13 @@ impl<'a> Parser<'a> {
         while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+        match self.text[start..self.pos].parse::<f64>() {
+            // `1e999` parses to infinity, which would be written back
+            // as `null`.
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("bad number")),
+        }
     }
 }
 
@@ -514,6 +554,79 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("01x").is_err());
         assert!(Json::parse("{} extra").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("nesting too deep", MAX_DEPTH)
+        );
+        // Far past any stack: an error, not an abort. Siblings do not
+        // count, only open containers do.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&r#"{"a":["#.repeat(100_000)).is_err());
+        assert!(Json::parse(&format!("[{}[]]", "[[]],".repeat(1000))).is_ok());
+    }
+
+    #[test]
+    fn numbers_must_be_finite() {
+        for text in ["1e999", "-1e999", "[1, 1e400]"] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.message, "number out of range", "{text}");
+        }
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Num(0.0));
+        assert_eq!(
+            Json::parse("1.7976931348623157e308").unwrap().as_f64(),
+            Some(f64::MAX)
+        );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_are_rejected() {
+        let parsed = |text: &str| Json::parse(text).map(|j| j.as_str().unwrap().to_string());
+        assert_eq!(parsed(r#""\ud83d\ude00""#).unwrap(), "\u{1F600}");
+        assert_eq!(
+            parsed(r#""a\ud800\udc00b\uDBFF\uDFFF""#).unwrap(),
+            "a\u{10000}b\u{10FFFF}"
+        );
+        assert_eq!(parsed(r#""\u00e9\u20ac""#).unwrap(), "é€");
+        for lone in [
+            r#""\ud800""#,
+            r#""\ud800x""#,
+            r#""\udc00""#,
+            r#""\ud83dA""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            let err = parsed(lone).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                ("bad \\u code point", 2),
+                "{lone}"
+            );
+        }
+        assert_eq!(
+            parsed(r#""\ud83d\uzz00""#).unwrap_err().message,
+            "bad \\u escape"
+        );
+        assert_eq!(parsed(r#""\u12"#).unwrap_err().message, "bad \\u escape");
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        let at = |text: &str| {
+            let err = Json::parse(text).unwrap_err();
+            (err.message, err.offset)
+        };
+        assert_eq!(at("\"abc"), ("unterminated string".to_string(), 4));
+        assert_eq!(at("\"λ"), ("unterminated string".to_string(), 3));
+        assert_eq!(at("\"ab\\"), ("bad escape".to_string(), 4));
+        assert_eq!(at("\"ab\\x\""), ("bad escape".to_string(), 4));
+        assert_eq!(at("[\"a\" \"b\"]"), ("expected ',' or ']'".to_string(), 5));
     }
 
     #[test]

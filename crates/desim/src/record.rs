@@ -8,8 +8,9 @@
 //! FFBP merge iteration or per autofocus pipeline stage — replaces the
 //! aggregate-only reports the drivers used to emit.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Mutex;
 
 use crate::json::Json;
 use crate::power::PowerRecord;
@@ -437,6 +438,13 @@ impl PhaseRecord {
     }
 }
 
+/// Every counter name [`RunRecord::from_json`] has met. [`Counters`]
+/// keys are `&'static str` so the machine models count without
+/// allocating; a parsed name has to be leaked to become one, and this
+/// table makes that happen once per distinct name instead of once per
+/// counter per parse.
+static COUNTER_NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+
 /// Summary of one simulated (or measured) run — the single result
 /// shape shared by every platform and mapping.
 #[derive(Debug, Clone)]
@@ -603,15 +611,24 @@ impl RunRecord {
     }
 
     /// Parse back from [`RunRecord::to_json`] output. Counter names are
-    /// interned (leaked) — records hold a small, bounded name set.
+    /// interned: each distinct name is leaked once per process, however
+    /// many records carry it — records hold a small, bounded name set.
     pub fn from_json(json: &Json) -> Option<RunRecord> {
         let s = |key: &str| Some(json.get(key)?.as_str()?.to_string());
         let f = |key: &str| json.get(key).and_then(Json::as_f64);
         let u = |key: &str| json.get(key).and_then(Json::as_u64);
         let mut counters = Counters::new();
         if let Some(members) = json.get("counters").and_then(Json::as_object) {
+            let mut names = COUNTER_NAMES
+                .lock()
+                .expect("nothing panics while holding the name table");
             for (k, v) in members {
-                counters.add(Box::leak(k.clone().into_boxed_str()), v.as_u64()?);
+                let name = names.get(k.as_str()).copied().unwrap_or_else(|| {
+                    let name: &'static str = Box::leak(k.as_str().into());
+                    names.insert(name);
+                    name
+                });
+                counters.add(name, v.as_u64()?);
             }
         }
         let mut metrics = BTreeMap::new();
@@ -753,6 +770,24 @@ mod tests {
         // A modelled breakdown takes precedence.
         r.energy.compute_j = 2e-3;
         assert!((r.energy_j() - 2e-3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_second_parse_reuses_the_counter_names_of_the_first() {
+        let mut r = record(1);
+        r.counters.add("flop", 1);
+        r.counters.add("a_counter_no_model_emits", 2);
+        let json = r.to_json();
+        let first = RunRecord::from_json(&json).unwrap();
+        let second = RunRecord::from_json(&json).unwrap();
+        assert_eq!(first.counters.iter().count(), 2);
+        for ((a, _), (b, _)) in first.counters.iter().zip(second.counters.iter()) {
+            assert_eq!(a, b);
+            assert!(
+                std::ptr::eq(a.as_ptr(), b.as_ptr()),
+                "'{a}' was leaked again by the second parse"
+            );
+        }
     }
 
     #[test]

@@ -6,25 +6,35 @@
 //! emission calls.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use desim::trace::{MeshKind, Tracer, Track};
 use desim::Cycle;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The guard measures one
+    /// thread's loop; libtest's own threads allocate when they please,
+    /// and a process-wide count would charge that to the loop. Const
+    /// initialisation and no destructor: touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,7 +52,7 @@ fn disabled_tracer_never_allocates() {
     };
     // Warm up once so any lazy statics in the harness are paid for.
     tracer.span(Track::Core(0), "warmup", Cycle(0), Cycle(1));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..100_000u64 {
         tracer.span(
             Track::Core((i % 16) as u32),
@@ -53,7 +63,7 @@ fn disabled_tracer_never_allocates() {
         tracer.instant(link, "xfer", Cycle(i));
         tracer.counter(Track::Run, "energy_j", Cycle(i), i as f64);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -61,4 +71,7 @@ fn disabled_tracer_never_allocates() {
         after - before
     );
     assert_eq!(tracer.event_count(), 0);
+    // The zero above means something only if the counter counts.
+    drop(std::hint::black_box(Box::new(0u8)));
+    assert_eq!(allocations(), after + 1);
 }

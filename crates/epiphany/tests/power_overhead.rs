@@ -8,25 +8,35 @@
 //! two counts; the simulator is deterministic, so the counts are too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use epiphany::cost::OpCounts;
 use epiphany::{Chip, EpiphanyParams};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The guard measures one
+    /// thread's loop; libtest's own threads allocate when they please,
+    /// and a process-wide count would charge that to the loop. Const
+    /// initialisation and no destructor: touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,13 +59,13 @@ fn batch_allocations(in_phase: bool) -> u64 {
     if in_phase {
         chip.phase_begin("measured");
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..100_000usize {
         let core = i % 16;
         chip.compute(core, &ops);
         chip.write_remote(core, (core + 1) % 16, 64);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     if in_phase {
         chip.phase_end();
         let record = chip.report("overhead", 16);
@@ -68,6 +78,10 @@ fn batch_allocations(in_phase: bool) -> u64 {
 
 #[test]
 fn power_sampling_adds_no_hot_path_allocations() {
+    // Equal counts mean something only if the counter counts.
+    let before = allocations();
+    drop(std::hint::black_box(Box::new(0u8)));
+    assert_eq!(allocations(), before + 1);
     // First run pays for lazy statics; the second is the baseline.
     let _warmup = batch_allocations(false);
     let bare = batch_allocations(false);

@@ -4,7 +4,7 @@
 //! counting-allocator pattern as `desim`'s tracer guard.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use desim::trace::MeshKind;
 use desim::Cycle;
@@ -12,18 +12,28 @@ use faultsim::FaultState;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The guard measures one
+    /// thread's loop; libtest's own threads allocate when they please,
+    /// and a process-wide count would charge that to the loop. Const
+    /// initialisation and no destructor: touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,7 +46,7 @@ fn disabled_fault_state_never_allocates() {
     let faults = FaultState::disabled();
     // Warm up once so any lazy statics in the harness are paid for.
     let _ = faults.mesh_stall(MeshKind::CMesh, Cycle(0));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..100_000u64 {
         let now = Cycle(i);
         assert!(faults.mesh_stall(MeshKind::CMesh, now).is_none());
@@ -48,7 +58,7 @@ fn disabled_fault_state_never_allocates() {
         faults.add_retries(1);
         faults.add_recovery_cycles(10);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -56,4 +66,7 @@ fn disabled_fault_state_never_allocates() {
         after - before
     );
     assert_eq!(faults.totals(), desim::FaultRecord::default());
+    // The zero above means something only if the counter counts.
+    drop(std::hint::black_box(Box::new(0u8)));
+    assert_eq!(allocations(), after + 1);
 }

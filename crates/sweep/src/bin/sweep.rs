@@ -12,10 +12,12 @@
 //! re-running an unchanged grid simulates nothing and grown grids run
 //! only their new cells. The output is byte-identical for any
 //! `--threads` value. `--profile` prints where the wall time went
-//! (workload setup, each simulated cell, serialisation) without
-//! changing the output document.
+//! (loading the resumed document, workload setup, each simulated cell,
+//! serialisation, writing the file, and the total they add up to)
+//! without changing the output document.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use desim::Json;
 use sim_harness::{check_overwrite, BenchHarness, Diagnostic, RESULTS_DIR};
@@ -26,7 +28,27 @@ fn fail(d: &Diagnostic, code: i32) -> ! {
     std::process::exit(code);
 }
 
+/// Check, serialise and write the results document; a directory or
+/// file that cannot be written is a warning, a refused overwrite ends
+/// the process.
+fn write_document(h: &BenchHarness, path: &Path, document: &Json) {
+    if let Err(d) = check_overwrite(path, h.flag("force")) {
+        fail(&d, 2);
+    }
+    if let Some(dir) = path.parent() {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("warning: cannot create {}: {e}", dir.display());
+            return;
+        }
+    }
+    match std::fs::write(path, document.to_string_pretty()) {
+        Ok(()) => h.say(format_args!("\nwrote {}", path.display())),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    }
+}
+
 fn main() {
+    let started = Instant::now();
     let h = BenchHarness::new("sweep");
     let grid_path = match h.operand("grid") {
         Ok(Some(path)) => path.to_string(),
@@ -63,11 +85,13 @@ fn main() {
         || PathBuf::from(RESULTS_DIR).join(format!("sweep_{}.json", spec.name)),
         PathBuf::from,
     );
+    let t_load = Instant::now();
     let cache = if h.flag("resume") {
         CellCache::load(&out_path)
     } else {
         CellCache::empty()
     };
+    let load = h.flag("resume").then(|| t_load.elapsed());
 
     h.say(format_args!(
         "sweep '{}': {} pair(s) x {} seed(s) on {} thread(s){}",
@@ -86,22 +110,6 @@ fn main() {
         "{} cell(s): {} simulated, {} derived, {} from cache",
         outcome.cells_total, outcome.cells_run, outcome.cells_derived, outcome.cells_cached
     ));
-
-    if h.flag("profile") {
-        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-        h.say(format_args!("\nprofile: setup (workload build)"));
-        for (kernel, t) in &outcome.profile.setup {
-            h.say(format_args!("  {kernel:<28} {:>9.3} ms", ms(*t)));
-        }
-        h.say(format_args!("profile: simulate (per cell)"));
-        for (label, t) in &outcome.profile.cells {
-            h.say(format_args!("  {label:<28} {:>9.3} ms", ms(*t)));
-        }
-        h.say(format_args!(
-            "profile: serialize               {:>9.3} ms",
-            ms(outcome.profile.serialize)
-        ));
-    }
 
     if let Some(rows) = outcome
         .document
@@ -135,20 +143,62 @@ fn main() {
     if h.json() {
         print!("{}", outcome.document.to_string_pretty());
     }
-    if h.flag("no-write") {
-        return;
-    }
-    if let Err(d) = check_overwrite(&out_path, h.flag("force")) {
-        fail(&d, 2);
-    }
-    if let Some(dir) = out_path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return;
+    let write = (!h.flag("no-write")).then(|| {
+        let t_write = Instant::now();
+        write_document(&h, &out_path, &outcome.document);
+        t_write.elapsed()
+    });
+
+    if h.flag("profile") {
+        // Everything the user waited for, in the order it happened;
+        // `total` is the elapsed time of `main` and `unlisted` what no
+        // line above it accounts for.
+        let profile = &outcome.profile;
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let sum = |rows: &[(String, Duration)]| rows.iter().map(|(_, t)| *t).sum::<Duration>();
+        let line = |what: &str, t: Duration, note: &str| {
+            h.say(format_args!("profile: {what:<24} {:>9.3} ms{note}", ms(t)));
+        };
+        h.say(format_args!(""));
+        if let Some(load) = load {
+            let note = format!("  (read + parse + harvest, {} cached cell(s))", cache.len());
+            line("load", load, &note);
         }
-    }
-    match std::fs::write(&out_path, outcome.document.to_string_pretty()) {
-        Ok(()) => h.say(format_args!("\nwrote {}", out_path.display())),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", out_path.display()),
+        if profile.setup.is_empty() {
+            h.say(format_args!(
+                "profile: setup: none (every cell cached{})",
+                if outcome.cells_derived > 0 {
+                    " or derived from a cached one"
+                } else {
+                    ""
+                }
+            ));
+        } else {
+            line("setup", sum(&profile.setup), "  (workload build)");
+        }
+        for (kernel, t) in &profile.setup {
+            h.say(format_args!("  {kernel:<31} {:>9.3} ms", ms(*t)));
+        }
+        let note = format!(
+            "  ({} cell(s), {:.3} ms of worker time)",
+            profile.cells.len(),
+            ms(sum(&profile.cells))
+        );
+        line("simulate", profile.simulate, &note);
+        for (label, t) in &profile.cells {
+            h.say(format_args!("  {label:<31} {:>9.3} ms", ms(*t)));
+        }
+        line("serialize", profile.serialize, "");
+        if let Some(write) = write {
+            line("write", write, "  (overwrite check + text + file)");
+        }
+        let total = started.elapsed();
+        let listed = load.unwrap_or_default()
+            + sum(&profile.setup)
+            + profile.simulate
+            + profile.serialize
+            + write.unwrap_or_default();
+        let note = format!("  ({:.3} ms unlisted)", ms(total.saturating_sub(listed)));
+        line("total", total, &note);
     }
 }

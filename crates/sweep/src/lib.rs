@@ -17,7 +17,11 @@
 //!   `(mapping, platform, kernel, scale, seed, record version)`; a
 //!   [`CellCache`] loaded from a previous document satisfies matching
 //!   cells without simulating, so growing a grid re-runs only the new
-//!   cells ([`SweepOutcome::cells_run`] counts the difference).
+//!   cells ([`SweepOutcome::cells_run`] counts the difference). The
+//!   cache is resolved first and everything else follows from what is
+//!   left: a kernel none of whose cells is queued gets no workload,
+//!   one queued cell (or none) gets no worker thread, and a cached
+//!   record is serialised from the cache, not from a copy.
 //!
 //! The `sweep` binary wraps [`run_grid`] behind
 //! `--grid/--threads/--resume`; the grid spec format is documented on
@@ -25,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -337,11 +342,15 @@ impl CellCache {
 /// bytes.
 #[derive(Debug, Default)]
 pub struct SweepProfile {
-    /// Workload construction per kernel, in first-use order.
+    /// Workload construction per kernel with a cell to simulate, in
+    /// first-use order (empty when every cell was cached).
     pub setup: Vec<(String, Duration)>,
     /// Simulation wall time per *simulated* cell (cached and derived
     /// cells cost nothing), in canonical cell order.
     pub cells: Vec<(String, Duration)>,
+    /// Wall time of the simulation phase, every worker included: what
+    /// the caller waited for while `cells` were being simulated.
+    pub simulate: Duration,
     /// Assembling and pricing the results document.
     pub serialize: Duration,
 }
@@ -367,9 +376,10 @@ pub struct SweepOutcome {
 }
 
 /// Run every cell of `spec` not already in `cache`, fanning the work
-/// across `threads` scoped worker threads, and assemble the results
-/// document. The document depends only on the grid (not on `threads`
-/// or the cache hit pattern).
+/// across up to `threads` scoped worker threads (the caller itself
+/// when one worker is enough), and assemble the results document. The
+/// document depends only on the grid (not on `threads` or the cache
+/// hit pattern).
 ///
 /// **Seed fast-forward.** On a fault-free grid the simulation is a
 /// deterministic function of (mapping, platform, kernel, scale) alone:
@@ -388,7 +398,6 @@ pub fn run_grid(
     cache: &CellCache,
 ) -> Result<SweepOutcome, Diagnostic> {
     let cells = spec.cells();
-    // Kernel identity per pair, and each kernel's workload built once.
     let kernels: Vec<&'static str> = spec
         .pairs
         .iter()
@@ -398,24 +407,15 @@ pub fn run_grid(
                 .kernel()
         })
         .collect();
-    let mut profile = SweepProfile::default();
-    let mut workloads: HashMap<&'static str, Workload> = HashMap::new();
-    for &kernel in &kernels {
-        if !workloads.contains_key(kernel) {
-            let t0 = Instant::now();
-            let workload = Workload::named(kernel, spec.small).expect("registered kernel");
-            profile.setup.push((kernel.to_string(), t0.elapsed()));
-            workloads.insert(kernel, workload);
-        }
-    }
-    let kernel_of = |cell_index: usize| kernels[cell_index / spec.seeds.len()];
-
-    // Satisfy what the cache can; queue the rest. Fault-free grids
-    // additionally dedup seeds: a pair's first unresolved cell becomes
-    // the simulated representative, the rest are derived afterwards.
-    let dedup = spec.faults.is_none();
     let seeds_n = spec.seeds.len();
-    let mut slots: Vec<Option<RunRecord>> = Vec::with_capacity(cells.len());
+    let kernel_of = |cell_index: usize| kernels[cell_index / seeds_n];
+
+    // Satisfy what the cache can, borrowing its records; queue the
+    // rest. Fault-free grids additionally dedup seeds: a pair's first
+    // unresolved cell becomes the simulated representative, the rest
+    // are derived afterwards.
+    let dedup = spec.faults.is_none();
+    let mut slots: Vec<Option<Cow<'_, RunRecord>>> = Vec::with_capacity(cells.len());
     let mut work: Vec<usize> = Vec::new();
     let mut derive: Vec<usize> = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
@@ -427,19 +427,16 @@ pub fn run_grid(
             cell.seed,
             spec.faults.as_deref(),
         );
-        match cache.map.get(&key) {
-            Some(record) => slots.push(Some(record.clone())),
-            None => {
-                slots.push(None);
-                let pair_start = (i / seeds_n) * seeds_n;
-                let has_representative = dedup
-                    && (slots[pair_start..i].iter().any(Option::is_some)
-                        || work.last().is_some_and(|&w| w >= pair_start));
-                if has_representative {
-                    derive.push(i);
-                } else {
-                    work.push(i);
-                }
+        slots.push(cache.map.get(&key).map(Cow::Borrowed));
+        if slots[i].is_none() {
+            let pair_start = (i / seeds_n) * seeds_n;
+            let has_representative = dedup
+                && (slots[pair_start..i].iter().any(Option::is_some)
+                    || work.last().is_some_and(|&w| w >= pair_start));
+            if has_representative {
+                derive.push(i);
+            } else {
+                work.push(i);
             }
         }
     }
@@ -447,73 +444,87 @@ pub fn run_grid(
     let cells_derived = derive.len();
     let cells_cached = cells.len() - cells_run - cells_derived;
 
-    let slots = Mutex::new(slots);
-    let timings: Mutex<Vec<Option<Duration>>> = Mutex::new(vec![None; cells.len()]);
-    let errors: Mutex<Vec<Diagnostic>> = Mutex::new(Vec::new());
-    let cursor = AtomicUsize::new(0);
-    let workers = threads.clamp(1, work.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&cell_index) = work.get(next) else {
-                    return;
-                };
-                let cell = &cells[cell_index];
-                let t0 = Instant::now();
-                match simulate(
-                    cell,
-                    &workloads[kernel_of(cell_index)],
-                    spec.faults.as_deref(),
-                ) {
-                    Ok(record) => {
-                        slots.lock().expect("slots lock")[cell_index] = Some(record);
-                        timings.lock().expect("timings lock")[cell_index] = Some(t0.elapsed());
-                    }
-                    Err(d) => errors.lock().expect("error lock").push(d),
-                }
-            });
+    // Each kernel's workload is built once, and only if one of its
+    // cells is actually simulated: a fully cached grid builds none.
+    let mut profile = SweepProfile::default();
+    let mut workloads: HashMap<&'static str, Workload> = HashMap::new();
+    for &cell_index in &work {
+        let kernel = kernel_of(cell_index);
+        if !workloads.contains_key(kernel) {
+            let t0 = Instant::now();
+            let workload = Workload::named(kernel, spec.small).expect("registered kernel");
+            profile.setup.push((kernel.to_string(), t0.elapsed()));
+            workloads.insert(kernel, workload);
         }
-    });
-    if let Some(first) = errors.into_inner().expect("error lock").into_iter().next() {
-        return Err(first);
     }
 
-    let mut slots = slots.into_inner().expect("slots lock");
+    // Workers claim queued cells off a shared cursor. With at most one
+    // worker's worth of work the caller is that worker: no thread is
+    // spawned to simulate one cell, or none.
+    let done = Mutex::new(Vec::with_capacity(work.len()));
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        while let Some(&cell_index) = work.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let t0 = Instant::now();
+            let result = simulate(
+                &cells[cell_index],
+                &workloads[kernel_of(cell_index)],
+                spec.faults.as_deref(),
+            );
+            done.lock()
+                .expect("pushing into reserved capacity cannot panic")
+                .push((cell_index, t0.elapsed(), result));
+        }
+    };
+    let t_simulate = Instant::now();
+    let workers = threads.min(work.len());
+    if workers <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
+    profile.simulate = t_simulate.elapsed();
+    // Canonical cell order, whichever worker finished first: the
+    // profile lists cells in it and the first failing cell is reported.
+    let mut done = done
+        .into_inner()
+        .expect("pushing into reserved capacity cannot panic");
+    done.sort_by_key(|&(cell_index, ..)| cell_index);
+    for (cell_index, elapsed, result) in done {
+        let cell = &cells[cell_index];
+        profile.cells.push((
+            format!("{} x {} seed {}", cell.mapping, cell.platform, cell.seed),
+            elapsed,
+        ));
+        slots[cell_index] = Some(Cow::Owned(result?));
+    }
+
     // Fast-forward the deduped seeds: clone any resolved same-pair
     // record and re-stamp the identity counter.
     for &i in &derive {
         let pair_start = (i / seeds_n) * seeds_n;
         let mut record = slots[pair_start..pair_start + seeds_n]
             .iter()
-            .find_map(Clone::clone)
+            .find_map(|slot| slot.as_deref().cloned())
             .expect("a representative cell was simulated or cached");
         record.counters.set("fault_seed", cells[i].seed);
-        slots[i] = Some(record);
+        slots[i] = Some(Cow::Owned(record));
     }
-    let slots = slots;
-    for (i, timing) in timings
-        .into_inner()
-        .expect("timings lock")
+    let records: Vec<&RunRecord> = slots
         .iter()
-        .enumerate()
-    {
-        if let Some(elapsed) = timing {
-            let cell = &cells[i];
-            profile.cells.push((
-                format!("{} x {} seed {}", cell.mapping, cell.platform, cell.seed),
-                *elapsed,
-            ));
-        }
-    }
+        .map(|slot| slot.as_deref().expect("every cell resolved"))
+        .collect();
 
     let t_serialize = Instant::now();
     let cell_docs: Vec<Json> = cells
         .iter()
-        .zip(&slots)
+        .zip(&records)
         .enumerate()
         .map(|(i, (cell, record))| {
-            let record = record.as_ref().expect("every cell resolved");
             Json::obj()
                 .with(
                     "key",
@@ -539,8 +550,8 @@ pub fn run_grid(
         .with("version", RUN_RECORD_VERSION)
         .with("grid", spec.to_json())
         .with("cells", Json::Arr(cell_docs))
-        .with("scaling", scaling_summary(spec, &kernels, &cells, &slots))
-        .with("power", power_summary(spec, &cells, &slots));
+        .with("scaling", scaling_summary(spec, &kernels, &cells, &records))
+        .with("power", power_summary(spec, &cells, &records));
     profile.serialize = t_serialize.elapsed();
     Ok(SweepOutcome {
         document,
@@ -588,7 +599,7 @@ fn scaling_summary(
     spec: &GridSpec,
     kernels: &[&'static str],
     cells: &[Cell],
-    slots: &[Option<RunRecord>],
+    records: &[&RunRecord],
 ) -> Json {
     // First-seed record per pair (seeds replay the same simulation —
     // they only re-seed the fault plan).
@@ -596,7 +607,7 @@ fn scaling_summary(
         cells
             .iter()
             .position(|c| c.mapping == mapping && c.platform == platform)
-            .and_then(|i| slots[i].as_ref())
+            .map(|i| records[i])
     };
     let mut rows = Vec::with_capacity(spec.pairs.len());
     for (pair_index, pair) in spec.pairs.iter().enumerate() {
@@ -638,17 +649,16 @@ fn scaling_summary(
 /// power block, plus grid-wide peak-power percentiles over *every*
 /// priced cell (seeds included — fault recovery changes a cell's
 /// power profile even though its first-seed timing is shared).
-fn power_summary(spec: &GridSpec, cells: &[Cell], slots: &[Option<RunRecord>]) -> Json {
+fn power_summary(spec: &GridSpec, cells: &[Cell], records: &[&RunRecord]) -> Json {
     let mut peaks: Vec<f64> = Vec::new();
     let mut total_energy = 0.0;
-    let mut priced = 0usize;
-    for record in slots.iter().flatten() {
+    for record in records {
         if let Some(power) = &record.power {
             peaks.push(power.peak_power_w(record.elapsed.clock));
         }
         total_energy += record.energy_j();
-        priced += 1;
     }
+    let priced = records.len();
     // total_cmp gives a total order (NaN-safe), keeping the document
     // byte-deterministic whatever the records contain.
     peaks.sort_by(f64::total_cmp);
@@ -665,7 +675,7 @@ fn power_summary(spec: &GridSpec, cells: &[Cell], slots: &[Option<RunRecord>]) -
         let record = cells
             .iter()
             .position(|c| c.mapping == pair.mapping && c.platform == pair.platform)
-            .and_then(|i| slots[i].as_ref());
+            .map(|i| records[i]);
         let Some(record) = record else { continue };
         let mut row = Json::obj()
             .with("mapping", pair.mapping.as_str())
@@ -886,7 +896,67 @@ mod tests {
     }
 
     #[test]
+    fn a_fully_cached_grid_builds_no_workload_and_simulates_nothing() {
+        let spec = demo_spec();
+        let cold = run_grid(&spec, 2, &CellCache::empty()).expect("grid runs");
+        assert_eq!(cold.profile.setup.len(), 1, "one kernel, one workload");
+        assert_eq!(cold.profile.cells.len(), 2);
+        let cache = CellCache::from_document(&cold.document);
+        for threads in [1, 4] {
+            let resumed = run_grid(&spec, threads, &cache).expect("grid resumes");
+            assert!(resumed.profile.setup.is_empty(), "a workload was built");
+            assert!(resumed.profile.cells.is_empty(), "a cell was simulated");
+            assert_eq!((resumed.cells_run, resumed.cells_derived), (0, 0));
+            assert_eq!(resumed.cells_cached, 4);
+            assert_eq!(
+                cold.document.to_string_pretty(),
+                resumed.document.to_string_pretty()
+            );
+        }
+    }
+
+    #[test]
+    fn a_partially_cached_grid_builds_only_the_kernels_it_still_simulates() {
+        let grid = |pairs: &str| {
+            GridSpec::parse(&format!(
+                r#"{{"version": 1, "name": "t", "pairs": [{pairs}], "seeds": [7, 8]}}"#
+            ))
+            .expect("spec parses")
+        };
+        let autofocus = r#"{"mapping": "autofocus_seq", "platform": "epiphany"}"#;
+        let rda = r#"{"mapping": "rda_spmd", "platform": "epiphany"}"#;
+        let first = run_grid(&grid(autofocus), 1, &CellCache::empty()).expect("grid runs");
+        let cache = CellCache::from_document(&first.document);
+
+        let grown = grid(&format!("{autofocus}, {rda}"));
+        let resumed = run_grid(&grown, 1, &cache).expect("grown grid resumes");
+        let built: Vec<&str> = resumed
+            .profile
+            .setup
+            .iter()
+            .map(|(kernel, _)| kernel.as_str())
+            .collect();
+        assert_eq!(built, ["rda"], "the cached kernel needs no workload");
+        assert_eq!(
+            (
+                resumed.cells_run,
+                resumed.cells_derived,
+                resumed.cells_cached
+            ),
+            (1, 1, 2)
+        );
+        let cold = run_grid(&grown, 1, &CellCache::empty()).expect("grown grid runs");
+        assert_eq!(
+            cold.document.to_string_pretty(),
+            resumed.document.to_string_pretty()
+        );
+    }
+
+    #[test]
     fn thread_count_does_not_change_the_bytes() {
+        // One thread means the caller simulates inline; four means
+        // scoped workers racing for cells. Same bytes, and the profile
+        // lists the simulated cells in canonical order either way.
         let spec = demo_spec();
         let serial = run_grid(&spec, 1, &CellCache::empty()).expect("serial");
         let wide = run_grid(&spec, 4, &CellCache::empty()).expect("parallel");
@@ -894,6 +964,17 @@ mod tests {
             serial.document.to_string_pretty(),
             wide.document.to_string_pretty()
         );
+        let labels = |out: &SweepOutcome| -> Vec<String> {
+            out.profile.cells.iter().map(|(l, _)| l.clone()).collect()
+        };
+        assert_eq!(
+            labels(&serial),
+            [
+                "autofocus_seq x epiphany seed 7",
+                "autofocus_mpmd x e64 seed 7"
+            ]
+        );
+        assert_eq!(labels(&serial), labels(&wide));
     }
 
     #[test]

@@ -1,0 +1,122 @@
+//! The read-back path end to end: a document `sweep` wrote is a cache
+//! the next run loads in time linear in its size, a fully cached run
+//! rewrites it byte for byte, and `--profile` accounts for the load
+//! and the write, not only for what happens inside `run_grid`.
+
+use std::path::PathBuf;
+use std::process::Command;
+use std::time::{Duration, Instant};
+
+use sweep::{run_grid, CellCache, GridSpec};
+
+/// 8 pairs × 8 seeds at small scale: a 2 MB document.
+const GRID64: &str = r#"{
+    "version": 1,
+    "name": "grid64",
+    "small": true,
+    "pairs": [
+        {"mapping": "ffbp_seq", "platform": "epiphany"},
+        {"mapping": "ffbp_spmd", "platform": "epiphany"},
+        {"mapping": "ffbp_spmd", "platform": "e64"},
+        {"mapping": "autofocus_seq", "platform": "epiphany"},
+        {"mapping": "autofocus_mpmd", "platform": "epiphany"},
+        {"mapping": "autofocus_mpmd", "platform": "e64"},
+        {"mapping": "rda_spmd", "platform": "epiphany"},
+        {"mapping": "rda_spmd", "platform": "e64"}
+    ],
+    "seeds": [1, 2, 3, 4, 5, 6, 7, 8]
+}"#;
+
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sweep-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+#[test]
+fn a_64_cell_document_loads_back_in_linear_time() {
+    let spec = GridSpec::parse(GRID64).expect("spec parses");
+    let cold = run_grid(&spec, 1, &CellCache::empty()).expect("grid runs");
+    let text = cold.document.to_string_pretty();
+    assert!(text.len() > 1_500_000, "document is {} bytes", text.len());
+    let dir = scratch_dir("grid64");
+    let path = dir.join("sweep_grid64.json");
+    std::fs::write(&path, &text).expect("document written");
+
+    // Milliseconds for a single-pass reader; the per-character
+    // re-validation this replaces needed 18 s for the same document.
+    let t0 = Instant::now();
+    let cache = CellCache::load(&path);
+    let elapsed = t0.elapsed();
+    assert_eq!(cache.len(), 64);
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "loading {} bytes took {elapsed:?}",
+        text.len()
+    );
+
+    let resumed = run_grid(&spec, 1, &cache).expect("grid resumes");
+    assert_eq!(
+        (
+            resumed.cells_run,
+            resumed.cells_derived,
+            resumed.cells_cached
+        ),
+        (0, 0, 64)
+    );
+    assert!(resumed.document.to_string_pretty() == text);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_profile_of_a_resume_accounts_for_the_load_and_the_write() {
+    let dir = scratch_dir("profile");
+    let out = dir.join("sweep_smoke.json");
+    let grid = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/sweep_smoke.json");
+    let sweep = |extra: &[&str]| {
+        let run = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(["--grid", grid, "--threads", "1", "--profile", "--out"])
+            .arg(&out)
+            .args(extra)
+            .output()
+            .expect("sweep runs");
+        assert!(run.status.success(), "{run:?}");
+        String::from_utf8(run.stdout).expect("utf-8 prose")
+    };
+
+    let cold = sweep(&[]);
+    assert!(
+        cold.contains("3 simulated, 3 derived, 0 from cache"),
+        "{cold}"
+    );
+    assert!(
+        !cold.contains("profile: load"),
+        "nothing was loaded: {cold}"
+    );
+    assert!(cold.contains("profile: setup  "), "{cold}");
+    let written = std::fs::read(&out).expect("document written");
+
+    let resumed = sweep(&["--resume"]);
+    assert!(
+        resumed.contains("0 simulated, 0 derived, 6 from cache"),
+        "{resumed}"
+    );
+    for line in [
+        "profile: load  ",
+        "6 cached cell(s)",
+        "profile: setup: none (every cell cached)",
+        "profile: simulate  ",
+        "profile: serialize  ",
+        "profile: write  ",
+        "profile: total  ",
+        "ms unlisted)",
+    ] {
+        assert!(resumed.contains(line), "no '{line}' in:\n{resumed}");
+    }
+    assert!(std::fs::read(&out).expect("document rewritten") == written);
+
+    // Without a file to write there is no `write` line either.
+    let dry = sweep(&["--resume", "--no-write"]);
+    assert!(dry.contains("profile: load  ") && !dry.contains("profile: write"));
+    std::fs::remove_dir_all(&dir).ok();
+}
