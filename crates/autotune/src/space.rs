@@ -24,16 +24,6 @@ pub const NUM_ROLES: usize = 13;
 /// Role index of the correlation/summation core.
 pub const ROLE_CORR: usize = 12;
 
-/// Human-readable role name (`range[1][2]`, `corr`, ...).
-pub fn role_label(role: usize) -> String {
-    match role {
-        0..=5 => format!("range[{}][{}]", role / 3, role % 3),
-        6..=11 => format!("beam[{}][{}]", (role - 6) / 3, (role - 6) % 3),
-        ROLE_CORR => "corr".to_string(),
-        _ => panic!("role {role} out of range"),
-    }
-}
-
 /// One candidate step through the space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Move {
@@ -71,11 +61,6 @@ impl PlacementSpace {
     /// Pin `role`: no generated move will touch its core.
     pub fn pin(&mut self, role: usize) {
         self.pinned[role] = true;
-    }
-
-    /// Whether `role` is pinned.
-    pub fn is_pinned(&self, role: usize) -> bool {
-        self.pinned[role]
     }
 
     /// The legal canonical sites, ascending.
@@ -193,7 +178,6 @@ mod tests {
         for role in 0..NUM_ROLES {
             let core = PlacementSpace::role_core(&p, role);
             assert_eq!(PlacementSpace::with_role(&p, role, core), p);
-            assert!(!role_label(role).is_empty());
         }
     }
 
@@ -215,7 +199,6 @@ mod tests {
     fn pinned_roles_never_move() {
         let mut s = PlacementSpace::for_mesh((4, 4));
         s.pin(ROLE_CORR);
-        assert!(s.is_pinned(ROLE_CORR));
         let p = Placement::neighbor();
         for mv in s.moves(&p) {
             let q = PlacementSpace::apply(&p, mv);

@@ -8,8 +8,8 @@
 //! * FIFO-arbitrated shared resources with a fixed service rate
 //!   ([`resource::FifoResource`]), used to model links, memory ports and
 //!   DMA channels,
-//! * lightweight statistics: counters, histograms and busy-time trackers
-//!   ([`stats`]).
+//! * lightweight statistics: counters, histograms and the phase
+//!   timeline ([`stats`]).
 //!
 //! The kernel is intentionally *not* a coroutine framework: the machine
 //! models in this workspace are transaction-level and batch pure compute

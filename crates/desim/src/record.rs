@@ -8,13 +8,12 @@
 //! FFBP merge iteration or per autofocus pipeline stage — replaces the
 //! aggregate-only reports the drivers used to emit.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Mutex;
 
 use crate::json::Json;
 use crate::power::PowerRecord;
-use crate::stats::Counters;
+use crate::stats::{Counters, PhaseSpan};
 use crate::time::{Cycle, Frequency, TimeSpan};
 
 /// Bump when the serialised shape changes incompatibly.
@@ -306,13 +305,6 @@ impl MeshHeatmap {
         self.links.iter().map(|l| l.byte_hops).sum()
     }
 
-    /// The most occupied link, if any traffic was recorded.
-    pub fn hottest(&self) -> Option<&LinkLoad> {
-        self.links
-            .iter()
-            .max_by(|a, b| (a.busy_cycles, a.byte_hops).cmp(&(b.busy_cycles, b.byte_hops)))
-    }
-
     /// Render the `top` most occupied links as an aligned text table.
     pub fn render(&self, top: usize) -> String {
         let mut ranked: Vec<&LinkLoad> = self.links.iter().collect();
@@ -396,6 +388,31 @@ pub struct PhaseRecord {
 }
 
 impl PhaseRecord {
+    /// The record of a closed `span` on a machine clocked at `clock`:
+    /// the mapping's gauges, overwritten in order by what the machine
+    /// `measured` between the span's two snapshots. Energy, eLink and
+    /// mesh figures are left at their not-modelled zeros.
+    pub fn of_span<'a, S>(
+        span: &PhaseSpan<S>,
+        clock: Frequency,
+        measured: impl IntoIterator<Item = (&'a str, f64)>,
+    ) -> PhaseRecord {
+        let mut metrics = span.metrics.clone();
+        for (name, value) in measured {
+            metrics.insert(name.to_string(), value);
+        }
+        PhaseRecord {
+            name: span.name.clone(),
+            index: span.index,
+            start_ms: TimeSpan::new(span.start, clock).millis(),
+            time_ms: TimeSpan::new(span.cycles(), clock).millis(),
+            energy_j: 0.0,
+            elink_utilization: 0.0,
+            mesh: MeshUtilization::default(),
+            metrics,
+        }
+    }
+
     /// Serialise to a JSON object.
     pub fn to_json(&self) -> Json {
         let mut metrics = Json::obj();
@@ -437,13 +454,6 @@ impl PhaseRecord {
         })
     }
 }
-
-/// Every counter name [`RunRecord::from_json`] has met. [`Counters`]
-/// keys are `&'static str` so the machine models count without
-/// allocating; a parsed name has to be leaked to become one, and this
-/// table makes that happen once per distinct name instead of once per
-/// counter per parse.
-static COUNTER_NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
 
 /// Summary of one simulated (or measured) run — the single result
 /// shape shared by every platform and mapping.
@@ -610,25 +620,15 @@ impl RunRecord {
         )
     }
 
-    /// Parse back from [`RunRecord::to_json`] output. Counter names are
-    /// interned: each distinct name is leaked once per process, however
-    /// many records carry it — records hold a small, bounded name set.
+    /// Parse back from [`RunRecord::to_json`] output.
     pub fn from_json(json: &Json) -> Option<RunRecord> {
         let s = |key: &str| Some(json.get(key)?.as_str()?.to_string());
         let f = |key: &str| json.get(key).and_then(Json::as_f64);
         let u = |key: &str| json.get(key).and_then(Json::as_u64);
         let mut counters = Counters::new();
         if let Some(members) = json.get("counters").and_then(Json::as_object) {
-            let mut names = COUNTER_NAMES
-                .lock()
-                .expect("nothing panics while holding the name table");
             for (k, v) in members {
-                let name = names.get(k.as_str()).copied().unwrap_or_else(|| {
-                    let name: &'static str = Box::leak(k.as_str().into());
-                    names.insert(name);
-                    name
-                });
-                counters.add(name, v.as_u64()?);
+                counters.add(k.clone(), v.as_u64()?);
             }
         }
         let mut metrics = BTreeMap::new();
@@ -773,24 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn a_second_parse_reuses_the_counter_names_of_the_first() {
-        let mut r = record(1);
-        r.counters.add("flop", 1);
-        r.counters.add("a_counter_no_model_emits", 2);
-        let json = r.to_json();
-        let first = RunRecord::from_json(&json).unwrap();
-        let second = RunRecord::from_json(&json).unwrap();
-        assert_eq!(first.counters.iter().count(), 2);
-        for ((a, _), (b, _)) in first.counters.iter().zip(second.counters.iter()) {
-            assert_eq!(a, b);
-            assert!(
-                std::ptr::eq(a.as_ptr(), b.as_ptr()),
-                "'{a}' was leaked again by the second parse"
-            );
-        }
-    }
-
-    #[test]
     fn json_roundtrip_preserves_everything() {
         let mut r = record(12345);
         r.kernel = "ffbp".into();
@@ -910,7 +892,6 @@ mod tests {
             ],
         };
         assert_eq!(map.total_byte_hops(), 400);
-        assert_eq!(map.hottest().unwrap().node, 6);
         let text = map.render(10);
         assert!(text.contains("400 byte-hops"));
         assert!(text.contains("(2,1)->W"));

@@ -75,8 +75,6 @@ pub struct FifoResource {
     busy: Cycle,
     /// Number of requests served.
     served: u64,
-    /// Total queueing delay across requests.
-    total_wait: Cycle,
 }
 
 /// Idle gaps remembered per resource; older gaps are forgotten (their
@@ -99,7 +97,6 @@ impl FifoResource {
             gaps: VecDeque::new(),
             busy: Cycle::ZERO,
             served: 0,
-            total_wait: Cycle::ZERO,
         }
     }
 
@@ -153,7 +150,6 @@ impl FifoResource {
                     }
                     self.busy += hold;
                     self.served += 1;
-                    self.total_wait += start - at;
                     return Reservation { start, end };
                 }
             }
@@ -171,7 +167,6 @@ impl FifoResource {
         self.free_at = end;
         self.busy += hold;
         self.served += 1;
-        self.total_wait += start - at;
         Reservation { start, end }
     }
 
@@ -187,7 +182,7 @@ impl FifoResource {
     ///
     /// Under those preconditions every reservation starts exactly at
     /// its request time, so the final state — frontier, busy cycles,
-    /// served count, total wait *and the bounded idle-gap ring* — is
+    /// served count *and the bounded idle-gap ring* — is
     /// identical to calling [`FifoResource::request`] `n` times.
     /// Aggregates update in closed form; only the (at most
     /// `MAX_GAPS`) gap entries that survive the ring are materialised,
@@ -244,8 +239,6 @@ impl FifoResource {
         self.free_at = prev_end;
         self.busy += total_hold;
         self.served += n;
-        // Uncontended: every start equals its request time, so the
-        // span contributes zero queueing delay.
     }
 
     /// Earliest instant the resource is idle.
@@ -261,34 +254,6 @@ impl FifoResource {
     /// Requests served so far.
     pub fn served(&self) -> u64 {
         self.served
-    }
-
-    /// Mean queueing delay per request, in cycles.
-    pub fn mean_wait(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            self.total_wait.raw() as f64 / self.served as f64
-        }
-    }
-
-    /// Utilisation over `[0, horizon]`.
-    pub fn utilization(&self, horizon: Cycle) -> f64 {
-        if horizon == Cycle::ZERO {
-            0.0
-        } else {
-            (self.busy.raw() as f64 / horizon.raw() as f64).min(1.0)
-        }
-    }
-
-    /// Forget all history (keep the rate). Used when reusing a machine
-    /// model across runs.
-    pub fn reset(&mut self) {
-        self.free_at = Cycle::ZERO;
-        self.gaps.clear();
-        self.busy = Cycle::ZERO;
-        self.served = 0;
-        self.total_wait = Cycle::ZERO;
     }
 }
 
@@ -313,7 +278,6 @@ mod tests {
         r.request(Cycle(0), 2);
         r.request(Cycle(100), 2);
         assert_eq!(r.busy_cycles(), Cycle(4));
-        assert!((r.utilization(Cycle(104)) - 4.0 / 104.0).abs() < 1e-12);
     }
 
     #[test]
@@ -369,26 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_wait_tracks_queueing() {
-        let mut r = FifoResource::per_units(1, 1);
-        r.request(Cycle(0), 10); // no wait
-        r.request(Cycle(0), 10); // waits 10
-        assert!((r.mean_wait() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut r = FifoResource::per_units(2, 1);
-        r.request(Cycle(0), 4);
-        r.reset();
-        assert_eq!(r.free_at(), Cycle::ZERO);
-        assert_eq!(r.busy_cycles(), Cycle::ZERO);
-        assert_eq!(r.served(), 0);
-        let a = r.request(Cycle(1), 1);
-        assert_eq!(a.start, Cycle(1));
-    }
-
-    #[test]
     #[should_panic(expected = "rate must be positive")]
     fn rejects_zero_rate() {
         let _ = FifoResource::per_units(0, 1);
@@ -424,7 +368,6 @@ mod tests {
             assert_eq!(a.free_at(), b.free_at(), "n={n}");
             assert_eq!(a.busy_cycles(), b.busy_cycles(), "n={n}");
             assert_eq!(a.served(), b.served(), "n={n}");
-            assert!((a.mean_wait() - b.mean_wait()).abs() < 1e-12);
             // Probe every remembered gap position: identical first-fit
             // backfill proves the rings match (probes mutate both
             // sides equally, so they stay in lockstep).

@@ -1,5 +1,6 @@
-//! Lightweight simulation statistics: counters, histograms, busy-time.
+//! Lightweight simulation statistics: counters, phase spans, histograms.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -7,11 +8,12 @@ use crate::time::Cycle;
 
 /// A named monotonically increasing counter set.
 ///
-/// Counters are keyed by static strings so machine models can account
-/// events (`"flop"`, `"remote_read"`, …) without allocating per event.
+/// Keys are `Cow<'static, str>`: the literals machine models count
+/// under are borrowed, names parsed back from a document are owned by
+/// the set that holds them.
 #[derive(Debug, Default, Clone)]
 pub struct Counters {
-    map: BTreeMap<&'static str, u64>,
+    map: BTreeMap<Cow<'static, str>, u64>,
 }
 
 impl Counters {
@@ -22,13 +24,13 @@ impl Counters {
 
     /// Add `n` to counter `key`.
     #[inline]
-    pub fn add(&mut self, key: &'static str, n: u64) {
-        *self.map.entry(key).or_insert(0) += n;
+    pub fn add(&mut self, key: impl Into<Cow<'static, str>>, n: u64) {
+        *self.map.entry(key.into()).or_insert(0) += n;
     }
 
     /// Increment counter `key` by one.
     #[inline]
-    pub fn bump(&mut self, key: &'static str) {
+    pub fn bump(&mut self, key: impl Into<Cow<'static, str>>) {
         self.add(key, 1);
     }
 
@@ -47,19 +49,19 @@ impl Counters {
     /// Counters are otherwise monotone accumulators; `set` exists for
     /// re-stamping identity fields (e.g. a derived record's fault
     /// seed), not for accounting.
-    pub fn set(&mut self, key: &'static str, value: u64) {
-        self.map.insert(key, value);
+    pub fn set(&mut self, key: impl Into<Cow<'static, str>>, value: u64) {
+        self.map.insert(key.into(), value);
     }
 
     /// Iterate `(name, value)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.map.iter().map(|(k, v)| (*k, *v))
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        self.map.iter().map(|(k, v)| (k.as_ref(), *v))
     }
 
     /// Merge another counter set into this one.
     pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
+        for (k, v) in &other.map {
+            self.add(k.clone(), *v);
         }
     }
 
@@ -73,11 +75,11 @@ impl Counters {
     /// Counters are monotone, so each value must be `>=` the snapshot's.
     pub fn since(&self, snapshot: &Counters) -> Counters {
         let mut delta = Counters::new();
-        for (k, v) in self.iter() {
+        for (k, &v) in &self.map {
             let before = snapshot.get(k);
             debug_assert!(v >= before, "counter {k} went backwards ({before} -> {v})");
             if v > before {
-                delta.add(k, v - before);
+                delta.add(k.clone(), v - before);
             }
         }
         delta
@@ -94,9 +96,10 @@ impl fmt::Display for Counters {
 }
 
 /// One closed phase on a [`PhaseTimeline`]: a named interval of the
-/// simulation with the counter growth and gauges observed inside it.
+/// simulation with the machine's observation `S` at both ends. Every
+/// figure of the phase is a difference of the two.
 #[derive(Debug, Clone)]
-pub struct PhaseSpan {
+pub struct PhaseSpan<S> {
     /// Phase family (e.g. `"merge"`).
     pub name: String,
     /// Occurrence number within the family (0, 1, 2, … per name).
@@ -105,14 +108,16 @@ pub struct PhaseSpan {
     pub start: Cycle,
     /// Phase end on the simulation timeline.
     pub end: Cycle,
-    /// Counter deltas accumulated within the phase.
-    pub counters: Counters,
-    /// Free-form gauges sampled by the machine model (energy, busy
-    /// cycles, queue depths, …).
+    /// What the machine had accumulated when the phase opened.
+    pub opened: S,
+    /// What it had accumulated when the phase closed.
+    pub closed: S,
+    /// Free-form gauges attached by the mapping (occupancy, queue
+    /// depths, …).
     pub metrics: BTreeMap<String, f64>,
 }
 
-impl PhaseSpan {
+impl<S> PhaseSpan<S> {
     /// Phase length in cycles.
     pub fn cycles(&self) -> Cycle {
         self.end.saturating_sub(self.start)
@@ -120,29 +125,30 @@ impl PhaseSpan {
 }
 
 /// Phase-scoped statistics: machine models bracket interesting regions
-/// (`begin` / `end`) and attach gauges; the run report turns the closed
-/// spans into per-phase records.
+/// (`begin` / `end`) with a snapshot `S` of everything they accumulate
+/// and attach gauges; the run report turns the closed spans into
+/// per-phase records.
 ///
 /// The timeline is strictly sequential — phases cannot nest or overlap,
 /// matching how the transaction-level machines execute (one mapping
 /// drives the whole chip through one region at a time).
 #[derive(Debug, Default, Clone)]
-pub struct PhaseTimeline {
-    spans: Vec<PhaseSpan>,
-    open: Option<PhaseSpan>,
+pub struct PhaseTimeline<S> {
+    spans: Vec<PhaseSpan<S>>,
+    /// The open phase; its `closed` is a placeholder until `end`.
+    open: Option<PhaseSpan<S>>,
     occurrences: BTreeMap<String, u32>,
 }
 
-impl PhaseTimeline {
+impl<S: Default> PhaseTimeline<S> {
     /// Empty timeline.
-    pub fn new() -> PhaseTimeline {
+    pub fn new() -> PhaseTimeline<S> {
         PhaseTimeline::default()
     }
 
-    /// Open a phase at `now`. `counters` is the model's current counter
-    /// snapshot; the delta to the `end` snapshot becomes the phase's
-    /// counters. Panics if a phase is already open.
-    pub fn begin(&mut self, name: &str, now: Cycle, counters: Counters) {
+    /// Open a phase at `now`, where the machine has accumulated
+    /// `seen`. Panics if a phase is already open.
+    pub fn begin(&mut self, name: &str, now: Cycle, seen: S) {
         assert!(
             self.open.is_none(),
             "phase '{}' still open when beginning '{name}'",
@@ -154,7 +160,8 @@ impl PhaseTimeline {
             index: *index,
             start: now,
             end: now,
-            counters,
+            opened: seen,
+            closed: S::default(),
             metrics: BTreeMap::new(),
         });
         *index += 1;
@@ -169,9 +176,9 @@ impl PhaseTimeline {
         span.metrics.insert(key.to_string(), value);
     }
 
-    /// Close the open phase at `now`, storing counter deltas against
-    /// the `begin` snapshot. Returns the closed span.
-    pub fn end(&mut self, now: Cycle, counters: &Counters) -> &PhaseSpan {
+    /// Close the open phase at `now`, where the machine has
+    /// accumulated `seen`. Returns the closed span.
+    pub fn end(&mut self, now: Cycle, seen: S) -> &PhaseSpan<S> {
         let mut span = self.open.take().expect("no open phase to end");
         debug_assert!(
             now >= span.start,
@@ -179,7 +186,7 @@ impl PhaseTimeline {
             span.name
         );
         span.end = now;
-        span.counters = counters.since(&span.counters);
+        span.closed = seen;
         self.spans.push(span);
         self.spans.last().unwrap()
     }
@@ -189,21 +196,9 @@ impl PhaseTimeline {
         self.open.is_some()
     }
 
-    /// Start cycle of the open phase, if one is open.
-    pub fn open_start(&self) -> Option<Cycle> {
-        self.open.as_ref().map(|s| s.start)
-    }
-
     /// All closed phases in execution order.
-    pub fn spans(&self) -> &[PhaseSpan] {
+    pub fn spans(&self) -> &[PhaseSpan<S>] {
         &self.spans
-    }
-
-    /// Drop every span and occurrence count (open phase included).
-    pub fn clear(&mut self) {
-        self.spans.clear();
-        self.open = None;
-        self.occurrences.clear();
     }
 }
 
@@ -291,9 +286,7 @@ impl Histogram {
     /// sides use the same power-of-two layout), so the merge is exact:
     /// the result is indistinguishable from recording every sample of
     /// `other` into `self` directly — counts, sums, min/max and every
-    /// quantile agree. This is what lets hot paths batch samples in a
-    /// scratch histogram and flush at phase boundaries without
-    /// changing any reported statistic.
+    /// quantile agree.
     pub fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
@@ -340,56 +333,6 @@ impl Histogram {
             }
         }
         Some(self.max)
-    }
-}
-
-/// Tracks the busy fraction of a component for energy modelling: the
-/// caller reports busy intervals, and the tracker exposes total busy
-/// cycles without double counting an interval reported twice verbatim
-/// (overlaps are the caller's responsibility — machine models report
-/// reservation holds, which never overlap for a single server).
-#[derive(Debug, Default, Clone)]
-pub struct BusyTime {
-    busy: Cycle,
-    intervals: u64,
-}
-
-impl BusyTime {
-    /// Zeroed tracker.
-    pub fn new() -> BusyTime {
-        BusyTime::default()
-    }
-
-    /// Report a busy interval of length `hold`.
-    pub fn add(&mut self, hold: Cycle) {
-        self.busy += hold;
-        self.intervals += 1;
-    }
-
-    /// Total busy cycles.
-    pub fn busy(&self) -> Cycle {
-        self.busy
-    }
-
-    /// Intervals reported.
-    pub fn intervals(&self) -> u64 {
-        self.intervals
-    }
-
-    /// Fold another tracker into this one (exact: totals and interval
-    /// counts add).
-    pub fn merge(&mut self, other: &BusyTime) {
-        self.busy += other.busy;
-        self.intervals += other.intervals;
-    }
-
-    /// Busy fraction over `[0, horizon]`, clamped to 1.
-    pub fn fraction(&self, horizon: Cycle) -> f64 {
-        if horizon == Cycle::ZERO {
-            0.0
-        } else {
-            (self.busy.raw() as f64 / horizon.raw() as f64).min(1.0)
-        }
     }
 }
 
@@ -576,21 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn busytime_merge_adds_totals() {
-        let mut a = BusyTime::new();
-        a.add(Cycle(30));
-        let mut b = BusyTime::new();
-        b.add(Cycle(20));
-        b.add(Cycle(10));
-        a.merge(&b);
-        assert_eq!(a.busy(), Cycle(60));
-        assert_eq!(a.intervals(), 3);
-        a.merge(&BusyTime::new());
-        assert_eq!(a.busy(), Cycle(60));
-        assert_eq!(a.intervals(), 3);
-    }
-
-    #[test]
     fn counters_since_reports_growth_only() {
         let mut snap = Counters::new();
         snap.add("flop", 10);
@@ -614,16 +542,16 @@ mod tests {
         c.add("flop", 100);
         tl.metric("occupancy", 0.5);
         tl.metric("occupancy", 0.75); // overwrite wins
-        tl.end(Cycle(40), &c);
+        tl.end(Cycle(40), c.clone());
 
         tl.begin("merge", Cycle(40), c.clone());
         c.add("flop", 50);
         c.add("dma_bytes", 8);
-        tl.end(Cycle(100), &c);
+        tl.end(Cycle(100), c.clone());
 
         tl.begin("drain", Cycle(100), c.clone());
         assert!(tl.is_open());
-        tl.end(Cycle(100), &c);
+        tl.end(Cycle(100), c.clone());
         assert!(!tl.is_open());
 
         let spans = tl.spans();
@@ -631,15 +559,19 @@ mod tests {
         assert_eq!((spans[0].name.as_str(), spans[0].index), ("merge", 0));
         assert_eq!((spans[1].name.as_str(), spans[1].index), ("merge", 1));
         assert_eq!((spans[2].name.as_str(), spans[2].index), ("drain", 0));
+        // A phase's figures are the difference of its two snapshots.
+        let grown = |i: usize| spans[i].closed.since(&spans[i].opened);
         assert_eq!(spans[0].cycles(), Cycle(40));
-        assert_eq!(spans[0].counters.get("flop"), 100);
+        assert_eq!(grown(0).get("flop"), 100);
         assert_eq!(spans[0].metrics["occupancy"], 0.75);
-        assert_eq!(spans[1].counters.get("flop"), 50);
-        assert_eq!(spans[1].counters.get("dma_bytes"), 8);
+        assert_eq!(grown(1).get("flop"), 50);
+        assert_eq!(grown(1).get("dma_bytes"), 8);
         assert_eq!(spans[2].cycles(), Cycle::ZERO);
-
-        tl.clear();
-        assert!(tl.spans().is_empty());
+        assert_eq!(grown(2).iter().count(), 0);
+        // Both ends are kept whole: one phase closes on what the next
+        // opens on, and the last one on everything counted.
+        assert_eq!(spans[0].closed.get("flop"), spans[1].opened.get("flop"));
+        assert_eq!(spans[2].closed.get("flop"), 150);
     }
 
     #[test]
@@ -648,18 +580,5 @@ mod tests {
         let mut tl = PhaseTimeline::new();
         tl.begin("a", Cycle(0), Counters::new());
         tl.begin("b", Cycle(1), Counters::new());
-    }
-
-    #[test]
-    fn busytime_fraction() {
-        let mut b = BusyTime::new();
-        b.add(Cycle(30));
-        b.add(Cycle(20));
-        assert_eq!(b.busy(), Cycle(50));
-        assert_eq!(b.intervals(), 2);
-        assert!((b.fraction(Cycle(100)) - 0.5).abs() < 1e-12);
-        assert_eq!(b.fraction(Cycle::ZERO), 0.0);
-        // Clamped at 1.
-        assert_eq!(b.fraction(Cycle(10)), 1.0);
     }
 }

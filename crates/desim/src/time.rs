@@ -162,12 +162,6 @@ impl Frequency {
         self.0
     }
 
-    /// Cycle period in seconds.
-    #[inline]
-    pub fn period_seconds(self) -> f64 {
-        1.0 / self.0
-    }
-
     /// Number of cycles elapsed in `seconds` (rounded up: a partial
     /// cycle still occupies the resource for the whole cycle).
     #[inline]

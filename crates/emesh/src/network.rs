@@ -29,31 +29,13 @@ pub struct TransferResult {
     pub queued: Cycle,
 }
 
-/// Aggregate transfer statistics for one mesh. The hot path records
-/// into a *scratch* instance and [`MeshNetwork::flush_stats`] folds it
-/// into the running totals at phase boundaries (via
-/// [`Histogram::merge`], which is exact); every getter reads the
-/// merged view, so no reported figure ever depends on when a flush
-/// happened.
+/// Aggregate transfer statistics for one mesh.
 #[derive(Debug, Default)]
 struct MeshStats {
     transfers: u64,
     bytes: u64,
     byte_hops: u64,
     latency: Histogram,
-}
-
-impl MeshStats {
-    fn merge(&mut self, other: &MeshStats) {
-        self.transfers += other.transfers;
-        self.bytes += other.bytes;
-        self.byte_hops += other.byte_hops;
-        self.latency.merge(&other.latency);
-    }
-
-    fn clear(&mut self) {
-        *self = MeshStats::default();
-    }
 }
 
 /// One physical mesh: a grid of routers with four directed output links
@@ -73,10 +55,7 @@ pub struct MeshNetwork {
     links: Vec<FifoResource>,
     /// Flat wire-byte table, same indexing as `links`.
     link_bytes: Vec<u64>,
-    /// Since the last flush.
-    scratch: MeshStats,
-    /// Flushed totals.
-    total: MeshStats,
+    stats: MeshStats,
     tracer: Tracer,
     faults: FaultState,
 }
@@ -97,8 +76,7 @@ impl MeshNetwork {
             hop_latency,
             links,
             link_bytes: vec![0; mesh.len() * 4],
-            scratch: MeshStats::default(),
-            total: MeshStats::default(),
+            stats: MeshStats::default(),
             tracer: Tracer::disabled(),
             faults: FaultState::disabled(),
         }
@@ -213,7 +191,7 @@ impl MeshNetwork {
     /// geometric constant of [`MeshNetwork::uncontended_latency`], and
     /// the per-link reservations absorb via
     /// [`FifoResource::absorb_run`] — the final state (link frontiers,
-    /// busy cycles, idle-gap rings, wire bytes, scratch statistics) is
+    /// busy cycles, idle-gap rings, wire bytes, statistics) is
     /// byte-identical to `n` [`MeshNetwork::transfer`] calls at `O(1)`
     /// per link instead of `O(n)`.
     pub fn transfer_run(
@@ -250,10 +228,10 @@ impl MeshNetwork {
         }
         let hops = (legs[0].0 + legs[1].0) as u64;
         let latency = Cycle(hops.max(1) * self.hop_latency) + self.serialization(wire_bytes);
-        self.scratch.transfers += n;
-        self.scratch.bytes += wire_bytes * n;
-        self.scratch.byte_hops += wire_bytes * hops * n;
-        self.scratch.latency.record_n(latency.raw(), n);
+        self.stats.transfers += n;
+        self.stats.bytes += wire_bytes * n;
+        self.stats.byte_hops += wire_bytes * hops * n;
+        self.stats.latency.record_n(latency.raw(), n);
         latency
     }
 
@@ -335,10 +313,10 @@ impl MeshNetwork {
                 );
             }
         }
-        self.scratch.transfers += 1;
-        self.scratch.bytes += wire_bytes;
-        self.scratch.byte_hops += wire_bytes * hops as u64;
-        self.scratch.latency.record((arrival - at).raw());
+        self.stats.transfers += 1;
+        self.stats.bytes += wire_bytes;
+        self.stats.byte_hops += wire_bytes * hops as u64;
+        self.stats.latency.record((arrival - at).raw());
         TransferResult {
             arrival,
             hops: hops as u32,
@@ -346,39 +324,25 @@ impl MeshNetwork {
         }
     }
 
-    /// Fold the scratch statistics into the running totals. Machine
-    /// models call this at phase boundaries; getters merge the two
-    /// sides on read, so flushing (or never flushing) cannot change
-    /// any reported figure — it only bounds how much scratch state a
-    /// phase accumulates.
-    pub fn flush_stats(&mut self) {
-        self.total.merge(&self.scratch);
-        self.scratch.clear();
-    }
-
     /// Total transactions carried.
     pub fn transfers(&self) -> u64 {
-        self.total.transfers + self.scratch.transfers
+        self.stats.transfers
     }
 
     /// Total wire bytes carried.
     pub fn bytes(&self) -> u64 {
-        self.total.bytes + self.scratch.bytes
+        self.stats.bytes
     }
 
     /// Sum over transfers of `wire_bytes * hops` — the fabric activity
     /// figure the energy model charges per byte-hop.
     pub fn byte_hops(&self) -> u64 {
-        self.total.byte_hops + self.scratch.byte_hops
+        self.stats.byte_hops
     }
 
-    /// End-to-end latency histogram (cycles): the merge of flushed
-    /// totals and the current scratch window, exact by
-    /// [`Histogram::merge`].
-    pub fn latency(&self) -> Histogram {
-        let mut h = self.total.latency.clone();
-        h.merge(&self.scratch.latency);
-        h
+    /// End-to-end latency histogram (cycles).
+    pub fn latency(&self) -> &Histogram {
+        &self.stats.latency
     }
 
     /// Busiest link's busy-cycle count — the congestion hot spot.
@@ -440,18 +404,6 @@ impl MeshNetwork {
             });
         }
         out
-    }
-
-    /// Clear all link state and statistics.
-    pub fn reset(&mut self) {
-        for link in &mut self.links {
-            link.reset();
-        }
-        for bytes in &mut self.link_bytes {
-            *bytes = 0;
-        }
-        self.scratch.clear();
-        self.total.clear();
     }
 }
 
@@ -785,23 +737,6 @@ impl EMesh {
         self.tracer.span(Track::ELink, "dma", r.start, r.end);
         r
     }
-
-    /// Fold each mesh's scratch statistics into its totals. Machine
-    /// models call this at phase boundaries; see
-    /// [`MeshNetwork::flush_stats`].
-    pub fn flush_stats(&mut self) {
-        self.cmesh.flush_stats();
-        self.rmesh.flush_stats();
-        self.xmesh.flush_stats();
-    }
-
-    /// Reset all meshes and the eLink.
-    pub fn reset(&mut self) {
-        self.cmesh.reset();
-        self.rmesh.reset();
-        self.xmesh.reset();
-        self.elink.reset();
-    }
 }
 
 #[cfg(test)]
@@ -823,10 +758,8 @@ mod tests {
 
     #[test]
     fn distant_write_costs_more_hops() {
-        let mut f = fabric();
-        let near = f.write_onchip(Cycle(0), NodeId(0), NodeId(1), 64);
-        f.reset();
-        let far = f.write_onchip(Cycle(0), NodeId(0), NodeId(15), 64);
+        let near = fabric().write_onchip(Cycle(0), NodeId(0), NodeId(1), 64);
+        let far = fabric().write_onchip(Cycle(0), NodeId(0), NodeId(15), 64);
         assert_eq!(far.hops, 6);
         assert!(far.arrival > near.arrival);
         // Same serialization, extra hops only.
@@ -835,10 +768,8 @@ mod tests {
 
     #[test]
     fn read_costs_round_trip() {
-        let mut f = fabric();
-        let w = f.write_onchip(Cycle(0), NodeId(0), NodeId(5), 8);
-        f.reset();
-        let r = f.read_onchip(Cycle(0), NodeId(0), NodeId(5), 8);
+        let w = fabric().write_onchip(Cycle(0), NodeId(0), NodeId(5), 8);
+        let r = fabric().read_onchip(Cycle(0), NodeId(0), NodeId(5), 8);
         assert!(
             r.arrival > w.arrival,
             "read {:?} should exceed posted write {:?}",
@@ -947,37 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_timing_never_changes_reported_statistics() {
-        // Same traffic on two fabrics, one flushing after every
-        // transfer: every merged-view getter must agree.
-        let mut a = fabric();
-        let mut b = fabric();
-        let traffic: [(u16, u16, u64); 4] = [(0, 15, 256), (3, 12, 64), (5, 5, 8), (1, 2, 0)];
-        for (i, (s, d, bytes)) in traffic.into_iter().enumerate() {
-            let t = Cycle(i as u64 * 3);
-            let ra = a.cmesh.transfer(t, NodeId(s), NodeId(d), bytes);
-            let rb = b.cmesh.transfer(t, NodeId(s), NodeId(d), bytes);
-            assert_eq!(ra.arrival, rb.arrival);
-            b.flush_stats();
-        }
-        assert_eq!(a.cmesh.transfers(), b.cmesh.transfers());
-        assert_eq!(a.cmesh.bytes(), b.cmesh.bytes());
-        assert_eq!(a.cmesh.byte_hops(), b.cmesh.byte_hops());
-        let (ha, hb) = (a.cmesh.latency(), b.cmesh.latency());
-        assert_eq!(ha.count(), hb.count());
-        assert_eq!(ha.min(), hb.min());
-        assert_eq!(ha.max(), hb.max());
-        assert_eq!(ha.quantile(0.5), hb.quantile(0.5));
-        // A final flush on `a` leaves everything unchanged too.
-        let before = (a.cmesh.transfers(), a.cmesh.latency().quantile(0.95));
-        a.flush_stats();
-        assert_eq!(
-            (a.cmesh.transfers(), a.cmesh.latency().quantile(0.95)),
-            before
-        );
-    }
-
-    #[test]
     fn stats_accumulate_and_reset() {
         let mut f = fabric();
         f.write_onchip(Cycle(0), NodeId(0), NodeId(3), 32);
@@ -986,9 +886,6 @@ mod tests {
         assert_eq!(f.cmesh.bytes(), 80);
         assert!(f.cmesh.max_link_busy() > Cycle::ZERO);
         assert_eq!(f.cmesh.latency().count(), 2);
-        f.reset();
-        assert_eq!(f.cmesh.transfers(), 0);
-        assert_eq!(f.cmesh.max_link_busy(), Cycle::ZERO);
     }
 
     #[test]
@@ -1106,7 +1003,7 @@ mod tests {
         // Same blocking-read schedule on two fabrics, one per-event
         // and one absorbed in closed form: every observable — the
         // closed-form arrival itself, frontiers, busy cycles, served
-        // counts, scratch statistics, per-link loads, and how later
+        // counts, statistics, per-link loads, and how later
         // traffic lands in the remembered idle gaps — must agree.
         let mut a = fabric();
         let mut b = fabric();
@@ -1132,7 +1029,6 @@ mod tests {
         assert_eq!(a.elink.free_at(), b.elink.free_at());
         assert_eq!(a.elink.busy_cycles(), b.elink.busy_cycles());
         assert_eq!(a.elink.served(), b.elink.served());
-        assert!((a.elink.mean_wait() - b.elink.mean_wait()).abs() < 1e-12);
         for (ma, mb) in [(&a.rmesh, &b.rmesh), (&a.cmesh, &b.cmesh)] {
             assert_eq!(ma.transfers(), mb.transfers());
             assert_eq!(ma.bytes(), mb.bytes());

@@ -117,36 +117,6 @@ impl Mesh2D {
         (0..self.len() as u16).map(NodeId)
     }
 
-    /// In-mesh neighbours of `coord` (2 to 4 of them).
-    pub fn neighbors(&self, coord: Coord) -> Vec<Coord> {
-        let mut out = Vec::with_capacity(4);
-        if coord.x > 0 {
-            out.push(Coord {
-                x: coord.x - 1,
-                y: coord.y,
-            });
-        }
-        if coord.x + 1 < self.cols {
-            out.push(Coord {
-                x: coord.x + 1,
-                y: coord.y,
-            });
-        }
-        if coord.y > 0 {
-            out.push(Coord {
-                x: coord.x,
-                y: coord.y - 1,
-            });
-        }
-        if coord.y + 1 < self.rows {
-            out.push(Coord {
-                x: coord.x,
-                y: coord.y + 1,
-            });
-        }
-        out
-    }
-
     /// `(x, y)` of the row-major node index `id`.
     ///
     /// Shared coordinate helper: every layer that reasons about node
@@ -217,26 +187,6 @@ mod tests {
         assert_eq!(a.manhattan(b), 5);
         assert_eq!(b.manhattan(a), 5);
         assert_eq!(a.manhattan(a), 0);
-    }
-
-    #[test]
-    fn corner_has_two_neighbors_center_has_four() {
-        let m = Mesh2D::e16g3();
-        assert_eq!(m.neighbors(Coord { x: 0, y: 0 }).len(), 2);
-        assert_eq!(m.neighbors(Coord { x: 1, y: 1 }).len(), 4);
-        assert_eq!(m.neighbors(Coord { x: 1, y: 0 }).len(), 3);
-    }
-
-    #[test]
-    fn neighbors_are_adjacent_and_in_mesh() {
-        let m = Mesh2D::new(5, 3);
-        for n in m.nodes() {
-            let c = m.coord(n);
-            for nb in m.neighbors(c) {
-                assert!(m.contains(nb));
-                assert_eq!(c.manhattan(nb), 1);
-            }
-        }
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! [`Counters`] map costs a `BTreeMap` lookup (several string compares)
 //! per event; this module keeps the per-core counts in a flat array
 //! indexed by [`slot`] constants and only materialises a `Counters`
-//! map at observation points (phase boundaries, energy evaluation,
-//! reports).
+//! map in reports.
 //!
 //! A `touched` bitmask preserves the map's presence semantics exactly:
 //! `Counters::add(key, 0)` inserts the key (it appears in the record's
@@ -125,10 +124,29 @@ impl CoreCounters {
         self.vals[s]
     }
 
-    /// Forget everything.
-    pub fn clear(&mut self) {
-        self.vals = [0; slot::COUNT];
-        self.touched = 0;
+    /// The sum over `cores`: values add, and a slot is touched if any
+    /// core touched it.
+    pub fn sum<'a>(cores: impl IntoIterator<Item = &'a CoreCounters>) -> CoreCounters {
+        let mut total = CoreCounters::new();
+        for c in cores {
+            for (t, v) in total.vals.iter_mut().zip(&c.vals) {
+                *t += v;
+            }
+            total.touched |= c.touched;
+        }
+        total
+    }
+
+    /// Named growth of every slot since an `earlier` snapshot of the
+    /// same accumulator, omitting zero growth.
+    pub fn since<'a>(
+        &'a self,
+        earlier: &'a CoreCounters,
+    ) -> impl Iterator<Item = (&'static str, u64)> + 'a {
+        (0..slot::COUNT).filter_map(move |s| {
+            let grown = self.vals[s] - earlier.vals[s];
+            (grown > 0).then_some((slot::NAMES[s], grown))
+        })
     }
 
     /// Emit every touched slot into `out` (adding to whatever is
@@ -153,6 +171,10 @@ impl CoreCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pairs(c: &Counters) -> Vec<(&str, u64)> {
+        c.iter().collect()
+    }
 
     #[test]
     fn slot_names_are_sorted_and_distinct() {
@@ -193,7 +215,6 @@ mod tests {
             fast.add(s, v);
             slow.add(slot::NAMES[s], v);
         }
-        let pairs = |c: &Counters| c.iter().collect::<Vec<_>>();
         assert_eq!(pairs(&fast.to_counters()), pairs(&slow));
     }
 
@@ -212,11 +233,25 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_values_and_presence() {
-        let mut c = CoreCounters::new();
-        c.add(slot::DMA_BYTES, 100);
-        c.clear();
-        assert_eq!(c.get(slot::DMA_BYTES), 0);
-        assert_eq!(c.to_counters().iter().count(), 0);
+    fn sum_and_since_agree_with_the_materialised_maps() {
+        let mut a = CoreCounters::new();
+        let mut b = CoreCounters::new();
+        a.add(slot::FPU_INSTR, 10);
+        a.add(slot::EXT_READ, 0);
+        b.add(slot::FPU_INSTR, 5);
+        b.bump(slot::BARRIER);
+        let before = CoreCounters::sum([&a, &b]);
+        let mut merged = Counters::new();
+        a.merge_into(&mut merged);
+        b.merge_into(&mut merged);
+        assert_eq!(pairs(&before.to_counters()), pairs(&merged));
+
+        b.add(slot::FPU_INSTR, 7);
+        b.add(slot::DMA_BYTES, 0);
+        let after = CoreCounters::sum([&a, &b]);
+        let grown: Vec<_> = after.since(&before).collect();
+        assert_eq!(grown, [("fpu_instr", 7)], "zero growth is omitted");
+        let delta = after.to_counters().since(&before.to_counters());
+        assert_eq!(pairs(&delta), grown);
     }
 }

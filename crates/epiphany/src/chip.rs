@@ -24,31 +24,30 @@ use crate::params::EpiphanyParams;
 /// A core index on the chip (row-major, same order as mesh nodes).
 pub type CoreId = usize;
 
-/// Mesh statistics captured at a phase boundary, so [`Chip::phase_end`]
-/// can attribute byte-hop and link-busy deltas to the closing phase.
+/// Everything the chip accumulates, captured whole at a phase
+/// boundary. [`Chip::report`] derives every per-phase figure — and the
+/// power timeline, whose epochs are these boundaries — from the
+/// difference of a phase's two snapshots.
 #[derive(Debug, Clone, Default)]
-struct MeshSnapshot {
-    cmesh_byte_hops: u64,
-    rmesh_byte_hops: u64,
-    xmesh_byte_hops: u64,
-    transfers: u64,
-    /// Per-link busy cycles, `cmesh ++ rmesh ++ xmesh` flattened.
-    link_busy: Vec<Cycle>,
-}
-
-/// What [`Chip::phase_end`] measures over the closing phase, kept
-/// beside the phase's span for [`Chip::report`].
-#[derive(Debug)]
-struct PhaseStats {
-    /// Modelled energy the phase accounted for, by component.
+struct Snapshot {
+    /// Modelled energy so far, by component.
     energy: EnergyBreakdown,
-    /// eLink busy cycles reserved during the phase.
-    elink_busy: Cycle,
+    /// Operation counters summed over all cores.
+    counters: CoreCounters,
     /// Busy cycles summed over all cores (the stall-vs-compute split
     /// of the attribution block).
     core_busy: Cycle,
-    /// Mesh traffic of the phase.
-    mesh: MeshUtilization,
+    /// eLink busy cycles reserved so far.
+    elink_busy: Cycle,
+    /// SDRAM bus busy cycles so far.
+    sdram_busy: Cycle,
+    cmesh_byte_hops: u64,
+    rmesh_byte_hops: u64,
+    xmesh_byte_hops: u64,
+    /// Transfers started so far, all meshes.
+    transfers: u64,
+    /// Per-link busy cycles, `cmesh ++ rmesh ++ xmesh` flattened.
+    link_busy: Vec<Cycle>,
 }
 
 /// The E16G3 (or a scaled N×M sibling) machine model.
@@ -64,29 +63,12 @@ pub struct Chip {
     /// Per-core active (non-idle) cycles, for clock-gated energy.
     busy: Vec<Cycle>,
     /// Per-core operation counters (slot-indexed; materialised into
-    /// string-keyed [`Counters`] only at observation points).
+    /// string-keyed [`Counters`] only by [`Chip::report`] and
+    /// [`Chip::counters`]).
     counters: Vec<CoreCounters>,
-    /// Phase-scoped statistics (see [`Chip::phase_begin`]).
-    phases: PhaseTimeline,
-    /// One entry per closed span of `phases`, in the same order.
-    phase_stats: Vec<PhaseStats>,
-    /// Modelled energy breakdown at the open phase's start.
-    phase_energy0: EnergyBreakdown,
-    /// eLink busy cycles at the open phase's start.
-    phase_elink0: Cycle,
-    /// SDRAM bus busy cycles at the open phase's start.
-    phase_sdram0: Cycle,
-    /// Summed core busy cycles at the open phase's start (the
-    /// stall-vs-compute split of the attribution block).
-    phase_busy0: Cycle,
-    /// Mesh statistics at the open phase's start.
-    phase_mesh0: MeshSnapshot,
-    /// Power-sampling epochs: the cumulative energy breakdown at every
-    /// phase boundary, in boundary order. [`Chip::report`] turns the
-    /// deltas between consecutive marks into a [`PowerTimeline`], so
-    /// the timeline's total telescopes exactly to the run energy.
-    /// Grows only at phase boundaries — the hot path never touches it.
-    power_marks: Vec<(Cycle, EnergyBreakdown)>,
+    /// The phases observed so far, each with the chip's [`Snapshot`]
+    /// at both ends (see [`Chip::phase_begin`]).
+    phases: PhaseTimeline<Snapshot>,
     /// Event tracer (disabled by default; see [`Chip::set_tracer`]).
     tracer: Tracer,
     /// Fault schedule (disabled by default; see [`Chip::set_faults`]).
@@ -111,13 +93,6 @@ impl Chip {
             busy: vec![Cycle::ZERO; n],
             counters: (0..n).map(|_| CoreCounters::new()).collect(),
             phases: PhaseTimeline::new(),
-            phase_stats: Vec::new(),
-            phase_energy0: EnergyBreakdown::default(),
-            phase_elink0: Cycle::ZERO,
-            phase_sdram0: Cycle::ZERO,
-            phase_busy0: Cycle::ZERO,
-            phase_mesh0: MeshSnapshot::default(),
-            power_marks: Vec::new(),
             tracer: Tracer::disabled(),
             faults: FaultState::disabled(),
             mesh,
@@ -185,19 +160,14 @@ impl Chip {
     }
 
     /// Row-major core ids of a compact `n`-core subgrid embedded at
-    /// this chip's top-left corner: the [`Chip::mesh_for_cores`] shape
-    /// for `n`, laid out inside the real mesh so neighbour relations
-    /// (and therefore hop counts) match a dedicated `n`-core chip.
-    /// Running the 16-core FFBP slice assignment on these ids on an
-    /// E64 reproduces the E16G3 communication pattern exactly.
+    /// the top-left corner of a `(cols, rows)` mesh: the
+    /// [`Chip::mesh_for_cores`] shape for `n`, laid out inside the real
+    /// mesh so neighbour relations (and therefore hop counts) match a
+    /// dedicated `n`-core chip. Running the 16-core FFBP slice
+    /// assignment on these ids on an E64 reproduces the E16G3
+    /// communication pattern exactly.
     ///
-    /// Panics if the subgrid does not fit the chip.
-    pub fn subgrid_cores(&self, n: usize) -> Vec<usize> {
-        Chip::subgrid_on(self.mesh.cols(), self.mesh.rows(), n)
-    }
-
-    /// [`Chip::subgrid_cores`] as a free function on a `(cols, rows)`
-    /// mesh, usable by program-model builders without a chip.
+    /// Panics if the subgrid does not fit the mesh.
     pub fn subgrid_on(cols: u16, rows: u16, n: usize) -> Vec<usize> {
         let (sc, sr) = Chip::mesh_for_cores(n);
         assert!(
@@ -246,10 +216,6 @@ impl Chip {
 
     /// Parameters in use.
     pub fn params(&self) -> &EpiphanyParams {
-        self.params_ref()
-    }
-
-    fn params_ref(&self) -> &EpiphanyParams {
         &self.params
     }
 
@@ -549,9 +515,10 @@ impl Chip {
         let res = self
             .fabric
             .write_offchip(self.t[core], self.node(core), bytes);
-        self.sdram.latency_of(res.arrival, addr.0); // open-row bookkeeping
-                                                    // Backpressure: if the write would complete far beyond the
-                                                    // buffer horizon, the core stalls until the backlog drains.
+        // Open-row bookkeeping only; the write is posted.
+        self.sdram.latency_of(res.arrival, addr.0);
+        // Backpressure: if the write would complete far beyond the
+        // buffer horizon, the core stalls until the backlog drains.
         let horizon = self.t[core] + Cycle(self.params.write_buffer_cycles);
         if res.arrival > horizon {
             let stall_from = self.t[core];
@@ -582,53 +549,59 @@ impl Chip {
         bank: usize,
         bytes: u64,
     ) -> Cycle {
-        self.spend(core, Cycle(self.params.dma_setup_cycles));
-        let start = self.dma[core].earliest_start(self.t[core]);
-        let done = match dir {
-            DmaDirection::ExternalToLocal => {
-                let mem = self.sdram.latency_of(start, addr.0);
-                let res = self.fabric.read_offchip(start, self.node(core), bytes, mem);
-                // Landing in the chosen local bank.
-                let landed = self.stores[core].access_bank(res.arrival, bank, bytes);
-                if self.tracer.is_enabled() {
-                    // Landing marker for the sarlint dynamic cross-check.
-                    self.tracer.instant(
-                        Track::Dma(core as u32),
-                        format!("land:bank{bank}+{bytes}"),
-                        landed.end,
-                    );
-                }
-                landed.end
-            }
-            DmaDirection::LocalToExternal => {
-                let drained = self.stores[core].access_bank(start, bank, bytes);
-                let res = self
-                    .fabric
-                    .write_offchip(drained.end, self.node(core), bytes);
-                self.sdram.latency_of(res.arrival, addr.0);
-                res.arrival
-            }
-            DmaDirection::LocalToRemote => {
-                let drained = self.stores[core].access_bank(start, bank, bytes);
-                let res = self.fabric.write_onchip(
-                    drained.end,
-                    self.node(core),
-                    NodeId(addr.row() as u16 * self.mesh.cols() + addr.col() as u16),
-                    bytes,
-                );
-                res.arrival
-            }
-        };
-        self.dma[core].commit(done, bytes);
-        let dma_name = match dir {
+        let name = match dir {
             DmaDirection::ExternalToLocal => "dma_in",
             DmaDirection::LocalToExternal => "dma_out",
-            DmaDirection::LocalToRemote => "dma_remote",
         };
-        self.tracer
-            .span(Track::Dma(core as u32), dma_name, start, done);
+        self.dma_rows(core, dir, bank, bytes, std::iter::once(addr), name)
+    }
+
+    /// One descriptor on `core`'s engine: a row of `row_bytes` between
+    /// local `bank` and each external address of `rows`, back to back.
+    fn dma_rows(
+        &mut self,
+        core: CoreId,
+        dir: DmaDirection,
+        bank: usize,
+        row_bytes: u64,
+        rows: impl Iterator<Item = GlobalAddr>,
+        name: &'static str,
+    ) -> Cycle {
+        self.spend(core, Cycle(self.params.dma_setup_cycles));
+        let started = self.dma[core].earliest_start(self.t[core]);
+        let (mut t, mut bytes) = (started, 0);
+        for addr in rows {
+            bytes += row_bytes;
+            t = match dir {
+                DmaDirection::ExternalToLocal => {
+                    let mem = self.sdram.latency_of(t, addr.0);
+                    let res = self.fabric.read_offchip(t, self.node(core), row_bytes, mem);
+                    // Landing in the chosen local bank.
+                    let landed = self.stores[core].access_bank(res.arrival, bank, row_bytes);
+                    if self.tracer.is_enabled() {
+                        // Landing marker for the sarlint dynamic cross-check.
+                        self.tracer.instant(
+                            Track::Dma(core as u32),
+                            format!("land:bank{bank}+{row_bytes}"),
+                            landed.end,
+                        );
+                    }
+                    landed.end
+                }
+                DmaDirection::LocalToExternal => {
+                    let drained = self.stores[core].access_bank(t, bank, row_bytes);
+                    let res = self
+                        .fabric
+                        .write_offchip(drained.end, self.node(core), row_bytes);
+                    self.sdram.latency_of(res.arrival, addr.0);
+                    res.arrival
+                }
+            };
+        }
+        self.dma[core].commit(t, bytes);
+        self.tracer.span(Track::Dma(core as u32), name, started, t);
         self.counters[core].add(slot::DMA_BYTES, bytes);
-        done
+        t
     }
 
     /// Block `core` until its DMA engine reaches `completion`.
@@ -657,55 +630,10 @@ impl Chip {
         stride_bytes: u32,
     ) -> Cycle {
         assert!(rows > 0 && row_bytes > 0, "degenerate 2D descriptor");
-        self.spend(core, Cycle(self.params.dma_setup_cycles));
-        let mut t = self.dma[core].earliest_start(self.t[core]);
-        let started = t;
-        for row in 0..rows {
-            let row_addr = GlobalAddr(addr.0 + row * stride_bytes);
-            t = match dir {
-                DmaDirection::ExternalToLocal => {
-                    let mem = self.sdram.latency_of(t, row_addr.0);
-                    let res = self.fabric.read_offchip(t, self.node(core), row_bytes, mem);
-                    let landed = self.stores[core].access_bank(res.arrival, bank, row_bytes);
-                    if self.tracer.is_enabled() {
-                        // Landing marker for the sarlint dynamic cross-check.
-                        self.tracer.instant(
-                            Track::Dma(core as u32),
-                            format!("land:bank{bank}+{row_bytes}"),
-                            landed.end,
-                        );
-                    }
-                    landed.end
-                }
-                DmaDirection::LocalToExternal => {
-                    let drained = self.stores[core].access_bank(t, bank, row_bytes);
-                    let res = self
-                        .fabric
-                        .write_offchip(drained.end, self.node(core), row_bytes);
-                    self.sdram.latency_of(res.arrival, row_addr.0);
-                    res.arrival
-                }
-                DmaDirection::LocalToRemote => {
-                    let drained = self.stores[core].access_bank(t, bank, row_bytes);
-                    self.fabric
-                        .write_onchip(
-                            drained.end,
-                            self.node(core),
-                            NodeId(
-                                row_addr.row() as u16 * self.mesh.cols() + row_addr.col() as u16,
-                            ),
-                            row_bytes,
-                        )
-                        .arrival
-                }
-            };
-        }
-        self.dma[core].commit(t, rows as u64 * row_bytes);
-        self.tracer
-            .span(Track::Dma(core as u32), "dma_2d", started, t);
-        self.counters[core].add(slot::DMA_BYTES, rows as u64 * row_bytes);
+        let row_addrs = (0..rows).map(|row| GlobalAddr(addr.0 + row * stride_bytes));
+        let done = self.dma_rows(core, dir, bank, row_bytes, row_addrs, "dma_2d");
         self.counters[core].bump(slot::DMA_2D);
-        t
+        done
     }
 
     /// Host-side program/data load into `core`'s local store: the
@@ -789,50 +717,18 @@ impl Chip {
 
     // ---- phase-scoped statistics -----------------------------------------------
 
-    /// Merged operation counters across all cores.
-    fn merged_counters(&self) -> Counters {
-        let mut merged = Counters::new();
-        for c in &self.counters {
-            c.merge_into(&mut merged);
-        }
-        merged
-    }
-
-    /// Open a named observation phase (a merge iteration, a pipeline
-    /// stage) at the current makespan cursor. Phases are strictly
-    /// sequential — close the previous one with [`Chip::phase_end`]
-    /// first.
-    pub fn phase_begin(&mut self, name: &str) {
-        // Phase boundary: drain the meshes' scratch statistics into
-        // their totals (getters merge both sides, so this is purely a
-        // batching bound — see `MeshNetwork::flush_stats`).
-        self.fabric.flush_stats();
-        let now = self.elapsed();
-        self.phases.begin(name, now, self.merged_counters());
-        let e0 = self.energy();
-        self.mark_power(now, e0);
-        self.phase_energy0 = e0;
-        self.phase_elink0 = self.fabric.elink.busy_cycles();
-        self.phase_sdram0 = self.sdram.busy_cycles();
-        self.phase_busy0 = self.busy.iter().copied().fold(Cycle::ZERO, |a, b| a + b);
-        self.phase_mesh0 = self.mesh_snapshot();
-    }
-
-    /// Record a power-sampling mark: the cumulative energy breakdown at
-    /// a phase boundary. Consecutive identical marks are deduplicated so
-    /// back-to-back phases don't inject zero-span epochs.
-    fn mark_power(&mut self, at: Cycle, energy: EnergyBreakdown) {
-        if self.power_marks.last() != Some(&(at, energy)) {
-            self.power_marks.push((at, energy));
-        }
-    }
-
-    fn mesh_snapshot(&self) -> MeshSnapshot {
+    /// Everything the chip has accumulated up to now.
+    fn snapshot(&self) -> Snapshot {
         let f = &self.fabric;
         let mut link_busy = f.cmesh.link_busy_vec();
         link_busy.extend(f.rmesh.link_busy_vec());
         link_busy.extend(f.xmesh.link_busy_vec());
-        MeshSnapshot {
+        Snapshot {
+            energy: self.energy(),
+            counters: CoreCounters::sum(&self.counters),
+            core_busy: self.busy.iter().copied().fold(Cycle::ZERO, |a, b| a + b),
+            elink_busy: f.elink.busy_cycles(),
+            sdram_busy: self.sdram.busy_cycles(),
             cmesh_byte_hops: f.cmesh.byte_hops(),
             rmesh_byte_hops: f.rmesh.byte_hops(),
             xmesh_byte_hops: f.xmesh.byte_hops(),
@@ -841,88 +737,41 @@ impl Chip {
         }
     }
 
+    /// Open a named observation phase (a merge iteration, a pipeline
+    /// stage) at the current makespan cursor. Phases are strictly
+    /// sequential — close the previous one with [`Chip::phase_end`]
+    /// first.
+    pub fn phase_begin(&mut self, name: &str) {
+        self.phases.begin(name, self.elapsed(), self.snapshot());
+    }
+
     /// Attach a gauge (occupancy, queue depth, …) to the open phase.
     pub fn phase_metric(&mut self, key: &str, value: f64) {
         self.phases.metric(key, value);
     }
 
-    /// Close the open phase at the current makespan cursor, recording
-    /// the energy and eLink activity it accounted for.
+    /// Close the open phase at the current makespan cursor.
     pub fn phase_end(&mut self) {
-        self.fabric.flush_stats();
-        let e_now = self.energy();
-        let denergy = e_now.delta_since(&self.phase_energy0);
-        let elink = self
-            .fabric
-            .elink
-            .busy_cycles()
-            .saturating_sub(self.phase_elink0);
-        let sdram_busy = self.sdram.busy_cycles().saturating_sub(self.phase_sdram0);
-        let core_busy = self
-            .busy
-            .iter()
-            .copied()
-            .fold(Cycle::ZERO, |a, b| a + b)
-            .saturating_sub(self.phase_busy0);
-        self.phases
-            .metric("sdram_busy_cycles", sdram_busy.raw() as f64);
-
-        // Mesh deltas since phase_begin.
-        let now_mesh = self.mesh_snapshot();
-        let m0 = &self.phase_mesh0;
-        let link_deltas = || {
-            let pairs = now_mesh.link_busy.iter().zip(&m0.link_busy);
-            pairs.map(|(now, was)| now.saturating_sub(*was).raw())
-        };
-        let max_link_delta = link_deltas().max().unwrap_or(0);
-
-        let (now, merged) = (self.elapsed(), self.merged_counters());
-        // Like per-phase eLink utilisation, not asserted ≤ 1: link
-        // reservations made in this phase can extend past its end.
-        let span_cycles = self
-            .phases
-            .open_start()
-            .map_or(0, |s| now.saturating_sub(s).raw());
-        let busiest_link_utilization = if span_cycles > 0 {
-            max_link_delta as f64 / span_cycles as f64
-        } else {
-            0.0
-        };
-        self.phase_stats.push(PhaseStats {
-            energy: denergy,
-            elink_busy: elink,
-            core_busy,
-            mesh: MeshUtilization {
-                cmesh_byte_hops: now_mesh.cmesh_byte_hops - m0.cmesh_byte_hops,
-                rmesh_byte_hops: now_mesh.rmesh_byte_hops - m0.rmesh_byte_hops,
-                xmesh_byte_hops: now_mesh.xmesh_byte_hops - m0.xmesh_byte_hops,
-                transfers: now_mesh.transfers - m0.transfers,
-                link_busy_cycles: link_deltas().sum(),
-                busiest_link_utilization,
-            },
-        });
-        self.phases.end(now, &merged);
-        self.mark_power(now, e_now);
+        let span = self.phases.end(self.elapsed(), self.snapshot());
 
         // Run-track span + cumulative-energy sample for the timeline.
         if self.tracer.is_enabled() {
-            if let Some(span) = self.phases.spans().last() {
-                self.tracer.span(
-                    Track::Run,
-                    format!("{}[{}]", span.name, span.index),
-                    span.start,
-                    span.start + span.cycles(),
-                );
+            self.tracer.span(
+                Track::Run,
+                format!("{}[{}]", span.name, span.index),
+                span.start,
+                span.end,
+            );
+            let energy = span.closed.energy;
+            self.tracer
+                .counter(Track::Run, "energy_j", span.end, energy.total_j());
+            // Per-component average power over the phase, rendered
+            // as counter tracks by the Chrome trace export.
+            let seconds = TimeSpan::new(span.cycles(), self.params.clock).seconds();
+            for (name, joules) in energy.delta_since(&span.opened.energy).components() {
+                let watts = if seconds > 0.0 { joules / seconds } else { 0.0 };
                 self.tracer
-                    .counter(Track::Run, "energy_j", now, e_now.total_j());
-                // Per-component average power over the phase, rendered
-                // as counter tracks by the Chrome trace export.
-                let seconds = TimeSpan::new(span.cycles(), self.params.clock).seconds();
-                for (name, joules) in denergy.components() {
-                    let watts = if seconds > 0.0 { joules / seconds } else { 0.0 };
-                    self.tracer
-                        .counter(Track::Run, format!("power_{name}_w"), now, watts);
-                }
+                    .counter(Track::Run, format!("power_{name}_w"), span.end, watts);
             }
         }
     }
@@ -962,7 +811,7 @@ impl Chip {
         record.platform = "epiphany".to_string();
         record.cores_used = cores_used;
         record.energy = self.energy();
-        record.counters = self.merged_counters();
+        record.counters = CoreCounters::sum(&self.counters).to_counters();
         record.busiest_link_cycles = self
             .fabric
             .cmesh
@@ -1002,19 +851,19 @@ impl Chip {
             "cmesh_lat_p50",
             "cmesh_lat_p95",
             "cmesh_lat_max",
-            &f.cmesh.latency(),
+            f.cmesh.latency(),
         );
         lat(
             "rmesh_lat_p50",
             "rmesh_lat_p95",
             "rmesh_lat_max",
-            &f.rmesh.latency(),
+            f.rmesh.latency(),
         );
         lat(
             "xmesh_lat_p50",
             "xmesh_lat_p95",
             "xmesh_lat_max",
-            &f.xmesh.latency(),
+            f.xmesh.latency(),
         );
         record.mesh_heatmap = Some(MeshHeatmap {
             cols: self.mesh.cols() as usize,
@@ -1026,86 +875,91 @@ impl Chip {
         // `RunRecord::elink_utilization` applies. Exercise it here so
         // accounting bugs surface at the producer.
         let _ = record.elink_utilization();
+        // Every per-phase figure is a difference of the phase's two
+        // snapshots; the power timeline's epochs are those boundaries,
+        // closed by a final epoch up to the makespan, so its sum
+        // telescopes to the run energy exactly (modulo the
+        // non-negativity clamp in delta_since, which only fires on a
+        // non-monotone model).
         let mut phase_powers = Vec::with_capacity(self.phases.spans().len());
-        record.phases = self
-            .phases
-            .spans()
-            .iter()
-            .zip(&self.phase_stats)
-            .map(|(span, stats)| {
-                let mesh = stats.mesh;
-                let denergy = stats.energy;
-                let mut metrics = span.metrics.clone();
-                for (name, delta) in span.counters.iter() {
-                    metrics.insert(name.to_string(), delta as f64);
-                }
-                // Computed without `utilization()`'s over-unity assert:
-                // a posted external write reserves eLink time that can
-                // extend past the phase-end cursor, so the busy delta
-                // attributed to a short phase may legitimately exceed
-                // its span (the tail drains during a later phase).
-                let span_cycles = span.cycles().raw() as f64;
-                let elink_utilization = if span_cycles > 0.0 {
-                    stats.elink_busy.raw() as f64 / span_cycles
-                } else {
-                    0.0
-                };
-                // Stall-vs-compute split: busy cycles over the phase's
-                // core-cycle budget. Only cores actually used count —
-                // idle cores are clock-gated and cost static power only.
-                let compute_fraction = if span_cycles > 0.0 && cores_used > 0 {
-                    (stats.core_busy.raw() as f64 / (cores_used as f64 * span_cycles)).min(1.0)
-                } else {
-                    0.0
-                };
-                let stall_fraction = if span_cycles > 0.0 {
-                    1.0 - compute_fraction
-                } else {
-                    0.0
-                };
-                phase_powers.push(PhasePower {
-                    name: span.name.clone(),
-                    index: span.index,
-                    energy: denergy,
-                    attribution: PhaseAttribution::attribute(
-                        &denergy,
-                        mesh.busiest_link_utilization,
-                        compute_fraction,
-                        stall_fraction,
-                    ),
-                });
-                PhaseRecord {
-                    name: span.name.clone(),
-                    index: span.index,
-                    start_ms: TimeSpan::new(span.start, self.params.clock).millis(),
-                    time_ms: TimeSpan::new(span.cycles(), self.params.clock).millis(),
-                    energy_j: denergy.total_j(),
-                    elink_utilization,
-                    mesh,
-                    metrics,
-                }
-            })
-            .collect();
-
-        // Power timeline: deltas between consecutive boundary marks,
-        // closed by a final epoch up to the makespan. The telescoping
-        // sum equals the run energy exactly (modulo the non-negativity
-        // clamp in delta_since, which only fires on a non-monotone
-        // model).
         let mut timeline = PowerTimeline::new();
-        let mut prev: (Cycle, EnergyBreakdown) = (Cycle::ZERO, EnergyBreakdown::default());
-        for &(at, e) in &self.power_marks {
-            timeline.push(PowerEpoch {
-                start: prev.0,
-                end: at,
-                energy: e.delta_since(&prev.1),
+        let mut prev = (Cycle::ZERO, EnergyBreakdown::default());
+        for span in self.phases.spans() {
+            let (was, now) = (&span.opened, &span.closed);
+            for (at, e) in [(span.start, was.energy), (span.end, now.energy)] {
+                timeline.push(PowerEpoch {
+                    start: prev.0,
+                    end: at,
+                    energy: e.delta_since(&prev.1),
+                });
+                prev = (at, e);
+            }
+            let denergy = now.energy.delta_since(&was.energy);
+            let link_deltas = || {
+                let pairs = now.link_busy.iter().zip(&was.link_busy);
+                pairs.map(|(now, was)| now.saturating_sub(*was).raw())
+            };
+            // Utilisations are computed without `utilization()`'s
+            // over-unity assert: a posted external write reserves
+            // eLink and link time that can extend past the phase-end
+            // cursor, so the busy delta attributed to a short phase
+            // may legitimately exceed its span (the tail drains during
+            // a later phase).
+            let span_cycles = span.cycles().raw() as f64;
+            let over_span = |busy: u64| {
+                if span_cycles > 0.0 {
+                    busy as f64 / span_cycles
+                } else {
+                    0.0
+                }
+            };
+            let mesh = MeshUtilization {
+                cmesh_byte_hops: now.cmesh_byte_hops - was.cmesh_byte_hops,
+                rmesh_byte_hops: now.rmesh_byte_hops - was.rmesh_byte_hops,
+                xmesh_byte_hops: now.xmesh_byte_hops - was.xmesh_byte_hops,
+                transfers: now.transfers - was.transfers,
+                link_busy_cycles: link_deltas().sum(),
+                busiest_link_utilization: over_span(link_deltas().max().unwrap_or(0)),
+            };
+            // Stall-vs-compute split: busy cycles over the phase's
+            // core-cycle budget. Only cores actually used count —
+            // idle cores are clock-gated and cost static power only.
+            let core_busy = now.core_busy.saturating_sub(was.core_busy);
+            let compute_fraction = if span_cycles > 0.0 && cores_used > 0 {
+                (core_busy.raw() as f64 / (cores_used as f64 * span_cycles)).min(1.0)
+            } else {
+                0.0
+            };
+            let stall_fraction = if span_cycles > 0.0 {
+                1.0 - compute_fraction
+            } else {
+                0.0
+            };
+            phase_powers.push(PhasePower {
+                name: span.name.clone(),
+                index: span.index,
+                energy: denergy,
+                attribution: PhaseAttribution::attribute(
+                    &denergy,
+                    mesh.busiest_link_utilization,
+                    compute_fraction,
+                    stall_fraction,
+                ),
             });
-            prev = (at, e);
+            let sdram_busy = now.sdram_busy.saturating_sub(was.sdram_busy);
+            let measured = std::iter::once(("sdram_busy_cycles", sdram_busy.raw()))
+                .chain(now.counters.since(&was.counters))
+                .map(|(name, n)| (name, n as f64));
+            let mut phase = PhaseRecord::of_span(span, self.params.clock, measured);
+            phase.energy_j = denergy.total_j();
+            phase.elink_utilization =
+                over_span(now.elink_busy.saturating_sub(was.elink_busy).raw());
+            phase.mesh = mesh;
+            record.phases.push(phase);
         }
-        let makespan = self.elapsed();
         timeline.push(PowerEpoch {
             start: prev.0,
-            end: makespan,
+            end: self.elapsed(),
             energy: record.energy.delta_since(&prev.1),
         });
         record.power = Some(PowerRecord {
@@ -1113,29 +967,6 @@ impl Chip {
             phases: phase_powers,
         });
         record
-    }
-
-    /// Clear all state for a fresh run on the same chip.
-    pub fn reset(&mut self) {
-        self.fabric.reset();
-        self.sdram.reset();
-        for s in &mut self.stores {
-            s.reset();
-        }
-        for d in &mut self.dma {
-            d.reset();
-        }
-        self.t.iter_mut().for_each(|t| *t = Cycle::ZERO);
-        self.busy.iter_mut().for_each(|b| *b = Cycle::ZERO);
-        self.counters.iter_mut().for_each(CoreCounters::clear);
-        self.phases.clear();
-        self.phase_stats.clear();
-        self.phase_energy0 = EnergyBreakdown::default();
-        self.phase_elink0 = Cycle::ZERO;
-        self.phase_sdram0 = Cycle::ZERO;
-        self.phase_busy0 = Cycle::ZERO;
-        self.phase_mesh0 = MeshSnapshot::default();
-        self.power_marks.clear();
     }
 }
 
@@ -1424,10 +1255,9 @@ mod tests {
 
     #[test]
     fn subgrid_embeds_the_small_mesh_in_the_big_one() {
-        let c = Chip::from_params(EpiphanyParams::e64());
         // 16 cores on an 8x8 chip: the 4x4 corner, row-major in the
         // 8-wide id space.
-        let ids = c.subgrid_cores(16);
+        let ids = Chip::subgrid_on(8, 8, 16);
         assert_eq!(
             ids,
             vec![0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27]
@@ -1451,15 +1281,15 @@ mod tests {
             }
         }
         // Non-rectangular counts take a prefix of the covering shape.
-        assert_eq!(c.subgrid_cores(5), vec![0, 1, 2, 8, 9]);
+        assert_eq!(Chip::subgrid_on(8, 8, 5), vec![0, 1, 2, 8, 9]);
         // The whole chip is its own subgrid.
-        assert_eq!(c.subgrid_cores(64).len(), 64);
+        assert_eq!(Chip::subgrid_on(8, 8, 64).len(), 64);
     }
 
     #[test]
     #[should_panic(expected = "does not fit")]
     fn subgrid_rejects_oversized_requests() {
-        let _ = chip().subgrid_cores(17);
+        let _ = Chip::subgrid_on(4, 4, 17);
     }
 
     #[test]
@@ -1565,6 +1395,63 @@ mod tests {
     }
 
     #[test]
+    fn a_phase_is_the_difference_of_the_reports_at_its_boundaries() {
+        let mut c = chip();
+        // Earlier traffic of every kind, so no difference is a total.
+        let mixed = |c: &mut Chip, scale: u64| {
+            let ops = OpCounts {
+                flops: 100 * scale,
+                loads: 40 * scale,
+                ..OpCounts::default()
+            };
+            c.compute(0, &ops);
+            c.compute(5, &ops);
+            let done = c.dma_start(1, DmaDirection::ExternalToLocal, ext(8192), 2, 512 * scale);
+            c.dma_wait(1, done);
+            let addrs: Vec<_> = (0..8 * scale as u32).map(|i| ext(64 * i)).collect();
+            c.read_external_run(2, &addrs, 8);
+            for i in 0..4 * scale as u32 {
+                c.write_external(3, ext((1 << 16) + 8 * i), 8);
+            }
+            let ready = c.write_remote(0, 15, 64 * scale);
+            c.wait_flag(15, ready);
+            c.read_remote(6, 9, 32);
+        };
+        c.phase_begin("earlier");
+        mixed(&mut c, 1);
+        c.phase_end();
+        let (before, sdram_before) = (c.report("before", 16), c.sdram().busy_cycles());
+        c.phase_begin("observed");
+        mixed(&mut c, 3);
+        c.phase_end();
+        let (after, sdram_after) = (c.report("after", 16), c.sdram().busy_cycles());
+
+        let phase = after.phases.last().expect("the observed phase");
+        assert_eq!(phase.name, "observed");
+        let grew = |name: &str| after.counters.get(name) - before.counters.get(name);
+        for name in slot::NAMES {
+            let delta = phase.metrics.get(name).copied().unwrap_or(0.0);
+            assert_eq!(delta, grew(name) as f64, "{name}");
+        }
+        assert!(grew("dma_bytes") > 0 && grew("remote_read") > 0 && grew("flag_polls") > 0);
+        assert_eq!(phase.mesh.cmesh_byte_hops, grew("cmesh_byte_hops"));
+        assert_eq!(phase.mesh.rmesh_byte_hops, grew("rmesh_byte_hops"));
+        assert_eq!(phase.mesh.xmesh_byte_hops, grew("xmesh_byte_hops"));
+        assert_eq!(phase.mesh.transfers, grew("mesh_transfers"));
+        assert_eq!(phase.mesh.link_busy_cycles, grew("mesh_link_busy_cycles"));
+        assert_eq!(
+            phase.metrics["sdram_busy_cycles"],
+            (sdram_after - sdram_before).raw() as f64
+        );
+        // The phase spans exactly the cycles between the two reports,
+        // so its eLink utilisation is the busy difference over them.
+        let cycles = (after.elapsed.cycles - before.elapsed.cycles).raw() as f64;
+        let elink = (after.elink_busy_cycles - before.elink_busy_cycles).raw() as f64;
+        assert!(elink > 0.0);
+        assert_eq!(phase.elink_utilization, elink / cycles);
+    }
+
+    #[test]
     fn tracer_threads_through_the_whole_machine() {
         use desim::trace::{EventKind, MeshKind};
         let mut c = chip();
@@ -1638,22 +1525,6 @@ mod tests {
         let mut c = chip();
         c.phase_begin("a");
         c.phase_begin("b");
-    }
-
-    #[test]
-    fn reset_clears_phases() {
-        let mut c = chip();
-        c.phase_begin("warm");
-        c.compute(
-            0,
-            &OpCounts {
-                flops: 1,
-                ..OpCounts::default()
-            },
-        );
-        c.phase_end();
-        c.reset();
-        assert!(c.report("clean", 1).phases.is_empty());
     }
 
     #[test]
@@ -1828,34 +1699,14 @@ mod tests {
         assert_eq!(plain.3, desim::FaultRecord::default());
     }
 
-    #[test]
-    fn reset_restores_time_zero() {
-        let mut c = chip();
-        c.compute(
-            3,
-            &OpCounts {
-                flops: 100,
-                ..OpCounts::default()
-            },
-        );
-        c.write_external(3, ext(0), 64);
-        c.reset();
-        assert_eq!(c.elapsed(), Cycle::ZERO);
-        assert_eq!(c.counters(3).get("fpu_instr"), 0);
-        assert_eq!(c.fabric().elink.busy_cycles(), Cycle::ZERO);
-    }
-
     /// Every observable the report layer reads must agree between two
     /// chips: cursors, busy cycles, counters, SDRAM behaviour, fabric
     /// statistics and energy (bit-exact — it is priced off the rest).
     fn assert_chips_agree(a: &Chip, b: &Chip, what: &str) {
         assert_eq!(a.now(0), b.now(0), "{what}: cursor");
         assert_eq!(a.busy(0), b.busy(0), "{what}: busy");
-        let (ca, cb): (Vec<_>, Vec<_>) = (
-            a.counters(0).iter().collect(),
-            b.counters(0).iter().collect(),
-        );
-        assert_eq!(ca, cb, "{what}: counters");
+        let (ca, cb) = (a.counters(0), b.counters(0));
+        assert!(ca.iter().eq(cb.iter()), "{what}: counters");
         assert_eq!(a.sdram().accesses(), b.sdram().accesses(), "{what}: sdram");
         assert_eq!(
             a.sdram().row_hit_rate().to_bits(),

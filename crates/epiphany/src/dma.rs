@@ -15,8 +15,6 @@ pub enum DmaDirection {
     ExternalToLocal,
     /// Local store out to external SDRAM.
     LocalToExternal,
-    /// Local store into another core's local store.
-    LocalToRemote,
 }
 
 /// One core's DMA engine.
@@ -51,11 +49,6 @@ impl DmaEngine {
         self.bytes += bytes;
     }
 
-    /// Completion time of the most recent descriptor.
-    pub fn busy_until(&self) -> Cycle {
-        self.busy_until
-    }
-
     /// Descriptors completed so far.
     pub fn transfers(&self) -> u64 {
         self.transfers
@@ -64,11 +57,6 @@ impl DmaEngine {
     /// Bytes moved so far.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Clear the engine.
-    pub fn reset(&mut self) {
-        *self = DmaEngine::default();
     }
 }
 
@@ -86,14 +74,5 @@ mod tests {
         e.commit(Cycle(200), 256);
         assert_eq!(e.transfers(), 2);
         assert_eq!(e.bytes(), 768);
-    }
-
-    #[test]
-    fn reset_idles_engine() {
-        let mut e = DmaEngine::new();
-        e.commit(Cycle(50), 64);
-        e.reset();
-        assert_eq!(e.busy_until(), Cycle::ZERO);
-        assert_eq!(e.transfers(), 0);
     }
 }

@@ -76,19 +76,6 @@ impl EpiphanyPlatform {
             label: "e64",
         }
     }
-
-    /// The default platform with substituted parameters, keeping the
-    /// label consistent with the declared mesh (4x4 meshes stay
-    /// "epiphany", 8x8 becomes "e64", anything else is "epiphany"
-    /// with the custom geometry carried in the params).
-    pub fn with_params(params: EpiphanyParams) -> EpiphanyPlatform {
-        let label = if (params.mesh_cols, params.mesh_rows) == (8, 8) {
-            "e64"
-        } else {
-            "epiphany"
-        };
-        EpiphanyPlatform { params, label }
-    }
 }
 
 impl Platform for EpiphanyPlatform {
@@ -236,14 +223,5 @@ mod tests {
         let e16 = platform_named("e16").expect("e16 alias");
         assert_eq!(e16.label(), "epiphany");
         assert_eq!(e16.epiphany_params().map(|p| p.cores()), Some(16));
-        // with_params keeps labels in sync with geometry.
-        assert_eq!(
-            EpiphanyPlatform::with_params(epiphany::EpiphanyParams::e64()).label(),
-            "e64"
-        );
-        assert_eq!(
-            EpiphanyPlatform::with_params(epiphany::EpiphanyParams::default()).label(),
-            "epiphany"
-        );
     }
 }

@@ -36,7 +36,7 @@ pub struct SpmdOptions {
     /// platform's mesh provides — 16 on the E16G3, 64 on the E64.
     /// `Some(n)` pins the count for ablations; when `n` is smaller
     /// than the chip, the work runs on a compact
-    /// [`Chip::subgrid_cores`] subgrid so hop counts match a dedicated
+    /// [`Chip::subgrid_on`] subgrid so hop counts match a dedicated
     /// `n`-core chip.
     pub cores: Option<usize>,
     /// DMA-prefetch the mapped child beams (ablation: off = every

@@ -45,7 +45,7 @@ pub const TILE: usize = 32;
 pub struct RdaSpmdOptions {
     /// Cores to use. `None` (the default) means every core the
     /// platform's mesh provides; `Some(n)` pins the count on a compact
-    /// [`epiphany::Chip::subgrid_cores`] subgrid.
+    /// [`epiphany::Chip::subgrid_on`] subgrid.
     pub cores: Option<usize>,
 }
 

@@ -196,17 +196,6 @@ impl Cache {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Invalidate everything and zero statistics.
-    pub fn reset(&mut self) {
-        self.tags.fill(0);
-        self.meta.fill(0);
-        self.mru.fill(0);
-        self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
-        self.writebacks = 0;
-    }
 }
 
 #[cfg(test)]
@@ -299,15 +288,6 @@ mod tests {
             }
         }
         assert!(c.hit_rate() > 0.85, "hit rate {}", c.hit_rate());
-    }
-
-    #[test]
-    fn reset_invalidates() {
-        let mut c = Cache::new(1024, 64, 2);
-        c.access(0, true);
-        c.reset();
-        assert!(!c.contains(0));
-        assert_eq!(c.hits() + c.misses(), 0);
     }
 
     #[test]

@@ -200,26 +200,6 @@ impl MemoryHierarchy {
     pub fn total_cycles(&self) -> u64 {
         self.total_cycles
     }
-
-    /// Average latency per access.
-    pub fn mean_latency(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.total_cycles as f64 / self.accesses as f64
-        }
-    }
-
-    /// Invalidate caches and statistics.
-    pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-        self.l3.reset();
-        self.prefetcher.reset();
-        self.dram_accesses = 0;
-        self.total_cycles = 0;
-        self.accesses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -307,10 +287,8 @@ mod tests {
         let (l1, _, _) = h.stats();
         assert_eq!(l1.hits, 1);
         assert_eq!(l1.misses, 1);
-        assert!(h.mean_latency() > 0.0);
-        h.reset();
-        assert_eq!(h.accesses(), 0);
-        assert_eq!(h.dram_accesses(), 0);
+        assert_eq!(h.accesses(), 2);
+        assert_eq!(h.dram_accesses(), 1);
     }
 
     #[test]

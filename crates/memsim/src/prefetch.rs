@@ -135,14 +135,6 @@ impl StreamPrefetcher {
     pub fn issued(&self) -> u64 {
         self.issued
     }
-
-    /// Forget all streams.
-    pub fn reset(&mut self) {
-        self.hits.fill(0);
-        // Never-used slots are listed in index order.
-        self.lru.sort_unstable();
-        self.issued = 0;
-    }
 }
 
 #[cfg(test)]
@@ -219,15 +211,5 @@ mod tests {
         for line in (0..20u64).map(|i| i * 1000) {
             assert_eq!(p.observe(line).count(), 0);
         }
-    }
-
-    #[test]
-    fn reset_forgets_streams() {
-        let mut p = StreamPrefetcher::new(4, 2, 2);
-        p.observe(10);
-        p.observe(11);
-        p.reset();
-        assert_eq!(p.observe(12).count(), 0);
-        assert_eq!(p.issued(), 0);
     }
 }

@@ -190,15 +190,6 @@ impl Sdram {
     pub fn busy_cycles(&self) -> Cycle {
         self.bus.busy_cycles()
     }
-
-    /// Clear device state.
-    pub fn reset(&mut self) {
-        self.bus.reset();
-        self.open_rows.iter_mut().for_each(|r| *r = None);
-        self.accesses = 0;
-        self.row_hits = 0;
-        self.bytes = 0;
-    }
 }
 
 #[cfg(test)]
@@ -279,14 +270,5 @@ mod tests {
         let after = d.latency_of(Cycle(300), 16);
         assert_eq!(after, Cycle(p.row_hit_cycles));
         assert_eq!(faults.totals().faults_injected, 1);
-    }
-
-    #[test]
-    fn reset_closes_rows() {
-        let mut d = Sdram::new(SdramParams::default());
-        d.access(Cycle(0), 0, 8);
-        d.reset();
-        let a = d.access(Cycle(0), 8, 8);
-        assert!(!a.row_hit);
     }
 }

@@ -124,19 +124,6 @@ impl LocalStore {
     pub fn conflicts(&self) -> u64 {
         self.conflicts
     }
-
-    /// Busy cycles of bank `bank`.
-    pub fn bank_busy(&self, bank: usize) -> Cycle {
-        self.ports[bank].busy_cycles()
-    }
-
-    /// Clear all port state.
-    pub fn reset(&mut self) {
-        for p in &mut self.ports {
-            p.reset();
-        }
-        self.conflicts = 0;
-    }
 }
 
 #[cfg(test)]
@@ -189,19 +176,9 @@ mod tests {
     fn access_bank_targets_explicit_bank() {
         let mut s = LocalStore::new(SramParams::default());
         s.access_bank(Cycle(0), 2, 800);
-        assert_eq!(s.bank_busy(2), Cycle(100));
-        assert_eq!(s.bank_busy(0), Cycle::ZERO);
-    }
-
-    #[test]
-    fn reset_clears_conflicts() {
-        let mut s = LocalStore::new(SramParams::default());
-        s.access(Cycle(0), 0, 64);
-        s.access(Cycle(0), 0, 64);
-        assert_eq!(s.conflicts(), 1);
-        s.reset();
-        assert_eq!(s.conflicts(), 0);
-        assert_eq!(s.bank_busy(0), Cycle::ZERO);
+        // Bank 2 is held for 100 cycles; bank 0 is free.
+        assert_eq!(s.access_bank(Cycle(0), 2, 8).start, Cycle(100));
+        assert_eq!(s.access_bank(Cycle(0), 0, 8).start, Cycle::ZERO);
     }
 
     #[test]

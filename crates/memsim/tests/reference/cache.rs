@@ -168,13 +168,4 @@ impl Cache {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Invalidate everything and zero statistics.
-    pub fn reset(&mut self) {
-        self.lines.iter_mut().for_each(|l| *l = Line::default());
-        self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
-        self.writebacks = 0;
-    }
 }

@@ -95,11 +95,4 @@ impl StreamPrefetcher {
     pub fn issued(&self) -> u64 {
         self.issued
     }
-
-    /// Forget all streams.
-    pub fn reset(&mut self) {
-        self.streams.iter_mut().for_each(|s| *s = None);
-        self.tick = 0;
-        self.issued = 0;
-    }
 }

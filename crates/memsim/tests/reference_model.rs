@@ -97,10 +97,6 @@ fn cache_matches_the_reference_per_touch() {
                     "{}",
                     ctx()
                 );
-                if i == trace.len() / 2 && g % 2 == 1 {
-                    new.reset();
-                    old.reset();
-                }
             }
             assert_eq!(
                 (new.hits(), new.misses(), new.writebacks()),
@@ -133,10 +129,6 @@ fn prefetcher_matches_the_reference_per_observe() {
                              {name} observe {i} of line {line}"
                         );
                         checked_runs += u64::from(!want.is_empty());
-                        if i == trace.len() / 2 && table_size == 2 {
-                            new.reset();
-                            old.reset();
-                        }
                     }
                     assert_eq!(new.issued(), old.issued());
                 }

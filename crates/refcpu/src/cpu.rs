@@ -1,6 +1,6 @@
 //! The single-core execution model.
 
-use desim::record::RunRecord;
+use desim::record::{PhaseRecord, RunRecord};
 use desim::stats::{Counters, PhaseTimeline};
 use desim::{Cycle, OpCounts, TimeSpan};
 use memsim::MemoryHierarchy;
@@ -14,8 +14,9 @@ pub struct RefCpu {
     cycles: f64,
     ops: OpCounts,
     mem_stall_cycles: f64,
-    phases: PhaseTimeline,
-    phase_stall0: f64,
+    /// Each phase with the core's counters and memory-stall cycles at
+    /// both ends.
+    phases: PhaseTimeline<(Counters, f64)>,
 }
 
 impl RefCpu {
@@ -37,7 +38,6 @@ impl RefCpu {
             ops: OpCounts::default(),
             mem_stall_cycles: 0.0,
             phases: PhaseTimeline::new(),
-            phase_stall0: 0.0,
         }
     }
 
@@ -127,8 +127,8 @@ impl RefCpu {
 
     /// Open a named observation phase at the current cycle cursor.
     pub fn phase_begin(&mut self, name: &str) {
-        self.phases.begin(name, self.elapsed(), self.counters());
-        self.phase_stall0 = self.mem_stall_cycles;
+        let seen = (self.counters(), self.mem_stall_cycles);
+        self.phases.begin(name, self.elapsed(), seen);
     }
 
     /// Attach a gauge to the open phase.
@@ -136,15 +136,10 @@ impl RefCpu {
         self.phases.metric(key, value);
     }
 
-    /// Close the open phase, recording its datasheet energy and memory
-    /// stall cycles.
+    /// Close the open phase at the current cycle cursor.
     pub fn phase_end(&mut self) {
-        self.phases.metric(
-            "mem_stall_cycles",
-            self.mem_stall_cycles - self.phase_stall0,
-        );
-        let (now, counters) = (self.elapsed(), self.counters());
-        self.phases.end(now, &counters);
+        let seen = (self.counters(), self.mem_stall_cycles);
+        self.phases.end(self.elapsed(), seen);
     }
 
     /// Finish the run into a record. Energy follows the paper's
@@ -165,34 +160,16 @@ impl RefCpu {
             .spans()
             .iter()
             .map(|span| {
-                let mut metrics = span.metrics.clone();
-                for (name, delta) in span.counters.iter() {
-                    metrics.insert(name.to_string(), delta as f64);
-                }
-                let time_ms = TimeSpan::new(span.cycles(), self.params.clock).millis();
-                desim::record::PhaseRecord {
-                    name: span.name.clone(),
-                    index: span.index,
-                    start_ms: TimeSpan::new(span.start, self.params.clock).millis(),
-                    time_ms,
-                    energy_j: self.params.power_w * time_ms * 1e-3,
-                    elink_utilization: 0.0,
-                    mesh: desim::record::MeshUtilization::default(),
-                    metrics,
-                }
+                let ((counters0, stall0), (counters, stall)) = (&span.opened, &span.closed);
+                let grown = counters.since(counters0);
+                let measured = std::iter::once(("mem_stall_cycles", stall - stall0))
+                    .chain(grown.iter().map(|(name, n)| (name, n as f64)));
+                let mut phase = PhaseRecord::of_span(span, self.params.clock, measured);
+                phase.energy_j = self.params.power_w * phase.time_ms * 1e-3;
+                phase
             })
             .collect();
         record
-    }
-
-    /// Restart with cold caches.
-    pub fn reset(&mut self) {
-        self.hierarchy.reset();
-        self.cycles = 0.0;
-        self.ops = OpCounts::default();
-        self.mem_stall_cycles = 0.0;
-        self.phases.clear();
-        self.phase_stall0 = 0.0;
     }
 }
 
@@ -318,15 +295,6 @@ mod tests {
         assert_eq!(r.phases[1].metrics.get("fpu_instr"), Some(&3600.0));
         let total: f64 = r.phases.iter().map(|p| p.energy_j).sum();
         assert!((total - r.energy_j()).abs() < 1e-9 * r.energy_j().max(1e-12));
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let mut c = cpu();
-        c.mem_read(0, 64);
-        c.reset();
-        assert_eq!(c.elapsed(), Cycle::ZERO);
-        assert_eq!(c.hierarchy().accesses(), 0);
     }
 
     #[test]

@@ -39,6 +39,7 @@ fn json_output_is_parseable_and_covers_every_pair() {
         .and_then(Json::as_array)
         .expect("pairs array");
     assert_eq!(pairs.len(), 17);
+    let mut bounded_pairs = 0;
     for pair in pairs {
         assert_eq!(pair.get("clean").and_then(Json::as_bool), Some(true));
         assert!(pair.get("mapping").and_then(Json::as_str).is_some());
@@ -50,13 +51,21 @@ fn json_output_is_parseable_and_covers_every_pair() {
         let bounded = cost.get("bounded").and_then(Json::as_bool).expect("flag");
         let cycles = cost.get("cycles").expect("cycles bound");
         if bounded {
+            bounded_pairs += 1;
             let lo = cycles.get("lo").and_then(Json::as_f64).expect("finite lo");
             let hi = cycles.get("hi").and_then(Json::as_f64).expect("finite hi");
             assert!(0.0 < lo && lo <= hi, "{pair:?}");
+            let joules = cost.get("energy_j").and_then(|e| e.get("total"));
+            let edge = |k| joules.and_then(|j| j.get(k)).and_then(Json::as_f64);
+            assert!(
+                edge("lo").expect("lo") <= edge("hi").expect("hi"),
+                "{pair:?}"
+            );
         } else {
             assert!(matches!(cycles.get("hi"), Some(Json::Null)), "{pair:?}");
         }
     }
+    assert_eq!(bounded_pairs, 16, "every pair but the host one is bounded");
 }
 
 #[test]
