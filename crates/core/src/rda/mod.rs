@@ -32,5 +32,5 @@ mod stages;
 pub use pipeline::{rda, RdaConfig, RdaRun};
 pub use stages::{
     azimuth_compress, azimuth_reference, doppler_spectrum, fft_ops, ifft_ops, range_compress_row,
-    rcmc_correct, rcmc_shift, RCMC_MAX_SIN,
+    rcmc_correct, rcmc_shift, MigrationTable, RCMC_MAX_SIN,
 };

@@ -7,7 +7,7 @@ use crate::complex::c32;
 use crate::geometry::SarGeometry;
 use crate::image::ComplexImage;
 use crate::rda::stages::{
-    azimuth_compress, azimuth_reference, doppler_spectrum, range_compress_row, rcmc_correct,
+    azimuth_compress, azimuth_reference, doppler_spectrum, range_compress_row, MigrationTable,
 };
 use crate::signal::{lfm_chirp, ChirpParams, MatchedFilter};
 
@@ -83,9 +83,10 @@ pub fn rda(raw: &ComplexImage, geom: &SarGeometry, cfg: &RdaConfig) -> RdaRun {
     // 3 + 4. RCMC and azimuth compression, per range bin. The inverse
     // FFT returns circular lags; broadside (lag 0) is rotated to the
     // middle row so the image frame matches FFBP's.
+    let migration = MigrationTable::new(geom, cfg.rcmc);
     let mut image = ComplexImage::zeros(n, geom.num_bins);
     for i in 0..geom.num_bins {
-        let corrected = rcmc_correct(&rd, geom, i, cfg.rcmc, &mut counts);
+        let corrected = migration.correct(&rd, i, &mut counts);
         let href = azimuth_reference(geom, i, &mut counts);
         let line = azimuth_compress(&corrected, &href, &mut counts);
         for k in 0..n {

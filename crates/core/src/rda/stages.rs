@@ -21,6 +21,12 @@ use crate::signal::{fft_inplace, ifft_inplace, MatchedFilter};
 /// recurrence (2 FMA + 2 flops -- folded into the per-butterfly FMA
 /// and flop charges below), two complex loads and stores, plus the
 /// bit-reversal pass.
+///
+/// This prices the *Epiphany* kernel, which advances the twiddle
+/// recurrence in every butterfly (the n = 1024 table alone would fill
+/// one of a core's four 8 KB banks). The host's `signal::fft` looks its
+/// twiddles up in a per-length plan instead; that decides how fast the
+/// simulator forms the image, not what the simulated core is charged.
 pub fn fft_ops(n: usize, counts: &mut OpCounts) {
     debug_assert!(n.is_power_of_two());
     let stages = n.trailing_zeros() as u64;
@@ -82,14 +88,14 @@ pub fn doppler_spectrum(column: &[c32], counts: &mut OpCounts) -> Vec<c32> {
 /// of the swath, which zeroes the (unphysical) bin.
 pub const RCMC_MAX_SIN: f32 = 0.95;
 
-/// Range-cell migration for Doppler bin `doppler` at range bin `bin`,
-/// in whole range bins (nearest-neighbour, always >= 0).
+/// The Doppler-only part of the migration: `1/cos theta − 1` for
+/// Doppler bin `doppler`.
 ///
 /// Doppler index `m` maps to squint `sin theta = lambda m~ / (2 N d)`
 /// (`m~` the signed alias of `m`, `d` the pulse spacing); a scatterer
 /// seen at squint `theta` sits `R (1/cos theta - 1)` beyond its
 /// closest-approach range.
-pub fn rcmc_shift(geom: &SarGeometry, bin: usize, doppler: usize) -> usize {
+fn migration_factor(geom: &SarGeometry, doppler: usize) -> f32 {
     let n = geom.num_pulses;
     let m_signed = if doppler * 2 < n {
         doppler as f32
@@ -99,16 +105,90 @@ pub fn rcmc_shift(geom: &SarGeometry, bin: usize, doppler: usize) -> usize {
     let sin_t = (geom.wavelength * m_signed / (2.0 * n as f32 * geom.pulse_spacing))
         .clamp(-RCMC_MAX_SIN, RCMC_MAX_SIN);
     let cos_t = (1.0 - sin_t * sin_t).sqrt();
-    let migration = geom.bin_range(bin) * (1.0 / cos_t - 1.0);
+    1.0 / cos_t - 1.0
+}
+
+/// A migration of `factor` at slant range `range`, in whole range bins
+/// (nearest-neighbour, always >= 0).
+fn migration_bins(geom: &SarGeometry, range: f32, factor: f32) -> usize {
+    let migration = range * factor;
     (migration / geom.dr).round() as usize
 }
 
-/// Apply RCMC to range bin `bin` of the bin-major range–Doppler matrix
-/// `rd` (rows = range bins, cols = Doppler bins): gather each Doppler
-/// sample from `bin + delta`, zero when the source falls off the far
-/// end of the swath. With `enabled == false` the row is copied
-/// unshifted (the ablation path); the per-sample ledger is uniform in
-/// either mode.
+/// Range-cell migration for Doppler bin `doppler` at range bin `bin`,
+/// in whole range bins: one cell of a [`MigrationTable`].
+pub fn rcmc_shift(geom: &SarGeometry, bin: usize, doppler: usize) -> usize {
+    migration_bins(geom, geom.bin_range(bin), migration_factor(geom, doppler))
+}
+
+/// The range-cell migration of one geometry, planned once: the
+/// migration factor depends on the Doppler bin alone, so a run (and a
+/// program model pricing one) evaluates its square root per Doppler
+/// bin, not per cell of the range–Doppler matrix.
+pub struct MigrationTable {
+    geom: SarGeometry,
+    /// [`migration_factor`] per Doppler bin; `None` with RCMC off (the
+    /// ablation path: nothing migrates).
+    factor: Option<Vec<f32>>,
+}
+
+impl MigrationTable {
+    /// The table for `geom`, with RCMC `enabled` or off.
+    pub fn new(geom: &SarGeometry, enabled: bool) -> MigrationTable {
+        MigrationTable {
+            geom: *geom,
+            factor: enabled.then(|| {
+                (0..geom.num_pulses)
+                    .map(|m| migration_factor(geom, m))
+                    .collect()
+            }),
+        }
+    }
+
+    /// The migration of every Doppler bin at range bin `bin`, in whole
+    /// range bins -- [`rcmc_shift`] of each cell (0 with RCMC off).
+    fn shifts(&self, bin: usize) -> impl Iterator<Item = usize> + '_ {
+        let range = self.geom.bin_range(bin);
+        let factor = self.factor.as_deref();
+        (0..self.geom.num_pulses)
+            .map(move |m| factor.map_or(0, |f| migration_bins(&self.geom, range, f[m])))
+    }
+
+    /// Where RCMC gathers each Doppler sample of range bin `bin` from:
+    /// the range bin `bin + delta` per Doppler bin (`bin` itself where
+    /// nothing migrates), `None` when that falls off the far end of
+    /// the swath.
+    pub fn sources(&self, bin: usize) -> impl Iterator<Item = Option<usize>> + '_ {
+        self.shifts(bin)
+            .map(move |shift| Some(bin + shift).filter(|&src| src < self.geom.num_bins))
+    }
+
+    /// Apply RCMC to range bin `bin` of the bin-major range–Doppler
+    /// matrix `rd` (rows = range bins, cols = Doppler bins): gather
+    /// each Doppler sample from its [source](Self::sources), zero when
+    /// that falls off the swath. With RCMC off the row is copied
+    /// unshifted; the per-sample ledger is uniform in either mode.
+    pub fn correct(&self, rd: &ComplexImage, bin: usize, counts: &mut OpCounts) -> Vec<c32> {
+        let n = self.geom.num_pulses as u64;
+        if self.factor.is_some() {
+            counts.flops += 6 * n;
+            counts.fmas += 2 * n;
+            counts.divs += 2 * n;
+            counts.sqrts += n;
+            counts.ialu += 2 * n;
+        }
+        counts.loads += 2 * n;
+        counts.stores += 2 * n;
+        counts.ialu += n;
+        self.sources(bin)
+            .enumerate()
+            .map(|(m, src)| src.map_or(c32::ZERO, |src| rd.at(src, m)))
+            .collect()
+    }
+}
+
+/// [`MigrationTable::correct`] for a caller holding no table: builds
+/// the geometry's table and corrects the one bin.
 pub fn rcmc_correct(
     rd: &ComplexImage,
     geom: &SarGeometry,
@@ -116,28 +196,7 @@ pub fn rcmc_correct(
     enabled: bool,
     counts: &mut OpCounts,
 ) -> Vec<c32> {
-    let n = geom.num_pulses;
-    let mut out = Vec::with_capacity(n);
-    for m in 0..n {
-        let shift = if enabled { rcmc_shift(geom, bin, m) } else { 0 };
-        if enabled {
-            counts.flops += 6;
-            counts.fmas += 2;
-            counts.divs += 2;
-            counts.sqrts += 1;
-            counts.ialu += 2;
-        }
-        counts.loads += 2;
-        counts.stores += 2;
-        counts.ialu += 1;
-        let src = bin + shift;
-        out.push(if src < geom.num_bins {
-            rd.at(src, m)
-        } else {
-            c32::ZERO
-        });
-    }
-    out
+    MigrationTable::new(geom, enabled).correct(rd, bin, counts)
 }
 
 /// Frequency-domain azimuth reference for range bin `bin`: the FFT of
@@ -219,6 +278,27 @@ mod tests {
             (predicted - geometric).abs() <= 1.0,
             "predicted {predicted} vs geometric {geometric}"
         );
+    }
+
+    #[test]
+    fn migration_table_equals_the_formula_in_every_cell() {
+        let close = SarGeometry {
+            r0: 100.0,
+            ..SarGeometry::test_size()
+        };
+        for g in [SarGeometry::test_size(), SarGeometry::paper_size(), close] {
+            let table = MigrationTable::new(&g, true);
+            let off = MigrationTable::new(&g, false);
+            for bin in 0..g.num_bins {
+                let formula: Vec<usize> =
+                    (0..g.num_pulses).map(|m| rcmc_shift(&g, bin, m)).collect();
+                assert!(table.shifts(bin).eq(formula.iter().copied()), "bin {bin}");
+                // A source is the shifted bin, while it stays in swath.
+                let in_swath = |shift: &usize| Some(bin + shift).filter(|&src| src < g.num_bins);
+                assert!(table.sources(bin).eq(formula.iter().map(in_swath)));
+                assert!(off.sources(bin).all(|src| src == Some(bin)));
+            }
+        }
     }
 
     #[test]

@@ -58,18 +58,6 @@ impl Counters {
         self.map.iter().map(|(k, v)| (k.as_ref(), *v))
     }
 
-    /// Merge another counter set into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in &other.map {
-            self.add(k.clone(), *v);
-        }
-    }
-
-    /// Drop all counters.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
     /// Difference against an earlier snapshot of the same accumulator:
     /// every counter's growth since `snapshot`, omitting zero deltas.
     /// Counters are monotone, so each value must be `>=` the snapshot's.
@@ -282,24 +270,6 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Fold another histogram into this one. Buckets are aligned (both
-    /// sides use the same power-of-two layout), so the merge is exact:
-    /// the result is indistinguishable from recording every sample of
-    /// `other` into `self` directly — counts, sums, min/max and every
-    /// quantile agree.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Approximate quantile from the exponential buckets (`q` in 0..=1).
     ///
     /// Returns the *geometric midpoint* of the bucket containing
@@ -341,7 +311,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_merge() {
+    fn counters_accumulate() {
         let mut a = Counters::new();
         a.add("flop", 10);
         a.bump("flop");
@@ -349,18 +319,8 @@ mod tests {
         assert_eq!(a.get("flop"), 11);
         assert_eq!(a.get("load"), 1);
         assert_eq!(a.get("absent"), 0);
-
-        let mut b = Counters::new();
-        b.add("flop", 5);
-        b.add("store", 2);
-        a.merge(&b);
-        assert_eq!(a.get("flop"), 16);
-        assert_eq!(a.get("store"), 2);
-
         let listed: Vec<_> = a.iter().collect();
-        assert_eq!(listed.len(), 3); // flop, load, store
-        a.clear();
-        assert_eq!(a.get("flop"), 0);
+        assert_eq!(listed, [("flop", 11), ("load", 1)]);
     }
 
     #[test]
@@ -457,32 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_equals_direct_recording() {
-        // Record one stream directly, and the same stream split across
-        // two histograms merged afterwards: every statistic must agree.
-        let samples: Vec<u64> = (0..500u64).map(|i| i * i % 977).collect();
-        let mut direct = Histogram::new();
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for (i, &v) in samples.iter().enumerate() {
-            direct.record(v);
-            if i.is_multiple_of(3) {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), direct.count());
-        assert_eq!(a.min(), direct.min());
-        assert_eq!(a.max(), direct.max());
-        assert!((a.mean() - direct.mean()).abs() < 1e-12);
-        for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), direct.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
     fn histogram_record_n_equals_repeated_record() {
         for &(v, n) in &[(0u64, 3u64), (1, 1), (7, 200), (1 << 40, 5), (977, 0)] {
             let mut direct = Histogram::new();
@@ -501,21 +435,6 @@ mod tests {
                 assert_eq!(bulk.quantile(q), direct.quantile(q), "v={v} n={n} q={q}");
             }
         }
-    }
-
-    #[test]
-    fn histogram_merge_with_empty_is_identity() {
-        let mut h = Histogram::new();
-        h.record(5);
-        h.record(1000);
-        let snapshot = (h.count(), h.min(), h.max(), h.quantile(0.5));
-        h.merge(&Histogram::new());
-        assert_eq!((h.count(), h.min(), h.max(), h.quantile(0.5)), snapshot);
-        let mut empty = Histogram::new();
-        empty.merge(&h);
-        assert_eq!(empty.count(), h.count());
-        assert_eq!(empty.min(), h.min());
-        assert_eq!(empty.max(), h.max());
     }
 
     #[test]

@@ -1,4 +1,5 @@
 use epiphany::{Chip, EpiphanyParams};
+use sar_core::rda::MigrationTable;
 use sim_harness::{
     AutofocusWorkload, Bound, FfbpWorkload, Placement, ProgramModel, RdaWorkload, RunContext,
 };
@@ -157,8 +158,9 @@ fn rda_seq_model_declares_every_input_sample_as_a_blocking_read() {
     assert_eq!(az.ext_read_msgs.lo, az.ext_read_msgs.hi);
     // The surplus is exactly the RCMC gathers, and exactly what the
     // driver issues in its azimuth phase.
+    let migration = MigrationTable::new(&w.geom, w.config.rcmc);
     let gathers: usize = (0..w.geom.num_bins)
-        .map(|i| rda_seq::rcmc_gathers(&w, i).count())
+        .map(|i| rda_seq::rcmc_gathers(&migration, i).count())
         .sum();
     assert!(gathers > 0, "the small scene migrates");
     assert_eq!(az.ext_read_msgs.lo, matrix + gathers as f64);

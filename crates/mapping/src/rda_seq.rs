@@ -16,8 +16,7 @@ use epiphany::{Chip, EpiphanyParams};
 use sar_core::complex::c32;
 use sar_core::image::ComplexImage;
 use sar_core::rda::{
-    azimuth_compress, azimuth_reference, doppler_spectrum, range_compress_row, rcmc_correct,
-    rcmc_shift,
+    azimuth_compress, azimuth_reference, doppler_spectrum, range_compress_row, MigrationTable,
 };
 use sar_core::signal::{lfm_chirp, MatchedFilter};
 use sim_harness::{Bound, ImageRun, ProgramModel, RdaWorkload, RunContext, WorkDecl};
@@ -31,6 +30,9 @@ use crate::layout::RdaLayout;
 pub(crate) struct Stages<'a> {
     w: &'a RdaWorkload,
     mf: MatchedFilter,
+    /// The geometry's range-cell migration, which [`rcmc_gathers`]
+    /// fetches and [`Stages::azimuth_bin`] corrects.
+    pub migration: MigrationTable,
     /// Range-compressed matrix, pulse-major.
     rc: ComplexImage,
     /// Range–Doppler matrix, bin-major.
@@ -45,6 +47,7 @@ impl<'a> Stages<'a> {
         Stages {
             w,
             mf: MatchedFilter::new(&lfm_chirp(w.config.chirp), w.raw.cols()),
+            migration: MigrationTable::new(&w.geom, w.config.rcmc),
             rc: ComplexImage::zeros(n, bins),
             rd: ComplexImage::zeros(bins, n),
             image: ComplexImage::zeros(n, bins),
@@ -75,7 +78,7 @@ impl<'a> Stages<'a> {
     pub fn azimuth_bin(&mut self, i: usize) -> OpCounts {
         let (geom, n) = (&self.w.geom, self.w.geom.num_pulses);
         let mut ops = OpCounts::default();
-        let corrected = rcmc_correct(&self.rd, geom, i, self.w.config.rcmc, &mut ops);
+        let corrected = self.migration.correct(&self.rd, i, &mut ops);
         let href = azimuth_reference(geom, i, &mut ops);
         let line = azimuth_compress(&corrected, &href, &mut ops);
         for k in 0..n {
@@ -90,14 +93,14 @@ impl<'a> Stages<'a> {
     /// price a model). All three are data-independent (the
     /// `sar_core::rda` tests pin that), so one probe per stage is exact
     /// for every unit of the run.
-    pub fn probe(w: &RdaWorkload) -> [OpCounts; 3] {
+    pub fn probe(w: &RdaWorkload, migration: &MigrationTable) -> [OpCounts; 3] {
         let (geom, n) = (&w.geom, w.geom.num_pulses);
         let mf = MatchedFilter::new(&lfm_chirp(w.config.chirp), w.raw.cols());
         let mut ops = [OpCounts::default(); 3];
         range_compress_row(&mf, w.raw.row(0), geom.num_bins, &mut ops[0]);
         doppler_spectrum(&vec![c32::ZERO; n], &mut ops[1]);
         let rd = ComplexImage::zeros(geom.num_bins, n);
-        let corrected = rcmc_correct(&rd, geom, 0, w.config.rcmc, &mut ops[2]);
+        let corrected = migration.correct(&rd, 0, &mut ops[2]);
         let href = azimuth_reference(geom, 0, &mut ops[2]);
         azimuth_compress(&corrected, &href, &mut ops[2]);
         ops
@@ -107,12 +110,17 @@ impl<'a> Stages<'a> {
 /// The RCMC gathers of range bin `i`: the `(bin, doppler)` cells its
 /// migration correction fetches from deeper in-swath rows, in issue
 /// order. Empty with RCMC off.
-pub(crate) fn rcmc_gathers(w: &RdaWorkload, i: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-    let cells = if w.config.rcmc { w.geom.num_pulses } else { 0 };
-    (0..cells).filter_map(move |m| {
-        let d = rcmc_shift(&w.geom, i, m);
-        (d > 0 && i + d < w.geom.num_bins).then_some(((i + d) as u32, m as u32))
-    })
+pub(crate) fn rcmc_gathers(
+    migration: &MigrationTable,
+    i: usize,
+) -> impl Iterator<Item = (u32, u32)> + '_ {
+    migration
+        .sources(i)
+        .enumerate()
+        .filter_map(move |(m, src)| {
+            src.filter(|&bin| bin != i)
+                .map(|bin| (bin as u32, m as u32))
+        })
 }
 
 /// Execute the RDA workload on one core of the Epiphany model (one
@@ -157,7 +165,9 @@ pub fn run(w: &RdaWorkload, params: EpiphanyParams, ctx: &RunContext) -> ImageRu
         row_reads.clear();
         row_reads.extend((0..n).map(|m| layout.ct_addr(i, m)));
         // The migration gathers land on deeper bins' rows.
-        row_reads.extend(rcmc_gathers(w, i as usize).map(|(bin, m)| layout.ct_addr(bin, m)));
+        row_reads.extend(
+            rcmc_gathers(&stages.migration, i as usize).map(|(bin, m)| layout.ct_addr(bin, m)),
+        );
         chip.read_external_run(core, &row_reads, 8);
         chip.compute(core, &stages.azimuth_bin(i as usize));
         chip.write_external(core, layout.rd_addr(i, 0), layout.col_bytes());
@@ -178,11 +188,12 @@ pub fn model(w: &RdaWorkload, mesh: (u16, u16)) -> ProgramModel {
     let mut m = ProgramModel::new(mesh.0, mesh.1);
     m.cores = vec![0];
     let layout = RdaLayout::of(w);
-    let [per_range_row, per_doppler_bin, per_azimuth_bin] = Stages::probe(w);
+    let migration = MigrationTable::new(&w.geom, w.config.rcmc);
+    let [per_range_row, per_doppler_bin, per_azimuth_bin] = Stages::probe(w, &migration);
     let (pulses, bins) = (u64::from(layout.pulses), u64::from(layout.bins));
     let echo = u64::from(layout.echo_len);
     let gathers = (0..w.geom.num_bins)
-        .map(|i| rcmc_gathers(w, i).count() as u64)
+        .map(|i| rcmc_gathers(&migration, i).count() as u64)
         .sum::<u64>();
 
     // One phase: `units` units of `per_unit` arithmetic, the 8 B reads

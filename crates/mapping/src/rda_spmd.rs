@@ -30,6 +30,7 @@
 use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::EpiphanyParams;
+use sar_core::rda::MigrationTable;
 use sim_harness::{Bound, ImageRun, ProgramModel, RdaWorkload, RunContext};
 
 use crate::layout::{RdaLayout, BANK_CHILD_A, BANK_CHILD_B, PIXEL_BYTES};
@@ -228,7 +229,9 @@ pub fn run(
                 );
                 chip.dma_wait(core, done);
                 gathers.clear();
-                gathers.extend(rcmc_gathers(w, i).map(|(bin, m)| layout.rd_addr(bin, m)));
+                gathers.extend(
+                    rcmc_gathers(&stages.migration, i).map(|(bin, m)| layout.rd_addr(bin, m)),
+                );
                 chip.read_external_run(core, &gathers, 8);
                 chip.compute(core, &stages.azimuth_bin(i));
                 let arrival =
@@ -257,7 +260,8 @@ pub fn model(w: &RdaWorkload, opts: &RdaSpmdOptions, mesh: (u16, u16)) -> Progra
     let mut m = spmd::model(mesh, opts.cores, "phase_end");
     let bank = EpiphanyParams::default().sram.bank_bytes;
     let layout = RdaLayout::of(w);
-    let [per_range_row, per_doppler_bin, per_azimuth_bin] = Stages::probe(w);
+    let migration = MigrationTable::new(&w.geom, w.config.rcmc);
+    let [per_range_row, per_doppler_bin, per_azimuth_bin] = Stages::probe(w, &migration);
     let (pulses, bins) = (w.geom.num_pulses, w.geom.num_bins);
     let nc = m.cores.len();
 
@@ -308,7 +312,7 @@ pub fn model(w: &RdaWorkload, opts: &RdaSpmdOptions, mesh: (u16, u16)) -> Progra
     // 8 B reads.
     let mut gathers_per = vec![0u64; nc];
     for i in 0..bins {
-        gathers_per[owner(i, nc)] += rcmc_gathers(w, i).count() as u64;
+        gathers_per[owner(i, nc)] += rcmc_gathers(&migration, i).count() as u64;
     }
     let col_bytes = layout.col_bytes() as f64;
     for (name, per_bin, gathers) in [
