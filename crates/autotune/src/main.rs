@@ -24,16 +24,13 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
 use autotune::{tune, Objective, Strategy, TuneConfig, Tuning};
 use desim::Json;
 use sar_epiphany::mapping_named_placed;
-use sim_harness::{
-    check_overwrite, platform_named, run, BenchHarness, Diagnostic, MappingRun, Workload,
-    RESULTS_DIR,
-};
+use sim_harness::{platform_named, run, BenchHarness, Diagnostic, MappingRun, Workload};
 
 fn main() -> ExitCode {
     let h = BenchHarness::with_args("autotune", std::env::args().skip(1).collect());
@@ -44,20 +41,6 @@ fn main() -> ExitCode {
             eprintln!("{d}");
             ExitCode::from(2)
         }
-    }
-}
-
-/// Parse an unsigned-integer operand, `CLI004` on anything else.
-fn uint_operand(h: &BenchHarness, name: &str, default: u64) -> Result<u64, Diagnostic> {
-    match h.operand(name)? {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| {
-            Diagnostic::hard(
-                "CLI004",
-                format!("--{name} {s}"),
-                format!("malformed --{name}; expected an unsigned integer"),
-            )
-        }),
     }
 }
 
@@ -81,8 +64,8 @@ fn config(h: &BenchHarness) -> Result<TuneConfig, Diagnostic> {
             )
         })?;
     }
-    cfg.seed = uint_operand(h, "seed", 0)?;
-    cfg.iters = usize::try_from(uint_operand(h, "iters", 800)?).expect("iters fits usize");
+    cfg.seed = h.uint_operand("seed")?.unwrap_or(0);
+    cfg.iters = usize::try_from(h.uint_operand("iters")?.unwrap_or(800)).expect("iters fits usize");
     cfg.small = h.small();
     Ok(cfg)
 }
@@ -202,15 +185,15 @@ fn drive(h: &BenchHarness) -> Result<bool, Diagnostic> {
     }
 
     if let Some(path) = h.operand("placement-out")? {
-        write_json(h, &PathBuf::from(path), &tuning.best.to_json())?;
+        h.write_file(
+            Path::new(path),
+            &tuning.best.to_json().to_string_pretty(),
+            "",
+        )?;
     }
     if !h.flag("no-write") {
-        let path = h.value("out").map_or_else(
-            || PathBuf::from(RESULTS_DIR).join("autotune_report.json"),
-            PathBuf::from,
-        );
-        check_overwrite(&path, h.flag("force"))?;
-        write_json(h, &path, &doc)?;
+        let path = h.out_path("autotune_report.json");
+        h.write_file(&path, &doc.to_string_pretty(), "")?;
     }
 
     if !identical {
@@ -220,25 +203,4 @@ fn drive(h: &BenchHarness) -> Result<bool, Diagnostic> {
         eprintln!("gate failed: a simulated run landed outside its static cost bounds");
     }
     Ok(identical && base_within && tuned_within)
-}
-
-fn write_json(h: &BenchHarness, path: &PathBuf, doc: &Json) -> Result<(), Diagnostic> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| {
-            Diagnostic::hard(
-                "CLI006",
-                path.display().to_string(),
-                format!("cannot create output directory: {e}"),
-            )
-        })?;
-    }
-    std::fs::write(path, doc.to_string_pretty()).map_err(|e| {
-        Diagnostic::hard(
-            "CLI006",
-            path.display().to_string(),
-            format!("cannot write output: {e}"),
-        )
-    })?;
-    h.say(format_args!("wrote {}", path.display()));
-    Ok(())
 }

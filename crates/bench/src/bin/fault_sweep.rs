@@ -29,20 +29,11 @@ fn spec(n: u64, window: u64) -> String {
 
 fn main() {
     let mut h = BenchHarness::new("fault_sweep");
-    let seed: u64 = h
-        .operand("seed")
-        .unwrap_or_else(|d| {
-            eprintln!("{d}");
-            std::process::exit(2);
-        })
-        .map_or(7, |s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!(
-                    "error[CLI004] --seed {s}: malformed seed; expected an unsigned 64-bit integer"
-                );
-                std::process::exit(2);
-            })
-        });
+    let seed = h.uint_operand("seed").unwrap_or_else(|d| {
+        eprintln!("{d}");
+        std::process::exit(2);
+    });
+    let seed = seed.unwrap_or(7);
     let fw = FfbpWorkload::small();
     let aw = AutofocusWorkload::small();
 

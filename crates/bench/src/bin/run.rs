@@ -147,15 +147,8 @@ fn main() {
         return;
     }
 
-    let seed: u64 = operand(&h, "seed").map_or(0, |s| {
-        s.parse().unwrap_or_else(|_| {
-            fail(&Diagnostic::hard(
-                "CLI004",
-                format!("--seed {s}"),
-                "malformed seed; expected an unsigned 64-bit integer",
-            ))
-        })
-    });
+    let seed = h.uint_operand("seed").unwrap_or_else(|d| fail(&d));
+    let seed = seed.unwrap_or(0);
     let fault_plan: Option<FaultPlan> = operand(&h, "faults").map(|path| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             fail(&Diagnostic::hard(

@@ -46,6 +46,25 @@ fn clean_pair_passes_the_gate_and_simulates() {
 }
 
 #[test]
+fn rda_on_the_e64_passes_the_gate_inside_its_cost_bounds_with_power() {
+    let out = run(&[
+        "--analyze",
+        "--cost",
+        "--mapping",
+        "rda_spmd",
+        "--platform",
+        "e64",
+        "--small",
+        "--power",
+        "--no-write",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("rda_spmd"), "{stdout}");
+    assert!(stdout.contains("power profile"), "{stdout}");
+}
+
+#[test]
 fn bad_command_lines_exit_2_with_diagnostics() {
     let out = run(&["--mapping", "nosuch", "--no-write"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");

@@ -2,7 +2,8 @@
 //! `@path/to/placement.json` files resolve through the same
 //! `Placement::resolve` path, unknown names exit 2 with `CLI003`,
 //! unreadable/malformed/out-of-bounds files exit 2 with `CLI007`, and
-//! a placement file round-trips through a real simulated run.
+//! a placement file — the hand one, and one `autotune` found —
+//! round-trips through a real simulated run.
 
 use std::process::Command;
 
@@ -109,5 +110,35 @@ fn placement_file_simulates_like_its_hand_twin() {
     ]);
     assert_eq!(by_name.status.code(), Some(0), "{by_name:?}");
     assert_eq!(by_file.stdout, by_name.stdout, "placement file diverged");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_tuned_placement_loads_back_through_the_gate() {
+    // The bytes `autotune --placement-out` writes (a test cannot name
+    // another package's binary, so through the library), read back by
+    // `run --placement @P` behind the sarlint gate.
+    let mut cfg = autotune::TuneConfig::new("autofocus_mpmd:epiphany");
+    cfg.small = true;
+    cfg.iters = 60;
+    cfg.seed = 7;
+    let tuning = autotune::tune(&cfg).expect("pair is tunable");
+    assert_ne!(tuning.best, tuning.initial, "the search moved a role");
+    let path = temp_placement(
+        "placement-cli-tuned",
+        &tuning.best.to_json().to_string_pretty(),
+    );
+    let out = run(&[
+        "--mapping",
+        "autofocus_mpmd",
+        "--platform",
+        "epiphany",
+        "--small",
+        "--placement",
+        &format!("@{path}"),
+        "--analyze",
+        "--no-write",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
     let _ = std::fs::remove_file(&path);
 }

@@ -19,8 +19,8 @@ use crate::autofocus::search::{refine_peak, sweep_criterion};
 use crate::complex::c32;
 use crate::ffbp::grid::{PolarGrid, Subaperture};
 use crate::ffbp::interp::{sample, InterpKind};
-use crate::ffbp::merge::merge_pair;
-use crate::ffbp::pipeline::{stage0, FfbpConfig};
+use crate::ffbp::merge::merge_rows;
+use crate::ffbp::pipeline::{merge_stages, FfbpConfig};
 use crate::geometry::{merge_geometry, SarGeometry};
 use crate::image::ComplexImage;
 use crate::track::compensate_range_shift;
@@ -212,7 +212,9 @@ pub fn estimate_pair_shift(
     }
 }
 
-/// Run FFBP with per-merge autofocus.
+/// Run FFBP with per-merge autofocus: before a stage's rows are merged,
+/// each of its pairs has its leading child motion-compensated by the
+/// shift the criterion sweep estimates.
 pub fn ffbp_with_autofocus(
     data: &ComplexImage,
     geom: &SarGeometry,
@@ -223,50 +225,37 @@ pub fn ffbp_with_autofocus(
         "autofocus assumes a merge base of two"
     );
     let mut counts = OpCounts::default();
-    let mut stage = stage0(data, geom);
-    let mut iterations = 0u32;
     let mut corrections = Vec::new();
     let total_merges = geom.merge_iterations();
 
-    while stage.len() > 1 {
+    let (image, iterations) = merge_stages(data, geom, |mut stage, done| {
         let out_grid = stage[0].grid.refined();
         let run_autofocus = out_grid.n_beams >= cfg.min_parent_beams.max(6)
-            && iterations + cfg.last_merges >= total_merges;
-        let mut next = Vec::with_capacity(stage.len() / 2);
-        for (pair_idx, pair) in stage.chunks_exact(2).enumerate() {
-            let a = &pair[0];
-            let mut b = pair[1].clone();
-            if run_autofocus {
-                let delta_bins = estimate_pair_shift(a, &b, geom, &out_grid, cfg, &mut counts);
+            && done + cfg.last_merges >= total_merges;
+        if run_autofocus {
+            for (pair_idx, pair) in stage.chunks_exact_mut(2).enumerate() {
+                let [a, b] = pair else { unreachable!() };
+                let delta_bins = estimate_pair_shift(a, b, geom, &out_grid, cfg, &mut counts);
                 // The leading child's responses sit `delta` bins late:
                 // it flew `delta * dr` farther out, i.e. `-delta * dr`
                 // closer; compensate accordingly.
                 let dx = -delta_bins * geom.dr;
                 if dx != 0.0 {
-                    compensate_range_shift(&mut b, dx, geom, &mut counts);
+                    compensate_range_shift(b, dx, geom, &mut counts);
                     corrections.push(Correction {
-                        iteration: iterations + 1,
+                        iteration: done + 1,
                         pair: pair_idx,
                         dx_meters: dx,
                     });
                 }
             }
-            next.push(merge_pair(
-                a,
-                &b,
-                geom,
-                cfg.ffbp.interp,
-                cfg.ffbp.phase_correct,
-                &mut counts,
-            ));
         }
-        stage = next;
-        iterations += 1;
-    }
-
-    let full = stage.into_iter().next().expect("non-empty stage");
+        merge_rows(&stage, geom, &cfg.ffbp, |row, out| {
+            row.merge_into(out, &mut counts);
+        })
+    });
     IntegratedRun {
-        image: full.data,
+        image,
         counts,
         iterations,
         corrections,
@@ -276,7 +265,7 @@ pub fn ffbp_with_autofocus(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ffbp::ffbp;
+    use crate::ffbp::{ffbp, merge_pair, stage0};
     use crate::scene::{simulate_compressed_data, simulate_with_track, Scene};
     use crate::track::FlightTrack;
 

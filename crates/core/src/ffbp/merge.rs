@@ -1,90 +1,184 @@
 //! Subaperture element combining — eq. (5) of the paper, with the
-//! child observation coordinates from eqs. (1)–(4).
+//! child observation coordinates from eqs. (1)–(4) — and the walk of one
+//! merge iteration: pair by pair, beam by beam ([`stage_rows`]), bin by
+//! bin ([`MergeRow::combine`]). Every FFBP in the workspace — the plain
+//! [`crate::ffbp::ffbp`], the host-parallel and autofocused ones, and
+//! the machine drivers of `sar-epiphany` — is a caller of this one loop
+//! nest; [`crate::ffbp::pipeline::merge_stages`] is the stage loop
+//! around it.
 
 use desim::OpCounts;
 
 use crate::complex::c32;
 use crate::ffbp::grid::Subaperture;
-use crate::ffbp::interp::{sample, InterpKind};
-use crate::geometry::{merge_geometry, SarGeometry};
+use crate::ffbp::interp::{nearest_indices, sample, InterpKind};
+use crate::ffbp::pipeline::FfbpConfig;
+use crate::geometry::{merge_geometry, MergeLookup, SarGeometry};
 
-/// Combine one output sample from the two child contributions:
-/// `a(r1, theta1) + b(r2, theta2)` (eq. 5), with per-child phase
-/// alignment `exp(j 4 pi (r_child - r) / lambda)` referencing the
-/// child's range history to the merged centre. The paper's simplified
-/// implementation folds this factor into the element combining.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn combine_sample(
-    a: &Subaperture,
-    b: &Subaperture,
-    geom: &SarGeometry,
-    r: f32,
-    theta: f32,
-    l: f32,
-    kind: InterpKind,
-    phase_correct: bool,
-    counts: &mut OpCounts,
-) -> c32 {
-    combine_sample_with_lookup(a, b, geom, r, theta, l, kind, phase_correct, counts).0
+/// The `(bin, beam)` element of a child subaperture that contributes
+/// to an output sample; `None` when the lookup falls outside the
+/// child's swath.
+pub type Hit = Option<(usize, usize)>;
+
+/// One output row of a merge — output beam `beam` of pair `pair` — as
+/// the walk ([`stage_rows`]) states it: everything the per-bin loop
+/// needs, and nothing about where a machine keeps the data.
+pub struct MergeRow<'a> {
+    /// The trailing child.
+    pub a: &'a Subaperture,
+    /// The leading child.
+    pub b: &'a Subaperture,
+    /// Along-track distance between the children's centres.
+    pub l: f32,
+    /// Centre angle of the output beam.
+    pub theta: f32,
+    /// The pair's position in its stage.
+    pub pair: usize,
+    /// The row's beam index in the pair's output.
+    pub beam: usize,
+    geom: &'a SarGeometry,
+    cfg: FfbpConfig,
 }
 
-/// [`combine_sample`] plus the geometry lookup it used — machine-model
-/// drivers need the child coordinates to decide which accesses were
-/// local (prefetched) and which went to external memory.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn combine_sample_with_lookup(
-    a: &Subaperture,
-    b: &Subaperture,
-    geom: &SarGeometry,
-    r: f32,
-    theta: f32,
-    l: f32,
-    kind: InterpKind,
-    phase_correct: bool,
-    counts: &mut OpCounts,
-) -> (c32, crate::geometry::MergeLookup) {
-    let look = merge_geometry(r, theta, l, counts);
-    let va = sample(a, geom, look.r1, look.theta1, kind, counts);
-    let vb = sample(b, geom, look.r2, look.theta2, kind, counts);
-    let v = if phase_correct {
-        let k = 4.0 * std::f32::consts::PI / geom.wavelength;
-        let pa = c32::cis(k * (look.r1 - r));
-        let pb = c32::cis(k * (look.r2 - r));
-        counts.trigs += 2;
-        counts.fmas += 8;
-        counts.flops += 2;
-        va * pa + vb * pb
-    } else {
-        counts.flops += 2;
-        va + vb
-    };
-    (v, look)
-}
-
-/// Compute one output beam (row `j` of the merged grid) into
-/// `row_out`. Shared by the sequential and host-parallel drivers.
-#[allow(clippy::too_many_arguments)]
-pub fn merge_pair_row(
-    a: &Subaperture,
-    b: &Subaperture,
-    geom: &SarGeometry,
-    out_grid: &crate::ffbp::grid::PolarGrid,
-    l: f32,
-    j: usize,
-    kind: InterpKind,
-    phase_correct: bool,
-    row_out: &mut [c32],
-    counts: &mut OpCounts,
-) {
-    debug_assert_eq!(row_out.len(), geom.num_bins);
-    let theta = out_grid.beam_theta(j);
-    for (i, out) in row_out.iter_mut().enumerate() {
-        let r = geom.bin_range(i);
-        *out = combine_sample(a, b, geom, r, theta, l, kind, phase_correct, counts);
-        counts.stores += 2;
+impl MergeRow<'_> {
+    /// Combine the output sample at range `r` from the two child
+    /// contributions: `a(r1, theta1) + b(r2, theta2)` (eq. 5), with
+    /// per-child phase alignment `exp(j 4 pi (r_child - r) / lambda)`
+    /// referencing the child's range history to the merged centre. The
+    /// paper's simplified implementation folds this factor into the
+    /// element combining. Returns the sample and the geometry lookup it
+    /// used.
+    #[inline]
+    fn combine_sample(&self, r: f32, counts: &mut OpCounts) -> (c32, MergeLookup) {
+        let (geom, kind) = (self.geom, self.cfg.interp);
+        let look = merge_geometry(r, self.theta, self.l, counts);
+        let va = sample(self.a, geom, look.r1, look.theta1, kind, counts);
+        let vb = sample(self.b, geom, look.r2, look.theta2, kind, counts);
+        let v = if self.cfg.phase_correct {
+            let k = 4.0 * std::f32::consts::PI / geom.wavelength;
+            let pa = c32::cis(k * (look.r1 - r));
+            let pb = c32::cis(k * (look.r2 - r));
+            counts.trigs += 2;
+            counts.fmas += 8;
+            counts.flops += 2;
+            va * pa + vb * pb
+        } else {
+            counts.flops += 2;
+            va + vb
+        };
+        (v, look)
     }
+
+    /// Compute the row into `out`, reporting each sample's two
+    /// contributing elements to `sample(bin, hits)` (a caller with no
+    /// use for them passes `|_, _| {}` and pays nothing). Returns the
+    /// row's arithmetic — the ledger a machine model prices; what the
+    /// machine does with the result row is the machine's to count.
+    #[inline]
+    pub fn combine(&self, out: &mut [c32], mut sample: impl FnMut(usize, [Hit; 2])) -> OpCounts {
+        let geom = self.geom;
+        let mut ops = OpCounts::default();
+        for (i, v) in out.iter_mut().enumerate() {
+            let look;
+            (*v, look) = self.combine_sample(geom.bin_range(i), &mut ops);
+            sample(
+                i,
+                [
+                    nearest_indices(self.a, geom, look.r1, look.theta1),
+                    nearest_indices(self.b, geom, look.r2, look.theta2),
+                ],
+            );
+        }
+        ops
+    }
+
+    /// The plain algorithm's row: [`MergeRow::combine`] with the hits
+    /// ignored, plus the two word stores per sample that put the result
+    /// in memory (a machine driver prices its own write-back instead).
+    pub fn merge_into(&self, out: &mut [c32], counts: &mut OpCounts) {
+        debug_assert_eq!(out.len(), self.geom.num_bins);
+        counts.add(&self.combine(out, |_, _| {}));
+        counts.stores += 2 * out.len() as u64;
+    }
+}
+
+/// The rows of one pair, beam by beam, each with the row of `out` (the
+/// pair's [`Subaperture::merged_shell`]) it fills. `a` must be the
+/// trailing child (smaller `center_y`).
+fn pair_rows<'a>(
+    a: &'a Subaperture,
+    b: &'a Subaperture,
+    pair: usize,
+    out: &'a mut Subaperture,
+    geom: &'a SarGeometry,
+    cfg: FfbpConfig,
+) -> impl Iterator<Item = (MergeRow<'a>, &'a mut [c32])> {
+    assert!(
+        a.center_y < b.center_y,
+        "children must be ordered along track"
+    );
+    assert_eq!(a.grid, b.grid, "children must share a grid");
+    assert!(
+        (a.length - b.length).abs() < 1e-3,
+        "children must have equal length"
+    );
+    let l = b.center_y - a.center_y;
+    let grid = out.grid;
+    let rows = out.data.as_mut_slice().chunks_mut(geom.num_bins);
+    rows.enumerate().map(move |(beam, row_out)| {
+        let theta = grid.beam_theta(beam);
+        let row = MergeRow {
+            a,
+            b,
+            l,
+            theta,
+            pair,
+            beam,
+            geom,
+            cfg,
+        };
+        (row, row_out)
+    })
+}
+
+/// The zeroed successors of `stage`, one per adjacent pair.
+pub(crate) fn merged_shells(stage: &[Subaperture], num_bins: usize) -> Vec<Subaperture> {
+    let pairs = stage.chunks(2);
+    pairs
+        .map(|p| Subaperture::merged_shell(&p[0], &p[1], num_bins))
+        .collect()
+}
+
+/// The walk of one merge iteration at merge base 2: every output row of
+/// `stage` — pair by pair, beam by beam — with the slice of `next`
+/// ([`merged_shells`]) it fills. The rows are independent of one
+/// another, so a caller may visit them in any order or deal them to
+/// threads ([`crate::parallel`]).
+pub(crate) fn stage_rows<'a>(
+    stage: &'a [Subaperture],
+    next: &'a mut [Subaperture],
+    geom: &'a SarGeometry,
+    cfg: &FfbpConfig,
+) -> impl Iterator<Item = (MergeRow<'a>, &'a mut [c32])> {
+    let cfg = *cfg;
+    let pairs = stage.chunks(2).zip(next).enumerate();
+    pairs.flat_map(move |(pair, (ab, out))| pair_rows(&ab[0], &ab[1], pair, out, geom, cfg))
+}
+
+/// One merge iteration, in walk order: hand every output row of
+/// `stage` to `row` together with the slice it must
+/// [`MergeRow::combine`] into. Returns the merged stage.
+pub fn merge_rows(
+    stage: &[Subaperture],
+    geom: &SarGeometry,
+    cfg: &FfbpConfig,
+    mut row: impl FnMut(&MergeRow<'_>, &mut [c32]),
+) -> Vec<Subaperture> {
+    let mut next = merged_shells(stage, geom.num_bins);
+    for (merge_row, out) in stage_rows(stage, &mut next, geom, cfg) {
+        row(&merge_row, out);
+    }
+    next
 }
 
 /// Merge two adjacent subapertures into one with doubled angular
@@ -97,31 +191,14 @@ pub fn merge_pair(
     phase_correct: bool,
     counts: &mut OpCounts,
 ) -> Subaperture {
-    assert!(
-        a.center_y < b.center_y,
-        "children must be ordered along track"
-    );
-    assert_eq!(a.grid, b.grid, "children must share a grid");
-    assert!(
-        (a.length - b.length).abs() < 1e-3,
-        "children must have equal length"
-    );
-    let l = b.center_y - a.center_y;
+    let cfg = FfbpConfig {
+        interp: kind,
+        phase_correct,
+        merge_base: 2,
+    };
     let mut out = Subaperture::merged_shell(a, b, geom.num_bins);
-    let out_grid = out.grid;
-    for j in 0..out_grid.n_beams {
-        merge_pair_row(
-            a,
-            b,
-            geom,
-            &out_grid,
-            l,
-            j,
-            kind,
-            phase_correct,
-            out.data.row_mut(j),
-            counts,
-        );
+    for (row, row_out) in pair_rows(a, b, 0, &mut out, geom, cfg) {
+        row.merge_into(row_out, counts);
     }
     out
 }

@@ -14,5 +14,5 @@ pub mod pipeline;
 
 pub use grid::{PolarGrid, Subaperture};
 pub use interp::InterpKind;
-pub use merge::{merge_group, merge_pair};
-pub use pipeline::{ffbp, stage0, FfbpConfig, FfbpRun};
+pub use merge::{merge_group, merge_pair, merge_rows, Hit, MergeRow};
+pub use pipeline::{ffbp, merge_stages, stage0, FfbpConfig, FfbpRun};

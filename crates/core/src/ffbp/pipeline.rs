@@ -1,11 +1,12 @@
 //! The full FFBP driver: stage-0 construction from pulse-compressed
-//! data, then iterative merging to the full aperture.
+//! data, then iterative merging to the full aperture
+//! ([`merge_stages`], the one stage loop).
 
 use desim::OpCounts;
 
 use crate::ffbp::grid::{PolarGrid, Subaperture};
 use crate::ffbp::interp::InterpKind;
-use crate::ffbp::merge::{merge_group, merge_pair};
+use crate::ffbp::merge::{merge_group, merge_rows};
 use crate::geometry::SarGeometry;
 use crate::image::ComplexImage;
 
@@ -61,6 +62,26 @@ pub fn stage0(data: &ComplexImage, geom: &SarGeometry) -> Vec<Subaperture> {
         .collect()
 }
 
+/// The stage loop of every FFBP: stage 0 from the pulse-compressed
+/// data, then `merge(stage, stage_idx)` — which owns the stage it is
+/// handed and returns its successor — per iteration until one
+/// subaperture, the image, is left. Returns the image and the number of
+/// iterations.
+pub fn merge_stages(
+    data: &ComplexImage,
+    geom: &SarGeometry,
+    mut merge: impl FnMut(Vec<Subaperture>, u32) -> Vec<Subaperture>,
+) -> (ComplexImage, u32) {
+    let mut stage = stage0(data, geom);
+    let mut stage_idx = 0;
+    while stage.len() > 1 {
+        stage = merge(stage, stage_idx);
+        stage_idx += 1;
+    }
+    let full = stage.into_iter().next().expect("at least one subaperture");
+    (full.data, stage_idx)
+}
+
 /// Run FFBP over pulse-compressed `data`.
 pub fn ffbp(data: &ComplexImage, geom: &SarGeometry, cfg: &FfbpConfig) -> FfbpRun {
     assert!(cfg.merge_base >= 2, "merge base must be at least 2");
@@ -69,39 +90,26 @@ pub fn ffbp(data: &ComplexImage, geom: &SarGeometry, cfg: &FfbpConfig) -> FfbpRu
         "pulse count must divide by the merge base"
     );
     let mut counts = OpCounts::default();
-    let mut stage = stage0(data, geom);
-    let mut iterations = 0u32;
-
-    while stage.len() > 1 {
+    let (image, iterations) = merge_stages(data, geom, |stage, _| {
         assert!(
             stage.len().is_multiple_of(cfg.merge_base),
             "stage of {} subapertures not divisible by base {}",
             stage.len(),
             cfg.merge_base
         );
-        let mut next = Vec::with_capacity(stage.len() / cfg.merge_base);
-        for group in stage.chunks(cfg.merge_base) {
-            let merged = if cfg.merge_base == 2 {
-                merge_pair(
-                    &group[0],
-                    &group[1],
-                    geom,
-                    cfg.interp,
-                    cfg.phase_correct,
-                    &mut counts,
-                )
-            } else {
-                merge_group(group, geom, cfg.interp, cfg.phase_correct, &mut counts)
-            };
-            next.push(merged);
+        if cfg.merge_base == 2 {
+            merge_rows(&stage, geom, cfg, |row, out| {
+                row.merge_into(out, &mut counts);
+            })
+        } else {
+            let groups = stage.chunks(cfg.merge_base);
+            groups
+                .map(|g| merge_group(g, geom, cfg.interp, cfg.phase_correct, &mut counts))
+                .collect()
         }
-        stage = next;
-        iterations += 1;
-    }
-
-    let full = stage.into_iter().next().expect("at least one subaperture");
+    });
     FfbpRun {
-        image: full.data,
+        image,
         counts,
         iterations,
     }

@@ -20,10 +20,10 @@ use std::time::Instant;
 use desim::trace::Tracer;
 use desim::{Cycle, Frequency, Json, RunRecord, TimeSpan, RUN_RECORD_VERSION};
 
-use crate::diag::Diagnostic;
+use crate::diag::{Diagnostic, Severity};
 
 /// Where bench documents land unless `--out` overrides it.
-pub const RESULTS_DIR: &str = "results";
+const RESULTS_DIR: &str = "results";
 
 /// Guard against silently replacing a results document a *different*
 /// schema version wrote: `Err(CLI006)` when `path` holds a parseable
@@ -31,7 +31,7 @@ pub const RESULTS_DIR: &str = "results";
 /// [`RUN_RECORD_VERSION`], unless `force`. Missing files, unreadable
 /// files and non-document JSON are all fine to (over)write — the
 /// guard only protects documents it can actually identify.
-pub fn check_overwrite(path: &Path, force: bool) -> Result<(), Diagnostic> {
+fn check_overwrite(path: &Path, force: bool) -> Result<(), Diagnostic> {
     if force {
         return Ok(());
     }
@@ -115,6 +115,21 @@ impl BenchHarness {
         }
     }
 
+    /// The unsigned-integer operand of `--name`: `CLI002` when the
+    /// operand is missing, `CLI004` when it is not an unsigned integer.
+    pub fn uint_operand(&self, name: &str) -> Result<Option<u64>, Diagnostic> {
+        let Some(text) = self.operand(name)? else {
+            return Ok(None);
+        };
+        text.parse().map(Some).map_err(|_| {
+            Diagnostic::hard(
+                "CLI004",
+                format!("--{name} {text}"),
+                format!("malformed --{name}; expected an unsigned integer"),
+            )
+        })
+    }
+
     /// Whether the reduced workload scale was requested.
     pub fn small(&self) -> bool {
         self.flag("small")
@@ -145,30 +160,56 @@ impl BenchHarness {
         }
     }
 
-    /// Serialise `tracer`'s timeline as Chrome `trace_event` JSON at
-    /// `path`; `clock` converts cycles to microseconds. Reports the
-    /// write (or the failure) on stdout/stderr.
-    pub fn write_trace(&self, path: impl AsRef<Path>, tracer: &Tracer, clock: Frequency) {
-        let path = path.as_ref();
+    /// Where the results document goes: `--out`, or `file` in the
+    /// results directory.
+    pub fn out_path(&self, file: &str) -> PathBuf {
+        self.value("out")
+            .map_or_else(|| Path::new(RESULTS_DIR).join(file), PathBuf::from)
+    }
+
+    /// The one file writer behind every binary: refuse to replace a
+    /// document of another schema version (`check_overwrite`, a hard
+    /// `CLI006` unless `--force`), create the directory, write `text`,
+    /// and say `wrote <path><note>`. A directory or file that cannot be
+    /// written is a `CLI006` warning; what either means for the exit
+    /// status is the caller's decision.
+    pub fn write_file(&self, path: &Path, text: &str, note: &str) -> Result<(), Diagnostic> {
+        check_overwrite(path, self.flag("force"))?;
+        let failed = |what: &str, e: std::io::Error| {
+            Diagnostic::warning("CLI006", path.display().to_string(), format!("{what}: {e}"))
+        };
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: cannot create {}: {e}", dir.display());
-                return;
+            std::fs::create_dir_all(dir).map_err(|e| failed("cannot create the directory", e))?;
+        }
+        std::fs::write(path, text).map_err(|e| failed("cannot write", e))?;
+        self.say(format_args!("wrote {}{note}", path.display()));
+        Ok(())
+    }
+
+    /// [`BenchHarness::write_file`] for a results document: a refused
+    /// overwrite ends the process with status 2, an unwritable path is
+    /// a warning on stderr.
+    pub fn write_document(&self, path: &Path, document: &Json) {
+        if let Err(d) = self.write_file(path, &document.to_string_pretty(), "") {
+            eprintln!("{d}");
+            if d.severity == Severity::Hard {
+                std::process::exit(2);
             }
         }
-        let doc = tracer.to_chrome_json(clock);
-        match std::fs::write(path, doc.to_string_pretty()) {
-            Ok(()) => self.say(format_args!(
-                "wrote trace {} ({} events{})",
-                path.display(),
-                tracer.event_count(),
-                if tracer.dropped() > 0 {
-                    format!(", {} dropped", tracer.dropped())
-                } else {
-                    String::new()
-                }
-            )),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    }
+
+    /// Serialise `tracer`'s timeline as Chrome `trace_event` JSON at
+    /// `path`; `clock` converts cycles to microseconds. A trace that
+    /// cannot be written is reported on stderr and the run goes on.
+    pub fn write_trace(&self, path: impl AsRef<Path>, tracer: &Tracer, clock: Frequency) {
+        let dropped = match tracer.dropped() {
+            0 => String::new(),
+            n => format!(", {n} dropped"),
+        };
+        let note = format!(" (trace, {} events{dropped})", tracer.event_count());
+        let text = tracer.to_chrome_json(clock).to_string_pretty();
+        if let Err(d) = self.write_file(path.as_ref(), &text, &note) {
+            eprintln!("{d}");
         }
     }
 
@@ -235,24 +276,7 @@ impl BenchHarness {
         if self.flag("no-write") {
             return;
         }
-        let path = self.value("out").map_or_else(
-            || PathBuf::from(RESULTS_DIR).join(format!("{}.json", self.name)),
-            PathBuf::from,
-        );
-        if let Err(d) = check_overwrite(&path, self.flag("force")) {
-            eprintln!("{d}");
-            std::process::exit(2);
-        }
-        if let Some(dir) = path.parent() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: cannot create {}: {e}", dir.display());
-                return;
-            }
-        }
-        match std::fs::write(&path, doc.to_string_pretty()) {
-            Ok(()) => self.say(format_args!("\nwrote {}", path.display())),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
+        self.write_document(&self.out_path(&format!("{}.json", self.name)), &doc);
     }
 }
 

@@ -9,17 +9,18 @@
 //! over a single Epiphany core on this kernel.
 
 use refcpu::{RefCpu, RefCpuParams};
+use sar_core::ffbp::merge_stages;
 use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, WorkDecl};
 
-use crate::merge_walk::{merge_rows, merge_stages, probe_sample};
+use crate::merge_walk::{laid_out_rows, probe_sample};
 
 /// Execute the FFBP workload on the reference CPU model (one record
 /// phase per merge iteration).
 pub fn run(w: &FfbpWorkload, params: RefCpuParams) -> ImageRun {
     let mut cpu = RefCpu::new(params);
-    let image = merge_stages(w, |stage, stage_idx| {
+    let (image, _) = merge_stages(&w.data, &w.geom, |stage, stage_idx| {
         cpu.phase_begin("merge");
-        let next = merge_rows(w, stage, stage_idx, |row, out| {
+        let next = laid_out_rows(w, &stage, stage_idx, |row, out| {
             let ops = row.combine(out, |i, hits| {
                 // Demand traffic at the addresses the layout implies.
                 for addr in row.child_addrs(hits) {

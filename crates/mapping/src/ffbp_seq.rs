@@ -8,10 +8,11 @@
 //! with non-stalling writes.
 
 use epiphany::{Chip, EpiphanyParams};
+use sar_core::ffbp::merge_stages;
 use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext, WorkDecl};
 
 use crate::layout::ExternalLayout;
-use crate::merge_walk::{merge_rows, merge_stages, probe_sample};
+use crate::merge_walk::{laid_out_rows, probe_sample};
 
 /// Execute the FFBP workload on one core of the Epiphany model (one
 /// record phase per merge iteration); the chip emits its spans into
@@ -25,9 +26,9 @@ pub fn run(w: &FfbpWorkload, params: EpiphanyParams, ctx: &RunContext) -> ImageR
     // can absorb the span in closed form (`read_external_run`).
     let mut row_reads = Vec::with_capacity(2 * w.geom.num_bins);
 
-    let image = merge_stages(w, |stage, stage_idx| {
+    let (image, _) = merge_stages(&w.data, &w.geom, |stage, stage_idx| {
         chip.phase_begin("merge");
-        let next = merge_rows(w, stage, stage_idx, |row, out| {
+        let next = laid_out_rows(w, &stage, stage_idx, |row, out| {
             row_reads.clear();
             // Both contributing elements are blocking external reads
             // (no cache, no prefetch in the naive port).

@@ -18,11 +18,12 @@ use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
 use sar_core::ffbp::interp::nearest_indices;
+use sar_core::ffbp::merge_stages;
 use sar_core::geometry::merge_geometry;
 use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext};
 
 use crate::layout::{ExternalLayout, BANK_CHILD_A, BANK_CHILD_B};
-use crate::merge_walk::{merge_rows, merge_stages, probe_sample};
+use crate::merge_walk::{laid_out_rows, probe_sample};
 use crate::spmd::{self, checkpointed, chip_for, owned, owner};
 
 /// The upper local banks the two child beams are prefetched into:
@@ -87,10 +88,10 @@ pub fn run(
     // in closed form.
     let mut row_misses = Vec::new();
 
-    let image = merge_stages(w, |stage, stage_idx| {
+    let (image, _) = merge_stages(&w.data, &w.geom, |stage, stage_idx| {
         let merge = |chip: &mut Chip, active: &[usize], last_write: &mut [Cycle]| {
             let (hits0, misses0) = (local_hits, external_misses);
-            let next = merge_rows(w, stage, stage_idx, |row, out| {
+            let next = laid_out_rows(w, &stage, stage_idx, |row, out| {
                 // Work units: one output beam each, dealt round-robin
                 // over the surviving cores.
                 let core = active[owner(row.out_beam as usize, active.len())];
@@ -439,5 +440,69 @@ mod tests {
         );
         let sixteen = run(&w, EpiphanyParams::default(), SpmdOptions::default());
         assert!(four.record.elapsed.seconds() > sixteen.record.elapsed.seconds());
+    }
+
+    #[test]
+    fn spmd_model_declares_the_paper_footprint() {
+        let w = FfbpWorkload::paper();
+        let m = model(&w, &SpmdOptions::default(), (4, 4));
+        assert_eq!(m.mesh, (4, 4));
+        assert_eq!(m.cores.len(), 16);
+        // Two 8,008 B beams per core, one per upper bank (§V-A).
+        assert_eq!(m.buffers.len(), 32);
+        assert!(m.buffers.iter().all(|b| b.bytes == 8008));
+        assert!(m
+            .buffers
+            .iter()
+            .all(|b| b.bank == BANK_CHILD_A || b.bank == BANK_CHILD_B));
+        assert_eq!(m.barriers.len(), 1);
+        assert_eq!(m.barriers[0].participants.len(), 16);
+    }
+
+    #[test]
+    fn spmd_model_without_prefetch_has_no_buffers() {
+        let w = FfbpWorkload::small();
+        let m = model(
+            &w,
+            &SpmdOptions {
+                prefetch: false,
+                ..SpmdOptions::default()
+            },
+            (4, 4),
+        );
+        assert!(m.buffers.is_empty());
+    }
+
+    #[test]
+    fn spmd_model_scales_to_the_e64_mesh() {
+        let w = FfbpWorkload::small();
+        let m = model(&w, &SpmdOptions::default(), (8, 8));
+        assert_eq!(m.mesh, (8, 8));
+        assert_eq!(m.cores.len(), 64);
+        assert_eq!(m.buffers.len(), 128);
+        assert_eq!(m.barriers[0].participants.len(), 64);
+        // A pinned 16-core ablation on the E64 occupies the 4x4
+        // corner subgrid, exactly as the driver places it.
+        let sub = model(
+            &w,
+            &SpmdOptions {
+                cores: Some(16),
+                ..SpmdOptions::default()
+            },
+            (8, 8),
+        );
+        assert_eq!(sub.mesh, (8, 8));
+        assert_eq!(sub.cores, Chip::subgrid_on(8, 8, 16));
+        // Over-subscription falls back to the minimal covering mesh.
+        let big = model(
+            &w,
+            &SpmdOptions {
+                cores: Some(32),
+                ..SpmdOptions::default()
+            },
+            (4, 4),
+        );
+        assert_eq!(big.mesh, (8, 4));
+        assert_eq!(big.cores.len(), 32);
     }
 }

@@ -1,39 +1,27 @@
-//! The FFBP merge traversal the three FFBP drivers share: stage → pair
-//! → output beam → range bin, with the child-beam bases and output-row
-//! addresses the [`ExternalLayout`] implies. A driver supplies only
-//! what its machine does with a row and with each contributing element
-//! ([`crate::ffbp_ref`] touches its cache hierarchy, [`crate::ffbp_seq`]
-//! issues blocking reads, [`crate::ffbp_spmd`] prefetches and splits
-//! hits from misses); the arithmetic, the op ledger and the addresses
-//! are stated here once.
+//! What the three FFBP machine drivers add to `sar-core`'s merge walk
+//! ([`sar_core::ffbp::merge_stages`] → [`sar_core::ffbp::merge_rows`] →
+//! [`sar_core::ffbp::MergeRow::combine`]): where a row and its
+//! contributing elements live in external memory. The arithmetic, the op
+//! ledger and the order of the rows are the plain algorithm's; a driver
+//! supplies only what its machine does with a row and with each
+//! contributing element ([`crate::ffbp_ref`] touches its cache
+//! hierarchy, [`crate::ffbp_seq`] issues blocking reads,
+//! [`crate::ffbp_spmd`] prefetches and splits hits from misses).
+
+use std::ops::Deref;
 
 use desim::OpCounts;
 use memsim::GlobalAddr;
 use sar_core::complex::c32;
-use sar_core::ffbp::grid::Subaperture;
-use sar_core::ffbp::interp::nearest_indices;
-use sar_core::ffbp::merge::combine_sample_with_lookup;
-use sar_core::ffbp::pipeline::stage0;
-use sar_core::image::ComplexImage;
+use sar_core::ffbp::{merge_rows, stage0, Hit, MergeRow, Subaperture};
 use sim_harness::FfbpWorkload;
 
 use crate::layout::ExternalLayout;
 
-/// The `(bin, beam)` element of a child subaperture that contributes
-/// to an output sample; `None` when the lookup falls outside the
-/// child's swath.
-pub(crate) type Hit = Option<(usize, usize)>;
-
-/// One output row of a merge: output beam `theta` of the pair `a`, `b`.
-pub(crate) struct MergeRow<'a> {
-    /// The trailing child.
-    pub a: &'a Subaperture,
-    /// The leading child.
-    pub b: &'a Subaperture,
-    /// Along-track distance between the children's centres.
-    pub l: f32,
-    /// Centre angle of the output beam.
-    pub theta: f32,
+/// A row of the walk (which it dereferences to) at its place in the
+/// [`ExternalLayout`].
+pub(crate) struct LaidOutRow<'a> {
+    row: &'a MergeRow<'a>,
     /// The row's beam index across the whole output stage — also its
     /// position in the stage's row order (the SPMD work-unit number).
     pub out_beam: u32,
@@ -43,10 +31,17 @@ pub(crate) struct MergeRow<'a> {
     stage: u32,
     /// Where both stages live in external memory.
     pub layout: ExternalLayout,
-    w: &'a FfbpWorkload,
 }
 
-impl MergeRow<'_> {
+impl<'a> Deref for LaidOutRow<'a> {
+    type Target = MergeRow<'a>;
+
+    fn deref(&self) -> &MergeRow<'a> {
+        self.row
+    }
+}
+
+impl LaidOutRow<'_> {
     /// External address of element `(bin, beam)` of child 0 (`a`) or
     /// 1 (`b`).
     pub fn child_addr(&self, child: usize, (bin, beam): (usize, usize)) -> GlobalAddr {
@@ -66,89 +61,30 @@ impl MergeRow<'_> {
     pub fn out_addr(&self, bin: usize) -> GlobalAddr {
         self.layout.addr(self.stage + 1, self.out_beam, bin as u32)
     }
-
-    /// Compute the row into `out`, reporting each sample's two
-    /// contributing elements to `sample(bin, hits)`. Returns the row's
-    /// arithmetic for the machine model to price.
-    #[inline]
-    pub fn combine(&self, out: &mut [c32], mut sample: impl FnMut(usize, [Hit; 2])) -> OpCounts {
-        let (w, geom) = (self.w, &self.w.geom);
-        let mut ops = OpCounts::default();
-        for (i, v) in out.iter_mut().enumerate() {
-            let look;
-            (*v, look) = combine_sample_with_lookup(
-                self.a,
-                self.b,
-                geom,
-                geom.bin_range(i),
-                self.theta,
-                self.l,
-                w.config.interp,
-                w.config.phase_correct,
-                &mut ops,
-            );
-            sample(
-                i,
-                [
-                    nearest_indices(self.a, geom, look.r1, look.theta1),
-                    nearest_indices(self.b, geom, look.r2, look.theta2),
-                ],
-            );
-        }
-        ops
-    }
 }
 
-/// One merge iteration: hand every output row of `stage` (stage number
-/// `stage_idx`), pair by pair and beam by beam, to `row` together with
-/// the slice it must [`MergeRow::combine`] into. Returns the merged
-/// stage.
-pub(crate) fn merge_rows(
+/// One merge iteration of the walk over `stage` (stage number
+/// `stage_idx`), every row handed to `row` with its addresses: a
+/// stage's buffer holds its subapertures back to back, beam-major.
+pub(crate) fn laid_out_rows(
     w: &FfbpWorkload,
     stage: &[Subaperture],
     stage_idx: u32,
-    mut row: impl FnMut(&MergeRow<'_>, &mut [c32]),
+    mut row: impl FnMut(&LaidOutRow<'_>, &mut [c32]),
 ) -> Vec<Subaperture> {
     let layout = ExternalLayout::of(w);
-    let child_beams = stage[0].grid.n_beams as u32;
-    let mut next = Vec::with_capacity(stage.len() / 2);
-    for (pair_idx, pair) in stage.chunks(2).enumerate() {
-        let (a, b) = (&pair[0], &pair[1]);
-        let mut out = Subaperture::merged_shell(a, b, w.geom.num_bins);
-        let base_a = 2 * pair_idx as u32 * child_beams;
-        for j in 0..out.grid.n_beams {
-            let merge_row = MergeRow {
-                a,
-                b,
-                l: b.center_y - a.center_y,
-                theta: out.grid.beam_theta(j),
-                out_beam: (pair_idx * out.grid.n_beams + j) as u32,
-                child_base: [base_a, base_a + child_beams],
-                stage: stage_idx,
-                layout,
-                w,
-            };
-            row(&merge_row, out.data.row_mut(j));
-        }
-        next.push(out);
-    }
-    next
-}
-
-/// The whole image formation: stage 0 from the pulse-compressed data,
-/// then `merge(stage, stage_idx)` per iteration until one subaperture
-/// — the image — is left.
-pub(crate) fn merge_stages(
-    w: &FfbpWorkload,
-    mut merge: impl FnMut(&[Subaperture], u32) -> Vec<Subaperture>,
-) -> ComplexImage {
-    let mut stage = stage0(&w.data, &w.geom);
-    let mut stage_idx = 0;
-    while stage.len() > 1 {
-        stage = merge(&stage, stage_idx);
-        stage_idx += 1;
-    }
-    stage.into_iter().next().expect("non-empty stage").data
+    let child_beams = stage[0].grid.n_beams;
+    merge_rows(stage, &w.geom, &w.config, |merge_row, out| {
+        let base_a = (2 * merge_row.pair * child_beams) as u32;
+        let laid_out = LaidOutRow {
+            row: merge_row,
+            out_beam: base_a + merge_row.beam as u32,
+            child_base: [base_a, base_a + child_beams as u32],
+            stage: stage_idx,
+            layout,
+        };
+        row(&laid_out, out);
+    })
 }
 
 /// Op counts of one output sample under the workload's interpolation
@@ -160,7 +96,7 @@ pub(crate) fn merge_stages(
 pub(crate) fn probe_sample(w: &FfbpWorkload) -> OpCounts {
     let stage = stage0(&w.data, &w.geom);
     let mut ops = None;
-    merge_rows(w, &stage[..2], 0, |row, out| {
+    merge_rows(&stage[..2], &w.geom, &w.config, |row, out| {
         ops.get_or_insert_with(|| row.combine(&mut out[..1], |_, _| {}));
     });
     ops.expect("a pair has output rows")
@@ -169,6 +105,7 @@ pub(crate) fn probe_sample(w: &FfbpWorkload) -> OpCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sar_core::ffbp::merge_stages;
 
     #[test]
     fn the_walk_visits_every_output_row_at_its_layout_address() {
@@ -176,11 +113,11 @@ mod tests {
         let layout = ExternalLayout::of(&w);
         let mut rows = 0u32;
         let mut expected_rows = 0;
-        let image = merge_stages(&w, |stage, stage_idx| {
+        let (image, _) = merge_stages(&w.data, &w.geom, |stage, stage_idx| {
             let out_beams = 2 * stage[0].grid.n_beams;
             expected_rows += (stage.len() / 2 * out_beams) as u32;
             let mut in_stage = 0u32;
-            let next = merge_rows(&w, stage, stage_idx, |row, out| {
+            let next = laid_out_rows(&w, &stage, stage_idx, |row, out| {
                 // Rows arrive pair by pair, beam by beam: consecutive
                 // rows of the output stage's buffer.
                 assert_eq!(row.out_beam, in_stage);

@@ -1,78 +1,11 @@
 use epiphany::{Chip, EpiphanyParams};
 use sar_core::rda::MigrationTable;
-use sim_harness::{
-    AutofocusWorkload, Bound, FfbpWorkload, Placement, ProgramModel, RdaWorkload, RunContext,
-};
+use sim_harness::{AutofocusWorkload, Bound, Placement, ProgramModel, RdaWorkload, RunContext};
 
-use crate::ffbp_spmd::SpmdOptions;
 use crate::layout::{RdaLayout, BANK_CHILD_A, BANK_CHILD_B};
 use crate::pipeline::{edges, Stage};
 use crate::rda_spmd::{RdaSpmdOptions, TILE};
-use crate::{autofocus_mpmd, autofocus_net, ffbp_spmd, rda_seq, rda_spmd};
-
-#[test]
-fn spmd_model_declares_the_paper_footprint() {
-    let w = FfbpWorkload::paper();
-    let m = ffbp_spmd::model(&w, &SpmdOptions::default(), (4, 4));
-    assert_eq!(m.mesh, (4, 4));
-    assert_eq!(m.cores.len(), 16);
-    // Two 8,008 B beams per core, one per upper bank (§V-A).
-    assert_eq!(m.buffers.len(), 32);
-    assert!(m.buffers.iter().all(|b| b.bytes == 8008));
-    assert!(m
-        .buffers
-        .iter()
-        .all(|b| b.bank == BANK_CHILD_A || b.bank == BANK_CHILD_B));
-    assert_eq!(m.barriers.len(), 1);
-    assert_eq!(m.barriers[0].participants.len(), 16);
-}
-
-#[test]
-fn spmd_model_without_prefetch_has_no_buffers() {
-    let w = FfbpWorkload::small();
-    let m = ffbp_spmd::model(
-        &w,
-        &SpmdOptions {
-            prefetch: false,
-            ..SpmdOptions::default()
-        },
-        (4, 4),
-    );
-    assert!(m.buffers.is_empty());
-}
-
-#[test]
-fn spmd_model_scales_to_the_e64_mesh() {
-    let w = FfbpWorkload::small();
-    let m = ffbp_spmd::model(&w, &SpmdOptions::default(), (8, 8));
-    assert_eq!(m.mesh, (8, 8));
-    assert_eq!(m.cores.len(), 64);
-    assert_eq!(m.buffers.len(), 128);
-    assert_eq!(m.barriers[0].participants.len(), 64);
-    // A pinned 16-core ablation on the E64 occupies the 4x4
-    // corner subgrid, exactly as the driver places it.
-    let sub = ffbp_spmd::model(
-        &w,
-        &SpmdOptions {
-            cores: Some(16),
-            ..SpmdOptions::default()
-        },
-        (8, 8),
-    );
-    assert_eq!(sub.mesh, (8, 8));
-    assert_eq!(sub.cores, Chip::subgrid_on(8, 8, 16));
-    // Over-subscription falls back to the minimal covering mesh.
-    let big = ffbp_spmd::model(
-        &w,
-        &SpmdOptions {
-            cores: Some(32),
-            ..SpmdOptions::default()
-        },
-        (4, 4),
-    );
-    assert_eq!(big.mesh, (8, 4));
-    assert_eq!(big.cores.len(), 32);
-}
+use crate::{autofocus_mpmd, autofocus_net, rda_seq, rda_spmd};
 
 #[test]
 fn mpmd_model_declares_recovery_on_every_channel_and_flag() {

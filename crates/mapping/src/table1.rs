@@ -55,146 +55,108 @@ pub struct Table1 {
     pub records: Vec<desim::RunRecord>,
 }
 
-/// Run all six configurations of Table I, each through the harness's
-/// single entry point ([`sim_harness::run`]) on its Table I platform.
-pub fn table1(ffbp_w: &FfbpWorkload, af_w: &AutofocusWorkload) -> Table1 {
+/// The three configurations of Table I — label, whether the machine is
+/// the Intel reference — and per kernel (FFBP, autofocus) the mapping
+/// that realises it, its cores and the speedup the paper reports.
+type Config = (&'static str, bool, [(&'static str, usize, f64); 2]);
+const CONFIGS: [Config; 3] = [
+    (
+        "Sequential on Intel i7 @ 2.67 GHz",
+        true,
+        [("ffbp_ref", 1, 1.0), ("autofocus_ref", 1, 1.0)],
+    ),
+    (
+        "Sequential on Epiphany @ 1 GHz",
+        false,
+        [("ffbp_seq", 1, 0.36), ("autofocus_seq", 1, 0.8)],
+    ),
+    (
+        "Parallel on Epiphany @ 1 GHz",
+        false,
+        [("ffbp_spmd", 16, 4.25), ("autofocus_mpmd", 13, 8.93)],
+    ),
+];
+
+/// One kernel's rows of Table I (column `kernel` of [`CONFIGS`]), each
+/// run through the harness's single entry point ([`sim_harness::run`])
+/// on its Table I platform; `pixels` is set for the kernel whose rows
+/// report a throughput.
+fn kernel_rows(
+    kernel: usize,
+    workload: &Workload,
+    pixels: Option<f64>,
+) -> (Vec<Table1Row>, Vec<desim::RunRecord>) {
     let intel = RefCpuPlatform::default();
     let epiphany = EpiphanyPlatform::default();
-    let pair = |mapping: &str, workload: &Workload, on_intel: bool| -> MappingRun {
+    let mut rows = Vec::new();
+    let mut records = Vec::new();
+    let mut t_ref = 0.0;
+    for (label, on_intel, per_kernel) in CONFIGS {
+        let (mapping, cores, paper_speedup) = per_kernel[kernel];
         let mapping = mapping_named(mapping).expect("Table I mappings are all registered");
         let platform: &dyn sim_harness::Platform = if on_intel { &intel } else { &epiphany };
-        run(mapping.as_ref(), workload, platform).expect("Table I pairs are all supported")
-    };
+        let MappingRun { record, .. } =
+            run(mapping.as_ref(), workload, platform).expect("Table I pairs are all supported");
+        let secs = record.elapsed.seconds();
+        if on_intel {
+            t_ref = secs;
+        }
+        rows.push(Table1Row {
+            label: label.into(),
+            cores,
+            time_ms: record.millis(),
+            throughput_px_s: pixels.map(|px| px / secs),
+            speedup: t_ref / secs,
+            paper_speedup,
+            power_w: if on_intel {
+                INTEL_POWER_W
+            } else {
+                EPIPHANY_POWER_W
+            },
+            modeled_power_w: (!on_intel).then(|| record.avg_power_w()),
+        });
+        records.push(record);
+    }
+    (rows, records)
+}
 
-    // --- FFBP ---
-    let ffbp_workload = Workload::Ffbp(ffbp_w.clone());
-    let f_ref = pair("ffbp_ref", &ffbp_workload, true);
-    let f_seq = pair("ffbp_seq", &ffbp_workload, false);
-    let f_par = pair("ffbp_spmd", &ffbp_workload, false);
-    let t_ref = f_ref.record.elapsed.seconds();
-
-    let ffbp = vec![
-        Table1Row {
-            label: "Sequential on Intel i7 @ 2.67 GHz".into(),
-            cores: 1,
-            time_ms: f_ref.record.millis(),
-            throughput_px_s: None,
-            speedup: 1.0,
-            paper_speedup: 1.0,
-            power_w: INTEL_POWER_W,
-            modeled_power_w: None,
-        },
-        Table1Row {
-            label: "Sequential on Epiphany @ 1 GHz".into(),
-            cores: 1,
-            time_ms: f_seq.record.millis(),
-            throughput_px_s: None,
-            speedup: t_ref / f_seq.record.elapsed.seconds(),
-            paper_speedup: 0.36,
-            power_w: EPIPHANY_POWER_W,
-            modeled_power_w: Some(f_seq.record.avg_power_w()),
-        },
-        Table1Row {
-            label: "Parallel on Epiphany @ 1 GHz".into(),
-            cores: 16,
-            time_ms: f_par.record.millis(),
-            throughput_px_s: None,
-            speedup: t_ref / f_par.record.elapsed.seconds(),
-            paper_speedup: 4.25,
-            power_w: EPIPHANY_POWER_W,
-            modeled_power_w: Some(f_par.record.avg_power_w()),
-        },
-    ];
-
-    // --- Autofocus ---
-    let af_workload = Workload::Autofocus(af_w.clone());
-    let a_ref = pair("autofocus_ref", &af_workload, true);
-    let a_seq = pair("autofocus_seq", &af_workload, false);
-    let a_par = pair("autofocus_mpmd", &af_workload, false);
-    let px = af_w.pixels() as f64;
-    let thr = |secs: f64| px / secs;
-    let t_aref = a_ref.record.elapsed.seconds();
-
-    let autofocus = vec![
-        Table1Row {
-            label: "Sequential on Intel i7 @ 2.67 GHz".into(),
-            cores: 1,
-            time_ms: a_ref.record.millis(),
-            throughput_px_s: Some(thr(t_aref)),
-            speedup: 1.0,
-            paper_speedup: 1.0,
-            power_w: INTEL_POWER_W,
-            modeled_power_w: None,
-        },
-        Table1Row {
-            label: "Sequential on Epiphany @ 1 GHz".into(),
-            cores: 1,
-            time_ms: a_seq.record.millis(),
-            throughput_px_s: Some(thr(a_seq.record.elapsed.seconds())),
-            speedup: t_aref / a_seq.record.elapsed.seconds(),
-            paper_speedup: 0.8,
-            power_w: EPIPHANY_POWER_W,
-            modeled_power_w: Some(a_seq.record.avg_power_w()),
-        },
-        Table1Row {
-            label: "Parallel on Epiphany @ 1 GHz".into(),
-            cores: 13,
-            time_ms: a_par.record.millis(),
-            throughput_px_s: Some(thr(a_par.record.elapsed.seconds())),
-            speedup: t_aref / a_par.record.elapsed.seconds(),
-            paper_speedup: 8.93,
-            power_w: EPIPHANY_POWER_W,
-            modeled_power_w: Some(a_par.record.avg_power_w()),
-        },
-    ];
+/// Run all six configurations of Table I.
+pub fn table1(ffbp_w: &FfbpWorkload, af_w: &AutofocusWorkload) -> Table1 {
+    let (ffbp, mut records) = kernel_rows(0, &Workload::Ffbp(ffbp_w.clone()), None);
+    let (autofocus, af_records) = kernel_rows(
+        1,
+        &Workload::Autofocus(af_w.clone()),
+        Some(af_w.pixels() as f64),
+    );
+    records.extend(af_records);
 
     // Energy efficiency as the paper computes it: throughput per watt
     // from datasheet power.
-    let ffbp_energy_ratio = ffbp[2].speedup * (INTEL_POWER_W / EPIPHANY_POWER_W);
-    let autofocus_energy_ratio = autofocus[2].speedup * (INTEL_POWER_W / EPIPHANY_POWER_W);
-
+    let power_ratio = INTEL_POWER_W / EPIPHANY_POWER_W;
     Table1 {
-        ffbp_parallel_vs_seq: f_seq.record.elapsed.seconds() / f_par.record.elapsed.seconds(),
-        autofocus_parallel_vs_seq: a_seq.record.elapsed.seconds() / a_par.record.elapsed.seconds(),
+        ffbp_energy_ratio: ffbp[2].speedup * power_ratio,
+        autofocus_energy_ratio: autofocus[2].speedup * power_ratio,
+        ffbp_parallel_vs_seq: records[1].elapsed.seconds() / records[2].elapsed.seconds(),
+        autofocus_parallel_vs_seq: records[4].elapsed.seconds() / records[5].elapsed.seconds(),
         ffbp,
         autofocus,
-        ffbp_energy_ratio,
-        autofocus_energy_ratio,
-        records: vec![
-            f_ref.record,
-            f_seq.record,
-            f_par.record,
-            a_ref.record,
-            a_seq.record,
-            a_par.record,
-        ],
+        records,
     }
 }
 
 impl Table1Row {
     /// Serialise to a JSON object.
     pub fn to_json(&self) -> Json {
+        let or_null = |v: Option<f64>| v.map_or(Json::Null, Json::from);
         Json::obj()
             .with("label", self.label.as_str())
             .with("cores", self.cores)
             .with("time_ms", self.time_ms)
-            .with(
-                "throughput_px_s",
-                match self.throughput_px_s {
-                    Some(v) => Json::from(v),
-                    None => Json::Null,
-                },
-            )
+            .with("throughput_px_s", or_null(self.throughput_px_s))
             .with("speedup", self.speedup)
             .with("paper_speedup", self.paper_speedup)
             .with("power_w", self.power_w)
-            .with(
-                "modeled_power_w",
-                match self.modeled_power_w {
-                    Some(v) => Json::from(v),
-                    None => Json::Null,
-                },
-            )
+            .with("modeled_power_w", or_null(self.modeled_power_w))
     }
 }
 

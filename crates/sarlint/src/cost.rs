@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 
 use desim::{Json, OpCounts};
 use emesh::{route_xy, Mesh2D};
-use epiphany::EpiphanyParams;
+use epiphany::{CostBlock, EpiphanyParams};
 use refcpu::RefCpuParams;
 use sim_harness::{
     Bound, Diagnostic, Mapping, PhaseDecl, Platform, PlatformKind, ProgramModel, Report, Workload,
@@ -185,21 +185,6 @@ impl CostReport {
     }
 }
 
-/// FPU-slot instructions after lowering special functions, matching
-/// [`epiphany::CostBlock::lower`].
-fn fpu_slots(ops: &OpCounts, p: &EpiphanyParams) -> f64 {
-    (ops.flops
-        + ops.fmas
-        + ops.sqrts * p.sqrt_flops
-        + ops.divs * p.div_flops
-        + ops.trigs * p.trig_flops) as f64
-}
-
-/// IALU/load-store-slot instructions, matching the same lowering.
-fn ls_slots(ops: &OpCounts, p: &EpiphanyParams) -> f64 {
-    (ops.ialu + ops.loads * p.local_load_cycles + ops.stores * p.local_store_cycles) as f64
-}
-
 /// Interval accumulator for `lo`/`hi` running sums.
 #[derive(Default, Clone, Copy)]
 struct Acc {
@@ -285,6 +270,16 @@ fn epiphany_phase(
     let mut links_hi = LinkLoads::new();
     let mut elink_occ = Acc::default();
     let mut flight_hi = 0.0f64;
+    // FPU slots, IALU/load-store slots and local accesses of an op
+    // ledger, lowered by the simulator's own function.
+    let slots = |ops: &OpCounts| {
+        let block = CostBlock::lower(ops, p);
+        (
+            block.fpu_instrs as f64,
+            block.ialu_ls_instrs as f64,
+            block.local_accesses as f64,
+        )
+    };
 
     for w in &ph.work {
         let s = serial.entry(w.core).or_default();
@@ -295,9 +290,10 @@ fn epiphany_phase(
         // Compute: lower is the dominant slot over the whole round
         // (per-call maxima only grow it); upper assumes no pairing
         // between the slots plus one ceil cycle per compute() call.
-        let comp_lo = fpu_slots(&w.ops_lo, p).max(ls_slots(&w.ops_lo, p)) / pairing;
-        let comp_hi =
-            (fpu_slots(&w.ops_hi, p) + ls_slots(&w.ops_hi, p)) / pairing + w.compute_calls.hi;
+        let (fpu_lo, ls_lo, local_lo) = slots(&w.ops_lo);
+        let (fpu_hi, ls_hi, local_hi) = slots(&w.ops_hi);
+        let comp_lo = fpu_lo.max(ls_lo) / pairing;
+        let comp_hi = (fpu_hi + ls_hi) / pairing + w.compute_calls.hi;
         s.add(comp_lo, comp_hi);
         comp_max.lo = comp_max.lo.max(comp_lo);
         comp_max.hi = comp_max.hi.max(comp_hi);
@@ -401,18 +397,12 @@ fn epiphany_phase(
         );
 
         // Energy terms (exact counter mirrors; scaled by rounds).
-        energy.fpu.add(
-            fpu_slots(&w.ops_lo, p) * rounds,
-            fpu_slots(&w.ops_hi, p) * rounds,
-        );
+        energy.fpu.add(fpu_lo * rounds, fpu_hi * rounds);
         energy.ialu.add(
-            (ls_slots(&w.ops_lo, p) + w.flag_waits.lo) * rounds,
-            (ls_slots(&w.ops_hi, p) + w.flag_waits.hi * p.flag_poll_max_polls as f64) * rounds,
+            (ls_lo + w.flag_waits.lo) * rounds,
+            (ls_hi + w.flag_waits.hi * p.flag_poll_max_polls as f64) * rounds,
         );
-        energy.local.add(
-            (w.ops_lo.loads + w.ops_lo.stores) as f64 * rounds,
-            (w.ops_hi.loads + w.ops_hi.stores) as f64 * rounds,
-        );
+        energy.local.add(local_lo * rounds, local_hi * rounds);
         energy.byte_hops.add(
             (8.0 * req_lo + r_wire_lo + d_wire_lo + w_wire_lo) * hops * rounds,
             (8.0 * req_hi + r_wire_hi + d_wire_hi + w_wire_hi) * hops * rounds,

@@ -13,7 +13,7 @@ use desim::Json;
 use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
 use sar_epiphany::rda_spmd::{self, RdaSpmdOptions};
 use sar_epiphany::{all_mappings, mapping_named_placed};
-use sarlint::cost::cost_model;
+use sarlint::cost::{cost_model, cost_pair};
 use sim_harness::{
     all_platforms, platform_named, FfbpWorkload, Placement, Platform, ProgramModel, RdaWorkload,
     Workload,
@@ -109,6 +109,46 @@ fn model_lines() -> Vec<String> {
 fn program_models_match_the_checked_in_bytes() {
     let fresh = model_lines();
     let expected = include_str!("golden/models.jsonl");
+    assert_eq!(expected.lines().count(), fresh.len());
+    for (fresh, expected) in fresh.iter().zip(expected.lines()) {
+        assert_eq!(fresh, expected);
+    }
+}
+
+/// `golden/costs.jsonl`: the whole [`sarlint::cost::CostReport`] of
+/// every bounded registered pair, at small and at paper scale — written
+/// at the commit before `sarlint::cost` stopped restating
+/// `epiphany::CostBlock::lower` and called it (PR 22).
+fn cost_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for small in [true, false] {
+        for m in all_mappings() {
+            let w = Workload::named(m.kernel(), small).expect("kernel resolves");
+            for p in all_platforms() {
+                if !m.supports(p.kind()) {
+                    continue;
+                }
+                let (cost, _) = cost_pair(m.as_ref(), &w, p.as_ref());
+                if cost.bounded {
+                    let scale = if small { "small" } else { "paper" };
+                    let case = format!("{} x {} ({scale})", m.name(), p.label());
+                    lines.push(
+                        Json::obj()
+                            .with("case", case)
+                            .with("cost", cost.to_json())
+                            .to_string(),
+                    );
+                }
+            }
+        }
+    }
+    lines
+}
+
+#[test]
+fn cost_reports_match_the_checked_in_bytes() {
+    let fresh = cost_lines();
+    let expected = include_str!("golden/costs.jsonl");
     assert_eq!(expected.lines().count(), fresh.len());
     for (fresh, expected) in fresh.iter().zip(expected.lines()) {
         assert_eq!(fresh, expected);

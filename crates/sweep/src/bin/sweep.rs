@@ -16,35 +16,15 @@
 //! serialisation, writing the file, and the total they add up to)
 //! without changing the output document.
 
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use desim::Json;
-use sim_harness::{check_overwrite, BenchHarness, Diagnostic, RESULTS_DIR};
+use sim_harness::{BenchHarness, Diagnostic};
 use sweep::{run_grid, CellCache, GridSpec};
 
 fn fail(d: &Diagnostic, code: i32) -> ! {
     eprintln!("{d}");
     std::process::exit(code);
-}
-
-/// Check, serialise and write the results document; a directory or
-/// file that cannot be written is a warning, a refused overwrite ends
-/// the process.
-fn write_document(h: &BenchHarness, path: &Path, document: &Json) {
-    if let Err(d) = check_overwrite(path, h.flag("force")) {
-        fail(&d, 2);
-    }
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return;
-        }
-    }
-    match std::fs::write(path, document.to_string_pretty()) {
-        Ok(()) => h.say(format_args!("\nwrote {}", path.display())),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
 }
 
 fn main() {
@@ -69,9 +49,9 @@ fn main() {
         )
     });
     let spec = GridSpec::parse(&text).unwrap_or_else(|d| fail(&d, 2));
-    let threads = match h.value("threads").map(str::parse::<usize>) {
-        None => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        Some(Ok(n)) if n >= 1 => n,
+    let threads = match h.uint_operand("threads") {
+        Ok(None) => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        Ok(Some(n)) if n >= 1 => usize::try_from(n).unwrap_or(usize::MAX),
         _ => fail(
             &Diagnostic::hard(
                 "CLI002",
@@ -81,10 +61,7 @@ fn main() {
             2,
         ),
     };
-    let out_path = h.value("out").map_or_else(
-        || PathBuf::from(RESULTS_DIR).join(format!("sweep_{}.json", spec.name)),
-        PathBuf::from,
-    );
+    let out_path = h.out_path(&format!("sweep_{}.json", spec.name));
     let t_load = Instant::now();
     let cache = if h.flag("resume") {
         CellCache::load(&out_path)
@@ -145,7 +122,7 @@ fn main() {
     }
     let write = (!h.flag("no-write")).then(|| {
         let t_write = Instant::now();
-        write_document(&h, &out_path, &outcome.document);
+        h.write_document(&out_path, &outcome.document);
         t_write.elapsed()
     });
 

@@ -1,6 +1,7 @@
-//! The read-back path end to end: a document `sweep` wrote is a cache
-//! the next run loads in time linear in its size, a fully cached run
-//! rewrites it byte for byte, and `--profile` accounts for the load
+//! The `sweep` binary's determinism end to end: the document is the
+//! same bytes for any `--threads` value; a document `sweep` wrote is a
+//! cache the next run loads in time linear in its size, a fully cached
+//! run rewrites it byte for byte, and `--profile` accounts for the load
 //! and the write, not only for what happens inside `run_grid`.
 
 use std::path::PathBuf;
@@ -65,6 +66,24 @@ fn a_64_cell_document_loads_back_in_linear_time() {
         (0, 0, 64)
     );
     assert!(resumed.document.to_string_pretty() == text);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_binary_writes_the_same_document_for_any_thread_count() {
+    let dir = scratch_dir("threads");
+    let grid = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/sweep_smoke.json");
+    let document = |threads: &str| {
+        let out = dir.join(format!("sweep_t{threads}.json"));
+        let run = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(["--grid", grid, "--threads", threads, "--out"])
+            .arg(&out)
+            .output()
+            .expect("sweep runs");
+        assert!(run.status.success(), "{run:?}");
+        std::fs::read(&out).expect("document written")
+    };
+    assert!(document("2") == document("1"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
