@@ -1,5 +1,5 @@
-//! Every FFBP entry point of `sar-core`, pinned to the bit and to the
-//! integer.
+//! Every FFBP entry point of `sar-core`, then `rda()` and
+//! `focus_criterion`, pinned to the bit and to the integer.
 //!
 //! `ffbp`, `ffbp_parallel` and `ffbp_with_autofocus` are callers of one
 //! traversal (`sar_core::ffbp::{merge_stages, merge_rows}`); the other
@@ -13,13 +13,23 @@
 //! only changes *where* the loop nest lives must leave it equal; a
 //! deliberate change regenerates it from the lines the test prints
 //! under `-- --nocapture`.
+//!
+//! The `rda` lines (the `RdaWorkload::small` shape, RCMC on and off:
+//! image hash and `RdaRun::counts` — `tests/rda_image_bits.rs` pins
+//! images only) and the `focus_criterion` lines (`f32::to_bits` of the
+//! value and its ledger for five shifts over a displaced blob pair)
+//! were written the same way, at the commit before those two families'
+//! loop nests became `rda::Stages` and `criterion_firings` (PR 23).
 
 use sar_core::autofocus::integrated::{ffbp_with_autofocus, IntegratedConfig};
+use sar_core::autofocus::{focus_criterion, AutofocusConfig, Block6};
 use sar_core::ffbp::{ffbp, FfbpConfig, InterpKind};
 use sar_core::geometry::SarGeometry;
 use sar_core::image::ComplexImage;
 use sar_core::parallel::ffbp_parallel;
-use sar_core::scene::{simulate_compressed_data, simulate_with_track, Scene};
+use sar_core::rda::{rda, RdaConfig};
+use sar_core::scene::{simulate_compressed_data, simulate_raw_echoes, simulate_with_track, Scene};
+use sar_core::signal::ChirpParams;
 use sar_core::track::FlightTrack;
 use sar_core::OpCounts;
 
@@ -38,19 +48,18 @@ fn image_hash(image: &ComplexImage) -> u64 {
     h
 }
 
+fn counts(c: &OpCounts) -> String {
+    format!(
+        "flops {} fmas {} ialu {} loads {} stores {} sqrts {} divs {} trigs {}",
+        c.flops, c.fmas, c.ialu, c.loads, c.stores, c.sqrts, c.divs, c.trigs
+    )
+}
+
 fn line(case: &str, image: &ComplexImage, c: &OpCounts, iterations: u32) -> String {
     format!(
-        "{case}: image {:016x} flops {} fmas {} ialu {} loads {} stores {} sqrts {} divs {} \
-         trigs {} iterations {iterations}",
+        "{case}: image {:016x} {} iterations {iterations}",
         image_hash(image),
-        c.flops,
-        c.fmas,
-        c.ialu,
-        c.loads,
-        c.stores,
-        c.sqrts,
-        c.divs,
-        c.trigs
+        counts(c)
     )
 }
 
@@ -125,6 +134,40 @@ fn pins() -> Vec<String> {
             "{} corrections [{}]",
             line(case, &run.image, &run.counts, run.iterations),
             corrections.join(" ")
+        ));
+    }
+
+    // `RdaWorkload::small`'s shape (this crate sits below the harness).
+    let chirp = ChirpParams {
+        samples: 64,
+        fractional_bandwidth: 0.9,
+    };
+    let raw = simulate_raw_echoes(&Scene::six_targets(geom), chirp);
+    for rcmc in [true, false] {
+        let run = rda(&raw, &geom, &RdaConfig { chirp, rcmc });
+        lines.push(format!(
+            "rda small rcmc={rcmc}: image {:016x} {}",
+            image_hash(&run.image),
+            counts(&run.counts)
+        ));
+    }
+
+    let truth = 0.4f32;
+    let f_minus = Block6::gaussian_blob(0.0, truth / 2.0);
+    let f_plus = Block6::gaussian_blob(0.0, -truth / 2.0);
+    for shift in [-1.0f32, -0.35, 0.0, 0.4, 0.85] {
+        let mut c = OpCounts::default();
+        let v = focus_criterion(
+            &f_minus,
+            &f_plus,
+            shift,
+            &AutofocusConfig::default(),
+            &mut c,
+        );
+        lines.push(format!(
+            "focus_criterion shift={shift}: value {:08x} {}",
+            v.to_bits(),
+            counts(&c)
         ));
     }
     lines
