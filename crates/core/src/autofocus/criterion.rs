@@ -15,6 +15,8 @@
 //! Three iterations sweep disjoint thirds of the oversampled path, so
 //! after iteration 2 the criterion covers the whole 6x6 block.
 
+use std::fmt;
+
 use desim::OpCounts;
 
 use crate::autofocus::block::Block6;
@@ -176,11 +178,95 @@ pub fn correlate_partial(
     acc
 }
 
+/// One of the thirteen stage instances of the Figure 8 dataflow — what
+/// fires in [`criterion_firings`], and what the MPMD mappings place one
+/// per core.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Range interpolator of block `blk` (0 = `f-`, 1 = `f+`), column
+    /// window `win`.
+    Range { blk: usize, win: usize },
+    /// Beam interpolator of block `blk`, row window `win`.
+    Beam { blk: usize, win: usize },
+    /// The correlation + summation stage both blocks share.
+    Corr,
+}
+
+impl Stage {
+    /// The stages this one streams to, in output-port order: a range
+    /// interpolator feeds the three beam interpolators of its block, a
+    /// beam interpolator feeds the correlator.
+    pub fn consumers(self) -> impl Iterator<Item = Stage> {
+        let fanout = match self {
+            Stage::Range { .. } => 3,
+            Stage::Beam { .. } => 1,
+            Stage::Corr => 0,
+        };
+        (0..fanout).map(move |win| match self {
+            Stage::Range { blk, .. } => Stage::Beam { blk, win },
+            _ => Stage::Corr,
+        })
+    }
+}
+
+/// The stage's actor name, and its end of a channel label.
+impl fmt::Display for Stage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Stage::Range { blk, win } => write!(f, "range{blk}{win}"),
+            Stage::Beam { blk, win } => write!(f, "beam{blk}{win}"),
+            Stage::Corr => f.write_str("corr"),
+        }
+    }
+}
+
 /// Run all three iterations of the full staged computation for one
-/// pair of blocks under shift hypothesis `shift`: `f-` is resampled at
-/// `-shift/2` and `f+` at `+shift/2`, so a feature displaced by
-/// `+shift` in `f+` relative to `f-` is pulled back into alignment
-/// (resampling at `+d` moves apparent features by `-d`).
+/// pair of blocks under shift hypothesis `shift`, reporting every stage
+/// firing to `fired` with the op ledger of that firing alone, as it
+/// happens: per iteration, block `f-` then `f+` — its three range
+/// windows, then its three beam windows — then the correlator, 39
+/// firings in all. `f-` is resampled at `-shift/2` and `f+` at
+/// `+shift/2`, so a feature displaced by `+shift` in `f+` relative to
+/// `f-` is pulled back into alignment (resampling at `+d` moves
+/// apparent features by `-d`). Returns the criterion, eq. (6).
+pub fn criterion_firings(
+    f_minus: &Block6,
+    f_plus: &Block6,
+    shift: f32,
+    cfg: &AutofocusConfig,
+    mut fired: impl FnMut(Stage, &OpCounts),
+) -> f32 {
+    let mut total = 0.0f32;
+    for it in 0..3 {
+        let mut half = |blk: usize, block: &Block6, s: f32| -> [BeamStageOut; 3] {
+            let mut range_win = |win| {
+                let mut ops = OpCounts::default();
+                let out = range_stage(block, win, s, it, cfg, &mut ops);
+                fired(Stage::Range { blk, win }, &ops);
+                out
+            };
+            // Array literals: `array::from_fn`/`map` cost 5 % of a sweep
+            // here (`sar-core.af_sweep_us`).
+            let range = [range_win(0), range_win(1), range_win(2)];
+            let mut beam_win = |win| {
+                let mut ops = OpCounts::default();
+                let out = beam_stage(&range, win, s, it, cfg, &mut ops);
+                fired(Stage::Beam { blk, win }, &ops);
+                out
+            };
+            [beam_win(0), beam_win(1), beam_win(2)]
+        };
+        let minus = half(0, f_minus, -0.5 * shift);
+        let plus = half(1, f_plus, 0.5 * shift);
+        let mut ops = OpCounts::default();
+        total += correlate_partial(&minus, &plus, &mut ops);
+        fired(Stage::Corr, &ops);
+    }
+    total
+}
+
+/// The criterion of one shift hypothesis ([`criterion_firings`]) with
+/// every firing's ledger added to `counts`.
 pub fn focus_criterion(
     f_minus: &Block6,
     f_plus: &Block6,
@@ -188,26 +274,7 @@ pub fn focus_criterion(
     cfg: &AutofocusConfig,
     counts: &mut OpCounts,
 ) -> f32 {
-    let mut total = 0.0f32;
-    for it in 0..3 {
-        let run_half = |block: &Block6, s: f32, counts: &mut OpCounts| {
-            let r: [RangeStageOut; 3] = [
-                range_stage(block, 0, s, it, cfg, counts),
-                range_stage(block, 1, s, it, cfg, counts),
-                range_stage(block, 2, s, it, cfg, counts),
-            ];
-            let b: [BeamStageOut; 3] = [
-                beam_stage(&r, 0, s, it, cfg, counts),
-                beam_stage(&r, 1, s, it, cfg, counts),
-                beam_stage(&r, 2, s, it, cfg, counts),
-            ];
-            b
-        };
-        let bm = run_half(f_minus, -0.5 * shift, counts);
-        let bp = run_half(f_plus, 0.5 * shift, counts);
-        total += correlate_partial(&bm, &bp, counts);
-    }
-    total
+    criterion_firings(f_minus, f_plus, shift, cfg, |_, ops| counts.add(ops))
 }
 
 #[cfg(test)]
@@ -232,6 +299,44 @@ mod tests {
         let bo = beam_stage(&r, 0, 0.0, 0, &cfg(), &mut c);
         assert_eq!(bo[2].len(), cfg().samples_per_iteration());
         assert!(c.fmas > 0 && c.loads > 0);
+    }
+
+    #[test]
+    fn a_hypothesis_fires_39_stages_in_the_documented_order() {
+        let f_minus = Block6::gaussian_blob(0.0, 0.2);
+        let f_plus = Block6::gaussian_blob(0.0, -0.2);
+        let mut fired = Vec::new();
+        let mut sum = OpCounts::default();
+        let v = criterion_firings(&f_minus, &f_plus, 0.3, &cfg(), |stage, ops| {
+            fired.push((stage, *ops));
+            sum.add(ops);
+        });
+
+        // 3 iterations x (2 blocks x (3 range + 3 beam) + 1 correlator).
+        let block = |blk| {
+            let range = (0..3).map(move |win| Stage::Range { blk, win });
+            range.chain((0..3).map(move |win| Stage::Beam { blk, win }))
+        };
+        let iteration = (0..2).flat_map(block).chain([Stage::Corr]);
+        let expected: Vec<Stage> = (0..3).flat_map(|_| iteration.clone()).collect();
+        assert_eq!(expected.len(), 39);
+        let stages: Vec<Stage> = fired.iter().map(|&(stage, _)| stage).collect();
+        assert_eq!(stages, expected);
+
+        // The firing ledgers are `focus_criterion`'s counts, and its
+        // value the walk's.
+        let mut c = OpCounts::default();
+        let direct = focus_criterion(&f_minus, &f_plus, 0.3, &cfg(), &mut c);
+        assert_eq!(sum, c);
+        assert_eq!(v.to_bits(), direct.to_bits());
+
+        // Every firing of a stage kind does the same work, so one
+        // ledger per kind prices the pipeline (`PipelineProbe`).
+        let kind = |stage: Stage| std::mem::discriminant(&stage);
+        for (stage, ops) in &fired {
+            let first = fired.iter().find(|(s, _)| kind(*s) == kind(*stage));
+            assert_eq!(Some(ops), first.map(|(_, ops)| ops), "{stage}");
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! dataflow: a *range interpolation* stage (three 4-column windows), a
 //! *beam interpolation* stage (three 4-row windows), and a
 //! *correlation + summation* stage, iterated three times to cover the
-//! whole 6x6 pixel block. The staged functions are public so the MPMD
-//! mapping can place each stage on its own core.
+//! whole 6x6 pixel block. [`criterion_firings`] walks that dataflow
+//! once and reports every [`Stage`] firing, so the MPMD mapping can
+//! place each stage on its own core.
 
 pub mod block;
 pub mod criterion;
@@ -24,6 +25,9 @@ pub mod integrated;
 pub mod search;
 
 pub use block::Block6;
-pub use criterion::{beam_stage, correlate_partial, focus_criterion, range_stage, AutofocusConfig};
+pub use criterion::{
+    beam_stage, correlate_partial, criterion_firings, focus_criterion, range_stage,
+    AutofocusConfig, Stage,
+};
 pub use integrated::{ffbp_with_autofocus, IntegratedConfig, IntegratedRun};
 pub use search::{best_shift, sweep_criterion};

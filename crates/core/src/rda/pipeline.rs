@@ -1,5 +1,6 @@
 //! The full RDA driver: range compression, corner turn + azimuth FFT,
-//! RCMC, azimuth compression.
+//! RCMC, azimuth compression — stated once as [`Stages`]' work units,
+//! which [`rda`] sums and the chip drivers time.
 
 use desim::OpCounts;
 
@@ -40,60 +41,111 @@ pub struct RdaRun {
     pub counts: OpCounts,
 }
 
-/// Run RDA over `raw` uncompressed echoes (rows = pulses, cols =
-/// `num_bins + chirp.samples` fast-time samples).
-///
-/// The azimuth FFT length is the pulse count, so `geom.num_pulses`
-/// must be a power of two (both stock geometries are).
-pub fn rda(raw: &ComplexImage, geom: &SarGeometry, cfg: &RdaConfig) -> RdaRun {
-    let n = geom.num_pulses;
-    assert!(
-        n.is_power_of_two(),
-        "RDA needs a power-of-two pulse count, got {n}"
-    );
-    assert_eq!(raw.rows(), n, "raw rows must equal pulse count");
-    assert_eq!(
-        raw.cols(),
-        geom.num_bins + cfg.chirp.samples,
-        "raw cols must be num_bins + chirp samples"
-    );
-    let waveform = lfm_chirp(cfg.chirp);
-    let mf = MatchedFilter::new(&waveform, raw.cols());
-    let mut counts = OpCounts::default();
+/// The RDA arithmetic one work unit at a time — the units [`rda`] and
+/// both chip drivers (`sar_epiphany::{rda_seq, rda_spmd}`) walk: a unit
+/// updates the functional matrices and returns its op ledger, for a
+/// total ([`rda`]) or for a machine model to price. Every unit of a
+/// stage must run before the first of the next.
+pub struct Stages<'a> {
+    raw: &'a ComplexImage,
+    geom: &'a SarGeometry,
+    mf: MatchedFilter,
+    /// The geometry's range-cell migration, which
+    /// [`Stages::azimuth_bin`] corrects.
+    pub migration: MigrationTable,
+    /// Range-compressed matrix, pulse-major.
+    rc: ComplexImage,
+    /// Range–Doppler matrix, bin-major (rows = range bins, cols =
+    /// Doppler bins).
+    rd: ComplexImage,
+    /// The focused image.
+    pub image: ComplexImage,
+}
 
-    // 1. Range compression, per pulse.
-    let mut rc = ComplexImage::zeros(n, geom.num_bins);
-    for k in 0..n {
-        let row = range_compress_row(&mf, raw.row(k), geom.num_bins, &mut counts);
-        rc.row_mut(k).copy_from_slice(&row);
-    }
-
-    // 2. Corner turn + azimuth FFT: the range–Doppler matrix,
-    // bin-major (rows = range bins, cols = Doppler bins).
-    let mut rd = ComplexImage::zeros(geom.num_bins, n);
-    let mut col = vec![c32::ZERO; n];
-    for i in 0..geom.num_bins {
-        for (k, c) in col.iter_mut().enumerate() {
-            *c = rc.at(k, i);
+impl<'a> Stages<'a> {
+    /// Set up the stages over `raw` uncompressed echoes (rows = pulses,
+    /// cols = `num_bins + chirp.samples` fast-time samples).
+    ///
+    /// The azimuth FFT length is the pulse count, so `geom.num_pulses`
+    /// must be a power of two (both stock geometries are).
+    pub fn new(raw: &'a ComplexImage, geom: &'a SarGeometry, cfg: &RdaConfig) -> Stages<'a> {
+        let (n, bins) = (geom.num_pulses, geom.num_bins);
+        assert!(
+            n.is_power_of_two(),
+            "RDA needs a power-of-two pulse count, got {n}"
+        );
+        assert_eq!(raw.rows(), n, "raw rows must equal pulse count");
+        assert_eq!(
+            raw.cols(),
+            bins + cfg.chirp.samples,
+            "raw cols must be num_bins + chirp samples"
+        );
+        Stages {
+            raw,
+            geom,
+            mf: MatchedFilter::new(&lfm_chirp(cfg.chirp), raw.cols()),
+            migration: MigrationTable::new(geom, cfg.rcmc),
+            rc: ComplexImage::zeros(n, bins),
+            rd: ComplexImage::zeros(bins, n),
+            image: ComplexImage::zeros(n, bins),
         }
-        let spectrum = doppler_spectrum(&col, &mut counts);
-        rd.row_mut(i).copy_from_slice(&spectrum);
     }
 
-    // 3 + 4. RCMC and azimuth compression, per range bin. The inverse
-    // FFT returns circular lags; broadside (lag 0) is rotated to the
-    // middle row so the image frame matches FFBP's.
-    let migration = MigrationTable::new(geom, cfg.rcmc);
-    let mut image = ComplexImage::zeros(n, geom.num_bins);
-    for i in 0..geom.num_bins {
-        let corrected = migration.correct(&rd, i, &mut counts);
-        let href = azimuth_reference(geom, i, &mut counts);
-        let line = azimuth_compress(&corrected, &href, &mut counts);
+    /// Range-compress pulse `k`.
+    pub fn range_row(&mut self, k: usize) -> OpCounts {
+        let mut ops = OpCounts::default();
+        let row = range_compress_row(&self.mf, self.raw.row(k), self.geom.num_bins, &mut ops);
+        self.rc.row_mut(k).copy_from_slice(&row);
+        ops
+    }
+
+    /// Corner turn + azimuth FFT of range bin `i`'s pulse history.
+    pub fn doppler_bin(&mut self, i: usize) -> OpCounts {
+        let mut ops = OpCounts::default();
+        let col: Vec<c32> = (0..self.geom.num_pulses)
+            .map(|k| self.rc.at(k, i))
+            .collect();
+        let spectrum = doppler_spectrum(&col, &mut ops);
+        self.rd.row_mut(i).copy_from_slice(&spectrum);
+        ops
+    }
+
+    /// RCMC + azimuth compression of range bin `i`. The inverse FFT
+    /// returns circular lags; broadside (lag 0) is rotated to the
+    /// middle row so the image frame matches FFBP's.
+    pub fn azimuth_bin(&mut self, i: usize) -> OpCounts {
+        let n = self.geom.num_pulses;
+        let mut ops = OpCounts::default();
+        let corrected = self.migration.correct(&self.rd, i, &mut ops);
+        let href = azimuth_reference(self.geom, i, &mut ops);
+        let line = azimuth_compress(&corrected, &href, &mut ops);
         for k in 0..n {
-            *image.at_mut(k, i) = line[(k + n / 2) % n];
+            *self.image.at_mut(k, i) = line[(k + n / 2) % n];
         }
+        ops
     }
-    RdaRun { image, counts }
+}
+
+/// Run RDA over `raw` uncompressed echoes: every pulse range-compressed,
+/// then every bin's pulse history transformed, then every bin
+/// migration-corrected and azimuth-compressed (shape requirements:
+/// [`Stages::new`]).
+pub fn rda(raw: &ComplexImage, geom: &SarGeometry, cfg: &RdaConfig) -> RdaRun {
+    let mut stages = Stages::new(raw, geom, cfg);
+    let mut counts = OpCounts::default();
+    for k in 0..geom.num_pulses {
+        counts.add(&stages.range_row(k));
+    }
+    for i in 0..geom.num_bins {
+        counts.add(&stages.doppler_bin(i));
+    }
+    for i in 0..geom.num_bins {
+        counts.add(&stages.azimuth_bin(i));
+    }
+    RdaRun {
+        image: stages.image,
+        counts,
+    }
 }
 
 #[cfg(test)]

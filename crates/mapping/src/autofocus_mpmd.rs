@@ -13,14 +13,13 @@
 //! on-chip/off-chip bandwidth ratio) for the pipeline not bottlenecking
 //! at the correlator.
 
-use desim::{Cycle, OpCounts};
+use desim::Cycle;
 use epiphany::{Chip, EpiphanyParams};
-use sar_core::autofocus::criterion::{BeamStageOut, RangeStageOut};
-use sar_core::autofocus::{beam_stage, correlate_partial, range_stage};
+use sar_core::autofocus::{criterion_firings, Stage};
 use sim_harness::{AutofocusWorkload, Placement, ProgramModel, RunContext, SweepRun};
 
 use crate::pipeline::{
-    beam_msg_bytes, criterion_addr, range_msg_bytes, stage_block, PipelineProbe,
+    beam_msg_bytes, core_of, criterion_addr, range_msg_bytes, stage_block, PipelineProbe,
 };
 
 /// Execute the autofocus workload on the 13-core pipeline, emitting
@@ -104,67 +103,50 @@ pub fn run(
             let mut corr_wait_cycles = 0u64;
             let mut corr_queue_peak = 0u64;
             let shift = w.shift(h);
-            let mut criterion = 0.0f32;
-            for it in 0..3 {
-                let mut beam_out: [[Option<BeamStageOut>; 3]; 2] = Default::default();
-                let mut corr_ready = Cycle::ZERO;
-                let mut corr_arrivals: Vec<Cycle> = Vec::with_capacity(6);
-                #[allow(clippy::needless_range_loop)] // blk selects block-specific tables
-                for blk in 0..2 {
-                    let (block, s) = if blk == 0 {
-                        (&w.f_minus, -0.5 * shift)
-                    } else {
-                        (&w.f_plus, 0.5 * shift)
-                    };
-                    // Range stage: three cores, one window each; each core
-                    // streams its output to all three beam cores.
-                    let mut range_out: [Option<RangeStageOut>; 3] = Default::default();
-                    let mut deliveries = [[Cycle::ZERO; 3]; 3]; // [beam][range]
-                    for wi in 0..3 {
-                        let rc = place.range[blk][wi];
-                        let mut ops = OpCounts::default();
-                        let out = range_stage(block, wi, s, it, &w.config, &mut ops);
-                        chip.compute(rc, &ops);
-                        for (bi, row) in deliveries.iter_mut().enumerate() {
-                            let bc = place.beam[blk][bi];
-                            row[wi] = chip.send_reliable(rc, bc, range_msg);
+            // Range → beam deliveries of the block in flight, `[beam
+            // window][range window]`, and this iteration's arrivals at
+            // the correlator.
+            let mut deliveries = [[Cycle::ZERO; 3]; 3];
+            let mut corr_arrivals: Vec<Cycle> = Vec::with_capacity(6);
+            let criterion =
+                criterion_firings(&w.f_minus, &w.f_plus, shift, &w.config, |stage, ops| {
+                    let core = core_of(stage, &place);
+                    match stage {
+                        // Each range core streams its output to all
+                        // three beam cores of its block.
+                        Stage::Range { win, .. } => {
+                            chip.compute(core, ops);
+                            for (bi, to) in stage.consumers().enumerate() {
+                                deliveries[bi][win] =
+                                    chip.send_reliable(core, core_of(to, &place), range_msg);
+                            }
                         }
-                        range_out[wi] = Some(out);
+                        // Each beam core waits for its three inputs.
+                        Stage::Beam { win, .. } => {
+                            let ready = deliveries[win].into_iter().max().unwrap_or(Cycle::ZERO);
+                            chip.wait_flag(core, ready);
+                            chip.compute(core, ops);
+                            corr_arrivals.push(chip.send_reliable(core, place.corr, beam_msg));
+                        }
+                        // Correlation + summation once both halves have
+                        // streamed in.
+                        Stage::Corr => {
+                            let ready = corr_arrivals.iter().copied().max().unwrap_or(Cycle::ZERO);
+                            // Queue depth seen by the correlator:
+                            // messages already delivered when it reaches
+                            // the wait (backlog), and how long it idles
+                            // for the last one.
+                            let consume_at = chip.now(core);
+                            let backlog =
+                                corr_arrivals.iter().filter(|&&a| a <= consume_at).count() as u64;
+                            corr_queue_peak = corr_queue_peak.max(backlog);
+                            corr_wait_cycles += ready.saturating_sub(consume_at).0;
+                            chip.wait_flag(core, ready);
+                            chip.compute(core, ops);
+                            corr_arrivals.clear();
+                        }
                     }
-                    let range_out: [RangeStageOut; 3] = range_out.map(|o| o.expect("range output"));
-
-                    // Beam stage: each core waits for its three inputs.
-                    for bi in 0..3 {
-                        let bc = place.beam[blk][bi];
-                        let ready = deliveries[bi].iter().copied().max().unwrap_or(Cycle::ZERO);
-                        chip.wait_flag(bc, ready);
-                        let mut ops = OpCounts::default();
-                        let out = beam_stage(&range_out, bi, s, it, &w.config, &mut ops);
-                        chip.compute(bc, &ops);
-                        let arr = chip.send_reliable(bc, place.corr, beam_msg);
-                        corr_ready = corr_ready.max(arr);
-                        corr_arrivals.push(arr);
-                        beam_out[blk][bi] = Some(out);
-                    }
-                }
-
-                // Correlation + summation once both halves have streamed in.
-                let minus: [BeamStageOut; 3] =
-                    std::array::from_fn(|i| beam_out[0][i].take().expect("beam output"));
-                let plus: [BeamStageOut; 3] =
-                    std::array::from_fn(|i| beam_out[1][i].take().expect("beam output"));
-                // Queue depth seen by the correlator: messages already
-                // delivered when it reaches the wait (backlog), and how
-                // long it idles for the last one.
-                let consume_at = chip.now(place.corr);
-                let backlog = corr_arrivals.iter().filter(|&&a| a <= consume_at).count() as u64;
-                corr_queue_peak = corr_queue_peak.max(backlog);
-                corr_wait_cycles += corr_ready.saturating_sub(consume_at).0;
-                chip.wait_flag(place.corr, corr_ready);
-                let mut ops = OpCounts::default();
-                criterion += correlate_partial(&minus, &plus, &mut ops);
-                chip.compute(place.corr, &ops);
-            }
+                });
             chip.write_external(place.corr, criterion_addr(h), 8);
             let span = (chip.elapsed() - t0).0.max(1);
             let occupancy =
@@ -250,10 +232,13 @@ mod tests {
         let mpmd = run(&w, params(), Placement::neighbor());
         let seq = autofocus_seq::run(&w, params(), &RunContext::plain());
         assert_eq!(mpmd.sweep.len(), seq.sweep.len());
+        // Both sides are the same walk (`criterion_firings`), so the
+        // values agree to the bit.
         for ((s1, v1), (s2, v2)) in mpmd.sweep.iter().zip(&seq.sweep) {
             assert_eq!(s1, s2);
-            assert!(
-                (v1 - v2).abs() <= 1e-3 * v2.abs().max(1.0),
+            assert_eq!(
+                v1.to_bits(),
+                v2.to_bits(),
                 "criterion mismatch at shift {s1}: {v1} vs {v2}"
             );
         }

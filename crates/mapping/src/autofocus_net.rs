@@ -13,15 +13,15 @@ use std::rc::Rc;
 use desim::OpCounts;
 use epiphany::{Chip, EpiphanyParams};
 use sar_core::autofocus::criterion::{
-    beam_stage, correlate_partial, range_stage, AutofocusConfig, BeamStageOut, RangeStageOut,
+    beam_stage, correlate_partial, range_stage, AutofocusConfig, BeamStageOut, RangeStageOut, Stage,
 };
 use sar_core::autofocus::Block6;
 use sim_harness::{AutofocusWorkload, Placement, ProgramModel, RunContext, SweepRun};
 use streams::{Actor, FireCtx, Network};
 
 use crate::pipeline::{
-    beam_msg_bytes, criterion_addr, edges, range_msg_bytes, stage_block, stages, PipelineProbe,
-    Stage,
+    beam_msg_bytes, core_of, criterion_addr, edges, range_msg_bytes, stage_block, stages,
+    PipelineProbe,
 };
 
 /// Tokens flowing through the pipeline.
@@ -198,7 +198,7 @@ pub fn run(
                     results: results.clone(),
                 }),
             };
-            let id = net.add_actor(&stage.to_string(), stage.core(&place), behaviour);
+            let id = net.add_actor(&stage.to_string(), core_of(stage, &place), behaviour);
             (stage, id)
         })
         .collect();

@@ -180,12 +180,12 @@ pub fn model(w: &FfbpWorkload, opts: &SpmdOptions, mesh: (u16, u16)) -> ProgramM
     let bins = w.geom.num_bins as f64;
     let beam_bytes = layout.beam_bytes() as f64;
     let per_sample = probe_sample(w);
-    // The per-row prefetch geometry lookup — also data-independent.
-    // (Declared with prefetch off too, where `run` skips it: an
-    // over-declaration `models.jsonl` pins; correcting it is a model
-    // change.)
+    // The per-row prefetch geometry lookup — also data-independent,
+    // and like `run` skipped with prefetch off.
     let mut per_row = OpCounts::default();
-    merge_geometry(1.0, 0.0, 1.0, &mut per_row);
+    if opts.prefetch {
+        merge_geometry(1.0, 0.0, 1.0, &mut per_row);
+    }
     let iters = u64::from(w.geom.merge_iterations());
     spmd::phase(&mut m, "merge", iters, |pos, wd| {
         let rows = owned(w.geom.num_pulses, n_active, pos) as u64;

@@ -1,18 +1,19 @@
 //! What the two 13-core autofocus pipeline drivers —
 //! [`crate::autofocus_mpmd`] (hand-written) and [`crate::autofocus_net`]
 //! (the `streams` process network) — and their program model share:
-//! the block staging, the message sizes, the stage graph and the
-//! per-firing kernel probe. A driver and the model that prices it read
-//! these same items, so a change to the dataflow is made once.
+//! the block staging, the message sizes, the placement of the stage
+//! graph (`sar_core::autofocus::Stage` names the stages and their
+//! consumers) and the per-firing kernel probe. A driver and the model
+//! that prices it read these same items, so a change to the dataflow is
+//! made once.
 
-use std::fmt::{self, Write};
+use std::fmt::Write;
 
 use desim::OpCounts;
 use epiphany::dma::DmaDirection;
 use epiphany::Chip;
 use memsim::GlobalAddr;
-use sar_core::autofocus::criterion::AutofocusConfig;
-use sar_core::autofocus::{beam_stage, correlate_partial, range_stage, Block6};
+use sar_core::autofocus::{criterion_firings, AutofocusConfig, Block6, Stage};
 use sim_harness::{AutofocusWorkload, Bound, Placement, ProgramModel, TrafficDecl, WorkDecl};
 
 use crate::autofocus_seq::AUTOFOCUS_PAIRING;
@@ -60,52 +61,12 @@ pub(crate) fn criterion_addr(h: usize) -> GlobalAddr {
     GlobalAddr::external(0x10000 + 8 * h as u32)
 }
 
-/// One of the thirteen pipeline stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Stage {
-    /// Range interpolator of block `blk` (0 = `f-`, 1 = `f+`), column
-    /// window `win`.
-    Range { blk: usize, win: usize },
-    /// Beam interpolator of block `blk`, row window `win`.
-    Beam { blk: usize, win: usize },
-    /// The correlation + summation stage both blocks share.
-    Corr,
-}
-
-impl Stage {
-    /// The core `place` runs this stage on.
-    pub fn core(self, place: &Placement) -> usize {
-        match self {
-            Stage::Range { blk, win } => place.range[blk][win],
-            Stage::Beam { blk, win } => place.beam[blk][win],
-            Stage::Corr => place.corr,
-        }
-    }
-
-    /// The stages this one streams to, in output-port order: a range
-    /// interpolator feeds the three beam interpolators of its block, a
-    /// beam interpolator feeds the correlator.
-    pub fn consumers(self) -> impl Iterator<Item = Stage> {
-        let fanout = match self {
-            Stage::Range { .. } => 3,
-            Stage::Beam { .. } => 1,
-            Stage::Corr => 0,
-        };
-        (0..fanout).map(move |win| match self {
-            Stage::Range { blk, .. } => Stage::Beam { blk, win },
-            _ => Stage::Corr,
-        })
-    }
-}
-
-/// The stage's actor name, and its end of a channel label.
-impl fmt::Display for Stage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Stage::Range { blk, win } => write!(f, "range{blk}{win}"),
-            Stage::Beam { blk, win } => write!(f, "beam{blk}{win}"),
-            Stage::Corr => f.write_str("corr"),
-        }
+/// The core `place` runs `stage` on.
+pub(crate) fn core_of(stage: Stage, place: &Placement) -> usize {
+    match stage {
+        Stage::Range { blk, win } => place.range[blk][win],
+        Stage::Beam { blk, win } => place.beam[blk][win],
+        Stage::Corr => place.corr,
     }
 }
 
@@ -168,30 +129,26 @@ impl PipelineProbe {
         PipelineProbe::probed(w, 0.0, true)
     }
 
-    /// Run one `range_stage`, one `beam_stage` and one
-    /// `correlate_partial` — the per-firing work of the three pipeline
-    /// stages, all data-independent.
+    /// Walk one hypothesis ([`criterion_firings`]) and keep a firing's
+    /// ledger per stage kind — the per-firing work of the three
+    /// pipeline stages. All are data-independent, so any firing of a
+    /// kind stands for every other (`criterion.rs`'s tests pin that).
     fn probed(
         w: &AutofocusWorkload,
         range_waits_per_hyp: f64,
         mpmd_recovery: bool,
     ) -> PipelineProbe {
         let cfg = &w.config;
-        // Window 0's ledger stands for its stage; the other windows
-        // only produce the next stage's inputs.
         let mut range_ops = OpCounts::default();
         let mut beam_ops = OpCounts::default();
         let mut corr_ops = OpCounts::default();
-        let mut rest = OpCounts::default();
-        let range = [0, 1, 2].map(|win| {
-            let counts = if win == 0 { &mut range_ops } else { &mut rest };
-            range_stage(&w.f_minus, win, 0.0, 0, cfg, counts)
+        criterion_firings(&w.f_minus, &w.f_plus, 0.0, cfg, |stage, ops| {
+            *match stage {
+                Stage::Range { .. } => &mut range_ops,
+                Stage::Beam { .. } => &mut beam_ops,
+                Stage::Corr => &mut corr_ops,
+            } = *ops;
         });
-        let beam = [0, 1, 2].map(|win| {
-            let counts = if win == 0 { &mut beam_ops } else { &mut rest };
-            beam_stage(&range, win, 0.0, 0, cfg, counts)
-        });
-        correlate_partial(&beam, &beam, &mut corr_ops);
         PipelineProbe {
             range_ops,
             beam_ops,
@@ -258,7 +215,7 @@ impl PipelineProbe {
             // two `Display` arguments and would grow it twice.
             let mut label = String::with_capacity(16);
             write!(label, "{from}->{to}").expect("writing to a String");
-            m.channel(label, from.core(&place), to.core(&place));
+            m.channel(label, core_of(from, &place), core_of(to, &place));
         }
 
         // Workload: six range-core DMAs up front, then per hypothesis
@@ -280,7 +237,7 @@ impl PipelineProbe {
                 Stage::Beam { .. } => (&self.beam_ops, 3.0, beam_msg),
                 Stage::Corr => (&self.corr_ops, 3.0, 0),
             };
-            let core = stage.core(&place);
+            let core = core_of(stage, &place);
             let mut wd = WorkDecl::new(core);
             wd.exact_ops(ops.scaled(3));
             wd.compute_calls = Bound::exact(3.0);
@@ -294,7 +251,7 @@ impl PipelineProbe {
             for to in stage.consumers() {
                 ph.traffic.push(TrafficDecl {
                     from: core,
-                    to: to.core(&place),
+                    to: core_of(to, &place),
                     messages: Bound::exact(3.0),
                     bytes: Bound::exact(3.0 * f64::from(msg)),
                 });

@@ -17,94 +17,30 @@ use sar_core::complex::c32;
 use sar_core::image::ComplexImage;
 use sar_core::rda::{
     azimuth_compress, azimuth_reference, doppler_spectrum, range_compress_row, MigrationTable,
+    Stages,
 };
 use sar_core::signal::{lfm_chirp, MatchedFilter};
 use sim_harness::{Bound, ImageRun, ProgramModel, RdaWorkload, RunContext, WorkDecl};
 
 use crate::layout::RdaLayout;
 
-/// The RDA arithmetic both chip drivers ([`run`] and
-/// [`crate::rda_spmd::run`]) execute, one work unit at a time: a unit
-/// updates the functional matrices and returns its op ledger for the
-/// machine model to price.
-pub(crate) struct Stages<'a> {
-    w: &'a RdaWorkload,
-    mf: MatchedFilter,
-    /// The geometry's range-cell migration, which [`rcmc_gathers`]
-    /// fetches and [`Stages::azimuth_bin`] corrects.
-    pub migration: MigrationTable,
-    /// Range-compressed matrix, pulse-major.
-    rc: ComplexImage,
-    /// Range–Doppler matrix, bin-major.
-    rd: ComplexImage,
-    /// The focused image.
-    pub image: ComplexImage,
-}
-
-impl<'a> Stages<'a> {
-    pub fn new(w: &'a RdaWorkload) -> Stages<'a> {
-        let (n, bins) = (w.geom.num_pulses, w.geom.num_bins);
-        Stages {
-            w,
-            mf: MatchedFilter::new(&lfm_chirp(w.config.chirp), w.raw.cols()),
-            migration: MigrationTable::new(&w.geom, w.config.rcmc),
-            rc: ComplexImage::zeros(n, bins),
-            rd: ComplexImage::zeros(bins, n),
-            image: ComplexImage::zeros(n, bins),
-        }
-    }
-
-    /// Range-compress pulse `k`.
-    pub fn range_row(&mut self, k: usize) -> OpCounts {
-        let mut ops = OpCounts::default();
-        let row = range_compress_row(&self.mf, self.w.raw.row(k), self.w.geom.num_bins, &mut ops);
-        self.rc.row_mut(k).copy_from_slice(&row);
-        ops
-    }
-
-    /// Azimuth FFT of range bin `i`'s pulse history.
-    pub fn doppler_bin(&mut self, i: usize) -> OpCounts {
-        let mut ops = OpCounts::default();
-        let col: Vec<c32> = (0..self.w.geom.num_pulses)
-            .map(|k| self.rc.at(k, i))
-            .collect();
-        let spectrum = doppler_spectrum(&col, &mut ops);
-        self.rd.row_mut(i).copy_from_slice(&spectrum);
-        ops
-    }
-
-    /// RCMC + azimuth compression of range bin `i`. The inverse FFT
-    /// returns circular lags; broadside is rotated to the middle row.
-    pub fn azimuth_bin(&mut self, i: usize) -> OpCounts {
-        let (geom, n) = (&self.w.geom, self.w.geom.num_pulses);
-        let mut ops = OpCounts::default();
-        let corrected = self.migration.correct(&self.rd, i, &mut ops);
-        let href = azimuth_reference(geom, i, &mut ops);
-        let line = azimuth_compress(&corrected, &href, &mut ops);
-        for k in 0..n {
-            *self.image.at_mut(k, i) = line[(k + n / 2) % n];
-        }
-        ops
-    }
-
-    /// Op ledgers of one range row, one Doppler bin and one azimuth
-    /// bin, probed by running each stage's kernels once on blank data
-    /// (a whole `Stages` would hold three image-sized matrices just to
-    /// price a model). All three are data-independent (the
-    /// `sar_core::rda` tests pin that), so one probe per stage is exact
-    /// for every unit of the run.
-    pub fn probe(w: &RdaWorkload, migration: &MigrationTable) -> [OpCounts; 3] {
-        let (geom, n) = (&w.geom, w.geom.num_pulses);
-        let mf = MatchedFilter::new(&lfm_chirp(w.config.chirp), w.raw.cols());
-        let mut ops = [OpCounts::default(); 3];
-        range_compress_row(&mf, w.raw.row(0), geom.num_bins, &mut ops[0]);
-        doppler_spectrum(&vec![c32::ZERO; n], &mut ops[1]);
-        let rd = ComplexImage::zeros(geom.num_bins, n);
-        let corrected = migration.correct(&rd, 0, &mut ops[2]);
-        let href = azimuth_reference(geom, 0, &mut ops[2]);
-        azimuth_compress(&corrected, &href, &mut ops[2]);
-        ops
-    }
+/// Op ledgers of one range row, one Doppler bin and one azimuth bin,
+/// probed by running each stage's kernels once on blank data (a whole
+/// [`Stages`] would hold three image-sized matrices just to price a
+/// model). All three are data-independent (the `sar_core::rda` tests
+/// pin that), so one probe per stage is exact for every unit of the
+/// run.
+pub(crate) fn probe(w: &RdaWorkload, migration: &MigrationTable) -> [OpCounts; 3] {
+    let (geom, n) = (&w.geom, w.geom.num_pulses);
+    let mf = MatchedFilter::new(&lfm_chirp(w.config.chirp), w.raw.cols());
+    let mut ops = [OpCounts::default(); 3];
+    range_compress_row(&mf, w.raw.row(0), geom.num_bins, &mut ops[0]);
+    doppler_spectrum(&vec![c32::ZERO; n], &mut ops[1]);
+    let rd = ComplexImage::zeros(geom.num_bins, n);
+    let corrected = migration.correct(&rd, 0, &mut ops[2]);
+    let href = azimuth_reference(geom, 0, &mut ops[2]);
+    azimuth_compress(&corrected, &href, &mut ops[2]);
+    ops
 }
 
 /// The RCMC gathers of range bin `i`: the `(bin, doppler)` cells its
@@ -132,7 +68,7 @@ pub fn run(w: &RdaWorkload, params: EpiphanyParams, ctx: &RunContext) -> ImageRu
     let mut chip = Chip::from_params(params);
     chip.set_tracer(ctx.tracer.clone());
     let core = 0usize;
-    let mut stages = Stages::new(w);
+    let mut stages = Stages::new(&w.raw, &w.geom, &w.config);
     // Blocking fetches issue back to back with nothing between them —
     // buffered per row so the chip absorbs each span in closed form.
     let mut row_reads = Vec::with_capacity(2 * w.geom.num_pulses.max(w.raw.cols()));
@@ -189,7 +125,7 @@ pub fn model(w: &RdaWorkload, mesh: (u16, u16)) -> ProgramModel {
     m.cores = vec![0];
     let layout = RdaLayout::of(w);
     let migration = MigrationTable::new(&w.geom, w.config.rcmc);
-    let [per_range_row, per_doppler_bin, per_azimuth_bin] = Stages::probe(w, &migration);
+    let [per_range_row, per_doppler_bin, per_azimuth_bin] = probe(w, &migration);
     let (pulses, bins) = (u64::from(layout.pulses), u64::from(layout.bins));
     let echo = u64::from(layout.echo_len);
     let gathers = (0..w.geom.num_bins)
@@ -248,5 +184,38 @@ mod tests {
         assert!(reads <= raw_samples + 3 * matrix);
         assert_eq!(r.record.phases.len(), 3);
         assert_eq!(r.record.phases[1].name, "doppler");
+    }
+
+    #[test]
+    fn rda_seq_model_declares_every_input_sample_as_a_blocking_read() {
+        let w = RdaWorkload::small();
+        let m = model(&w, (4, 4));
+        assert_eq!(m.cores, vec![0]);
+        assert!(m.buffers.is_empty() && m.flags.is_empty() && m.barriers.is_empty());
+        assert_eq!(m.workload.len(), 3);
+        let names: Vec<&str> = m.workload.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["range", "doppler", "azimuth"]);
+        // The range phase reads the whole raw matrix, once.
+        let range = &m.workload[0].work[0];
+        let raw_samples = (w.raw.rows() * w.raw.cols()) as f64;
+        assert_eq!(range.ext_read_msgs, Bound::exact(raw_samples));
+        assert_eq!(range.ext_read_bytes, Bound::exact(8.0 * raw_samples));
+        // The azimuth phase reads at least the full bin-major matrix
+        // (plus the exact RCMC gathers).
+        let matrix = (w.geom.num_pulses * w.geom.num_bins) as f64;
+        let az = &m.workload[2].work[0];
+        assert!(az.ext_read_msgs.lo >= matrix);
+        assert_eq!(az.ext_read_msgs.lo, az.ext_read_msgs.hi);
+        // The surplus is exactly the RCMC gathers, and exactly what the
+        // driver issues in its azimuth phase.
+        let migration = MigrationTable::new(&w.geom, w.config.rcmc);
+        let gathers: usize = (0..w.geom.num_bins)
+            .map(|i| rcmc_gathers(&migration, i).count())
+            .sum();
+        assert!(gathers > 0, "the small scene migrates");
+        assert_eq!(az.ext_read_msgs.lo, matrix + gathers as f64);
+        let run = run(&w, EpiphanyParams::default(), &RunContext::plain());
+        let issued = run.record.phases[2].metrics["ext_read"];
+        assert_eq!(issued, az.ext_read_msgs.lo);
     }
 }

@@ -30,11 +30,11 @@
 use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::EpiphanyParams;
-use sar_core::rda::MigrationTable;
+use sar_core::rda::{MigrationTable, Stages};
 use sim_harness::{Bound, ImageRun, ProgramModel, RdaWorkload, RunContext};
 
 use crate::layout::{RdaLayout, BANK_CHILD_A, BANK_CHILD_B, PIXEL_BYTES};
-use crate::rda_seq::{rcmc_gathers, Stages};
+use crate::rda_seq::{probe, rcmc_gathers};
 use crate::spmd::{self, checkpointed, chip_for, owned, owner};
 
 /// Corner-turn tile edge, in elements. 32 x 32 c32 tiles are 8 KB —
@@ -118,7 +118,7 @@ pub fn run(
     let (mut chip, mut active) = chip_for(params, opts.cores, ctx);
     let n_cores = active.len();
     let bank_bytes = u64::from(params.sram.bank_bytes);
-    let mut stages = Stages::new(w);
+    let mut stages = Stages::new(&w.raw, &w.geom, &w.config);
 
     // Phase 1: range compression, A -> B (pulse-major).
     checkpointed(
@@ -261,7 +261,7 @@ pub fn model(w: &RdaWorkload, opts: &RdaSpmdOptions, mesh: (u16, u16)) -> Progra
     let bank = EpiphanyParams::default().sram.bank_bytes;
     let layout = RdaLayout::of(w);
     let migration = MigrationTable::new(&w.geom, w.config.rcmc);
-    let [per_range_row, per_doppler_bin, per_azimuth_bin] = Stages::probe(w, &migration);
+    let [per_range_row, per_doppler_bin, per_azimuth_bin] = probe(w, &migration);
     let (pulses, bins) = (w.geom.num_pulses, w.geom.num_bins);
     let nc = m.cores.len();
 
@@ -493,5 +493,81 @@ mod tests {
         assert_eq!(a.record.elapsed.cycles, b.record.elapsed.cycles);
         assert_eq!(a.record.faults, b.record.faults);
         assert_eq!(a.image.as_slice(), b.image.as_slice());
+    }
+
+    #[test]
+    fn rda_spmd_model_declares_the_staging_banks_and_the_corner_turn() {
+        let w = RdaWorkload::small();
+        let m = model(&w, &RdaSpmdOptions::default(), (4, 4));
+        assert_eq!(m.cores.len(), 16);
+        // One bank-sized staging buffer per core at small scale (raw
+        // rows fit one bank); the paper-scale rows overflow into the
+        // second upper bank, adding a tail buffer per core.
+        assert_eq!(m.buffers.len(), 16);
+        assert!(m.buffers.iter().all(|b| b.bank == BANK_CHILD_A));
+        let paper = model(&RdaWorkload::paper(), &RdaSpmdOptions::default(), (4, 4));
+        assert_eq!(paper.buffers.len(), 32);
+        assert!(paper
+            .buffers
+            .iter()
+            .all(|b| b.bank == BANK_CHILD_A || b.bank == BANK_CHILD_B));
+        // The tail is what the driver's second descriptor per raw row
+        // lands: a 9,032 B row splits at the 8 KB bank edge, sample 1024.
+        let paper_layout = RdaLayout::of(&RdaWorkload::paper());
+        let parts: Vec<_> = raw_row_parts(&paper_layout, 8192).collect();
+        assert_eq!(parts, [(0, BANK_CHILD_A, 8192), (1024, BANK_CHILD_B, 840)]);
+        assert!(paper
+            .buffers
+            .iter()
+            .any(|b| (b.bank, b.bytes) == (BANK_CHILD_B, 840)));
+        assert_eq!(raw_row_parts(&RdaLayout::of(&w), 8192).count(), 1);
+        assert_eq!(m.flags.len(), 16);
+        assert!(m.flags.iter().all(|f| f.recovery.is_some()));
+        assert_eq!(m.barriers[0].participants.len(), 16);
+        assert_eq!(m.workload.len(), 4);
+        assert_eq!(m.workload[1].name, "corner_turn");
+        // The corner turn moves the whole matrix twice (in and out)
+        // and nothing else: no external blocking reads, no posted rows.
+        let matrix_bytes = (w.geom.num_pulses * w.geom.num_bins * 8) as f64;
+        let ct = &m.workload[1];
+        let dma: f64 = ct.work.iter().map(|wd| wd.dma_bytes.lo).sum();
+        assert!((dma - 2.0 * matrix_bytes).abs() < 1e-6);
+        assert!(ct.work.iter().all(|wd| wd.ext_read_msgs == Bound::zero()));
+        assert!(ct.work.iter().all(|wd| wd.ext_write_msgs == Bound::zero()));
+        // Tile count matches the driver's tiling.
+        let declared: f64 = ct.work.iter().map(|wd| wd.compute_calls.lo).sum();
+        let expect = w.geom.num_pulses.div_ceil(TILE) * w.geom.num_bins.div_ceil(TILE);
+        assert!((declared - expect as f64).abs() < 1e-6);
+        assert_eq!(tiles(w.geom.num_pulses, w.geom.num_bins).count(), expect);
+        let run = run(&w, EpiphanyParams::default(), RdaSpmdOptions::default());
+        assert_eq!(run.record.phases[1].metrics["tiles"], expect as f64);
+        // The tiling covers a matrix ragged on both edges exactly once.
+        let (pulses, bins) = (70, 45);
+        let mut covered = vec![0u8; pulses * bins];
+        for t in tiles(pulses, bins) {
+            assert!(t.rows <= TILE && t.cols <= TILE);
+            for p in t.pulse0..t.pulse0 + t.rows {
+                for b in t.bin0..t.bin0 + t.cols {
+                    covered[p * bins + b] += 1;
+                }
+            }
+        }
+        assert!(covered.iter().all(|&times| times == 1));
+    }
+
+    #[test]
+    fn rda_spmd_model_respects_the_core_pin_and_the_e64_mesh() {
+        let w = RdaWorkload::small();
+        let e64 = model(&w, &RdaSpmdOptions::default(), (8, 8));
+        assert_eq!(e64.mesh, (8, 8));
+        assert_eq!(e64.cores.len(), 64);
+        let pinned = model(&w, &RdaSpmdOptions { cores: Some(4) }, (4, 4));
+        assert_eq!(pinned.cores, epiphany::Chip::subgrid_on(4, 4, 4));
+        // Work totals are invariant under the deal: the same matrix
+        // moves whether 4 or 64 cores carry it.
+        let total = |m: &ProgramModel, ph: usize| -> f64 {
+            m.workload[ph].work.iter().map(|wd| wd.dma_bytes.lo).sum()
+        };
+        assert!((total(&e64, 1) - total(&pinned, 1)).abs() < 1e-6);
     }
 }

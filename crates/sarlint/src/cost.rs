@@ -185,64 +185,62 @@ impl CostReport {
     }
 }
 
-/// Interval accumulator for `lo`/`hi` running sums.
-#[derive(Default, Clone, Copy)]
-struct Acc {
-    lo: f64,
-    hi: f64,
-}
-
-impl Acc {
-    fn add(&mut self, lo: f64, hi: f64) {
-        self.lo += lo;
-        self.hi += hi;
-    }
-
-    fn bound(self) -> Bound {
-        Bound::range(self.lo, self.hi)
-    }
-}
-
 /// Per-link load map: `(mesh id, node, direction index) -> cycles`.
 /// Ordered so the float folds below visit links in a fixed order —
 /// byte-identical cost reports across processes require it.
-type LinkLoads = BTreeMap<(u8, usize, usize), f64>;
+type LinkLoads = BTreeMap<(u8, usize, usize), Bound>;
 
-/// Accumulate `wire / rate` serialization cycles on every link of the
-/// XY route `from -> to` of mesh `mesh_id`.
+/// Accumulate `cycles` of serialization on every link of the XY route
+/// `from -> to` of mesh `mesh_id`. A load that may be nothing at all
+/// leaves no entry (the upper bound sums over entries).
 fn load_route(
     loads: &mut LinkLoads,
     mesh: &Mesh2D,
     mesh_id: u8,
     from: usize,
     to: usize,
-    cycles: f64,
+    cycles: Bound,
 ) {
-    if cycles <= 0.0 {
+    if cycles.hi <= 0.0 {
         return;
     }
     let src = mesh.coord(emesh::NodeId(from as u16));
     let dst = mesh.coord(emesh::NodeId(to as u16));
     for hop in route_xy(mesh, src, dst) {
         let node = mesh.node(hop.from).raw();
-        *loads.entry((mesh_id, node, hop.dir.index())).or_insert(0.0) += cycles;
+        *loads.entry((mesh_id, node, hop.dir.index())).or_default() += cycles;
     }
+}
+
+/// What a traffic class puts on the wire: its payload plus an 8-byte
+/// header per message, as the fabric charges them.
+fn wire(bytes: Bound, msgs: Bound) -> Bound {
+    bytes + msgs.scaled(8.0)
+}
+
+/// How long `amount` takes at `rate` per unit time: wire bytes at a
+/// link's bytes per cycle are cycles, cycles at the clock's hertz are
+/// seconds.
+fn at(amount: Bound, rate: f64) -> Bound {
+    Bound::range(amount.lo / rate, amount.hi / rate)
 }
 
 /// Whole-run energy accumulators an Epiphany phase merges into: the
 /// exact counter mirrors the energy model prices per component.
 #[derive(Default)]
 struct EnergyAcc {
-    fpu: Acc,
-    ialu: Acc,
-    local: Acc,
-    byte_hops: Acc,
-    offchip_bytes: Acc,
+    fpu: Bound,
+    ialu: Bound,
+    local: Bound,
+    byte_hops: Bound,
+    offchip_bytes: Bound,
 }
 
 /// Evaluate one Epiphany phase; returns its cost row and merges its
-/// energy terms into the accumulators.
-#[allow(clippy::too_many_lines)]
+/// energy terms into the accumulators. Symmetric terms are interval
+/// arithmetic; a term whose two edges are different expressions
+/// (allowances only the upper bound pays) is an explicit
+/// `Bound::range(lo, hi)`.
 fn epiphany_phase(
     ph: &PhaseDecl,
     p: &EpiphanyParams,
@@ -262,24 +260,13 @@ fn epiphany_phase(
 
     // Per-round, per-core serial work (ordered: the hi-sum below is a
     // float fold whose result must not depend on hash order).
-    let mut serial: BTreeMap<usize, Acc> = BTreeMap::new();
+    let mut serial: BTreeMap<usize, Bound> = BTreeMap::new();
     // Busiest core's pure compute (op-count) work — the reference the
     // SL013/SL014 lints compare resource occupancies against.
-    let mut comp_max = Acc::default();
-    let mut links_lo = LinkLoads::new();
-    let mut links_hi = LinkLoads::new();
-    let mut elink_occ = Acc::default();
+    let mut comp_max = Bound::zero();
+    let mut links = LinkLoads::new();
+    let mut elink_occ = Bound::zero();
     let mut flight_hi = 0.0f64;
-    // FPU slots, IALU/load-store slots and local accesses of an op
-    // ledger, lowered by the simulator's own function.
-    let slots = |ops: &OpCounts| {
-        let block = CostBlock::lower(ops, p);
-        (
-            block.fpu_instrs as f64,
-            block.ialu_ls_instrs as f64,
-            block.local_accesses as f64,
-        )
-    };
 
     for w in &ph.work {
         let s = serial.entry(w.core).or_default();
@@ -287,130 +274,102 @@ fn epiphany_phase(
         let hops = f64::from(coord.manhattan(elink_coord));
         let hl = hops.max(1.0) * hop_lat;
 
+        // FPU slots, IALU/load-store slots and local accesses of the
+        // op ledgers, lowered by the simulator's own function.
+        let (lo, hi) = (
+            CostBlock::lower(&w.ops_lo, p),
+            CostBlock::lower(&w.ops_hi, p),
+        );
+        let fpu = Bound::range(lo.fpu_instrs as f64, hi.fpu_instrs as f64);
+        let ls = Bound::range(lo.ialu_ls_instrs as f64, hi.ialu_ls_instrs as f64);
+        let local = Bound::range(lo.local_accesses as f64, hi.local_accesses as f64);
         // Compute: lower is the dominant slot over the whole round
         // (per-call maxima only grow it); upper assumes no pairing
         // between the slots plus one ceil cycle per compute() call.
-        let (fpu_lo, ls_lo, local_lo) = slots(&w.ops_lo);
-        let (fpu_hi, ls_hi, local_hi) = slots(&w.ops_hi);
-        let comp_lo = fpu_lo.max(ls_lo) / pairing;
-        let comp_hi = (fpu_hi + ls_hi) / pairing + w.compute_calls.hi;
-        s.add(comp_lo, comp_hi);
-        comp_max.lo = comp_max.lo.max(comp_lo);
-        comp_max.hi = comp_max.hi.max(comp_hi);
+        let comp = Bound::range(
+            fpu.lo.max(ls.lo) / pairing,
+            (fpu.hi + ls.hi) / pairing + w.compute_calls.hi,
+        );
+        *s += comp;
+        comp_max = Bound::range(comp_max.lo.max(comp.lo), comp_max.hi.max(comp.hi));
 
         // Blocking off-chip reads: issue + rMesh request + eLink
         // request slot + SDRAM + reply hop latency per message, plus
-        // the reply wire (payload + 8 B header) serialising once
-        // through the eLink and once onto the cMesh.
-        let r_wire_lo = w.ext_read_bytes.lo + 8.0 * w.ext_read_msgs.lo;
-        let r_wire_hi = w.ext_read_bytes.hi + 8.0 * w.ext_read_msgs.hi;
+        // the reply wire serialising once through the eLink and once
+        // onto the cMesh.
+        let r_wire = wire(w.ext_read_bytes, w.ext_read_msgs);
         let read_fixed = p.read_issue_cycles as f64 + hl + 1.0 + 1.0 + hl;
-        s.add(
-            w.ext_read_msgs.lo * (read_fixed + row_hit)
-                + r_wire_lo * (1.0 / elink_bpc + 1.0 / link_bpc),
-            w.ext_read_msgs.hi * (read_fixed + row_miss)
-                + r_wire_hi * (1.0 / elink_bpc + 1.0 / link_bpc),
-        );
+        *s += Bound::range(
+            w.ext_read_msgs.lo * (read_fixed + row_hit),
+            w.ext_read_msgs.hi * (read_fixed + row_miss),
+        ) + r_wire.scaled(1.0 / elink_bpc + 1.0 / link_bpc);
 
         // Posted off-chip writes: issue cycles always; the upper bound
         // additionally drains each write's xMesh flight and eLink hold
         // (the write-buffer backpressure allowance, ignoring the
         // buffer credit — sound, just looser).
-        let w_wire_lo = w.ext_write_bytes.lo + 8.0 * w.ext_write_msgs.lo;
-        let w_wire_hi = w.ext_write_bytes.hi + 8.0 * w.ext_write_msgs.hi;
-        s.add(
+        let w_wire = wire(w.ext_write_bytes, w.ext_write_msgs);
+        *s += Bound::range(
             wic * (w.ext_write_msgs.lo.max(w.ext_write_bytes.lo / 8.0)),
             wic * (w.ext_write_msgs.hi + w.ext_write_bytes.hi / 8.0)
                 + w.ext_write_msgs.hi * hl
-                + w_wire_hi * (1.0 / link_bpc + 1.0 / elink_bpc),
+                + w_wire.hi * (1.0 / link_bpc + 1.0 / elink_bpc),
         );
 
         // DMA: the core pays descriptor setup; the upper bound also
         // charges the engine's full transfer (request, SDRAM row miss,
         // reply wire through eLink + cMesh + landing bank port) since
         // a dma_wait may stall until exactly that completes.
-        let d_wire_hi = w.dma_bytes.hi + 8.0 * w.dma_msgs.hi;
-        let d_wire_lo = w.dma_bytes.lo + 8.0 * w.dma_msgs.lo;
-        s.add(
+        let d_wire = wire(w.dma_bytes, w.dma_msgs);
+        *s += Bound::range(
             w.dma_msgs.lo * p.dma_setup_cycles as f64,
             w.dma_msgs.hi * (p.dma_setup_cycles as f64 + 2.0 * hl + 2.0 + row_miss)
-                + d_wire_hi * (2.0 / link_bpc + 1.0 / elink_bpc),
+                + d_wire.hi * (2.0 / link_bpc + 1.0 / elink_bpc),
         );
 
         // Flag waits: 1..=flag_poll_max_polls polls, flag_poll_cycles
         // each. The stall beyond the polls is another core's counted
         // work or a counted flight.
-        s.add(
+        *s += Bound::range(
             w.flag_waits.lo * p.flag_poll_cycles as f64,
             w.flag_waits.hi * (p.flag_poll_max_polls * p.flag_poll_cycles) as f64,
         );
 
         // Barriers: base cost on every participant.
-        let bar = (ph.barriers * p.barrier_base_cycles) as f64;
-        s.add(bar, bar);
+        *s += Bound::exact((ph.barriers * p.barrier_base_cycles) as f64);
 
         // Link loads: read/DMA requests ride the rMesh (1 cycle per
         // transaction per link), replies ride the cMesh from the eLink
         // node, off-chip writes ride the xMesh toward it.
-        let req_lo = w.ext_read_msgs.lo + w.dma_msgs.lo;
-        let req_hi = w.ext_read_msgs.hi + w.dma_msgs.hi;
-        load_route(&mut links_lo, mesh, 1, w.core, elink.raw(), req_lo);
-        load_route(&mut links_hi, mesh, 1, w.core, elink.raw(), req_hi);
+        let req = w.ext_read_msgs + w.dma_msgs;
+        let (core, elink) = (w.core, elink.raw());
+        load_route(&mut links, mesh, 1, core, elink, req);
         load_route(
-            &mut links_lo,
+            &mut links,
             mesh,
             0,
-            elink.raw(),
-            w.core,
-            (r_wire_lo + d_wire_lo) / link_bpc,
+            elink,
+            core,
+            at(r_wire + d_wire, link_bpc),
         );
-        load_route(
-            &mut links_hi,
-            mesh,
-            0,
-            elink.raw(),
-            w.core,
-            (r_wire_hi + d_wire_hi) / link_bpc,
-        );
-        load_route(
-            &mut links_lo,
-            mesh,
-            2,
-            w.core,
-            elink.raw(),
-            w_wire_lo / link_bpc,
-        );
-        load_route(
-            &mut links_hi,
-            mesh,
-            2,
-            w.core,
-            elink.raw(),
-            w_wire_hi / link_bpc,
-        );
+        load_route(&mut links, mesh, 2, core, elink, at(w_wire, link_bpc));
 
         // eLink occupancy: one request slot per read/DMA plus every
         // wire (reply payloads and write payloads) at eLink width.
-        elink_occ.add(
-            req_lo + (r_wire_lo + d_wire_lo + w_wire_lo) / elink_bpc,
-            req_hi + (r_wire_hi + d_wire_hi + w_wire_hi) / elink_bpc,
-        );
+        elink_occ += req + at(r_wire + d_wire + w_wire, elink_bpc);
 
         // Energy terms (exact counter mirrors; scaled by rounds).
-        energy.fpu.add(fpu_lo * rounds, fpu_hi * rounds);
-        energy.ialu.add(
-            (ls_lo + w.flag_waits.lo) * rounds,
-            (ls_hi + w.flag_waits.hi * p.flag_poll_max_polls as f64) * rounds,
+        let polls = Bound::range(
+            w.flag_waits.lo,
+            w.flag_waits.hi * p.flag_poll_max_polls as f64,
         );
-        energy.local.add(local_lo * rounds, local_hi * rounds);
-        energy.byte_hops.add(
-            (8.0 * req_lo + r_wire_lo + d_wire_lo + w_wire_lo) * hops * rounds,
-            (8.0 * req_hi + r_wire_hi + d_wire_hi + w_wire_hi) * hops * rounds,
-        );
-        energy.offchip_bytes.add(
-            (w.ext_read_bytes.lo + w.ext_write_bytes.lo + w.dma_bytes.lo) * rounds,
-            (w.ext_read_bytes.hi + w.ext_write_bytes.hi + w.dma_bytes.hi) * rounds,
-        );
+        energy.fpu += fpu.scaled(rounds);
+        energy.ialu += (ls + polls).scaled(rounds);
+        energy.local += local.scaled(rounds);
+        energy.byte_hops += (req.scaled(8.0) + r_wire + d_wire + w_wire)
+            .scaled(hops)
+            .scaled(rounds);
+        energy.offchip_bytes += (w.ext_read_bytes + w.ext_write_bytes + w.dma_bytes).scaled(rounds);
     }
 
     // On-chip traffic: sender issue cycles, cMesh link loads along the
@@ -419,45 +378,36 @@ fn epiphany_phase(
         let src = mesh.coord(emesh::NodeId(t.from as u16));
         let dst = mesh.coord(emesh::NodeId(t.to as u16));
         let hops = f64::from(src.manhattan(dst));
-        let wire_lo = t.bytes.lo + 8.0 * t.messages.lo;
-        let wire_hi = t.bytes.hi + 8.0 * t.messages.hi;
-        let s = serial.entry(t.from).or_default();
-        s.add(
+        let t_wire = wire(t.bytes, t.messages);
+        *serial.entry(t.from).or_default() += Bound::range(
             wic * t.messages.lo.max(t.bytes.lo / 8.0),
             wic * (t.messages.hi + t.bytes.hi / 8.0),
         );
-        load_route(&mut links_lo, mesh, 0, t.from, t.to, wire_lo / link_bpc);
-        load_route(&mut links_hi, mesh, 0, t.from, t.to, wire_hi / link_bpc);
+        load_route(&mut links, mesh, 0, t.from, t.to, at(t_wire, link_bpc));
         // Hop latency of each message plus one landing-bank port hold.
-        flight_hi += t.messages.hi * (hops.max(1.0) * hop_lat + 1.0) + wire_hi / link_bpc;
-        energy
-            .byte_hops
-            .add(wire_lo * hops * rounds, wire_hi * hops * rounds);
+        flight_hi += t.messages.hi * (hops.max(1.0) * hop_lat + 1.0) + t_wire.hi / link_bpc;
+        energy.byte_hops += t_wire.scaled(hops).scaled(rounds);
     }
 
     let core_lo_max = serial.values().map(|a| a.lo).fold(0.0, f64::max);
     let core_hi_sum: f64 = serial.values().map(|a| a.hi).sum();
-    let link_lo_max = links_lo.values().copied().fold(0.0, f64::max);
-    let link_hi_max = links_hi.values().copied().fold(0.0, f64::max);
-    let link_hi_sum: f64 = links_hi.values().sum();
+    let link = Bound::range(
+        links.values().map(|l| l.lo).fold(0.0, f64::max),
+        links.values().map(|l| l.hi).fold(0.0, f64::max),
+    );
+    let link_hi_sum: f64 = links.values().map(|l| l.hi).sum();
 
-    let round_lo = core_lo_max.max(link_lo_max).max(elink_occ.lo);
+    let round_lo = core_lo_max.max(link.lo).max(elink_occ.lo);
     let round_hi = core_hi_sum + link_hi_sum + elink_occ.hi + flight_hi;
-
-    let mut per_core_mid: Vec<(usize, f64)> = serial
-        .iter()
-        .map(|(&core, a)| (core, a.bound().mid()))
-        .collect();
-    per_core_mid.sort_unstable_by_key(|&(core, _)| core);
 
     PhaseCost {
         name: ph.name.clone(),
         rounds: ph.rounds,
         cycles: Bound::range(round_lo * rounds, round_hi * rounds),
-        compute: comp_max.bound(),
-        link: Bound::range(link_lo_max, link_hi_max),
-        offchip: elink_occ.bound(),
-        per_core_mid,
+        compute: comp_max,
+        link,
+        offchip: elink_occ,
+        per_core_mid: serial.iter().map(|(&core, a)| (core, a.mid())).collect(),
     }
 }
 
@@ -470,40 +420,30 @@ pub fn epiphany_cost(model: &ProgramModel, p: &EpiphanyParams) -> CostReport {
         .max(1e-6);
 
     let mut energy = EnergyAcc::default();
-    let mut cycles = Acc::default();
+    let mut cycles = Bound::zero();
     let mut phases = Vec::new();
 
     for ph in &model.workload {
         let pc = epiphany_phase(ph, p, &mesh, pairing, &mut energy);
-        cycles.add(pc.cycles.lo, pc.cycles.hi);
+        cycles += pc.cycles;
         phases.push(pc);
     }
-    let EnergyAcc {
-        fpu: fpu_e,
-        ialu: ialu_e,
-        local: local_e,
-        byte_hops,
-        offchip_bytes,
-    } = energy;
 
     let pj = 1e-12;
-    let hz = p.clock.hz().max(1.0);
-    let seconds = Bound::range(cycles.lo / hz, cycles.hi / hz);
-    let compute_j = Bound::range(
-        (fpu_e.lo * p.pj_per_flop + ialu_e.lo * p.pj_per_ialu) * pj,
-        (fpu_e.hi * p.pj_per_flop + ialu_e.hi * p.pj_per_ialu) * pj,
-    );
-    let sram_j = local_e.bound().scaled(p.pj_per_local_access * pj);
-    let mesh_j = byte_hops.bound().scaled(p.pj_per_mesh_byte_hop * pj);
-    let elink_j = offchip_bytes.bound().scaled(p.pj_per_elink_byte * pj);
-    let sdram_j = offchip_bytes.bound().scaled(p.pj_per_sdram_byte * pj);
+    let seconds = at(cycles, p.clock.hz().max(1.0));
+    let compute_j =
+        (energy.fpu.scaled(p.pj_per_flop) + energy.ialu.scaled(p.pj_per_ialu)).scaled(pj);
+    let sram_j = energy.local.scaled(p.pj_per_local_access * pj);
+    let mesh_j = energy.byte_hops.scaled(p.pj_per_mesh_byte_hop * pj);
+    let elink_j = energy.offchip_bytes.scaled(p.pj_per_elink_byte * pj);
+    let sdram_j = energy.offchip_bytes.scaled(p.pj_per_sdram_byte * pj);
     let static_w = p.static_w_per_core * p.cores() as f64 + p.static_w_chip;
     let static_j = seconds.scaled(static_w);
     let total_j = compute_j + sram_j + mesh_j + elink_j + sdram_j + static_j;
 
     CostReport {
         bounded: true,
-        cycles: cycles.bound(),
+        cycles,
         seconds,
         compute_j,
         sram_j,
@@ -530,28 +470,29 @@ pub fn refcpu_cost(model: &ProgramModel, p: &RefCpuParams) -> CostReport {
     let comp = |ops: &OpCounts| ops.instrs_no_fma() as f64 / ipc + special(ops);
     let stall_per_line = p.hierarchy.dram_cycles as f64 / p.mlp.max(1e-6);
 
-    let mut cycles = Acc::default();
+    let mut cycles = Bound::zero();
     let mut phases = Vec::new();
     for ph in &model.workload {
-        let rounds = ph.rounds as f64;
-        let mut round = Acc::default();
-        let mut pure = Acc::default();
+        let mut round = Bound::zero();
+        let mut pure = Bound::zero();
         let mut stall_hi = 0.0f64;
         let mut per_core_mid = Vec::new();
         for w in &ph.work {
-            let lo = comp(&w.ops_lo);
-            let hi = comp(&w.ops_hi) + w.mem_accesses.hi * stall_per_line;
-            stall_hi += w.mem_accesses.hi * stall_per_line;
-            round.add(lo, hi);
-            pure.add(lo, comp(&w.ops_hi));
-            per_core_mid.push((w.core, 0.5 * (lo + hi)));
+            let work = Bound::range(comp(&w.ops_lo), comp(&w.ops_hi));
+            let stall = w.mem_accesses.hi * stall_per_line;
+            let stalled = Bound::range(work.lo, work.hi + stall);
+            stall_hi += stall;
+            round += stalled;
+            pure += work;
+            per_core_mid.push((w.core, stalled.mid()));
         }
-        cycles.add(round.lo * rounds, round.hi * rounds);
+        let phase_cycles = round.scaled(ph.rounds as f64);
+        cycles += phase_cycles;
         phases.push(PhaseCost {
             name: ph.name.clone(),
             rounds: ph.rounds,
-            cycles: Bound::range(round.lo * rounds, round.hi * rounds),
-            compute: pure.bound(),
+            cycles: phase_cycles,
+            compute: pure,
             link: Bound::zero(),
             offchip: Bound::range(0.0, stall_hi),
             per_core_mid,
@@ -560,12 +501,11 @@ pub fn refcpu_cost(model: &ProgramModel, p: &RefCpuParams) -> CostReport {
     // The run's elapsed cycle count is the ceiling of the float cursor.
     cycles.hi += 1.0;
 
-    let hz = p.clock.hz().max(1.0);
-    let seconds = Bound::range(cycles.lo / hz, cycles.hi / hz);
+    let seconds = at(cycles, p.clock.hz().max(1.0));
     let static_j = seconds.scaled(p.power_w);
     CostReport {
         bounded: true,
-        cycles: cycles.bound(),
+        cycles,
         seconds,
         compute_j: Bound::zero(),
         sram_j: Bound::zero(),
