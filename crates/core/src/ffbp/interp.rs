@@ -24,16 +24,33 @@ pub enum InterpKind {
     Cubic,
 }
 
-/// Fractional sample coordinates in a subaperture.
+/// Fractional `(range, beam)` indices of `(r, theta)` in a subaperture:
+/// what [`sample_at`] (the value) and [`nearest_at`] (the element) read.
 #[inline]
-fn fractional_indices(sub: &Subaperture, geom: &SarGeometry, r: f32, theta: f32) -> (f32, f32) {
+pub fn fractional_indices(sub: &Subaperture, geom: &SarGeometry, r: f32, theta: f32) -> (f32, f32) {
     let fr = (r - geom.r0) / geom.dr;
     let fb = sub.grid.beam_index(theta);
     (fr, fb)
 }
 
-/// Nearest-neighbour integer indices (range bin, beam) for `(r,
-/// theta)`, or `None` when outside the grid — callers use this both for
+/// Nearest-neighbour integer indices (range bin, beam) at fractional
+/// `(fr, fb)`, or `None` outside the grid in *either* direction.
+/// [`sample_at`] is strict in range only: outside the angular sector it
+/// reads the edge beam where this rule reports no element, so a machine
+/// driver prices no access for a value the arithmetic used (a known
+/// model gap, DESIGN.md §7; `the_two_rules_differ_outside_the_sector`).
+#[inline]
+pub fn nearest_at(sub: &Subaperture, num_bins: usize, fr: f32, fb: f32) -> Option<(usize, usize)> {
+    let i = fr.round();
+    let j = fb.round();
+    if i < 0.0 || j < 0.0 || i as usize >= num_bins || j as usize >= sub.grid.n_beams {
+        None
+    } else {
+        Some((i as usize, j as usize))
+    }
+}
+
+/// [`nearest_at`] for `(r, theta)` — callers use this both for
 /// sampling and for deciding which beams to prefetch.
 #[inline]
 pub fn nearest_indices(
@@ -43,13 +60,7 @@ pub fn nearest_indices(
     theta: f32,
 ) -> Option<(usize, usize)> {
     let (fr, fb) = fractional_indices(sub, geom, r, theta);
-    let i = fr.round();
-    let j = fb.round();
-    if i < 0.0 || j < 0.0 || i as usize >= geom.num_bins || j as usize >= sub.grid.n_beams {
-        None
-    } else {
-        Some((i as usize, j as usize))
-    }
+    nearest_at(sub, geom.num_bins, fr, fb)
 }
 
 /// 4-point Neville interpolation at fractional position `t` relative to
@@ -86,6 +97,19 @@ pub fn sample(
     counts: &mut OpCounts,
 ) -> c32 {
     let (fr, fb) = fractional_indices(sub, geom, r, theta);
+    sample_at(sub, fr, fb, kind, counts)
+}
+
+/// [`sample`] at [`fractional_indices`] `(fr, fb)` already derived; their
+/// two divisions and subtractions are priced here, per sample taken.
+#[inline]
+pub fn sample_at(
+    sub: &Subaperture,
+    fr: f32,
+    fb: f32,
+    kind: InterpKind,
+    counts: &mut OpCounts,
+) -> c32 {
     // Beam direction: clamp to the sector edge (a subaperture's beams
     // tile its whole angular sector, so the nearest edge beam is the
     // right value just outside it — without this, linear/cubic kernels
@@ -190,6 +214,31 @@ mod tests {
             nearest_indices(&sub, &geom, geom.r_max() + 50.0, sub.grid.beam_theta(0)),
             None
         );
+    }
+
+    #[test]
+    fn the_two_rules_differ_outside_the_sector() {
+        // Beam index -0.8 is 0.3 beams below the sector's lower edge,
+        // 7.8 as far above its upper one: the value is the edge beam's,
+        // the reported element is none.
+        let (sub, geom) = test_sub();
+        let mut c = OpCounts::default();
+        let fr = 40.0;
+        for kind in [InterpKind::Nearest, InterpKind::Linear, InterpKind::Cubic] {
+            for (outside, edge) in [(-0.8, 0.0), (7.8, 7.0)] {
+                let v = sample_at(&sub, fr, outside, kind, &mut c);
+                assert_eq!(v, sample_at(&sub, fr, edge, kind, &mut c), "{kind:?}");
+                assert!(
+                    (v - sub.data.at(edge as usize, 40)).abs() < 1e-3,
+                    "{kind:?}"
+                );
+                assert_eq!(nearest_at(&sub, geom.num_bins, fr, outside), None);
+                let at_edge = nearest_at(&sub, geom.num_bins, fr, edge);
+                assert_eq!(at_edge, Some((40, edge as usize)));
+            }
+        }
+        // Inside the sector's outer half beams the two agree.
+        assert_eq!(nearest_at(&sub, geom.num_bins, fr, -0.3), Some((40, 0)));
     }
 
     #[test]

@@ -1,24 +1,97 @@
 //! Subaperture element combining — eq. (5) of the paper, with the
 //! child observation coordinates from eqs. (1)–(4) — and the walk of one
 //! merge iteration: pair by pair, beam by beam ([`stage_rows`]), bin by
-//! bin ([`MergeRow::combine`]). Every FFBP in the workspace — the plain
+//! bin ([`MergeRow::combine`], over a row plan the pairs of a stage
+//! share — [`StagePlans`]). Every FFBP in the workspace — the plain
 //! [`crate::ffbp::ffbp`], the host-parallel and autofocused ones, and
 //! the machine drivers of `sar-epiphany` — is a caller of this one loop
 //! nest; [`crate::ffbp::pipeline::merge_stages`] is the stage loop
 //! around it.
 
+use std::cell::Cell;
+
 use desim::OpCounts;
 
 use crate::complex::c32;
-use crate::ffbp::grid::Subaperture;
-use crate::ffbp::interp::{nearest_indices, sample, InterpKind};
+use crate::ffbp::grid::{PolarGrid, Subaperture};
+use crate::ffbp::interp::{fractional_indices, nearest_at, sample, sample_at, InterpKind};
 use crate::ffbp::pipeline::FfbpConfig;
-use crate::geometry::{merge_geometry, MergeLookup, SarGeometry};
+use crate::geometry::{merge_geometry, SarGeometry};
 
 /// The `(bin, beam)` element of a child subaperture that contributes
 /// to an output sample; `None` when the lookup falls outside the
 /// child's swath.
 pub type Hit = Option<(usize, usize)>;
+
+/// One bin of a row plan: where the two children observe the output
+/// sample — fractional `(range, beam)` indices into each, eqs. (1)–(4) —
+/// and the phase factors `exp(j 4 pi (r_child - r) / lambda)` referencing
+/// each child's range history to the merged centre. No pixel enters it.
+#[derive(Clone, Copy, Default)]
+struct BinPlan {
+    at: [(f32, f32); 2],
+    phase: [c32; 2],
+}
+
+/// The row plans of one merge iteration. Every pair of a stage on a
+/// dyadic track shares `l`, so the first pair to reach an output beam
+/// plans it ([`StagePlans::plan`]) and later pairs reuse the plan; a row
+/// whose key differs is planned over its slot, so a hit is only ever a
+/// saving. **Budget:** the plans are never larger than a quarter of the
+/// stage they plan — `num_pulses / 16` rows, 2 MB at paper scale. A
+/// stage with more output beams than rows keeps its first beams' plans
+/// and plans the others, pair by pair, into the last row: the same
+/// plan → apply path with nothing kept.
+#[derive(Default)]
+pub(crate) struct StagePlans {
+    /// `keys.len()` rows of `num_bins` bins, and what each row is a
+    /// function of within the iteration: `l` to the bit, the output
+    /// beam, the children's grid.
+    bins: Vec<BinPlan>,
+    keys: Vec<Option<(u32, usize, PolarGrid)>>,
+    /// Rows planned so far (the others were reused).
+    pub(crate) planned: usize,
+}
+
+thread_local! {
+    // This thread's plan table, handed from one `merge_rows` to the
+    // next across stages and runs. A block allocated and freed per stage
+    // or per run lands among the stage buffers the allocator is
+    // recycling and cost `table1_paper` 2 to 13 MB of peak RSS,
+    // differently from every working directory; one that stays put
+    // costs its size (EXPERIMENTS.md T7).
+    static STORAGE: Cell<StagePlans> = Cell::default();
+}
+
+impl StagePlans {
+    /// Resized to `rows` rows, none planned. With one row every
+    /// [`StagePlans::plan`] replans: scratch for rows that share nothing.
+    pub(crate) fn with_rows(mut self, rows: usize, num_bins: usize) -> StagePlans {
+        self.bins.resize(rows * num_bins, BinPlan::default());
+        self.keys.clear();
+        self.keys.resize(rows, None);
+        self.planned = 0;
+        self
+    }
+
+    /// `row` with its plan: the one in its beam's row if that was made
+    /// for the same key, a fresh one otherwise.
+    pub(crate) fn plan<'p>(&'p mut self, mut row: MergeRow<'p>) -> MergeRow<'p> {
+        let num_bins = row.geom.num_bins;
+        let slot = row.beam.min(self.keys.len() - 1);
+        let key = Some((row.l.to_bits(), row.beam, row.a.grid));
+        let bins = &mut self.bins[slot * num_bins..][..num_bins];
+        if self.keys[slot] != key {
+            for (i, bin) in bins.iter_mut().enumerate() {
+                *bin = row.plan_bin(i).0;
+            }
+            self.keys[slot] = key;
+            self.planned += 1;
+        }
+        row.plan = bins;
+        row
+    }
+}
 
 /// One output row of a merge — output beam `beam` of pair `pair` — as
 /// the walk ([`stage_rows`]) states it: everything the per-bin loop
@@ -38,56 +111,61 @@ pub struct MergeRow<'a> {
     pub beam: usize,
     geom: &'a SarGeometry,
     cfg: FfbpConfig,
+    /// Empty until [`StagePlans::plan`] fills it in.
+    plan: &'a [BinPlan],
 }
 
 impl MergeRow<'_> {
-    /// Combine the output sample at range `r` from the two child
-    /// contributions: `a(r1, theta1) + b(r2, theta2)` (eq. 5), with
-    /// per-child phase alignment `exp(j 4 pi (r_child - r) / lambda)`
-    /// referencing the child's range history to the merged centre. The
-    /// paper's simplified implementation folds this factor into the
-    /// element combining. Returns the sample and the geometry lookup it
-    /// used.
+    /// Plan bin `i` — the children's observation coordinates of the
+    /// output sample at that range as indices into their grids, and the
+    /// per-child phase alignment the paper's simplified implementation
+    /// folds into the combining — and its arithmetic, alike for all bins.
+    /// Inlined, the row loop computes the beam's `cos` once (−0.27 s on
+    /// `table1_paper`).
     #[inline]
-    fn combine_sample(&self, r: f32, counts: &mut OpCounts) -> (c32, MergeLookup) {
-        let (geom, kind) = (self.geom, self.cfg.interp);
-        let look = merge_geometry(r, self.theta, self.l, counts);
-        let va = sample(self.a, geom, look.r1, look.theta1, kind, counts);
-        let vb = sample(self.b, geom, look.r2, look.theta2, kind, counts);
-        let v = if self.cfg.phase_correct {
+    fn plan_bin(&self, i: usize) -> (BinPlan, OpCounts) {
+        let geom = self.geom;
+        let mut counts = OpCounts::default();
+        let r = geom.bin_range(i);
+        let look = merge_geometry(r, self.theta, self.l, &mut counts);
+        let mut phase = [c32::ZERO; 2];
+        if self.cfg.phase_correct {
             let k = 4.0 * std::f32::consts::PI / geom.wavelength;
-            let pa = c32::cis(k * (look.r1 - r));
-            let pb = c32::cis(k * (look.r2 - r));
+            phase = [c32::cis(k * (look.r1 - r)), c32::cis(k * (look.r2 - r))];
             counts.trigs += 2;
-            counts.fmas += 8;
-            counts.flops += 2;
-            va * pa + vb * pb
-        } else {
-            counts.flops += 2;
-            va + vb
-        };
-        (v, look)
+        }
+        let at_a = fractional_indices(self.a, geom, look.r1, look.theta1);
+        let at = [at_a, fractional_indices(self.b, geom, look.r2, look.theta2)];
+        (BinPlan { at, phase }, counts)
     }
 
-    /// Compute the row into `out`, reporting each sample's two
+    /// Compute the row (or a prefix of it) into `out` from its plan —
+    /// `a(r1, theta1) + b(r2, theta2)` per sample (eq. 5), each term
+    /// times its phase factor — reporting each sample's two
     /// contributing elements to `sample(bin, hits)` (a caller with no
     /// use for them passes `|_, _| {}` and pays nothing). Returns the
-    /// row's arithmetic — the ledger a machine model prices; what the
+    /// row's arithmetic, planning included even when the plan was
+    /// reused — the ledger a machine model prices; what the
     /// machine does with the result row is the machine's to count.
     #[inline]
     pub fn combine(&self, out: &mut [c32], mut sample: impl FnMut(usize, [Hit; 2])) -> OpCounts {
-        let geom = self.geom;
-        let mut ops = OpCounts::default();
-        for (i, v) in out.iter_mut().enumerate() {
-            let look;
-            (*v, look) = self.combine_sample(geom.bin_range(i), &mut ops);
-            sample(
-                i,
-                [
-                    nearest_indices(self.a, geom, look.r1, look.theta1),
-                    nearest_indices(self.b, geom, look.r2, look.theta2),
-                ],
-            );
+        let (kind, num_bins) = (self.cfg.interp, self.geom.num_bins);
+        assert!(out.len() <= self.plan.len(), "the row was not planned");
+        let mut ops = self.plan_bin(0).1.scaled(out.len() as u64);
+        for (i, (v, bin)) in out.iter_mut().zip(self.plan).enumerate() {
+            let [(ra, ba), (rb, bb)] = bin.at;
+            let va = sample_at(self.a, ra, ba, kind, &mut ops);
+            let vb = sample_at(self.b, rb, bb, kind, &mut ops);
+            *v = if self.cfg.phase_correct {
+                ops.fmas += 8;
+                ops.flops += 2;
+                va * bin.phase[0] + vb * bin.phase[1]
+            } else {
+                ops.flops += 2;
+                va + vb
+            };
+            let hit_a = nearest_at(self.a, num_bins, ra, ba);
+            sample(i, [hit_a, nearest_at(self.b, num_bins, rb, bb)]);
         }
         ops
     }
@@ -136,6 +214,7 @@ fn pair_rows<'a>(
             beam,
             geom,
             cfg,
+            plan: &[],
         };
         (row, row_out)
     })
@@ -153,7 +232,7 @@ pub(crate) fn merged_shells(stage: &[Subaperture], num_bins: usize) -> Vec<Subap
 /// `stage` — pair by pair, beam by beam — with the slice of `next`
 /// ([`merged_shells`]) it fills. The rows are independent of one
 /// another, so a caller may visit them in any order or deal them to
-/// threads ([`crate::parallel`]).
+/// threads ([`crate::parallel`]), each through [`StagePlans::plan`].
 pub(crate) fn stage_rows<'a>(
     stage: &'a [Subaperture],
     next: &'a mut [Subaperture],
@@ -166,8 +245,8 @@ pub(crate) fn stage_rows<'a>(
 }
 
 /// One merge iteration, in walk order: hand every output row of
-/// `stage` to `row` together with the slice it must
-/// [`MergeRow::combine`] into. Returns the merged stage.
+/// `stage` to `row`, planned ([`StagePlans`], within its budget), with
+/// the slice it must [`MergeRow::combine`] into. Returns the merged stage.
 pub fn merge_rows(
     stage: &[Subaperture],
     geom: &SarGeometry,
@@ -175,8 +254,22 @@ pub fn merge_rows(
     mut row: impl FnMut(&MergeRow<'_>, &mut [c32]),
 ) -> Vec<Subaperture> {
     let mut next = merged_shells(stage, geom.num_bins);
+    let stage_beams: usize = stage.iter().map(|sub| sub.grid.n_beams).sum();
+    let quarter = stage_beams * std::mem::size_of::<c32>() / 4;
+    let rows = (quarter / std::mem::size_of::<BinPlan>()).max(1);
+    // One row is scratch: it keeps nothing, and kept it would pin the
+    // heap under it (+27 % peak RSS on `static_pricing`'s probes).
+    let kept = rows > 1;
+    let mut plans = StagePlans::default();
+    if kept {
+        plans = STORAGE.take();
+    }
+    plans = plans.with_rows(rows, geom.num_bins);
     for (merge_row, out) in stage_rows(stage, &mut next, geom, cfg) {
-        row(&merge_row, out);
+        row(&plans.plan(merge_row), out);
+    }
+    if kept {
+        STORAGE.set(plans);
     }
     next
 }
@@ -197,8 +290,9 @@ pub fn merge_pair(
         merge_base: 2,
     };
     let mut out = Subaperture::merged_shell(a, b, geom.num_bins);
+    let mut plans = StagePlans::default().with_rows(1, geom.num_bins);
     for (row, row_out) in pair_rows(a, b, 0, &mut out, geom, cfg) {
-        row.merge_into(row_out, counts);
+        plans.plan(row).merge_into(row_out, counts);
     }
     out
 }
@@ -271,6 +365,90 @@ mod tests {
         let scene = Scene::single_target(geom);
         let data = simulate_compressed_data(&scene, 0.0, 0);
         (stage0(&data, &geom), geom)
+    }
+
+    /// One merge iteration through [`merge_rows`]: the merged stage and
+    /// how many rows it planned.
+    fn merged(stage: &[Subaperture], geom: &SarGeometry) -> (Vec<Subaperture>, usize) {
+        let cfg = FfbpConfig::default();
+        let next = merge_rows(stage, geom, &cfg, |row, out| {
+            row.merge_into(out, &mut OpCounts::default());
+        });
+        let plans = STORAGE.take();
+        let planned = plans.planned;
+        STORAGE.set(plans);
+        (next, planned)
+    }
+
+    /// The same iteration pair by pair, each row planned from scratch.
+    fn merged_pairwise(stage: &[Subaperture], geom: &SarGeometry) -> Vec<Subaperture> {
+        let mut c = OpCounts::default();
+        let pairs = stage.chunks(2);
+        pairs
+            .map(|p| merge_pair(&p[0], &p[1], geom, InterpKind::Nearest, true, &mut c))
+            .collect()
+    }
+
+    fn assert_same(a: &[Subaperture], b: &[Subaperture]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.data.as_slice(), y.data.as_slice());
+        }
+    }
+
+    #[test]
+    fn a_dyadic_stage_within_budget_plans_each_beam_once() {
+        // 64 pulses: the budget is 64 / 16 = 4 rows. Stage 0 (32 pairs,
+        // 2 output beams) and stage 1 (16 pairs, 4) fit.
+        let (stage0, geom) = two_pulse_children();
+        let (stage1, planned) = merged(&stage0, &geom);
+        assert_eq!(planned, 2);
+        assert_same(&stage1, &merged_pairwise(&stage0, &geom));
+        let (stage2, planned) = merged(&stage1, &geom);
+        assert_eq!(planned, 4);
+        assert_same(&stage2, &merged_pairwise(&stage1, &geom));
+    }
+
+    #[test]
+    fn a_stage_over_budget_plans_what_it_cannot_keep_pair_by_pair() {
+        // Stage 2 has 8 output beams for 4 rows: beams 0..3 are kept,
+        // beams 3..8 share the last row and are planned by each of the
+        // 8 pairs — through the same `StagePlans::plan`, there is no
+        // other way to a planned row.
+        let (stage0, geom) = two_pulse_children();
+        let stage2 = merged(&merged(&stage0, &geom).0, &geom).0;
+        assert_eq!((stage2.len(), stage2[0].grid.n_beams), (16, 4));
+        let (stage3, planned) = merged(&stage2, &geom);
+        assert_eq!(planned, 3 + 5 * 8);
+        assert_same(&stage3, &merged_pairwise(&stage2, &geom));
+    }
+
+    #[test]
+    fn a_pair_whose_l_differs_in_the_last_bit_replans() {
+        // Pair 1 of 32, moved to the origin with `l` one ulp above the
+        // others' 1.0: it cannot reuse pair 0's two plans, nor pair 2
+        // its two — 6 rows planned where the dyadic stage plans 2.
+        let (mut stage, geom) = two_pulse_children();
+        stage[2].center_y = 0.0;
+        stage[3].center_y = f32::from_bits(1.0f32.to_bits() + 1);
+        let (next, planned) = merged(&stage, &geom);
+        assert_eq!(planned, 6);
+        assert_same(&next, &merged_pairwise(&stage, &geom));
+        // The non-dyadic track that happens on its own: at spacing 0.3
+        // the 32 pairs of stage 0 have five distinct `l`.
+        let geom = SarGeometry {
+            pulse_spacing: 0.3,
+            ..geom
+        };
+        let data = simulate_compressed_data(&Scene::single_target(geom), 0.0, 0);
+        let track = stage0(&data, &geom);
+        let ls = track
+            .chunks(2)
+            .map(|p| (p[1].center_y - p[0].center_y).to_bits());
+        assert_eq!(ls.collect::<std::collections::BTreeSet<u32>>().len(), 5);
+        let (stage1, planned) = merged(&track, &geom);
+        assert!(planned > 2 && planned < 64, "{planned} rows planned");
+        assert_same(&stage1, &merged_pairwise(&track, &geom));
     }
 
     #[test]

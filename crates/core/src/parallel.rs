@@ -7,7 +7,7 @@ use std::sync::Mutex;
 
 use desim::OpCounts;
 
-use crate::ffbp::merge::{merged_shells, stage_rows};
+use crate::ffbp::merge::{merged_shells, stage_rows, StagePlans};
 use crate::ffbp::pipeline::{merge_stages, FfbpConfig, FfbpRun};
 use crate::geometry::SarGeometry;
 use crate::image::ComplexImage;
@@ -15,7 +15,9 @@ use crate::image::ComplexImage;
 /// Run FFBP with `threads` worker threads. Functionally identical to
 /// [`crate::ffbp::ffbp`] with merge base 2; within each merge the
 /// workers claim the walk's output rows one at a time from a shared
-/// queue, which balances the load.
+/// queue, which balances the load, and plan each into per-worker scratch
+/// (one row): workers share no plan, so none is reused — a shared table
+/// would have to be filled before they start.
 pub fn ffbp_parallel(
     data: &ComplexImage,
     geom: &SarGeometry,
@@ -30,13 +32,14 @@ pub fn ffbp_parallel(
         let rows = Mutex::new(stage_rows(&stage, &mut next, geom, cfg));
         std::thread::scope(|scope| {
             let worker = || {
+                let mut plans = StagePlans::default().with_rows(1, geom.num_bins);
                 let mut local = OpCounts::default();
                 loop {
                     // A `let`, so the queue is unlocked while the row
                     // is computed.
                     let claimed = rows.lock().expect("no worker panics in `next`").next();
                     let Some((row, out)) = claimed else { break };
-                    row.merge_into(out, &mut local);
+                    plans.plan(row).merge_into(out, &mut local);
                 }
                 local
             };

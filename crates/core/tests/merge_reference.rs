@@ -196,7 +196,7 @@ fn the_planned_walk_equals_the_per_sample_reference_bit_for_bit() {
                         let mut want = vec![c32::ZERO; out.len()];
                         let mut want_hits = Vec::new();
                         let want_ops = reference_combine(row, &geom, &cfg, &mut want, |i, h| {
-                            want_hits.push((i, h))
+                            want_hits.push((i, h));
                         });
                         assert_eq!(bits(out), bits(&want), "{case}: samples");
                         assert_eq!(ops, want_ops, "{case}: op ledger");

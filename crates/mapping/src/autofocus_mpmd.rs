@@ -218,6 +218,7 @@ pub fn model(w: &AutofocusWorkload, place: &Placement, mesh: (u16, u16)) -> Prog
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autofocus_net;
     use crate::autofocus_seq::{self, params};
     use faultsim::FaultState;
 
@@ -415,5 +416,18 @@ mod tests {
             r.best.0,
             w.true_shift
         );
+    }
+
+    #[test]
+    fn mpmd_model_declares_recovery_on_every_channel_and_flag() {
+        let w = AutofocusWorkload::small();
+        let plain = autofocus_net::model(&w, &Placement::neighbor(), (4, 4));
+        assert!(
+            plain.channels.iter().all(|c| c.recovery.is_none()),
+            "the shared pipeline model stays recovery-free (the streams net has none)"
+        );
+        let m = model(&w, &Placement::neighbor(), (4, 4));
+        assert!(m.channels.iter().all(|c| c.recovery.is_some()));
+        assert!(m.flags.iter().all(|f| f.recovery.is_some()));
     }
 }

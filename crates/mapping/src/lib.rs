@@ -44,12 +44,3 @@ pub use harness_impls::{all_mappings, mapping_named, mapping_named_placed};
 pub use table1::{table1, Table1, Table1Row};
 // `benchmark/` names these two workloads through this crate.
 pub use sim_harness::{AutofocusWorkload, FfbpWorkload};
-
-/// The program-model tests not yet moved beside the `model` function
-/// they test (`ffbp_spmd`'s three and the three RDA ones have been;
-/// ROADMAP "small deletions" says why the rest move a few per PR), under
-/// the path they had when the builders lived in one `program_model.rs`.
-#[cfg(test)]
-mod program_model {
-    mod tests;
-}
