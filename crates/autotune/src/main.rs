@@ -29,8 +29,8 @@ use std::process::ExitCode;
 
 use autotune::{tune, Objective, Strategy, TuneConfig, Tuning};
 use desim::Json;
-use sar_epiphany::mapping_named_placed;
-use sim_harness::{platform_named, run, BenchHarness, Diagnostic, MappingRun, Workload};
+use sar_epiphany::configured;
+use sim_harness::{run, BenchHarness, Diagnostic, MappingRun, Workload};
 
 fn main() -> ExitCode {
     let h = BenchHarness::with_args("autotune", std::env::args().skip(1).collect());
@@ -87,11 +87,11 @@ fn functional_bits(r: &MappingRun) -> (Vec<BitPair>, Option<BitPair>) {
 
 /// Simulate the pair with `place` through the ordinary harness.
 fn simulate(t: &Tuning, place: sim_harness::Placement) -> Result<MappingRun, Diagnostic> {
-    let m = mapping_named_placed(&t.mapping, place).expect("tuned mapping is registered");
-    let p = platform_named(&t.platform).expect("tuned platform is registered");
+    let fail = |e: String| Diagnostic::hard("CLI001", t.config.pair.clone(), e);
+    let set = Json::obj().with("placement", place.to_json());
+    let pair = configured(&t.mapping, &t.platform, &set).map_err(fail)?;
     let w = Workload::named("autofocus", t.config.small).expect("autofocus is registered");
-    run(m.as_ref(), &w, p.as_ref())
-        .map_err(|e| Diagnostic::hard("CLI001", t.config.pair.clone(), e.to_string()))
+    run(pair.mapping.as_ref(), &w, pair.platform.as_ref()).map_err(|e| fail(e.to_string()))
 }
 
 /// One simulated run's corner of the report.

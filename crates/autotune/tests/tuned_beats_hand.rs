@@ -6,14 +6,15 @@
 //! whole report is byte-deterministic per seed.
 
 use autotune::{tune, Objective, TuneConfig};
-use sar_epiphany::mapping_named_placed;
-use sim_harness::{platform_named, run, MappingRun, Placement, Workload};
+use desim::Json;
+use sar_epiphany::configured;
+use sim_harness::{run, MappingRun, Placement, Workload};
 
 fn simulate(place: Placement) -> MappingRun {
-    let m = mapping_named_placed("autofocus_mpmd", place).expect("registered");
-    let p = platform_named("epiphany").expect("registered");
+    let set = Json::obj().with("placement", place.to_json());
+    let pair = configured("autofocus_mpmd", "epiphany", &set).expect("registered");
     let w = Workload::named("autofocus", true).expect("registered");
-    run(m.as_ref(), &w, p.as_ref()).expect("pair simulates")
+    run(pair.mapping.as_ref(), &w, pair.platform.as_ref()).expect("pair simulates")
 }
 
 fn small_cfg() -> TuneConfig {

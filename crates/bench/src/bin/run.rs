@@ -44,7 +44,8 @@
 //! `--faults` spec, `CLI007` for an unreadable, malformed or
 //! out-of-bounds `--placement` file.
 
-use sar_epiphany::{all_mappings, mapping_named_placed};
+use desim::Json;
+use sar_epiphany::{all_mappings, configured, mapping_named};
 use sim_harness::{
     all_platforms, platform_named, run_ctx, BenchHarness, Diagnostic, FaultPlan, FaultState,
     Mapping, Placement, Platform, RunContext, Workload,
@@ -90,21 +91,15 @@ fn selection(h: &BenchHarness) -> Selection {
         let p = Placement::resolve(spec).unwrap_or_else(|d| fail(&d));
         (spec.to_string(), p)
     });
-    let place = placed
-        .as_ref()
-        .map_or_else(Placement::neighbor, |(_, p)| *p);
     let mappings = match operand(h, "mapping") {
-        Some(name) => vec![mapping_named_placed(name, place).unwrap_or_else(|| {
+        Some(name) => vec![mapping_named(name).unwrap_or_else(|| {
             fail(&Diagnostic::hard(
                 "CLI001",
                 format!("--mapping {name}"),
                 "unknown mapping name",
             ))
         })],
-        None => all_mappings()
-            .iter()
-            .map(|m| mapping_named_placed(m.name(), place).expect("registry name resolves"))
-            .collect(),
+        None => all_mappings(),
     };
     let platforms: Vec<Box<dyn Platform>> = match operand(h, "platform") {
         Some(name) => vec![platform_named(name).unwrap_or_else(|| {
@@ -196,26 +191,26 @@ fn main() {
             if !m.supports(p.kind()) {
                 continue; // unsupported pair — skip, don't fail
             }
-            if let Some((spec, pl)) = &placed {
-                // An out-of-bounds placement would panic deep inside
-                // the drivers; refuse it up front, per platform mesh.
-                if let Some(ep) = p.epiphany_params() {
-                    if !pl.fits(ep.mesh_cols, ep.mesh_rows) {
-                        fail(&Diagnostic::hard(
-                            "CLI007",
-                            format!("--placement {spec}"),
-                            format!(
-                                "placement does not fit the {}x{} {} mesh",
-                                ep.mesh_cols,
-                                ep.mesh_rows,
-                                p.label()
-                            ),
-                        ));
-                    }
+            // The placement re-places the mappings that take one; an
+            // out-of-bounds one would panic deep inside the drivers, so
+            // the override route refuses it per platform mesh.
+            let set = match &placed {
+                Some((_, pl)) if m.set_keys().contains(&"placement") => {
+                    Json::obj().with("placement", pl.to_json())
                 }
-            }
+                _ => Json::obj(),
+            };
+            let pair = configured(m.name(), p.label(), &set).unwrap_or_else(|e| {
+                let spec = placed.as_ref().map_or("", |(spec, _)| spec.as_str());
+                fail(&Diagnostic::hard(
+                    "CLI007",
+                    format!("--placement {spec}"),
+                    e,
+                ))
+            });
+            let (m, p) = (pair.mapping.as_ref(), pair.platform.as_ref());
             if h.flag("analyze") {
-                let report = sarlint::analyze_pair(m.as_ref(), &workload, p.as_ref());
+                let report = sarlint::analyze_pair(m, &workload, p);
                 if !report.is_clean() {
                     eprintln!(
                         "refusing to simulate {} x {}: {} hard sarlint finding(s)",
@@ -237,7 +232,7 @@ fn main() {
                 // the same faults into every run.
                 ctx = ctx.with_faults(FaultState::from_plan(plan));
             }
-            let r = match run_ctx(m.as_ref(), &workload, p.as_ref(), &ctx) {
+            let r = match run_ctx(m, &workload, p, &ctx) {
                 Ok(r) => r,
                 Err(e) => {
                     // supports() said yes but execute() refused: a
@@ -256,7 +251,7 @@ fn main() {
                 r.record.energy_j()
             ));
             if h.flag("analyze") && h.flag("cost") {
-                let (c, _lints) = sarlint::cost::cost_pair(m.as_ref(), &workload, p.as_ref());
+                let (c, _lints) = sarlint::cost::cost_pair(m, &workload, p);
                 if c.bounded {
                     let cycles = r.record.elapsed.cycles.raw() as f64;
                     let energy = r.record.energy_j();

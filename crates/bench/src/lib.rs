@@ -4,24 +4,22 @@
 //!
 //! * `table1` — Table I (all six configurations) + derived figures,
 //! * `fig7` — Figure 7(a)-(d) as PGM images + quality metrics,
-//! * `scaling` — FFBP core-count sweep (A1),
 //! * `interp_ablation` — NN vs linear vs cubic (A2),
-//! * `prefetch_ablation` — prefetch / write-stall attribution (A3),
-//! * `bandwidth_sweep` — off-chip bandwidth sensitivity (A4),
-//! * `clock_sweep` — 400 MHz board vs 1 GHz spec (A5),
 //! * `merge_base` — merge base 2 vs 4 (A6),
-//! * `energy_report` — component-level energy breakdowns (E3),
 //! * `autofocus_recovery` — the Figure-4 pipeline under non-linear
 //!   tracks (A7),
 //! * `loader_cost` — SPMD vs MPMD program-load cost (A8),
 //! * `vs_multicore` — real host threads vs the simulated Epiphany on
 //!   throughput per watt (A9),
-//! * `fault_sweep` — recovery cost under swept fault rates (A10),
 //! * `rda_corner_turn` — the RDA corner turn's mesh and SDRAM pressure
 //!   against FFBP on the same scene (E6),
 //! * `run` — the unified runner: any registered Mapping × Platform ×
 //!   Workload triple through `sim_harness::run` (`--placement
 //!   neighbor|scattered` is the Figure 9 placement study, E5).
+//!
+//! The energy breakdown (E3) and the core-count, memory-system,
+//! off-chip-bandwidth, clock and fault-intensity ablations (A1, A3, A4,
+//! A5, A10) are sweep specs under `specs/`, run by the `sweep` binary.
 //!
 //! Every binary sits on [`sim_harness::BenchHarness`]: the shared
 //! `--small` / `--json` / `--out P` / `--no-write` flags, and one
@@ -34,7 +32,8 @@ use sar_core::scene::{simulate_compressed_data, Scene};
 use sim_harness::FfbpWorkload;
 
 /// An FFBP workload reduced to `pulses x bins` (power-of-two pulses),
-/// six-target scene, deterministic seed — the knob the sweeps turn.
+/// six-target scene, deterministic seed — the workload of the A2, A6
+/// and A9 binaries.
 pub fn reduced_ffbp(pulses: usize, bins: usize) -> FfbpWorkload {
     assert!(pulses.is_power_of_two(), "merge base 2 needs 2^k pulses");
     let geom = SarGeometry {
@@ -48,11 +47,6 @@ pub fn reduced_ffbp(pulses: usize, bins: usize) -> FfbpWorkload {
         data: simulate_compressed_data(&scene, 0.0, 7),
         config: Default::default(),
     }
-}
-
-/// Format a ratio column as `x.xx`.
-pub fn fmt_x(v: f64) -> String {
-    format!("{v:.2}x")
 }
 
 #[cfg(test)]

@@ -140,6 +140,11 @@ impl std::error::Error for SpecError {}
 /// Spec format version this parser accepts.
 pub const FAULT_SPEC_VERSION: u64 = 1;
 
+/// Most events one random group may expand to: the expansion allocates
+/// and draws per event, so a spec from outside the program must not
+/// name an unbounded count.
+pub const MAX_GROUP_COUNT: u64 = 1 << 20;
+
 /// A fully expanded, deterministic fault schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -260,7 +265,8 @@ fn parse_entry(
         (None, Some(count)) => {
             let count = count
                 .as_u64()
-                .ok_or_else(|| ctx("\"count\" must be a non-negative integer"))?;
+                .filter(|&n| n <= MAX_GROUP_COUNT)
+                .ok_or_else(|| ctx("\"count\" must be an integer from 0 to 1048576"))?;
             let window = entry
                 .get("window")
                 .and_then(Json::as_array)
@@ -382,6 +388,10 @@ mod tests {
             (
                 r#"{"version": 1, "faults": [{"kind": "mesh_stall", "mesh": "zmesh", "at": 1}]}"#,
                 "mesh",
+            ),
+            (
+                r#"{"version": 1, "faults": [{"kind": "flag_drop", "count": 9007199254740992, "window": [0, 9]}]}"#,
+                "count",
             ),
         ];
         for (text, needle) in cases {

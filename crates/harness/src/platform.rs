@@ -55,7 +55,7 @@ pub struct EpiphanyPlatform {
     pub params: EpiphanyParams,
     /// Registry label ("epiphany" for the default E16G3, "e64" for
     /// the 64-core chip).
-    label: &'static str,
+    pub label: &'static str,
 }
 
 impl Default for EpiphanyPlatform {

@@ -2,19 +2,24 @@
 //! identity, the platform family it runs on, how to run its driver and
 //! how to build its program model — and the single
 //! [`sim_harness::Mapping`] implementation over rows that the unified
-//! runner resolves `--mapping` names against.
+//! runner resolves `--mapping` names against. [`configured`] is the one
+//! route that overrides a registered pair: a sweep `set` block, and the
+//! `--placement` of `run`, `sarlint` and `autotune`.
 //!
 //! A row's `run` applies the kernel's parameter specialisation (the
 //! autofocus IPC and pairing figures) on top of whatever parameters the
 //! platform supplies — so a record produced through the harness prices
 //! exactly like one from the direct driver call with `params()`.
 
+use desim::{Frequency, Json};
 use sim_harness::PlatformKind::{Epiphany, Host, RefCpu};
 use sim_harness::{
-    HarnessError, ImageRun, Mapping, MappingRun, Placement, Platform, PlatformKind, ProgramModel,
-    RunContext, Workload,
+    platform_named, EpiphanyPlatform, FaultPlan, HarnessError, ImageRun, Mapping, MappingRun,
+    Placement, Platform, PlatformKind, ProgramModel, RefCpuPlatform, RunContext, Workload,
 };
 
+use crate::ffbp_spmd::SpmdOptions;
+use crate::rda_spmd::RdaSpmdOptions;
 use crate::{
     autofocus_mpmd, autofocus_net, autofocus_ref, autofocus_seq, ffbp_ref, ffbp_seq, ffbp_spmd,
     rda_seq, rda_spmd,
@@ -29,10 +34,10 @@ struct Row {
     kernel: &'static str,
     /// The one platform family the driver runs on.
     family: PlatformKind,
-    /// Stage-to-core placement, for the two pipeline mappings (the
-    /// registry default is the paper's neighbour mapping); `None` for
-    /// mappings that have none to override.
-    place: Option<Placement>,
+    /// The fields of `opts` the driver reads, by `set` key.
+    keys: &'static [&'static str],
+    /// Driver options: [`DEFAULTS`] unless [`configured`] overrode them.
+    opts: Options,
     /// Run the driver. `None` when the workload is another kernel's or
     /// the platform has no parameters for this family.
     run: fn(&Row, &Workload, &dyn Platform, &RunContext) -> Option<MappingRun>,
@@ -40,15 +45,35 @@ struct Row {
     model: fn(&Row, &Workload, (u16, u16)) -> Option<ProgramModel>,
 }
 
+/// What a `set` block may change about a driver.
+#[derive(Clone, Copy)]
+struct Options {
+    /// Core count and DMA prefetch of the SPMD drivers (`cores`,
+    /// `prefetch`; the RDA driver reads only the count).
+    spmd: SpmdOptions,
+    /// Stage-to-core placement of the two pipeline mappings.
+    place: Placement,
+}
+
+/// The registry's options: every core the mesh provides, prefetch on
+/// (`SpmdOptions::default()`), and the paper's neighbour placement.
+const DEFAULTS: Options = Options {
+    spmd: SpmdOptions {
+        cores: None,
+        prefetch: true,
+    },
+    place: Placement::neighbor(),
+};
+
 /// Table I rows 1-3, the host-thread FFBP, Table I rows 4-6, the
-/// `streams` process network, and the two RDA ports. The SPMD rows run
-/// their drivers' default options: every core the mesh provides.
+/// `streams` process network, and the two RDA ports.
 static ROWS: [Row; 10] = [
     Row {
         name: "ffbp_ref",
         kernel: "ffbp",
         family: RefCpu,
-        place: None,
+        keys: &[],
+        opts: DEFAULTS,
         run: |_, w, p, _| Some(ffbp_ref::run(w.ffbp()?, p.refcpu_params()?).into()),
         model: |_, w, _| w.ffbp().map(ffbp_ref::model),
     },
@@ -56,7 +81,8 @@ static ROWS: [Row; 10] = [
         name: "ffbp_seq",
         kernel: "ffbp",
         family: Epiphany,
-        place: None,
+        keys: &[],
+        opts: DEFAULTS,
         run: |_, w, p, ctx| Some(ffbp_seq::run(w.ffbp()?, p.epiphany_params()?, ctx).into()),
         model: |_, w, mesh| w.ffbp().map(|w| ffbp_seq::model(w, mesh)),
     },
@@ -64,17 +90,19 @@ static ROWS: [Row; 10] = [
         name: "ffbp_spmd",
         kernel: "ffbp",
         family: Epiphany,
-        place: None,
-        run: |_, w, p, ctx| {
-            Some(ffbp_spmd::run(w.ffbp()?, p.epiphany_params()?, Default::default(), ctx).into())
+        keys: &["cores", "prefetch"],
+        opts: DEFAULTS,
+        run: |row, w, p, ctx| {
+            Some(ffbp_spmd::run(w.ffbp()?, p.epiphany_params()?, row.opts.spmd, ctx).into())
         },
-        model: |_, w, mesh| Some(ffbp_spmd::model(w.ffbp()?, &Default::default(), mesh)),
+        model: |row, w, mesh| Some(ffbp_spmd::model(w.ffbp()?, &row.opts.spmd, mesh)),
     },
     Row {
         name: "ffbp_host",
         kernel: "ffbp",
         family: Host,
-        place: None,
+        keys: &[],
+        opts: DEFAULTS,
         run: ffbp_host,
         model: |_, _, _| None,
     },
@@ -82,7 +110,8 @@ static ROWS: [Row; 10] = [
         name: "autofocus_ref",
         kernel: "autofocus",
         family: RefCpu,
-        place: None,
+        keys: &[],
+        opts: DEFAULTS,
         run: |_, w, p, _| {
             let params = autofocus_ref::specialised(p.refcpu_params()?);
             Some(autofocus_ref::run(w.autofocus()?, params).into())
@@ -93,7 +122,8 @@ static ROWS: [Row; 10] = [
         name: "autofocus_seq",
         kernel: "autofocus",
         family: Epiphany,
-        place: None,
+        keys: &[],
+        opts: DEFAULTS,
         run: |_, w, p, ctx| {
             let params = autofocus_seq::specialised(p.epiphany_params()?);
             Some(autofocus_seq::run(w.autofocus()?, params, ctx).into())
@@ -104,29 +134,32 @@ static ROWS: [Row; 10] = [
         name: "autofocus_mpmd",
         kernel: "autofocus",
         family: Epiphany,
-        place: Some(Placement::neighbor()),
+        keys: &["placement"],
+        opts: DEFAULTS,
         run: |row, w, p, ctx| {
             let params = autofocus_seq::specialised(p.epiphany_params()?);
-            Some(autofocus_mpmd::run(w.autofocus()?, params, row.place?, ctx).into())
+            Some(autofocus_mpmd::run(w.autofocus()?, params, row.opts.place, ctx).into())
         },
-        model: |row, w, mesh| Some(autofocus_mpmd::model(w.autofocus()?, &row.place?, mesh)),
+        model: |row, w, mesh| Some(autofocus_mpmd::model(w.autofocus()?, &row.opts.place, mesh)),
     },
     Row {
         name: "autofocus_net",
         kernel: "autofocus",
         family: Epiphany,
-        place: Some(Placement::neighbor()),
+        keys: &["placement"],
+        opts: DEFAULTS,
         run: |row, w, p, ctx| {
             let params = autofocus_seq::specialised(p.epiphany_params()?);
-            Some(autofocus_net::run(w.autofocus()?, params, row.place?, ctx).into())
+            Some(autofocus_net::run(w.autofocus()?, params, row.opts.place, ctx).into())
         },
-        model: |row, w, mesh| Some(autofocus_net::model(w.autofocus()?, &row.place?, mesh)),
+        model: |row, w, mesh| Some(autofocus_net::model(w.autofocus()?, &row.opts.place, mesh)),
     },
     Row {
         name: "rda_seq",
         kernel: "rda",
         family: Epiphany,
-        place: None,
+        keys: &[],
+        opts: DEFAULTS,
         run: |_, w, p, ctx| Some(rda_seq::run(w.rda()?, p.epiphany_params()?, ctx).into()),
         model: |_, w, mesh| w.rda().map(|w| rda_seq::model(w, mesh)),
     },
@@ -134,13 +167,23 @@ static ROWS: [Row; 10] = [
         name: "rda_spmd",
         kernel: "rda",
         family: Epiphany,
-        place: None,
-        run: |_, w, p, ctx| {
-            Some(rda_spmd::run(w.rda()?, p.epiphany_params()?, Default::default(), ctx).into())
+        keys: &["cores"],
+        opts: DEFAULTS,
+        run: |row, w, p, ctx| {
+            Some(rda_spmd::run(w.rda()?, p.epiphany_params()?, row.opts.rda(), ctx).into())
         },
-        model: |_, w, mesh| Some(rda_spmd::model(w.rda()?, &Default::default(), mesh)),
+        model: |row, w, mesh| Some(rda_spmd::model(w.rda()?, &row.opts.rda(), mesh)),
     },
 ];
+
+impl Options {
+    /// The RDA driver's options: the SPMD core count.
+    fn rda(&self) -> RdaSpmdOptions {
+        RdaSpmdOptions {
+            cores: self.spmd.cores,
+        }
+    }
+}
 
 /// FFBP on the host's own threads, wall-clock timed.
 fn ffbp_host(_: &Row, w: &Workload, p: &dyn Platform, _: &RunContext) -> Option<MappingRun> {
@@ -164,6 +207,9 @@ impl Mapping for Row {
     }
     fn supports(&self, kind: PlatformKind) -> bool {
         kind == self.family
+    }
+    fn set_keys(&self) -> &'static [&'static str] {
+        self.keys
     }
     fn execute(
         &self,
@@ -207,15 +253,115 @@ pub fn mapping_named(name: &str) -> Option<Box<dyn Mapping>> {
     Some(Box::new(*row))
 }
 
-/// [`mapping_named`] with a stage-to-core placement override — only
-/// the two pipeline mappings are placeable; other names return their
-/// registry default.
-pub fn mapping_named_placed(name: &str, place: Placement) -> Option<Box<dyn Mapping>> {
-    let mut row = *ROWS.iter().find(|row| row.name == name)?;
-    if row.place.is_some() {
-        row.place = Some(place);
+/// A registered pair as a `set` block configures it.
+pub struct Configured {
+    /// The mapping, its driver options overridden.
+    pub mapping: Box<dyn Mapping>,
+    /// The platform, its parameters overridden; label and datasheet
+    /// power stay the registry's.
+    pub platform: Box<dyn Platform>,
+    /// The block's inline fault spec (the `faultsim` format), which
+    /// replaces whatever plan the caller would otherwise arm.
+    pub faults: Option<String>,
+}
+
+/// Every key a `set` block may carry.
+const SET_KEYS: &str =
+    "cores, prefetch, placement, elink_bytes_per_cycle, clock_mhz, cache_prefetch, faults";
+
+/// The one override route: the registered `mapping` on the registered
+/// `platform` with `set` applied. `set` is an object of these keys, each
+/// at most once:
+///
+/// * `cores` (1–4096, the 64 × 64 mesh the architecture addresses) and
+///   `prefetch` (bool): the SPMD driver options — `ffbp_spmd` takes
+///   both, `rda_spmd` the count;
+/// * `placement`: `"neighbor"`, `"scattered"`, `"@path/to/file.json"` or
+///   an inline placement object, for the two pipeline mappings; it must
+///   fit the platform's mesh;
+/// * `elink_bytes_per_cycle` (≥ 1) and `clock_mhz` (1–100 000):
+///   Epiphany-family platforms;
+/// * `cache_prefetch` (bool): the reference CPU's hardware prefetcher;
+/// * `faults`: an inline fault spec, any pair ([`Configured::faults`]).
+///
+/// An empty object is the registry pair. Whether the mapping supports
+/// the platform is not checked here — `run_ctx` refuses such a pair.
+/// Errors are messages for the caller to code (`SWP002` in a sweep,
+/// `CLI007` for a `--placement` that does not fit).
+pub fn configured(mapping: &str, platform: &str, set: &Json) -> Result<Configured, String> {
+    let mut row = *ROWS
+        .iter()
+        .find(|row| row.name == mapping)
+        .ok_or_else(|| format!("unknown mapping '{mapping}'"))?;
+    let base = platform_named(platform).ok_or_else(|| format!("unknown platform '{platform}'"))?;
+    let members = set.as_object().ok_or("'set' must be an object")?;
+    let (mut epiphany, mut refcpu) = (base.epiphany_params(), base.refcpu_params());
+    let mut faults = None;
+    for (i, (key, value)) in members.iter().enumerate() {
+        if members[..i].iter().any(|(k, _)| k == key) {
+            return Err(format!("'{key}' is set twice"));
+        }
+        let refused = || format!("{mapping} x {platform} takes no '{key}'");
+        let bad = |what: &str| format!("'{key}' must be {what}, got {value}");
+        match key.as_str() {
+            "cores" if row.keys.contains(&"cores") => {
+                let n = value.as_u64().filter(|n| (1..=4096).contains(n));
+                let n = n.ok_or_else(|| bad("an integer from 1 to 4096"))?;
+                row.opts.spmd.cores = Some(usize::try_from(n).expect("at most 4096"));
+            }
+            "prefetch" if row.keys.contains(&"prefetch") => {
+                row.opts.spmd.prefetch = value.as_bool().ok_or_else(|| bad("true or false"))?;
+            }
+            "placement" if row.keys.contains(&"placement") => {
+                let place = match value {
+                    Json::Str(operand) => Placement::resolve(operand).map_err(|d| d.message)?,
+                    _ => Placement::from_json(value).map_err(|e| format!("bad placement: {e}"))?,
+                };
+                if let Some(p) = epiphany.filter(|p| !place.fits(p.mesh_cols, p.mesh_rows)) {
+                    let (cols, rows) = (p.mesh_cols, p.mesh_rows);
+                    return Err(format!(
+                        "placement does not fit the {cols}x{rows} {} mesh",
+                        base.label()
+                    ));
+                }
+                row.opts.place = place;
+            }
+            "elink_bytes_per_cycle" => {
+                let p = epiphany.as_mut().ok_or_else(refused)?;
+                let bytes = value.as_u64().filter(|&b| b >= 1);
+                p.emesh.elink_bytes_per_cycle = bytes.ok_or_else(|| bad("a positive integer"))?;
+            }
+            "clock_mhz" => {
+                let p = epiphany.as_mut().ok_or_else(refused)?;
+                let mhz = value.as_f64().filter(|f| (1.0..=100_000.0).contains(f));
+                p.clock = Frequency::mhz(mhz.ok_or_else(|| bad("from 1 to 100000"))?);
+            }
+            "cache_prefetch" => {
+                let p = refcpu.as_mut().ok_or_else(refused)?;
+                p.hierarchy.prefetch = value.as_bool().ok_or_else(|| bad("true or false"))?;
+            }
+            "faults" => {
+                let text = value.to_string_pretty();
+                FaultPlan::parse(&text, 0).map_err(|e| format!("bad fault spec: {e}"))?;
+                faults = Some(text);
+            }
+            "cores" | "prefetch" | "placement" => return Err(refused()),
+            _ => return Err(format!("unknown key '{key}'; expected one of {SET_KEYS}")),
+        }
     }
-    Some(Box::new(row))
+    let platform: Box<dyn Platform> = match (epiphany, refcpu) {
+        (Some(params), _) => Box::new(EpiphanyPlatform {
+            params,
+            label: base.label(),
+        }),
+        (_, Some(params)) => Box::new(RefCpuPlatform { params }),
+        _ => base,
+    };
+    Ok(Configured {
+        mapping: Box::new(row),
+        platform,
+        faults,
+    })
 }
 
 #[cfg(test)]
@@ -235,21 +381,49 @@ mod tests {
     #[test]
     fn only_the_pipeline_mappings_take_a_placement() {
         let epiphany = platform_named("epiphany").unwrap();
+        let scattered = Json::obj().with("placement", "scattered");
         for row in &ROWS {
             let w = Workload::named(row.kernel, true).unwrap();
             let default = row.program_model(&w, epiphany.as_ref());
-            let placed = mapping_named_placed(row.name, Placement::scattered())
-                .expect("registered")
-                .program_model(&w, epiphany.as_ref());
             let placeable = matches!(row.name, "autofocus_mpmd" | "autofocus_net");
-            assert_eq!(row.place.is_some(), placeable, "{}", row.name);
-            assert_eq!(
-                default.map(|m| m.cores) != placed.map(|m| m.cores),
-                placeable,
-                "{}: an override must move the model's cores iff the row is placeable",
-                row.name
-            );
+            assert_eq!(row.set_keys().contains(&"placement"), placeable);
+            match configured(row.name, "epiphany", &scattered) {
+                Ok(placed) => {
+                    assert!(placeable, "{} took a placement", row.name);
+                    let placed = placed.mapping.program_model(&w, epiphany.as_ref());
+                    assert_ne!(default.map(|m| m.cores), placed.map(|m| m.cores));
+                }
+                Err(e) => {
+                    assert!(!placeable, "{}: {e}", row.name);
+                    assert!(e.contains("takes no 'placement'"), "{e}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn an_empty_set_is_the_registry_pair_and_overrides_reach_the_driver() {
+        let w = Workload::named("ffbp", true).unwrap();
+        let plain = run(
+            mapping_named("ffbp_spmd").unwrap().as_ref(),
+            &w,
+            platform_named("epiphany").unwrap().as_ref(),
+        )
+        .unwrap();
+        let via = |set: Json| {
+            let pair = configured("ffbp_spmd", "epiphany", &set).unwrap();
+            run(pair.mapping.as_ref(), &w, pair.platform.as_ref())
+                .unwrap()
+                .record
+        };
+        let same = via(Json::obj());
+        assert_eq!(same.to_json(), plain.record.to_json());
+        let four = via(Json::obj().with("cores", 4u64));
+        assert_eq!(four.cores_used, 4);
+        let slow = via(Json::obj().with("clock_mhz", 400.0));
+        assert_eq!(slow.elapsed.cycles, plain.record.elapsed.cycles);
+        assert!(slow.elapsed.seconds() > plain.record.elapsed.seconds());
+        assert_eq!(slow.platform, "epiphany");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod rda_spmd;
 mod spmd;
 pub mod table1;
 
-pub use harness_impls::{all_mappings, mapping_named, mapping_named_placed};
+pub use harness_impls::{all_mappings, configured, mapping_named, Configured};
 pub use table1::{table1, Table1, Table1Row};
 // `benchmark/` names these two workloads through this crate.
 pub use sim_harness::{AutofocusWorkload, FfbpWorkload};

@@ -83,8 +83,8 @@ pub fn analyze_pair(mapping: &dyn Mapping, workload: &Workload, platform: &dyn P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sar_epiphany::{mapping_named, mapping_named_placed};
-    use sim_harness::Placement;
+    use desim::Json;
+    use sar_epiphany::{configured, mapping_named};
     use sim_harness::{platform_named, Severity};
 
     fn pair(mapping: &str, platform: &str) -> Report {
@@ -142,10 +142,10 @@ mod tests {
 
     #[test]
     fn scattered_placement_fails_the_hop_budget() {
-        let m = mapping_named_placed("autofocus_mpmd", Placement::scattered()).unwrap();
-        let p = platform_named("epiphany").unwrap();
+        let scattered = Json::obj().with("placement", "scattered");
+        let pair = configured("autofocus_mpmd", "epiphany", &scattered).unwrap();
         let w = Workload::named("autofocus", true).unwrap();
-        let r = analyze_pair(m.as_ref(), &w, p.as_ref());
+        let r = analyze_pair(pair.mapping.as_ref(), &w, pair.platform.as_ref());
         assert!(!r.is_clean() && r.has_code("SL005"), "{:?}", r.diagnostics);
     }
 }

@@ -23,7 +23,7 @@
 use std::process::ExitCode;
 
 use desim::Json;
-use sar_epiphany::{all_mappings, mapping_named_placed};
+use sar_epiphany::{all_mappings, configured, mapping_named};
 use sarlint::{analyze_pair, cost, dynamic};
 use sim_harness::{
     all_platforms, platform_named, BenchHarness, Diagnostic, Mapping, Placement, Platform,
@@ -45,33 +45,19 @@ fn main() -> ExitCode {
 /// Resolve the requested pairs and analyze each; returns the number of
 /// hard findings, or the CLI diagnostic that stopped the run.
 fn check(h: &BenchHarness) -> Result<usize, Diagnostic> {
-    let place = match h.operand("placement")? {
-        None => None,
-        // Literal names or @path/to/placement.json (CLI003 / CLI007).
-        Some(spec) => Some(Placement::resolve(spec)?),
-    };
+    let placement = h.operand("placement")?;
+    // Literal names or @path/to/placement.json (CLI003 / CLI007).
+    let place = placement.map(Placement::resolve).transpose()?;
 
     let mappings: Vec<Box<dyn Mapping>> = match h.operand("mapping")? {
-        Some(name) => {
-            let m = mapping_named_placed(name, place.unwrap_or_else(Placement::neighbor))
-                .ok_or_else(|| {
-                    Diagnostic::hard(
-                        "CLI001",
-                        format!("--mapping {name}"),
-                        "unknown mapping name",
-                    )
-                })?;
-            vec![m]
-        }
-        None => match place {
-            // A placement override without --mapping re-places every
-            // placeable mapping and keeps the rest at their defaults.
-            Some(p) => all_mappings()
-                .iter()
-                .map(|m| mapping_named_placed(m.name(), p).expect("registry name resolves"))
-                .collect(),
-            None => all_mappings(),
-        },
+        Some(name) => vec![mapping_named(name).ok_or_else(|| {
+            Diagnostic::hard(
+                "CLI001",
+                format!("--mapping {name}"),
+                "unknown mapping name",
+            )
+        })?],
+        None => all_mappings(),
     };
 
     let platform_override: Option<Box<dyn Platform>> = match h.operand("platform")? {
@@ -89,14 +75,12 @@ fn check(h: &BenchHarness) -> Result<usize, Diagnostic> {
     let mut hard = 0usize;
     let mut json_pairs: Vec<Json> = Vec::new();
     for m in &mappings {
-        let platforms: Vec<Box<dyn Platform>> = match &platform_override {
-            Some(p) => {
-                let p = platform_named(p.label()).expect("registry label resolves");
-                vec![p]
-            }
+        let platforms: Vec<&str> = match &platform_override {
+            Some(p) => vec![p.label()],
             None => all_platforms()
-                .into_iter()
+                .iter()
                 .filter(|p| m.supports(p.kind()))
+                .map(|p| p.label())
                 .collect(),
         };
         if platforms.is_empty() {
@@ -107,6 +91,19 @@ fn check(h: &BenchHarness) -> Result<usize, Diagnostic> {
             ));
         }
         for p in platforms {
+            // The placement re-places the mappings that take one and
+            // keeps the rest at their defaults.
+            let set = match place {
+                Some(pl) if m.set_keys().contains(&"placement") => {
+                    Json::obj().with("placement", pl.to_json())
+                }
+                _ => Json::obj(),
+            };
+            let pair = configured(m.name(), p, &set).map_err(|e| {
+                let spec = placement.unwrap_or_default();
+                Diagnostic::hard("CLI007", format!("--placement {spec}"), e)
+            })?;
+            let (m, p) = (pair.mapping.as_ref(), pair.platform.as_ref());
             let w = Workload::named(m.kernel(), h.small()).ok_or_else(|| {
                 Diagnostic::hard(
                     "CLI001",
@@ -114,12 +111,12 @@ fn check(h: &BenchHarness) -> Result<usize, Diagnostic> {
                     "mapping names a kernel with no registered workload",
                 )
             })?;
-            let mut report = analyze_pair(m.as_ref(), &w, p.as_ref());
+            let mut report = analyze_pair(m, &w, p);
             if h.flag("dynamic") && m.supports(p.kind()) {
-                report.merge(dynamic::cross_check(m.as_ref(), &w, p.as_ref()));
+                report.merge(dynamic::cross_check(m, &w, p));
             }
             let costed = (h.flag("cost") && m.supports(p.kind())).then(|| {
-                let (c, lints) = cost::cost_pair(m.as_ref(), &w, p.as_ref());
+                let (c, lints) = cost::cost_pair(m, &w, p);
                 report.merge(lints);
                 c
             });

@@ -8,9 +8,9 @@
 //! corruption, so every test pins one check against one invariant.
 
 use memsim::SramParams;
-use sar_epiphany::{all_mappings, mapping_named, mapping_named_placed};
+use sar_epiphany::{all_mappings, configured, mapping_named};
 use sarlint::{analyze_model, analyze_pair};
-use sim_harness::{all_platforms, Placement, ProgramModel, Workload};
+use sim_harness::{all_platforms, ProgramModel, Workload};
 
 /// The genuine pipeline model the corruptions start from.
 fn pipeline_model() -> ProgramModel {
@@ -93,10 +93,10 @@ fn corrupted_cyclic_pipeline_is_sl003() {
 fn corrupted_scattered_placement_is_sl005() {
     // The scattered placement is the genuine "corruption": same
     // stages, same channels, stages flung across the mesh.
-    let m = mapping_named_placed("autofocus_mpmd", Placement::scattered()).expect("registered");
+    let scattered = desim::Json::obj().with("placement", "scattered");
+    let pair = configured("autofocus_mpmd", "epiphany", &scattered).expect("registered");
     let w = Workload::named("autofocus", true).expect("registered");
-    let p = sim_harness::platform_named("epiphany").expect("registered");
-    let r = analyze_pair(m.as_ref(), &w, p.as_ref());
+    let r = analyze_pair(pair.mapping.as_ref(), &w, pair.platform.as_ref());
     assert!(!r.is_clean());
     assert!(r.has_code("SL005"), "{:?}", r.diagnostics);
     // Hard findings name the offending hop in mesh coordinates.

@@ -12,11 +12,10 @@
 use desim::Json;
 use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
 use sar_epiphany::rda_spmd::{self, RdaSpmdOptions};
-use sar_epiphany::{all_mappings, mapping_named_placed};
+use sar_epiphany::{all_mappings, configured};
 use sarlint::cost::{cost_model, cost_pair};
 use sim_harness::{
-    all_platforms, platform_named, FfbpWorkload, Placement, Platform, ProgramModel, RdaWorkload,
-    Workload,
+    all_platforms, platform_named, FfbpWorkload, Platform, ProgramModel, RdaWorkload, Workload,
 };
 
 fn fnv1a64(text: &str) -> u64 {
@@ -60,8 +59,10 @@ fn model_lines() -> Vec<String> {
     let e64 = platform_named("e64").expect("platform resolves");
     let autofocus = Workload::named("autofocus", true).expect("kernel resolves");
     for name in ["autofocus_mpmd", "autofocus_net"] {
-        let m = mapping_named_placed(name, Placement::scattered()).expect("placeable");
-        let model = m
+        let scattered = Json::obj().with("placement", "scattered");
+        let pair = configured(name, "epiphany", &scattered).expect("placeable");
+        let model = pair
+            .mapping
             .program_model(&autofocus, e16.as_ref())
             .expect("exports a model");
         lines.push(line(&format!("{name} scattered"), &model, e16.as_ref()));

@@ -102,8 +102,12 @@ fn main() {
             let s = |k: &str| row.get(k).and_then(Json::as_str).unwrap_or("?");
             let f = |k: &str| row.get(k).and_then(Json::as_f64);
             let ratio = |k: &str| f(k).map_or_else(|| "-".to_string(), |v| format!("{v:.2}x"));
+            // A pair's `set` block tells its variants apart.
+            let set = row
+                .get("set")
+                .map_or_else(String::new, |s| format!("  {s}"));
             h.say(format_args!(
-                "{:<16} {:>9} {:>7} {:>12.3} {:>11.4} {:>9} {:>8}",
+                "{:<16} {:>9} {:>7} {:>12.3} {:>11.4} {:>9} {:>8}{set}",
                 s("mapping"),
                 s("platform"),
                 row.get("platform_cores")

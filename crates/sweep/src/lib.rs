@@ -14,14 +14,15 @@
 //!   so each kernel's workload is built once and shared read-only by
 //!   every worker.
 //! * **Incrementality.** Each cell is keyed by
-//!   `(mapping, platform, kernel, scale, seed, record version)`; a
-//!   [`CellCache`] loaded from a previous document satisfies matching
-//!   cells without simulating, so growing a grid re-runs only the new
-//!   cells ([`SweepOutcome::cells_run`] counts the difference). The
-//!   cache is resolved first and everything else follows from what is
-//!   left: a kernel none of whose cells is queued gets no workload,
-//!   one queued cell (or none) gets no worker thread, and a cached
-//!   record is serialised from the cache, not from a copy.
+//!   `(mapping, platform, kernel, scale, seed, record version)` and its
+//!   pair's `set` block; a [`CellCache`] loaded from a previous
+//!   document satisfies matching cells without simulating, so growing
+//!   a grid re-runs only the new cells ([`SweepOutcome::cells_run`]
+//!   counts the difference). The cache is resolved first and
+//!   everything else follows from what is left: a kernel none of whose
+//!   cells is queued gets no workload, one queued cell (or none) gets
+//!   no worker thread, and a cached record is serialised from the
+//!   cache, not from a copy.
 //!
 //! The `sweep` binary wraps [`run_grid`] behind
 //! `--grid/--threads/--resume`; the grid spec format is documented on
@@ -38,19 +39,35 @@ use std::time::{Duration, Instant};
 
 use desim::{Json, RunRecord, RUN_RECORD_VERSION};
 use faultsim::{FaultPlan, FaultState};
-use sar_epiphany::mapping_named;
+use sar_epiphany::{configured, Configured};
 use sim_harness::{platform_named, run_ctx, Diagnostic, RunContext, Workload};
 
 /// Grid-spec schema version accepted by [`GridSpec::parse`].
 pub const GRID_SPEC_VERSION: u64 = 1;
 
 /// One Mapping × Platform combination of the grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairSpec {
     /// Registered mapping name (`sar_epiphany::mapping_named`).
     pub mapping: String,
     /// Registered platform label (`sim_harness::platform_named`).
     pub platform: String,
+    /// The pair's `set` block with its members sorted by key — the
+    /// overrides `sar_epiphany::configured` applies; `None` when the
+    /// spec gives none (or an empty one).
+    pub set: Option<Json>,
+}
+
+impl PairSpec {
+    /// The mapping and platform the pair's cells run on.
+    fn configured(&self) -> Result<Configured, String> {
+        let empty = Json::obj();
+        configured(
+            &self.mapping,
+            &self.platform,
+            self.set.as_ref().unwrap_or(&empty),
+        )
+    }
 }
 
 /// A parsed and validated sweep grid.
@@ -74,12 +91,22 @@ pub struct GridSpec {
 /// One grid cell: a pair at one seed.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    /// Mapping name.
-    pub mapping: String,
-    /// Platform label.
-    pub platform: String,
+    /// The pair.
+    pub pair: PairSpec,
     /// Fault seed.
     pub seed: u64,
+}
+
+impl Cell {
+    /// `mapping x platform seed N`, then the `set` block if any.
+    fn label(&self) -> String {
+        let pair = &self.pair;
+        let label = format!("{} x {} seed {}", pair.mapping, pair.platform, self.seed);
+        match &pair.set {
+            Some(set) => format!("{label} {set}"),
+            None => label,
+        }
+    }
 }
 
 /// The cache key of one cell. Includes [`RUN_RECORD_VERSION`], so a
@@ -87,9 +114,12 @@ pub struct Cell {
 /// grid carries a fault spec — a digest of the spec text, so editing
 /// (or removing) the `faults` block invalidates every cached cell of
 /// the grid instead of silently serving records simulated under a
-/// different fault schedule. Fault-free grids keep the legacy
-/// digest-free key, so existing fault-free documents stay valid
-/// caches and serialise byte-identically.
+/// different fault schedule. A pair's `set` block, when it has one,
+/// is appended as written in the document (compact, keys sorted; a
+/// `placement` file enters by its path, so editing the file does not
+/// move the key). Keys without either keep the legacy six-field
+/// format, so existing documents stay valid caches and serialise
+/// byte-identically.
 pub fn cell_key(
     mapping: &str,
     platform: &str,
@@ -97,15 +127,20 @@ pub fn cell_key(
     small: bool,
     seed: u64,
     faults: Option<&str>,
+    set: Option<&Json>,
 ) -> String {
     let scale = if small { "small" } else { "paper" };
-    match faults {
+    let mut key = match faults {
         None => format!("{mapping}|{platform}|{kernel}|{scale}|{seed}|v{RUN_RECORD_VERSION}"),
         Some(spec) => format!(
             "{mapping}|{platform}|{kernel}|{scale}|{seed}|f{:016x}|v{RUN_RECORD_VERSION}",
             fault_digest(spec)
         ),
+    };
+    if let Some(set) = set {
+        key.push_str(&format!("|{set}"));
     }
+    key
 }
 
 /// FNV-1a 64-bit digest of the fault-spec text. Not cryptographic —
@@ -132,15 +167,21 @@ impl GridSpec {
     ///   "version": 1,
     ///   "name": "scaling",
     ///   "small": true,
-    ///   "pairs": [{"mapping": "ffbp_spmd", "platform": "e64"}],
+    ///   "pairs": [
+    ///     {"mapping": "ffbp_spmd", "platform": "e64"},
+    ///     {"mapping": "ffbp_spmd", "platform": "e64", "set": {"cores": 16}}
+    ///   ],
     ///   "seeds": [1, 2],
     ///   "faults": { ... optional faultsim spec ... }
     /// }
     /// ```
     ///
     /// Every pair must name a registered mapping and platform the
-    /// mapping supports (`SWP002` otherwise), so a sweep fails before
-    /// any simulation starts rather than mid-grid.
+    /// mapping supports, and its optional `set` block must be one
+    /// `sar_epiphany::configured` accepts for the pair (`SWP002`
+    /// otherwise), so a sweep fails before any simulation starts rather
+    /// than mid-grid. A `set` with `faults` replaces the grid's `faults`
+    /// for that pair.
     pub fn parse(text: &str) -> Result<GridSpec, Diagnostic> {
         let doc = Json::parse(text).map_err(|e| bad_spec("grid", format!("not JSON: {e}")))?;
         match doc.get("version").and_then(Json::as_u64) {
@@ -171,9 +212,22 @@ impl GridSpec {
                     .map(str::to_string)
                     .ok_or_else(|| bad_spec(format!("pairs[{i}]"), format!("missing '{key}'")))
             };
+            let set = match p.get("set").map(Json::as_object) {
+                None => None,
+                Some(None) => {
+                    return Err(bad_spec(format!("pairs[{i}]"), "'set' must be an object"))
+                }
+                Some(Some([])) => None,
+                Some(Some(members)) => {
+                    let mut members = members.to_vec();
+                    members.sort_by(|a, b| a.0.cmp(&b.0));
+                    Some(Json::Obj(members))
+                }
+            };
             let pair = PairSpec {
                 mapping: field("mapping")?,
                 platform: field("platform")?,
+                set,
             };
             validate_pair(&pair, i)?;
             pairs.push(pair);
@@ -211,8 +265,7 @@ impl GridSpec {
         for pair in &self.pairs {
             for &seed in &self.seeds {
                 cells.push(Cell {
-                    mapping: pair.mapping.clone(),
-                    platform: pair.platform.clone(),
+                    pair: pair.clone(),
                     seed,
                 });
             }
@@ -233,9 +286,12 @@ impl GridSpec {
                     self.pairs
                         .iter()
                         .map(|p| {
-                            Json::obj()
-                                .with("mapping", p.mapping.as_str())
-                                .with("platform", p.platform.as_str())
+                            with_set(
+                                Json::obj()
+                                    .with("mapping", p.mapping.as_str())
+                                    .with("platform", p.platform.as_str()),
+                                p,
+                            )
                         })
                         .collect(),
                 ),
@@ -248,23 +304,22 @@ impl GridSpec {
     }
 }
 
+/// `row` with the pair's `set` block appended, when it has one.
+fn with_set(row: Json, pair: &PairSpec) -> Json {
+    match &pair.set {
+        Some(set) => row.with("set", set.clone()),
+        None => row,
+    }
+}
+
 /// Resolve and cross-check one pair against the registries.
 fn validate_pair(pair: &PairSpec, index: usize) -> Result<(), Diagnostic> {
     let subject = format!("pairs[{index}]");
-    let mapping = mapping_named(&pair.mapping).ok_or_else(|| {
-        Diagnostic::hard(
-            "SWP002",
-            subject.clone(),
-            format!("unknown mapping '{}'", pair.mapping),
-        )
-    })?;
-    let platform = platform_named(&pair.platform).ok_or_else(|| {
-        Diagnostic::hard(
-            "SWP002",
-            subject.clone(),
-            format!("unknown platform '{}'", pair.platform),
-        )
-    })?;
+    let Configured {
+        mapping, platform, ..
+    } = pair
+        .configured()
+        .map_err(|e| Diagnostic::hard("SWP002", subject.clone(), e))?;
     if !mapping.supports(platform.kind()) {
         return Err(Diagnostic::hard(
             "SWP002",
@@ -389,48 +444,52 @@ pub struct SweepOutcome {
 /// cloning the representative's record and re-stamping `fault_seed`
 /// ([`SweepOutcome::cells_derived`] counts them). The equivalence
 /// suite (`tests/equivalence.rs`) pins derived == simulated byte for
-/// byte across every registered pair. Grids with a fault spec disable
-/// the fast-forward entirely — there every seed expands a different
-/// fault schedule.
+/// byte across every registered pair. The fast-forward is decided per
+/// pair: a pair under a fault spec — the grid's, or its own `set`
+/// block's — simulates every seed, since every seed expands a
+/// different fault schedule.
 pub fn run_grid(
     spec: &GridSpec,
     threads: usize,
     cache: &CellCache,
 ) -> Result<SweepOutcome, Diagnostic> {
     let cells = spec.cells();
-    let kernels: Vec<&'static str> = spec
-        .pairs
-        .iter()
-        .map(|p| {
-            mapping_named(&p.mapping)
-                .expect("validated at parse")
-                .kernel()
-        })
-        .collect();
+    let mut kernels: Vec<&'static str> = Vec::with_capacity(spec.pairs.len());
+    let mut faults: Vec<Option<String>> = Vec::with_capacity(spec.pairs.len());
+    for (i, pair) in spec.pairs.iter().enumerate() {
+        let configured = pair
+            .configured()
+            .map_err(|e| Diagnostic::hard("SWP002", format!("pairs[{i}]"), e))?;
+        kernels.push(configured.mapping.kernel());
+        faults.push(configured.faults.or_else(|| spec.faults.clone()));
+    }
     let seeds_n = spec.seeds.len();
     let kernel_of = |cell_index: usize| kernels[cell_index / seeds_n];
+    let key_of = |cell_index: usize| {
+        let Cell { pair, seed } = &cells[cell_index];
+        cell_key(
+            &pair.mapping,
+            &pair.platform,
+            kernel_of(cell_index),
+            spec.small,
+            *seed,
+            spec.faults.as_deref(),
+            pair.set.as_ref(),
+        )
+    };
 
     // Satisfy what the cache can, borrowing its records; queue the
-    // rest. Fault-free grids additionally dedup seeds: a pair's first
+    // rest. Fault-free pairs additionally dedup seeds: a pair's first
     // unresolved cell becomes the simulated representative, the rest
     // are derived afterwards.
-    let dedup = spec.faults.is_none();
     let mut slots: Vec<Option<Cow<'_, RunRecord>>> = Vec::with_capacity(cells.len());
     let mut work: Vec<usize> = Vec::new();
     let mut derive: Vec<usize> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let key = cell_key(
-            &cell.mapping,
-            &cell.platform,
-            kernel_of(i),
-            spec.small,
-            cell.seed,
-            spec.faults.as_deref(),
-        );
-        slots.push(cache.map.get(&key).map(Cow::Borrowed));
+    for i in 0..cells.len() {
+        slots.push(cache.map.get(&key_of(i)).map(Cow::Borrowed));
         if slots[i].is_none() {
             let pair_start = (i / seeds_n) * seeds_n;
-            let has_representative = dedup
+            let has_representative = faults[i / seeds_n].is_none()
                 && (slots[pair_start..i].iter().any(Option::is_some)
                     || work.last().is_some_and(|&w| w >= pair_start));
             if has_representative {
@@ -469,7 +528,7 @@ pub fn run_grid(
             let result = simulate(
                 &cells[cell_index],
                 &workloads[kernel_of(cell_index)],
-                spec.faults.as_deref(),
+                faults[cell_index / seeds_n].as_deref(),
             );
             done.lock()
                 .expect("pushing into reserved capacity cannot panic")
@@ -495,11 +554,7 @@ pub fn run_grid(
         .expect("pushing into reserved capacity cannot panic");
     done.sort_by_key(|&(cell_index, ..)| cell_index);
     for (cell_index, elapsed, result) in done {
-        let cell = &cells[cell_index];
-        profile.cells.push((
-            format!("{} x {} seed {}", cell.mapping, cell.platform, cell.seed),
-            elapsed,
-        ));
+        profile.cells.push((cells[cell_index].label(), elapsed));
         slots[cell_index] = Some(Cow::Owned(result?));
     }
 
@@ -526,19 +581,9 @@ pub fn run_grid(
         .enumerate()
         .map(|(i, (cell, record))| {
             Json::obj()
-                .with(
-                    "key",
-                    cell_key(
-                        &cell.mapping,
-                        &cell.platform,
-                        kernel_of(i),
-                        spec.small,
-                        cell.seed,
-                        spec.faults.as_deref(),
-                    ),
-                )
-                .with("mapping", cell.mapping.as_str())
-                .with("platform", cell.platform.as_str())
+                .with("key", key_of(i))
+                .with("mapping", cell.pair.mapping.as_str())
+                .with("platform", cell.pair.platform.as_str())
                 .with("kernel", kernel_of(i))
                 .with("seed", cell.seed)
                 .with("record", record.to_json())
@@ -550,8 +595,8 @@ pub fn run_grid(
         .with("version", RUN_RECORD_VERSION)
         .with("grid", spec.to_json())
         .with("cells", Json::Arr(cell_docs))
-        .with("scaling", scaling_summary(spec, &kernels, &cells, &records))
-        .with("power", power_summary(spec, &cells, &records));
+        .with("scaling", scaling_summary(spec, &kernels, &records))
+        .with("power", power_summary(spec, &records));
     profile.serialize = t_serialize.elapsed();
     Ok(SweepOutcome {
         document,
@@ -564,29 +609,38 @@ pub fn run_grid(
 }
 
 /// Simulate one cell: arm the fault plan for the cell's seed (an
-/// empty plan when the grid has none, so the seed is still stamped)
-/// and run through the unified harness entry point.
+/// empty plan when the pair has none, so the seed is still stamped)
+/// and run the configured pair through the unified harness entry point.
 fn simulate(
     cell: &Cell,
     workload: &Workload,
     faults: Option<&str>,
 ) -> Result<RunRecord, Diagnostic> {
-    let mapping = mapping_named(&cell.mapping).expect("validated at parse");
-    let platform = platform_named(&cell.platform).expect("validated at parse");
+    let Configured {
+        mapping, platform, ..
+    } = cell
+        .pair
+        .configured()
+        .map_err(|e| Diagnostic::hard("SWP002", cell.label(), e))?;
     let plan = match faults {
         Some(text) => FaultPlan::parse(text, cell.seed)
             .map_err(|e| Diagnostic::hard("SWP001", "faults", format!("bad fault spec: {e}")))?,
         None => FaultPlan::empty(cell.seed),
     };
     let ctx = RunContext::plain().with_faults(FaultState::from_plan(&plan));
-    let out = run_ctx(mapping.as_ref(), workload, platform.as_ref(), &ctx).map_err(|e| {
-        Diagnostic::hard(
-            "SWP003",
-            format!("{} x {}", cell.mapping, cell.platform),
-            e.to_string(),
-        )
-    })?;
+    let out = run_ctx(mapping.as_ref(), workload, platform.as_ref(), &ctx)
+        .map_err(|e| Diagnostic::hard("SWP003", cell.label(), e.to_string()))?;
     Ok(out.record)
+}
+
+/// Each pair's first-seed record, by pair index: `records` is in
+/// canonical (pair-major) cell order.
+fn first_records<'a>(spec: &GridSpec, records: &[&'a RunRecord]) -> Vec<&'a RunRecord> {
+    records
+        .iter()
+        .step_by(spec.seeds.len().max(1))
+        .copied()
+        .collect()
 }
 
 /// The strong-scaling summary (Table-I style): one row per pair,
@@ -594,40 +648,39 @@ fn simulate(
 /// energy ratios against whichever baselines the grid itself
 /// contains — the same kernel's single-core `*_seq` mapping on the
 /// 16-core chip (`vs_seq`), and the same mapping on the 16-core chip
-/// (`vs_e16`, the cross-chip strong-scaling ratio).
-fn scaling_summary(
-    spec: &GridSpec,
-    kernels: &[&'static str],
-    cells: &[Cell],
-    records: &[&RunRecord],
-) -> Json {
-    // First-seed record per pair (seeds replay the same simulation —
-    // they only re-seed the fault plan).
-    let record_of = |mapping: &str, platform: &str| {
-        cells
+/// (`vs_e16`, the cross-chip strong-scaling ratio). A baseline is the
+/// first pair with that mapping and platform and the same `set` block.
+fn scaling_summary(spec: &GridSpec, kernels: &[&'static str], records: &[&RunRecord]) -> Json {
+    // Seeds replay the same simulation — they only re-seed the fault
+    // plan — so a pair is its first-seed record.
+    let firsts = first_records(spec, records);
+    let baseline = |mapping: &str, platform: &str, set: &Option<Json>| {
+        let found = spec
+            .pairs
             .iter()
-            .position(|c| c.mapping == mapping && c.platform == platform)
-            .map(|i| records[i])
+            .position(|p| p.mapping == mapping && p.platform == platform && p.set == *set);
+        found.map(|i| firsts[i])
     };
     let mut rows = Vec::with_capacity(spec.pairs.len());
     for (pair_index, pair) in spec.pairs.iter().enumerate() {
         let kernel = kernels[pair_index];
-        let record = record_of(&pair.mapping, &pair.platform).expect("pair has a first cell");
+        let record = firsts[pair_index];
         let platform = platform_named(&pair.platform).expect("validated at parse");
         let platform_cores = platform
             .epiphany_params()
             .map(|p| p.cores())
             .or_else(|| platform.host_threads())
             .unwrap_or(1);
-        let mut row = Json::obj()
+        let row = Json::obj()
             .with("mapping", pair.mapping.as_str())
-            .with("platform", pair.platform.as_str())
+            .with("platform", pair.platform.as_str());
+        let mut row = with_set(row, pair)
             .with("kernel", kernel)
             .with("platform_cores", platform_cores)
             .with("time_ms", record.millis())
             .with("energy_j", record.energy_j())
             .with("power_w", record.power_w);
-        let seq = record_of(&format!("{kernel}_seq"), "epiphany");
+        let seq = baseline(&format!("{kernel}_seq"), "epiphany", &pair.set);
         if let Some(seq) = seq.filter(|s| s.millis() > 0.0) {
             row.set("speedup_vs_seq", seq.millis() / record.millis());
             if record.energy_j() > 0.0 {
@@ -635,7 +688,7 @@ fn scaling_summary(
             }
         }
         if pair.platform != "epiphany" {
-            if let Some(e16) = record_of(&pair.mapping, "epiphany") {
+            if let Some(e16) = baseline(&pair.mapping, "epiphany", &pair.set) {
                 row.set("speedup_vs_e16", e16.millis() / record.millis());
             }
         }
@@ -649,7 +702,7 @@ fn scaling_summary(
 /// power block, plus grid-wide peak-power percentiles over *every*
 /// priced cell (seeds included — fault recovery changes a cell's
 /// power profile even though its first-seed timing is shared).
-fn power_summary(spec: &GridSpec, cells: &[Cell], records: &[&RunRecord]) -> Json {
+fn power_summary(spec: &GridSpec, records: &[&RunRecord]) -> Json {
     let mut peaks: Vec<f64> = Vec::new();
     let mut total_energy = 0.0;
     for record in records {
@@ -671,16 +724,11 @@ fn power_summary(spec: &GridSpec, cells: &[Cell], records: &[&RunRecord]) -> Jso
     };
 
     let mut rows = Vec::with_capacity(spec.pairs.len());
-    for pair in &spec.pairs {
-        let record = cells
-            .iter()
-            .position(|c| c.mapping == pair.mapping && c.platform == pair.platform)
-            .map(|i| records[i]);
-        let Some(record) = record else { continue };
-        let mut row = Json::obj()
+    for (pair, record) in spec.pairs.iter().zip(first_records(spec, records)) {
+        let row = Json::obj()
             .with("mapping", pair.mapping.as_str())
-            .with("platform", pair.platform.as_str())
-            .with("energy_j", record.energy_j());
+            .with("platform", pair.platform.as_str());
+        let mut row = with_set(row, pair).with("energy_j", record.energy_j());
         if let Some(power) = &record.power {
             let run_energy = power.timeline.total_energy();
             let attribution = desim::PhaseAttribution::attribute(&run_energy, 0.0, 0.0, 0.0);
@@ -741,7 +789,7 @@ mod tests {
         assert_eq!(
             cells
                 .iter()
-                .map(|c| (c.mapping.as_str(), c.seed))
+                .map(|c| (c.pair.mapping.as_str(), c.seed))
                 .collect::<Vec<_>>(),
             vec![
                 ("autofocus_seq", 7),
@@ -769,32 +817,251 @@ mod tests {
         .unwrap_err();
         assert_eq!(unsupported.code, "SWP002");
         assert!(unsupported.message.contains("does not support"));
+
+        // Hostile `set` blocks: each a coded diagnostic, never a panic.
+        let spmd = r#""mapping": "ffbp_spmd", "platform": "epiphany""#;
+        let mpmd = r#""mapping": "autofocus_mpmd", "platform": "epiphany""#;
+        for (pair, code, says) in [
+            (format!(r#"{spmd}, "set": {{"threads": 4}}"#), "SWP002", "unknown key 'threads'"),
+            (
+                r#""mapping": "autofocus_seq", "platform": "epiphany", "set": {"cores": 4}"#.into(),
+                "SWP002",
+                "takes no 'cores'",
+            ),
+            (
+                r#""mapping": "ffbp_ref", "platform": "refcpu", "set": {"clock_mhz": 400}"#.into(),
+                "SWP002",
+                "takes no 'clock_mhz'",
+            ),
+            (
+                r#""mapping": "ffbp_seq", "platform": "epiphany", "set": {"placement": "neighbor"}"#
+                    .into(),
+                "SWP002",
+                "takes no 'placement'",
+            ),
+            (format!(r#"{spmd}, "set": {{"cores": 0}}"#), "SWP002", "'cores' must be"),
+            (format!(r#"{spmd}, "set": {{"cores": 1e9}}"#), "SWP002", "'cores' must be"),
+            (format!(r#"{spmd}, "set": {{"clock_mhz": 0}}"#), "SWP002", "'clock_mhz' must be"),
+            (format!(r#"{spmd}, "set": {{"clock_mhz": -400}}"#), "SWP002", "'clock_mhz' must be"),
+            (format!(r#"{spmd}, "set": {{"clock_mhz": 1e999}}"#), "SWP001", "not JSON"),
+            (
+                format!(r#"{spmd}, "set": {{"elink_bytes_per_cycle": 0}}"#),
+                "SWP002",
+                "'elink_bytes_per_cycle' must be",
+            ),
+            (format!(r#"{spmd}, "set": {{"prefetch": "off"}}"#), "SWP002", "'prefetch' must be"),
+            (format!(r#"{spmd}, "set": {{"prefetch": 0}}"#), "SWP002", "'prefetch' must be"),
+            (
+                format!(r#"{spmd}, "set": {{"faults": {{"version": 1, "faults": [{{"at": 5}}]}}}}"#),
+                "SWP002",
+                "bad fault spec",
+            ),
+            (
+                // Well-formed, but 2^53 events would never finish expanding.
+                format!(
+                    r#"{spmd}, "set": {{"faults": {{"version": 1, "faults": [{{"kind": "flag_drop",
+                        "count": 9007199254740992, "window": [0, 9]}}]}}}}"#
+                ),
+                "SWP002",
+                "\"count\" must be",
+            ),
+            (format!(r#"{spmd}, "set": {{"faults": "none"}}"#), "SWP002", "bad fault spec"),
+            (
+                format!(r#"{mpmd}, "set": {{"placement": "@/nonexistent.json"}}"#),
+                "SWP002",
+                "cannot read placement file",
+            ),
+            (
+                format!(r#"{mpmd}, "set": {{"placement": {{"version": 1}}}}"#),
+                "SWP002",
+                "bad placement",
+            ),
+            (format!(r#"{spmd}, "set": {{"cores": 2, "cores": 4}}"#), "SWP002", "set twice"),
+            (format!(r#"{spmd}, "set": [4]"#), "SWP001", "must be an object"),
+        ] {
+            let text = format!(r#"{{"version": 1, "name": "x", "pairs": [{{{pair}}}]}}"#);
+            let d = GridSpec::parse(&text).expect_err(&pair);
+            assert_eq!(d.code, code, "{pair}: {d}");
+            assert!(d.message.contains(says), "{pair}: {d}");
+        }
     }
 
     #[test]
     fn cell_keys_embed_the_record_version() {
-        let key = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, None);
+        let key = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, None, None);
         assert_eq!(
             key,
             format!("ffbp_spmd|e64|ffbp|small|3|v{RUN_RECORD_VERSION}")
         );
-        assert_ne!(key, cell_key("ffbp_spmd", "e64", "ffbp", false, 3, None));
+        assert_ne!(
+            key,
+            cell_key("ffbp_spmd", "e64", "ffbp", false, 3, None, None)
+        );
+    }
+
+    /// A one-seed-pair grid of `pairs`, each `(mapping, platform, set)`.
+    fn set_grid(pairs: &[(&str, &str, &str)]) -> GridSpec {
+        let pairs: Vec<String> = pairs
+            .iter()
+            .map(|(m, p, set)| format!(r#"{{"mapping": "{m}", "platform": "{p}", "set": {set}}}"#))
+            .collect();
+        GridSpec::parse(&format!(
+            r#"{{"version": 1, "name": "t", "pairs": [{}], "seeds": [7, 8]}}"#,
+            pairs.join(", ")
+        ))
+        .expect("set grid parses")
+    }
+
+    #[test]
+    fn cell_keys_embed_the_set_block() {
+        let key = |set: &str| {
+            let spec = set_grid(&[("ffbp_spmd", "e64", set)]);
+            let pair = &spec.pairs[0];
+            cell_key(
+                &pair.mapping,
+                &pair.platform,
+                "ffbp",
+                true,
+                3,
+                None,
+                pair.set.as_ref(),
+            )
+        };
+        let legacy = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, None, None);
+        // No block, or an empty one, is the legacy six-field key.
+        assert_eq!(key("{}"), legacy);
+        assert_eq!(legacy.split('|').count(), 6);
+        // A block moves the key, its values move it again...
+        let four = key(r#"{"cores": 4, "prefetch": false}"#);
+        assert_eq!(
+            four,
+            format!(r#"{legacy}|{{"cores": 4,"prefetch": false}}"#)
+        );
+        assert_ne!(four, key(r#"{"cores": 8, "prefetch": false}"#));
+        // ...but the order its keys are written in does not.
+        assert_eq!(four, key(r#"{"prefetch": false, "cores": 4}"#));
+    }
+
+    #[test]
+    fn set_grids_resume_byte_for_byte_and_an_edit_reruns_only_its_pair() {
+        let grid = |cores: &str| {
+            set_grid(&[
+                ("ffbp_spmd", "epiphany", r#"{"cores": 4}"#),
+                (
+                    "autofocus_mpmd",
+                    "epiphany",
+                    r#"{"elink_bytes_per_cycle": 2}"#,
+                ),
+                ("ffbp_spmd", "epiphany", cores),
+            ])
+        };
+        let spec = grid(r#"{"prefetch": false}"#);
+        let cold = run_grid(&spec, 2, &CellCache::empty()).expect("grid runs");
+        assert_eq!((cold.cells_run, cold.cells_derived), (3, 3));
+        let cache = CellCache::from_document(&cold.document);
+        let resumed = run_grid(&spec, 1, &cache).expect("grid resumes");
+        assert_eq!((resumed.cells_run, resumed.cells_derived), (0, 0));
+        assert_eq!(
+            cold.document.to_string_pretty(),
+            resumed.document.to_string_pretty()
+        );
+
+        let edited = grid(r#"{"cores": 2}"#);
+        let rerun = run_grid(&edited, 1, &cache).expect("edited grid runs");
+        assert_eq!(
+            (rerun.cells_run, rerun.cells_derived, rerun.cells_cached),
+            (1, 1, 4),
+            "only the edited pair re-simulates"
+        );
+        let labels: Vec<&str> = rerun
+            .profile
+            .cells
+            .iter()
+            .map(|(l, _)| l.as_str())
+            .collect();
+        assert_eq!(labels, [r#"ffbp_spmd x epiphany seed 7 {"cores": 2}"#]);
+    }
+
+    #[test]
+    fn variants_of_one_pair_get_their_own_summary_rows() {
+        let spec = set_grid(&[
+            ("ffbp_spmd", "epiphany", r#"{"cores": 4}"#),
+            ("ffbp_spmd", "epiphany", r#"{"cores": 16}"#),
+            ("ffbp_seq", "epiphany", "{}"),
+        ]);
+        let out = run_grid(&spec, 1, &CellCache::empty()).expect("grid runs");
+        let rows = |block: &str| -> Vec<Json> {
+            let summary = out.document.get(block).and_then(|b| b.get("rows"));
+            summary.and_then(Json::as_array).unwrap().to_vec()
+        };
+        for block in ["scaling", "power"] {
+            let rows = rows(block);
+            let sets: Vec<Option<String>> = rows
+                .iter()
+                .map(|r| r.get("set").map(Json::to_string))
+                .collect();
+            assert_eq!(
+                sets,
+                [
+                    Some(r#"{"cores": 4}"#.into()),
+                    Some(r#"{"cores": 16}"#.into()),
+                    None
+                ],
+                "{block}"
+            );
+            let energy = |r: &Json| r.get("energy_j").and_then(Json::as_f64).unwrap();
+            assert!(
+                energy(&rows[0]) != energy(&rows[1]),
+                "{block}: rows share a record"
+            );
+        }
+        let time = |r: &Json| r.get("time_ms").and_then(Json::as_f64).unwrap();
+        let scaling = rows("scaling");
+        assert!(
+            time(&scaling[0]) > time(&scaling[1]),
+            "4 cores run longer than 16"
+        );
+        // A baseline must carry the same `set`: no `ffbp_seq` has one.
+        assert!(scaling[0].get("speedup_vs_seq").is_none());
+        assert_eq!(
+            scaling[2].get("speedup_vs_seq").and_then(Json::as_f64),
+            Some(1.0)
+        );
+    }
+
+    #[test]
+    fn a_set_faults_block_replaces_the_grids_and_stops_the_fast_forward() {
+        let faults = r#"{"faults": {"version": 1, "faults": [{"kind": "flag_drop", "at": 2000}]}}"#;
+        let spec = set_grid(&[
+            ("autofocus_mpmd", "epiphany", faults),
+            ("autofocus_mpmd", "epiphany", "{}"),
+        ]);
+        let out = run_grid(&spec, 1, &CellCache::empty()).expect("grid runs");
+        // The faulted pair simulates both seeds, the clean one derives.
+        assert_eq!((out.cells_run, out.cells_derived), (3, 1));
+        let cells = out.document.get("cells").and_then(Json::as_array).unwrap();
+        let injected = |c: &Json| {
+            let record = c.get("record").and_then(RunRecord::from_json).unwrap();
+            record.faults.faults_injected
+        };
+        assert_eq!(injected(&cells[0]), 1);
+        assert_eq!(injected(&cells[2]), 0);
     }
 
     #[test]
     fn cell_keys_embed_the_fault_spec() {
-        let free = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, None);
+        let free = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, None, None);
         let spec_a = r#"{"version": 1, "faults": []}"#;
         let spec_b = r#"{"version": 1, "faults": [{"kind": "flag_drop", "at": 2000}]}"#;
-        let with_a = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, Some(spec_a));
-        let with_b = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, Some(spec_b));
+        let with_a = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, Some(spec_a), None);
+        let with_b = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, Some(spec_b), None);
         // Adding, editing or removing the faults block all move the key.
         assert_ne!(free, with_a);
         assert_ne!(with_a, with_b);
         // Same spec text reproduces the same key (the cache contract).
         assert_eq!(
             with_a,
-            cell_key("ffbp_spmd", "e64", "ffbp", true, 3, Some(spec_a))
+            cell_key("ffbp_spmd", "e64", "ffbp", true, 3, Some(spec_a), None)
         );
         // Fault-free keys keep the legacy digest-free format, so
         // existing fault-free sweep documents remain byte-identical.
@@ -991,10 +1258,8 @@ mod tests {
             assert_eq!(
                 cells[i].get("record").map(Json::to_string_pretty),
                 Some(direct.to_json().to_string_pretty()),
-                "cell {i} ({} x {} seed {}) derived != simulated",
-                cell.mapping,
-                cell.platform,
-                cell.seed
+                "cell {i} ({}) derived != simulated",
+                cell.label()
             );
         }
     }

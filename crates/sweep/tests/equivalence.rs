@@ -75,6 +75,7 @@ fn derived_seed_records_match_direct_simulation() {
             pairs: vec![PairSpec {
                 mapping: mapping.clone(),
                 platform: platform.clone(),
+                set: None,
             }],
             seeds: vec![1, 2],
             faults: None,

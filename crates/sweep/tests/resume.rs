@@ -88,6 +88,39 @@ fn the_binary_writes_the_same_document_for_any_thread_count() {
 }
 
 #[test]
+fn the_summary_table_names_each_variants_set() {
+    let dir = scratch_dir("variants");
+    let grid = dir.join("variants.json");
+    std::fs::write(
+        &grid,
+        r#"{"version": 1, "name": "variants", "pairs": [
+            {"mapping": "ffbp_spmd", "platform": "epiphany", "set": {"cores": 4}},
+            {"mapping": "ffbp_spmd", "platform": "epiphany"}
+        ]}"#,
+    )
+    .expect("grid written");
+    let run = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .arg("--grid")
+        .arg(&grid)
+        .arg("--no-write")
+        .output()
+        .expect("sweep runs");
+    assert!(run.status.success(), "{run:?}");
+    let stdout = String::from_utf8(run.stdout).expect("utf-8 prose");
+    let rows: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("ffbp_spmd"))
+        .collect();
+    assert_eq!(rows.len(), 2, "{stdout}");
+    assert!(rows[0].ends_with(r#"  {"cores": 4}"#), "{stdout}");
+    assert!(
+        rows[1].ends_with('-'),
+        "a set-less row ends at its ratios: {stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn the_profile_of_a_resume_accounts_for_the_load_and_the_write() {
     let dir = scratch_dir("profile");
     let out = dir.join("sweep_smoke.json");

@@ -314,7 +314,7 @@ fn refcpu_records_match_the_checked_in_bytes() {
 /// `specs/faults_demo.json` seed 42 through `run_ctx`, and
 /// `autofocus_mpmd` with the scattered placement.
 fn registry_records() -> Vec<String> {
-    use sar_repro::sar_epiphany::{all_mappings, mapping_named, mapping_named_placed};
+    use sar_repro::sar_epiphany::{all_mappings, configured, mapping_named};
     use sar_repro::sim_harness::{
         all_platforms, platform_named, run, run_ctx, FaultPlan, FaultState, Workload,
     };
@@ -343,11 +343,12 @@ fn registry_records() -> Vec<String> {
             run_ctx(m.as_ref(), &w, epiphany.as_ref(), &ctx).expect("faulted run converges"),
         ));
     }
-    let scattered = mapping_named_placed("autofocus_mpmd", Placement::scattered())
-        .expect("autofocus_mpmd is placeable");
+    let scattered = sar_repro::desim::Json::obj().with("placement", "scattered");
+    let scattered =
+        configured("autofocus_mpmd", "epiphany", &scattered).expect("autofocus_mpmd is placeable");
     let w = Workload::named("autofocus", true).expect("kernel resolves");
     lines.push(line(
-        run(scattered.as_ref(), &w, epiphany.as_ref()).expect("scattered run"),
+        run(scattered.mapping.as_ref(), &w, scattered.platform.as_ref()).expect("scattered run"),
     ));
     lines
 }
