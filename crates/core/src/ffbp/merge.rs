@@ -1,6 +1,6 @@
 //! Subaperture element combining — eq. (5) of the paper, with the
 //! child observation coordinates from eqs. (1)–(4) — and the walk of one
-//! merge iteration: pair by pair, beam by beam ([`stage_rows`]), bin by
+//! merge iteration: pair by pair, beam by beam ([`StageRows`]), bin by
 //! bin ([`MergeRow::combine`], over a row plan the pairs of a stage
 //! share — [`StagePlans`]). Every FFBP in the workspace — the plain
 //! [`crate::ffbp::ffbp`], the host-parallel and autofocused ones, and
@@ -9,6 +9,7 @@
 //! around it.
 
 use std::cell::Cell;
+use std::thread::LocalKey;
 
 use desim::OpCounts;
 
@@ -54,13 +55,16 @@ pub(crate) struct StagePlans {
 }
 
 thread_local! {
-    // This thread's plan table, handed from one `merge_rows` to the
+    // This thread's plan table, handed from one `ThreadPlans` to the
     // next across stages and runs. A block allocated and freed per stage
     // or per run lands among the stage buffers the allocator is
     // recycling and cost `table1_paper` 2 to 13 MB of peak RSS,
     // differently from every working directory; one that stays put
     // costs its size (EXPERIMENTS.md T7).
     static STORAGE: Cell<StagePlans> = Cell::default();
+    // This thread's one-row table (`ThreadPlans::one_row`), kept for
+    // the same reason.
+    static ONE_ROW: Cell<StagePlans> = Cell::default();
 }
 
 impl StagePlans {
@@ -93,8 +97,62 @@ impl StagePlans {
     }
 }
 
+/// A [`StagePlans`] of this thread's, handed back to the thread when
+/// dropped: how every walk that plans rows gets its table.
+pub struct ThreadPlans {
+    plans: StagePlans,
+    home: Option<&'static LocalKey<Cell<StagePlans>>>,
+}
+
+impl ThreadPlans {
+    /// The table for the rows of `stage`, within the budget.
+    pub fn for_stage(stage: &[Subaperture], num_bins: usize) -> ThreadPlans {
+        let stage_beams: usize = stage.iter().map(|sub| sub.grid.n_beams).sum();
+        let quarter = stage_beams * std::mem::size_of::<c32>() / 4;
+        let rows = (quarter / std::mem::size_of::<BinPlan>()).max(1);
+        // One row is scratch: it keeps nothing, and kept it would pin the
+        // heap under it (+27 % peak RSS on `static_pricing`'s probes).
+        let home = (rows > 1).then_some(&STORAGE);
+        ThreadPlans::from(home, rows, num_bins)
+    }
+
+    /// A one-row table, kept by the thread: every row planned afresh,
+    /// for a walk that plans too few of a stage's rows to reuse a plan.
+    pub fn one_row(num_bins: usize) -> ThreadPlans {
+        ThreadPlans::from(Some(&ONE_ROW), 1, num_bins)
+    }
+
+    fn from(
+        home: Option<&'static LocalKey<Cell<StagePlans>>>,
+        rows: usize,
+        num_bins: usize,
+    ) -> ThreadPlans {
+        let plans = match home {
+            Some(home) => home.take(),
+            None => StagePlans::default(),
+        };
+        ThreadPlans {
+            plans: plans.with_rows(rows, num_bins),
+            home,
+        }
+    }
+
+    /// `row` with its plan ([`StagePlans::plan`]).
+    pub fn plan<'p>(&'p mut self, row: MergeRow<'p>) -> MergeRow<'p> {
+        self.plans.plan(row)
+    }
+}
+
+impl Drop for ThreadPlans {
+    fn drop(&mut self) {
+        if let Some(home) = self.home {
+            home.set(std::mem::take(&mut self.plans));
+        }
+    }
+}
+
 /// One output row of a merge — output beam `beam` of pair `pair` — as
-/// the walk ([`stage_rows`]) states it: everything the per-bin loop
+/// the walk ([`StageRows`]) states it: everything the per-bin loop
 /// needs, and nothing about where a machine keeps the data.
 pub struct MergeRow<'a> {
     /// The trailing child.
@@ -113,6 +171,32 @@ pub struct MergeRow<'a> {
     cfg: FfbpConfig,
     /// Empty until [`StagePlans::plan`] fills it in.
     plan: &'a [BinPlan],
+}
+
+impl<'a> MergeRow<'a> {
+    /// Output beam `beam` of merging `a` and `b` (pair `pair` of its
+    /// stage), not yet planned.
+    fn new(
+        a: &'a Subaperture,
+        b: &'a Subaperture,
+        pair: usize,
+        beam: usize,
+        geom: &'a SarGeometry,
+        cfg: FfbpConfig,
+    ) -> MergeRow<'a> {
+        MergeRow {
+            a,
+            b,
+            l: b.center_y - a.center_y,
+            // The beam's centre on the merged (refined) grid.
+            theta: a.grid.refined().beam_theta(beam),
+            pair,
+            beam,
+            geom,
+            cfg,
+            plan: &[],
+        }
+    }
 }
 
 impl MergeRow<'_> {
@@ -180,17 +264,9 @@ impl MergeRow<'_> {
     }
 }
 
-/// The rows of one pair, beam by beam, each with the row of `out` (the
-/// pair's [`Subaperture::merged_shell`]) it fills. `a` must be the
-/// trailing child (smaller `center_y`).
-fn pair_rows<'a>(
-    a: &'a Subaperture,
-    b: &'a Subaperture,
-    pair: usize,
-    out: &'a mut Subaperture,
-    geom: &'a SarGeometry,
-    cfg: FfbpConfig,
-) -> impl Iterator<Item = (MergeRow<'a>, &'a mut [c32])> {
+/// What merging `a` and `b` requires of them. `a` must be the trailing
+/// child (smaller `center_y`).
+fn check_pair(a: &Subaperture, b: &Subaperture) {
     assert!(
         a.center_y < b.center_y,
         "children must be ordered along track"
@@ -200,52 +276,84 @@ fn pair_rows<'a>(
         (a.length - b.length).abs() < 1e-3,
         "children must have equal length"
     );
-    let l = b.center_y - a.center_y;
-    let grid = out.grid;
-    let rows = out.data.as_mut_slice().chunks_mut(geom.num_bins);
-    rows.enumerate().map(move |(beam, row_out)| {
-        let theta = grid.beam_theta(beam);
-        let row = MergeRow {
-            a,
-            b,
-            l,
-            theta,
-            pair,
-            beam,
-            geom,
-            cfg,
-            plan: &[],
-        };
-        (row, row_out)
-    })
 }
 
 /// The zeroed successors of `stage`, one per adjacent pair.
-pub(crate) fn merged_shells(stage: &[Subaperture], num_bins: usize) -> Vec<Subaperture> {
+pub fn merged_shells(stage: &[Subaperture], num_bins: usize) -> Vec<Subaperture> {
     let pairs = stage.chunks(2);
     pairs
         .map(|p| Subaperture::merged_shell(&p[0], &p[1], num_bins))
         .collect()
 }
 
-/// The walk of one merge iteration at merge base 2: every output row of
-/// `stage` — pair by pair, beam by beam — with the slice of `next`
-/// ([`merged_shells`]) it fills. The rows are independent of one
-/// another, so a caller may visit them in any order or deal them to
-/// threads ([`crate::parallel`]), each through [`StagePlans::plan`].
+/// The walk of one merge iteration at merge base 2: the output rows of
+/// `stage` — pair by pair, beam by beam — by their position in that
+/// order, which is also the row's index across the merged stage
+/// ([`merged_shells`]). The rows are independent of one another, so a
+/// caller may visit them in any order or on several threads, each
+/// planning through its own [`ThreadPlans`].
+pub struct StageRows<'a> {
+    stage: &'a [Subaperture],
+    geom: &'a SarGeometry,
+    cfg: FfbpConfig,
+    /// Output beams per pair.
+    out_beams: usize,
+}
+
+impl<'a> StageRows<'a> {
+    /// The rows of `stage`, whose subapertures must share a grid.
+    pub fn new(stage: &'a [Subaperture], geom: &'a SarGeometry, cfg: &FfbpConfig) -> Self {
+        for pair in stage.chunks(2) {
+            check_pair(&pair[0], &pair[1]);
+        }
+        let grid = stage[0].grid;
+        assert!(
+            stage.iter().all(|sub| sub.grid == grid),
+            "a stage's subapertures must share a grid"
+        );
+        StageRows {
+            stage,
+            geom,
+            cfg: *cfg,
+            out_beams: 2 * grid.n_beams,
+        }
+    }
+
+    /// Output rows of the stage.
+    pub fn len(&self) -> usize {
+        self.stage.len() / 2 * self.out_beams
+    }
+
+    /// Whether the stage has no pair to merge.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Row `k` of the walk, not yet planned.
+    pub fn row(&self, k: usize) -> MergeRow<'a> {
+        let (pair, beam) = (k / self.out_beams, k % self.out_beams);
+        let (a, b) = (&self.stage[2 * pair], &self.stage[2 * pair + 1]);
+        MergeRow::new(a, b, pair, beam, self.geom, self.cfg)
+    }
+}
+
+/// Every row of [`StageRows`] in walk order with the slice of `next`
+/// ([`merged_shells`]) it fills.
 pub(crate) fn stage_rows<'a>(
     stage: &'a [Subaperture],
     next: &'a mut [Subaperture],
     geom: &'a SarGeometry,
     cfg: &FfbpConfig,
 ) -> impl Iterator<Item = (MergeRow<'a>, &'a mut [c32])> {
-    let cfg = *cfg;
-    let pairs = stage.chunks(2).zip(next).enumerate();
-    pairs.flat_map(move |(pair, (ab, out))| pair_rows(&ab[0], &ab[1], pair, out, geom, cfg))
+    let rows = StageRows::new(stage, geom, cfg);
+    let outs = next
+        .iter_mut()
+        .flat_map(|sub| sub.data.as_mut_slice().chunks_mut(geom.num_bins));
+    outs.enumerate().map(move |(k, out)| (rows.row(k), out))
 }
 
 /// One merge iteration, in walk order: hand every output row of
-/// `stage` to `row`, planned ([`StagePlans`], within its budget), with
+/// `stage` to `row`, planned ([`ThreadPlans`], within its budget), with
 /// the slice it must [`MergeRow::combine`] into. Returns the merged stage.
 pub fn merge_rows(
     stage: &[Subaperture],
@@ -254,22 +362,9 @@ pub fn merge_rows(
     mut row: impl FnMut(&MergeRow<'_>, &mut [c32]),
 ) -> Vec<Subaperture> {
     let mut next = merged_shells(stage, geom.num_bins);
-    let stage_beams: usize = stage.iter().map(|sub| sub.grid.n_beams).sum();
-    let quarter = stage_beams * std::mem::size_of::<c32>() / 4;
-    let rows = (quarter / std::mem::size_of::<BinPlan>()).max(1);
-    // One row is scratch: it keeps nothing, and kept it would pin the
-    // heap under it (+27 % peak RSS on `static_pricing`'s probes).
-    let kept = rows > 1;
-    let mut plans = StagePlans::default();
-    if kept {
-        plans = STORAGE.take();
-    }
-    plans = plans.with_rows(rows, geom.num_bins);
+    let mut plans = ThreadPlans::for_stage(stage, geom.num_bins);
     for (merge_row, out) in stage_rows(stage, &mut next, geom, cfg) {
         row(&plans.plan(merge_row), out);
-    }
-    if kept {
-        STORAGE.set(plans);
     }
     next
 }
@@ -290,8 +385,11 @@ pub fn merge_pair(
         merge_base: 2,
     };
     let mut out = Subaperture::merged_shell(a, b, geom.num_bins);
+    check_pair(a, b);
     let mut plans = StagePlans::default().with_rows(1, geom.num_bins);
-    for (row, row_out) in pair_rows(a, b, 0, &mut out, geom, cfg) {
+    let rows = out.data.as_mut_slice().chunks_mut(geom.num_bins);
+    for (beam, row_out) in rows.enumerate() {
+        let row = MergeRow::new(a, b, 0, beam, geom, cfg);
         plans.plan(row).merge_into(row_out, counts);
     }
     out

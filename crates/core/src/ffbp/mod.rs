@@ -14,5 +14,7 @@ pub mod pipeline;
 
 pub use grid::{PolarGrid, Subaperture};
 pub use interp::InterpKind;
-pub use merge::{merge_group, merge_pair, merge_rows, Hit, MergeRow};
+pub use merge::{
+    merge_group, merge_pair, merge_rows, merged_shells, Hit, MergeRow, StageRows, ThreadPlans,
+};
 pub use pipeline::{ffbp, merge_stages, stage0, FfbpConfig, FfbpRun};

@@ -9,27 +9,26 @@
 //! over a single Epiphany core on this kernel.
 
 use refcpu::{RefCpu, RefCpuParams};
-use sar_core::ffbp::merge_stages;
 use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, WorkDecl};
 
-use crate::merge_walk::{laid_out_rows, probe_sample};
+use crate::merge_walk::{probe_sample, walk};
 
 /// Execute the FFBP workload on the reference CPU model (one record
 /// phase per merge iteration).
 pub fn run(w: &FfbpWorkload, params: RefCpuParams) -> ImageRun {
     let mut cpu = RefCpu::new(params);
-    let (image, _) = merge_stages(&w.data, &w.geom, |stage, stage_idx| {
+    let image = walk(w, |stage| {
         cpu.phase_begin("merge");
-        let next = laid_out_rows(w, &stage, stage_idx, |row, out| {
-            let ops = row.combine(out, |i, hits| {
+        let next = stage.laid_out_rows(|row| {
+            for (i, hits) in row.hits().enumerate() {
                 // Demand traffic at the addresses the layout implies.
                 for addr in row.child_addrs(hits) {
                     cpu.mem_read(u64::from(addr.0), 8);
                 }
                 cpu.mem_write(u64::from(row.out_addr(i).0), 8);
-            });
+            }
             // Price this row's arithmetic.
-            cpu.compute(&ops);
+            cpu.compute(&row.ops);
         });
         cpu.phase_end();
         next

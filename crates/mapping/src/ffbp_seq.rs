@@ -8,11 +8,10 @@
 //! with non-stalling writes.
 
 use epiphany::{Chip, EpiphanyParams};
-use sar_core::ffbp::merge_stages;
 use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext, WorkDecl};
 
 use crate::layout::ExternalLayout;
-use crate::merge_walk::{laid_out_rows, probe_sample};
+use crate::merge_walk::{probe_sample, walk};
 
 /// Execute the FFBP workload on one core of the Epiphany model (one
 /// record phase per merge iteration); the chip emits its spans into
@@ -26,16 +25,16 @@ pub fn run(w: &FfbpWorkload, params: EpiphanyParams, ctx: &RunContext) -> ImageR
     // can absorb the span in closed form (`read_external_run`).
     let mut row_reads = Vec::with_capacity(2 * w.geom.num_bins);
 
-    let (image, _) = merge_stages(&w.data, &w.geom, |stage, stage_idx| {
+    let image = walk(w, |stage| {
         chip.phase_begin("merge");
-        let next = laid_out_rows(w, &stage, stage_idx, |row, out| {
+        let next = stage.laid_out_rows(|row| {
             row_reads.clear();
             // Both contributing elements are blocking external reads
             // (no cache, no prefetch in the naive port).
-            let ops = row.combine(out, |_, hits| row_reads.extend(row.child_addrs(hits)));
+            row_reads.extend(row.hits().flat_map(|hits| row.child_addrs(hits)));
             chip.read_external_run(core, &row_reads, 8);
             // Arithmetic for the row, then a posted row write-back.
-            chip.compute(core, &ops);
+            chip.compute(core, &row.ops);
             chip.write_external(core, row.out_addr(0), row.layout.beam_bytes());
         });
         chip.phase_end();

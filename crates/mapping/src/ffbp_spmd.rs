@@ -18,12 +18,11 @@ use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
 use sar_core::ffbp::interp::nearest_indices;
-use sar_core::ffbp::merge_stages;
 use sar_core::geometry::merge_geometry;
 use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext};
 
 use crate::layout::{ExternalLayout, BANK_CHILD_A, BANK_CHILD_B};
-use crate::merge_walk::{laid_out_rows, probe_sample};
+use crate::merge_walk::{probe_sample, walk};
 use crate::spmd::{self, checkpointed, chip_for, owned, owner};
 
 /// The upper local banks the two child beams are prefetched into:
@@ -83,15 +82,14 @@ pub fn run(
     let mut external_misses = 0u64;
     let r_mid = geom.bin_range(geom.num_bins / 2);
     // Blocking miss fetches issue back to back with no other chip
-    // calls between them (the interleaved merge arithmetic is
-    // host-side) — buffered per row so the chip can absorb each span
-    // in closed form.
+    // calls between them — buffered per row so the chip can absorb
+    // each span in closed form.
     let mut row_misses = Vec::new();
 
-    let (image, _) = merge_stages(&w.data, &w.geom, |stage, stage_idx| {
+    let image = walk(w, |stage| {
         let merge = |chip: &mut Chip, active: &[usize], last_write: &mut [Cycle]| {
             let (hits0, misses0) = (local_hits, external_misses);
-            let next = laid_out_rows(w, &stage, stage_idx, |row, out| {
+            let next = stage.laid_out_rows(|row| {
                 // Work units: one output beam each, dealt round-robin
                 // over the surviving cores.
                 let core = active[owner(row.out_beam as usize, active.len())];
@@ -125,10 +123,10 @@ pub fn run(
                 }
 
                 row_misses.clear();
-                let ops = row.combine(out, |_, hits| {
-                    // Classify each contributing element: prefetched
-                    // bank (local load, already in the op counts) or
-                    // blocking external read.
+                // Classify each contributing element: prefetched bank
+                // (local load, already in the op counts) or blocking
+                // external read.
+                for hits in row.hits() {
                     for (child, hit) in hits.into_iter().enumerate() {
                         let Some((bin, beam)) = hit else { continue };
                         if prefetched[child] == Some(beam) {
@@ -138,9 +136,9 @@ pub fn run(
                             row_misses.push(row.child_addr(child, (bin, beam)));
                         }
                     }
-                });
+                }
                 chip.read_external_run(core, &row_misses, 8);
-                chip.compute(core, &ops);
+                chip.compute(core, &row.ops);
                 let arrival = chip.write_external(core, row.out_addr(0), beam_bytes);
                 last_write[core] = last_write[core].max(arrival);
             });

@@ -115,11 +115,11 @@ impl Cell {
 /// (or removing) the `faults` block invalidates every cached cell of
 /// the grid instead of silently serving records simulated under a
 /// different fault schedule. A pair's `set` block, when it has one,
-/// is appended as written in the document (compact, keys sorted; a
-/// `placement` file enters by its path, so editing the file does not
-/// move the key). Keys without either keep the legacy six-field
-/// format, so existing documents stay valid caches and serialise
-/// byte-identically.
+/// is appended as written in the document (compact, keys sorted); only
+/// a `placement: "@path"` in it appends more — a digest of the file's
+/// contents, read here — so editing the file re-simulates the pair's
+/// cells. Keys without either keep the legacy six-field format, so
+/// existing documents stay valid caches and serialise byte-identically.
 pub fn cell_key(
     mapping: &str,
     platform: &str,
@@ -134,19 +134,25 @@ pub fn cell_key(
         None => format!("{mapping}|{platform}|{kernel}|{scale}|{seed}|v{RUN_RECORD_VERSION}"),
         Some(spec) => format!(
             "{mapping}|{platform}|{kernel}|{scale}|{seed}|f{:016x}|v{RUN_RECORD_VERSION}",
-            fault_digest(spec)
+            text_digest(spec)
         ),
     };
     if let Some(set) = set {
         key.push_str(&format!("|{set}"));
+        let file = set.get("placement").and_then(Json::as_str);
+        if let Some(path) = file.and_then(|p| p.strip_prefix('@')) {
+            // An unreadable file keys as empty; the run itself reports it.
+            let text = std::fs::read_to_string(path).unwrap_or_default();
+            key.push_str(&format!("|p{:016x}", text_digest(&text)));
+        }
     }
     key
 }
 
-/// FNV-1a 64-bit digest of the fault-spec text. Not cryptographic —
-/// it only needs to make distinct specs (and spec edits) land on
-/// distinct keys with overwhelming probability.
-fn fault_digest(text: &str) -> u64 {
+/// FNV-1a 64-bit digest of a fault spec's or placement file's text. Not
+/// cryptographic — it only needs to make distinct texts (and edits)
+/// land on distinct keys with overwhelming probability.
+fn text_digest(text: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in text.bytes() {
         hash ^= u64::from(byte);

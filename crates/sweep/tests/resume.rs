@@ -1,13 +1,16 @@
 //! The `sweep` binary's determinism end to end: the document is the
 //! same bytes for any `--threads` value; a document `sweep` wrote is a
 //! cache the next run loads in time linear in its size, a fully cached
-//! run rewrites it byte for byte, and `--profile` accounts for the load
-//! and the write, not only for what happens inside `run_grid`.
+//! run rewrites it byte for byte, an edited placement file is not served
+//! from it, and `--profile` accounts for the load and the write, not
+//! only for what happens inside `run_grid`.
 
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
+use desim::{Json, RUN_RECORD_VERSION};
+use sim_harness::Placement;
 use sweep::{run_grid, CellCache, GridSpec};
 
 /// 8 pairs × 8 seeds at small scale: a 2 MB document.
@@ -66,6 +69,59 @@ fn a_64_cell_document_loads_back_in_linear_time() {
         (0, 0, 64)
     );
     assert!(resumed.document.to_string_pretty() == text);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_edited_placement_file_reruns_its_cells_and_no_other_key_moves() {
+    let dir = scratch_dir("placement");
+    let file = dir.join("placement.json");
+    let place = |p: Placement| std::fs::write(&file, p.to_json().to_string_pretty());
+    place(Placement::neighbor()).expect("placement written");
+    let spec = GridSpec::parse(&format!(
+        r#"{{"version": 1, "name": "placed", "pairs": [
+            {{"mapping": "autofocus_mpmd", "platform": "epiphany", "set": {{"placement": "@{}"}}}},
+            {{"mapping": "autofocus_mpmd", "platform": "epiphany", "set": {{"placement": "neighbor"}}}}
+        ]}}"#,
+        file.display()
+    ))
+    .expect("spec parses");
+    // Each cell's key and record text.
+    let cells = |doc: &Json| -> Vec<(String, String)> {
+        let cells = doc.get("cells").and_then(Json::as_array).expect("cells");
+        let key = |c: &Json| {
+            c.get("key")
+                .and_then(Json::as_str)
+                .expect("key")
+                .to_string()
+        };
+        let record = |c: &Json| c.get("record").expect("record").to_string();
+        cells.iter().map(|c| (key(c), record(c))).collect()
+    };
+
+    let cold = run_grid(&spec, 1, &CellCache::empty()).expect("grid runs");
+    let before = cells(&cold.document);
+    // A named placement keys as its `set` block, as it always has.
+    assert_eq!(
+        before[1].0,
+        format!(
+            r#"autofocus_mpmd|epiphany|autofocus|small|0|v{RUN_RECORD_VERSION}|{{"placement": "neighbor"}}"#
+        )
+    );
+    let cache = CellCache::from_document(&cold.document);
+    let warm = run_grid(&spec, 1, &cache).expect("grid resumes");
+    assert_eq!((warm.cells_run, warm.cells_cached), (0, 2));
+
+    place(Placement::scattered()).expect("placement rewritten");
+    let edited = run_grid(&spec, 1, &cache).expect("grid resumes");
+    assert_eq!((edited.cells_run, edited.cells_cached), (1, 1));
+    let after = cells(&edited.document);
+    assert_ne!(after[0].0, before[0].0, "the file's cell moves its key");
+    assert_ne!(
+        after[0].1, before[0].1,
+        "and is simulated under the new file"
+    );
+    assert_eq!(after[1], before[1]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
