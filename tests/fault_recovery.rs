@@ -72,6 +72,49 @@ fn same_seed_reproduces_the_record_exactly() {
     );
 }
 
+/// What a redone phase is charged: `rda_spmd` on `epiphany` at small
+/// scale under four plans, each one core halt landing in one of its four
+/// checkpointed phases (the fault-free phases start at cycles 0,
+/// 143 742, 182 810 and 220 699). `golden/rda_fault_records.jsonl` holds
+/// one `RunRecord` JSON line per plan, in phase order, as the commit
+/// before the RDA driver loops moved onto a helper thread serialised
+/// them. Run with `-- --nocapture` to print fresh lines.
+#[test]
+fn rda_phase_redo_records_match_the_checked_in_bytes() {
+    let platform = platform_named("epiphany").expect("platform resolves");
+    let workload = Workload::named("rda", true).expect("workload resolves");
+    let mapping = mapping_named("rda_spmd").expect("mapping resolves");
+    let expected = include_str!("golden/rda_fault_records.jsonl");
+    let halts = [
+        ("range", 50_000),
+        ("corner_turn", 160_000),
+        ("doppler", 200_000),
+        ("azimuth", 280_000),
+    ];
+    assert_eq!(expected.lines().count(), halts.len());
+    for ((phase, at), line) in halts.into_iter().zip(expected.lines()) {
+        let spec = format!(
+            r#"{{"version": 1, "faults": [{{"kind": "core_halt", "core": 6, "at": {at}}}]}}"#
+        );
+        let plan = FaultPlan::parse(&spec, 5).expect("spec parses");
+        let ctx = RunContext::plain().with_faults(FaultState::from_plan(&plan));
+        let run = run_ctx(mapping.as_ref(), &workload, platform.as_ref(), &ctx)
+            .expect("faulted run converges");
+        // The halt is detected, and the phase redone, where it landed.
+        let halted: Vec<&str> = run
+            .record
+            .phases
+            .iter()
+            .filter(|p| p.metrics.contains_key("halted_cores"))
+            .map(|p| p.name.as_str())
+            .collect();
+        assert_eq!(halted, [phase]);
+        let fresh = run.record.to_json().to_string();
+        println!("{fresh}");
+        assert!(fresh == line, "the record halted in {phase} differs");
+    }
+}
+
 #[test]
 fn different_seeds_draw_different_schedules() {
     // The pinned events are identical; the random group's arming
