@@ -2,6 +2,8 @@
 //! RCMC, azimuth compression — stated once as [`Stages`]' work units,
 //! which [`rda`] sums and the chip drivers time.
 
+use std::convert::Infallible;
+
 use desim::OpCounts;
 
 use crate::complex::c32;
@@ -44,31 +46,37 @@ pub struct RdaRun {
 /// The RDA arithmetic one work unit at a time — the units [`rda`] and
 /// both chip drivers (`sar_epiphany::{rda_seq, rda_spmd}`) walk: a unit
 /// updates the functional matrices and returns its op ledger, for a
-/// total ([`rda`]) or for a machine model to price. Every unit of a
-/// stage must run before the first of the next.
+/// total ([`rda`]) or for a machine model to price. [`Stages::walk`]
+/// states their order.
 pub struct Stages<'a> {
     raw: &'a ComplexImage,
     geom: &'a SarGeometry,
     mf: MatchedFilter,
-    /// The geometry's range-cell migration, which
-    /// [`Stages::azimuth_bin`] corrects.
-    pub migration: MigrationTable,
+    /// The geometry's range-cell migration, which `azimuth_bin`
+    /// corrects.
+    migration: &'a MigrationTable,
     /// Range-compressed matrix, pulse-major.
     rc: ComplexImage,
     /// Range–Doppler matrix, bin-major (rows = range bins, cols =
     /// Doppler bins).
     rd: ComplexImage,
     /// The focused image.
-    pub image: ComplexImage,
+    image: ComplexImage,
 }
 
 impl<'a> Stages<'a> {
     /// Set up the stages over `raw` uncompressed echoes (rows = pulses,
-    /// cols = `num_bins + chirp.samples` fast-time samples).
+    /// cols = `num_bins + chirp.samples` fast-time samples), correcting
+    /// with `migration`, the table of `geom` under `cfg.rcmc`.
     ///
     /// The azimuth FFT length is the pulse count, so `geom.num_pulses`
     /// must be a power of two (both stock geometries are).
-    pub fn new(raw: &'a ComplexImage, geom: &'a SarGeometry, cfg: &RdaConfig) -> Stages<'a> {
+    pub fn new(
+        raw: &'a ComplexImage,
+        geom: &'a SarGeometry,
+        cfg: &RdaConfig,
+        migration: &'a MigrationTable,
+    ) -> Stages<'a> {
         let (n, bins) = (geom.num_pulses, geom.num_bins);
         assert!(
             n.is_power_of_two(),
@@ -84,15 +92,36 @@ impl<'a> Stages<'a> {
             raw,
             geom,
             mf: MatchedFilter::new(&lfm_chirp(cfg.chirp), raw.cols()),
-            migration: MigrationTable::new(geom, cfg.rcmc),
+            migration,
             rc: ComplexImage::zeros(n, bins),
             rd: ComplexImage::zeros(bins, n),
             image: ComplexImage::zeros(n, bins),
         }
     }
 
+    /// Run every unit in formation order — each pulse's range
+    /// compression, then each bin's corner turn and Doppler transform,
+    /// then each bin's RCMC and azimuth compression — handing `each` the
+    /// unit's ledger as it is made. Returns the focused image, or the
+    /// first error `each` returns, at which the walk stops.
+    pub fn walk<E>(
+        mut self,
+        mut each: impl FnMut(OpCounts) -> Result<(), E>,
+    ) -> Result<ComplexImage, E> {
+        for k in 0..self.geom.num_pulses {
+            each(self.range_row(k))?;
+        }
+        for i in 0..self.geom.num_bins {
+            each(self.doppler_bin(i))?;
+        }
+        for i in 0..self.geom.num_bins {
+            each(self.azimuth_bin(i))?;
+        }
+        Ok(self.image)
+    }
+
     /// Range-compress pulse `k`.
-    pub fn range_row(&mut self, k: usize) -> OpCounts {
+    fn range_row(&mut self, k: usize) -> OpCounts {
         let mut ops = OpCounts::default();
         let row = range_compress_row(&self.mf, self.raw.row(k), self.geom.num_bins, &mut ops);
         self.rc.row_mut(k).copy_from_slice(&row);
@@ -100,7 +129,7 @@ impl<'a> Stages<'a> {
     }
 
     /// Corner turn + azimuth FFT of range bin `i`'s pulse history.
-    pub fn doppler_bin(&mut self, i: usize) -> OpCounts {
+    fn doppler_bin(&mut self, i: usize) -> OpCounts {
         let mut ops = OpCounts::default();
         let col: Vec<c32> = (0..self.geom.num_pulses)
             .map(|k| self.rc.at(k, i))
@@ -113,7 +142,7 @@ impl<'a> Stages<'a> {
     /// RCMC + azimuth compression of range bin `i`. The inverse FFT
     /// returns circular lags; broadside (lag 0) is rotated to the
     /// middle row so the image frame matches FFBP's.
-    pub fn azimuth_bin(&mut self, i: usize) -> OpCounts {
+    fn azimuth_bin(&mut self, i: usize) -> OpCounts {
         let n = self.geom.num_pulses;
         let mut ops = OpCounts::default();
         let corrected = self.migration.correct(&self.rd, i, &mut ops);
@@ -131,21 +160,13 @@ impl<'a> Stages<'a> {
 /// migration-corrected and azimuth-compressed (shape requirements:
 /// [`Stages::new`]).
 pub fn rda(raw: &ComplexImage, geom: &SarGeometry, cfg: &RdaConfig) -> RdaRun {
-    let mut stages = Stages::new(raw, geom, cfg);
+    let migration = MigrationTable::new(geom, cfg.rcmc);
     let mut counts = OpCounts::default();
-    for k in 0..geom.num_pulses {
-        counts.add(&stages.range_row(k));
-    }
-    for i in 0..geom.num_bins {
-        counts.add(&stages.doppler_bin(i));
-    }
-    for i in 0..geom.num_bins {
-        counts.add(&stages.azimuth_bin(i));
-    }
-    RdaRun {
-        image: stages.image,
-        counts,
-    }
+    let Ok(image) = Stages::new(raw, geom, cfg, &migration).walk(|ops| {
+        counts.add(&ops);
+        Ok::<(), Infallible>(())
+    });
+    RdaRun { image, counts }
 }
 
 #[cfg(test)]

@@ -163,12 +163,10 @@ impl MigrationTable {
             .map(move |shift| Some(bin + shift).filter(|&src| src < self.geom.num_bins))
     }
 
-    /// Apply RCMC to range bin `bin` of the bin-major range–Doppler
-    /// matrix `rd` (rows = range bins, cols = Doppler bins): gather
-    /// each Doppler sample from its [source](Self::sources), zero when
-    /// that falls off the swath. With RCMC off the row is copied
-    /// unshifted; the per-sample ledger is uniform in either mode.
-    pub fn correct(&self, rd: &ComplexImage, bin: usize, counts: &mut OpCounts) -> Vec<c32> {
+    /// The ledger of one [`correct`](Self::correct) call, which is the
+    /// same for every bin: a per-sample charge, with the shift arithmetic
+    /// only when RCMC is on.
+    pub fn correct_ops(&self, counts: &mut OpCounts) {
         let n = self.geom.num_pulses as u64;
         if self.factor.is_some() {
             counts.flops += 6 * n;
@@ -180,6 +178,15 @@ impl MigrationTable {
         counts.loads += 2 * n;
         counts.stores += 2 * n;
         counts.ialu += n;
+    }
+
+    /// Apply RCMC to range bin `bin` of the bin-major range–Doppler
+    /// matrix `rd` (rows = range bins, cols = Doppler bins): gather
+    /// each Doppler sample from its [source](Self::sources), zero when
+    /// that falls off the swath. With RCMC off the row is copied
+    /// unshifted; the ledger is [`correct_ops`](Self::correct_ops).
+    pub fn correct(&self, rd: &ComplexImage, bin: usize, counts: &mut OpCounts) -> Vec<c32> {
+        self.correct_ops(counts);
         self.sources(bin)
             .enumerate()
             .map(|(m, src)| src.map_or(c32::ZERO, |src| rd.at(src, m)))

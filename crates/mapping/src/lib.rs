@@ -37,6 +37,7 @@ mod merge_walk;
 pub mod pipeline;
 pub mod rda_seq;
 pub mod rda_spmd;
+mod rda_walk;
 mod spmd;
 pub mod table1;
 

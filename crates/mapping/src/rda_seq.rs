@@ -14,32 +14,31 @@
 use desim::OpCounts;
 use epiphany::{Chip, EpiphanyParams};
 use sar_core::complex::c32;
-use sar_core::image::ComplexImage;
 use sar_core::rda::{
     azimuth_compress, azimuth_reference, doppler_spectrum, range_compress_row, MigrationTable,
-    Stages,
 };
 use sar_core::signal::{lfm_chirp, MatchedFilter};
 use sim_harness::{Bound, ImageRun, ProgramModel, RdaWorkload, RunContext, WorkDecl};
 
 use crate::layout::RdaLayout;
+use crate::rda_walk::{walk, Stage};
 
 /// Op ledgers of one range row, one Doppler bin and one azimuth bin,
-/// probed by running each stage's kernels once on blank data (a whole
-/// [`Stages`] would hold three image-sized matrices just to price a
-/// model). All three are data-independent (the `sar_core::rda` tests
-/// pin that), so one probe per stage is exact for every unit of the
-/// run.
+/// probed by running each stage's kernels once on blank rows (a whole
+/// `sar_core::rda::Stages` would hold three image-sized matrices just
+/// to price a model; the RCMC gather is priced by its ledger alone).
+/// All three are data-independent (the `sar_core::rda` tests pin that),
+/// so one probe per stage is exact for every unit of the run.
 pub(crate) fn probe(w: &RdaWorkload, migration: &MigrationTable) -> [OpCounts; 3] {
     let (geom, n) = (&w.geom, w.geom.num_pulses);
     let mf = MatchedFilter::new(&lfm_chirp(w.config.chirp), w.raw.cols());
     let mut ops = [OpCounts::default(); 3];
     range_compress_row(&mf, w.raw.row(0), geom.num_bins, &mut ops[0]);
-    doppler_spectrum(&vec![c32::ZERO; n], &mut ops[1]);
-    let rd = ComplexImage::zeros(geom.num_bins, n);
-    let corrected = migration.correct(&rd, 0, &mut ops[2]);
+    let blank = vec![c32::ZERO; n];
+    doppler_spectrum(&blank, &mut ops[1]);
+    migration.correct_ops(&mut ops[2]);
     let href = azimuth_reference(geom, 0, &mut ops[2]);
-    azimuth_compress(&corrected, &href, &mut ops[2]);
+    azimuth_compress(&blank, &href, &mut ops[2]);
     ops
 }
 
@@ -68,51 +67,53 @@ pub fn run(w: &RdaWorkload, params: EpiphanyParams, ctx: &RunContext) -> ImageRu
     let mut chip = Chip::from_params(params);
     chip.set_tracer(ctx.tracer.clone());
     let core = 0usize;
-    let mut stages = Stages::new(&w.raw, &w.geom, &w.config);
+    let migration = MigrationTable::new(&w.geom, w.config.rcmc);
     // Blocking fetches issue back to back with nothing between them —
     // buffered per row so the chip absorbs each span in closed form.
     let mut row_reads = Vec::with_capacity(2 * w.geom.num_pulses.max(w.raw.cols()));
 
-    // Phase 1: range compression, A -> B (pulse-major).
-    chip.phase_begin("range");
-    for k in 0..n {
-        row_reads.clear();
-        row_reads.extend((0..layout.echo_len).map(|s| layout.raw_addr(k, s)));
-        chip.read_external_run(core, &row_reads, 8);
-        chip.compute(core, &stages.range_row(k as usize));
-        chip.write_external(core, layout.rc_addr(k, 0), layout.rc_row_bytes());
-    }
-    chip.phase_end();
+    let image = walk(w, &migration, |units| {
+        // Phase 1: range compression, A -> B (pulse-major).
+        chip.phase_begin("range");
+        for k in 0..n {
+            row_reads.clear();
+            row_reads.extend((0..layout.echo_len).map(|s| layout.raw_addr(k, s)));
+            chip.read_external_run(core, &row_reads, 8);
+            chip.compute(core, &units.unit(Stage::Range, k as usize));
+            chip.write_external(core, layout.rc_addr(k, 0), layout.rc_row_bytes());
+        }
+        chip.phase_end();
 
-    // Phase 2: corner turn + azimuth FFT, B (strided) -> C (bin-major).
-    chip.phase_begin("doppler");
-    for i in 0..bins {
-        row_reads.clear();
-        row_reads.extend((0..n).map(|k| layout.rc_addr(k, i)));
-        chip.read_external_run(core, &row_reads, 8);
-        chip.compute(core, &stages.doppler_bin(i as usize));
-        chip.write_external(core, layout.ct_addr(i, 0), layout.col_bytes());
-    }
-    chip.phase_end();
+        // Phase 2: corner turn + azimuth FFT, B (strided) -> C (bin-major).
+        chip.phase_begin("doppler");
+        for i in 0..bins {
+            row_reads.clear();
+            row_reads.extend((0..n).map(|k| layout.rc_addr(k, i)));
+            chip.read_external_run(core, &row_reads, 8);
+            chip.compute(core, &units.unit(Stage::Doppler, i as usize));
+            chip.write_external(core, layout.ct_addr(i, 0), layout.col_bytes());
+        }
+        chip.phase_end();
 
-    // Phase 3: RCMC + azimuth compression, C -> B (bin-major).
-    chip.phase_begin("azimuth");
-    for i in 0..bins {
-        row_reads.clear();
-        row_reads.extend((0..n).map(|m| layout.ct_addr(i, m)));
-        // The migration gathers land on deeper bins' rows.
-        row_reads.extend(
-            rcmc_gathers(&stages.migration, i as usize).map(|(bin, m)| layout.ct_addr(bin, m)),
-        );
-        chip.read_external_run(core, &row_reads, 8);
-        chip.compute(core, &stages.azimuth_bin(i as usize));
-        chip.write_external(core, layout.rd_addr(i, 0), layout.col_bytes());
-    }
-    chip.phase_end();
+        // Phase 3: RCMC + azimuth compression, C -> B (bin-major).
+        chip.phase_begin("azimuth");
+        for i in 0..bins {
+            row_reads.clear();
+            row_reads.extend((0..n).map(|m| layout.ct_addr(i, m)));
+            // The migration gathers land on deeper bins' rows.
+            row_reads.extend(
+                rcmc_gathers(&migration, i as usize).map(|(bin, m)| layout.ct_addr(bin, m)),
+            );
+            chip.read_external_run(core, &row_reads, 8);
+            chip.compute(core, &units.unit(Stage::Azimuth, i as usize));
+            chip.write_external(core, layout.rd_addr(i, 0), layout.col_bytes());
+        }
+        chip.phase_end();
+    });
 
     ImageRun {
         record: chip.report("RDA / Epiphany, 1 core @ 1 GHz (sequential)", 1),
-        image: stages.image,
+        image,
     }
 }
 

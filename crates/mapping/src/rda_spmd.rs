@@ -30,11 +30,12 @@
 use desim::{Cycle, OpCounts};
 use epiphany::dma::DmaDirection;
 use epiphany::EpiphanyParams;
-use sar_core::rda::{MigrationTable, Stages};
+use sar_core::rda::MigrationTable;
 use sim_harness::{Bound, ImageRun, ProgramModel, RdaWorkload, RunContext};
 
 use crate::layout::{RdaLayout, BANK_CHILD_A, BANK_CHILD_B, PIXEL_BYTES};
 use crate::rda_seq::{probe, rcmc_gathers};
+use crate::rda_walk::{walk, Stage};
 use crate::spmd::{self, checkpointed, chip_for, owned, owner};
 
 /// Corner-turn tile edge, in elements. 32 x 32 c32 tiles are 8 KB —
@@ -118,135 +119,139 @@ pub fn run(
     let (mut chip, mut active) = chip_for(params, opts.cores, ctx);
     let n_cores = active.len();
     let bank_bytes = u64::from(params.sram.bank_bytes);
-    let mut stages = Stages::new(&w.raw, &w.geom, &w.config);
+    let migration = MigrationTable::new(&w.geom, w.config.rcmc);
 
-    // Phase 1: range compression, A -> B (pulse-major).
-    checkpointed(
-        &mut chip,
-        &ctx.faults,
-        &mut active,
-        "range",
-        |chip, active, last_write| {
-            for k in 0..n {
-                let core = active[owner(k, active.len())];
-                let done = raw_row_parts(&layout, bank_bytes)
-                    .map(|(sample, bank, bytes)| {
-                        chip.dma_start(
-                            core,
-                            DmaDirection::ExternalToLocal,
-                            layout.raw_addr(k as u32, sample),
-                            bank,
-                            bytes,
-                        )
-                    })
-                    .fold(Cycle::ZERO, Cycle::max);
-                chip.dma_wait(core, done);
-                chip.compute(core, &stages.range_row(k));
-                let arrival =
-                    chip.write_external(core, layout.rc_addr(k as u32, 0), layout.rc_row_bytes());
-                last_write[core] = last_write[core].max(arrival);
-            }
-        },
-    );
+    let image = walk(w, &migration, |units| {
+        // Phase 1: range compression, A -> B (pulse-major).
+        checkpointed(
+            &mut chip,
+            &ctx.faults,
+            &mut active,
+            "range",
+            |chip, active, last_write| {
+                for k in 0..n {
+                    let core = active[owner(k, active.len())];
+                    let done = raw_row_parts(&layout, bank_bytes)
+                        .map(|(sample, bank, bytes)| {
+                            chip.dma_start(
+                                core,
+                                DmaDirection::ExternalToLocal,
+                                layout.raw_addr(k as u32, sample),
+                                bank,
+                                bytes,
+                            )
+                        })
+                        .fold(Cycle::ZERO, Cycle::max);
+                    chip.dma_wait(core, done);
+                    chip.compute(core, &units.unit(Stage::Range, k));
+                    let arrival = chip.write_external(
+                        core,
+                        layout.rc_addr(k as u32, 0),
+                        layout.rc_row_bytes(),
+                    );
+                    last_write[core] = last_write[core].max(arrival);
+                }
+            },
+        );
 
-    // Phase 2: tiled corner turn, B -> C. Pure transpose traffic:
-    // strided 2D DMA in, local transpose, strided 2D DMA out.
-    checkpointed(
-        &mut chip,
-        &ctx.faults,
-        &mut active,
-        "corner_turn",
-        |chip, active, _| {
-            for (task, tile) in tiles(n, bins).enumerate() {
-                let core = active[owner(task, active.len())];
-                let done_in = chip.dma_start_2d(
-                    core,
-                    DmaDirection::ExternalToLocal,
-                    layout.rc_addr(tile.pulse0 as u32, tile.bin0 as u32),
-                    BANK_CHILD_A,
-                    tile.rows as u32,
-                    tile.cols as u64 * PIXEL_BYTES,
-                    layout.rc_row_bytes() as u32,
-                );
-                chip.dma_wait(core, done_in);
-                chip.compute(core, &transpose_ops((tile.rows * tile.cols) as u64));
-                let done_out = chip.dma_start_2d(
-                    core,
-                    DmaDirection::LocalToExternal,
-                    layout.ct_addr(tile.bin0 as u32, tile.pulse0 as u32),
-                    BANK_CHILD_B,
-                    tile.cols as u32,
-                    tile.rows as u64 * PIXEL_BYTES,
-                    layout.col_bytes() as u32,
-                );
-                chip.dma_wait(core, done_out);
-            }
-            chip.phase_metric("tiles", tiles(n, bins).count() as f64);
-        },
-    );
+        // Phase 2: tiled corner turn, B -> C. Pure transpose traffic:
+        // strided 2D DMA in, local transpose, strided 2D DMA out.
+        checkpointed(
+            &mut chip,
+            &ctx.faults,
+            &mut active,
+            "corner_turn",
+            |chip, active, _| {
+                for (task, tile) in tiles(n, bins).enumerate() {
+                    let core = active[owner(task, active.len())];
+                    let done_in = chip.dma_start_2d(
+                        core,
+                        DmaDirection::ExternalToLocal,
+                        layout.rc_addr(tile.pulse0 as u32, tile.bin0 as u32),
+                        BANK_CHILD_A,
+                        tile.rows as u32,
+                        tile.cols as u64 * PIXEL_BYTES,
+                        layout.rc_row_bytes() as u32,
+                    );
+                    chip.dma_wait(core, done_in);
+                    chip.compute(core, &transpose_ops((tile.rows * tile.cols) as u64));
+                    let done_out = chip.dma_start_2d(
+                        core,
+                        DmaDirection::LocalToExternal,
+                        layout.ct_addr(tile.bin0 as u32, tile.pulse0 as u32),
+                        BANK_CHILD_B,
+                        tile.cols as u32,
+                        tile.rows as u64 * PIXEL_BYTES,
+                        layout.col_bytes() as u32,
+                    );
+                    chip.dma_wait(core, done_out);
+                }
+                chip.phase_metric("tiles", tiles(n, bins).count() as f64);
+            },
+        );
 
-    // Phase 3: azimuth FFT per bin, C -> B (bin-major).
-    checkpointed(
-        &mut chip,
-        &ctx.faults,
-        &mut active,
-        "doppler",
-        |chip, active, last_write| {
-            for i in 0..bins {
-                let core = active[owner(i, active.len())];
-                let done = chip.dma_start(
-                    core,
-                    DmaDirection::ExternalToLocal,
-                    layout.ct_addr(i as u32, 0),
-                    BANK_CHILD_A,
-                    layout.col_bytes(),
-                );
-                chip.dma_wait(core, done);
-                chip.compute(core, &stages.doppler_bin(i));
-                let arrival =
-                    chip.write_external(core, layout.rd_addr(i as u32, 0), layout.col_bytes());
-                last_write[core] = last_write[core].max(arrival);
-            }
-        },
-    );
+        // Phase 3: azimuth FFT per bin, C -> B (bin-major).
+        checkpointed(
+            &mut chip,
+            &ctx.faults,
+            &mut active,
+            "doppler",
+            |chip, active, last_write| {
+                for i in 0..bins {
+                    let core = active[owner(i, active.len())];
+                    let done = chip.dma_start(
+                        core,
+                        DmaDirection::ExternalToLocal,
+                        layout.ct_addr(i as u32, 0),
+                        BANK_CHILD_A,
+                        layout.col_bytes(),
+                    );
+                    chip.dma_wait(core, done);
+                    chip.compute(core, &units.unit(Stage::Doppler, i));
+                    let arrival =
+                        chip.write_external(core, layout.rd_addr(i as u32, 0), layout.col_bytes());
+                    last_write[core] = last_write[core].max(arrival);
+                }
+            },
+        );
 
-    // Phase 4: RCMC + azimuth compression per bin, B -> C (bin-major).
-    checkpointed(
-        &mut chip,
-        &ctx.faults,
-        &mut active,
-        "azimuth",
-        |chip, active, last_write| {
-            let mut gathers = Vec::with_capacity(n);
-            for i in 0..bins {
-                let core = active[owner(i, active.len())];
-                let done = chip.dma_start(
-                    core,
-                    DmaDirection::ExternalToLocal,
-                    layout.rd_addr(i as u32, 0),
-                    BANK_CHILD_A,
-                    layout.col_bytes(),
-                );
-                chip.dma_wait(core, done);
-                gathers.clear();
-                gathers.extend(
-                    rcmc_gathers(&stages.migration, i).map(|(bin, m)| layout.rd_addr(bin, m)),
-                );
-                chip.read_external_run(core, &gathers, 8);
-                chip.compute(core, &stages.azimuth_bin(i));
-                let arrival =
-                    chip.write_external(core, layout.ct_addr(i as u32, 0), layout.col_bytes());
-                last_write[core] = last_write[core].max(arrival);
-            }
-        },
-    );
+        // Phase 4: RCMC + azimuth compression per bin, B -> C (bin-major).
+        checkpointed(
+            &mut chip,
+            &ctx.faults,
+            &mut active,
+            "azimuth",
+            |chip, active, last_write| {
+                let mut gathers = Vec::with_capacity(n);
+                for i in 0..bins {
+                    let core = active[owner(i, active.len())];
+                    let done = chip.dma_start(
+                        core,
+                        DmaDirection::ExternalToLocal,
+                        layout.rd_addr(i as u32, 0),
+                        BANK_CHILD_A,
+                        layout.col_bytes(),
+                    );
+                    chip.dma_wait(core, done);
+                    gathers.clear();
+                    gathers
+                        .extend(rcmc_gathers(&migration, i).map(|(bin, m)| layout.rd_addr(bin, m)));
+                    chip.read_external_run(core, &gathers, 8);
+                    chip.compute(core, &units.unit(Stage::Azimuth, i));
+                    let arrival =
+                        chip.write_external(core, layout.ct_addr(i as u32, 0), layout.col_bytes());
+                    last_write[core] = last_write[core].max(arrival);
+                }
+            },
+        );
+    });
 
     ImageRun {
         record: chip.report(
             &format!("RDA / Epiphany, {n_cores} cores @ 1 GHz (SPMD)"),
             n_cores,
         ),
-        image: stages.image,
+        image,
     }
 }
 
