@@ -11,6 +11,7 @@
 
 use desim::Json;
 use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
+use sar_epiphany::rda_seq;
 use sar_epiphany::rda_spmd::{self, RdaSpmdOptions};
 use sar_epiphany::{all_mappings, configured};
 use sarlint::cost::{cost_model, cost_pair};
@@ -103,12 +104,50 @@ fn model_lines() -> Vec<String> {
         let model = rda_spmd::model(&w, &opts, (4, 4));
         lines.push(line(case, &model, e16.as_ref()));
     }
+
+    // The RCMC gathers every RDA model declares: at paper scale on both
+    // meshes, with a core count that leaves a remainder in the deal of
+    // 1001 bins, and at r0 = 100 m, where many cells migrate and the
+    // far swath's gathers fall off its end.
+    let paper = RdaWorkload::paper();
+    let mut close = RdaWorkload::small();
+    close.geom.r0 = 100.0;
+    let fifteen = RdaSpmdOptions { cores: Some(15) };
+    let default = RdaSpmdOptions::default();
+    for (case, model, platform) in [
+        ("rda_seq paper scale", rda_seq::model(&paper, (4, 4)), &e16),
+        (
+            "rda_seq paper scale on e64",
+            rda_seq::model(&paper, (8, 8)),
+            &e64,
+        ),
+        (
+            "rda_spmd paper scale on e64",
+            rda_spmd::model(&paper, &default, (8, 8)),
+            &e64,
+        ),
+        (
+            "rda_spmd cores=15 paper scale on e64",
+            rda_spmd::model(&paper, &fifteen, (8, 8)),
+            &e64,
+        ),
+        ("rda_seq r0=100m", rda_seq::model(&close, (4, 4)), &e16),
+        (
+            "rda_spmd r0=100m",
+            rda_spmd::model(&close, &default, (4, 4)),
+            &e16,
+        ),
+    ] {
+        lines.push(line(case, &model, platform.as_ref()));
+    }
     lines
 }
 
 #[test]
 fn program_models_match_the_checked_in_bytes() {
     let fresh = model_lines();
+    // The fresh file, for a deliberate regeneration (`-- --nocapture`).
+    println!("{}", fresh.join("\n"));
     let expected = include_str!("golden/models.jsonl");
     assert_eq!(expected.lines().count(), fresh.len());
     for (fresh, expected) in fresh.iter().zip(expected.lines()) {
