@@ -3,16 +3,19 @@
 //!
 //! An [`Evaluator`] holds one Mapping × Platform pair's
 //! placement-independent [`PipelineProbe`] (the expensive part — it
-//! runs the per-stage instruction probes once) and re-wires it onto
-//! each candidate via [`PipelineProbe::model`], then prices the model
-//! with [`sarlint::cost::cost_model`]. Legality is delegated to the
-//! same `SL005` placement lint the analyzer runs, so the autotuner and
+//! runs the per-stage instruction probes once) and one model of it,
+//! which it rewires onto each candidate ([`PipelineProbe::rewire`]:
+//! core ids only) and prices with [`sarlint::cost::cost_model`].
+//! Legality is the rule of the `SL005` placement lint the analyzer
+//! runs ([`sarlint::placement::admits`]), so the autotuner and
 //! `sarlint` can never disagree about which placements are admissible
 //! — both sides share the `emesh` hop arithmetic.
 
+use std::cell::RefCell;
+
 use sar_epiphany::pipeline::PipelineProbe;
 use sarlint::cost::{cost_model, CostReport};
-use sim_harness::{platform_named, Placement, Platform, Report, Workload};
+use sim_harness::{platform_named, Placement, Platform, ProgramModel, Workload};
 
 /// What the search minimises, all scored on bound midpoints (the
 /// interval's best single-number estimate).
@@ -64,6 +67,8 @@ pub struct Evaluator {
     platform: Box<dyn Platform>,
     probe: PipelineProbe,
     mesh: (u16, u16),
+    /// The probe's model on the last candidate priced.
+    model: RefCell<ProgramModel>,
 }
 
 impl Evaluator {
@@ -94,11 +99,13 @@ impl Evaluator {
             .ok_or_else(|| {
                 format!("platform '{platform_name}' has no mesh; placement search needs one")
             })?;
+        let model = RefCell::new(probe.model(&Placement::neighbor(), mesh));
         Ok(Evaluator {
             mapping,
             platform,
             probe,
             mesh,
+            model,
         })
     }
 
@@ -125,13 +132,9 @@ impl Evaluator {
         if !place.fits(self.mesh.0, self.mesh.1) {
             return None;
         }
-        let model = self.probe.model(place, self.mesh);
-        let mut report = Report::new();
-        sarlint::placement::check(&model, &mut report);
-        if report.hard_count() > 0 {
-            return None;
-        }
-        Some(cost_model(&model, self.platform.as_ref()))
+        let mut model = self.model.borrow_mut();
+        self.probe.rewire(&mut model, place);
+        sarlint::placement::admits(&model).then(|| cost_model(&model, self.platform.as_ref()))
     }
 }
 

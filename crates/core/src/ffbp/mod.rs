@@ -17,4 +17,4 @@ pub use interp::InterpKind;
 pub use merge::{
     merge_group, merge_pair, merge_rows, merged_shells, Hit, MergeRow, StageRows, ThreadPlans,
 };
-pub use pipeline::{ffbp, merge_stages, stage0, FfbpConfig, FfbpRun};
+pub use pipeline::{ffbp, merge_stages, stage0, stage0_of, FfbpConfig, FfbpRun};

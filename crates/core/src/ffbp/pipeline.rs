@@ -2,6 +2,8 @@
 //! data, then iterative merging to the full aperture
 //! ([`merge_stages`], the one stage loop).
 
+use std::ops::Range;
+
 use desim::OpCounts;
 
 use crate::ffbp::grid::{PolarGrid, Subaperture};
@@ -45,6 +47,16 @@ pub struct FfbpRun {
 /// covering the whole sector, data equal to that pulse's compressed
 /// range line.
 pub fn stage0(data: &ComplexImage, geom: &SarGeometry) -> Vec<Subaperture> {
+    stage0_of(data, geom, 0..geom.num_pulses)
+}
+
+/// The [`stage0`] subapertures of `pulses` alone, for a caller that
+/// merges only a few of them.
+pub fn stage0_of(
+    data: &ComplexImage,
+    geom: &SarGeometry,
+    pulses: Range<usize>,
+) -> Vec<Subaperture> {
     assert_eq!(
         data.rows(),
         geom.num_pulses,
@@ -52,7 +64,7 @@ pub fn stage0(data: &ComplexImage, geom: &SarGeometry) -> Vec<Subaperture> {
     );
     assert_eq!(data.cols(), geom.num_bins, "data cols must equal bin count");
     let grid = PolarGrid::spanning(geom, 1);
-    (0..geom.num_pulses)
+    pulses
         .map(|k| {
             let mut sub =
                 Subaperture::zeros(geom.platform_y(k), geom.pulse_spacing, grid, geom.num_bins);
@@ -212,5 +224,12 @@ mod tests {
         assert_eq!(subs.len(), geom.num_pulses);
         assert_eq!(subs[5].data.row(0), data.row(5));
         assert!(subs[1].center_y > subs[0].center_y);
+        // A pulse range is the same subapertures, sliced.
+        let some = stage0_of(&data, &geom, 4..7);
+        assert_eq!(some.len(), 3);
+        for (sub, whole) in some.iter().zip(&subs[4..7]) {
+            assert_eq!(sub.data.as_slice(), whole.data.as_slice());
+            assert_eq!(sub.center_y.to_bits(), whole.center_y.to_bits());
+        }
     }
 }

@@ -163,6 +163,40 @@ impl MigrationTable {
             .map(move |shift| Some(bin + shift).filter(|&src| src < self.geom.num_bins))
     }
 
+    /// The RCMC census: per range bin, how many Doppler samples its
+    /// correction gathers from *another* in-swath bin — the
+    /// [`sources`](Self::sources) that are `Some(src)` with
+    /// `src != bin`. All zero with RCMC off.
+    ///
+    /// Counted per Doppler bin, not per cell. Along range a Doppler
+    /// bin's shift never decreases (every f32 step of it is monotone,
+    /// `dr > 0` and the factor is `>= 0`), so `bin + shift` strictly
+    /// increases: the bins whose gather moves and still lands in the
+    /// swath are one interval, found by two binary searches.
+    pub fn gathers_per_bin(&self) -> Vec<usize> {
+        let bins = self.geom.num_bins;
+        let range_bins: Vec<usize> = (0..bins).collect();
+        // +1 where a Doppler bin's interval opens, -1 past its end.
+        let mut steps = vec![0isize; bins + 1];
+        for &factor in self.factor.iter().flatten() {
+            let shift = |bin| migration_bins(&self.geom, self.geom.bin_range(bin), factor);
+            let lo = range_bins.partition_point(|&bin| shift(bin) == 0);
+            let hi = range_bins.partition_point(|&bin| shift(bin) < bins - bin);
+            if lo < hi {
+                steps[lo] += 1;
+                steps[hi] -= 1;
+            }
+        }
+        let mut open = 0isize;
+        steps[..bins]
+            .iter()
+            .map(|step| {
+                open += step;
+                open as usize
+            })
+            .collect()
+    }
+
     /// The ledger of one [`correct`](Self::correct) call, which is the
     /// same for every bin: a per-sample charge, with the shift arithmetic
     /// only when RCMC is on.
@@ -287,13 +321,35 @@ mod tests {
         );
     }
 
+    /// The census's oracle: per range bin, the cells whose source is
+    /// another in-swath bin, counted one by one.
+    fn gathers_by_cell(table: &MigrationTable, bins: usize) -> Vec<usize> {
+        (0..bins)
+            .map(|bin| {
+                let moved = |src: &Option<usize>| src.is_some_and(|src| src != bin);
+                table.sources(bin).filter(moved).count()
+            })
+            .collect()
+    }
+
     #[test]
     fn migration_table_equals_the_formula_in_every_cell() {
         let close = SarGeometry {
             r0: 100.0,
             ..SarGeometry::test_size()
         };
-        for g in [SarGeometry::test_size(), SarGeometry::paper_size(), close] {
+        // A short swath at close range: Doppler columns that migrate
+        // inside the near swath gather from past the far end.
+        let short = SarGeometry {
+            num_bins: 40,
+            ..close
+        };
+        for g in [
+            SarGeometry::test_size(),
+            SarGeometry::paper_size(),
+            close,
+            short,
+        ] {
             let table = MigrationTable::new(&g, true);
             let off = MigrationTable::new(&g, false);
             for bin in 0..g.num_bins {
@@ -305,7 +361,22 @@ mod tests {
                 assert!(table.sources(bin).eq(formula.iter().map(in_swath)));
                 assert!(off.sources(bin).all(|src| src == Some(bin)));
             }
+            // The census counts exactly the cells that gather.
+            let census = table.gathers_per_bin();
+            assert_eq!(census, gathers_by_cell(&table, g.num_bins));
+            assert!(census.iter().any(|&n| n > 0), "RCMC on gathers");
+            assert_eq!(off.gathers_per_bin(), vec![0; g.num_bins]);
+            assert_eq!(gathers_by_cell(&off, g.num_bins), vec![0; g.num_bins]);
         }
+        // The short swath's cutoff: a Doppler column gathers in swath at
+        // the near edge and from past the end at the far edge.
+        let table = MigrationTable::new(&short, true);
+        let near: Vec<_> = table.sources(0).collect();
+        let far: Vec<_> = table.sources(short.num_bins - 1).collect();
+        assert!(near
+            .iter()
+            .zip(&far)
+            .any(|(n, f)| n.is_some_and(|src| src > 0) && f.is_none()));
     }
 
     #[test]

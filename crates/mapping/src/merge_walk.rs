@@ -27,7 +27,7 @@ use desim::OpCounts;
 use memsim::GlobalAddr;
 use sar_core::complex::c32;
 use sar_core::ffbp::{
-    merge_rows, merge_stages, merged_shells, stage0, Hit, MergeRow, StageRows, Subaperture,
+    merge_rows, merge_stages, merged_shells, stage0_of, Hit, MergeRow, StageRows, Subaperture,
     ThreadPlans,
 };
 use sar_core::image::ComplexImage;
@@ -385,9 +385,9 @@ impl LaidOutRow<'_> {
 /// exact for every sample of the run — the models' declaration cannot
 /// drift from the kernel, because it *is* the kernel.
 pub(crate) fn probe_sample(w: &FfbpWorkload) -> OpCounts {
-    let stage = stage0(&w.data, &w.geom);
+    let pair = stage0_of(&w.data, &w.geom, 0..2);
     let mut ops = None;
-    merge_rows(&stage[..2], &w.geom, &w.config, |row, out| {
+    merge_rows(&pair, &w.geom, &w.config, |row, out| {
         ops.get_or_insert_with(|| row.combine(&mut out[..1], |_, _| {}));
     });
     ops.expect("a pair has output rows")

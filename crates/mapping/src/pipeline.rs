@@ -7,8 +7,6 @@
 //! that prices it read these same items, so a change to the dataflow is
 //! made once.
 
-use std::fmt::Write;
-
 use desim::OpCounts;
 use epiphany::dma::DmaDirection;
 use epiphany::Chip;
@@ -91,23 +89,35 @@ pub(crate) fn edges() -> impl Iterator<Item = (Stage, Stage)> {
     stages().flat_map(|from| from.consumers().map(move |to| (from, to)))
 }
 
-/// The placement-independent half of the pipeline model: per-firing op
-/// counts probed from the kernels plus the workload's message
-/// geometry. Probing runs the actual stage kernels (the expensive
-/// part); [`PipelineProbe::model`] only wires a placement, so a
-/// placement search probes once and rebuilds models per candidate
-/// cheaply.
+/// The placement the probe builds its model on: each stage's "core" is
+/// its role number (`autotune`'s: range `3·blk + win`, beam
+/// `6 + 3·blk + win`, the correlator 12), so every core id in that
+/// model names the role a placement fills.
+const ROLES: Placement = Placement {
+    range: [[0, 1, 2], [3, 4, 5]],
+    beam: [[6, 7, 8], [9, 10, 11]],
+    corr: 12,
+};
+
+/// The core `place` gives each role of [`ROLES`].
+fn role_cores(place: &Placement) -> [usize; 13] {
+    let mut cores = [0; 13];
+    for stage in stages() {
+        cores[core_of(stage, &ROLES)] = core_of(stage, place);
+    }
+    cores
+}
+
+/// The placement-independent part of the pipeline model, built once:
+/// labels, phases, per-firing op counts probed from the kernels,
+/// message sizes and recovery declarations, on the [`ROLES`] placement.
+/// Probing runs the actual stage kernels (the expensive part); a
+/// placement only writes core ids ([`PipelineProbe::rewire`]), so a
+/// placement search probes once and prices each candidate without
+/// rebuilding its model.
 pub struct PipelineProbe {
-    range_ops: OpCounts,
-    beam_ops: OpCounts,
-    corr_ops: OpCounts,
-    range_msg: u32,
-    beam_msg: u32,
-    hypotheses: u64,
-    /// Flag waits a range core pays per hypothesis.
-    range_waits_per_hyp: f64,
-    /// Whether every channel carries the MPMD driver's recovery story.
-    mpmd_recovery: bool,
+    /// The model on [`ROLES`], on no mesh.
+    roles: ProgramModel,
 }
 
 impl PipelineProbe {
@@ -129,10 +139,17 @@ impl PipelineProbe {
         PipelineProbe::probed(w, 0.0, true)
     }
 
-    /// Walk one hypothesis ([`criterion_firings`]) and keep a firing's
+    /// Walk one hypothesis ([`criterion_firings`]), keep a firing's
     /// ledger per stage kind — the per-firing work of the three
-    /// pipeline stages. All are data-independent, so any firing of a
-    /// kind stands for every other (`criterion.rs`'s tests pin that).
+    /// pipeline stages — and build the model on [`ROLES`]. All ledgers
+    /// are data-independent, so any firing of a kind stands for every
+    /// other (`criterion.rs`'s tests pin that).
+    ///
+    /// Buffers: each range core holds its DMA'd source block in an
+    /// upper bank; each beam core's bank 0 receives three posted range
+    /// messages per round; the correlator's bank 0 receives six beam
+    /// messages. Channels: the 24 `edges()`, each with its
+    /// flag-signalled posted-write protocol.
     fn probed(
         w: &AutofocusWorkload,
         range_waits_per_hyp: f64,
@@ -149,33 +166,12 @@ impl PipelineProbe {
                 Stage::Corr => &mut corr_ops,
             } = *ops;
         });
-        PipelineProbe {
-            range_ops,
-            beam_ops,
-            corr_ops,
-            range_msg: range_msg_bytes(cfg),
-            beam_msg: beam_msg_bytes(cfg),
-            hypotheses: w.hypotheses as u64,
-            range_waits_per_hyp,
-            mpmd_recovery,
-        }
-    }
-
-    /// Wire the probed workload onto `place` on a `mesh`-sized platform
-    /// (no kernel execution).
-    ///
-    /// Buffers: each range core holds its DMA'd source block in an
-    /// upper bank; each beam core's bank 0 receives three posted range
-    /// messages per round; the correlator's bank 0 receives six beam
-    /// messages. Channels: the 24 `edges()`, each with its
-    /// flag-signalled posted-write protocol.
-    pub fn model(&self, place: &Placement, mesh: (u16, u16)) -> ProgramModel {
-        let mut m = ProgramModel::new(mesh.0, mesh.1);
-        // Placements use canonical E16G3 (4-column) ids; the model
-        // mirrors the drivers and renumbers onto the target mesh.
-        let place = place.rebased(mesh.0, mesh.1);
-        m.cores = place.cores();
-        let (range_msg, beam_msg) = (self.range_msg, self.beam_msg);
+        let place = ROLES;
+        let mut m = ProgramModel {
+            cores: place.cores(),
+            ..ProgramModel::default()
+        };
+        let (range_msg, beam_msg) = (range_msg_bytes(cfg), beam_msg_bytes(cfg));
 
         for (blk, range_cores) in place.range.iter().enumerate() {
             for (win, &rc) in range_cores.iter().enumerate() {
@@ -211,11 +207,11 @@ impl PipelineProbe {
             );
         }
         for (from, to) in edges() {
-            // Sized up front: `format!` cannot estimate a label made of
-            // two `Display` arguments and would grow it twice.
-            let mut label = String::with_capacity(16);
-            write!(label, "{from}->{to}").expect("writing to a String");
-            m.channel(label, core_of(from, &place), core_of(to, &place));
+            m.channel(
+                format!("{from}->{to}"),
+                core_of(from, &place),
+                core_of(to, &place),
+            );
         }
 
         // Workload: six range-core DMAs up front, then per hypothesis
@@ -228,14 +224,14 @@ impl PipelineProbe {
             wd.dma_bytes = Bound::exact(f64::from(BLOCK_BYTES));
             setup.work.push(wd);
         }
-        let ph = m.phase("hypothesis", self.hypotheses);
+        let ph = m.phase("hypothesis", w.hypotheses as u64);
         // Three firings of `stage` per hypothesis, each posting one
         // message to every consumer.
         let mut fires = |stage: Stage| {
             let (ops, waits, msg) = match stage {
-                Stage::Range { .. } => (&self.range_ops, self.range_waits_per_hyp, range_msg),
-                Stage::Beam { .. } => (&self.beam_ops, 3.0, beam_msg),
-                Stage::Corr => (&self.corr_ops, 3.0, 0),
+                Stage::Range { .. } => (&range_ops, range_waits_per_hyp, range_msg),
+                Stage::Beam { .. } => (&beam_ops, 3.0, beam_msg),
+                Stage::Corr => (&corr_ops, 3.0, 0),
             };
             let core = core_of(stage, &place);
             let mut wd = WorkDecl::new(core);
@@ -269,12 +265,52 @@ impl PipelineProbe {
         }
         fires(Stage::Corr);
 
-        if self.mpmd_recovery {
+        if mpmd_recovery {
             let covered = m.declare_recovery("range", "retry_backoff+drain_restart")
                 + m.declare_recovery("beam", "retry_backoff+drain_restart");
             debug_assert!(covered > 0, "the pipeline's channels must match");
         }
+        PipelineProbe { roles: m }
+    }
+
+    /// The probed workload wired onto `place` on a `mesh`-sized
+    /// platform (no kernel execution).
+    pub fn model(&self, place: &Placement, mesh: (u16, u16)) -> ProgramModel {
+        let mut m = ProgramModel {
+            mesh,
+            ..self.roles.clone()
+        };
+        self.rewire(&mut m, place);
         m
+    }
+
+    /// Wire `m` — a [`model`](Self::model) of this probe — onto
+    /// `place`, on the mesh it already has: every core id is rewritten
+    /// from the role it stands for, nothing else is touched.
+    pub fn rewire(&self, m: &mut ProgramModel, place: &Placement) {
+        // Placements use canonical E16G3 (4-column) ids; the model
+        // mirrors the drivers and renumbers onto the target mesh.
+        let place = place.rebased(m.mesh.0, m.mesh.1);
+        let core = role_cores(&place);
+        let roles = &self.roles;
+        m.cores = place.cores();
+        for (b, role) in m.buffers.iter_mut().zip(&roles.buffers) {
+            b.core = core[role.core];
+        }
+        for (c, role) in m.channels.iter_mut().zip(&roles.channels) {
+            (c.from, c.to) = (core[role.from], core[role.to]);
+        }
+        for (f, role) in m.flags.iter_mut().zip(&roles.flags) {
+            (f.setter, f.waiter) = (core[role.setter], core[role.waiter]);
+        }
+        for (ph, role) in m.workload.iter_mut().zip(&roles.workload) {
+            for (wd, role) in ph.work.iter_mut().zip(&role.work) {
+                wd.core = core[role.core];
+            }
+            for (t, role) in ph.traffic.iter_mut().zip(&role.traffic) {
+                (t.from, t.to) = (core[role.from], core[role.to]);
+            }
+        }
     }
 }
 

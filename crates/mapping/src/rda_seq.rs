@@ -129,9 +129,7 @@ pub fn model(w: &RdaWorkload, mesh: (u16, u16)) -> ProgramModel {
     let [per_range_row, per_doppler_bin, per_azimuth_bin] = probe(w, &migration);
     let (pulses, bins) = (u64::from(layout.pulses), u64::from(layout.bins));
     let echo = u64::from(layout.echo_len);
-    let gathers = (0..w.geom.num_bins)
-        .map(|i| rcmc_gathers(&migration, i).count() as u64)
-        .sum::<u64>();
+    let gathers = migration.gathers_per_bin().iter().sum::<usize>() as u64;
 
     // One phase: `units` units of `per_unit` arithmetic, the 8 B reads
     // they issue and one posted `row_bytes` result row each.

@@ -316,8 +316,8 @@ pub fn model(w: &RdaWorkload, opts: &RdaSpmdOptions, mesh: (u16, u16)) -> Progra
     // additionally issues its exact per-bin RCMC gathers as blocking
     // 8 B reads.
     let mut gathers_per = vec![0u64; nc];
-    for i in 0..bins {
-        gathers_per[owner(i, nc)] += rcmc_gathers(&migration, i).count() as u64;
+    for (i, gathers) in migration.gathers_per_bin().into_iter().enumerate() {
+        gathers_per[owner(i, nc)] += gathers as u64;
     }
     let col_bytes = layout.col_bytes() as f64;
     for (name, per_bin, gathers) in [
@@ -558,6 +558,32 @@ mod tests {
             }
         }
         assert!(covered.iter().all(|&times| times == 1));
+    }
+
+    #[test]
+    fn the_azimuth_phase_deals_the_gathers_the_driver_issues() {
+        // The model deals the RCMC census; the driver issues each bin's
+        // gathers on its owner. Small scale and r0 = 100 m (many cells
+        // migrate, the far swath's gathers fall off its end), on 1, 15,
+        // 16 and 64 cores.
+        let mut close = RdaWorkload::small();
+        close.geom.r0 = 100.0;
+        for w in [RdaWorkload::small(), close] {
+            let migration = MigrationTable::new(&w.geom, w.config.rcmc);
+            for (cores, mesh) in [(1, (4, 4)), (15, (8, 8)), (16, (4, 4)), (64, (8, 8))] {
+                let mut by_cell = vec![0.0; cores];
+                for i in 0..w.geom.num_bins {
+                    by_cell[owner(i, cores)] += rcmc_gathers(&migration, i).count() as f64;
+                }
+                let opts = RdaSpmdOptions { cores: Some(cores) };
+                let m = model(&w, &opts, mesh);
+                let azimuth = &m.workload[3];
+                assert_eq!(azimuth.name, "azimuth");
+                let declared: Vec<f64> =
+                    azimuth.work.iter().map(|wd| wd.ext_read_msgs.lo).collect();
+                assert_eq!(declared, by_cell, "{cores} cores, r0 = {}", w.geom.r0);
+            }
+        }
     }
 
     #[test]
