@@ -11,9 +11,10 @@
 //! Usage: `cargo run -p bench --bin vs_multicore --release [-- --json]`
 
 use epiphany::EpiphanyParams;
+use sar_core::geometry::SarGeometry;
 use sar_core::parallel::ffbp_parallel;
 use sar_epiphany::ffbp_spmd::{self, SpmdOptions};
-use sim_harness::{BenchHarness, RunContext, EPIPHANY_POWER_W};
+use sim_harness::{BenchHarness, FfbpWorkload, RunContext, EPIPHANY_POWER_W};
 
 /// Assumed host package power under load, watts (a mobile/desktop
 /// multicore; adjust for your machine).
@@ -21,7 +22,10 @@ const HOST_POWER_W: f64 = 45.0;
 
 fn main() {
     let mut h = BenchHarness::new("vs_multicore");
-    let w = bench::reduced_ffbp(256, 1001);
+    let w = FfbpWorkload::of(SarGeometry {
+        num_pulses: 256,
+        ..SarGeometry::paper_size()
+    });
     let pixels = w.pixels() as f64;
     h.say(format_args!(
         "FFBP: host threads (measured wall time) vs simulated Epiphany ({} px)",

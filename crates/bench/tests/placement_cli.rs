@@ -58,23 +58,26 @@ fn malformed_placement_file_exits_2_with_cli007() {
 #[test]
 fn out_of_bounds_placement_file_exits_2_with_cli007() {
     // Structurally valid, but core 16 sits at (0, 4): off the 4x4
-    // E16G3 mesh. The runner must refuse before the drivers panic.
-    let mut off = Placement::neighbor();
-    off.corr = 16;
-    let path = temp_placement("placement-cli-off", &off.to_json().to_string_pretty());
-    let out = run(&[
-        "--placement",
-        &format!("@{path}"),
-        "--mapping",
-        "autofocus_mpmd",
-        "--platform",
-        "epiphany",
-        "--small",
-        "--no-write",
-    ]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("CLI007"));
-    let _ = std::fs::remove_file(&path);
+    // E16G3 mesh, and core 1000000 has no canonical coordinate at all.
+    // The runner must refuse both before anything panics.
+    for corr in [16, 1_000_000] {
+        let mut off = Placement::neighbor();
+        off.corr = corr;
+        let path = temp_placement("placement-cli-off", &off.to_json().to_string_pretty());
+        let out = run(&[
+            "--placement",
+            &format!("@{path}"),
+            "--mapping",
+            "autofocus_mpmd",
+            "--platform",
+            "epiphany",
+            "--small",
+            "--no-write",
+        ]);
+        assert_eq!(out.status.code(), Some(2), "corr {corr}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("CLI007"));
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]

@@ -202,11 +202,16 @@ impl Placement {
                 "unsupported placement version {version} (expected 1)"
             ));
         }
+        // Every id must have a canonical coordinate (`fits` and
+        // `rebased` compute it): its row must fit a u16.
         let id = |v: &Json, what: &str| -> Result<usize, String> {
             let raw = v
                 .as_u64()
                 .ok_or_else(|| format!("{what} must be a non-negative integer"))?;
-            usize::try_from(raw).map_err(|_| format!("{what} does not fit a core id"))
+            usize::try_from(raw)
+                .ok()
+                .filter(|&c| c / CANONICAL_COLS <= usize::from(u16::MAX))
+                .ok_or_else(|| format!("{what} is off the canonical coordinate space"))
         };
         let stage = |key: &str| -> Result<[[usize; 3]; 2], String> {
             let blocks = doc
@@ -282,6 +287,12 @@ mod tests {
         )
         .unwrap_err()
         .contains("2 blocks"));
+        // Core 1000000 sits in row 250000: past the u16 coordinate space.
+        assert!(Placement::parse(
+            r#"{"version":1,"range":[[0,1,2],[3,4,5]],"beam":[[6,7,8],[9,10,11]],"corr":1000000}"#
+        )
+        .unwrap_err()
+        .contains("'corr' is off the canonical coordinate space"));
     }
 
     #[test]

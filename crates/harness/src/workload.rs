@@ -21,27 +21,24 @@ pub struct FfbpWorkload {
 }
 
 impl FfbpWorkload {
-    /// The paper's workload: six targets, 1024 pulses x 1001 bins,
+    /// The six-target scene collected over `geom` (noise-free, seed 7),
     /// merge base 2, nearest-neighbour interpolation.
-    pub fn paper() -> FfbpWorkload {
-        let geom = SarGeometry::paper_size();
-        let scene = Scene::six_targets(geom);
+    pub fn of(geom: SarGeometry) -> FfbpWorkload {
         FfbpWorkload {
             geom,
-            data: simulate_compressed_data(&scene, 0.0, 7),
+            data: simulate_compressed_data(&Scene::six_targets(geom), 0.0, 7),
             config: FfbpConfig::default(),
         }
     }
 
+    /// The paper's workload: 1024 pulses x 1001 bins.
+    pub fn paper() -> FfbpWorkload {
+        FfbpWorkload::of(SarGeometry::paper_size())
+    }
+
     /// A small workload for tests (64 pulses x 129 bins).
     pub fn small() -> FfbpWorkload {
-        let geom = SarGeometry::test_size();
-        let scene = Scene::six_targets(geom);
-        FfbpWorkload {
-            geom,
-            data: simulate_compressed_data(&scene, 0.0, 7),
-            config: FfbpConfig::default(),
-        }
+        FfbpWorkload::of(SarGeometry::test_size())
     }
 
     /// Pixels in the output image.

@@ -403,16 +403,10 @@ mod tests {
     /// 128 rows per stage, several windows: a helper ahead of a slow
     /// driver fills its window and parks in every stage.
     fn wide() -> FfbpWorkload {
-        let geom = sar_core::geometry::SarGeometry {
+        FfbpWorkload::of(sar_core::geometry::SarGeometry {
             num_pulses: 128,
             ..sar_core::geometry::SarGeometry::test_size()
-        };
-        let scene = sar_core::scene::Scene::six_targets(geom);
-        FfbpWorkload {
-            geom,
-            data: sar_core::scene::simulate_compressed_data(&scene, 0.0, 7),
-            config: Default::default(),
-        }
+        })
     }
 
     /// A patient driver: at each stage's first row, hold until the helper

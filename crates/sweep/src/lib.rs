@@ -882,6 +882,14 @@ mod tests {
                 "SWP002",
                 "bad placement",
             ),
+            (
+                format!(
+                    r#"{mpmd}, "set": {{"placement": {{"version": 1, "range": [[0, 1, 2], [3, 4, 5]],
+                        "beam": [[6, 7, 8], [9, 10, 11]], "corr": 1000000}}}}"#
+                ),
+                "SWP002",
+                "off the canonical coordinate space",
+            ),
             (format!(r#"{spmd}, "set": {{"cores": 2, "cores": 4}}"#), "SWP002", "set twice"),
             (format!(r#"{spmd}, "set": [4]"#), "SWP001", "must be an object"),
         ] {

@@ -260,9 +260,9 @@ fn every_checked_in_spec_reproduces_the_calls_it_stands_for() {
         }
         grids += 1;
     }
-    // sweep_smoke, scaling_demo and the six ablation specs; every pair
-    // of core_scaling, clock, elink_bandwidth and fault_intensity, and
-    // two of memory_ablation's five, carry a `set`.
-    assert_eq!(grids, 8);
-    assert_eq!((with_set, without), (46, 25));
+    // sweep_smoke, scaling_demo, rda_corner_turn and the six ablation
+    // specs; every pair of core_scaling, clock, elink_bandwidth and
+    // fault_intensity, and two of memory_ablation's five, carry a `set`.
+    assert_eq!(grids, 9);
+    assert_eq!((with_set, without), (46, 30));
 }

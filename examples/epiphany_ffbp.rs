@@ -13,16 +13,10 @@ fn main() {
     let ctx = RunContext::plain();
     // A reduced workload keeps the example quick; the full Table I run
     // lives in `cargo run -p bench --bin table1 --release`.
-    let geom = sar_repro::sar_core::geometry::SarGeometry {
+    let w = FfbpWorkload::of(sar_repro::sar_core::geometry::SarGeometry {
         num_pulses: 256,
         ..sar_repro::sar_core::geometry::SarGeometry::paper_size()
-    };
-    let scene = sar_repro::sar_core::scene::Scene::six_targets(geom);
-    let w = FfbpWorkload {
-        geom,
-        data: sar_repro::sar_core::scene::simulate_compressed_data(&scene, 0.0, 7),
-        config: Default::default(),
-    };
+    });
 
     let seq = ffbp_seq::run(&w, EpiphanyParams::default(), &ctx);
     let par = ffbp_spmd::run(&w, EpiphanyParams::default(), SpmdOptions::default(), &ctx);

@@ -149,16 +149,10 @@ fn prefetchless_i7_approaches_epiphany_seq_behaviour() {
     // cold-miss latency whenever the stage working set exceeds them —
     // which needs a workload bigger than the tiny test image (whose
     // stages fit in L2 and hide the prefetcher entirely).
-    let geom = sar_repro::sar_core::geometry::SarGeometry {
+    let w = FfbpWorkload::of(sar_repro::sar_core::geometry::SarGeometry {
         num_pulses: 128,
         ..sar_repro::sar_core::geometry::SarGeometry::paper_size()
-    };
-    let scene = sar_repro::sar_core::scene::Scene::six_targets(geom);
-    let w = FfbpWorkload {
-        geom,
-        data: sar_repro::sar_core::scene::simulate_compressed_data(&scene, 0.0, 7),
-        config: Default::default(),
-    };
+    });
     let on = ffbp_ref::run(&w, RefCpuParams::default());
     let off = ffbp_ref::run(&w, RefCpuParams::without_prefetch());
     // The prefetcher can only help, and the cache hierarchy (with or
