@@ -28,24 +28,31 @@ impl Iterator for PrefetchRun {
     }
 }
 
+/// Stream table slots: a match is one compare of this many words.
+const SLOTS: usize = 16;
+
+/// `next_line` of an empty slot: a line is at most `u64::MAX >> 1`.
+const EMPTY: u64 = u64::MAX;
+
 /// Stream prefetcher over line indices (`addr / line_bytes` is done by
 /// the caller's hierarchy so the prefetcher is line-size agnostic).
 ///
-/// The stream table is flat arrays indexed by slot, so the match scan
-/// reads little but `next_line`, and replacement order is kept as a
-/// list of slots instead of a timestamp per slot.
+/// Every table has [`SLOTS`] entries, those beyond its size [`EMPTY`]:
+/// a match is one branch-free compare of all of `next_line`.
 #[derive(Debug, Clone)]
 pub struct StreamPrefetcher {
-    /// Next expected line index.
-    next_line: Vec<u64>,
+    /// Next expected line index, or [`EMPTY`].
+    next_line: [u64; SLOTS],
     /// +1 or -1 line per access.
-    dir: Vec<i64>,
-    /// Consecutive confirmations so far; 0 marks an empty slot.
-    hits: Vec<u32>,
-    /// Every slot, least recently used first. Slots used by the same
-    /// access (the two hypotheses of one allocation, or the never-used
-    /// ones) are in index order.
-    lru: Vec<u8>,
+    dir: [i64; SLOTS],
+    /// Consecutive confirmations so far.
+    hits: [u32; SLOTS],
+    /// The table's slots, one per nibble, least recently used lowest.
+    /// Slots used by the same access (the two hypotheses of one
+    /// allocation, or the never-used ones) are in index order.
+    lru: u64,
+    /// Shift of the most recently used nibble: `4 * (table_size - 1)`.
+    top: u32,
     confirm_after: u32,
     depth: u32,
     issued: u64,
@@ -56,17 +63,19 @@ impl StreamPrefetcher {
     /// sequential accesses, prefetching `depth` lines ahead.
     ///
     /// # Panics
-    /// If `table_size` is 0 or above 256.
+    /// If `table_size` is 0 or above 16.
     pub fn new(table_size: usize, confirm_after: u32, depth: u32) -> StreamPrefetcher {
         assert!(
-            (1..=256).contains(&table_size),
-            "need between 1 and 256 stream slots (got {table_size})"
+            (1..=SLOTS).contains(&table_size),
+            "need between 1 and {SLOTS} stream slots (got {table_size})"
         );
+        let top = 4 * (table_size as u32 - 1);
         StreamPrefetcher {
-            next_line: vec![0; table_size],
-            dir: vec![0; table_size],
-            hits: vec![0; table_size],
-            lru: (0..table_size).map(|slot| slot as u8).collect(),
+            next_line: [EMPTY; SLOTS],
+            dir: [0; SLOTS],
+            hits: [0; SLOTS],
+            lru: 0xfedc_ba98_7654_3210 & (u64::MAX >> (60 - top)),
+            top,
             confirm_after,
             depth,
             issued: 0,
@@ -86,17 +95,23 @@ impl StreamPrefetcher {
     /// nothing and allocates a duplicate hypothesis, which later
     /// confirms like any other; see DESIGN.md §7.
     pub fn observe(&mut self, line: u64) -> PrefetchRun {
+        debug_assert_ne!(line, EMPTY, "the line that marks an empty slot");
         // Match the first stream expecting this line.
-        let expecting = (0..self.next_line.len())
-            .find(|&slot| self.next_line[slot] == line && self.hits[slot] != 0);
-        if let Some(slot) = expecting {
+        let expecting = (0..SLOTS).fold(0u32, |m, slot| {
+            m | u32::from(self.next_line[slot] == line) << slot
+        });
+        if expecting != 0 {
+            let slot = expecting.trailing_zeros() as usize;
             let dir = self.dir[slot];
             self.hits[slot] += 1;
             self.next_line[slot] = line.wrapping_add_signed(dir);
-            let at =
-                (self.lru.iter().position(|&s| s as usize == slot)).expect("every slot is listed");
-            self.lru.copy_within(at + 1.., at);
-            *self.lru.last_mut().expect("at least one slot") = slot as u8;
+            // Move `slot` to the most recent end; its nibble is the
+            // lowest zero one of `x`.
+            const ONES: u64 = 0x1111_1111_1111_1111;
+            let x = self.lru ^ (slot as u64 * ONES);
+            let at = (x.wrapping_sub(ONES) & !x & ONES << 3).trailing_zeros() & !3;
+            let below = (1u64 << at) - 1;
+            self.lru = (self.lru & below) | (self.lru >> 4 & !below) | (slot as u64) << self.top;
             if self.hits[slot] < self.confirm_after {
                 return PrefetchRun::default();
             }
@@ -111,17 +126,20 @@ impl StreamPrefetcher {
         // least recently used slot, descending into the next least.
         // Line 0 has nothing below it, and with one slot the descending
         // hypothesis replaces the ascending one.
-        let n = self.lru.len();
-        let taken = if line > 0 && n > 1 { 2 } else { 1 };
-        let (ascending, descending) = (self.lru[0], self.lru[taken - 1]);
+        let taken = if line > 0 && self.top > 0 { 2 } else { 1 };
+        let ascending = self.lru & 0xf;
+        let descending = self.lru >> (4 * (taken - 1)) & 0xf;
         self.allocate(ascending as usize, line.wrapping_add(1), 1);
         if line > 0 {
             self.allocate(descending as usize, line - 1, -1);
         }
         // Both are now the most recent, listed in index order.
-        self.lru.copy_within(taken.., 0);
-        let used = [ascending.min(descending), ascending.max(descending)];
-        self.lru[n - taken..].copy_from_slice(&used[2 - taken..]);
+        let used = if taken == 2 {
+            ascending.min(descending) | ascending.max(descending) << 4
+        } else {
+            ascending
+        };
+        self.lru = self.lru >> (4 * taken) | used << (self.top + 4 - 4 * taken);
         PrefetchRun::default()
     }
 
