@@ -14,10 +14,10 @@ use std::path::Path;
 use sar_core::gbp::gbp;
 use sar_core::quality::{image_entropy, normalized_rmse, peak_sidelobe_ratio_db};
 use sar_epiphany::{ffbp_ref, ffbp_seq};
-use sim_harness::{BenchHarness, FfbpWorkload, RunContext};
+use sim_harness::{BenchHarness, FfbpWorkload, Flag, RunContext};
 
 fn main() {
-    let mut h = BenchHarness::new("fig7");
+    let mut h = BenchHarness::declared("fig7", &[Flag::SMALL]);
     let w = if h.small() {
         FfbpWorkload::small()
     } else {

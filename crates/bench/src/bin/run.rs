@@ -42,14 +42,47 @@
 //! `CLI003` for an unknown `--placement` name, `CLI004` for a
 //! malformed `--seed`, `CLI005` for an unreadable or malformed
 //! `--faults` spec, `CLI007` for an unreadable, malformed or
-//! out-of-bounds `--placement` file.
+//! out-of-bounds `--placement` file, `CLI008` for an argument not in
+//! `--help`'s list.
 
 use desim::Json;
 use sar_epiphany::{all_mappings, configured, mapping_named};
 use sim_harness::{
-    all_platforms, platform_named, run_ctx, BenchHarness, Diagnostic, FaultPlan, FaultState,
+    all_platforms, platform_named, run_ctx, BenchHarness, Diagnostic, FaultPlan, FaultState, Flag,
     Mapping, Placement, Platform, RunContext, Workload,
 };
+
+/// Every flag the runner reads besides the document's.
+const FLAGS: &[Flag] = &[
+    Flag::operand("mapping", "M", "run mapping M only (--list names them)"),
+    Flag::operand("platform", "P", "run platform P only"),
+    Flag::operand("workload", "K", "run kernel K only: ffbp, rda or autofocus"),
+    Flag::operand(
+        "placement",
+        "S",
+        "re-place the mappings: neighbor, scattered or @placement.json",
+    ),
+    Flag::operand("faults", "F", "arm the fault spec in file F"),
+    Flag::operand(
+        "seed",
+        "N",
+        "expand the fault spec's random groups from N (default 0)",
+    ),
+    Flag::SMALL,
+    Flag::switch("list", "print the registries and exit"),
+    Flag::switch(
+        "analyze",
+        "refuse to simulate a pair with a hard sarlint finding",
+    ),
+    Flag::switch("cost", "with --analyze, print the static cost bounds"),
+    Flag::operand(
+        "trace",
+        "P",
+        "export a Chrome trace_event timeline per pair to P",
+    ),
+    Flag::switch("heatmap", "print the per-link mesh heatmap after each run"),
+    Flag::switch("power", "print the power timeline after each run"),
+];
 
 /// `path` for run 0, `path` with `-n` spliced before the extension for
 /// later runs (so an unselective sweep doesn't overwrite its traces).
@@ -125,7 +158,7 @@ fn selection(h: &BenchHarness) -> Selection {
 }
 
 fn main() {
-    let mut h = BenchHarness::new("run");
+    let mut h = BenchHarness::declared("run", FLAGS);
     let (mappings, platforms, kernel, placed) = selection(&h);
 
     if h.flag("list") {

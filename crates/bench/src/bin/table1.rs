@@ -6,10 +6,10 @@
 //! plus a `"table"` key with the rendered rows — the same shape as the
 //! checked-in golden baseline `results/table1_baseline.json`.
 
-use sim_harness::{AutofocusWorkload, BenchHarness, FfbpWorkload};
+use sim_harness::{AutofocusWorkload, BenchHarness, FfbpWorkload, Flag};
 
 fn main() {
-    let mut h = BenchHarness::new("table1");
+    let mut h = BenchHarness::declared("table1", &[Flag::SMALL]);
     let (fw, aw) = if h.small() {
         (FfbpWorkload::small(), AutofocusWorkload::small())
     } else {

@@ -21,7 +21,7 @@ use sim_harness::{BenchHarness, FfbpWorkload, RunContext, EPIPHANY_POWER_W};
 const HOST_POWER_W: f64 = 45.0;
 
 fn main() {
-    let mut h = BenchHarness::new("vs_multicore");
+    let mut h = BenchHarness::declared("vs_multicore", &[]);
     let w = FfbpWorkload::of(SarGeometry {
         num_pulses: 256,
         ..SarGeometry::paper_size()

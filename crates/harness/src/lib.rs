@@ -28,7 +28,7 @@ pub mod placement;
 pub mod platform;
 pub mod workload;
 
-pub use cli::BenchHarness;
+pub use cli::{BenchHarness, Flag};
 pub use desim::{PhaseRecord, RunRecord, RUN_RECORD_VERSION};
 pub use diag::{Diagnostic, Report, Severity};
 pub use faultsim::{FaultPlan, FaultState};
