@@ -15,7 +15,8 @@
 //! simulates the initial and tuned placements for real and appends a
 //! `simulated` section. Exit status: `0` when the functional outputs
 //! are bit-identical and both simulated runs land inside their static
-//! bounds, `1` when a gate fails, `2` on a bad command line. The
+//! bounds, `1` when a gate fails, `2` on a bad command line (`CLI008`
+//! for an argument not in `--help`'s list, before any search). The
 //! report is byte-identical across runs of the same configuration —
 //! pipe it through `cmp` to audit determinism.
 //!
@@ -30,10 +31,25 @@ use std::process::ExitCode;
 use autotune::{tune, Objective, Strategy, TuneConfig, Tuning};
 use desim::Json;
 use sar_epiphany::configured;
-use sim_harness::{run, BenchHarness, Diagnostic, MappingRun, Workload};
+use sim_harness::{run, BenchHarness, Diagnostic, Flag, MappingRun, Workload};
+
+/// Every flag the tuner reads besides the document's.
+const FLAGS: &[Flag] = &[
+    Flag::operand("pair", "M:P", "tune mapping M on platform P"),
+    Flag::operand("objective", "O", "makespan, energy or mesh"),
+    Flag::operand("seed", "N", "seed the search with N (default 0)"),
+    Flag::operand("iters", "N", "anneal for N iterations (default 800)"),
+    Flag::operand("strategy", "S", "greedy, anneal or both"),
+    Flag::SMALL,
+    Flag::operand(
+        "placement-out",
+        "P",
+        "also write the winning placement to P",
+    ),
+];
 
 fn main() -> ExitCode {
-    let h = BenchHarness::with_args("autotune", std::env::args().skip(1).collect());
+    let h = BenchHarness::declared("autotune", FLAGS);
     match drive(&h) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::from(1),

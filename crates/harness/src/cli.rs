@@ -75,13 +75,16 @@ impl Flag {
     /// The reduced-workload switch.
     pub const SMALL: Flag = Flag::switch("small", "run the reduced test-scale workloads");
 
-    /// The flags [`BenchHarness::finish`] reads: every declared binary
-    /// takes them.
+    /// The machine-readable output switch.
+    pub const JSON: Flag = Flag::switch(
+        "json",
+        "print the versioned record document instead of prose",
+    );
+
+    /// The flags [`BenchHarness::finish`] reads: every binary built
+    /// with [`BenchHarness::declared`] takes them.
     const DOCUMENT: [Flag; 4] = [
-        Flag::switch(
-            "json",
-            "print the versioned record document instead of prose",
-        ),
+        Flag::JSON,
         Flag::operand(
             "out",
             "P",
@@ -146,13 +149,18 @@ impl BenchHarness {
     /// else: `--help` prints them and exits 0; any other argument is a
     /// `CLI008` on stderr and exit status 2.
     pub fn declared(name: &'static str, flags: &[Flag]) -> BenchHarness {
+        BenchHarness::declared_exactly(name, &[flags, &Flag::DOCUMENT].concat())
+    }
+
+    /// [`BenchHarness::declared`] for a binary that writes no document:
+    /// it reads `flags` and nothing else.
+    pub fn declared_exactly(name: &'static str, flags: &[Flag]) -> BenchHarness {
         let h = BenchHarness::new(name);
-        let flags = [flags, &Flag::DOCUMENT].concat();
         if h.flag("help") {
-            print!("{}", h.help(&flags));
+            print!("{}", h.help(flags));
             std::process::exit(0);
         }
-        if let Err(d) = h.check_flags(&flags) {
+        if let Err(d) = h.check_flags(flags) {
             eprintln!("{d}");
             eprintln!("try --help for the flags {name} takes");
             std::process::exit(2);

@@ -33,7 +33,8 @@ pub use desim::{PhaseRecord, RunRecord, RUN_RECORD_VERSION};
 pub use diag::{Diagnostic, Report, Severity};
 pub use faultsim::{FaultPlan, FaultState};
 pub use mapping::{
-    run, run_ctx, run_traced, HarnessError, ImageRun, Mapping, MappingRun, RunContext, SweepRun,
+    run, run_ctx, run_traced, stamp, HarnessError, ImageRun, Mapping, MappingRun, RunContext,
+    SweepRun,
 };
 pub use model::{
     BarrierDecl, Bound, BufferDecl, ChannelDecl, FlagDecl, PhaseDecl, ProgramModel, TrafficDecl,

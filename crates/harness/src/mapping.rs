@@ -264,18 +264,26 @@ pub fn run_ctx(
         });
     }
     let mut out = mapping.execute(workload, platform, ctx)?;
-    out.record.kernel = mapping.kernel().to_string();
-    out.record.mapping = mapping.name().to_string();
-    out.record.platform = platform.label().to_string();
-    out.record.power_w = platform.datasheet_power_w();
+    stamp(&mut out.record, mapping, platform, ctx);
+    Ok(out)
+}
+
+/// Stamp a record mapping `m`'s driver priced on platform `p` under
+/// `ctx` with the pair's identity, then close its books: [`run_ctx`]'s
+/// last step, and what a caller that prices several pairs in one pass
+/// does to each record.
+pub fn stamp(record: &mut RunRecord, m: &dyn Mapping, p: &dyn Platform, ctx: &RunContext) {
+    record.kernel = m.kernel().to_string();
+    record.mapping = m.name().to_string();
+    record.platform = p.label().to_string();
+    record.power_w = p.datasheet_power_w();
     if let Some(seed) = ctx.faults.seed() {
-        out.record.counters.add("fault_seed", seed);
+        record.counters.add("fault_seed", seed);
     }
     if ctx.tracer.is_enabled() && !ctx.tracer.has_span_on(Track::Run) {
-        replay_phases(&out.record, &ctx.tracer);
+        replay_phases(record, &ctx.tracer);
     }
-    finalize_power(&mut out.record);
-    Ok(out)
+    finalize_power(record);
 }
 
 /// Close the record's energy books so every registered pair satisfies

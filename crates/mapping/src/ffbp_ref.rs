@@ -9,34 +9,37 @@
 //! over a single Epiphany core on this kernel.
 
 use refcpu::{RefCpu, RefCpuParams};
-use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, WorkDecl};
+use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext, WorkDecl};
 
-use crate::merge_walk::{probe_sample, walk};
+use crate::merge_walk::{probe_sample, walk_one, Machine};
 
 /// Execute the FFBP workload on the reference CPU model (one record
 /// phase per merge iteration).
 pub fn run(w: &FfbpWorkload, params: RefCpuParams) -> ImageRun {
-    let mut cpu = RefCpu::new(params);
-    let image = walk(w, |stage| {
-        cpu.phase_begin("merge");
-        let next = stage.laid_out_rows(|row| {
-            for (i, hits) in row.hits().enumerate() {
-                // Demand traffic at the addresses the layout implies.
-                for addr in row.child_addrs(hits) {
-                    cpu.mem_read(u64::from(addr.0), 8);
+    walk_one(w, &RunContext::plain(), machine(params))
+}
+
+/// [`run`]'s machine, which a walk may price beside others.
+pub(crate) fn machine(params: RefCpuParams) -> Machine<'static> {
+    Box::new(move |_, stages| {
+        let mut cpu = RefCpu::new(params);
+        stages.each(|stage| {
+            cpu.phase_begin("merge");
+            stage.laid_out_rows(|row| {
+                for (i, hits) in row.hits().enumerate() {
+                    // Demand traffic at the addresses the layout implies.
+                    for addr in row.child_addrs(hits) {
+                        cpu.mem_read(u64::from(addr.0), 8);
+                    }
+                    cpu.mem_write(u64::from(row.out_addr(i).0), 8);
                 }
-                cpu.mem_write(u64::from(row.out_addr(i).0), 8);
-            }
-            // Price this row's arithmetic.
-            cpu.compute(&row.ops);
+                // Price this row's arithmetic.
+                cpu.compute(&row.ops);
+            });
+            cpu.phase_end();
         });
-        cpu.phase_end();
-        next
-    });
-    ImageRun {
-        record: cpu.report("FFBP / Intel i7 model, 1 core @ 2.67 GHz"),
-        image,
-    }
+        cpu.report("FFBP / Intel i7 model, 1 core @ 2.67 GHz")
+    })
 }
 
 /// The static description of [`run`]: no mesh, no banks — the model

@@ -11,39 +11,42 @@ use epiphany::{Chip, EpiphanyParams};
 use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext, WorkDecl};
 
 use crate::layout::ExternalLayout;
-use crate::merge_walk::{probe_sample, walk};
+use crate::merge_walk::{probe_sample, walk_one, Machine};
 
 /// Execute the FFBP workload on one core of the Epiphany model (one
 /// record phase per merge iteration); the chip emits its spans into
 /// `ctx.tracer`.
 pub fn run(w: &FfbpWorkload, params: EpiphanyParams, ctx: &RunContext) -> ImageRun {
-    let mut chip = Chip::from_params(params);
-    chip.set_tracer(ctx.tracer.clone());
-    let core = 0usize;
-    // Each output row issues its blocking element fetches back to
-    // back with nothing between them — buffered per row so the chip
-    // can absorb the span in closed form (`read_external_run`).
-    let mut row_reads = Vec::with_capacity(2 * w.geom.num_bins);
+    walk_one(w, ctx, machine(params))
+}
 
-    let image = walk(w, |stage| {
-        chip.phase_begin("merge");
-        let next = stage.laid_out_rows(|row| {
-            row_reads.clear();
-            // Both contributing elements are blocking external reads
-            // (no cache, no prefetch in the naive port).
-            row_reads.extend(row.hits().flat_map(|hits| row.child_addrs(hits)));
-            chip.read_external_run(core, &row_reads, 8);
-            // Arithmetic for the row, then a posted row write-back.
-            chip.compute(core, &row.ops);
-            chip.write_external(core, row.out_addr(0), row.layout.beam_bytes());
+/// [`run`]'s machine, which a walk may price beside others.
+pub(crate) fn machine(params: EpiphanyParams) -> Machine<'static> {
+    Box::new(move |ctx, stages| {
+        let mut chip = Chip::from_params(params);
+        chip.set_tracer(ctx.tracer.clone());
+        let core = 0usize;
+        // Each output row issues its blocking element fetches back to
+        // back with nothing between them — buffered per row so the chip
+        // can absorb the span in closed form (`read_external_run`).
+        let mut row_reads = Vec::with_capacity(2 * stages.workload().geom.num_bins);
+
+        stages.each(|stage| {
+            chip.phase_begin("merge");
+            stage.laid_out_rows(|row| {
+                row_reads.clear();
+                // Both contributing elements are blocking external reads
+                // (no cache, no prefetch in the naive port).
+                row_reads.extend(row.hits().flat_map(|hits| row.child_addrs(hits)));
+                chip.read_external_run(core, &row_reads, 8);
+                // Arithmetic for the row, then a posted row write-back.
+                chip.compute(core, &row.ops);
+                chip.write_external(core, row.out_addr(0), row.layout.beam_bytes());
+            });
+            chip.phase_end();
         });
-        chip.phase_end();
-        next
-    });
-    ImageRun {
-        record: chip.report("FFBP / Epiphany, 1 core @ 1 GHz (sequential)", 1),
-        image,
-    }
+        chip.report("FFBP / Epiphany, 1 core @ 1 GHz (sequential)", 1)
+    })
 }
 
 /// The static description of [`run`] on a `mesh`-sized platform: core 0

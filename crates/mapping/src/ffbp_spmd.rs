@@ -22,7 +22,7 @@ use sar_core::geometry::merge_geometry;
 use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext};
 
 use crate::layout::{ExternalLayout, BANK_CHILD_A, BANK_CHILD_B};
-use crate::merge_walk::{probe_sample, walk};
+use crate::merge_walk::{probe_sample, walk_one, Machine};
 use crate::spmd::{self, checkpointed, chip_for, owned, owner};
 
 /// The upper local banks the two child beams are prefetched into:
@@ -74,90 +74,96 @@ pub fn run(
     opts: SpmdOptions,
     ctx: &RunContext,
 ) -> ImageRun {
-    let geom = &w.geom;
-    let (mut chip, mut active) = chip_for(params, opts.cores, ctx);
-    let n_cores = active.len();
+    walk_one(w, ctx, machine(params, opts))
+}
 
-    let mut local_hits = 0u64;
-    let mut external_misses = 0u64;
-    let r_mid = geom.bin_range(geom.num_bins / 2);
-    // Blocking miss fetches issue back to back with no other chip
-    // calls between them — buffered per row so the chip can absorb
-    // each span in closed form.
-    let mut row_misses = Vec::new();
+/// [`run`]'s machine, which a walk may price beside others.
+pub(crate) fn machine(params: EpiphanyParams, opts: SpmdOptions) -> Machine<'static> {
+    Box::new(move |ctx, stages| {
+        let geom = &stages.workload().geom;
+        let (mut chip, mut active) = chip_for(params, opts.cores, ctx);
+        let n_cores = active.len();
 
-    let image = walk(w, |stage| {
-        let merge = |chip: &mut Chip, active: &[usize], last_write: &mut [Cycle]| {
-            let (hits0, misses0) = (local_hits, external_misses);
-            let next = stage.laid_out_rows(|row| {
-                // Work units: one output beam each, dealt round-robin
-                // over the surviving cores.
-                let core = active[owner(row.out_beam as usize, active.len())];
-                let beam_bytes = row.layout.beam_bytes();
+        let mut local_hits = 0u64;
+        let mut external_misses = 0u64;
+        let r_mid = geom.bin_range(geom.num_bins / 2);
+        // Blocking miss fetches issue back to back with no other chip
+        // calls between them — buffered per row so the chip can absorb
+        // each span in closed form.
+        let mut row_misses = Vec::new();
 
-                // Which child beams does this output beam map to at mid
-                // range? Prefetch those two (one per upper bank).
-                let mut prefetched = [None; 2];
-                if opts.prefetch {
-                    let mut pf_counts = OpCounts::default();
-                    let mid = merge_geometry(r_mid, row.theta, row.l, &mut pf_counts);
-                    prefetched = [
-                        nearest_indices(row.a, geom, mid.r1, mid.theta1),
-                        nearest_indices(row.b, geom, mid.r2, mid.theta2),
-                    ]
-                    .map(|hit| hit.map(|(_, beam)| beam));
-                    chip.compute(core, &pf_counts);
-                    let mut done = Cycle::ZERO;
-                    for (child, beam) in prefetched.into_iter().enumerate() {
-                        if let Some(beam) = beam {
-                            done = done.max(chip.dma_start(
-                                core,
-                                DmaDirection::ExternalToLocal,
-                                row.child_addr(child, (0, beam)),
-                                CHILD_BANKS[child],
-                                beam_bytes,
-                            ));
+        stages.each(|stage| {
+            let merge = |chip: &mut Chip, active: &[usize], last_write: &mut [Cycle]| {
+                let (hits0, misses0) = (local_hits, external_misses);
+                stage.laid_out_rows(|row| {
+                    // Work units: one output beam each, dealt round-robin
+                    // over the surviving cores.
+                    let core = active[owner(row.out_beam as usize, active.len())];
+                    let beam_bytes = row.layout.beam_bytes();
+
+                    // Which child beams does this output beam map to at
+                    // mid range? Prefetch those two (one per upper bank).
+                    let mut prefetched = [None; 2];
+                    if opts.prefetch {
+                        let mut pf_counts = OpCounts::default();
+                        let mid = merge_geometry(r_mid, row.theta, row.l, &mut pf_counts);
+                        prefetched = [
+                            nearest_indices(row.a, geom, mid.r1, mid.theta1),
+                            nearest_indices(row.b, geom, mid.r2, mid.theta2),
+                        ]
+                        .map(|hit| hit.map(|(_, beam)| beam));
+                        chip.compute(core, &pf_counts);
+                        let mut done = Cycle::ZERO;
+                        for (child, beam) in prefetched.into_iter().enumerate() {
+                            if let Some(beam) = beam {
+                                done = done.max(chip.dma_start(
+                                    core,
+                                    DmaDirection::ExternalToLocal,
+                                    row.child_addr(child, (0, beam)),
+                                    CHILD_BANKS[child],
+                                    beam_bytes,
+                                ));
+                            }
+                        }
+                        chip.dma_wait(core, done);
+                    }
+
+                    row_misses.clear();
+                    // Classify each contributing element: prefetched bank
+                    // (local load, already in the op counts) or blocking
+                    // external read.
+                    for hits in row.hits() {
+                        for (child, hit) in hits.into_iter().enumerate() {
+                            let Some((bin, beam)) = hit else { continue };
+                            if prefetched[child] == Some(beam) {
+                                local_hits += 1;
+                            } else {
+                                external_misses += 1;
+                                row_misses.push(row.child_addr(child, (bin, beam)));
+                            }
                         }
                     }
-                    chip.dma_wait(core, done);
-                }
+                    chip.read_external_run(core, &row_misses, 8);
+                    chip.compute(core, &row.ops);
+                    let arrival = chip.write_external(core, row.out_addr(0), beam_bytes);
+                    last_write[core] = last_write[core].max(arrival);
+                });
+                chip.phase_metric("local_hits", (local_hits - hits0) as f64);
+                chip.phase_metric("external_misses", (external_misses - misses0) as f64);
+            };
+            // The next stage reads this one's output, hence the drain and
+            // barrier that close the checkpointed phase.
+            checkpointed(&mut chip, &ctx.faults, &mut active, "merge", merge);
+        });
 
-                row_misses.clear();
-                // Classify each contributing element: prefetched bank
-                // (local load, already in the op counts) or blocking
-                // external read.
-                for hits in row.hits() {
-                    for (child, hit) in hits.into_iter().enumerate() {
-                        let Some((bin, beam)) = hit else { continue };
-                        if prefetched[child] == Some(beam) {
-                            local_hits += 1;
-                        } else {
-                            external_misses += 1;
-                            row_misses.push(row.child_addr(child, (bin, beam)));
-                        }
-                    }
-                }
-                chip.read_external_run(core, &row_misses, 8);
-                chip.compute(core, &row.ops);
-                let arrival = chip.write_external(core, row.out_addr(0), beam_bytes);
-                last_write[core] = last_write[core].max(arrival);
-            });
-            chip.phase_metric("local_hits", (local_hits - hits0) as f64);
-            chip.phase_metric("external_misses", (external_misses - misses0) as f64);
-            next
-        };
-        // The next stage reads this one's output, hence the drain and
-        // barrier that close the checkpointed phase.
-        checkpointed(&mut chip, &ctx.faults, &mut active, "merge", merge)
-    });
-
-    let mut record = chip.report(
-        &format!("FFBP / Epiphany, {n_cores} cores @ 1 GHz (SPMD)"),
-        n_cores,
-    );
-    record.set_metric("local_hits", local_hits as f64);
-    record.set_metric("external_misses", external_misses as f64);
-    ImageRun { record, image }
+        let mut record = chip.report(
+            &format!("FFBP / Epiphany, {n_cores} cores @ 1 GHz (SPMD)"),
+            n_cores,
+        );
+        record.set_metric("local_hits", local_hits as f64);
+        record.set_metric("external_misses", external_misses as f64);
+        record
+    })
 }
 
 /// The static description of [`run`] (§V-A) on a `mesh`-sized platform:

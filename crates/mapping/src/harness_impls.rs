@@ -17,8 +17,10 @@ use sim_harness::{
     platform_named, EpiphanyPlatform, FaultPlan, HarnessError, ImageRun, Mapping, MappingRun,
     Placement, Platform, PlatformKind, ProgramModel, RefCpuPlatform, RunContext, Workload,
 };
+use Driver::{Ffbp, Run};
 
 use crate::ffbp_spmd::SpmdOptions;
+use crate::merge_walk::{walk_one, Machine};
 use crate::rda_spmd::RdaSpmdOptions;
 use crate::{
     autofocus_mpmd, autofocus_net, autofocus_ref, autofocus_seq, ffbp_ref, ffbp_seq, ffbp_spmd,
@@ -38,11 +40,22 @@ struct Row {
     keys: &'static [&'static str],
     /// Driver options: [`DEFAULTS`] unless [`configured`] overrode them.
     opts: Options,
-    /// Run the driver. `None` when the workload is another kernel's or
-    /// the platform has no parameters for this family.
-    run: fn(&Row, &Workload, &dyn Platform, &RunContext) -> Option<MappingRun>,
+    /// How the driver runs ([`Row::run`]).
+    driver: Driver,
     /// The mapping's declared program model on a `(cols, rows)` mesh.
     model: fn(&Row, &Workload, (u16, u16)) -> Option<ProgramModel>,
+}
+
+/// How a row runs its driver; each returns `None` when the platform
+/// has no parameters for the row's family (and `Run` also when the
+/// workload is another kernel's).
+#[derive(Clone, Copy)]
+enum Driver {
+    /// An FFBP machine, walked alone ([`walk_one`]); `table1` walks the
+    /// three of Table I together.
+    Ffbp(fn(&Row, &dyn Platform) -> Option<Machine<'static>>),
+    /// Any other driver.
+    Run(fn(&Row, &Workload, &dyn Platform, &RunContext) -> Option<MappingRun>),
 }
 
 /// What a `set` block may change about a driver.
@@ -74,7 +87,7 @@ static ROWS: [Row; 10] = [
         family: RefCpu,
         keys: &[],
         opts: DEFAULTS,
-        run: |_, w, p, _| Some(ffbp_ref::run(w.ffbp()?, p.refcpu_params()?).into()),
+        driver: Ffbp(|_, p| Some(ffbp_ref::machine(p.refcpu_params()?))),
         model: |_, w, _| w.ffbp().map(ffbp_ref::model),
     },
     Row {
@@ -83,7 +96,7 @@ static ROWS: [Row; 10] = [
         family: Epiphany,
         keys: &[],
         opts: DEFAULTS,
-        run: |_, w, p, ctx| Some(ffbp_seq::run(w.ffbp()?, p.epiphany_params()?, ctx).into()),
+        driver: Ffbp(|_, p| Some(ffbp_seq::machine(p.epiphany_params()?))),
         model: |_, w, mesh| w.ffbp().map(|w| ffbp_seq::model(w, mesh)),
     },
     Row {
@@ -92,9 +105,7 @@ static ROWS: [Row; 10] = [
         family: Epiphany,
         keys: &["cores", "prefetch"],
         opts: DEFAULTS,
-        run: |row, w, p, ctx| {
-            Some(ffbp_spmd::run(w.ffbp()?, p.epiphany_params()?, row.opts.spmd, ctx).into())
-        },
+        driver: Ffbp(|row, p| Some(ffbp_spmd::machine(p.epiphany_params()?, row.opts.spmd))),
         model: |row, w, mesh| Some(ffbp_spmd::model(w.ffbp()?, &row.opts.spmd, mesh)),
     },
     Row {
@@ -103,7 +114,7 @@ static ROWS: [Row; 10] = [
         family: Host,
         keys: &[],
         opts: DEFAULTS,
-        run: ffbp_host,
+        driver: Run(ffbp_host),
         model: |_, _, _| None,
     },
     Row {
@@ -112,10 +123,10 @@ static ROWS: [Row; 10] = [
         family: RefCpu,
         keys: &[],
         opts: DEFAULTS,
-        run: |_, w, p, _| {
+        driver: Run(|_, w, p, _| {
             let params = autofocus_ref::specialised(p.refcpu_params()?);
             Some(autofocus_ref::run(w.autofocus()?, params).into())
-        },
+        }),
         model: |_, w, _| w.autofocus().map(autofocus_ref::model),
     },
     Row {
@@ -124,10 +135,10 @@ static ROWS: [Row; 10] = [
         family: Epiphany,
         keys: &[],
         opts: DEFAULTS,
-        run: |_, w, p, ctx| {
+        driver: Run(|_, w, p, ctx| {
             let params = autofocus_seq::specialised(p.epiphany_params()?);
             Some(autofocus_seq::run(w.autofocus()?, params, ctx).into())
-        },
+        }),
         model: |_, w, mesh| w.autofocus().map(|w| autofocus_seq::model(w, mesh)),
     },
     Row {
@@ -136,10 +147,10 @@ static ROWS: [Row; 10] = [
         family: Epiphany,
         keys: &["placement"],
         opts: DEFAULTS,
-        run: |row, w, p, ctx| {
+        driver: Run(|row, w, p, ctx| {
             let params = autofocus_seq::specialised(p.epiphany_params()?);
             Some(autofocus_mpmd::run(w.autofocus()?, params, row.opts.place, ctx).into())
-        },
+        }),
         model: |row, w, mesh| Some(autofocus_mpmd::model(w.autofocus()?, &row.opts.place, mesh)),
     },
     Row {
@@ -148,10 +159,10 @@ static ROWS: [Row; 10] = [
         family: Epiphany,
         keys: &["placement"],
         opts: DEFAULTS,
-        run: |row, w, p, ctx| {
+        driver: Run(|row, w, p, ctx| {
             let params = autofocus_seq::specialised(p.epiphany_params()?);
             Some(autofocus_net::run(w.autofocus()?, params, row.opts.place, ctx).into())
-        },
+        }),
         model: |row, w, mesh| Some(autofocus_net::model(w.autofocus()?, &row.opts.place, mesh)),
     },
     Row {
@@ -160,7 +171,7 @@ static ROWS: [Row; 10] = [
         family: Epiphany,
         keys: &[],
         opts: DEFAULTS,
-        run: |_, w, p, ctx| Some(rda_seq::run(w.rda()?, p.epiphany_params()?, ctx).into()),
+        driver: Run(|_, w, p, ctx| Some(rda_seq::run(w.rda()?, p.epiphany_params()?, ctx).into())),
         model: |_, w, mesh| w.rda().map(|w| rda_seq::model(w, mesh)),
     },
     Row {
@@ -169,12 +180,23 @@ static ROWS: [Row; 10] = [
         family: Epiphany,
         keys: &["cores"],
         opts: DEFAULTS,
-        run: |row, w, p, ctx| {
+        driver: Run(|row, w, p, ctx| {
             Some(rda_spmd::run(w.rda()?, p.epiphany_params()?, row.opts.rda(), ctx).into())
-        },
+        }),
         model: |row, w, mesh| Some(rda_spmd::model(w.rda()?, &row.opts.rda(), mesh)),
     },
 ];
+
+impl Row {
+    /// Run the driver; `None` when the workload is another kernel's or
+    /// the platform has no parameters for this family.
+    fn run(&self, w: &Workload, p: &dyn Platform, ctx: &RunContext) -> Option<MappingRun> {
+        match self.driver {
+            Ffbp(machine) => Some(walk_one(w.ffbp()?, ctx, machine(self, p)?).into()),
+            Run(run) => run(self, w, p, ctx),
+        }
+    }
+}
 
 impl Options {
     /// The RDA driver's options: the SPMD core count.
@@ -217,7 +239,7 @@ impl Mapping for Row {
         platform: &dyn Platform,
         ctx: &RunContext,
     ) -> Result<MappingRun, HarnessError> {
-        (self.run)(self, workload, platform, ctx).ok_or_else(|| {
+        self.run(workload, platform, ctx).ok_or_else(|| {
             let mapping = self.name.to_string();
             if workload.kernel() == self.kernel {
                 let platform = platform.label().to_string();
@@ -251,6 +273,16 @@ pub fn all_mappings() -> Vec<Box<dyn Mapping>> {
 pub fn mapping_named(name: &str) -> Option<Box<dyn Mapping>> {
     let row = ROWS.iter().find(|row| row.name == name)?;
     Some(Box::new(*row))
+}
+
+/// The machine of registered FFBP mapping `name` on `platform`: what
+/// the mapping's `run` walks alone.
+pub(crate) fn ffbp_machine(name: &str, platform: &dyn Platform) -> Option<Machine<'static>> {
+    let row = ROWS.iter().find(|row| row.name == name)?;
+    match row.driver {
+        Ffbp(machine) => machine(row, platform),
+        Run(_) => None,
+    }
 }
 
 /// A registered pair as a `set` block configures it.
@@ -462,7 +494,7 @@ mod tests {
             let foreign = Workload::named(foreign_kernel, true).unwrap();
             for p in all_platforms() {
                 // A foreign workload is a kernel mismatch on any platform.
-                assert!((row.run)(row, &foreign, p.as_ref(), &ctx).is_none());
+                assert!(row.run(&foreign, p.as_ref(), &ctx).is_none());
                 let err = row.execute(&foreign, p.as_ref(), &ctx).err().unwrap();
                 assert_eq!(
                     err.to_string(),
@@ -474,7 +506,7 @@ mod tests {
                 if p.kind() == row.family {
                     continue;
                 }
-                assert!((row.run)(row, &own, p.as_ref(), &ctx).is_none());
+                assert!(row.run(&own, p.as_ref(), &ctx).is_none());
                 let err = row.execute(&own, p.as_ref(), &ctx).err().unwrap();
                 assert_eq!(
                     err.to_string(),

@@ -3,12 +3,14 @@
 
 use std::fmt;
 
-use desim::Json;
+use desim::{Json, RunRecord};
 use sim_harness::{
-    run, AutofocusWorkload, EpiphanyPlatform, FfbpWorkload, MappingRun, RefCpuPlatform, Workload,
+    run, stamp, AutofocusWorkload, EpiphanyPlatform, FfbpWorkload, Platform, RefCpuPlatform,
+    RunContext, Workload,
 };
 
-use crate::harness_impls::mapping_named;
+use crate::harness_impls::{ffbp_machine, mapping_named};
+use crate::merge_walk::walk;
 
 pub use sim_harness::{EPIPHANY_POWER_W, INTEL_POWER_W};
 
@@ -77,58 +79,68 @@ const CONFIGS: [Config; 3] = [
     ),
 ];
 
-/// One kernel's rows of Table I (column `kernel` of [`CONFIGS`]), each
-/// run through the harness's single entry point ([`sim_harness::run`])
-/// on its Table I platform; `pixels` is set for the kernel whose rows
-/// report a throughput.
-fn kernel_rows(
-    kernel: usize,
-    workload: &Workload,
-    pixels: Option<f64>,
-) -> (Vec<Table1Row>, Vec<desim::RunRecord>) {
-    let intel = RefCpuPlatform::default();
-    let epiphany = EpiphanyPlatform::default();
-    let mut rows = Vec::new();
-    let mut records = Vec::new();
-    let mut t_ref = 0.0;
-    for (label, on_intel, per_kernel) in CONFIGS {
-        let (mapping, cores, paper_speedup) = per_kernel[kernel];
-        let mapping = mapping_named(mapping).expect("Table I mappings are all registered");
-        let platform: &dyn sim_harness::Platform = if on_intel { &intel } else { &epiphany };
-        let MappingRun { record, .. } =
-            run(mapping.as_ref(), workload, platform).expect("Table I pairs are all supported");
-        let secs = record.elapsed.seconds();
+/// The six records of Table I, FFBP's then autofocus's, each stamped as
+/// [`sim_harness::run`] stamps it: the three FFBP machines priced on one
+/// walk, each autofocus pair run through `run` itself.
+fn records(ffbp_w: &FfbpWorkload, af_w: &AutofocusWorkload) -> Vec<RunRecord> {
+    let ctx = RunContext::plain();
+    let platforms = CONFIGS.map(|(_, on_intel, _)| -> Box<dyn Platform> {
         if on_intel {
-            t_ref = secs;
+            Box::new(RefCpuPlatform::default())
+        } else {
+            Box::new(EpiphanyPlatform::default())
         }
-        rows.push(Table1Row {
-            label: label.into(),
-            cores,
-            time_ms: record.millis(),
-            throughput_px_s: pixels.map(|px| px / secs),
-            speedup: t_ref / secs,
-            paper_speedup,
-            power_w: if on_intel {
-                INTEL_POWER_W
-            } else {
-                EPIPHANY_POWER_W
-            },
-            modeled_power_w: (!on_intel).then(|| record.avg_power_w()),
-        });
-        records.push(record);
+    });
+    let named = |kernel: usize| CONFIGS.map(|(_, _, per_kernel)| per_kernel[kernel].0);
+    let machines = (named(0).iter().zip(&platforms))
+        .map(|(name, p)| ffbp_machine(name, p.as_ref()).expect("a registered FFBP machine"))
+        .collect();
+    let (_, mut records) = walk(ffbp_w, &ctx, machines);
+    for ((record, name), p) in records.iter_mut().zip(named(0)).zip(&platforms) {
+        let mapping = mapping_named(name).expect("Table I mappings are registered");
+        stamp(record, mapping.as_ref(), p.as_ref(), &ctx);
     }
-    (rows, records)
+    let af = Workload::Autofocus(af_w.clone());
+    for (name, p) in named(1).iter().zip(&platforms) {
+        let mapping = mapping_named(name).expect("Table I mappings are registered");
+        let ran = run(mapping.as_ref(), &af, p.as_ref());
+        records.push(ran.expect("Table I pairs are all supported").record);
+    }
+    records
+}
+
+/// One kernel's rows of Table I (column `kernel` of [`CONFIGS`]) from
+/// its three records; `pixels` is set for the kernel whose rows report
+/// a throughput.
+fn kernel_rows(kernel: usize, records: &[RunRecord], pixels: Option<f64>) -> Vec<Table1Row> {
+    let t_ref = records[0].elapsed.seconds();
+    (CONFIGS.iter().zip(records))
+        .map(|(&(label, on_intel, per_kernel), record)| {
+            let (_, cores, paper_speedup) = per_kernel[kernel];
+            let secs = record.elapsed.seconds();
+            Table1Row {
+                label: label.into(),
+                cores,
+                time_ms: record.millis(),
+                throughput_px_s: pixels.map(|px| px / secs),
+                speedup: t_ref / secs,
+                paper_speedup,
+                power_w: if on_intel {
+                    INTEL_POWER_W
+                } else {
+                    EPIPHANY_POWER_W
+                },
+                modeled_power_w: (!on_intel).then(|| record.avg_power_w()),
+            }
+        })
+        .collect()
 }
 
 /// Run all six configurations of Table I.
 pub fn table1(ffbp_w: &FfbpWorkload, af_w: &AutofocusWorkload) -> Table1 {
-    let (ffbp, mut records) = kernel_rows(0, &Workload::Ffbp(ffbp_w.clone()), None);
-    let (autofocus, af_records) = kernel_rows(
-        1,
-        &Workload::Autofocus(af_w.clone()),
-        Some(af_w.pixels() as f64),
-    );
-    records.extend(af_records);
+    let records = records(ffbp_w, af_w);
+    let ffbp = kernel_rows(0, &records[..3], None);
+    let autofocus = kernel_rows(1, &records[3..], Some(af_w.pixels() as f64));
 
     // Energy efficiency as the paper computes it: throughput per watt
     // from datasheet power.

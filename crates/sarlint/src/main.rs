@@ -16,7 +16,9 @@
 //! (`SL013`–`SL015`). `--json` replaces the prose report with one
 //! machine-readable document on stdout.
 //!
-//! Exit status: `0` clean, `1` hard findings, `2` command-line error.
+//! Exit status: `0` clean, `1` hard findings, `2` command-line error —
+//! among them `CLI008` for an argument not in `--help`'s list, refused
+//! before any analysis.
 
 #![forbid(unsafe_code)]
 
@@ -26,12 +28,28 @@ use desim::Json;
 use sar_epiphany::{all_mappings, configured, mapping_named};
 use sarlint::{analyze_pair, cost, dynamic};
 use sim_harness::{
-    all_platforms, platform_named, BenchHarness, Diagnostic, Mapping, Placement, Platform,
+    all_platforms, platform_named, BenchHarness, Diagnostic, Flag, Mapping, Placement, Platform,
     Workload, RUN_RECORD_VERSION,
 };
 
+/// Every flag the analyzer reads; it writes no document.
+const FLAGS: &[Flag] = &[
+    Flag::switch("all", "analyze every registered mapping (the default)"),
+    Flag::operand("mapping", "M", "analyze mapping M only"),
+    Flag::operand("platform", "P", "on platform P only"),
+    Flag::operand(
+        "placement",
+        "S",
+        "re-place the mappings: neighbor, scattered or @placement.json",
+    ),
+    Flag::SMALL,
+    Flag::switch("dynamic", "cross-check one traced run per pair"),
+    Flag::switch("cost", "price each pair with the static cost model"),
+    Flag::JSON,
+];
+
 fn main() -> ExitCode {
-    let h = BenchHarness::with_args("sarlint", std::env::args().skip(1).collect());
+    let h = BenchHarness::declared_exactly("sarlint", FLAGS);
     match check(&h) {
         Ok(0) => ExitCode::SUCCESS,
         Ok(_) => ExitCode::from(1),

@@ -113,3 +113,45 @@ fn bad_names_exit_2_with_cli_codes() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("CLI002"));
 }
+
+#[test]
+fn an_undeclared_flag_is_cli008_before_any_analysis() {
+    for args in [
+        &["--bogus"][..],
+        &["--all", "--small", "--smal"],
+        &["--out", "x.json"],
+    ] {
+        let out = sarlint(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let bad = args
+            .iter()
+            .rev()
+            .find(|a| a.starts_with("--"))
+            .expect("a flag");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("CLI008] {bad}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} analyzed before stopping");
+    }
+}
+
+#[test]
+fn help_lists_the_flags_and_exits_0() {
+    let out = sarlint(&["--help"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let help = String::from_utf8_lossy(&out.stdout);
+    for flag in [
+        "--all",
+        "--mapping M",
+        "--platform P",
+        "--placement S",
+        "--small",
+        "--dynamic",
+        "--cost",
+        "--json",
+        "--help",
+    ] {
+        assert!(help.contains(flag), "--help lacks {flag}:\n{help}");
+    }
+    // It writes no document, so it takes none of the document flags.
+    assert!(!help.contains("--out"), "{help}");
+}

@@ -14,12 +14,25 @@
 //! `--threads` value. `--profile` prints where the wall time went
 //! (loading the resumed document, workload setup, each simulated cell,
 //! serialisation, writing the file, and the total they add up to)
-//! without changing the output document.
+//! without changing the output document. `--help` lists the flags; any
+//! other argument is a `CLI008`, exit 2, before the grid is read.
 
 use std::time::{Duration, Instant};
 
 use desim::Json;
-use sim_harness::{BenchHarness, Diagnostic};
+use sim_harness::{BenchHarness, Diagnostic, Flag};
+
+/// Every flag the runner reads besides the document's.
+const FLAGS: &[Flag] = &[
+    Flag::operand("grid", "G", "run the grid spec in file G"),
+    Flag::operand(
+        "threads",
+        "N",
+        "simulate on N worker threads (default: every core)",
+    ),
+    Flag::switch("resume", "reuse the cells of the existing output document"),
+    Flag::switch("profile", "print where the wall time went"),
+];
 use sweep::{run_grid, CellCache, GridSpec};
 
 fn fail(d: &Diagnostic, code: i32) -> ! {
@@ -29,7 +42,7 @@ fn fail(d: &Diagnostic, code: i32) -> ! {
 
 fn main() {
     let started = Instant::now();
-    let h = BenchHarness::new("sweep");
+    let h = BenchHarness::declared("sweep", FLAGS);
     let grid_path = match h.operand("grid") {
         Ok(Some(path)) => path.to_string(),
         Ok(None) => fail(
