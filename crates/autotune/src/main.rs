@@ -37,8 +37,8 @@ use sim_harness::{run, BenchHarness, Diagnostic, Flag, MappingRun, Workload};
 const FLAGS: &[Flag] = &[
     Flag::operand("pair", "M:P", "tune mapping M on platform P"),
     Flag::operand("objective", "O", "makespan, energy or mesh"),
-    Flag::operand("seed", "N", "seed the search with N (default 0)"),
-    Flag::operand("iters", "N", "anneal for N iterations (default 800)"),
+    Flag::uint("seed", "N", "seed the search with N (default 0)"),
+    Flag::uint("iters", "N", "anneal for N iterations (default 800)"),
     Flag::operand("strategy", "S", "greedy, anneal or both"),
     Flag::SMALL,
     Flag::operand(
@@ -61,8 +61,8 @@ fn main() -> ExitCode {
 }
 
 fn config(h: &BenchHarness) -> Result<TuneConfig, Diagnostic> {
-    let mut cfg = TuneConfig::new(h.operand("pair")?.unwrap_or("autofocus_mpmd:epiphany"));
-    if let Some(name) = h.operand("objective")? {
+    let mut cfg = TuneConfig::new(h.operand("pair").unwrap_or("autofocus_mpmd:epiphany"));
+    if let Some(name) = h.operand("objective") {
         cfg.objective = Objective::parse(name).ok_or_else(|| {
             Diagnostic::hard(
                 "CLI001",
@@ -71,7 +71,7 @@ fn config(h: &BenchHarness) -> Result<TuneConfig, Diagnostic> {
             )
         })?;
     }
-    if let Some(name) = h.operand("strategy")? {
+    if let Some(name) = h.operand("strategy") {
         cfg.strategy = Strategy::parse(name).ok_or_else(|| {
             Diagnostic::hard(
                 "CLI001",
@@ -80,8 +80,8 @@ fn config(h: &BenchHarness) -> Result<TuneConfig, Diagnostic> {
             )
         })?;
     }
-    cfg.seed = h.uint_operand("seed")?.unwrap_or(0);
-    cfg.iters = usize::try_from(h.uint_operand("iters")?.unwrap_or(800)).expect("iters fits usize");
+    cfg.seed = h.uint("seed").unwrap_or(0);
+    cfg.iters = usize::try_from(h.uint("iters").unwrap_or(800)).expect("iters fits usize");
     cfg.small = h.small();
     Ok(cfg)
 }
@@ -200,7 +200,7 @@ fn drive(h: &BenchHarness) -> Result<bool, Diagnostic> {
         print!("{}", doc.to_string_pretty());
     }
 
-    if let Some(path) = h.operand("placement-out")? {
+    if let Some(path) = h.operand("placement-out") {
         h.write_file(
             Path::new(path),
             &tuning.best.to_json().to_string_pretty(),

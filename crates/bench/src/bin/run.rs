@@ -38,18 +38,20 @@
 //! tuned placement is simulated through the identical path as the
 //! hand ones.
 //!
-//! Bad command lines exit 2 with a `CLI***` diagnostic on stderr:
-//! `CLI003` for an unknown `--placement` name, `CLI004` for a
-//! malformed `--seed`, `CLI005` for an unreadable or malformed
-//! `--faults` spec, `CLI007` for an unreadable, malformed or
+//! Bad command lines exit 2 with a `CLI***` diagnostic on stderr,
+//! before any pair runs: `CLI001` for an unknown name, `CLI002` for a
+//! missing operand, `CLI003` for an unknown `--placement` name,
+//! `CLI004` for a malformed `--seed`, `CLI005` for an unreadable or
+//! malformed `--faults` spec, `CLI007` for an unreadable, malformed or
 //! out-of-bounds `--placement` file, `CLI008` for an argument not in
 //! `--help`'s list.
 
-use desim::Json;
-use sar_epiphany::{all_mappings, configured, mapping_named};
+use std::path::{Path, PathBuf};
+
+use sar_epiphany::{all_mappings, selected};
 use sim_harness::{
-    all_platforms, platform_named, run_ctx, BenchHarness, Diagnostic, FaultPlan, FaultState, Flag,
-    Mapping, Placement, Platform, RunContext, Workload,
+    all_platforms, run_ctx, BenchHarness, Diagnostic, FaultPlan, FaultState, Flag, RunContext,
+    Workload,
 };
 
 /// Every flag the runner reads besides the document's.
@@ -63,7 +65,7 @@ const FLAGS: &[Flag] = &[
         "re-place the mappings: neighbor, scattered or @placement.json",
     ),
     Flag::operand("faults", "F", "arm the fault spec in file F"),
-    Flag::operand(
+    Flag::uint(
         "seed",
         "N",
         "expand the fault spec's random groups from N (default 0)",
@@ -84,16 +86,21 @@ const FLAGS: &[Flag] = &[
     Flag::switch("power", "print the power timeline after each run"),
 ];
 
-/// `path` for run 0, `path` with `-n` spliced before the extension for
-/// later runs (so an unselective sweep doesn't overwrite its traces).
-fn trace_file(path: &str, n: usize) -> String {
-    if n == 0 {
-        return path.to_string();
+/// `path` for run 0, `path` with `-n` spliced into its file name before
+/// the extension for later runs, so an unselective sweep doesn't
+/// overwrite its traces and every trace lands beside the first.
+fn trace_file(path: &str, n: usize) -> PathBuf {
+    let path = Path::new(path);
+    let Some(stem) = path.file_stem().filter(|_| n > 0) else {
+        return path.to_path_buf();
+    };
+    let mut name = stem.to_os_string();
+    name.push(format!("-{n}"));
+    if let Some(ext) = path.extension() {
+        name.push(".");
+        name.push(ext);
     }
-    match path.rsplit_once('.') {
-        Some((stem, ext)) => format!("{stem}-{n}.{ext}"),
-        None => format!("{path}-{n}"),
-    }
+    path.with_file_name(name)
 }
 
 /// Print a command-line diagnostic and exit 2 (the CLI error status;
@@ -104,62 +111,25 @@ fn fail(d: &Diagnostic) -> ! {
     std::process::exit(2);
 }
 
-/// `h.operand(name)`, with a missing-operand diagnostic fatal.
-fn operand<'a>(h: &'a BenchHarness, name: &str) -> Option<&'a str> {
-    h.operand(name).unwrap_or_else(|d| fail(&d))
-}
-
-/// What the selector flags resolved to: mappings, platforms, the
-/// optional kernel filter, and the resolved `--placement` override
-/// (with its original spelling for diagnostics).
-type Selection = (
-    Vec<Box<dyn Mapping>>,
-    Vec<Box<dyn Platform>>,
-    Option<String>,
-    Option<(String, Placement)>,
-);
-
-fn selection(h: &BenchHarness) -> Selection {
-    let placed = operand(h, "placement").map(|spec| {
-        let p = Placement::resolve(spec).unwrap_or_else(|d| fail(&d));
-        (spec.to_string(), p)
-    });
-    let mappings = match operand(h, "mapping") {
-        Some(name) => vec![mapping_named(name).unwrap_or_else(|| {
-            fail(&Diagnostic::hard(
-                "CLI001",
-                format!("--mapping {name}"),
-                "unknown mapping name",
-            ))
-        })],
-        None => all_mappings(),
-    };
-    let platforms: Vec<Box<dyn Platform>> = match operand(h, "platform") {
-        Some(name) => vec![platform_named(name).unwrap_or_else(|| {
-            fail(&Diagnostic::hard(
-                "CLI001",
-                format!("--platform {name}"),
-                "unknown platform name",
-            ))
-        })],
-        None => all_platforms(),
-    };
-    let kernel = operand(h, "workload").map(str::to_string);
-    if let Some(k) = &kernel {
-        if Workload::named(k, true).is_none() {
-            fail(&Diagnostic::hard(
-                "CLI001",
-                format!("--workload {k}"),
-                "unknown workload name; expected 'ffbp', 'rda' or 'autofocus'",
-            ));
-        }
-    }
-    (mappings, platforms, kernel, placed)
-}
-
 fn main() {
     let mut h = BenchHarness::declared("run", FLAGS);
-    let (mappings, platforms, kernel, placed) = selection(&h);
+    let pairs = selected(
+        h.operand("mapping"),
+        h.operand("platform"),
+        h.operand("placement"),
+    )
+    .unwrap_or_else(|d| fail(&d));
+    let kernel = h.operand("workload").map(str::to_string);
+    if let Some(k) = kernel
+        .as_deref()
+        .filter(|k| Workload::named(k, true).is_none())
+    {
+        fail(&Diagnostic::hard(
+            "CLI001",
+            format!("--workload {k}"),
+            "unknown workload name; expected 'ffbp', 'rda' or 'autofocus'",
+        ));
+    }
 
     if h.flag("list") {
         println!("mappings  :");
@@ -175,9 +145,8 @@ fn main() {
         return;
     }
 
-    let seed = h.uint_operand("seed").unwrap_or_else(|d| fail(&d));
-    let seed = seed.unwrap_or(0);
-    let fault_plan: Option<FaultPlan> = operand(&h, "faults").map(|path| {
+    let seed = h.uint("seed").unwrap_or(0);
+    let fault_plan: Option<FaultPlan> = h.operand("faults").map(|path| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             fail(&Diagnostic::hard(
                 "CLI005",
@@ -209,39 +178,18 @@ fn main() {
     ));
     let mut ran = 0usize;
     let mut refused = 0usize;
-    for m in &mappings {
-        if kernel.as_deref().is_some_and(|k| k != m.kernel()) {
+    for group in pairs.chunk_by(|a, b| a.mapping.name() == b.mapping.name()) {
+        let group_kernel = group[0].mapping.kernel();
+        if kernel.as_deref().is_some_and(|k| k != group_kernel) {
             continue;
         }
-        let workload = Workload::named(m.kernel(), h.small()).unwrap_or_else(|| {
-            fail(&Diagnostic::hard(
-                "CLI001",
-                m.kernel().to_string(),
-                "mapping names a kernel with no registered workload",
-            ))
-        });
-        for p in &platforms {
+        let workload =
+            Workload::named(group_kernel, h.small()).expect("a registered kernel has a workload");
+        for pair in group {
+            let (m, p) = (pair.mapping.as_ref(), pair.platform.as_ref());
             if !m.supports(p.kind()) {
                 continue; // unsupported pair — skip, don't fail
             }
-            // The placement re-places the mappings that take one; an
-            // out-of-bounds one would panic deep inside the drivers, so
-            // the override route refuses it per platform mesh.
-            let set = match &placed {
-                Some((_, pl)) if m.set_keys().contains(&"placement") => {
-                    Json::obj().with("placement", pl.to_json())
-                }
-                _ => Json::obj(),
-            };
-            let pair = configured(m.name(), p.label(), &set).unwrap_or_else(|e| {
-                let spec = placed.as_ref().map_or("", |(spec, _)| spec.as_str());
-                fail(&Diagnostic::hard(
-                    "CLI007",
-                    format!("--placement {spec}"),
-                    e,
-                ))
-            });
-            let (m, p) = (pair.mapping.as_ref(), pair.platform.as_ref());
             if h.flag("analyze") {
                 let report = sarlint::analyze_pair(m, &workload, p);
                 if !report.is_clean() {

@@ -1,23 +1,21 @@
 //! The shared bench-binary runner: one flag grammar, one JSON document
-//! shape, one results directory for all fourteen report binaries.
+//! shape, one results directory for every report binary.
 //!
-//! Flags the harness reads:
+//! A binary names every flag it reads ([`BenchHarness::declared`]; the
+//! document's four come with it):
 //!
-//! * `--small`  — run the reduced test-scale workloads,
 //! * `--json`   — print the versioned record document instead of prose,
 //! * `--out P`  — write the document to `P` (default
 //!   `results/<bench>.json`),
 //! * `--no-write` — skip writing the document to disk,
-//! * `--force` — replace a document another schema version wrote,
-//! * `--trace P` — export a Chrome `trace_event` timeline to `P`,
-//! * `--heatmap` — print the per-link mesh heatmap after each run.
+//! * `--force` — replace a document another schema version wrote.
 //!
-//! Binaries keep their own extra flags; [`BenchHarness::flag`] and
-//! [`BenchHarness::value`] read them from the same argument list. A
-//! binary built with [`BenchHarness::declared`] names every flag it
-//! reads (the document's four come with it): `--help` lists them, and
-//! any other argument is a hard `CLI008` before the binary does any
-//! work.
+//! The command line is checked once, against that declaration, before
+//! the binary does any work ([`BenchHarness::parse`]): `--help` lists
+//! the flags, and an undeclared argument, a missing operand or a
+//! malformed number is a `CLI00x` diagnostic and exit status 2. After
+//! that every reader ([`BenchHarness::flag`], [`BenchHarness::operand`],
+//! [`BenchHarness::uint`]) is infallible.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -60,13 +58,16 @@ fn check_overwrite(path: &Path, force: bool) -> Result<(), Diagnostic> {
 }
 
 /// A command-line flag a binary declares ([`BenchHarness::declared`]):
-/// `--name`, the operand it takes (`None` for a switch), and its help.
+/// `--name`, the operand it takes (`None` for a switch), whether that
+/// operand is an unsigned integer, and its help.
 #[derive(Debug, Clone, Copy)]
 pub struct Flag {
     /// The flag without its leading `--`.
     name: &'static str,
     /// The operand's placeholder in `--help`, if the flag takes one.
     operand: Option<&'static str>,
+    /// Whether [`BenchHarness::parse`] holds the operand to a `u64`.
+    uint: bool,
     /// One line for `--help`.
     help: &'static str,
 }
@@ -83,7 +84,7 @@ impl Flag {
 
     /// The flags [`BenchHarness::finish`] reads: every binary built
     /// with [`BenchHarness::declared`] takes them.
-    const DOCUMENT: [Flag; 4] = [
+    pub const DOCUMENT: [Flag; 4] = [
         Flag::JSON,
         Flag::operand(
             "out",
@@ -99,6 +100,7 @@ impl Flag {
         Flag {
             name,
             operand: None,
+            uint: false,
             help,
         }
     }
@@ -112,14 +114,38 @@ impl Flag {
         Flag {
             name,
             operand: Some(placeholder),
+            uint: false,
             help,
         }
     }
+
+    /// A flag followed by an unsigned-integer operand
+    /// ([`BenchHarness::uint`]).
+    pub const fn uint(name: &'static str, placeholder: &'static str, help: &'static str) -> Flag {
+        Flag {
+            uint: true,
+            ..Flag::operand(name, placeholder, help)
+        }
+    }
+}
+
+/// The `--help` text of binary `name`: one line per flag of `flags`.
+fn help(name: &str, flags: &[Flag]) -> String {
+    let mut text = format!("usage: {name} [flags]\n");
+    for f in flags {
+        let usage = match f.operand {
+            Some(operand) => format!("--{} {operand}", f.name),
+            None => format!("--{}", f.name),
+        };
+        text += &format!("  {usage:<22} {}\n", f.help);
+    }
+    text + &format!("  {:<22} {}\n", "--help", "print these flags and exit")
 }
 
 /// Per-binary runner: collects [`RunRecord`]s, mirrors human-readable
 /// prose to stdout (suppressed under `--json`), and serialises one
 /// versioned document at [`BenchHarness::finish`].
+#[derive(Debug)]
 pub struct BenchHarness {
     name: &'static str,
     args: Vec<String>,
@@ -128,26 +154,64 @@ pub struct BenchHarness {
 }
 
 impl BenchHarness {
-    /// A runner for bench `name`, reading flags from the process
-    /// arguments.
-    pub fn new(name: &'static str) -> BenchHarness {
-        BenchHarness::with_args(name, std::env::args().skip(1).collect())
-    }
-
-    /// A runner with explicit arguments (tests).
-    pub fn with_args(name: &'static str, args: Vec<String>) -> BenchHarness {
-        BenchHarness {
+    /// A runner for bench `name` over `args`, checked against `flags`
+    /// and nothing else. Refused, each with its argument as the
+    /// subject: an argument that is neither a declared flag nor the
+    /// operand of one (`CLI008`), and then — the first in argument
+    /// order — a flag whose operand is missing, i.e. the end of the
+    /// line or another `--flag` (`CLI002`), or a [`Flag::uint`] operand
+    /// that is not a `u64` (`CLI004`).
+    pub fn parse(
+        name: &'static str,
+        args: Vec<String>,
+        flags: &[Flag],
+    ) -> Result<Self, Diagnostic> {
+        let mut malformed = None;
+        let mut words = args.iter().peekable();
+        while let Some(arg) = words.next() {
+            let flag = arg
+                .strip_prefix("--")
+                .and_then(|bare| flags.iter().find(|f| f.name == bare));
+            let Some(flag) = flag else {
+                // An empty argument is shown as `""`, never as nothing.
+                let subject = if arg.is_empty() { "\"\"" } else { arg };
+                let message = format!("{name} takes no such argument");
+                return Err(Diagnostic::hard("CLI008", subject, message));
+            };
+            if flag.operand.is_none() {
+                continue;
+            }
+            let refused = match words.next_if(|word| !word.starts_with("--")) {
+                None => Some(Diagnostic::hard(
+                    "CLI002",
+                    arg.clone(),
+                    format!("{arg} requires an operand"),
+                )),
+                Some(text) if flag.uint && text.parse::<u64>().is_err() => Some(Diagnostic::hard(
+                    "CLI004",
+                    format!("{arg} {text}"),
+                    format!("malformed {arg}; expected an unsigned integer"),
+                )),
+                Some(_) => None,
+            };
+            malformed = malformed.or(refused);
+        }
+        if let Some(d) = malformed {
+            return Err(d);
+        }
+        Ok(BenchHarness {
             name,
             args,
             records: Vec::new(),
             extra: Vec::new(),
-        }
+        })
     }
 
-    /// A runner for bench `name` that reads `flags` and the document
-    /// flags (`--json`, `--out P`, `--no-write`, `--force`) and nothing
-    /// else: `--help` prints them and exits 0; any other argument is a
-    /// `CLI008` on stderr and exit status 2.
+    /// A runner for bench `name` over the process arguments that reads
+    /// `flags` and the document flags (`--json`, `--out P`,
+    /// `--no-write`, `--force`) and nothing else: `--help` prints them
+    /// and exits 0; a refused command line ([`BenchHarness::parse`]) is
+    /// its diagnostic on stderr and exit status 2.
     pub fn declared(name: &'static str, flags: &[Flag]) -> BenchHarness {
         BenchHarness::declared_exactly(name, &[flags, &Flag::DOCUMENT].concat())
     }
@@ -155,102 +219,38 @@ impl BenchHarness {
     /// [`BenchHarness::declared`] for a binary that writes no document:
     /// it reads `flags` and nothing else.
     pub fn declared_exactly(name: &'static str, flags: &[Flag]) -> BenchHarness {
-        let h = BenchHarness::new(name);
-        if h.flag("help") {
-            print!("{}", h.help(flags));
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help") {
+            print!("{}", help(name, flags));
             std::process::exit(0);
         }
-        if let Err(d) = h.check_flags(flags) {
+        BenchHarness::parse(name, args, flags).unwrap_or_else(|d| {
             eprintln!("{d}");
             eprintln!("try --help for the flags {name} takes");
             std::process::exit(2);
-        }
-        h
+        })
     }
 
-    /// `CLI008` for the first argument that is neither one of `flags`
-    /// nor the operand of one.
-    fn check_flags(&self, flags: &[Flag]) -> Result<(), Diagnostic> {
-        let mut args = self.args.iter().peekable();
-        while let Some(arg) = args.next() {
-            let flag = arg
-                .strip_prefix("--")
-                .and_then(|name| flags.iter().find(|f| f.name == name));
-            let Some(flag) = flag else {
-                return Err(Diagnostic::hard(
-                    "CLI008",
-                    arg.clone(),
-                    format!("{} takes no such argument", self.name),
-                ));
-            };
-            // A missing operand is the reader's `CLI002`.
-            if flag.operand.is_some() {
-                args.next_if(|next| !next.starts_with("--"));
-            }
-        }
-        Ok(())
-    }
-
-    /// The `--help` text: one line per flag of `flags`.
-    fn help(&self, flags: &[Flag]) -> String {
-        let mut text = format!("usage: {} [flags]\n", self.name);
-        for f in flags {
-            let usage = match f.operand {
-                Some(operand) => format!("--{} {operand}", f.name),
-                None => format!("--{}", f.name),
-            };
-            text += &format!("  {usage:<22} {}\n", f.help);
-        }
-        text + &format!("  {:<22} {}\n", "--help", "print these flags and exit")
-    }
-
-    /// Whether boolean flag `--name` was passed.
+    /// Whether switch `--name` was passed.
     pub fn flag(&self, name: &str) -> bool {
         self.args.iter().any(|a| a == &format!("--{name}"))
     }
 
-    /// The operand following `--name`, if present.
-    pub fn value(&self, name: &str) -> Option<&str> {
+    /// The operand of the first `--name`, if the flag was passed.
+    pub fn operand(&self, name: &str) -> Option<&str> {
         let key = format!("--{name}");
-        self.args
-            .iter()
-            .position(|a| a == &key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+        let at = self.args.iter().position(|a| a == &key)?;
+        // `parse` checked that an operand follows every operand flag.
+        Some(&self.args[at + 1])
     }
 
-    /// Like [`BenchHarness::value`], but a present flag whose operand
-    /// is missing (end of line, or another `--flag`) is a `CLI002`
-    /// diagnostic instead of silently reading `None` — the error path
-    /// the unified runner exits through.
-    pub fn operand(&self, name: &str) -> Result<Option<&str>, Diagnostic> {
-        let key = format!("--{name}");
-        match self.args.iter().position(|a| a == &key) {
-            None => Ok(None),
-            Some(i) => match self.args.get(i + 1).map(String::as_str) {
-                Some(v) if !v.starts_with("--") => Ok(Some(v)),
-                _ => Err(Diagnostic::hard(
-                    "CLI002",
-                    key,
-                    format!("--{name} requires an operand"),
-                )),
-            },
-        }
-    }
-
-    /// The unsigned-integer operand of `--name`: `CLI002` when the
-    /// operand is missing, `CLI004` when it is not an unsigned integer.
-    pub fn uint_operand(&self, name: &str) -> Result<Option<u64>, Diagnostic> {
-        let Some(text) = self.operand(name)? else {
-            return Ok(None);
-        };
-        text.parse().map(Some).map_err(|_| {
-            Diagnostic::hard(
-                "CLI004",
-                format!("--{name} {text}"),
-                format!("malformed --{name}; expected an unsigned integer"),
-            )
-        })
+    /// The operand of `--name`, declared with [`Flag::uint`].
+    pub fn uint(&self, name: &str) -> Option<u64> {
+        let text = self.operand(name)?;
+        Some(
+            text.parse()
+                .expect("parse checked every Flag::uint operand"),
+        )
     }
 
     /// Whether the reduced workload scale was requested.
@@ -265,7 +265,7 @@ impl BenchHarness {
 
     /// The `--trace` output path, if tracing was requested.
     pub fn trace_path(&self) -> Option<&str> {
-        self.value("trace")
+        self.operand("trace")
     }
 
     /// Whether `--heatmap` asked for the per-link mesh table.
@@ -286,7 +286,7 @@ impl BenchHarness {
     /// Where the results document goes: `--out`, or `file` in the
     /// results directory.
     pub fn out_path(&self, file: &str) -> PathBuf {
-        self.value("out")
+        self.operand("out")
             .map_or_else(|| Path::new(RESULTS_DIR).join(file), PathBuf::from)
     }
 
@@ -411,33 +411,42 @@ mod tests {
         list.iter().map(std::string::ToString::to_string).collect()
     }
 
+    /// `parse` over `extra` and the document flags.
+    fn parse(list: &[&str], extra: &[Flag]) -> Result<BenchHarness, Diagnostic> {
+        BenchHarness::parse("t", args(list), &[extra, &Flag::DOCUMENT].concat())
+    }
+
     #[test]
     fn flags_and_values_parse() {
-        let h = BenchHarness::with_args("t", args(&["--small", "--json", "--out", "x.json"]));
+        let h = parse(&["--small", "--json", "--out", "x.json"], &[Flag::SMALL]).unwrap();
         assert!(h.small() && h.json());
-        assert_eq!(h.value("out"), Some("x.json"));
-        assert_eq!(h.value("missing"), None);
+        assert_eq!(h.operand("out"), Some("x.json"));
+        assert_eq!(h.operand("missing"), None);
         assert!(!h.flag("no-write"));
     }
 
     #[test]
     fn operand_distinguishes_missing_flag_from_missing_value() {
-        let h = BenchHarness::with_args("t", args(&["--out", "x.json", "--trace", "--json"]));
-        assert_eq!(h.operand("out").unwrap(), Some("x.json"));
-        assert_eq!(h.operand("mapping").unwrap(), None);
-        let err = h.operand("trace").unwrap_err();
-        assert_eq!(err.code, "CLI002");
-        let h = BenchHarness::with_args("t", args(&["--out"]));
-        assert_eq!(h.operand("out").unwrap_err().code, "CLI002");
+        let flags = [
+            Flag::operand("trace", "P", "trace"),
+            Flag::operand("mapping", "M", "mapping"),
+        ];
+        let h = parse(&["--out", "x.json", "--trace", "t.json"], &flags).unwrap();
+        assert_eq!(h.operand("out"), Some("x.json"));
+        assert_eq!(h.operand("mapping"), None);
+        let err = parse(&["--out", "x.json", "--trace", "--json"], &flags).unwrap_err();
+        assert_eq!((err.code, err.subject.as_str()), ("CLI002", "--trace"));
+        assert_eq!(parse(&["--out"], &flags).unwrap_err().code, "CLI002");
     }
 
     #[test]
     fn undeclared_arguments_are_cli008_and_operands_are_skipped() {
         let flags = [Flag::SMALL, Flag::operand("seed", "N", "seed")];
-        let check = |list: &[&str]| BenchHarness::with_args("t", args(list)).check_flags(&flags);
+        let check = |list: &[&str]| BenchHarness::parse("t", args(list), &flags).map(|_| ());
         assert!(check(&["--small", "--seed", "-1", "--small"]).is_ok());
-        // A missing operand is left to `operand`'s CLI002.
-        assert!(check(&["--seed", "--small"]).is_ok());
+        // A missing operand is a CLI002 on its flag.
+        let err = check(&["--seed", "--small"]).unwrap_err();
+        assert_eq!((err.code, err.subject.as_str()), ("CLI002", "--seed"));
         for bad in [
             &["--small", "--bogus-flag"][..],
             &["--seed", "3", "4"],
@@ -449,7 +458,7 @@ mod tests {
             assert_eq!(err.code, "CLI008", "{bad:?}");
             assert_eq!(&err.subject, bad.last().unwrap(), "{bad:?}");
         }
-        let help = BenchHarness::with_args("t", Vec::new()).help(&flags);
+        let help = help("t", &flags);
         assert!(
             help.contains("--seed N") && help.contains("--help"),
             "{help}"
@@ -457,8 +466,42 @@ mod tests {
     }
 
     #[test]
+    fn uint_operands_are_checked_before_they_are_read() {
+        let flags = [
+            Flag::uint("seed", "N", "seed"),
+            Flag::operand("name", "S", "name"),
+        ];
+        let check = |list: &[&str]| BenchHarness::parse("t", args(list), &flags);
+        let h = check(&["--seed", "18446744073709551615", "--name", "7x"]).unwrap();
+        assert_eq!(
+            (h.uint("seed"), h.operand("name")),
+            (Some(u64::MAX), Some("7x"))
+        );
+        assert_eq!(check(&["--name", "7x"]).unwrap().uint("seed"), None);
+        for text in ["banana", "-1", "18446744073709551616", "", "+"] {
+            let err = check(&["--seed", text]).unwrap_err();
+            assert_eq!(err.code, "CLI004", "{text:?}");
+            assert_eq!(err.subject, format!("--seed {text}"));
+        }
+        // The first refusal in argument order stands, but an undeclared
+        // argument anywhere is refused first.
+        assert_eq!(
+            check(&["--seed", "x", "--name"]).unwrap_err().code,
+            "CLI004"
+        );
+        assert_eq!(
+            check(&["--name", "--seed", "x"]).unwrap_err().code,
+            "CLI002"
+        );
+        assert_eq!(
+            check(&["--seed", "x", "--bogus"]).unwrap_err().code,
+            "CLI008"
+        );
+    }
+
+    #[test]
     fn document_carries_name_version_and_records() {
-        let mut h = BenchHarness::with_args("t", Vec::new());
+        let mut h = parse(&[], &[]).unwrap();
         let span = TimeSpan::new(Cycle(10), Frequency::ghz(1.0));
         h.record(RunRecord::new("a", span));
         h.record(RunRecord::new("b", span));
@@ -478,7 +521,7 @@ mod tests {
 
     #[test]
     fn attached_keys_land_in_the_document() {
-        let mut h = BenchHarness::with_args("t", Vec::new());
+        let mut h = parse(&[], &[]).unwrap();
         h.attach("table", Json::obj().with("rows", 3u64));
         let doc = h.document();
         assert_eq!(

@@ -3,8 +3,10 @@
 //! how to build its program model — and the single
 //! [`sim_harness::Mapping`] implementation over rows that the unified
 //! runner resolves `--mapping` names against. [`configured`] is the one
-//! route that overrides a registered pair: a sweep `set` block, and the
-//! `--placement` of `run`, `sarlint` and `autotune`.
+//! route that overrides a registered pair: a sweep `set` block, the
+//! `--placement` of `autotune`, and — through [`selected`], the one
+//! resolver of a `--mapping/--platform/--placement` selection — that of
+//! `run` and `sarlint`.
 //!
 //! A row's `run` applies the kernel's parameter specialisation (the
 //! autofocus IPC and pairing figures) on top of whatever parameters the
@@ -14,8 +16,9 @@
 use desim::{Frequency, Json};
 use sim_harness::PlatformKind::{Epiphany, Host, RefCpu};
 use sim_harness::{
-    platform_named, EpiphanyPlatform, FaultPlan, HarnessError, ImageRun, Mapping, MappingRun,
-    Placement, Platform, PlatformKind, ProgramModel, RefCpuPlatform, RunContext, Workload,
+    all_platforms, platform_named, Diagnostic, EpiphanyPlatform, FaultPlan, HarnessError, ImageRun,
+    Mapping, MappingRun, Placement, Platform, PlatformKind, ProgramModel, RefCpuPlatform,
+    RunContext, Workload,
 };
 use Driver::{Ffbp, Run};
 
@@ -394,6 +397,56 @@ pub fn configured(mapping: &str, platform: &str, set: &Json) -> Result<Configure
         platform,
         faults,
     })
+}
+
+/// The registered pairs a `--mapping`, `--platform` and `--placement`
+/// select: `mapping`, or every registered mapping in registry order,
+/// each on `platform`, or on every platform it supports in
+/// `all_platforms` order. `placement` re-places the mappings that take
+/// one. Errors are coded: `CLI001` for an unknown name, `CLI003` or
+/// `CLI007` from [`Placement::resolve`], and `CLI007` for a placement
+/// that does not fit a platform's mesh. Like [`configured`], it does
+/// not check that the mapping supports a named `platform`.
+pub fn selected(
+    mapping: Option<&str>,
+    platform: Option<&str>,
+    placement: Option<&str>,
+) -> Result<Vec<Configured>, Diagnostic> {
+    let place = placement.map(Placement::resolve).transpose()?;
+    let unknown = |flag: &str, name: &str| {
+        let message = format!("unknown {flag} name");
+        Diagnostic::hard("CLI001", format!("--{flag} {name}"), message)
+    };
+    let rows: Vec<&Row> = match mapping {
+        Some(name) => vec![ROWS
+            .iter()
+            .find(|row| row.name == name)
+            .ok_or_else(|| unknown("mapping", name))?],
+        None => ROWS.iter().collect(),
+    };
+    let platforms = match platform {
+        Some(name) => vec![platform_named(name).ok_or_else(|| unknown("platform", name))?],
+        None => all_platforms(),
+    };
+    let mut pairs = Vec::new();
+    for row in rows {
+        let set = match place {
+            Some(place) if row.keys.contains(&"placement") => {
+                Json::obj().with("placement", place.to_json())
+            }
+            _ => Json::obj(),
+        };
+        for p in platforms
+            .iter()
+            .filter(|p| platform.is_some() || row.supports(p.kind()))
+        {
+            pairs.push(configured(row.name, p.label(), &set).map_err(|e| {
+                let subject = format!("--placement {}", placement.unwrap_or_default());
+                Diagnostic::hard("CLI007", subject, e)
+            })?);
+        }
+    }
+    Ok(pairs)
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ mod rda_walk;
 mod spmd;
 pub mod table1;
 
-pub use harness_impls::{all_mappings, configured, mapping_named, Configured};
+pub use harness_impls::{all_mappings, configured, mapping_named, selected, Configured};
 pub use table1::{table1, Table1, Table1Row};
 // `benchmark/` names these two workloads through this crate.
 pub use sim_harness::{AutofocusWorkload, FfbpWorkload};

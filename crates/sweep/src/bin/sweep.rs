@@ -25,7 +25,7 @@ use sim_harness::{BenchHarness, Diagnostic, Flag};
 /// Every flag the runner reads besides the document's.
 const FLAGS: &[Flag] = &[
     Flag::operand("grid", "G", "run the grid spec in file G"),
-    Flag::operand(
+    Flag::uint(
         "threads",
         "N",
         "simulate on N worker threads (default: every core)",
@@ -43,29 +43,23 @@ fn fail(d: &Diagnostic, code: i32) -> ! {
 fn main() {
     let started = Instant::now();
     let h = BenchHarness::declared("sweep", FLAGS);
-    let grid_path = match h.operand("grid") {
-        Ok(Some(path)) => path.to_string(),
-        Ok(None) => fail(
+    let grid_path = h.operand("grid").unwrap_or_else(|| {
+        fail(
             &Diagnostic::hard("CLI002", "--grid", "sweep requires --grid <spec.json>"),
             2,
-        ),
-        Err(d) => fail(&d, 2),
-    };
-    let text = std::fs::read_to_string(&grid_path).unwrap_or_else(|e| {
+        )
+    });
+    let text = std::fs::read_to_string(grid_path).unwrap_or_else(|e| {
         fail(
-            &Diagnostic::hard(
-                "SWP001",
-                grid_path.clone(),
-                format!("cannot read grid: {e}"),
-            ),
+            &Diagnostic::hard("SWP001", grid_path, format!("cannot read grid: {e}")),
             2,
         )
     });
     let spec = GridSpec::parse(&text).unwrap_or_else(|d| fail(&d, 2));
-    let threads = match h.uint_operand("threads") {
-        Ok(None) => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        Ok(Some(n)) if n >= 1 => usize::try_from(n).unwrap_or(usize::MAX),
-        _ => fail(
+    let threads = match h.uint("threads") {
+        None => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        Some(n) if n >= 1 => usize::try_from(n).unwrap_or(usize::MAX),
+        Some(_) => fail(
             &Diagnostic::hard(
                 "CLI002",
                 "--threads",
