@@ -4,10 +4,10 @@
 //! `sar_core::rda::rda`, which the same FFT forms, and the golden
 //! `.jsonl` files pin records, not pixels — so a host-side kernel edit
 //! that moved a pixel on every machine at once would pass them all.
-//! These three constants are the FNV-1a 64 hash over `re.to_bits()`,
+//! These constants are the FNV-1a 64 hash over `re.to_bits()`,
 //! `im.to_bits()` of `rda()`'s image in row-major order, recorded at
 //! the commit before the FFT plan table and the migration table landed
-//! (PR 21), and an edit that only changes *how fast* the host forms the
+//! (PR 21; the paper-scale RCMC-off one later, see its test), and an edit that only changes *how fast* the host forms the
 //! image must leave them equal.
 //!
 //! A deliberate bit-changing FFT edit (ROADMAP item 3 allows one, with
@@ -54,4 +54,16 @@ fn small_image_bits_are_pinned_with_and_without_rcmc() {
 #[test]
 fn paper_image_bits_are_pinned() {
     check("paper", &RdaWorkload::paper(), true, 0xb7fa_67ba_e935_3a66);
+}
+
+/// Recorded at the commit before `rda()` spread its stages over the
+/// host's threads (the three above are older).
+#[test]
+fn paper_image_bits_are_pinned_without_rcmc() {
+    check(
+        "paper, RCMC off",
+        &RdaWorkload::paper(),
+        false,
+        0x74e6_179a_44ea_f8bd,
+    );
 }
