@@ -22,16 +22,18 @@
 //!
 //! Every stage kernel takes a `&mut OpCounts` and accrues a
 //! *data-independent* operation ledger: the counts depend only on the
-//! geometry and configuration, never on sample values. The formation
-//! order is stated once, as [`Stages`]' work units: [`rda`] sums their
-//! ledgers, the mapping drivers hand each to a machine model, and the
-//! `sarlint` program-model probes call the same kernels, so declared
-//! work is exact by construction.
+//! geometry and configuration, never on sample values or on which
+//! pulse or bin a unit is. [`rda`] runs the stages one after another,
+//! each stage's units spread over the host's threads, and sums their
+//! ledgers; a machine driver or a `sarlint` program model prices one
+//! ledger per stage, probed by running each stage's kernels once
+//! (`sar_epiphany::rda_seq::probe`), so declared work is exact by
+//! construction.
 
 mod pipeline;
 mod stages;
 
-pub use pipeline::{rda, RdaConfig, RdaRun, Stages};
+pub use pipeline::{rda, rda_with, RdaConfig, RdaRun};
 pub use stages::{
     azimuth_compress, azimuth_reference, doppler_spectrum, fft_ops, ifft_ops, range_compress_row,
     rcmc_correct, rcmc_shift, MigrationTable, RCMC_MAX_SIN,

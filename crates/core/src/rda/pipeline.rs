@@ -1,8 +1,11 @@
 //! The full RDA driver: range compression, corner turn + azimuth FFT,
-//! RCMC, azimuth compression — stated once as [`Stages`]' work units,
-//! which [`rda`] sums and the chip drivers time.
+//! RCMC, azimuth compression — stage by stage, each stage's units
+//! spread over the host's threads.
 
-use std::convert::Infallible;
+use std::num::NonZero;
+use std::panic::resume_unwind;
+use std::sync::OnceLock;
+use std::thread;
 
 use desim::OpCounts;
 
@@ -43,130 +46,120 @@ pub struct RdaRun {
     pub counts: OpCounts,
 }
 
-/// The RDA arithmetic one work unit at a time — the units [`rda`] and
-/// both chip drivers (`sar_epiphany::{rda_seq, rda_spmd}`) walk: a unit
-/// updates the functional matrices and returns its op ledger, for a
-/// total ([`rda`]) or for a machine model to price. [`Stages::walk`]
-/// states their order.
-pub struct Stages<'a> {
-    raw: &'a ComplexImage,
-    geom: &'a SarGeometry,
-    mf: MatchedFilter,
-    /// The geometry's range-cell migration, which `azimuth_bin`
-    /// corrects.
-    migration: &'a MigrationTable,
-    /// Range-compressed matrix, pulse-major.
-    rc: ComplexImage,
-    /// Range–Doppler matrix, bin-major (rows = range bins, cols =
-    /// Doppler bins).
-    rd: ComplexImage,
-    /// The focused image.
-    image: ComplexImage,
-}
-
-impl<'a> Stages<'a> {
-    /// Set up the stages over `raw` uncompressed echoes (rows = pulses,
-    /// cols = `num_bins + chirp.samples` fast-time samples), correcting
-    /// with `migration`, the table of `geom` under `cfg.rcmc`.
-    ///
-    /// The azimuth FFT length is the pulse count, so `geom.num_pulses`
-    /// must be a power of two (both stock geometries are).
-    pub fn new(
-        raw: &'a ComplexImage,
-        geom: &'a SarGeometry,
-        cfg: &RdaConfig,
-        migration: &'a MigrationTable,
-    ) -> Stages<'a> {
-        let (n, bins) = (geom.num_pulses, geom.num_bins);
-        assert!(
-            n.is_power_of_two(),
-            "RDA needs a power-of-two pulse count, got {n}"
-        );
-        assert_eq!(raw.rows(), n, "raw rows must equal pulse count");
-        assert_eq!(
-            raw.cols(),
-            bins + cfg.chirp.samples,
-            "raw cols must be num_bins + chirp samples"
-        );
-        Stages {
-            raw,
-            geom,
-            mf: MatchedFilter::new(&lfm_chirp(cfg.chirp), raw.cols()),
-            migration,
-            rc: ComplexImage::zeros(n, bins),
-            rd: ComplexImage::zeros(bins, n),
-            image: ComplexImage::zeros(n, bins),
-        }
-    }
-
-    /// Run every unit in formation order — each pulse's range
-    /// compression, then each bin's corner turn and Doppler transform,
-    /// then each bin's RCMC and azimuth compression — handing `each` the
-    /// unit's ledger as it is made. Returns the focused image, or the
-    /// first error `each` returns, at which the walk stops.
-    pub fn walk<E>(
-        mut self,
-        mut each: impl FnMut(OpCounts) -> Result<(), E>,
-    ) -> Result<ComplexImage, E> {
-        for k in 0..self.geom.num_pulses {
-            each(self.range_row(k))?;
-        }
-        for i in 0..self.geom.num_bins {
-            each(self.doppler_bin(i))?;
-        }
-        for i in 0..self.geom.num_bins {
-            each(self.azimuth_bin(i))?;
-        }
-        Ok(self.image)
-    }
-
-    /// Range-compress pulse `k`.
-    fn range_row(&mut self, k: usize) -> OpCounts {
-        let mut ops = OpCounts::default();
-        let row = range_compress_row(&self.mf, self.raw.row(k), self.geom.num_bins, &mut ops);
-        self.rc.row_mut(k).copy_from_slice(&row);
-        ops
-    }
-
-    /// Corner turn + azimuth FFT of range bin `i`'s pulse history.
-    fn doppler_bin(&mut self, i: usize) -> OpCounts {
-        let mut ops = OpCounts::default();
-        let col: Vec<c32> = (0..self.geom.num_pulses)
-            .map(|k| self.rc.at(k, i))
-            .collect();
-        let spectrum = doppler_spectrum(&col, &mut ops);
-        self.rd.row_mut(i).copy_from_slice(&spectrum);
-        ops
-    }
-
-    /// RCMC + azimuth compression of range bin `i`. The inverse FFT
-    /// returns circular lags; broadside (lag 0) is rotated to the
-    /// middle row so the image frame matches FFBP's.
-    fn azimuth_bin(&mut self, i: usize) -> OpCounts {
-        let n = self.geom.num_pulses;
-        let mut ops = OpCounts::default();
-        let corrected = self.migration.correct(&self.rd, i, &mut ops);
-        let href = azimuth_reference(self.geom, i, &mut ops);
-        let line = azimuth_compress(&corrected, &href, &mut ops);
-        for k in 0..n {
-            *self.image.at_mut(k, i) = line[(k + n / 2) % n];
-        }
-        ops
-    }
-}
-
-/// Run RDA over `raw` uncompressed echoes: every pulse range-compressed,
-/// then every bin's pulse history transformed, then every bin
-/// migration-corrected and azimuth-compressed (shape requirements:
-/// [`Stages::new`]).
+/// Run RDA over `raw` uncompressed echoes (rows = pulses, cols =
+/// `num_bins + chirp.samples` fast-time samples): every pulse
+/// range-compressed, then every bin's pulse history transformed, then
+/// every bin migration-corrected and azimuth-compressed.
+///
+/// The azimuth FFT length is the pulse count, so `geom.num_pulses`
+/// must be a power of two (both stock geometries are).
 pub fn rda(raw: &ComplexImage, geom: &SarGeometry, cfg: &RdaConfig) -> RdaRun {
-    let migration = MigrationTable::new(geom, cfg.rcmc);
-    let mut counts = OpCounts::default();
-    let Ok(image) = Stages::new(raw, geom, cfg, &migration).walk(|ops| {
-        counts.add(&ops);
-        Ok::<(), Infallible>(())
+    rda_with(raw, geom, cfg, &MigrationTable::new(geom, cfg.rcmc))
+}
+
+/// [`rda`] correcting with `migration`, the table of `geom` under
+/// `cfg.rcmc`, for a caller that reads the same table (a machine
+/// driver's RCMC gathers).
+pub fn rda_with(
+    raw: &ComplexImage,
+    geom: &SarGeometry,
+    cfg: &RdaConfig,
+    migration: &MigrationTable,
+) -> RdaRun {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    let workers = *WORKERS.get_or_init(|| thread::available_parallelism().map_or(1, NonZero::get));
+    form(raw, geom, cfg, migration, workers)
+}
+
+/// [`rda_with`] on `workers` threads. A unit — one pulse's range
+/// compression, one bin's corner turn and Doppler transform, one bin's
+/// RCMC and azimuth compression — reads only the previous stage's
+/// matrix, so each stage's units split freely; every unit runs the
+/// same kernels whatever its thread, so the image and the ledger do not
+/// depend on `workers`. At most two image-sized matrices are live: the
+/// range-compressed one is freed before the focused lines are
+/// allocated, the range–Doppler one before the image.
+fn form(
+    raw: &ComplexImage,
+    geom: &SarGeometry,
+    cfg: &RdaConfig,
+    migration: &MigrationTable,
+    workers: usize,
+) -> RdaRun {
+    let (n, bins) = (geom.num_pulses, geom.num_bins);
+    assert!(
+        n.is_power_of_two(),
+        "RDA needs a power-of-two pulse count, got {n}"
+    );
+    assert_eq!(raw.rows(), n, "raw rows must equal pulse count");
+    assert_eq!(
+        raw.cols(),
+        bins + cfg.chirp.samples,
+        "raw cols must be num_bins + chirp samples"
+    );
+    let mf = MatchedFilter::new(&lfm_chirp(cfg.chirp), raw.cols());
+    // Range-compressed matrix, pulse-major.
+    let mut rc = ComplexImage::zeros(n, bins);
+    let mut counts = each_row(&mut rc, workers, |k, row, ops| {
+        row.copy_from_slice(&range_compress_row(&mf, raw.row(k), bins, ops));
     });
+    // Range–Doppler matrix, bin-major (rows = range bins, cols =
+    // Doppler bins): the corner turn, then each pulse history's FFT.
+    let mut rd = ComplexImage::zeros(bins, n);
+    counts.add(&each_row(&mut rd, workers, |i, row, ops| {
+        let column: Vec<c32> = (0..n).map(|k| rc.at(k, i)).collect();
+        row.copy_from_slice(&doppler_spectrum(&column, ops));
+    }));
+    drop(rc);
+    // Focused azimuth lines, bin-major, in circular-lag order.
+    let mut lines = ComplexImage::zeros(bins, n);
+    counts.add(&each_row(&mut lines, workers, |i, row, ops| {
+        let corrected = migration.correct(&rd, i, ops);
+        let href = azimuth_reference(geom, i, ops);
+        row.copy_from_slice(&azimuth_compress(&corrected, &href, ops));
+    }));
+    drop(rd);
+    // Turned into the image frame, broadside (lag 0) rotated to the
+    // middle row so the frame matches FFBP's.
+    let mut image = ComplexImage::zeros(n, bins);
+    for k in 0..n {
+        for (i, pixel) in image.row_mut(k).iter_mut().enumerate() {
+            *pixel = lines.at(i, (k + n / 2) % n);
+        }
+    }
     RdaRun { image, counts }
+}
+
+/// Fill each row `r` of `out` with `unit(r, row, ledger)`, the rows
+/// split into contiguous chunks over `workers` scoped threads (the
+/// calling thread takes the first), and sum the chunks' ledgers. A
+/// panic in any unit is a panic of the call.
+fn each_row(
+    out: &mut ComplexImage,
+    workers: usize,
+    unit: impl Fn(usize, &mut [c32], &mut OpCounts) + Sync,
+) -> OpCounts {
+    let (width, per) = (out.cols(), out.rows().div_ceil(workers));
+    let unit = &unit;
+    let mut chunks = out.as_mut_slice().chunks_mut(per * width).enumerate();
+    let job = move |(c, chunk): (usize, &mut [c32])| {
+        let mut ops = OpCounts::default();
+        for (r, row) in chunk.chunks_mut(width).enumerate() {
+            unit(c * per + r, row, &mut ops);
+        }
+        ops
+    };
+    let first = chunks.next().expect("an image has rows");
+    thread::scope(|scope| {
+        let rest: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || job(chunk)))
+            .collect();
+        let mut counts = job(first);
+        for worker in rest {
+            counts.add(&worker.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        counts
+    })
 }
 
 #[cfg(test)]
@@ -236,6 +229,52 @@ mod tests {
             with > 1.05 * without,
             "RCMC peak {with} should beat uncorrected {without}"
         );
+    }
+
+    #[test]
+    fn any_worker_count_forms_the_same_bits_and_ledger() {
+        for rcmc in [true, false] {
+            let scene = Scene::six_targets(SarGeometry::test_size());
+            let cfg = RdaConfig {
+                chirp: small_chirp(),
+                rcmc,
+            };
+            let raw = simulate_raw_echoes(&scene, cfg.chirp);
+            let migration = MigrationTable::new(&scene.geometry, rcmc);
+            let reference = rda(&raw, &scene.geometry, &cfg);
+            for workers in [1, 2, 3, 7] {
+                let run = form(&raw, &scene.geometry, &cfg, &migration, workers);
+                let bits = |image: &ComplexImage| -> Vec<(u32, u32)> {
+                    let pixels = image.as_slice().iter();
+                    pixels.map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                };
+                assert!(
+                    bits(&run.image) == bits(&reference.image),
+                    "RCMC {rcmc}, {workers} workers: the image moved"
+                );
+                assert_eq!(
+                    run.counts, reference.counts,
+                    "RCMC {rcmc}, {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_on_any_worker_is_a_panic_of_the_call() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // 20 rows: on 7 workers, chunks of 3 with a ragged last one.
+        for workers in [1, 2, 3, 7] {
+            for bad in [0, 4, 10, 19] {
+                let mut out = ComplexImage::zeros(20, 4);
+                let call = catch_unwind(AssertUnwindSafe(|| {
+                    each_row(&mut out, workers, |r, _, _| assert!(r != bad, "unit {r}"));
+                }));
+                let panic = call.expect_err("the call panics");
+                let message = panic.downcast_ref::<String>().map(String::as_str);
+                assert_eq!(message, Some(format!("unit {bad}").as_str()), "{workers}");
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,6 @@ mod merge_walk;
 pub mod pipeline;
 pub mod rda_seq;
 pub mod rda_spmd;
-mod rda_walk;
 mod spmd;
 pub mod table1;
 

@@ -34,8 +34,7 @@ use sar_core::rda::MigrationTable;
 use sim_harness::{Bound, ImageRun, ProgramModel, RdaWorkload, RunContext};
 
 use crate::layout::{RdaLayout, BANK_CHILD_A, BANK_CHILD_B, PIXEL_BYTES};
-use crate::rda_seq::{probe, rcmc_gathers};
-use crate::rda_walk::{walk, Stage};
+use crate::rda_seq::{priced, probe, rcmc_gathers};
 use crate::spmd::{self, checkpointed, chip_for, owned, owner};
 
 /// Corner-turn tile edge, in elements. 32 x 32 c32 tiles are 8 KB —
@@ -121,7 +120,7 @@ pub fn run(
     let bank_bytes = u64::from(params.sram.bank_bytes);
     let migration = MigrationTable::new(&w.geom, w.config.rcmc);
 
-    let image = walk(w, &migration, |units| {
+    let image = priced(w, &migration, |[range_row, doppler_bin, azimuth_bin]| {
         // Phase 1: range compression, A -> B (pulse-major).
         checkpointed(
             &mut chip,
@@ -143,7 +142,7 @@ pub fn run(
                         })
                         .fold(Cycle::ZERO, Cycle::max);
                     chip.dma_wait(core, done);
-                    chip.compute(core, &units.unit(Stage::Range, k));
+                    chip.compute(core, &range_row);
                     let arrival = chip.write_external(
                         core,
                         layout.rc_addr(k as u32, 0),
@@ -207,7 +206,7 @@ pub fn run(
                         layout.col_bytes(),
                     );
                     chip.dma_wait(core, done);
-                    chip.compute(core, &units.unit(Stage::Doppler, i));
+                    chip.compute(core, &doppler_bin);
                     let arrival =
                         chip.write_external(core, layout.rd_addr(i as u32, 0), layout.col_bytes());
                     last_write[core] = last_write[core].max(arrival);
@@ -237,7 +236,7 @@ pub fn run(
                     gathers
                         .extend(rcmc_gathers(&migration, i).map(|(bin, m)| layout.rd_addr(bin, m)));
                     chip.read_external_run(core, &gathers, 8);
-                    chip.compute(core, &units.unit(Stage::Azimuth, i));
+                    chip.compute(core, &azimuth_bin);
                     let arrival =
                         chip.write_external(core, layout.ct_addr(i as u32, 0), layout.col_bytes());
                     last_write[core] = last_write[core].max(arrival);
