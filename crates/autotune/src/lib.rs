@@ -30,7 +30,7 @@ use sim_harness::{Placement, RUN_RECORD_VERSION};
 
 pub use eval::{Evaluator, Objective};
 pub use search::{SearchOutcome, TrajPoint};
-pub use space::{Move, PlacementSpace, NUM_ROLES, ROLE_CORR};
+pub use space::{Move, PlacementSpace};
 
 /// Which strategies [`tune`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,8 +79,6 @@ pub struct TuneConfig {
     pub strategy: Strategy,
     /// Price the small workload instead of the paper one.
     pub small: bool,
-    /// Roles the search must not move.
-    pub pins: Vec<usize>,
 }
 
 impl TuneConfig {
@@ -94,7 +92,6 @@ impl TuneConfig {
             iters: 800,
             strategy: Strategy::Both,
             small: false,
-            pins: Vec::new(),
         }
     }
 }
@@ -205,13 +202,7 @@ fn outcome_json(o: &SearchOutcome) -> Json {
 /// names, no mesh, a start placement the lint rejects).
 pub fn tune(cfg: &TuneConfig) -> Result<Tuning, String> {
     let evaluator = Evaluator::for_pair(&cfg.pair, cfg.small)?;
-    let mut space = PlacementSpace::for_mesh(evaluator.mesh());
-    for &role in &cfg.pins {
-        if role >= NUM_ROLES {
-            return Err(format!("pinned role {role} out of range (0..{NUM_ROLES})"));
-        }
-        space.pin(role);
-    }
+    let space = PlacementSpace::for_mesh(evaluator.mesh());
 
     let initial = Placement::neighbor();
     let initial_cost = evaluator
@@ -319,10 +310,8 @@ mod tests {
     }
 
     #[test]
-    fn unknown_pairs_and_bad_pins_error_out() {
+    fn unknown_pairs_error_out() {
         assert!(tune(&TuneConfig::new("nope")).is_err());
-        let mut cfg = small_cfg();
-        cfg.pins = vec![99];
-        assert!(tune(&cfg).is_err());
+        assert!(tune(&TuneConfig::new("ffbp_spmd:epiphany")).is_err());
     }
 }

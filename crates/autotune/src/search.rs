@@ -135,9 +135,7 @@ pub fn anneal(
     for i in 0..iters {
         let frac = i as f64 / iters.max(1) as f64;
         let t = scale * t_hot * (t_cold / t_hot).powf(frac);
-        let Some(mv) = space.random_move(&cur, &mut move_rng) else {
-            break;
-        };
+        let mv = space.random_move(&cur, &mut move_rng);
         let cand = PlacementSpace::apply(&cur, mv);
         out.evals += 1;
         let took = match score(&cand) {

@@ -14,6 +14,8 @@
 //!
 //! Three iterations sweep disjoint thirds of the oversampled path, so
 //! after iteration 2 the criterion covers the whole 6x6 block.
+//! The constants below, [`Stage::ALL`] and [`block_shift`] are the one
+//! statement of that shape; placements, models and drivers read them.
 
 use std::fmt;
 
@@ -23,12 +25,29 @@ use crate::autofocus::block::Block6;
 use crate::complex::c32;
 use crate::ffbp::interp::neville4;
 
+/// Image blocks the criterion correlates: `f-` (0) and `f+` (1).
+pub const BLOCKS: usize = 2;
+/// 4-wide windows per interpolation stage and block.
+pub const WINDOWS: usize = 3;
+/// Iterations per hypothesis, each over a third of the path.
+pub const ITERATIONS: usize = 3;
+/// Stage instances: range and beam interpolators, and the correlator.
+pub const STAGES: usize = 2 * BLOCKS * WINDOWS + 1;
+
+/// The shift block `blk` is resampled at under hypothesis `shift`:
+/// `f-` at `-shift/2`, `f+` at `+shift/2`, which pulls a feature
+/// displaced by `+shift` in `f+` back into alignment (resampling at
+/// `+d` moves apparent features by `-d`).
+pub fn block_shift(blk: usize, shift: f32) -> f32 {
+    [-0.5, 0.5][blk] * shift
+}
+
 /// Criterion workload parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct AutofocusConfig {
     /// Interpolation points evaluated along the tilted path per window
-    /// (split evenly across the three iterations; must be divisible
-    /// by 3).
+    /// (split evenly across the [`ITERATIONS`]; must be divisible by
+    /// their count).
     pub oversample: usize,
     /// Slope of the tilted path: fractional range shift per row.
     pub tilt: f32,
@@ -53,10 +72,10 @@ impl AutofocusConfig {
     /// Samples handled per iteration.
     pub fn samples_per_iteration(&self) -> usize {
         assert!(
-            self.oversample.is_multiple_of(3) && self.oversample > 0,
-            "oversample must be a positive multiple of 3"
+            self.oversample.is_multiple_of(ITERATIONS) && self.oversample > 0,
+            "oversample must be a positive multiple of {ITERATIONS}"
         );
-        self.oversample / 3
+        self.oversample / ITERATIONS
     }
 }
 
@@ -64,9 +83,9 @@ impl AutofocusConfig {
 /// interpolated values at this iteration's path positions.
 pub type RangeStageOut = [Vec<c32>; 6];
 
-/// Output of one beam-stage instance: for each of the three range
-/// windows, the interpolated values at this iteration's path positions.
-pub type BeamStageOut = [Vec<c32>; 3];
+/// Output of one beam-stage instance: for each range window, the
+/// interpolated values at this iteration's path positions.
+pub type BeamStageOut = [Vec<c32>; WINDOWS];
 
 /// Path position `s` (of `oversample`) expressed as a fractional
 /// offset within a 4-point window (relative to node index 1).
@@ -75,7 +94,7 @@ fn path_position(s: usize, oversample: usize) -> f32 {
     (s as f32 + 0.5) / oversample as f32
 }
 
-/// Range-interpolation stage for window `window` (0..3) of `block`:
+/// Range-interpolation stage for window `window` of `block`:
 /// cubic interpolation of each row's columns `window..window+4` at the
 /// iteration's path positions, shifted by `shift` and tilted per row.
 pub fn range_stage(
@@ -86,8 +105,8 @@ pub fn range_stage(
     cfg: &AutofocusConfig,
     counts: &mut OpCounts,
 ) -> RangeStageOut {
-    assert!(window < 3, "range windows are 0..3");
-    assert!(iteration < 3, "iterations are 0..3");
+    assert!(window < WINDOWS, "range windows are 0..{WINDOWS}");
+    assert!(iteration < ITERATIONS, "iterations are 0..{ITERATIONS}");
     let per_it = cfg.samples_per_iteration();
     let s0 = iteration * per_it;
     let mut out: RangeStageOut = Default::default();
@@ -117,19 +136,19 @@ pub fn range_stage(
     out
 }
 
-/// Beam-interpolation stage for row-window `window` (0..3): for each
+/// Beam-interpolation stage for row-window `window`: for each
 /// range window `w`, cubic interpolation across the four range-stage
 /// rows `window..window+4` at the same path positions.
 pub fn beam_stage(
-    range_out: &[RangeStageOut; 3],
+    range_out: &[RangeStageOut; WINDOWS],
     window: usize,
     shift: f32,
     iteration: usize,
     cfg: &AutofocusConfig,
     counts: &mut OpCounts,
 ) -> BeamStageOut {
-    assert!(window < 3, "beam windows are 0..3");
-    assert!(iteration < 3, "iterations are 0..3");
+    assert!(window < WINDOWS, "beam windows are 0..{WINDOWS}");
+    assert!(iteration < ITERATIONS, "iterations are 0..{ITERATIONS}");
     let per_it = cfg.samples_per_iteration();
     let beam_shift = cfg.beam_coupling * shift;
     counts.flops += 1;
@@ -158,29 +177,26 @@ pub fn beam_stage(
 /// Correlation + summation over one iteration's beam-stage outputs of
 /// the two contributing images (eq. 6): `sum |f-|^2 * |f+|^2`.
 pub fn correlate_partial(
-    minus: &[BeamStageOut; 3],
-    plus: &[BeamStageOut; 3],
+    minus: &[BeamStageOut; WINDOWS],
+    plus: &[BeamStageOut; WINDOWS],
     counts: &mut OpCounts,
 ) -> f32 {
     let mut acc = 0.0f32;
-    for b in 0..3 {
-        for w in 0..3 {
-            let (m, p) = (&minus[b][w], &plus[b][w]);
-            debug_assert_eq!(m.len(), p.len());
-            for (zm, zp) in m.iter().zip(p) {
-                acc += zm.norm_sqr() * zp.norm_sqr();
-                counts.fmas += 3;
-                counts.loads += 4;
-            }
+    for (m, p) in minus.iter().flatten().zip(plus.iter().flatten()) {
+        debug_assert_eq!(m.len(), p.len());
+        for (zm, zp) in m.iter().zip(p) {
+            acc += zm.norm_sqr() * zp.norm_sqr();
+            counts.fmas += 3;
+            counts.loads += 4;
         }
     }
     counts.stores += 1;
     acc
 }
 
-/// One of the thirteen stage instances of the Figure 8 dataflow — what
-/// fires in [`criterion_firings`], and what the MPMD mappings place one
-/// per core.
+/// One of the [`STAGES`] stage instances of the Figure 8 dataflow —
+/// what fires in [`criterion_firings`], and what the MPMD mappings place
+/// one per core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Range interpolator of block `blk` (0 = `f-`, 1 = `f+`), column
@@ -193,12 +209,46 @@ pub enum Stage {
 }
 
 impl Stage {
+    /// Every stage in role order: the range interpolators block by
+    /// block, then the beam interpolators block by block, then the
+    /// correlator. A stage's index here is its [`role`](Stage::role).
+    pub const ALL: [Stage; STAGES] = {
+        let mut all = [Stage::Corr; STAGES];
+        let mut i = 0;
+        while i < BLOCKS * WINDOWS {
+            let (blk, win) = (i / WINDOWS, i % WINDOWS);
+            all[i] = Stage::Range { blk, win };
+            all[BLOCKS * WINDOWS + i] = Stage::Beam { blk, win };
+            i += 1;
+        }
+        all
+    };
+
+    /// The stage's index in [`Stage::ALL`].
+    pub const fn role(self) -> usize {
+        match self {
+            Stage::Range { blk, win } => blk * WINDOWS + win,
+            Stage::Beam { blk, win } => (BLOCKS + blk) * WINDOWS + win,
+            Stage::Corr => STAGES - 1,
+        }
+    }
+
+    /// Messages the stage joins per firing: one per producer (none for
+    /// a range interpolator, whose block is staged once).
+    pub fn fan_in(self) -> usize {
+        match self {
+            Stage::Range { .. } => 0,
+            Stage::Beam { .. } => WINDOWS,
+            Stage::Corr => BLOCKS * WINDOWS,
+        }
+    }
+
     /// The stages this one streams to, in output-port order: a range
-    /// interpolator feeds the three beam interpolators of its block, a
-    /// beam interpolator feeds the correlator.
+    /// interpolator feeds the beam interpolators of its block, a beam
+    /// interpolator feeds the correlator.
     pub fn consumers(self) -> impl Iterator<Item = Stage> {
         let fanout = match self {
-            Stage::Range { .. } => 3,
+            Stage::Range { .. } => WINDOWS,
             Stage::Beam { .. } => 1,
             Stage::Corr => 0,
         };
@@ -220,15 +270,13 @@ impl fmt::Display for Stage {
     }
 }
 
-/// Run all three iterations of the full staged computation for one
-/// pair of blocks under shift hypothesis `shift`, reporting every stage
-/// firing to `fired` with the op ledger of that firing alone, as it
-/// happens: per iteration, block `f-` then `f+` — its three range
-/// windows, then its three beam windows — then the correlator, 39
-/// firings in all. `f-` is resampled at `-shift/2` and `f+` at
-/// `+shift/2`, so a feature displaced by `+shift` in `f+` relative to
-/// `f-` is pulled back into alignment (resampling at `+d` moves
-/// apparent features by `-d`). Returns the criterion, eq. (6).
+/// Run every iteration of the full staged computation for one pair of
+/// blocks under shift hypothesis `shift`, reporting every stage firing
+/// to `fired` with the op ledger of that firing alone, as it happens:
+/// per iteration, block `f-` then `f+` — its range windows, then its
+/// beam windows — then the correlator, [`ITERATIONS`] × [`STAGES`]
+/// firings in all. Each block is resampled at its [`block_shift`].
+/// Returns the criterion, eq. (6).
 pub fn criterion_firings(
     f_minus: &Block6,
     f_plus: &Block6,
@@ -237,8 +285,9 @@ pub fn criterion_firings(
     mut fired: impl FnMut(Stage, &OpCounts),
 ) -> f32 {
     let mut total = 0.0f32;
-    for it in 0..3 {
-        let mut half = |blk: usize, block: &Block6, s: f32| -> [BeamStageOut; 3] {
+    for it in 0..ITERATIONS {
+        let mut half = |blk: usize, block: &Block6| -> [BeamStageOut; WINDOWS] {
+            let s = block_shift(blk, shift);
             let mut range_win = |win| {
                 let mut ops = OpCounts::default();
                 let out = range_stage(block, win, s, it, cfg, &mut ops);
@@ -256,8 +305,8 @@ pub fn criterion_firings(
             };
             [beam_win(0), beam_win(1), beam_win(2)]
         };
-        let minus = half(0, f_minus, -0.5 * shift);
-        let plus = half(1, f_plus, 0.5 * shift);
+        let minus = half(0, f_minus);
+        let plus = half(1, f_plus);
         let mut ops = OpCounts::default();
         total += correlate_partial(&minus, &plus, &mut ops);
         fired(Stage::Corr, &ops);
@@ -322,6 +371,12 @@ mod tests {
         assert_eq!(expected.len(), 39);
         let stages: Vec<Stage> = fired.iter().map(|&(stage, _)| stage).collect();
         assert_eq!(stages, expected);
+        // Each iteration fires a permutation of the stage table.
+        for iteration in stages.chunks(STAGES) {
+            let mut roles: Vec<usize> = iteration.iter().map(|s| s.role()).collect();
+            roles.sort_unstable();
+            assert_eq!(roles, (0..STAGES).collect::<Vec<_>>());
+        }
 
         // The firing ledgers are `focus_criterion`'s counts, and its
         // value the walk's.
@@ -337,6 +392,43 @@ mod tests {
             let first = fired.iter().find(|(s, _)| kind(*s) == kind(*stage));
             assert_eq!(Some(ops), first.map(|(_, ops)| ops), "{stage}");
         }
+    }
+
+    #[test]
+    fn the_table_lists_every_stage_once_in_role_order() {
+        assert_eq!(Stage::ALL.len(), 13);
+        for (role, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage.role(), role, "{stage}");
+        }
+        // Range interpolators block by block, then beam, then the
+        // correlator.
+        let role_of = |stage: Stage| Stage::ALL.iter().position(|&s| s == stage);
+        for blk in 0..2 {
+            for win in 0..3 {
+                assert_eq!(role_of(Stage::Range { blk, win }), Some(3 * blk + win));
+                assert_eq!(role_of(Stage::Beam { blk, win }), Some(6 + 3 * blk + win));
+            }
+        }
+        assert_eq!(role_of(Stage::Corr), Some(12));
+    }
+
+    #[test]
+    fn fan_in_counts_the_producers_that_name_the_stage() {
+        for stage in Stage::ALL {
+            let producers = Stage::ALL
+                .iter()
+                .flat_map(|from| from.consumers())
+                .filter(|&to| to == stage)
+                .count();
+            assert_eq!(stage.fan_in(), producers, "{stage}");
+        }
+    }
+
+    #[test]
+    fn blocks_split_the_shift_symmetrically() {
+        assert_eq!(block_shift(0, 0.6), -0.3);
+        assert_eq!(block_shift(1, 0.6), 0.3);
+        assert_eq!(block_shift(1, 0.6) - block_shift(0, 0.6), 0.6);
     }
 
     #[test]

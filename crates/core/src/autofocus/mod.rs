@@ -17,7 +17,8 @@
 //! *correlation + summation* stage, iterated three times to cover the
 //! whole 6x6 pixel block. [`criterion_firings`] walks that dataflow
 //! once and reports every [`Stage`] firing, so the MPMD mapping can
-//! place each stage on its own core.
+//! place each stage on its own core; [`Stage::ALL`] and the counts
+//! beside it are the one statement of the pipeline's shape.
 
 pub mod block;
 pub mod criterion;
@@ -26,8 +27,8 @@ pub mod search;
 
 pub use block::Block6;
 pub use criterion::{
-    beam_stage, correlate_partial, criterion_firings, focus_criterion, range_stage,
-    AutofocusConfig, Stage,
+    beam_stage, block_shift, correlate_partial, criterion_firings, focus_criterion, range_stage,
+    AutofocusConfig, Stage, BLOCKS, ITERATIONS, STAGES, WINDOWS,
 };
 pub use integrated::{ffbp_with_autofocus, IntegratedConfig, IntegratedRun};
 pub use search::{best_shift, sweep_criterion};

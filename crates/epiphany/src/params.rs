@@ -195,10 +195,6 @@ impl EpiphanyParams {
     pub fn e64() -> Self {
         Self::with_mesh(8, 8)
     }
-
-    /// The datasheet "estimated power" figure the paper uses for the
-    /// whole chip in Table I (watts).
-    pub const DATASHEET_POWER_W: f64 = 2.0;
 }
 
 #[cfg(test)]

@@ -184,11 +184,6 @@ pub trait Mapping {
     fn kernel(&self) -> &'static str;
     /// Whether the mapping can execute on `kind`.
     fn supports(&self, kind: PlatformKind) -> bool;
-    /// The driver options a sweep `set` block may override on this
-    /// mapping (`cores`, `prefetch`, `placement`); none by default.
-    fn set_keys(&self) -> &'static [&'static str] {
-        &[]
-    }
     /// Run the workload. Called through [`crate::run`], which validates
     /// kernel/platform compatibility first and stamps record identity
     /// after. `ctx.tracer` is the run's event timeline — disabled

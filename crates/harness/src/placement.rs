@@ -1,6 +1,7 @@
-//! Core placement for the 13-core autofocus pipeline mappings.
+//! Core placement for the autofocus pipeline mappings.
 //!
-//! A [`Placement`] names which core runs which pipeline stage. Ids are
+//! A [`Placement`] names which core runs which pipeline stage
+//! ([`Placement::core`]; the stages are `sar_core`'s [`Stage::ALL`]). Ids are
 //! written canonically for the 4-column E16G3 mesh (`id = y * 4 + x`);
 //! [`Placement::rebased`] renumbers onto wider meshes while preserving
 //! every core's `(x, y)` coordinate, so hop counts — and therefore the
@@ -16,6 +17,10 @@
 
 use desim::Json;
 use emesh::{Coord, Mesh2D};
+/// The stages a placement assigns, for crates that place them without
+/// depending on `sar-core`.
+pub use sar_core::autofocus::Stage;
+use sar_core::autofocus::{BLOCKS, STAGES, WINDOWS};
 
 use crate::diag::Diagnostic;
 
@@ -23,14 +28,14 @@ use crate::diag::Diagnostic;
 /// for the 4-column E16G3 mesh and rebased onto wider meshes.
 pub const CANONICAL_COLS: usize = 4;
 
-/// Which core runs which pipeline stage. Indexing: `[block][instance]`
+/// Which core runs which pipeline stage. Indexing: `[block][window]`
 /// with block 0 = `f-`, block 1 = `f+`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Range-interpolator cores.
-    pub range: [[usize; 3]; 2],
+    pub range: [[usize; WINDOWS]; BLOCKS],
     /// Beam-interpolator cores.
-    pub beam: [[usize; 3]; 2],
+    pub beam: [[usize; WINDOWS]; BLOCKS],
     /// Correlation/summation core.
     pub corr: usize,
 }
@@ -72,17 +77,7 @@ impl Placement {
     /// unreadable, malformed or invalid files are `CLI007`.
     pub fn resolve(spec: &str) -> Result<Placement, Diagnostic> {
         if let Some(path) = spec.strip_prefix('@') {
-            let subject = format!("--placement @{path}");
-            let text = std::fs::read_to_string(path).map_err(|e| {
-                Diagnostic::hard(
-                    "CLI007",
-                    subject.clone(),
-                    format!("cannot read placement file: {e}"),
-                )
-            })?;
-            Placement::parse(&text).map_err(|e| {
-                Diagnostic::hard("CLI007", subject, format!("invalid placement file: {e}"))
-            })
+            Placement::load(path).map(|(place, _)| place)
         } else {
             Placement::named(spec).ok_or_else(|| {
                 Diagnostic::hard(
@@ -94,17 +89,55 @@ impl Placement {
         }
     }
 
+    /// The core `stage` runs on.
+    pub fn core(&self, stage: Stage) -> usize {
+        // One match over the stages: `core_mut`'s, on a copy.
+        let mut copy = *self;
+        *copy.core_mut(stage)
+    }
+
+    /// The core `stage` runs on, to move it.
+    pub fn core_mut(&mut self, stage: Stage) -> &mut usize {
+        match stage {
+            Stage::Range { blk, win } => &mut self.range[blk][win],
+            Stage::Beam { blk, win } => &mut self.beam[blk][win],
+            Stage::Corr => &mut self.corr,
+        }
+    }
+
+    /// The placement with every stage's core `c` replaced by `sub(c)`.
+    fn map(&self, sub: impl Fn(usize) -> usize) -> Placement {
+        let mut p = *self;
+        for stage in Stage::ALL {
+            *p.core_mut(stage) = sub(self.core(stage));
+        }
+        p
+    }
+
+    /// Read the placement file at `path` once: the placement and the
+    /// text it was parsed from. An unreadable, malformed or invalid file
+    /// is `CLI007`.
+    pub fn load(path: &str) -> Result<(Placement, String), Diagnostic> {
+        let subject = format!("--placement @{path}");
+        let text = std::fs::read_to_string(path).map_err(|e| {
+            Diagnostic::hard(
+                "CLI007",
+                subject.clone(),
+                format!("cannot read placement file: {e}"),
+            )
+        })?;
+        let place = Placement::parse(&text).map_err(|e| {
+            Diagnostic::hard("CLI007", subject, format!("invalid placement file: {e}"))
+        })?;
+        Ok((place, text))
+    }
+
     /// The placement with every occurrence of `dead` replaced by
     /// `spare` — the spare-core remap recovery move. The stage shape
     /// is untouched; only the node id changes.
     #[must_use]
     pub fn remap(&self, dead: usize, spare: usize) -> Placement {
-        let sub = |c: usize| if c == dead { spare } else { c };
-        Placement {
-            range: self.range.map(|col| col.map(sub)),
-            beam: self.beam.map(|col| col.map(sub)),
-            corr: sub(self.corr),
-        }
+        self.map(|c| if c == dead { spare } else { c })
     }
 
     /// `(x, y)` of a canonical placement id (4-column row-major).
@@ -128,7 +161,7 @@ impl Placement {
     #[must_use]
     pub fn rebased(&self, cols: u16, rows: u16) -> Placement {
         let mesh = Mesh2D::new(cols, rows);
-        let sub = |c: usize| {
+        self.map(|c| {
             let xy = Placement::canonical_xy(c);
             assert!(
                 mesh.contains(xy),
@@ -137,12 +170,7 @@ impl Placement {
                 xy.y
             );
             mesh.node(xy).raw()
-        };
-        Placement {
-            range: self.range.map(|col| col.map(sub)),
-            beam: self.beam.map(|col| col.map(sub)),
-            corr: sub(self.corr),
-        }
+        })
     }
 
     /// Whether every core's canonical coordinate lies on a
@@ -157,16 +185,10 @@ impl Placement {
             .all(|&c| mesh.contains(Placement::canonical_xy(c)))
     }
 
-    /// All thirteen distinct cores.
+    /// The distinct cores the stages run on, ascending: one per stage
+    /// in a valid placement.
     pub fn cores(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .range
-            .iter()
-            .chain(self.beam.iter())
-            .flatten()
-            .copied()
-            .collect();
-        v.push(self.corr);
+        let mut v: Vec<usize> = Stage::ALL.iter().map(|&s| self.core(s)).collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -174,8 +196,8 @@ impl Placement {
 
     /// Serialise to the placement-file JSON shape (canonical ids).
     pub fn to_json(&self) -> Json {
-        let col = |c: &[usize; 3]| Json::from(c.iter().map(|&v| Json::from(v)).collect::<Vec<_>>());
-        let pair = |p: &[[usize; 3]; 2]| Json::from(vec![col(&p[0]), col(&p[1])]);
+        let col = |c: &[usize; WINDOWS]| Json::from(c.map(Json::from).to_vec());
+        let pair = |p: &[[usize; WINDOWS]; BLOCKS]| Json::from(p.map(|c| col(&c)).to_vec());
         Json::obj()
             .with("version", 1u32)
             .with("range", pair(&self.range))
@@ -185,7 +207,8 @@ impl Placement {
 
     /// Parse the placement-file JSON shape produced by
     /// [`Placement::to_json`]. Rejects malformed documents, wrong
-    /// shapes, and assignments that do not use 13 distinct cores.
+    /// shapes, and assignments that do not use one distinct core per
+    /// stage.
     pub fn parse(text: &str) -> Result<Placement, String> {
         let doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
         Placement::from_json(&doc)
@@ -213,22 +236,25 @@ impl Placement {
                 .filter(|&c| c / CANONICAL_COLS <= usize::from(u16::MAX))
                 .ok_or_else(|| format!("{what} is off the canonical coordinate space"))
         };
-        let stage = |key: &str| -> Result<[[usize; 3]; 2], String> {
+        let stage = |key: &str| -> Result<[[usize; WINDOWS]; BLOCKS], String> {
             let blocks = doc
                 .get(key)
                 .and_then(Json::as_array)
                 .ok_or_else(|| format!("missing array field '{key}'"))?;
-            if blocks.len() != 2 {
-                return Err(format!("'{key}' must have 2 blocks, got {}", blocks.len()));
+            if blocks.len() != BLOCKS {
+                return Err(format!(
+                    "'{key}' must have {BLOCKS} blocks, got {}",
+                    blocks.len()
+                ));
             }
-            let mut out = [[0usize; 3]; 2];
+            let mut out = [[0usize; WINDOWS]; BLOCKS];
             for (bi, block) in blocks.iter().enumerate() {
                 let cores = block
                     .as_array()
                     .ok_or_else(|| format!("'{key}[{bi}]' must be an array"))?;
-                if cores.len() != 3 {
+                if cores.len() != WINDOWS {
                     return Err(format!(
-                        "'{key}[{bi}]' must have 3 cores, got {}",
+                        "'{key}[{bi}]' must have {WINDOWS} cores, got {}",
                         cores.len()
                     ));
                 }
@@ -243,9 +269,9 @@ impl Placement {
             beam: stage("beam")?,
             corr: id(doc.get("corr").unwrap_or(&Json::Null), "'corr'")?,
         };
-        if place.cores().len() != 13 {
+        if place.cores().len() != STAGES {
             return Err(format!(
-                "placement must use 13 distinct cores, got {}",
+                "placement must use {STAGES} distinct cores, got {}",
                 place.cores().len()
             ));
         }
@@ -293,6 +319,27 @@ mod tests {
         )
         .unwrap_err()
         .contains("'corr' is off the canonical coordinate space"));
+    }
+
+    #[test]
+    fn stage_accessors_round_trip_every_stage() {
+        for p in [Placement::neighbor(), Placement::scattered()] {
+            for stage in Stage::ALL {
+                let mut q = p;
+                *q.core_mut(stage) = 99;
+                assert_eq!(q.core(stage), 99, "{stage}");
+                assert_eq!(q.cores().len(), 13, "{stage} moved alone");
+                *q.core_mut(stage) = p.core(stage);
+                assert_eq!(q, p, "{stage}");
+            }
+            // Every field entry is some stage's core.
+            let mut fields: Vec<usize> = p.range.iter().chain(&p.beam).flatten().copied().collect();
+            fields.push(p.corr);
+            let mut by_stage: Vec<usize> = Stage::ALL.iter().map(|&s| p.core(s)).collect();
+            fields.sort_unstable();
+            by_stage.sort_unstable();
+            assert_eq!(fields, by_stage);
+        }
     }
 
     #[test]

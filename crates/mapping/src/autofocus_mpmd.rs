@@ -15,11 +15,12 @@
 
 use desim::Cycle;
 use epiphany::{Chip, EpiphanyParams};
-use sar_core::autofocus::{criterion_firings, Stage};
+use sar_core::autofocus::{criterion_firings, Stage, STAGES, WINDOWS};
 use sim_harness::{AutofocusWorkload, Placement, ProgramModel, RunContext, SweepRun};
 
+use crate::clock_label;
 use crate::pipeline::{
-    beam_msg_bytes, core_of, criterion_addr, range_msg_bytes, stage_block, PipelineProbe,
+    criterion_addr, msg_bytes, range_cores, stage_block, stage_blocks, PipelineProbe,
 };
 
 /// Execute the autofocus workload on the 13-core pipeline, emitting
@@ -46,8 +47,8 @@ pub fn run(
     let faults = &ctx.faults;
     assert_eq!(
         place.cores().len(),
-        13,
-        "the mapping must use 13 distinct cores"
+        STAGES,
+        "the mapping must use {STAGES} distinct cores"
     );
     let mut chip = Chip::from_params(params);
     chip.set_tracer(ctx.tracer.clone());
@@ -56,21 +57,14 @@ pub fn run(
     // the chip's actual mesh, preserving coordinates and hop counts.
     place = place.rebased(chip.mesh_dims().0, chip.mesh_dims().1);
 
-    // The three cores the 13-core mapping leaves idle: the spare pool
-    // for remapping around permanent halts.
+    // The cores the mapping leaves idle: the spare pool for remapping
+    // around permanent halts.
     let mut spares: Vec<usize> = (0..chip.cores())
         .filter(|c| !place.cores().contains(c))
         .collect();
 
     // Initial load: each range core DMAs its block from SDRAM.
-    for (blk, range_cores) in place.range.iter().enumerate() {
-        for &rc in range_cores {
-            stage_block(&mut chip, rc, blk);
-        }
-    }
-
-    let range_msg = u64::from(range_msg_bytes(&w.config));
-    let beam_msg = u64::from(beam_msg_bytes(&w.config));
+    stage_blocks(&mut chip, &place);
 
     // Stage occupancy: share of the phase's span each stage's cores
     // spent busy. All snapshots are pure reads of the chip's cursors —
@@ -87,8 +81,11 @@ pub fn run(
             // The placement can change between attempts, so the stage
             // groupings are derived fresh each time.
             let cores = place.cores();
-            let range_cores: Vec<usize> = place.range.iter().flatten().copied().collect();
-            let beam_cores: Vec<usize> = place.beam.iter().flatten().copied().collect();
+            let range: Vec<usize> = range_cores(&place).map(|(core, _)| core).collect();
+            let beam: Vec<usize> = (Stage::ALL.into_iter())
+                .filter(|stage| matches!(stage, Stage::Beam { .. }))
+                .map(|stage| place.core(stage))
+                .collect();
 
             let attempt_e0 = if faults.is_enabled() {
                 chip.energy().total_j()
@@ -97,8 +94,8 @@ pub fn run(
             };
             chip.phase_begin("hypothesis");
             let t0 = chip.elapsed();
-            let range_busy0 = stage_busy(&chip, &range_cores);
-            let beam_busy0 = stage_busy(&chip, &beam_cores);
+            let range_busy0 = stage_busy(&chip, &range);
+            let beam_busy0 = stage_busy(&chip, &beam);
             let corr_busy0 = chip.busy(place.corr).0;
             let mut corr_wait_cycles = 0u64;
             let mut corr_queue_peak = 0u64;
@@ -106,27 +103,27 @@ pub fn run(
             // Range → beam deliveries of the block in flight, `[beam
             // window][range window]`, and this iteration's arrivals at
             // the correlator.
-            let mut deliveries = [[Cycle::ZERO; 3]; 3];
-            let mut corr_arrivals: Vec<Cycle> = Vec::with_capacity(6);
+            let mut deliveries = [[Cycle::ZERO; WINDOWS]; WINDOWS];
+            let mut corr_arrivals: Vec<Cycle> = Vec::with_capacity(Stage::Corr.fan_in());
             let criterion =
                 criterion_firings(&w.f_minus, &w.f_plus, shift, &w.config, |stage, ops| {
-                    let core = core_of(stage, &place);
+                    let core = place.core(stage);
+                    let msg = u64::from(msg_bytes(&w.config, stage));
                     match stage {
-                        // Each range core streams its output to all
-                        // three beam cores of its block.
+                        // Each range core streams its output to every
+                        // beam core of its block.
                         Stage::Range { win, .. } => {
                             chip.compute(core, ops);
                             for (bi, to) in stage.consumers().enumerate() {
-                                deliveries[bi][win] =
-                                    chip.send_reliable(core, core_of(to, &place), range_msg);
+                                deliveries[bi][win] = chip.send_reliable(core, place.core(to), msg);
                             }
                         }
-                        // Each beam core waits for its three inputs.
+                        // Each beam core waits for its inputs.
                         Stage::Beam { win, .. } => {
                             let ready = deliveries[win].into_iter().max().unwrap_or(Cycle::ZERO);
                             chip.wait_flag(core, ready);
                             chip.compute(core, ops);
-                            corr_arrivals.push(chip.send_reliable(core, place.corr, beam_msg));
+                            corr_arrivals.push(chip.send_reliable(core, place.corr, msg));
                         }
                         // Correlation + summation once both halves have
                         // streamed in.
@@ -153,11 +150,11 @@ pub fn run(
                 |busy0: u64, busy1: u64, n: u64| (busy1 - busy0) as f64 / (n * span) as f64;
             chip.phase_metric(
                 "range_occupancy",
-                occupancy(range_busy0, stage_busy(&chip, &range_cores), 6),
+                occupancy(range_busy0, stage_busy(&chip, &range), range.len() as u64),
             );
             chip.phase_metric(
                 "beam_occupancy",
-                occupancy(beam_busy0, stage_busy(&chip, &beam_cores), 6),
+                occupancy(beam_busy0, stage_busy(&chip, &beam), beam.len() as u64),
             );
             chip.phase_metric(
                 "corr_occupancy",
@@ -192,10 +189,8 @@ pub fn run(
                 // A replacement range core needs its image block re-staged
                 // from SDRAM; beam and correlator stages carry no state
                 // across hypotheses.
-                for (blk, rcs) in place.range.iter().enumerate() {
-                    if rcs.contains(&spare) {
-                        stage_block(&mut chip, spare, blk);
-                    }
+                for (_, blk) in range_cores(&place).filter(|&(core, _)| core == spare) {
+                    stage_block(&mut chip, spare, blk);
                 }
             }
             faults.add_recovery_cycles(chip.elapsed().saturating_sub(t0).raw());
@@ -203,8 +198,12 @@ pub fn run(
         }
     }
 
+    let clock = clock_label(chip.params().clock);
     SweepRun::new(
-        chip.report("Autofocus / Epiphany, 13 cores @ 1 GHz (MPMD pipeline)", 13),
+        chip.report(
+            &format!("Autofocus / Epiphany, {STAGES} cores @ {clock} (MPMD pipeline)"),
+            STAGES,
+        ),
         sweep,
     )
 }

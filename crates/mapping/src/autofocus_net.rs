@@ -13,16 +13,14 @@ use std::rc::Rc;
 use desim::OpCounts;
 use epiphany::{Chip, EpiphanyParams};
 use sar_core::autofocus::criterion::{
-    beam_stage, correlate_partial, range_stage, AutofocusConfig, BeamStageOut, RangeStageOut, Stage,
+    beam_stage, block_shift, correlate_partial, range_stage, AutofocusConfig, BeamStageOut,
+    RangeStageOut, Stage, BLOCKS, ITERATIONS, STAGES, WINDOWS,
 };
 use sar_core::autofocus::Block6;
 use sim_harness::{AutofocusWorkload, Placement, ProgramModel, RunContext, SweepRun};
 use streams::{Actor, FireCtx, Network};
 
-use crate::pipeline::{
-    beam_msg_bytes, core_of, criterion_addr, edges, range_msg_bytes, stage_block, stages,
-    PipelineProbe,
-};
+use crate::pipeline::{criterion_addr, edges, msg_bytes, stage_blocks, stages, PipelineProbe};
 
 /// Tokens flowing through the pipeline.
 pub enum AfToken {
@@ -31,7 +29,7 @@ pub enum AfToken {
     Cmd {
         /// Per-block resampling shift (already halved and signed).
         shift: f32,
-        /// Criterion iteration, 0..3.
+        /// Criterion iteration, `0..ITERATIONS`.
         iteration: usize,
     },
     /// A range actor's window output.
@@ -51,6 +49,8 @@ struct RangeActor {
     block: Block6,
     window: usize,
     cfg: AutofocusConfig,
+    /// Bytes of each output message ([`msg_bytes`]).
+    bytes: u64,
 }
 
 impl Actor<AfToken> for RangeActor {
@@ -68,8 +68,7 @@ impl Actor<AfToken> for RangeActor {
             &mut counts,
         );
         ctx.charge(&counts);
-        let bytes = u64::from(range_msg_bytes(&self.cfg));
-        for port in 0..3 {
+        for port in 0..WINDOWS {
             ctx.send(
                 port,
                 AfToken::Range {
@@ -77,7 +76,7 @@ impl Actor<AfToken> for RangeActor {
                     shift,
                     iteration,
                 },
-                bytes,
+                self.bytes,
             );
         }
     }
@@ -86,11 +85,13 @@ impl Actor<AfToken> for RangeActor {
 struct BeamActor {
     window: usize,
     cfg: AutofocusConfig,
+    /// Bytes of each output message ([`msg_bytes`]).
+    bytes: u64,
 }
 
 impl Actor<AfToken> for BeamActor {
     fn fire(&mut self, inputs: Vec<AfToken>, ctx: &mut FireCtx<'_, AfToken>) {
-        let mut range_out: [Option<RangeStageOut>; 3] = Default::default();
+        let mut range_out: [Option<RangeStageOut>; WINDOWS] = Default::default();
         let mut shift = 0.0f32;
         let mut iteration = 0usize;
         for (slot, tok) in inputs.into_iter().enumerate() {
@@ -106,7 +107,7 @@ impl Actor<AfToken> for BeamActor {
             shift = s;
             iteration = it;
         }
-        let range_out = range_out.map(|o| o.expect("three range inputs"));
+        let range_out = range_out.map(|o| o.expect("one input per range window"));
         let mut counts = OpCounts::default();
         let out = beam_stage(
             &range_out,
@@ -117,35 +118,33 @@ impl Actor<AfToken> for BeamActor {
             &mut counts,
         );
         ctx.charge(&counts);
-        let bytes = u64::from(beam_msg_bytes(&self.cfg));
-        ctx.send(0, AfToken::Beam(Box::new(out)), bytes);
+        ctx.send(0, AfToken::Beam(Box::new(out)), self.bytes);
     }
 }
 
 struct CorrActor {
     /// `(shift, accumulated criterion)` per hypothesis. The driver
     /// opens an entry before it feeds a hypothesis; every firing until
-    /// the next one (three iterations) accumulates into it.
+    /// the next one (one per iteration) accumulates into it.
     results: Rc<RefCell<Vec<(f32, f32)>>>,
 }
 
 impl Actor<AfToken> for CorrActor {
     fn fire(&mut self, inputs: Vec<AfToken>, ctx: &mut FireCtx<'_, AfToken>) {
-        assert_eq!(inputs.len(), 6, "correlator joins six beam streams");
-        let mut minus: [Option<BeamStageOut>; 3] = Default::default();
-        let mut plus: [Option<BeamStageOut>; 3] = Default::default();
+        assert_eq!(
+            inputs.len(),
+            Stage::Corr.fan_in(),
+            "the correlator joins every beam stream"
+        );
+        // Ports are block-major: `f-`'s beam windows, then `f+`'s.
+        let mut blocks: [[Option<BeamStageOut>; WINDOWS]; BLOCKS] = Default::default();
         for (slot, tok) in inputs.into_iter().enumerate() {
             let AfToken::Beam(out) = tok else {
                 panic!("correlator expects Beam tokens");
             };
-            if slot < 3 {
-                minus[slot] = Some(*out);
-            } else {
-                plus[slot - 3] = Some(*out);
-            }
+            blocks[slot / WINDOWS][slot % WINDOWS] = Some(*out);
         }
-        let minus = minus.map(|o| o.expect("three minus inputs"));
-        let plus = plus.map(|o| o.expect("three plus inputs"));
+        let [minus, plus] = blocks.map(|b| b.map(|o| o.expect("one input per beam window")));
         let mut counts = OpCounts::default();
         let partial = correlate_partial(&minus, &plus, &mut counts);
         ctx.charge(&counts);
@@ -175,37 +174,32 @@ pub fn run(
     let results = Rc::new(RefCell::new(Vec::new()));
 
     // Initial block loads, as in the hand-written mapping.
-    for (blk, cores) in place.range.iter().enumerate() {
-        for &rc in cores {
-            stage_block(net.chip_mut(), rc, blk);
-        }
-    }
+    stage_blocks(net.chip_mut(), &place);
 
-    // Thirteen actors, wired along the pipeline's edges.
-    let actors: Vec<_> = stages()
-        .map(|stage| {
-            let behaviour: Box<dyn Actor<AfToken>> = match stage {
-                Stage::Range { blk, win } => Box::new(RangeActor {
-                    block: if blk == 0 { w.f_minus } else { w.f_plus },
-                    window: win,
-                    cfg: w.config,
-                }),
-                Stage::Beam { win, .. } => Box::new(BeamActor {
-                    window: win,
-                    cfg: w.config,
-                }),
-                Stage::Corr => Box::new(CorrActor {
-                    results: results.clone(),
-                }),
-            };
-            let id = net.add_actor(&stage.to_string(), core_of(stage, &place), behaviour);
-            (stage, id)
-        })
-        .collect();
-    let actor = |stage: Stage| {
-        let found = actors.iter().find(|(s, _)| *s == stage);
-        found.expect("every stage is an actor").1
-    };
+    // One actor per stage, wired along the pipeline's edges.
+    let mut actors = [None; STAGES];
+    for stage in stages() {
+        let bytes = u64::from(msg_bytes(&w.config, stage));
+        let behaviour: Box<dyn Actor<AfToken>> = match stage {
+            Stage::Range { blk, win } => Box::new(RangeActor {
+                block: if blk == 0 { w.f_minus } else { w.f_plus },
+                window: win,
+                cfg: w.config,
+                bytes,
+            }),
+            Stage::Beam { win, .. } => Box::new(BeamActor {
+                window: win,
+                cfg: w.config,
+                bytes,
+            }),
+            Stage::Corr => Box::new(CorrActor {
+                results: results.clone(),
+            }),
+        };
+        let id = net.add_actor(&stage.to_string(), place.core(stage), behaviour);
+        actors[stage.role()] = Some(id);
+    }
+    let actor = |stage: Stage| actors[stage.role()].expect("every stage is an actor");
     for (from, to) in edges() {
         net.connect(actor(from), actor(to));
     }
@@ -218,16 +212,11 @@ pub fn run(
         net.chip_mut().phase_begin("hypothesis");
         let shift = w.shift(h);
         results.borrow_mut().push((shift, 0.0));
-        for it in 0..3 {
-            for (blk, sign) in [(0usize, -0.5f32), (1, 0.5)] {
-                for win in 0..3 {
-                    net.feed(
-                        actor(Stage::Range { blk, win }),
-                        AfToken::Cmd {
-                            shift: sign * shift,
-                            iteration: it,
-                        },
-                    );
+        for iteration in 0..ITERATIONS {
+            for stage in Stage::ALL {
+                if let Stage::Range { blk, .. } = stage {
+                    let shift = block_shift(blk, shift);
+                    net.feed(actor(stage), AfToken::Cmd { shift, iteration });
                 }
             }
         }
@@ -239,9 +228,10 @@ pub fn run(
         net.chip_mut().phase_end();
     }
 
-    let mut record = net
-        .chip()
-        .report("Autofocus / Epiphany, 13 cores (streams network)", 13);
+    let mut record = net.chip().report(
+        &format!("Autofocus / Epiphany, {STAGES} cores (streams network)"),
+        STAGES,
+    );
     record.set_metric("firings", firings as f64);
     let sweep = results.borrow().clone();
     SweepRun::new(record, sweep)

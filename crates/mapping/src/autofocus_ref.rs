@@ -8,9 +8,10 @@
 
 use desim::OpCounts;
 use refcpu::{RefCpu, RefCpuParams};
-use sar_core::autofocus::focus_criterion;
+use sar_core::autofocus::{focus_criterion, BLOCKS};
 use sim_harness::{AutofocusWorkload, Bound, ProgramModel, SweepRun, WorkDecl};
 
+use crate::clock_label;
 use crate::pipeline::BLOCK_BYTES;
 
 /// Sustained IPC for the Neville dependence chains of this kernel:
@@ -63,8 +64,9 @@ pub fn run(w: &AutofocusWorkload, params: RefCpuParams) -> SweepRun {
         sweep.push((shift, v));
     }
 
+    let clock = clock_label(cpu.params().clock);
     SweepRun::new(
-        cpu.report("Autofocus / Intel i7 model, 1 core @ 2.67 GHz"),
+        cpu.report(&format!("Autofocus / Intel i7 model, 1 core @ {clock}")),
         sweep,
     )
 }
@@ -77,7 +79,7 @@ pub fn model(w: &AutofocusWorkload) -> ProgramModel {
     let setup = m.phase("setup", 1);
     let mut wd = WorkDecl::new(0);
     // Two block reads, five 64 B lines each.
-    wd.mem_accesses = Bound::exact(f64::from(2 * BLOCK_BYTES.div_ceil(64)));
+    wd.mem_accesses = Bound::exact(f64::from(BLOCKS as u32 * BLOCK_BYTES.div_ceil(64)));
     setup.work.push(wd);
     let ph = m.phase("hypothesis", w.hypotheses as u64);
     let mut wd = WorkDecl::new(0);

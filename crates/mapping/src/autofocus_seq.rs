@@ -9,9 +9,11 @@
 use epiphany::dma::DmaDirection;
 use epiphany::{Chip, EpiphanyParams};
 use memsim::GlobalAddr;
+use sar_core::autofocus::BLOCKS;
 use sim_harness::{AutofocusWorkload, Bound, ProgramModel, RunContext, SweepRun, WorkDecl};
 
 use crate::autofocus_ref::hypothesis;
+use crate::clock_label;
 use crate::layout::BANK_CHILD_A;
 use crate::pipeline::{criterion_addr, BLOCK_BYTES};
 
@@ -27,6 +29,9 @@ pub fn specialised(base: EpiphanyParams) -> EpiphanyParams {
         ..base
     }
 }
+
+/// Bytes of the block pair the one core stages.
+const PAIR_BYTES: u32 = BLOCKS as u32 * BLOCK_BYTES;
 
 /// Epiphany parameters specialised to this kernel.
 pub fn params() -> EpiphanyParams {
@@ -47,7 +52,7 @@ pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, ctx: &RunContext) -> S
         DmaDirection::ExternalToLocal,
         GlobalAddr::external(0),
         BANK_CHILD_A,
-        u64::from(2 * BLOCK_BYTES),
+        u64::from(PAIR_BYTES),
     );
     chip.dma_wait(core, d1);
 
@@ -62,8 +67,12 @@ pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, ctx: &RunContext) -> S
         sweep.push((shift, v));
     }
 
+    let clock = clock_label(chip.params().clock);
     SweepRun::new(
-        chip.report("Autofocus / Epiphany, 1 core @ 1 GHz (sequential)", 1),
+        chip.report(
+            &format!("Autofocus / Epiphany, 1 core @ {clock} (sequential)"),
+            1,
+        ),
         sweep,
     )
 }
@@ -74,13 +83,13 @@ pub fn run(w: &AutofocusWorkload, params: EpiphanyParams, ctx: &RunContext) -> S
 pub fn model(w: &AutofocusWorkload, mesh: (u16, u16)) -> ProgramModel {
     let mut m = ProgramModel::new(mesh.0, mesh.1);
     m.cores = vec![0];
-    m.buffer("block_pair", 0, BANK_CHILD_A, 0, 2 * BLOCK_BYTES);
+    m.buffer("block_pair", 0, BANK_CHILD_A, 0, PAIR_BYTES);
     m.pairing_efficiency = Some(AUTOFOCUS_PAIRING);
 
     let setup = m.phase("setup", 1);
     let mut wd = WorkDecl::new(0);
     wd.dma_msgs = Bound::exact(1.0);
-    wd.dma_bytes = Bound::exact(f64::from(2 * BLOCK_BYTES));
+    wd.dma_bytes = Bound::exact(f64::from(PAIR_BYTES));
     setup.work.push(wd);
 
     let ph = m.phase("hypothesis", w.hypotheses as u64);

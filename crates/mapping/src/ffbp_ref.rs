@@ -11,6 +11,7 @@
 use refcpu::{RefCpu, RefCpuParams};
 use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext, WorkDecl};
 
+use crate::clock_label;
 use crate::merge_walk::{probe_sample, walk_one, Machine};
 
 /// Execute the FFBP workload on the reference CPU model (one record
@@ -38,7 +39,8 @@ pub(crate) fn machine(params: RefCpuParams) -> Machine<'static> {
             });
             cpu.phase_end();
         });
-        cpu.report("FFBP / Intel i7 model, 1 core @ 2.67 GHz")
+        let clock = clock_label(cpu.params().clock);
+        cpu.report(&format!("FFBP / Intel i7 model, 1 core @ {clock}"))
     })
 }
 

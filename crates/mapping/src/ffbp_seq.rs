@@ -10,6 +10,7 @@
 use epiphany::{Chip, EpiphanyParams};
 use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext, WorkDecl};
 
+use crate::clock_label;
 use crate::layout::ExternalLayout;
 use crate::merge_walk::{probe_sample, walk_one, Machine};
 
@@ -45,7 +46,11 @@ pub(crate) fn machine(params: EpiphanyParams) -> Machine<'static> {
             });
             chip.phase_end();
         });
-        chip.report("FFBP / Epiphany, 1 core @ 1 GHz (sequential)", 1)
+        let clock = clock_label(chip.params().clock);
+        chip.report(
+            &format!("FFBP / Epiphany, 1 core @ {clock} (sequential)"),
+            1,
+        )
     })
 }
 

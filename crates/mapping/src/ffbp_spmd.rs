@@ -21,6 +21,7 @@ use sar_core::ffbp::interp::nearest_indices;
 use sar_core::geometry::merge_geometry;
 use sim_harness::{Bound, FfbpWorkload, ImageRun, ProgramModel, RunContext};
 
+use crate::clock_label;
 use crate::layout::{ExternalLayout, BANK_CHILD_A, BANK_CHILD_B};
 use crate::merge_walk::{probe_sample, walk_one, Machine};
 use crate::spmd::{self, checkpointed, chip_for, owned, owner};
@@ -156,10 +157,9 @@ pub(crate) fn machine(params: EpiphanyParams, opts: SpmdOptions) -> Machine<'sta
             checkpointed(&mut chip, &ctx.faults, &mut active, "merge", merge);
         });
 
-        let mut record = chip.report(
-            &format!("FFBP / Epiphany, {n_cores} cores @ 1 GHz (SPMD)"),
-            n_cores,
-        );
+        let clock = clock_label(chip.params().clock);
+        let label = format!("FFBP / Epiphany, {n_cores} cores @ {clock} (SPMD)");
+        let mut record = chip.report(&label, n_cores);
         record.set_metric("local_hits", local_hits as f64);
         record.set_metric("external_misses", external_misses as f64);
         record

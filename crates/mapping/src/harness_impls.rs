@@ -233,9 +233,6 @@ impl Mapping for Row {
     fn supports(&self, kind: PlatformKind) -> bool {
         kind == self.family
     }
-    fn set_keys(&self) -> &'static [&'static str] {
-        self.keys
-    }
     fn execute(
         &self,
         workload: &Workload,
@@ -455,6 +452,34 @@ mod tests {
     use sim_harness::{all_platforms, platform_named, run, AutofocusWorkload};
 
     #[test]
+    fn labels_state_the_clock_the_chip_ran_at() {
+        let label = |set: Json| {
+            let pair = configured("ffbp_spmd", "epiphany", &set).expect("a valid set block");
+            let w = Workload::named("ffbp", true).unwrap();
+            let record = run(pair.mapping.as_ref(), &w, pair.platform.as_ref())
+                .unwrap()
+                .record;
+            (record.label, record.elapsed.clock.hz())
+        };
+        assert_eq!(
+            label(Json::obj()),
+            ("FFBP / Epiphany, 16 cores @ 1 GHz (SPMD)".to_string(), 1e9)
+        );
+        assert_eq!(
+            label(Json::obj().with("clock_mhz", 400u32)),
+            (
+                "FFBP / Epiphany, 16 cores @ 400 MHz (SPMD)".to_string(),
+                4e8
+            )
+        );
+        let clock = |hz: f64| crate::clock_label(Frequency::hz_new(hz));
+        assert_eq!(
+            [clock(2.67e9), clock(1.5e9), clock(6e8)],
+            ["2.67 GHz", "1.5 GHz", "600 MHz"]
+        );
+    }
+
+    #[test]
     fn names_round_trip_through_the_registry() {
         for m in all_mappings() {
             let named = mapping_named(m.name()).expect("name must resolve");
@@ -471,7 +496,7 @@ mod tests {
             let w = Workload::named(row.kernel, true).unwrap();
             let default = row.program_model(&w, epiphany.as_ref());
             let placeable = matches!(row.name, "autofocus_mpmd" | "autofocus_net");
-            assert_eq!(row.set_keys().contains(&"placement"), placeable);
+            assert_eq!(row.keys.contains(&"placement"), placeable);
             match configured(row.name, "epiphany", &scattered) {
                 Ok(placed) => {
                     assert!(placeable, "{} took a placement", row.name);

@@ -41,6 +41,23 @@ mod spmd;
 pub mod table1;
 
 pub use harness_impls::{all_mappings, configured, mapping_named, selected, Configured};
+
+use desim::Frequency;
+
+/// A machine's clock as its record label states it: `1 GHz`,
+/// `2.67 GHz`, `400 MHz` — at most two decimals, trailing zeros dropped.
+pub(crate) fn clock_label(clock: Frequency) -> String {
+    let (value, unit) = if clock.hz() >= 1e9 {
+        (clock.hz() / 1e9, "GHz")
+    } else {
+        (clock.hz() / 1e6, "MHz")
+    };
+    let digits = format!("{value:.2}");
+    format!(
+        "{} {unit}",
+        digits.trim_end_matches('0').trim_end_matches('.')
+    )
+}
 pub use table1::{table1, Table1, Table1Row};
 // `benchmark/` names these two workloads through this crate.
 pub use sim_harness::{AutofocusWorkload, FfbpWorkload};

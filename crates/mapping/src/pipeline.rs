@@ -1,9 +1,10 @@
-//! What the two 13-core autofocus pipeline drivers —
+//! What the two autofocus pipeline drivers —
 //! [`crate::autofocus_mpmd`] (hand-written) and [`crate::autofocus_net`]
 //! (the `streams` process network) — and their program model share:
-//! the block staging, the message sizes, the placement of the stage
-//! graph (`sar_core::autofocus::Stage` names the stages and their
-//! consumers) and the per-firing kernel probe. A driver and the model
+//! the block staging, the message sizes, the stage graph's channels
+//! and the per-firing kernel probe. The pipeline's shape — its stages
+//! in role order, block, window and iteration counts — is
+//! `sar_core::autofocus`'s ([`Stage::ALL`]); a driver and the model
 //! that prices it read these same items, so a change to the dataflow is
 //! made once.
 
@@ -11,7 +12,9 @@ use desim::OpCounts;
 use epiphany::dma::DmaDirection;
 use epiphany::Chip;
 use memsim::GlobalAddr;
-use sar_core::autofocus::{criterion_firings, AutofocusConfig, Block6, Stage};
+use sar_core::autofocus::{
+    criterion_firings, AutofocusConfig, Block6, Stage, ITERATIONS, STAGES, WINDOWS,
+};
 use sim_harness::{AutofocusWorkload, Bound, Placement, ProgramModel, TrafficDecl, WorkDecl};
 
 use crate::autofocus_seq::AUTOFOCUS_PAIRING;
@@ -22,23 +25,26 @@ use crate::layout::{BANK_CHILD_A, PIXEL_BYTES};
 /// core) stages it into.
 pub const BLOCK_BYTES: u32 = std::mem::size_of::<Block6>() as u32;
 
-/// Bytes of a message carrying `vectors` vectors of one iteration's
-/// complex samples.
-fn msg_bytes(cfg: &AutofocusConfig, vectors: u64) -> u32 {
+/// Bytes `stage` streams to each consumer per firing: one iteration's
+/// complex samples for each of the six rows of a range interpolator,
+/// or each range window of a beam interpolator.
+pub(crate) fn msg_bytes(cfg: &AutofocusConfig, stage: Stage) -> u32 {
+    let vectors = match stage {
+        Stage::Range { .. } => 6,
+        Stage::Beam { .. } => WINDOWS as u64,
+        Stage::Corr => 0,
+    };
     u32::try_from(vectors * cfg.samples_per_iteration() as u64 * PIXEL_BYTES)
         .expect("message fits u32")
 }
 
-/// Bytes a range interpolator streams to each beam interpolator per
-/// firing: six rows of complex samples.
-pub(crate) fn range_msg_bytes(cfg: &AutofocusConfig) -> u32 {
-    msg_bytes(cfg, 6)
-}
-
-/// Bytes a beam interpolator streams to the correlator per firing:
-/// three windows of complex samples.
-pub(crate) fn beam_msg_bytes(cfg: &AutofocusConfig) -> u32 {
-    msg_bytes(cfg, 3)
+/// The range interpolators' cores in role order, each with the image
+/// block it stages.
+pub(crate) fn range_cores(place: &Placement) -> impl Iterator<Item = (usize, usize)> + '_ {
+    Stage::ALL.into_iter().filter_map(|stage| match stage {
+        Stage::Range { blk, .. } => Some((place.core(stage), blk)),
+        _ => None,
+    })
 }
 
 /// DMA image block `blk` from SDRAM into `core`'s staging bank and
@@ -54,69 +60,51 @@ pub(crate) fn stage_block(chip: &mut Chip, core: usize, blk: usize) {
     chip.dma_wait(core, done);
 }
 
+/// The initial load: every range interpolator stages its block.
+pub(crate) fn stage_blocks(chip: &mut Chip, place: &Placement) {
+    for (core, blk) in range_cores(place) {
+        stage_block(chip, core, blk);
+    }
+}
+
 /// Where hypothesis `h`'s criterion value is written back in SDRAM.
 pub(crate) fn criterion_addr(h: usize) -> GlobalAddr {
     GlobalAddr::external(0x10000 + 8 * h as u32)
 }
 
-/// The core `place` runs `stage` on.
-pub(crate) fn core_of(stage: Stage, place: &Placement) -> usize {
-    match stage {
-        Stage::Range { blk, win } => place.range[blk][win],
-        Stage::Beam { blk, win } => place.beam[blk][win],
-        Stage::Corr => place.corr,
-    }
+/// Every stage, in the order [`crate::autofocus_net`] creates its
+/// actors — and its scheduler fires the lowest-numbered ready actor:
+/// the correlator, then block by block the range and the beam
+/// interpolators.
+pub(crate) fn stages() -> [Stage; STAGES] {
+    let mut order = Stage::ALL;
+    order.sort_by_key(|stage| match stage {
+        Stage::Corr => 0,
+        Stage::Range { blk, .. } | Stage::Beam { blk, .. } => blk + 1,
+    });
+    order
 }
 
-/// All thirteen stages: the correlator, then block by block the range
-/// and the beam interpolators. [`crate::autofocus_net`] creates its
-/// actors in this order, and its scheduler fires the lowest-numbered
-/// ready actor.
-pub(crate) fn stages() -> impl Iterator<Item = Stage> {
-    let block = |blk| {
-        let range = (0..3).map(move |win| Stage::Range { blk, win });
-        range.chain((0..3).map(move |win| Stage::Beam { blk, win }))
-    };
-    std::iter::once(Stage::Corr).chain((0..2).flat_map(block))
-}
-
-/// The 24 channels of the pipeline, in the order both the network and
-/// the model connect them. A consumer's input ports number its edges
-/// in this order: beam interpolator `b` receives range windows 0, 1, 2,
-/// and the correlator's six ports are block-major — what
+/// The pipeline's channels, in the order both the network and the
+/// model connect them. A consumer's input ports number its edges in
+/// this order: beam interpolator `b` receives range windows in window
+/// order, and the correlator's ports are block-major — what
 /// [`crate::autofocus_net`]'s actors rely on.
 pub(crate) fn edges() -> impl Iterator<Item = (Stage, Stage)> {
-    stages().flat_map(|from| from.consumers().map(move |to| (from, to)))
-}
-
-/// The placement the probe builds its model on: each stage's "core" is
-/// its role number (`autotune`'s: range `3·blk + win`, beam
-/// `6 + 3·blk + win`, the correlator 12), so every core id in that
-/// model names the role a placement fills.
-const ROLES: Placement = Placement {
-    range: [[0, 1, 2], [3, 4, 5]],
-    beam: [[6, 7, 8], [9, 10, 11]],
-    corr: 12,
-};
-
-/// The core `place` gives each role of [`ROLES`].
-fn role_cores(place: &Placement) -> [usize; 13] {
-    let mut cores = [0; 13];
-    for stage in stages() {
-        cores[core_of(stage, &ROLES)] = core_of(stage, place);
-    }
-    cores
+    stages()
+        .into_iter()
+        .flat_map(|from| from.consumers().map(move |to| (from, to)))
 }
 
 /// The placement-independent part of the pipeline model, built once:
 /// labels, phases, per-firing op counts probed from the kernels,
-/// message sizes and recovery declarations, on the [`ROLES`] placement.
-/// Probing runs the actual stage kernels (the expensive part); a
-/// placement only writes core ids ([`PipelineProbe::rewire`]), so a
-/// placement search probes once and prices each candidate without
-/// rebuilding its model.
+/// message sizes and recovery declarations, with every stage on the
+/// core numbered by its role ([`Stage::role`]). Probing runs the actual
+/// stage kernels (the expensive part); a placement only writes core ids
+/// ([`PipelineProbe::rewire`]), so a placement search probes once and
+/// prices each candidate without rebuilding its model.
 pub struct PipelineProbe {
-    /// The model on [`ROLES`], on no mesh.
+    /// The model with each stage on its role's core, on no mesh.
     roles: ProgramModel,
 }
 
@@ -126,7 +114,7 @@ impl PipelineProbe {
     /// tokens too — and has no recovery story, so `sarlint` flags its
     /// channels as recovery-free (SL011/SL012).
     pub fn net(w: &AutofocusWorkload) -> PipelineProbe {
-        PipelineProbe::probed(w, 3.0, false)
+        PipelineProbe::probed(w, false)
     }
 
     /// Probe for the hand-written MPMD driver (`autofocus_mpmd`): its
@@ -136,107 +124,78 @@ impl PipelineProbe {
     /// flag, then drain-and-restart of the hypothesis with a spare-core
     /// remap if the peer has halted.
     pub fn mpmd(w: &AutofocusWorkload) -> PipelineProbe {
-        PipelineProbe::probed(w, 0.0, true)
+        PipelineProbe::probed(w, true)
     }
 
     /// Walk one hypothesis ([`criterion_firings`]), keep a firing's
-    /// ledger per stage kind — the per-firing work of the three
-    /// pipeline stages — and build the model on [`ROLES`]. All ledgers
-    /// are data-independent, so any firing of a kind stands for every
-    /// other (`criterion.rs`'s tests pin that).
+    /// ledger per stage — every firing of a stage kind does the same,
+    /// data-independent work (`criterion.rs`'s tests pin that) — and
+    /// build the model with each stage on its role's core.
     ///
     /// Buffers: each range core holds its DMA'd source block in an
-    /// upper bank; each beam core's bank 0 receives three posted range
-    /// messages per round; the correlator's bank 0 receives six beam
-    /// messages. Channels: the 24 `edges()`, each with its
-    /// flag-signalled posted-write protocol.
-    fn probed(
-        w: &AutofocusWorkload,
-        range_waits_per_hyp: f64,
-        mpmd_recovery: bool,
-    ) -> PipelineProbe {
+    /// upper bank; each beam core's and the correlator's bank 0
+    /// receives one posted message per producer and round. Channels:
+    /// the `edges()`, each with its flag-signalled posted-write
+    /// protocol.
+    fn probed(w: &AutofocusWorkload, mpmd: bool) -> PipelineProbe {
         let cfg = &w.config;
-        let mut range_ops = OpCounts::default();
-        let mut beam_ops = OpCounts::default();
-        let mut corr_ops = OpCounts::default();
-        criterion_firings(&w.f_minus, &w.f_plus, 0.0, cfg, |stage, ops| {
-            *match stage {
-                Stage::Range { .. } => &mut range_ops,
-                Stage::Beam { .. } => &mut beam_ops,
-                Stage::Corr => &mut corr_ops,
-            } = *ops;
+        let mut ops = [OpCounts::default(); STAGES];
+        criterion_firings(&w.f_minus, &w.f_plus, 0.0, cfg, |stage, fired| {
+            ops[stage.role()] = *fired;
         });
-        let place = ROLES;
         let mut m = ProgramModel {
-            cores: place.cores(),
+            cores: (0..STAGES).collect(),
             ..ProgramModel::default()
         };
-        let (range_msg, beam_msg) = (range_msg_bytes(cfg), beam_msg_bytes(cfg));
-
-        for (blk, range_cores) in place.range.iter().enumerate() {
-            for (win, &rc) in range_cores.iter().enumerate() {
-                m.buffer(
-                    format!("block{blk}[r{win}]"),
-                    rc,
-                    BANK_CHILD_A,
-                    0,
-                    BLOCK_BYTES,
-                );
+        for stage in Stage::ALL {
+            let core = stage.role();
+            if let Stage::Range { blk, win } = stage {
+                let label = format!("block{blk}[r{win}]");
+                m.buffer(label, core, BANK_CHILD_A, 0, BLOCK_BYTES);
             }
-        }
-        for (blk, beam_cores) in place.beam.iter().enumerate() {
-            for (bi, &bc) in beam_cores.iter().enumerate() {
-                for win in 0..3u32 {
-                    m.buffer(
-                        format!("inbox_b{blk}{bi}[r{win}]"),
-                        bc,
-                        0,
-                        win * range_msg,
-                        range_msg,
-                    );
-                }
+            // One inbox per input port, sized for its producer's message.
+            let producers = edges().filter(|&(_, to)| to == stage);
+            for (port, (from, _)) in (0u32..).zip(producers) {
+                let msg = msg_bytes(cfg, from);
+                let label = match stage {
+                    Stage::Beam { blk, win } => format!("inbox_b{blk}{win}[r{port}]"),
+                    _ => format!("inbox_corr[{port}]"),
+                };
+                m.buffer(label, core, 0, port * msg, msg);
             }
-        }
-        for slot in 0..6u32 {
-            m.buffer(
-                format!("inbox_corr[{slot}]"),
-                place.corr,
-                0,
-                slot * beam_msg,
-                beam_msg,
-            );
         }
         for (from, to) in edges() {
-            m.channel(
-                format!("{from}->{to}"),
-                core_of(from, &place),
-                core_of(to, &place),
-            );
+            m.channel(format!("{from}->{to}"), from.role(), to.role());
         }
 
-        // Workload: six range-core DMAs up front, then per hypothesis
-        // three iterations of range -> beam -> correlate.
+        // Workload: the range cores' block DMAs up front, then per
+        // hypothesis every iteration of range -> beam -> correlate.
         m.pairing_efficiency = Some(AUTOFOCUS_PAIRING);
         let setup = m.phase("setup", 1);
-        for &rc in place.range.iter().flatten() {
-            let mut wd = WorkDecl::new(rc);
+        let range = Stage::ALL
+            .into_iter()
+            .filter(|s| matches!(s, Stage::Range { .. }));
+        for stage in range {
+            let mut wd = WorkDecl::new(stage.role());
             wd.dma_msgs = Bound::exact(1.0);
             wd.dma_bytes = Bound::exact(f64::from(BLOCK_BYTES));
             setup.work.push(wd);
         }
         let ph = m.phase("hypothesis", w.hypotheses as u64);
-        // Three firings of `stage` per hypothesis, each posting one
-        // message to every consumer.
-        let mut fires = |stage: Stage| {
-            let (ops, waits, msg) = match stage {
-                Stage::Range { .. } => (&range_ops, range_waits_per_hyp, range_msg),
-                Stage::Beam { .. } => (&beam_ops, 3.0, beam_msg),
-                Stage::Corr => (&corr_ops, 3.0, 0),
+        // Per hypothesis every stage fires once an iteration, waits
+        // for its inputs (a range actor of the network for its command
+        // token) and posts one message to every consumer.
+        let firings = ITERATIONS as f64;
+        for stage in Stage::ALL {
+            let waits = match stage {
+                Stage::Range { .. } if mpmd => 0.0,
+                _ => firings,
             };
-            let core = core_of(stage, &place);
+            let msg = msg_bytes(cfg, stage);
+            let core = stage.role();
             let mut wd = WorkDecl::new(core);
-            wd.exact_ops(ops.scaled(3));
-            wd.compute_calls = Bound::exact(3.0);
+            wd.exact_ops(ops[core].scaled(ITERATIONS as u64));
+            wd.compute_calls = Bound::exact(firings);
             wd.flag_waits = Bound::exact(waits);
             if stage == Stage::Corr {
                 // The criterion write-back.
@@ -247,25 +206,14 @@ impl PipelineProbe {
             for to in stage.consumers() {
                 ph.traffic.push(TrafficDecl {
                     from: core,
-                    to: core_of(to, &place),
-                    messages: Bound::exact(3.0),
-                    bytes: Bound::exact(3.0 * f64::from(msg)),
+                    to: to.role(),
+                    messages: Bound::exact(firings),
+                    bytes: Bound::exact(firings * f64::from(msg)),
                 });
             }
-        };
-        for blk in 0..2 {
-            for win in 0..3 {
-                fires(Stage::Range { blk, win });
-            }
         }
-        for blk in 0..2 {
-            for win in 0..3 {
-                fires(Stage::Beam { blk, win });
-            }
-        }
-        fires(Stage::Corr);
 
-        if mpmd_recovery {
+        if mpmd {
             let covered = m.declare_recovery("range", "retry_backoff+drain_restart")
                 + m.declare_recovery("beam", "retry_backoff+drain_restart");
             debug_assert!(covered > 0, "the pipeline's channels must match");
@@ -291,7 +239,7 @@ impl PipelineProbe {
         // Placements use canonical E16G3 (4-column) ids; the model
         // mirrors the drivers and renumbers onto the target mesh.
         let place = place.rebased(m.mesh.0, m.mesh.1);
-        let core = role_cores(&place);
+        let core = Stage::ALL.map(|stage| place.core(stage));
         let roles = &self.roles;
         m.cores = place.cores();
         for (b, role) in m.buffers.iter_mut().zip(&roles.buffers) {
@@ -343,7 +291,7 @@ mod tests {
             assert_eq!(channel.label, format!("{from}->{to}"));
             assert_eq!(
                 (channel.from, channel.to),
-                (core_of(*from, &place), core_of(*to, &place))
+                (place.core(*from), place.core(*to))
             );
         }
         // A consumer's input ports number its edges in that order — what
@@ -367,6 +315,29 @@ mod tests {
             [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
                 .map(|(blk, win)| Stage::Beam { blk, win })
         );
+    }
+
+    #[test]
+    fn the_actor_order_is_a_permutation_of_the_table() {
+        let order = stages();
+        let mut roles = order.map(Stage::role);
+        roles.sort_unstable();
+        assert_eq!(roles, std::array::from_fn(|role| role));
+        // The correlator first, then block by block the range and the
+        // beam interpolators.
+        let names: Vec<String> = order.iter().map(Stage::to_string).collect();
+        assert_eq!(
+            names.join(" "),
+            "corr range00 range01 range02 beam00 beam01 beam02 \
+             range10 range11 range12 beam10 beam11 beam12"
+        );
+    }
+
+    #[test]
+    fn the_range_cores_stage_their_own_block() {
+        let place = Placement::neighbor();
+        let cores: Vec<(usize, usize)> = range_cores(&place).collect();
+        assert_eq!(cores, [(0, 0), (4, 0), (8, 0), (3, 1), (7, 1), (11, 1)]);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use sar_core::rda::{
 use sar_core::signal::{lfm_chirp, MatchedFilter};
 use sim_harness::{Bound, ImageRun, ProgramModel, RdaWorkload, RunContext, WorkDecl};
 
+use crate::clock_label;
 use crate::layout::RdaLayout;
 
 /// Op ledgers of one range row, one Doppler bin and one azimuth bin,
@@ -136,8 +137,9 @@ pub fn run(w: &RdaWorkload, params: EpiphanyParams, ctx: &RunContext) -> ImageRu
         chip.phase_end();
     });
 
+    let clock = clock_label(chip.params().clock);
     ImageRun {
-        record: chip.report("RDA / Epiphany, 1 core @ 1 GHz (sequential)", 1),
+        record: chip.report(&format!("RDA / Epiphany, 1 core @ {clock} (sequential)"), 1),
         image,
     }
 }

@@ -33,6 +33,7 @@ use epiphany::EpiphanyParams;
 use sar_core::rda::MigrationTable;
 use sim_harness::{Bound, ImageRun, ProgramModel, RdaWorkload, RunContext};
 
+use crate::clock_label;
 use crate::layout::{RdaLayout, BANK_CHILD_A, BANK_CHILD_B, PIXEL_BYTES};
 use crate::rda_seq::{priced, probe, rcmc_gathers};
 use crate::spmd::{self, checkpointed, chip_for, owned, owner};
@@ -245,11 +246,10 @@ pub fn run(
         );
     });
 
+    let clock = clock_label(chip.params().clock);
+    let label = format!("RDA / Epiphany, {n_cores} cores @ {clock} (SPMD)");
     ImageRun {
-        record: chip.report(
-            &format!("RDA / Epiphany, {n_cores} cores @ 1 GHz (SPMD)"),
-            n_cores,
-        ),
+        record: chip.report(&label, n_cores),
         image,
     }
 }

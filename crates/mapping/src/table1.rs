@@ -4,6 +4,7 @@
 use std::fmt;
 
 use desim::{Json, RunRecord};
+use sar_core::autofocus::STAGES;
 use sim_harness::{
     run, stamp, AutofocusWorkload, EpiphanyPlatform, FfbpWorkload, Platform, RefCpuPlatform,
     RunContext, Workload,
@@ -75,7 +76,7 @@ const CONFIGS: [Config; 3] = [
     (
         "Parallel on Epiphany @ 1 GHz",
         false,
-        [("ffbp_spmd", 16, 4.25), ("autofocus_mpmd", 13, 8.93)],
+        [("ffbp_spmd", 16, 4.25), ("autofocus_mpmd", STAGES, 8.93)],
     ),
 ];
 

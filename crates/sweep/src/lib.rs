@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use desim::{Json, RunRecord, RUN_RECORD_VERSION};
 use faultsim::{FaultPlan, FaultState};
 use sar_epiphany::{configured, Configured};
-use sim_harness::{platform_named, run_ctx, Diagnostic, RunContext, Workload};
+use sim_harness::{platform_named, run_ctx, Diagnostic, Placement, RunContext, Workload};
 
 /// Grid-spec schema version accepted by [`GridSpec::parse`].
 pub const GRID_SPEC_VERSION: u64 = 1;
@@ -56,17 +56,21 @@ pub struct PairSpec {
     /// overrides `sar_epiphany::configured` applies; `None` when the
     /// spec gives none (or an empty one).
     pub set: Option<Json>,
+    /// The placement a `"placement": "@path"` in `set` names, as
+    /// [`GridSpec::parse`] read it, with the [`text_digest`] of the
+    /// file's text: the pair's cells key on that digest and simulate
+    /// that placement, whatever the file holds later.
+    pub placement_file: Option<(u64, Placement)>,
 }
 
 impl PairSpec {
     /// The mapping and platform the pair's cells run on.
     fn configured(&self) -> Result<Configured, String> {
-        let empty = Json::obj();
-        configured(
-            &self.mapping,
-            &self.platform,
-            self.set.as_ref().unwrap_or(&empty),
-        )
+        let mut set = self.set.clone().unwrap_or_else(Json::obj);
+        if let Some((_, place)) = &self.placement_file {
+            set.set("placement", place.to_json());
+        }
+        configured(&self.mapping, &self.platform, &set)
     }
 }
 
@@ -116,19 +120,19 @@ impl Cell {
 /// the grid instead of silently serving records simulated under a
 /// different fault schedule. A pair's `set` block, when it has one,
 /// is appended as written in the document (compact, keys sorted); only
-/// a `placement: "@path"` in it appends more — a digest of the file's
-/// contents, read here — so editing the file re-simulates the pair's
+/// a `placement: "@path"` in it appends more — the digest of the file's
+/// text as [`GridSpec::parse`] read it ([`PairSpec::placement_file`]) —
+/// so a grid parsed after the file is edited re-simulates the pair's
 /// cells. Keys without either keep the legacy six-field format, so
 /// existing documents stay valid caches and serialise byte-identically.
 pub fn cell_key(
-    mapping: &str,
-    platform: &str,
+    pair: &PairSpec,
     kernel: &str,
     small: bool,
     seed: u64,
     faults: Option<&str>,
-    set: Option<&Json>,
 ) -> String {
+    let (mapping, platform) = (&pair.mapping, &pair.platform);
     let scale = if small { "small" } else { "paper" };
     let mut key = match faults {
         None => format!("{mapping}|{platform}|{kernel}|{scale}|{seed}|v{RUN_RECORD_VERSION}"),
@@ -137,14 +141,11 @@ pub fn cell_key(
             text_digest(spec)
         ),
     };
-    if let Some(set) = set {
+    if let Some(set) = &pair.set {
         key.push_str(&format!("|{set}"));
-        let file = set.get("placement").and_then(Json::as_str);
-        if let Some(path) = file.and_then(|p| p.strip_prefix('@')) {
-            // An unreadable file keys as empty; the run itself reports it.
-            let text = std::fs::read_to_string(path).unwrap_or_default();
-            key.push_str(&format!("|p{:016x}", text_digest(&text)));
-        }
+    }
+    if let Some((digest, _)) = pair.placement_file {
+        key.push_str(&format!("|p{digest:016x}"));
     }
     key
 }
@@ -187,7 +188,8 @@ impl GridSpec {
     /// `sar_epiphany::configured` accepts for the pair (`SWP002`
     /// otherwise), so a sweep fails before any simulation starts rather
     /// than mid-grid. A `set` with `faults` replaces the grid's `faults`
-    /// for that pair.
+    /// for that pair. A `set` whose `placement` is `"@path"` has its
+    /// file read here, once ([`PairSpec::placement_file`]).
     pub fn parse(text: &str) -> Result<GridSpec, Diagnostic> {
         let doc = Json::parse(text).map_err(|e| bad_spec("grid", format!("not JSON: {e}")))?;
         match doc.get("version").and_then(Json::as_u64) {
@@ -230,10 +232,19 @@ impl GridSpec {
                     Some(Json::Obj(members))
                 }
             };
+            let (mapping, platform) = (field("mapping")?, field("platform")?);
+            let file = set
+                .as_ref()
+                .and_then(|s| s.get("placement")?.as_str()?.strip_prefix('@'));
+            let placement_file = match file.map(Placement::load).transpose() {
+                Ok(loaded) => loaded.map(|(place, text)| (text_digest(&text), place)),
+                Err(d) => return Err(Diagnostic::hard("SWP002", format!("pairs[{i}]"), d.message)),
+            };
             let pair = PairSpec {
-                mapping: field("mapping")?,
-                platform: field("platform")?,
+                mapping,
+                platform,
                 set,
+                placement_file,
             };
             validate_pair(&pair, i)?;
             pairs.push(pair);
@@ -474,13 +485,11 @@ pub fn run_grid(
     let key_of = |cell_index: usize| {
         let Cell { pair, seed } = &cells[cell_index];
         cell_key(
-            &pair.mapping,
-            &pair.platform,
+            pair,
             kernel_of(cell_index),
             spec.small,
             *seed,
             spec.faults.as_deref(),
-            pair.set.as_ref(),
         )
     };
 
@@ -900,17 +909,24 @@ mod tests {
         }
     }
 
+    /// `ffbp_spmd` on the E64 with no `set` block.
+    fn spmd_on_e64() -> PairSpec {
+        PairSpec {
+            mapping: "ffbp_spmd".to_string(),
+            platform: "e64".to_string(),
+            set: None,
+            placement_file: None,
+        }
+    }
+
     #[test]
     fn cell_keys_embed_the_record_version() {
-        let key = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, None, None);
+        let key = cell_key(&spmd_on_e64(), "ffbp", true, 3, None);
         assert_eq!(
             key,
             format!("ffbp_spmd|e64|ffbp|small|3|v{RUN_RECORD_VERSION}")
         );
-        assert_ne!(
-            key,
-            cell_key("ffbp_spmd", "e64", "ffbp", false, 3, None, None)
-        );
+        assert_ne!(key, cell_key(&spmd_on_e64(), "ffbp", false, 3, None));
     }
 
     /// A one-seed-pair grid of `pairs`, each `(mapping, platform, set)`.
@@ -931,17 +947,9 @@ mod tests {
         let key = |set: &str| {
             let spec = set_grid(&[("ffbp_spmd", "e64", set)]);
             let pair = &spec.pairs[0];
-            cell_key(
-                &pair.mapping,
-                &pair.platform,
-                "ffbp",
-                true,
-                3,
-                None,
-                pair.set.as_ref(),
-            )
+            cell_key(pair, "ffbp", true, 3, None)
         };
-        let legacy = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, None, None);
+        let legacy = cell_key(&spmd_on_e64(), "ffbp", true, 3, None);
         // No block, or an empty one, is the legacy six-field key.
         assert_eq!(key("{}"), legacy);
         assert_eq!(legacy.split('|').count(), 6);
@@ -1064,18 +1072,18 @@ mod tests {
 
     #[test]
     fn cell_keys_embed_the_fault_spec() {
-        let free = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, None, None);
+        let free = cell_key(&spmd_on_e64(), "ffbp", true, 3, None);
         let spec_a = r#"{"version": 1, "faults": []}"#;
         let spec_b = r#"{"version": 1, "faults": [{"kind": "flag_drop", "at": 2000}]}"#;
-        let with_a = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, Some(spec_a), None);
-        let with_b = cell_key("ffbp_spmd", "e64", "ffbp", true, 3, Some(spec_b), None);
+        let with_a = cell_key(&spmd_on_e64(), "ffbp", true, 3, Some(spec_a));
+        let with_b = cell_key(&spmd_on_e64(), "ffbp", true, 3, Some(spec_b));
         // Adding, editing or removing the faults block all move the key.
         assert_ne!(free, with_a);
         assert_ne!(with_a, with_b);
         // Same spec text reproduces the same key (the cache contract).
         assert_eq!(
             with_a,
-            cell_key("ffbp_spmd", "e64", "ffbp", true, 3, Some(spec_a), None)
+            cell_key(&spmd_on_e64(), "ffbp", true, 3, Some(spec_a))
         );
         // Fault-free keys keep the legacy digest-free format, so
         // existing fault-free sweep documents remain byte-identical.

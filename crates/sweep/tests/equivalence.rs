@@ -76,6 +76,7 @@ fn derived_seed_records_match_direct_simulation() {
                 mapping: mapping.clone(),
                 platform: platform.clone(),
                 set: None,
+                placement_file: None,
             }],
             seeds: vec![1, 2],
             faults: None,

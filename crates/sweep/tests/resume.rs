@@ -2,8 +2,9 @@
 //! same bytes for any `--threads` value; a document `sweep` wrote is a
 //! cache the next run loads in time linear in its size, a fully cached
 //! run rewrites it byte for byte, an edited placement file is not served
-//! from it, and `--profile` accounts for the load and the write, not
-//! only for what happens inside `run_grid`.
+//! from it, a placement file is read once, when the grid is parsed, and
+//! `--profile` accounts for the load and the write, not only for what
+//! happens inside `run_grid`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -78,14 +79,17 @@ fn an_edited_placement_file_reruns_its_cells_and_no_other_key_moves() {
     let file = dir.join("placement.json");
     let place = |p: Placement| std::fs::write(&file, p.to_json().to_string_pretty());
     place(Placement::neighbor()).expect("placement written");
-    let spec = GridSpec::parse(&format!(
-        r#"{{"version": 1, "name": "placed", "pairs": [
+    let parse = || {
+        GridSpec::parse(&format!(
+            r#"{{"version": 1, "name": "placed", "pairs": [
             {{"mapping": "autofocus_mpmd", "platform": "epiphany", "set": {{"placement": "@{}"}}}},
             {{"mapping": "autofocus_mpmd", "platform": "epiphany", "set": {{"placement": "neighbor"}}}}
         ]}}"#,
-        file.display()
-    ))
-    .expect("spec parses");
+            file.display()
+        ))
+        .expect("spec parses")
+    };
+    let spec = parse();
     // Each cell's key and record text.
     let cells = |doc: &Json| -> Vec<(String, String)> {
         let cells = doc.get("cells").and_then(Json::as_array).expect("cells");
@@ -112,8 +116,10 @@ fn an_edited_placement_file_reruns_its_cells_and_no_other_key_moves() {
     let warm = run_grid(&spec, 1, &cache).expect("grid resumes");
     assert_eq!((warm.cells_run, warm.cells_cached), (0, 2));
 
+    // The grid read the file when it was parsed; parsed again, it
+    // reads the edit.
     place(Placement::scattered()).expect("placement rewritten");
-    let edited = run_grid(&spec, 1, &cache).expect("grid resumes");
+    let edited = run_grid(&parse(), 1, &cache).expect("grid resumes");
     assert_eq!((edited.cells_run, edited.cells_cached), (1, 1));
     let after = cells(&edited.document);
     assert_ne!(after[0].0, before[0].0, "the file's cell moves its key");
@@ -122,6 +128,36 @@ fn an_edited_placement_file_reruns_its_cells_and_no_other_key_moves() {
         "and is simulated under the new file"
     );
     assert_eq!(after[1], before[1]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_placement_file_is_read_once_when_the_grid_is_parsed() {
+    let dir = scratch_dir("read-once");
+    let file = dir.join("placement.json");
+    let write = |p: Placement| std::fs::write(&file, p.to_json().to_string_pretty());
+    write(Placement::neighbor()).expect("placement written");
+    let text = format!(
+        r#"{{"version": 1, "name": "once", "pairs": [
+            {{"mapping": "autofocus_mpmd", "platform": "epiphany", "set": {{"placement": "@{}"}}}},
+            {{"mapping": "autofocus_net", "platform": "epiphany", "set": {{"placement": "@{}"}}}}
+        ], "seeds": [1, 2]}}"#,
+        file.display(),
+        file.display()
+    );
+    let untouched = GridSpec::parse(&text).expect("spec parses");
+    let untouched = run_grid(&untouched, 1, &CellCache::empty()).expect("grid runs");
+
+    // Overwritten, then deleted, between the parse and the run: the
+    // cells key and simulate what the parse read.
+    let spec = GridSpec::parse(&text).expect("spec parses");
+    write(Placement::scattered()).expect("placement rewritten");
+    let overwritten = run_grid(&spec, 1, &CellCache::empty()).expect("grid runs");
+    std::fs::remove_file(&file).expect("placement removed");
+    let deleted = run_grid(&spec, 2, &CellCache::empty()).expect("grid runs without the file");
+    let bytes = |doc: &Json| doc.to_string_pretty();
+    assert!(bytes(&overwritten.document) == bytes(&untouched.document));
+    assert!(bytes(&deleted.document) == bytes(&untouched.document));
     std::fs::remove_dir_all(&dir).ok();
 }
 
