@@ -11,7 +11,7 @@ use desim::OpCounts;
 
 use crate::complex::c32;
 use crate::ffbp::grid::Subaperture;
-use crate::geometry::SarGeometry;
+use crate::geometry::{round_index, SarGeometry};
 
 /// Interpolation kernel choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,17 +22,6 @@ pub enum InterpKind {
     Linear,
     /// 4-point cubic (Neville) in range, linear in angle.
     Cubic,
-}
-
-/// `x.round() as isize` for every `f32` — NaN to 0, ±inf and
-/// magnitudes beyond `isize` saturated — without the libm call
-/// `f32::round` is on baseline x86-64: truncate toward zero, then step
-/// away from it when the remainder, exact below 2^63, is a half or more.
-#[inline]
-fn round_index(x: f32) -> isize {
-    let t = x as isize;
-    let rest = x - t as f32;
-    t.saturating_add(isize::from(rest >= 0.5) - isize::from(rest <= -0.5))
 }
 
 /// `(x.floor() as isize, x - x.floor())`, bit for bit for every `f32`,

@@ -113,6 +113,20 @@ impl SarGeometry {
     }
 }
 
+/// `x.round() as isize` for every `f32` — NaN to 0, ±inf and
+/// magnitudes beyond `isize` saturated — without the libm call
+/// `f32::round` is on baseline x86-64: truncate toward zero, then step
+/// away from it when the remainder, exact below 2^63, is a half or more.
+/// The nearest-bin index of FFBP's interpolators and of RDA's
+/// migration shifts; `ffbp::interp`'s tests pin it against `f32::round`
+/// for every kind of `f32`.
+#[inline]
+pub(crate) fn round_index(x: f32) -> isize {
+    let t = x as isize;
+    let rest = x - t as f32;
+    t.saturating_add(isize::from(rest >= 0.5) - isize::from(rest <= -0.5))
+}
+
 /// Where the two children of a merge observe the output sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergeLookup {

@@ -32,6 +32,13 @@ impl ComplexImage {
         ComplexImage { rows, cols, data }
     }
 
+    /// The same buffer as a `rows × cols` image (`rows * cols` must be
+    /// [`len`](Self::len)), for a caller that overwrites every pixel:
+    /// a matrix reused under another shape costs no allocation.
+    pub fn reshaped(self, rows: usize, cols: usize) -> ComplexImage {
+        ComplexImage::from_vec(rows, cols, self.data)
+    }
+
     /// Number of rows (pulses / beams).
     pub fn rows(&self) -> usize {
         self.rows

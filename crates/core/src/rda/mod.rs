@@ -29,6 +29,17 @@
 //! ledger per stage, probed by running each stage's kernels once
 //! (`sar_epiphany::rda_seq::probe`), so declared work is exact by
 //! construction.
+//!
+//! On the host, [`rda`] allocates two image-sized matrices and nothing
+//! per unit: the focused lines reuse the range-compressed matrix and
+//! the image reuses the range–Doppler one, every unit works in its
+//! output row (the public per-unit functions are wrappers over these
+//! in-place forms, with the same ledgers), and both corner turns move
+//! tiles of 16 rows against 16 contiguous samples of each row read.
+//! [`azimuth_reference`] evaluates half the aperture and mirrors it,
+//! exactly: `platform_y(n − 1 − k)` is `−platform_y(k)` in f32, so the
+//! two pulses see the same `y²`. None of this moves a pixel or a
+//! ledger count.
 
 mod pipeline;
 mod stages;

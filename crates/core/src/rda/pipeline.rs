@@ -13,7 +13,8 @@ use crate::complex::c32;
 use crate::geometry::SarGeometry;
 use crate::image::ComplexImage;
 use crate::rda::stages::{
-    azimuth_compress, azimuth_reference, doppler_spectrum, range_compress_row, MigrationTable,
+    azimuth_compress_inplace, azimuth_reference_into, doppler_spectrum_inplace,
+    range_compress_into, MigrationTable,
 };
 use crate::signal::{lfm_chirp, ChirpParams, MatchedFilter};
 
@@ -76,9 +77,14 @@ pub fn rda_with(
 /// RCMC and azimuth compression — reads only the previous stage's
 /// matrix, so each stage's units split freely; every unit runs the
 /// same kernels whatever its thread, so the image and the ledger do not
-/// depend on `workers`. At most two image-sized matrices are live: the
-/// range-compressed one is freed before the focused lines are
-/// allocated, the range–Doppler one before the image.
+/// depend on `workers`.
+///
+/// Two image-sized matrices are allocated and both stay live to the
+/// end: each stage writes every element of one while it reads the
+/// other. The range-compressed matrix is reused for the focused lines,
+/// the range–Doppler one for the image. Both turns are blocked: a tile
+/// of [`TILE`] rows of the matrix written gathers [`TILE`] contiguous
+/// samples from each row of the one read.
 fn form(
     raw: &ComplexImage,
     geom: &SarGeometry,
@@ -98,54 +104,87 @@ fn form(
         "raw cols must be num_bins + chirp samples"
     );
     let mf = MatchedFilter::new(&lfm_chirp(cfg.chirp), raw.cols());
-    // Range-compressed matrix, pulse-major.
+    // Range-compressed matrix, pulse-major, each row compressed through
+    // its worker's FFT-length scratch.
     let mut rc = ComplexImage::zeros(n, bins);
-    let mut counts = each_row(&mut rc, workers, |k, row, ops| {
-        row.copy_from_slice(&range_compress_row(&mf, raw.row(k), bins, ops));
-    });
+    let mut counts = each_tile(
+        &mut rc,
+        workers,
+        mf.fft_len(),
+        |first, tile, scratch, ops| {
+            for (r, row) in tile.chunks_mut(bins).enumerate() {
+                range_compress_into(&mf, raw.row(first + r), row, scratch, ops);
+            }
+        },
+    );
     // Range–Doppler matrix, bin-major (rows = range bins, cols =
-    // Doppler bins): the corner turn, then each pulse history's FFT.
+    // Doppler bins): the corner turn, then each pulse history's FFT in
+    // its row.
     let mut rd = ComplexImage::zeros(bins, n);
-    counts.add(&each_row(&mut rd, workers, |i, row, ops| {
-        let column: Vec<c32> = (0..n).map(|k| rc.at(k, i)).collect();
-        row.copy_from_slice(&doppler_spectrum(&column, ops));
-    }));
-    drop(rc);
-    // Focused azimuth lines, bin-major, in circular-lag order.
-    let mut lines = ComplexImage::zeros(bins, n);
-    counts.add(&each_row(&mut lines, workers, |i, row, ops| {
-        let corrected = migration.correct(&rd, i, ops);
-        let href = azimuth_reference(geom, i, ops);
-        row.copy_from_slice(&azimuth_compress(&corrected, &href, ops));
-    }));
-    drop(rd);
-    // Turned into the image frame, broadside (lag 0) rotated to the
-    // middle row so the frame matches FFBP's.
-    let mut image = ComplexImage::zeros(n, bins);
-    for k in 0..n {
-        for (i, pixel) in image.row_mut(k).iter_mut().enumerate() {
-            *pixel = lines.at(i, (k + n / 2) % n);
+    counts.add(&each_tile(&mut rd, workers, 0, |first, tile, _, ops| {
+        for k in 0..n {
+            let samples = &rc.row(k)[first..];
+            for (history, z) in tile.chunks_mut(n).zip(samples) {
+                history[k] = *z;
+            }
         }
-    }
+        for history in tile.chunks_mut(n) {
+            doppler_spectrum_inplace(history, ops);
+        }
+    }));
+    // Focused azimuth lines, bin-major, in circular-lag order.
+    let mut lines = rc.reshaped(bins, n);
+    counts.add(&each_tile(
+        &mut lines,
+        workers,
+        n,
+        |first, tile, href, ops| {
+            for (r, line) in tile.chunks_mut(n).enumerate() {
+                migration.correct_into(&rd, first + r, line, ops);
+                azimuth_reference_into(geom, first + r, href, ops);
+                azimuth_compress_inplace(line, href, ops);
+            }
+        },
+    ));
+    // Turned into the image frame, broadside (lag 0) rotated to the
+    // middle row so the frame matches FFBP's (`n` is a power of two:
+    // `& (n - 1)` is `% n`).
+    let mut image = rd.reshaped(n, bins);
+    each_tile(&mut image, workers, 0, |first, tile, _, _| {
+        for i in 0..bins {
+            let line = lines.row(i);
+            for (r, row) in tile.chunks_mut(bins).enumerate() {
+                row[i] = line[(first + r + n / 2) & (n - 1)];
+            }
+        }
+    });
     RdaRun { image, counts }
 }
 
-/// Fill each row `r` of `out` with `unit(r, row, ledger)`, the rows
-/// split into contiguous chunks over `workers` scoped threads (the
-/// calling thread takes the first), and sum the chunks' ledgers. A
-/// panic in any unit is a panic of the call.
-fn each_row(
+/// Rows per tile of [`each_tile`], the edge of the turns' blocks: 16
+/// complex samples are two 64-byte cache lines of a row read.
+const TILE: usize = 16;
+
+/// Fill `out` with `unit(first, tile, scratch, ledger)`, `tile` up to
+/// [`TILE`] whole rows from row `first` on. The rows split into
+/// contiguous chunks over `workers` scoped threads (the calling thread
+/// takes the first); each chunk is tiled from its own first row, its
+/// units share one `scratch`-long buffer, and the chunks' ledgers are
+/// summed. A panic in any unit is a panic of the call.
+fn each_tile(
     out: &mut ComplexImage,
     workers: usize,
-    unit: impl Fn(usize, &mut [c32], &mut OpCounts) + Sync,
+    scratch: usize,
+    unit: impl Fn(usize, &mut [c32], &mut [c32], &mut OpCounts) + Sync,
 ) -> OpCounts {
     let (width, per) = (out.cols(), out.rows().div_ceil(workers));
     let unit = &unit;
     let mut chunks = out.as_mut_slice().chunks_mut(per * width).enumerate();
     let job = move |(c, chunk): (usize, &mut [c32])| {
         let mut ops = OpCounts::default();
-        for (r, row) in chunk.chunks_mut(width).enumerate() {
-            unit(c * per + r, row, &mut ops);
+        let mut buffer = vec![c32::ZERO; scratch];
+        for (t, tile) in chunk.chunks_mut(TILE * width).enumerate() {
+            unit(c * per + t * TILE, tile, &mut buffer, &mut ops);
         }
         ops
     };
@@ -233,8 +272,18 @@ mod tests {
 
     #[test]
     fn any_worker_count_forms_the_same_bits_and_ledger() {
-        for rcmc in [true, false] {
-            let scene = Scene::six_targets(SarGeometry::test_size());
+        // Fewer range bins than a tile's edge: every turn is one ragged
+        // tile per worker.
+        let narrow = SarGeometry {
+            num_bins: TILE - 6,
+            ..SarGeometry::test_size()
+        };
+        for (geometry, rcmc) in [
+            (SarGeometry::test_size(), true),
+            (SarGeometry::test_size(), false),
+            (narrow, true),
+        ] {
+            let scene = Scene::six_targets(geometry);
             let cfg = RdaConfig {
                 chirp: small_chirp(),
                 rcmc,
@@ -242,20 +291,20 @@ mod tests {
             let raw = simulate_raw_echoes(&scene, cfg.chirp);
             let migration = MigrationTable::new(&scene.geometry, rcmc);
             let reference = rda(&raw, &scene.geometry, &cfg);
-            for workers in [1, 2, 3, 7] {
+            // 129 bins and 64 pulses: 5 and 12 workers give chunks of
+            // 26 and 11 bins, 13 and 6 pulses, none a multiple of a tile.
+            for workers in [1, 2, 3, 5, 7, 12] {
                 let run = form(&raw, &scene.geometry, &cfg, &migration, workers);
                 let bits = |image: &ComplexImage| -> Vec<(u32, u32)> {
                     let pixels = image.as_slice().iter();
                     pixels.map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
                 };
+                let case = format!("{} bins, RCMC {rcmc}, {workers} workers", geometry.num_bins);
                 assert!(
                     bits(&run.image) == bits(&reference.image),
-                    "RCMC {rcmc}, {workers} workers: the image moved"
+                    "{case}: the image moved"
                 );
-                assert_eq!(
-                    run.counts, reference.counts,
-                    "RCMC {rcmc}, {workers} workers"
-                );
+                assert_eq!(run.counts, reference.counts, "{case}");
             }
         }
     }
@@ -263,12 +312,17 @@ mod tests {
     #[test]
     fn a_panic_on_any_worker_is_a_panic_of_the_call() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        // 20 rows: on 7 workers, chunks of 3 with a ragged last one.
+        // 20 rows: on 7 workers, chunks of 3 with a ragged last one; on
+        // 1, a tile of 16 and a ragged one of 4.
         for workers in [1, 2, 3, 7] {
             for bad in [0, 4, 10, 19] {
                 let mut out = ComplexImage::zeros(20, 4);
                 let call = catch_unwind(AssertUnwindSafe(|| {
-                    each_row(&mut out, workers, |r, _, _| assert!(r != bad, "unit {r}"));
+                    each_tile(&mut out, workers, 0, |first, tile, _, _| {
+                        for r in first..first + tile.len() / 4 {
+                            assert!(r != bad, "unit {r}");
+                        }
+                    });
                 }));
                 let panic = call.expect_err("the call panics");
                 let message = panic.downcast_ref::<String>().map(String::as_str);

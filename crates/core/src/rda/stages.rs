@@ -11,7 +11,7 @@
 use desim::OpCounts;
 
 use crate::complex::c32;
-use crate::geometry::SarGeometry;
+use crate::geometry::{round_index, SarGeometry};
 use crate::image::ComplexImage;
 use crate::signal::{fft_inplace, ifft_inplace, MatchedFilter};
 
@@ -55,7 +55,23 @@ pub fn range_compress_row(
     num_bins: usize,
     counts: &mut OpCounts,
 ) -> Vec<c32> {
-    let l = mf.fft_len() as u64;
+    let mut compressed = vec![c32::ZERO; num_bins];
+    let mut scratch = vec![c32::ZERO; mf.fft_len()];
+    range_compress_into(mf, echo, &mut compressed, &mut scratch, counts);
+    compressed
+}
+
+/// [`range_compress_row`] into `out`, its `num_bins` samples, through
+/// `scratch`, a buffer of the filter's FFT length that a caller reuses
+/// from row to row.
+pub(crate) fn range_compress_into(
+    mf: &MatchedFilter,
+    echo: &[c32],
+    out: &mut [c32],
+    scratch: &mut [c32],
+    counts: &mut OpCounts,
+) {
+    let (l, num_bins) = (mf.fft_len() as u64, out.len());
     // Stage in/out copies.
     counts.loads += 2 * echo.len() as u64 + 2 * num_bins as u64;
     counts.stores += 2 * l + 2 * num_bins as u64;
@@ -67,20 +83,27 @@ pub fn range_compress_row(
     counts.stores += 2 * l;
     counts.ialu += l;
     ifft_ops(mf.fft_len(), counts);
-    let mut compressed = mf.compress(echo);
-    compressed.truncate(num_bins);
-    compressed
+    let (signal, padding) = scratch.split_at_mut(echo.len());
+    signal.copy_from_slice(echo);
+    padding.fill(c32::ZERO);
+    mf.compress_inplace(scratch, echo.len());
+    out.copy_from_slice(&scratch[..num_bins]);
 }
 
 /// Azimuth FFT of one range bin's pulse history (the Doppler
 /// spectrum). `column` length must be a power of two.
 pub fn doppler_spectrum(column: &[c32], counts: &mut OpCounts) -> Vec<c32> {
-    counts.loads += 2 * column.len() as u64;
-    counts.stores += 2 * column.len() as u64;
-    let mut g = column.to_vec();
-    fft_inplace(&mut g);
-    fft_ops(g.len(), counts);
-    g
+    let mut spectrum = column.to_vec();
+    doppler_spectrum_inplace(&mut spectrum, counts);
+    spectrum
+}
+
+/// [`doppler_spectrum`] in place: `history` becomes its spectrum.
+pub(crate) fn doppler_spectrum_inplace(history: &mut [c32], counts: &mut OpCounts) {
+    counts.loads += 2 * history.len() as u64;
+    counts.stores += 2 * history.len() as u64;
+    fft_inplace(history);
+    fft_ops(history.len(), counts);
 }
 
 /// Doppler bins whose implied squint exceeds this `|sin theta|` are
@@ -109,10 +132,12 @@ fn migration_factor(geom: &SarGeometry, doppler: usize) -> f32 {
 }
 
 /// A migration of `factor` at slant range `range`, in whole range bins
-/// (nearest-neighbour, always >= 0).
+/// (nearest-neighbour, always >= 0): `(migration / dr).round() as
+/// usize` without libm's `roundf`. The `max(0)` is the cast's clamp of
+/// a negative; the two part only at 2^63 bins.
 fn migration_bins(geom: &SarGeometry, range: f32, factor: f32) -> usize {
     let migration = range * factor;
-    (migration / geom.dr).round() as usize
+    round_index(migration / geom.dr).max(0) as usize
 }
 
 /// Range-cell migration for Doppler bin `doppler` at range bin `bin`,
@@ -220,11 +245,29 @@ impl MigrationTable {
     /// that falls off the swath. With RCMC off the row is copied
     /// unshifted; the ledger is [`correct_ops`](Self::correct_ops).
     pub fn correct(&self, rd: &ComplexImage, bin: usize, counts: &mut OpCounts) -> Vec<c32> {
+        let mut corrected = vec![c32::ZERO; self.geom.num_pulses];
+        self.correct_into(rd, bin, &mut corrected, counts);
+        corrected
+    }
+
+    /// [`correct`](Self::correct) into `line`, one sample per Doppler
+    /// bin.
+    pub(crate) fn correct_into(
+        &self,
+        rd: &ComplexImage,
+        bin: usize,
+        line: &mut [c32],
+        counts: &mut OpCounts,
+    ) {
+        assert_eq!(
+            line.len(),
+            self.geom.num_pulses,
+            "a line of the table's pulses"
+        );
         self.correct_ops(counts);
-        self.sources(bin)
-            .enumerate()
-            .map(|(m, src)| src.map_or(c32::ZERO, |src| rd.at(src, m)))
-            .collect()
+        for ((m, src), z) in self.sources(bin).enumerate().zip(line) {
+            *z = src.map_or(c32::ZERO, |src| rd.at(src, m));
+        }
     }
 }
 
@@ -244,22 +287,43 @@ pub fn rcmc_correct(
 /// the hyperbolic phase history a unit scatterer at that range traces
 /// over the aperture.
 pub fn azimuth_reference(geom: &SarGeometry, bin: usize, counts: &mut OpCounts) -> Vec<c32> {
+    let mut h = vec![c32::ZERO; geom.num_pulses];
+    azimuth_reference_into(geom, bin, &mut h, counts);
+    h
+}
+
+/// [`azimuth_reference`] into `h`, one sample per pulse.
+///
+/// The phase history is evaluated for the first half of the aperture
+/// and mirrored: `platform_y(n − 1 − k)` is `−platform_y(k)` in f32
+/// (`k − (n − 1)/2` is exact below 2^24 and negating a factor negates
+/// a product), so both pulses see the same `y²` and the same sample.
+/// The ledger still charges a square root and a phasor per pulse: it
+/// prices the Epiphany kernel, as [`fft_ops`] does.
+pub(crate) fn azimuth_reference_into(
+    geom: &SarGeometry,
+    bin: usize,
+    h: &mut [c32],
+    counts: &mut OpCounts,
+) {
     let n = geom.num_pulses;
+    assert_eq!(h.len(), n, "one reference sample per pulse");
     let r = geom.bin_range(bin);
-    let mut h: Vec<c32> = (0..n)
-        .map(|k| {
-            let y = geom.platform_y(k);
-            c32::cis(geom.range_phase((r * r + y * y).sqrt()))
-        })
-        .collect();
+    let (head, tail) = h.split_at_mut(n.div_ceil(2));
+    for (k, z) in head.iter_mut().enumerate() {
+        let y = geom.platform_y(k);
+        *z = c32::cis(geom.range_phase((r * r + y * y).sqrt()));
+    }
+    for (z, mirror) in tail.iter_mut().zip(head.iter().rev().skip(n % 2)) {
+        *z = *mirror;
+    }
     counts.fmas += 2 * n as u64;
     counts.flops += 2 * n as u64;
     counts.sqrts += n as u64;
     counts.trigs += n as u64;
     counts.stores += 2 * n as u64;
-    fft_inplace(&mut h);
+    fft_inplace(h);
     fft_ops(n, counts);
-    h
 }
 
 /// Azimuth-compress one range bin: conjugate-multiply the corrected
@@ -267,21 +331,26 @@ pub fn azimuth_reference(geom: &SarGeometry, bin: usize, counts: &mut OpCounts) 
 /// The output is the focused azimuth line in circular-lag order (lag 0
 /// at index 0); the pipeline rotates it so broadside lands mid-image.
 pub fn azimuth_compress(corrected: &[c32], reference: &[c32], counts: &mut OpCounts) -> Vec<c32> {
-    assert_eq!(corrected.len(), reference.len());
-    let n = corrected.len() as u64;
-    let mut s: Vec<c32> = corrected
-        .iter()
-        .zip(reference)
-        .map(|(z, h)| *z * h.conj())
-        .collect();
+    let mut line = corrected.to_vec();
+    azimuth_compress_inplace(&mut line, reference, counts);
+    line
+}
+
+/// [`azimuth_compress`] in place: `line` holds the corrected spectrum
+/// and becomes the focused azimuth line.
+pub(crate) fn azimuth_compress_inplace(line: &mut [c32], reference: &[c32], counts: &mut OpCounts) {
+    assert_eq!(line.len(), reference.len());
+    let n = line.len() as u64;
+    for (z, h) in line.iter_mut().zip(reference) {
+        *z *= h.conj();
+    }
     counts.fmas += 2 * n;
     counts.flops += 3 * n;
     counts.loads += 4 * n;
     counts.stores += 2 * n;
     counts.ialu += n;
-    ifft_inplace(&mut s);
-    ifft_ops(s.len(), counts);
-    s
+    ifft_inplace(line);
+    ifft_ops(line.len(), counts);
 }
 
 #[cfg(test)]
@@ -353,9 +422,14 @@ mod tests {
             let table = MigrationTable::new(&g, true);
             let off = MigrationTable::new(&g, false);
             for bin in 0..g.num_bins {
-                let formula: Vec<usize> =
-                    (0..g.num_pulses).map(|m| rcmc_shift(&g, bin, m)).collect();
+                // The formula with libm's rounding, which the table's
+                // shifts do without.
+                let formula: Vec<usize> = (0..g.num_pulses)
+                    .map(|m| ((g.bin_range(bin) * migration_factor(&g, m)) / g.dr).round() as usize)
+                    .collect();
                 assert!(table.shifts(bin).eq(formula.iter().copied()), "bin {bin}");
+                let cells = (0..g.num_pulses).map(|m| rcmc_shift(&g, bin, m));
+                assert!(cells.eq(formula.iter().copied()), "bin {bin}");
                 // A source is the shifted bin, while it stays in swath.
                 let in_swath = |shift: &usize| Some(bin + shift).filter(|&src| src < g.num_bins);
                 assert!(table.sources(bin).eq(formula.iter().map(in_swath)));
@@ -377,6 +451,35 @@ mod tests {
             .iter()
             .zip(&far)
             .any(|(n, f)| n.is_some_and(|src| src > 0) && f.is_none()));
+    }
+
+    #[test]
+    fn azimuth_reference_equals_the_unmirrored_oracle_bit_for_bit() {
+        let spaced = SarGeometry {
+            pulse_spacing: 0.3,
+            ..SarGeometry::paper_size()
+        };
+        for g in [SarGeometry::test_size(), SarGeometry::paper_size(), spaced] {
+            let n = g.num_pulses;
+            // Every bin of the small geometry, every 37th of the large.
+            let step = if g.num_bins > 200 { 37 } else { 1 };
+            for bin in (0..g.num_bins).step_by(step).chain([g.num_bins - 1]) {
+                let r = g.bin_range(bin);
+                let mut oracle: Vec<c32> = (0..n)
+                    .map(|k| {
+                        let y = g.platform_y(k);
+                        c32::cis(g.range_phase((r * r + y * y).sqrt()))
+                    })
+                    .collect();
+                fft_inplace(&mut oracle);
+                let bits = |h: &[c32]| -> Vec<(u32, u32)> {
+                    h.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                };
+                let href = azimuth_reference(&g, bin, &mut OpCounts::default());
+                let case = format!("{n} pulses, spacing {}, bin {bin}", g.pulse_spacing);
+                assert!(bits(&href) == bits(&oracle), "{case}");
+            }
+        }
     }
 
     #[test]

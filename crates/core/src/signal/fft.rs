@@ -140,12 +140,14 @@ pub fn fft_inplace(data: &mut [c32]) {
     fft_core(data, false);
 }
 
-/// Inverse FFT in place (including the `1/N` normalisation).
+/// Inverse FFT in place (including the `1/N` normalisation). `N` is a
+/// power of two, so `1/N` is exact and `x·(1/N)` rounds the same real
+/// number `x/N` does: a multiply, bit for bit the division.
 pub fn ifft_inplace(data: &mut [c32]) {
     fft_core(data, true);
-    let n = data.len() as f32;
+    let inv = 1.0 / data.len() as f32;
     for z in data.iter_mut() {
-        *z = *z / n;
+        *z = z.scale(inv);
     }
 }
 

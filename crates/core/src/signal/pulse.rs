@@ -60,19 +60,28 @@ impl MatchedFilter {
     /// the filter group delay is removed so a point target at sample
     /// `i` in the (ideal) echo appears compressed at sample `i`.
     pub fn compress(&self, signal: &[c32]) -> Vec<c32> {
+        let mut buf = Vec::with_capacity(self.fft_len);
+        buf.extend_from_slice(signal);
+        buf.resize(self.fft_len, c32::ZERO);
+        self.compress_inplace(&mut buf, signal.len());
+        buf.truncate(signal.len());
+        buf
+    }
+
+    /// [`compress`](Self::compress) in `buf`, which holds an echo of
+    /// `signal_len` samples zero-padded to [`fft_len`](Self::fft_len):
+    /// its first `signal_len` samples become the compressed line.
+    pub fn compress_inplace(&self, buf: &mut [c32], signal_len: usize) {
         assert!(
-            signal.len() + self.ref_len - 1 <= self.fft_len,
+            signal_len + self.ref_len - 1 <= self.fft_len,
             "signal longer than the filter was sized for"
         );
-        let mut buf = vec![c32::ZERO; self.fft_len];
-        buf[..signal.len()].copy_from_slice(signal);
-        fft_inplace(&mut buf);
+        assert_eq!(buf.len(), self.fft_len, "buffer is not the FFT length");
+        fft_inplace(buf);
         for (b, r) in buf.iter_mut().zip(&self.reference) {
             *b *= *r;
         }
-        ifft_inplace(&mut buf);
-        buf.truncate(signal.len());
-        buf
+        ifft_inplace(buf);
     }
 }
 

@@ -175,8 +175,9 @@ impl std::error::Error for HarnessError {}
 
 /// One way of running a kernel on a machine family. Implementations
 /// live next to their drivers (in `sar-epiphany`); the harness only
-/// needs the trait.
-pub trait Mapping {
+/// needs the trait. `Sync`, so that threads running several cells of
+/// one pair (a sweep's workers) share one resolved mapping.
+pub trait Mapping: Sync {
     /// Identity stamped into [`RunRecord::mapping`] and resolved by the
     /// `--mapping` flag (e.g. `"ffbp_spmd"`).
     fn name(&self) -> &'static str;

@@ -22,8 +22,9 @@ pub enum PlatformKind {
 
 /// One machine a kernel can run on. Object-safe: the harness moves
 /// `&dyn Platform` around; mappings downcast via the `*_params`
-/// accessors for the family they support.
-pub trait Platform {
+/// accessors for the family they support. `Sync` like
+/// [`Mapping`](crate::Mapping).
+pub trait Platform: Sync {
     /// Which machine family this is.
     fn kind(&self) -> PlatformKind;
     /// Identity stamped into [`desim::RunRecord::platform`].

@@ -59,9 +59,8 @@ pub fn run(
 
     // The cores the mapping leaves idle: the spare pool for remapping
     // around permanent halts.
-    let mut spares: Vec<usize> = (0..chip.cores())
-        .filter(|c| !place.cores().contains(c))
-        .collect();
+    let used = place.cores();
+    let mut spares: Vec<usize> = (0..chip.cores()).filter(|c| !used.contains(c)).collect();
 
     // Initial load: each range core DMAs its block from SDRAM.
     stage_blocks(&mut chip, &place);

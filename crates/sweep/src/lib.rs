@@ -471,15 +471,17 @@ pub fn run_grid(
     cache: &CellCache,
 ) -> Result<SweepOutcome, Diagnostic> {
     let cells = spec.cells();
-    let mut kernels: Vec<&'static str> = Vec::with_capacity(spec.pairs.len());
-    let mut faults: Vec<Option<String>> = Vec::with_capacity(spec.pairs.len());
-    for (i, pair) in spec.pairs.iter().enumerate() {
-        let configured = pair
-            .configured()
-            .map_err(|e| Diagnostic::hard("SWP002", format!("pairs[{i}]"), e))?;
-        kernels.push(configured.mapping.kernel());
-        faults.push(configured.faults.or_else(|| spec.faults.clone()));
-    }
+    // Each pair resolved once; its cells share the resolution.
+    let resolved = (spec.pairs.iter().enumerate())
+        .map(|(i, pair)| {
+            pair.configured()
+                .map_err(|e| Diagnostic::hard("SWP002", format!("pairs[{i}]"), e))
+        })
+        .collect::<Result<Vec<Configured>, _>>()?;
+    let kernels: Vec<&'static str> = resolved.iter().map(|c| c.mapping.kernel()).collect();
+    let faults: Vec<Option<String>> = (resolved.iter())
+        .map(|c| c.faults.clone().or_else(|| spec.faults.clone()))
+        .collect();
     let seeds_n = spec.seeds.len();
     let kernel_of = |cell_index: usize| kernels[cell_index / seeds_n];
     let key_of = |cell_index: usize| {
@@ -542,6 +544,7 @@ pub fn run_grid(
             let t0 = Instant::now();
             let result = simulate(
                 &cells[cell_index],
+                &resolved[cell_index / seeds_n],
                 &workloads[kernel_of(cell_index)],
                 faults[cell_index / seeds_n].as_deref(),
             );
@@ -623,20 +626,19 @@ pub fn run_grid(
     })
 }
 
-/// Simulate one cell: arm the fault plan for the cell's seed (an
-/// empty plan when the pair has none, so the seed is still stamped)
-/// and run the configured pair through the unified harness entry point.
+/// Simulate one cell of the pair `configured` resolves: arm the fault
+/// plan for the cell's seed (an empty plan when the pair has none, so
+/// the seed is still stamped) and run the pair through the unified
+/// harness entry point.
 fn simulate(
     cell: &Cell,
+    configured: &Configured,
     workload: &Workload,
     faults: Option<&str>,
 ) -> Result<RunRecord, Diagnostic> {
     let Configured {
         mapping, platform, ..
-    } = cell
-        .pair
-        .configured()
-        .map_err(|e| Diagnostic::hard("SWP002", cell.label(), e))?;
+    } = configured;
     let plan = match faults {
         Some(text) => FaultPlan::parse(text, cell.seed)
             .map_err(|e| Diagnostic::hard("SWP001", "faults", format!("bad fault spec: {e}")))?,
@@ -1276,7 +1278,8 @@ mod tests {
         let cells = out.document.get("cells").and_then(Json::as_array).unwrap();
         let workload = Workload::named("autofocus", true).unwrap();
         for (i, cell) in spec.cells().iter().enumerate() {
-            let direct = simulate(cell, &workload, None).expect("direct simulation");
+            let configured = cell.pair.configured().expect("a registered pair");
+            let direct = simulate(cell, &configured, &workload, None).expect("direct simulation");
             assert_eq!(
                 cells[i].get("record").map(Json::to_string_pretty),
                 Some(direct.to_json().to_string_pretty()),

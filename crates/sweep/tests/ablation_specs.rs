@@ -24,7 +24,7 @@ use sim_harness::{
 use sweep::{run_grid, CellCache, GridSpec, PairSpec};
 
 /// One driver call on a cell's workload and context.
-type Call = Box<dyn Fn(&Workload, &RunContext) -> MappingRun>;
+type Call = Box<dyn Fn(&Workload, &RunContext) -> MappingRun + Sync>;
 
 /// A driver call standing in for a registered mapping of the same name.
 struct Reference {
