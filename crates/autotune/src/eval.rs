@@ -127,7 +127,8 @@ impl Evaluator {
     /// Price `place`, or `None` when it is illegal: off the mesh, or
     /// carrying a channel past the `SL005` hop budget. Using the lint
     /// as the legality oracle keeps search results simulatable — the
-    /// `run --analyze` gate applies the identical check.
+    /// `run --analyze` gate applies the identical check. Nothing is
+    /// allocated but the report: the one model is rewired in place.
     pub fn evaluate(&self, place: &Placement) -> Option<CostReport> {
         if !place.fits(self.mesh.0, self.mesh.1) {
             return None;

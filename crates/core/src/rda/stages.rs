@@ -72,6 +72,7 @@ pub(crate) fn range_compress_into(
     counts: &mut OpCounts,
 ) {
     let (l, num_bins) = (mf.fft_len() as u64, out.len());
+    assert!(num_bins <= echo.len(), "the compressed samples of the echo");
     // Stage in/out copies.
     counts.loads += 2 * echo.len() as u64 + 2 * num_bins as u64;
     counts.stores += 2 * l + 2 * num_bins as u64;
@@ -193,23 +194,32 @@ impl MigrationTable {
     /// [`sources`](Self::sources) that are `Some(src)` with
     /// `src != bin`. All zero with RCMC off.
     ///
-    /// Counted per Doppler bin, not per cell. Along range a Doppler
-    /// bin's shift never decreases (every f32 step of it is monotone,
-    /// `dr > 0` and the factor is `>= 0`), so `bin + shift` strictly
-    /// increases: the bins whose gather moves and still lands in the
-    /// swath are one interval, found by two binary searches.
+    /// Counted per distinct migration factor, not per cell. Along range
+    /// a factor's shift never decreases (every f32 step of it is
+    /// monotone, `dr > 0` and the factor is `>= 0`), so `bin + shift`
+    /// strictly increases: the bins whose gather moves and still lands
+    /// in the swath are one interval, found by two binary searches and
+    /// counted once for every Doppler bin with that factor. Factors
+    /// repeat: bins `m` and `n − m` share one, and so does every bin
+    /// past the [`RCMC_MAX_SIN`] clamp. At a fixed range bin the shift
+    /// never decreases with the factor either, so in ascending factor
+    /// order both interval ends only move down, and each search is
+    /// bracketed by the previous factor's ends.
     pub fn gathers_per_bin(&self) -> Vec<usize> {
         let bins = self.geom.num_bins;
         let range_bins: Vec<usize> = (0..bins).collect();
-        // +1 where a Doppler bin's interval opens, -1 past its end.
+        let mut factors = self.factor.clone().unwrap_or_default();
+        factors.sort_unstable_by(f32::total_cmp);
+        // +count where a factor's interval opens, -count past its end.
         let mut steps = vec![0isize; bins + 1];
-        for &factor in self.factor.iter().flatten() {
-            let shift = |bin| migration_bins(&self.geom, self.geom.bin_range(bin), factor);
-            let lo = range_bins.partition_point(|&bin| shift(bin) == 0);
-            let hi = range_bins.partition_point(|&bin| shift(bin) < bins - bin);
+        let (mut lo, mut hi) = (bins, bins);
+        for same in factors.chunk_by(|a, b| a == b) {
+            let shift = |bin| migration_bins(&self.geom, self.geom.bin_range(bin), same[0]);
+            lo = range_bins[..lo].partition_point(|&bin| shift(bin) == 0);
+            hi = range_bins[..hi].partition_point(|&bin| shift(bin) < bins - bin);
             if lo < hi {
-                steps[lo] += 1;
-                steps[hi] -= 1;
+                steps[lo] += same.len() as isize;
+                steps[hi] -= same.len() as isize;
             }
         }
         let mut open = 0isize;
@@ -451,6 +461,33 @@ mod tests {
             .iter()
             .zip(&far)
             .any(|(n, f)| n.is_some_and(|src| src > 0) && f.is_none()));
+    }
+
+    #[test]
+    fn census_equals_the_cell_count_on_drawn_geometries() {
+        let mut rng = desim::rng::SmallRng::seed_from_u64(0x5a12);
+        let (mut clamped, mut gathering) = (0, 0);
+        for case in 0..200 {
+            let g = SarGeometry {
+                num_pulses: 1 << rng.gen_index(3..11),
+                pulse_spacing: rng.gen_range(0.25..4.0),
+                r0: rng.gen_range(20.0..5000.0),
+                dr: rng.gen_range(0.2..3.0),
+                num_bins: rng.gen_index(4..300),
+                wavelength: rng.gen_range(0.5..10.0),
+                ..SarGeometry::test_size()
+            };
+            // The band edge's `|sin theta|` is `lambda / 4d`.
+            clamped += usize::from(g.wavelength / (4.0 * g.pulse_spacing) > RCMC_MAX_SIN);
+            let table = MigrationTable::new(&g, true);
+            let census = table.gathers_per_bin();
+            assert_eq!(census, gathers_by_cell(&table, g.num_bins), "{case}: {g:?}");
+            gathering += usize::from(census.iter().any(|&n| n > 0));
+            let off = MigrationTable::new(&g, false);
+            assert_eq!(off.gathers_per_bin(), vec![0; g.num_bins], "{case}: {g:?}");
+        }
+        assert!(clamped > 20 && clamped < 180, "{clamped} of 200 clamp");
+        assert!(gathering > 20, "{gathering} of 200 gather");
     }
 
     #[test]

@@ -101,7 +101,9 @@ fn plan(n: usize) -> &'static Plan {
         .get_or_init(|| Plan::new(n))
 }
 
-fn fft_core(data: &mut [c32], inverse: bool) {
+/// The transform of `data` in place, forward or inverse, without the
+/// inverse's `1/N` normalisation.
+pub(super) fn fft_core(data: &mut [c32], inverse: bool) {
     let n = data.len();
     assert!(
         n.is_power_of_two(),

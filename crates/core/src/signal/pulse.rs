@@ -7,7 +7,7 @@
 
 use crate::complex::c32;
 use crate::signal::chirp::hamming_window;
-use crate::signal::fft::{fft_inplace, ifft_inplace, next_pow2};
+use crate::signal::fft::{fft_core, fft_inplace, next_pow2};
 
 /// A precomputed frequency-domain matched filter for one waveform.
 pub struct MatchedFilter {
@@ -70,7 +70,8 @@ impl MatchedFilter {
 
     /// [`compress`](Self::compress) in `buf`, which holds an echo of
     /// `signal_len` samples zero-padded to [`fft_len`](Self::fft_len):
-    /// its first `signal_len` samples become the compressed line.
+    /// its first `signal_len` samples become the compressed line. Only
+    /// those are normalised; the rest of `buf` is left unscaled.
     pub fn compress_inplace(&self, buf: &mut [c32], signal_len: usize) {
         assert!(
             signal_len + self.ref_len - 1 <= self.fft_len,
@@ -81,7 +82,12 @@ impl MatchedFilter {
         for (b, r) in buf.iter_mut().zip(&self.reference) {
             *b *= *r;
         }
-        ifft_inplace(buf);
+        fft_core(buf, true);
+        // `ifft_inplace`'s normalisation, on the samples kept.
+        let inv = 1.0 / self.fft_len as f32;
+        for z in &mut buf[..signal_len] {
+            *z = z.scale(inv);
+        }
     }
 }
 

@@ -180,18 +180,25 @@ impl Placement {
             return false;
         }
         let mesh = Mesh2D::new(cols, rows);
-        self.cores()
+        Stage::ALL
             .iter()
-            .all(|&c| mesh.contains(Placement::canonical_xy(c)))
+            .all(|&s| mesh.contains(Placement::canonical_xy(self.core(s))))
     }
 
     /// The distinct cores the stages run on, ascending: one per stage
     /// in a valid placement.
     pub fn cores(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = Stage::ALL.iter().map(|&s| self.core(s)).collect();
+        let mut v = Vec::with_capacity(STAGES);
+        self.cores_into(&mut v);
+        v
+    }
+
+    /// [`cores`](Self::cores) into `v`, whose storage is reused.
+    pub fn cores_into(&self, v: &mut Vec<usize>) {
+        v.clear();
+        v.extend(Stage::ALL.iter().map(|&s| self.core(s)));
         v.sort_unstable();
         v.dedup();
-        v
     }
 
     /// Serialise to the placement-file JSON shape (canonical ids).

@@ -241,7 +241,7 @@ impl PipelineProbe {
         let place = place.rebased(m.mesh.0, m.mesh.1);
         let core = Stage::ALL.map(|stage| place.core(stage));
         let roles = &self.roles;
-        m.cores = place.cores();
+        place.cores_into(&mut m.cores);
         for (b, role) in m.buffers.iter_mut().zip(&roles.buffers) {
             b.core = core[role.core];
         }

@@ -30,10 +30,9 @@
 //! between all-L1 and all-DRAM at the declared cache-line touch
 //! counts, and carries the paper's flat 17.5 W datasheet power.
 
-use std::collections::BTreeMap;
-
 use desim::{Json, OpCounts};
-use emesh::{route_xy, Mesh2D};
+use emesh::routing::RouteIter;
+use emesh::{Direction, Mesh2D};
 use epiphany::{CostBlock, EpiphanyParams};
 use refcpu::RefCpuParams;
 use sim_harness::{
@@ -185,18 +184,30 @@ impl CostReport {
     }
 }
 
-/// Per-link load map: `(mesh id, node, direction index) -> cycles`.
-/// Ordered so the float folds below visit links in a fixed order —
-/// byte-identical cost reports across processes require it.
-type LinkLoads = BTreeMap<(u8, usize, usize), Bound>;
+/// Per-round accumulators held densely: per core, or per directed link
+/// at [`link_index`]. An entry is `None` until something is added to it, so an
+/// untouched one leaves no term, and walking the touched entries in
+/// index order visits them in key order: every float fold below sees the
+/// same operands in the same order from process to process.
+type Tally = Vec<Option<Bound>>;
+
+/// The three meshes a [`link_index`] can be on: 0 cMesh, 1 rMesh, 2 xMesh.
+const MESHES: usize = 3;
+
+/// The [`Tally`] index of the link leaving `node` toward `dir` on mesh
+/// `mesh_id` of a `nodes`-node mesh: ordered by mesh, then node, then
+/// direction.
+fn link_index(nodes: usize, mesh_id: usize, node: usize, dir: Direction) -> usize {
+    (mesh_id * nodes + node) * Direction::ALL.len() + dir.index()
+}
 
 /// Accumulate `cycles` of serialization on every link of the XY route
 /// `from -> to` of mesh `mesh_id`. A load that may be nothing at all
 /// leaves no entry (the upper bound sums over entries).
 fn load_route(
-    loads: &mut LinkLoads,
+    loads: &mut Tally,
     mesh: &Mesh2D,
-    mesh_id: u8,
+    mesh_id: usize,
     from: usize,
     to: usize,
     cycles: Bound,
@@ -206,9 +217,9 @@ fn load_route(
     }
     let src = mesh.coord(emesh::NodeId(from as u16));
     let dst = mesh.coord(emesh::NodeId(to as u16));
-    for hop in route_xy(mesh, src, dst) {
-        let node = mesh.node(hop.from).raw();
-        *loads.entry((mesh_id, node, hop.dir.index())).or_default() += cycles;
+    for hop in RouteIter::new(mesh, src, dst) {
+        let at = link_index(mesh.len(), mesh_id, mesh.node(hop.from).raw(), hop.dir);
+        *loads[at].get_or_insert_default() += cycles;
     }
 }
 
@@ -258,18 +269,17 @@ fn epiphany_phase(
     let wic = p.write_issue_cycles_per_dword.max(1) as f64;
     let rounds = ph.rounds as f64;
 
-    // Per-round, per-core serial work (ordered: the hi-sum below is a
-    // float fold whose result must not depend on hash order).
-    let mut serial: BTreeMap<usize, Bound> = BTreeMap::new();
+    // Per-round, per-core serial work, and per-link loads.
+    let mut serial: Tally = vec![None; mesh.len()];
+    let mut links: Tally = vec![None; MESHES * mesh.len() * Direction::ALL.len()];
     // Busiest core's pure compute (op-count) work — the reference the
     // SL013/SL014 lints compare resource occupancies against.
     let mut comp_max = Bound::zero();
-    let mut links = LinkLoads::new();
     let mut elink_occ = Bound::zero();
     let mut flight_hi = 0.0f64;
 
     for w in &ph.work {
-        let s = serial.entry(w.core).or_default();
+        let s = serial[w.core].get_or_insert_default();
         let coord = mesh.coord(emesh::NodeId(w.core as u16));
         let hops = f64::from(coord.manhattan(elink_coord));
         let hl = hops.max(1.0) * hop_lat;
@@ -379,7 +389,7 @@ fn epiphany_phase(
         let dst = mesh.coord(emesh::NodeId(t.to as u16));
         let hops = f64::from(src.manhattan(dst));
         let t_wire = wire(t.bytes, t.messages);
-        *serial.entry(t.from).or_default() += Bound::range(
+        *serial[t.from].get_or_insert_default() += Bound::range(
             wic * t.messages.lo.max(t.bytes.lo / 8.0),
             wic * (t.messages.hi + t.bytes.hi / 8.0),
         );
@@ -389,13 +399,13 @@ fn epiphany_phase(
         energy.byte_hops += t_wire.scaled(hops).scaled(rounds);
     }
 
-    let core_lo_max = serial.values().map(|a| a.lo).fold(0.0, f64::max);
-    let core_hi_sum: f64 = serial.values().map(|a| a.hi).sum();
+    let core_lo_max = serial.iter().flatten().map(|a| a.lo).fold(0.0, f64::max);
+    let core_hi_sum: f64 = serial.iter().flatten().map(|a| a.hi).sum();
     let link = Bound::range(
-        links.values().map(|l| l.lo).fold(0.0, f64::max),
-        links.values().map(|l| l.hi).fold(0.0, f64::max),
+        links.iter().flatten().map(|l| l.lo).fold(0.0, f64::max),
+        links.iter().flatten().map(|l| l.hi).fold(0.0, f64::max),
     );
-    let link_hi_sum: f64 = links.values().map(|l| l.hi).sum();
+    let link_hi_sum: f64 = links.iter().flatten().map(|l| l.hi).sum();
 
     let round_lo = core_lo_max.max(link.lo).max(elink_occ.lo);
     let round_hi = core_hi_sum + link_hi_sum + elink_occ.hi + flight_hi;
@@ -407,7 +417,11 @@ fn epiphany_phase(
         compute: comp_max,
         link,
         offchip: elink_occ,
-        per_core_mid: serial.iter().map(|(&core, a)| (core, a.mid())).collect(),
+        per_core_mid: serial
+            .iter()
+            .enumerate()
+            .filter_map(|(core, a)| a.map(|a| (core, a.mid())))
+            .collect(),
     }
 }
 
@@ -420,15 +434,18 @@ pub fn epiphany_cost(model: &ProgramModel, p: &EpiphanyParams) -> CostReport {
         .max(1e-6);
 
     let mut energy = EnergyAcc::default();
-    let mut cycles = Bound::zero();
-    let mut phases = Vec::new();
+    let phases = model
+        .workload
+        .iter()
+        .map(|ph| epiphany_phase(ph, p, &mesh, pairing, &mut energy))
+        .collect();
+    epiphany_report(phases, &energy, p)
+}
 
-    for ph in &model.workload {
-        let pc = epiphany_phase(ph, p, &mesh, pairing, &mut energy);
-        cycles += pc.cycles;
-        phases.push(pc);
-    }
-
+/// The whole-run report of an Epiphany model's priced `phases` and the
+/// `energy` they merged.
+fn epiphany_report(phases: Vec<PhaseCost>, energy: &EnergyAcc, p: &EpiphanyParams) -> CostReport {
+    let cycles = phases.iter().fold(Bound::zero(), |acc, pc| acc + pc.cycles);
     let pj = 1e-12;
     let seconds = at(cycles, p.clock.hz().max(1.0));
     let compute_j =
@@ -629,8 +646,348 @@ pub fn cost_pair(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use autotune::PlacementSpace;
+    use desim::rng::SmallRng;
+    use emesh::route_xy;
+    use sar_epiphany::all_mappings;
+    use sar_epiphany::pipeline::PipelineProbe;
+    use sim_harness::{all_platforms, platform_named, Placement, WorkDecl};
+
     use super::*;
-    use sim_harness::WorkDecl;
+
+    // The cost model's oracle: the phase pricing as it stood when its
+    // per-core and per-link totals were ordered maps, kept verbatim. The
+    // dense tallies must price every model to the same bytes.
+
+    /// Per-link load map: `(mesh id, node, direction index) -> cycles`.
+    /// Ordered so the float folds below visit links in a fixed order —
+    /// byte-identical cost reports across processes require it.
+    type LinkLoads = BTreeMap<(u8, usize, usize), Bound>;
+
+    /// Accumulate `cycles` of serialization on every link of the XY route
+    /// `from -> to` of mesh `mesh_id`. A load that may be nothing at all
+    /// leaves no entry (the upper bound sums over entries).
+    fn map_load_route(
+        loads: &mut LinkLoads,
+        mesh: &Mesh2D,
+        mesh_id: u8,
+        from: usize,
+        to: usize,
+        cycles: Bound,
+    ) {
+        if cycles.hi <= 0.0 {
+            return;
+        }
+        let src = mesh.coord(emesh::NodeId(from as u16));
+        let dst = mesh.coord(emesh::NodeId(to as u16));
+        for hop in route_xy(mesh, src, dst) {
+            let node = mesh.node(hop.from).raw();
+            *loads.entry((mesh_id, node, hop.dir.index())).or_default() += cycles;
+        }
+    }
+
+    /// Evaluate one Epiphany phase; returns its cost row and merges its
+    /// energy terms into the accumulators. Symmetric terms are interval
+    /// arithmetic; a term whose two edges are different expressions
+    /// (allowances only the upper bound pays) is an explicit
+    /// `Bound::range(lo, hi)`.
+    fn map_epiphany_phase(
+        ph: &PhaseDecl,
+        p: &EpiphanyParams,
+        mesh: &Mesh2D,
+        pairing: f64,
+        energy: &mut EnergyAcc,
+    ) -> PhaseCost {
+        let elink = mesh.elink_node();
+        let elink_coord = mesh.coord(elink);
+        let link_bpc = p.emesh.link_bytes_per_cycle.max(1) as f64;
+        let elink_bpc = p.emesh.elink_bytes_per_cycle.max(1) as f64;
+        let hop_lat = p.emesh.hop_latency as f64;
+        let row_hit = p.sdram.row_hit_cycles as f64;
+        let row_miss = p.sdram.row_miss_cycles as f64;
+        let wic = p.write_issue_cycles_per_dword.max(1) as f64;
+        let rounds = ph.rounds as f64;
+
+        // Per-round, per-core serial work (ordered: the hi-sum below is a
+        // float fold whose result must not depend on hash order).
+        let mut serial: BTreeMap<usize, Bound> = BTreeMap::new();
+        // Busiest core's pure compute (op-count) work — the reference the
+        // SL013/SL014 lints compare resource occupancies against.
+        let mut comp_max = Bound::zero();
+        let mut links = LinkLoads::new();
+        let mut elink_occ = Bound::zero();
+        let mut flight_hi = 0.0f64;
+
+        for w in &ph.work {
+            let s = serial.entry(w.core).or_default();
+            let coord = mesh.coord(emesh::NodeId(w.core as u16));
+            let hops = f64::from(coord.manhattan(elink_coord));
+            let hl = hops.max(1.0) * hop_lat;
+
+            // FPU slots, IALU/load-store slots and local accesses of the
+            // op ledgers, lowered by the simulator's own function.
+            let (lo, hi) = (
+                CostBlock::lower(&w.ops_lo, p),
+                CostBlock::lower(&w.ops_hi, p),
+            );
+            let fpu = Bound::range(lo.fpu_instrs as f64, hi.fpu_instrs as f64);
+            let ls = Bound::range(lo.ialu_ls_instrs as f64, hi.ialu_ls_instrs as f64);
+            let local = Bound::range(lo.local_accesses as f64, hi.local_accesses as f64);
+            // Compute: lower is the dominant slot over the whole round
+            // (per-call maxima only grow it); upper assumes no pairing
+            // between the slots plus one ceil cycle per compute() call.
+            let comp = Bound::range(
+                fpu.lo.max(ls.lo) / pairing,
+                (fpu.hi + ls.hi) / pairing + w.compute_calls.hi,
+            );
+            *s += comp;
+            comp_max = Bound::range(comp_max.lo.max(comp.lo), comp_max.hi.max(comp.hi));
+
+            // Blocking off-chip reads: issue + rMesh request + eLink
+            // request slot + SDRAM + reply hop latency per message, plus
+            // the reply wire serialising once through the eLink and once
+            // onto the cMesh.
+            let r_wire = wire(w.ext_read_bytes, w.ext_read_msgs);
+            let read_fixed = p.read_issue_cycles as f64 + hl + 1.0 + 1.0 + hl;
+            *s += Bound::range(
+                w.ext_read_msgs.lo * (read_fixed + row_hit),
+                w.ext_read_msgs.hi * (read_fixed + row_miss),
+            ) + r_wire.scaled(1.0 / elink_bpc + 1.0 / link_bpc);
+
+            // Posted off-chip writes: issue cycles always; the upper bound
+            // additionally drains each write's xMesh flight and eLink hold
+            // (the write-buffer backpressure allowance, ignoring the
+            // buffer credit — sound, just looser).
+            let w_wire = wire(w.ext_write_bytes, w.ext_write_msgs);
+            *s += Bound::range(
+                wic * (w.ext_write_msgs.lo.max(w.ext_write_bytes.lo / 8.0)),
+                wic * (w.ext_write_msgs.hi + w.ext_write_bytes.hi / 8.0)
+                    + w.ext_write_msgs.hi * hl
+                    + w_wire.hi * (1.0 / link_bpc + 1.0 / elink_bpc),
+            );
+
+            // DMA: the core pays descriptor setup; the upper bound also
+            // charges the engine's full transfer (request, SDRAM row miss,
+            // reply wire through eLink + cMesh + landing bank port) since
+            // a dma_wait may stall until exactly that completes.
+            let d_wire = wire(w.dma_bytes, w.dma_msgs);
+            *s += Bound::range(
+                w.dma_msgs.lo * p.dma_setup_cycles as f64,
+                w.dma_msgs.hi * (p.dma_setup_cycles as f64 + 2.0 * hl + 2.0 + row_miss)
+                    + d_wire.hi * (2.0 / link_bpc + 1.0 / elink_bpc),
+            );
+
+            // Flag waits: 1..=flag_poll_max_polls polls, flag_poll_cycles
+            // each. The stall beyond the polls is another core's counted
+            // work or a counted flight.
+            *s += Bound::range(
+                w.flag_waits.lo * p.flag_poll_cycles as f64,
+                w.flag_waits.hi * (p.flag_poll_max_polls * p.flag_poll_cycles) as f64,
+            );
+
+            // Barriers: base cost on every participant.
+            *s += Bound::exact((ph.barriers * p.barrier_base_cycles) as f64);
+
+            // Link loads: read/DMA requests ride the rMesh (1 cycle per
+            // transaction per link), replies ride the cMesh from the eLink
+            // node, off-chip writes ride the xMesh toward it.
+            let req = w.ext_read_msgs + w.dma_msgs;
+            let (core, elink) = (w.core, elink.raw());
+            map_load_route(&mut links, mesh, 1, core, elink, req);
+            map_load_route(
+                &mut links,
+                mesh,
+                0,
+                elink,
+                core,
+                at(r_wire + d_wire, link_bpc),
+            );
+            map_load_route(&mut links, mesh, 2, core, elink, at(w_wire, link_bpc));
+
+            // eLink occupancy: one request slot per read/DMA plus every
+            // wire (reply payloads and write payloads) at eLink width.
+            elink_occ += req + at(r_wire + d_wire + w_wire, elink_bpc);
+
+            // Energy terms (exact counter mirrors; scaled by rounds).
+            let polls = Bound::range(
+                w.flag_waits.lo,
+                w.flag_waits.hi * p.flag_poll_max_polls as f64,
+            );
+            energy.fpu += fpu.scaled(rounds);
+            energy.ialu += (ls + polls).scaled(rounds);
+            energy.local += local.scaled(rounds);
+            energy.byte_hops += (req.scaled(8.0) + r_wire + d_wire + w_wire)
+                .scaled(hops)
+                .scaled(rounds);
+            energy.offchip_bytes +=
+                (w.ext_read_bytes + w.ext_write_bytes + w.dma_bytes).scaled(rounds);
+        }
+
+        // On-chip traffic: sender issue cycles, cMesh link loads along the
+        // XY route, and a flight-latency allowance in the upper bound.
+        for t in &ph.traffic {
+            let src = mesh.coord(emesh::NodeId(t.from as u16));
+            let dst = mesh.coord(emesh::NodeId(t.to as u16));
+            let hops = f64::from(src.manhattan(dst));
+            let t_wire = wire(t.bytes, t.messages);
+            *serial.entry(t.from).or_default() += Bound::range(
+                wic * t.messages.lo.max(t.bytes.lo / 8.0),
+                wic * (t.messages.hi + t.bytes.hi / 8.0),
+            );
+            map_load_route(&mut links, mesh, 0, t.from, t.to, at(t_wire, link_bpc));
+            // Hop latency of each message plus one landing-bank port hold.
+            flight_hi += t.messages.hi * (hops.max(1.0) * hop_lat + 1.0) + t_wire.hi / link_bpc;
+            energy.byte_hops += t_wire.scaled(hops).scaled(rounds);
+        }
+
+        let core_lo_max = serial.values().map(|a| a.lo).fold(0.0, f64::max);
+        let core_hi_sum: f64 = serial.values().map(|a| a.hi).sum();
+        let link = Bound::range(
+            links.values().map(|l| l.lo).fold(0.0, f64::max),
+            links.values().map(|l| l.hi).fold(0.0, f64::max),
+        );
+        let link_hi_sum: f64 = links.values().map(|l| l.hi).sum();
+
+        let round_lo = core_lo_max.max(link.lo).max(elink_occ.lo);
+        let round_hi = core_hi_sum + link_hi_sum + elink_occ.hi + flight_hi;
+
+        PhaseCost {
+            name: ph.name.clone(),
+            rounds: ph.rounds,
+            cycles: Bound::range(round_lo * rounds, round_hi * rounds),
+            compute: comp_max,
+            link,
+            offchip: elink_occ,
+            per_core_mid: serial.iter().map(|(&core, a)| (core, a.mid())).collect(),
+        }
+    }
+
+    /// [`epiphany_cost`] with every phase priced by the map oracle.
+    fn map_epiphany_cost(model: &ProgramModel, p: &EpiphanyParams) -> CostReport {
+        let mesh = Mesh2D::new(model.mesh.0.max(1), model.mesh.1.max(1));
+        let pairing = model
+            .pairing_efficiency
+            .unwrap_or(p.pairing_efficiency)
+            .max(1e-6);
+        let mut energy = EnergyAcc::default();
+        let phases = model
+            .workload
+            .iter()
+            .map(|ph| map_epiphany_phase(ph, p, &mesh, pairing, &mut energy))
+            .collect();
+        epiphany_report(phases, &energy, p)
+    }
+
+    /// `model` on `platform` prices to the oracle's bytes: the JSON
+    /// document and every field `to_json` leaves out.
+    fn assert_prices_as_the_oracle(model: &ProgramModel, platform: &dyn Platform, case: &str) {
+        let params = platform.epiphany_params().expect("an Epiphany platform");
+        let (dense, oracle) = (
+            cost_model(model, platform),
+            map_epiphany_cost(model, &params),
+        );
+        let json = |c: &CostReport| c.to_json().to_string_pretty();
+        assert!(json(&dense) == json(&oracle), "{case}");
+        assert!(format!("{dense:?}") == format!("{oracle:?}"), "{case}");
+    }
+
+    #[test]
+    fn every_registered_pair_prices_as_the_map_oracle() {
+        let mut priced = 0;
+        for small in [true, false] {
+            for m in all_mappings() {
+                let w = Workload::named(m.kernel(), small).expect("kernel resolves");
+                for p in all_platforms() {
+                    if p.kind() != PlatformKind::Epiphany || !m.supports(p.kind()) {
+                        continue;
+                    }
+                    let Some(model) = m.program_model(&w, p.as_ref()) else {
+                        continue;
+                    };
+                    let case = format!("{} x {}, small {small}", m.name(), p.label());
+                    assert_prices_as_the_oracle(&model, p.as_ref(), &case);
+                    priced += 1;
+                }
+            }
+        }
+        assert!(priced >= 20, "{priced} pairs priced");
+    }
+
+    #[test]
+    fn placement_search_candidates_price_as_the_map_oracle() {
+        let mut illegal = 0;
+        for small in [true, false] {
+            let w = Workload::named("autofocus", small).expect("kernel resolves");
+            let w = w.autofocus().expect("an autofocus workload");
+            for (name, probe) in [
+                ("autofocus_mpmd", PipelineProbe::mpmd(w)),
+                ("autofocus_net", PipelineProbe::net(w)),
+            ] {
+                for platform in ["epiphany", "e64"] {
+                    let p = platform_named(platform).expect("platform resolves");
+                    let params = p.epiphany_params().expect("an Epiphany platform");
+                    let mesh = (params.mesh_cols, params.mesh_rows);
+                    let space = PlacementSpace::for_mesh(mesh);
+                    let mut rng = SmallRng::seed_from_u64(0xc057);
+                    let mut place = Placement::neighbor();
+                    let mut model = probe.model(&place, mesh);
+                    for step in 0..128 {
+                        place = PlacementSpace::apply(&place, space.random_move(&place, &mut rng));
+                        probe.rewire(&mut model, &place);
+                        illegal += usize::from(!crate::placement::admits(&model));
+                        let case = format!("{name} x {platform}, small {small}, step {step}");
+                        assert_prices_as_the_oracle(&model, p.as_ref(), &case);
+                    }
+                }
+            }
+        }
+        assert!(
+            illegal > 100,
+            "{illegal} of 1024 candidates break the hop budget"
+        );
+    }
+
+    #[test]
+    fn drawn_models_price_as_the_map_oracle() {
+        // Fractional loads on shared cores and links: every float fold
+        // of a phase is order-sensitive, so a fold that visits its
+        // entries in another order than the map did prints other bytes.
+        let mut rng = SmallRng::seed_from_u64(0xd7a3);
+        let draw = |rng: &mut SmallRng| {
+            let lo = 1000.0 * rng.next_f64();
+            Bound::range(lo, lo * (1.0 + rng.next_f64()))
+        };
+        let e16 = platform_named("epiphany").expect("platform resolves");
+        for (cols, rows) in [(4, 4), (8, 8), (3, 5)] {
+            let nodes = usize::from(cols) * usize::from(rows);
+            for case in 0..40 {
+                let mut m = ProgramModel::new(cols, rows);
+                for _ in 0..3 {
+                    let ph = m.phase("p", 1 + rng.gen_u64(0..4));
+                    for _ in 0..rng.gen_index(1..12) {
+                        let mut w = exact_work(rng.gen_index(0..nodes), rng.gen_u64(0..10_000));
+                        (w.ext_read_msgs, w.ext_read_bytes) = (draw(&mut rng), draw(&mut rng));
+                        (w.ext_write_msgs, w.ext_write_bytes) = (draw(&mut rng), draw(&mut rng));
+                        (w.dma_msgs, w.dma_bytes) = (draw(&mut rng), draw(&mut rng));
+                        w.flag_waits = draw(&mut rng);
+                        ph.work.push(w);
+                    }
+                    for _ in 0..rng.gen_index(0..20) {
+                        ph.traffic.push(sim_harness::TrafficDecl {
+                            from: rng.gen_index(0..nodes),
+                            to: rng.gen_index(0..nodes),
+                            messages: draw(&mut rng),
+                            bytes: draw(&mut rng),
+                        });
+                    }
+                }
+                let case = format!("{cols}x{rows} mesh, case {case}");
+                assert_prices_as_the_oracle(&m, e16.as_ref(), &case);
+            }
+        }
+    }
 
     fn exact_work(core: usize, flops: u64) -> WorkDecl {
         let mut w = WorkDecl::new(core);
