@@ -66,26 +66,15 @@ impl PlacementSpace {
     /// all stage swaps (ascending role pairs), then all relocations
     /// (role-major, site-minor).
     pub fn moves(&self, place: &Placement) -> Vec<Move> {
-        let mut out = Vec::new();
-        for (i, &a) in Stage::ALL.iter().enumerate() {
-            for &b in &Stage::ALL[i + 1..] {
-                out.push(Move::Swap(a, b));
-            }
-        }
         let free = self.unused_sites(place);
-        for stage in Stage::ALL {
-            for &site in &free {
-                out.push(Move::Relocate(stage, site));
-            }
-        }
-        out
+        (0..move_count(&free)).map(|k| move_at(&free, k)).collect()
     }
 
     /// One move drawn uniformly from [`PlacementSpace::moves`] with
-    /// `rng`.
+    /// `rng`; only the drawn move is built.
     pub fn random_move(&self, place: &Placement, rng: &mut SmallRng) -> Move {
-        let ms = self.moves(place);
-        ms[rng.gen_index(0..ms.len())]
+        let free = self.unused_sites(place);
+        move_at(&free, rng.gen_index(0..move_count(&free)))
     }
 
     /// `place` after `mv`.
@@ -101,6 +90,31 @@ impl PlacementSpace {
         }
         p
     }
+}
+
+const STAGES: usize = Stage::ALL.len();
+
+/// Stage swaps: one per unordered pair of stages.
+const SWAPS: usize = STAGES * (STAGES - 1) / 2;
+
+/// How many moves [`PlacementSpace::moves`] lists with `free` unused
+/// sites.
+fn move_count(free: &[usize]) -> usize {
+    SWAPS + STAGES * free.len()
+}
+
+/// Move `k` of [`PlacementSpace::moves`] with `free` unused sites.
+fn move_at(free: &[usize], k: usize) -> Move {
+    if let Some(k) = k.checked_sub(SWAPS) {
+        return Move::Relocate(Stage::ALL[k / free.len()], free[k % free.len()]);
+    }
+    // Stage `i` leads a run of `STAGES - 1 - i` swaps.
+    let (mut i, mut k) = (0, k);
+    while k >= STAGES - 1 - i {
+        k -= STAGES - 1 - i;
+        i += 1;
+    }
+    Move::Swap(Stage::ALL[i], Stage::ALL[i + 1 + k])
 }
 
 #[cfg(test)]
@@ -131,6 +145,23 @@ mod tests {
             let q = PlacementSpace::apply(&p, mv);
             assert_eq!(q.cores().len(), 13, "{mv:?} lost a core");
             assert!(q.fits(4, 4), "{mv:?} left the mesh");
+        }
+    }
+
+    #[test]
+    fn a_drawn_move_is_the_listed_move_at_the_drawn_index() {
+        for mesh in [(4, 4), (8, 8), (4, 5)] {
+            let s = PlacementSpace::for_mesh(mesh);
+            let mut rng = SmallRng::seed_from_u64(0x5eed);
+            let mut place = Placement::neighbor();
+            for _ in 0..500 {
+                let moves = s.moves(&place);
+                let mut listed = rng.clone();
+                let mv = s.random_move(&place, &mut rng);
+                assert_eq!(mv, moves[listed.gen_index(0..moves.len())], "{place:?}");
+                assert_eq!(rng.next_u64(), listed.next_u64(), "one draw each");
+                place = PlacementSpace::apply(&place, mv);
+            }
         }
     }
 

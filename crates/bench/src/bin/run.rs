@@ -190,8 +190,13 @@ fn main() {
             if !m.supports(p.kind()) {
                 continue; // unsupported pair — skip, don't fail
             }
+            // One program model per pair, for the gate and the bounds.
+            let model = h
+                .flag("analyze")
+                .then(|| sarlint::pair_model(m, &workload, p))
+                .flatten();
             if h.flag("analyze") {
-                let report = sarlint::analyze_pair(m, &workload, p);
+                let report = sarlint::analyze_pair_with(m, p, model.as_ref());
                 if !report.is_clean() {
                     eprintln!(
                         "refusing to simulate {} x {}: {} hard sarlint finding(s)",
@@ -232,7 +237,7 @@ fn main() {
                 r.record.energy_j()
             ));
             if h.flag("analyze") && h.flag("cost") {
-                let (c, _lints) = sarlint::cost::cost_pair(m, &workload, p);
+                let (c, _lints) = sarlint::cost::cost_pair_with(m, p, model.as_ref());
                 if c.bounded {
                     let cycles = r.record.elapsed.cycles.raw() as f64;
                     let energy = r.record.energy_j();

@@ -41,6 +41,16 @@ pub enum MeshKind {
 }
 
 impl MeshKind {
+    /// The three meshes in fabric order: every per-mesh table (the
+    /// fabric's link tables, the cost model's tallies, fault queues)
+    /// is laid out in this order.
+    pub const ALL: [MeshKind; 3] = [MeshKind::CMesh, MeshKind::RMesh, MeshKind::XMesh];
+
+    /// Position in [`MeshKind::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable lowercase label (`"cmesh"`, …) used in heatmaps and
     /// trace process names.
     pub fn label(self) -> &'static str {
@@ -53,7 +63,8 @@ impl MeshKind {
 }
 
 /// Compass letter for a router output direction index (the order of
-/// `emesh::routing::Direction::index`).
+/// `emesh::routing::Direction::index`; `L` only for an index no link
+/// has).
 pub fn direction_letter(dir: u8) -> &'static str {
     match dir {
         0 => "W",

@@ -6,8 +6,8 @@ use desim::trace::{direction_letter, MeshKind, Tracer, Track};
 use desim::{Cycle, FifoResource, Reservation};
 use faultsim::FaultState;
 
-use crate::routing::Direction;
-use crate::topology::{Coord, Mesh2D, NodeId};
+use crate::routing::{link_at, link_count, Direction, RouteIter};
+use crate::topology::{Mesh2D, NodeId};
 
 /// How a link serialises traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,18 +42,17 @@ struct MeshStats {
 /// each, modelled as FIFO servers, wormhole-pipelined with a single
 /// cycle of routing latency per hop.
 ///
-/// Links live in a flat table indexed `node * 4 + direction`, and the
-/// transfer hot path walks the XY route with an incremental node index
-/// (east `+1`, west `-1`, south `+cols`, north `-cols`) — no per-hop
-/// coordinate-to-node arithmetic and no route allocation.
+/// Links live in the flat link table ([`crate::routing::link_index`]),
+/// and every transfer walks its XY route with [`RouteIter`], whose hops
+/// carry their link index — no route allocation.
 pub struct MeshNetwork {
     mesh: Mesh2D,
     kind: MeshKind,
     mode: LinkMode,
     hop_latency: u64,
-    /// Flat link table: `links[node * 4 + direction]`.
+    /// The link FIFOs, by link index.
     links: Vec<FifoResource>,
-    /// Flat wire-byte table, same indexing as `links`.
+    /// Wire bytes carried, by link index.
     link_bytes: Vec<u64>,
     stats: MeshStats,
     tracer: Tracer,
@@ -68,18 +67,23 @@ impl MeshNetwork {
             LinkMode::BytesPerCycle(b) => FifoResource::per_units(1, b),
             LinkMode::TransactionPerCycle => FifoResource::per_units(1, 1),
         };
-        let links = (0..mesh.len() * 4).map(|_| make()).collect();
+        let links = (0..link_count(&mesh)).map(|_| make()).collect();
         MeshNetwork {
             mesh,
             kind,
             mode,
             hop_latency,
             links,
-            link_bytes: vec![0; mesh.len() * 4],
+            link_bytes: vec![0; link_count(&mesh)],
             stats: MeshStats::default(),
             tracer: Tracer::disabled(),
             faults: FaultState::disabled(),
         }
+    }
+
+    /// Which of the three meshes this is.
+    pub fn kind(&self) -> MeshKind {
+        self.kind
     }
 
     /// Attach a tracer; every subsequent link reservation emits a span
@@ -107,37 +111,13 @@ impl MeshNetwork {
         self.tracer.is_enabled()
     }
 
-    /// XY-route legs from `src` to `dst`: `(steps, direction index,
-    /// node index delta)` for the X leg then the Y leg — the walk
-    /// [`MeshNetwork::transfer`] takes, shared with the span executor
-    /// and its quiescence pre-check.
-    fn legs(&self, src: NodeId, dst: NodeId) -> [(usize, usize, isize); 2] {
-        let (sc, dc) = (self.mesh.coord(src), self.mesh.coord(dst));
-        let cols = self.mesh.cols() as isize;
-        let dx = dc.x as isize - sc.x as isize;
-        let dy = dc.y as isize - sc.y as isize;
-        [
-            (
-                dx.unsigned_abs(),
-                if dx > 0 {
-                    Direction::East
-                } else {
-                    Direction::West
-                }
-                .index(),
-                dx.signum(),
-            ),
-            (
-                dy.unsigned_abs(),
-                if dy > 0 {
-                    Direction::South
-                } else {
-                    Direction::North
-                }
-                .index(),
-                dy.signum() * cols,
-            ),
-        ]
+    /// The trace track of the link leaving `node` toward `dir`.
+    fn track(&self, node: NodeId, dir: Direction) -> Track {
+        Track::MeshLink {
+            mesh: self.kind,
+            node: u32::from(node.0),
+            dir: dir.index() as u8,
+        }
     }
 
     /// Tail serialization interval for `wire_bytes` under this mesh's
@@ -153,8 +133,7 @@ impl MeshNetwork {
     /// `wire_bytes`: pure geometry and rates, the constant every
     /// transfer in an absorbed span observes.
     pub fn uncontended_latency(&self, src: NodeId, dst: NodeId, wire_bytes: u64) -> Cycle {
-        let [x, y] = self.legs(src, dst);
-        let hops = (x.0 + y.0) as u64;
+        let hops = u64::from(self.mesh.coord(src).manhattan(self.mesh.coord(dst)));
         Cycle(hops.max(1) * self.hop_latency) + self.serialization(wire_bytes)
     }
 
@@ -164,16 +143,7 @@ impl MeshNetwork {
     /// at the span's first issue time (later hops and later transfers
     /// only ever run later).
     pub fn quiet_route(&self, src: NodeId, dst: NodeId, at: Cycle) -> bool {
-        let mut node = src.raw();
-        for (steps, dir, delta) in self.legs(src, dst) {
-            for _ in 0..steps {
-                if self.links[node * 4 + dir].free_at() > at {
-                    return false;
-                }
-                node = node.wrapping_add_signed(delta);
-            }
-        }
-        true
+        RouteIter::new(&self.mesh, src, dst).all(|hop| self.links[hop.link()].free_at() <= at)
     }
 
     /// Absorb a span of `n` identical transfers `src -> dst` of
@@ -210,24 +180,17 @@ impl MeshNetwork {
             .first()
             .expect("mesh has links")
             .service_cycles(units);
-        let mut node = src.raw();
-        let mut hop = 0u64;
-        let legs = self.legs(src, dst);
-        for (steps, dir, delta) in legs {
-            for _ in 0..steps {
-                // The header reaches hop `h` one hop latency after the
-                // previous one, exactly as the per-event walk advances.
-                let offset = Cycle(hop * self.hop_latency);
-                let link = node * 4 + dir;
-                self.links[link]
-                    .absorb_run(n, Cycle(hold.raw() * n), |i| (start_of(i) + offset, hold));
-                self.link_bytes[link] += wire_bytes * n;
-                node = node.wrapping_add_signed(delta);
-                hop += 1;
-            }
+        let route = RouteIter::new(&self.mesh, src, dst);
+        let hops = route.len() as u64;
+        for (h, hop) in (0u64..).zip(route) {
+            // The header reaches hop `h` one hop latency after the
+            // previous one, exactly as the per-event walk advances.
+            let offset = Cycle(h * self.hop_latency);
+            let link = hop.link();
+            self.links[link].absorb_run(n, Cycle(hold.raw() * n), |i| (start_of(i) + offset, hold));
+            self.link_bytes[link] += wire_bytes * n;
         }
-        let hops = (legs[0].0 + legs[1].0) as u64;
-        let latency = Cycle(hops.max(1) * self.hop_latency) + self.serialization(wire_bytes);
+        let latency = self.uncontended_latency(src, dst, wire_bytes);
         self.stats.transfers += n;
         self.stats.bytes += wire_bytes * n;
         self.stats.byte_hops += wire_bytes * hops * n;
@@ -252,40 +215,25 @@ impl MeshNetwork {
         let units = self.units_for(wire_bytes);
         let hop_latency = Cycle(self.hop_latency);
 
-        // Walk the XY route in place: the X leg steps the node index
-        // by ±1, the Y leg by ±cols — the same hops `route_xy` yields,
-        // without materialising them.
-        let legs = self.legs(src, dst);
-        let mut node = src.raw();
+        let route = RouteIter::new(&self.mesh, src, dst);
+        let hops = route.len();
         let mut t = at;
         let mut queued = Cycle::ZERO;
         // Last traversed link, for fault-stall attribution (a local
         // delivery stalls at the source router).
-        let mut last = (node as u32, 0u8);
-        for (steps, dir, delta) in legs {
-            for _ in 0..steps {
-                let link = node * 4 + dir;
-                let r = self.links[link].request(t, units);
-                self.link_bytes[link] += wire_bytes;
-                if self.tracer.is_enabled() {
-                    self.tracer.span(
-                        Track::MeshLink {
-                            mesh: self.kind,
-                            node: node as u32,
-                            dir: dir as u8,
-                        },
-                        "xfer",
-                        r.start,
-                        r.end,
-                    );
-                }
-                queued += r.wait(t);
-                t = r.start + hop_latency;
-                last = (node as u32, dir as u8);
-                node = node.wrapping_add_signed(delta);
+        let mut last = (src, Direction::West);
+        for hop in route {
+            let link = hop.link();
+            let r = self.links[link].request(t, units);
+            self.link_bytes[link] += wire_bytes;
+            if self.tracer.is_enabled() {
+                self.tracer
+                    .span(self.track(hop.node, hop.dir), "xfer", r.start, r.end);
             }
+            queued += r.wait(t);
+            t = r.start + hop_latency;
+            last = (hop.node, hop.dir);
         }
-        let hops = legs[0].0 + legs[1].0;
 
         // Tail of the message: serialization of the payload behind the
         // header. For a zero-hop (local) transfer charge one hop of
@@ -302,15 +250,8 @@ impl MeshNetwork {
                 // traversed link.
                 arrival += Cycle(extra);
                 let (node, dir) = last;
-                self.tracer.instant(
-                    Track::MeshLink {
-                        mesh: self.kind,
-                        node,
-                        dir,
-                    },
-                    "fault:mesh_stall",
-                    arrival,
-                );
+                self.tracer
+                    .instant(self.track(node, dir), "fault:mesh_stall", arrival);
             }
         }
         self.stats.transfers += 1;
@@ -354,12 +295,6 @@ impl MeshNetwork {
             .unwrap_or(Cycle::ZERO)
     }
 
-    /// Busy cycles of the output link leaving `from` in `dir`.
-    pub fn link_busy(&self, from: Coord, dir: Direction) -> Cycle {
-        let node = self.mesh.node(from).raw();
-        self.links[node * 4 + dir.index()].busy_cycles()
-    }
-
     /// Busy cycles summed over every directed link.
     pub fn total_link_busy(&self) -> Cycle {
         self.links
@@ -368,8 +303,8 @@ impl MeshNetwork {
             .fold(Cycle::ZERO, |a, b| a + b)
     }
 
-    /// Per-link busy cycles, flattened `node * 4 + dir` — cheap to
-    /// snapshot at phase boundaries.
+    /// Per-link busy cycles, by link index — cheap to snapshot at phase
+    /// boundaries.
     pub fn link_busy_vec(&self) -> Vec<Cycle> {
         self.links
             .iter()
@@ -394,10 +329,11 @@ impl MeshNetwork {
             } else {
                 (busy.raw() as f64 / makespan.raw() as f64).min(1.0)
             };
+            let (node, dir) = link_at(i);
             out.push(LinkLoad {
                 mesh: self.kind.label().to_string(),
-                node: (i / 4) as u32,
-                dir: direction_letter((i % 4) as u8).to_string(),
+                node: u32::from(node.0),
+                dir: direction_letter(dir.index() as u8).to_string(),
                 byte_hops,
                 busy_cycles: busy.raw(),
                 busy_fraction,
@@ -472,6 +408,11 @@ fn fault_free(faults: &FaultState) -> bool {
 ///   the reply write returns over the cMesh,
 /// * off-chip traffic crosses the xMesh to the eLink node and then
 ///   serialises through the much narrower eLink.
+///
+/// The named fields pick a mesh by role; everything that covers the
+/// whole fabric (tracer and fault attachment, link statistics and
+/// busy-cycle tables, the byte-hop and transfer totals) walks
+/// [`EMesh::meshes`], in [`MeshKind::ALL`] order.
 pub struct EMesh {
     mesh: Mesh2D,
     /// On-chip write mesh.
@@ -490,26 +431,18 @@ pub struct EMesh {
 impl EMesh {
     /// Build the fabric for `mesh` with `params`.
     pub fn new(mesh: Mesh2D, params: EMeshParams) -> EMesh {
+        let [cmesh, rmesh, xmesh] = MeshKind::ALL.map(|kind| {
+            let mode = match kind {
+                MeshKind::RMesh => LinkMode::TransactionPerCycle,
+                _ => LinkMode::BytesPerCycle(params.link_bytes_per_cycle),
+            };
+            MeshNetwork::new(mesh, kind, mode, params.hop_latency)
+        });
         EMesh {
             mesh,
-            cmesh: MeshNetwork::new(
-                mesh,
-                MeshKind::CMesh,
-                LinkMode::BytesPerCycle(params.link_bytes_per_cycle),
-                params.hop_latency,
-            ),
-            rmesh: MeshNetwork::new(
-                mesh,
-                MeshKind::RMesh,
-                LinkMode::TransactionPerCycle,
-                params.hop_latency,
-            ),
-            xmesh: MeshNetwork::new(
-                mesh,
-                MeshKind::XMesh,
-                LinkMode::BytesPerCycle(params.link_bytes_per_cycle),
-                params.hop_latency,
-            ),
+            cmesh,
+            rmesh,
+            xmesh,
             elink: FifoResource::per_units(1, params.elink_bytes_per_cycle),
             elink_node: mesh.elink_node(),
             tracer: Tracer::disabled(),
@@ -520,19 +453,28 @@ impl EMesh {
     /// Attach a tracer to the fabric: all three meshes emit per-link
     /// spans and the eLink emits occupancy spans.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.cmesh.set_tracer(tracer.clone());
-        self.rmesh.set_tracer(tracer.clone());
-        self.xmesh.set_tracer(tracer.clone());
+        for m in self.meshes_mut() {
+            m.set_tracer(tracer.clone());
+        }
         self.tracer = tracer;
     }
 
     /// Attach fault state to the fabric: the three meshes take stall
     /// events, the eLink takes degradation windows.
     pub fn set_faults(&mut self, faults: FaultState) {
-        self.cmesh.set_faults(faults.clone());
-        self.rmesh.set_faults(faults.clone());
-        self.xmesh.set_faults(faults.clone());
+        for m in self.meshes_mut() {
+            m.set_faults(faults.clone());
+        }
         self.faults = faults;
+    }
+
+    /// The three meshes, in [`MeshKind::ALL`] order.
+    pub fn meshes(&self) -> [&MeshNetwork; 3] {
+        [&self.cmesh, &self.rmesh, &self.xmesh]
+    }
+
+    fn meshes_mut(&mut self) -> [&mut MeshNetwork; 3] {
+        [&mut self.cmesh, &mut self.rmesh, &mut self.xmesh]
     }
 
     /// Extra start delay for an eLink operation at `at` when a
@@ -550,15 +492,29 @@ impl EMesh {
 
     /// Load summary of every loaded link across all three meshes.
     pub fn link_stats(&self, makespan: Cycle) -> Vec<LinkLoad> {
-        let mut out = self.cmesh.link_stats(makespan);
-        out.extend(self.rmesh.link_stats(makespan));
-        out.extend(self.xmesh.link_stats(makespan));
+        let meshes = self.meshes().into_iter();
+        meshes.flat_map(|m| m.link_stats(makespan)).collect()
+    }
+
+    /// Per-link busy cycles of the whole fabric, laid out by
+    /// [`crate::routing::fabric_link_index`].
+    pub fn link_busy_vec(&self) -> Vec<Cycle> {
+        let mut out = Vec::with_capacity(MeshKind::ALL.len() * link_count(&self.mesh));
+        for m in self.meshes() {
+            out.extend(m.links.iter().map(FifoResource::busy_cycles));
+        }
         out
     }
 
     /// Busy cycles summed over every directed link of all meshes.
     pub fn total_link_busy(&self) -> Cycle {
-        self.cmesh.total_link_busy() + self.rmesh.total_link_busy() + self.xmesh.total_link_busy()
+        let busy = self.meshes().map(MeshNetwork::total_link_busy);
+        busy.into_iter().fold(Cycle::ZERO, |a, b| a + b)
+    }
+
+    /// Transactions carried, all meshes.
+    pub fn total_transfers(&self) -> u64 {
+        self.meshes().map(MeshNetwork::transfers).iter().sum()
     }
 
     /// Cycles the off-chip eLink has been reserved — one of the
@@ -570,7 +526,7 @@ impl EMesh {
 
     /// Byte-hops summed across all three meshes.
     pub fn total_byte_hops(&self) -> u64 {
-        self.cmesh.byte_hops() + self.rmesh.byte_hops() + self.xmesh.byte_hops()
+        self.meshes().map(MeshNetwork::byte_hops).iter().sum()
     }
 
     /// The topology this fabric spans.
@@ -886,10 +842,8 @@ mod tests {
         assert_eq!(zero.hops, 1);
         // 1 hop latency + ceil(max(0,1)/8) = 2 cycles.
         assert_eq!(zero.arrival, Cycle(2));
-        assert_eq!(
-            f.cmesh.link_busy(Coord { x: 0, y: 0 }, Direction::East),
-            Cycle(1)
-        );
+        let link = crate::routing::link_index(NodeId(0), Direction::East);
+        assert_eq!(f.cmesh.link_busy_vec()[link], Cycle(1));
         let mut g = fabric();
         let one = g.cmesh.transfer(Cycle(0), NodeId(0), NodeId(1), 1);
         assert_eq!(one.arrival, zero.arrival);
@@ -930,6 +884,41 @@ mod tests {
         assert!(stats.iter().any(|l| l.mesh == "cmesh"));
         assert!(stats.iter().any(|l| l.mesh == "rmesh"));
         assert!(stats.iter().any(|l| l.mesh == "xmesh"));
+    }
+
+    #[test]
+    fn a_transfer_reserves_exactly_the_links_of_its_route() {
+        use crate::routing::{route_xy, Hop};
+        let letter = |d: Direction| match d {
+            Direction::West => "W",
+            Direction::East => "E",
+            Direction::North => "N",
+            Direction::South => "S",
+        };
+        for m in [Mesh2D::e16g3(), Mesh2D::new(8, 8), Mesh2D::new(5, 3)] {
+            for s in m.nodes() {
+                for d in m.nodes() {
+                    let mut net =
+                        MeshNetwork::new(m, MeshKind::CMesh, LinkMode::BytesPerCycle(8), 1);
+                    net.transfer(Cycle(0), s, d, 64);
+                    let mut route: Vec<Hop> = route_xy(&m, m.coord(s), m.coord(d));
+                    route.sort_by_key(|h| (m.node(h.from), h.dir.index()));
+                    let busy: Vec<usize> = (net.link_busy_vec().iter().enumerate())
+                        .filter(|(_, c)| **c > Cycle::ZERO)
+                        .map(|(i, _)| i)
+                        .collect();
+                    let links: Vec<usize> = route.iter().map(|h| h.link()).collect();
+                    assert_eq!(busy, links, "{s} -> {d} on {m:?}");
+                    let stats: Vec<(u32, String)> = (net.link_stats(Cycle(1000)).into_iter())
+                        .map(|l| (l.node, l.dir))
+                        .collect();
+                    let named: Vec<(u32, String)> = (route.iter())
+                        .map(|h| (u32::from(m.node(h.from).0), letter(h.dir).to_string()))
+                        .collect();
+                    assert_eq!(stats, named, "{s} -> {d} on {m:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,11 @@
 
 use desim::power::{PhaseAttribution, PhasePower, PowerEpoch, PowerRecord, PowerTimeline};
 use desim::record::{MeshHeatmap, MeshUtilization, PhaseRecord, RunRecord};
-use desim::stats::{Counters, Histogram, PhaseTimeline};
+use desim::stats::{Counters, PhaseTimeline};
 use desim::trace::{Tracer, Track};
 use desim::{Cycle, TimeSpan};
 use emesh::network::TransferResult;
-use emesh::{EMesh, Mesh2D, NodeId};
+use emesh::{EMesh, Mesh2D, MeshNetwork, NodeId};
 use faultsim::{FaultState, FlagFault};
 use memsim::{GlobalAddr, LocalStore, Sdram};
 
@@ -41,12 +41,12 @@ struct Snapshot {
     elink_busy: Cycle,
     /// SDRAM bus busy cycles so far.
     sdram_busy: Cycle,
-    cmesh_byte_hops: u64,
-    rmesh_byte_hops: u64,
-    xmesh_byte_hops: u64,
+    /// Byte-hops so far, per mesh in [`desim::MeshKind::ALL`] order.
+    byte_hops: [u64; 3],
     /// Transfers started so far, all meshes.
     transfers: u64,
-    /// Per-link busy cycles, `cmesh ++ rmesh ++ xmesh` flattened.
+    /// Per-link busy cycles of the whole fabric
+    /// ([`EMesh::link_busy_vec`]).
     link_busy: Vec<Cycle>,
 }
 
@@ -730,20 +730,15 @@ impl Chip {
     /// Everything the chip has accumulated up to now.
     fn snapshot(&self) -> Snapshot {
         let f = &self.fabric;
-        let mut link_busy = f.cmesh.link_busy_vec();
-        link_busy.extend(f.rmesh.link_busy_vec());
-        link_busy.extend(f.xmesh.link_busy_vec());
         Snapshot {
             energy: self.energy(),
             counters: CoreCounters::sum(&self.counters),
             core_busy: self.busy.iter().copied().fold(Cycle::ZERO, |a, b| a + b),
             elink_busy: f.elink.busy_cycles(),
             sdram_busy: self.sdram.busy_cycles(),
-            cmesh_byte_hops: f.cmesh.byte_hops(),
-            rmesh_byte_hops: f.rmesh.byte_hops(),
-            xmesh_byte_hops: f.xmesh.byte_hops(),
-            transfers: f.cmesh.transfers() + f.rmesh.transfers() + f.xmesh.transfers(),
-            link_busy,
+            byte_hops: f.meshes().map(MeshNetwork::byte_hops),
+            transfers: f.total_transfers(),
+            link_busy: f.link_busy_vec(),
         }
     }
 
@@ -822,59 +817,27 @@ impl Chip {
         record.cores_used = cores_used;
         record.energy = self.energy();
         record.counters = CoreCounters::sum(&self.counters).to_counters();
-        record.busiest_link_cycles = self
-            .fabric
-            .cmesh
-            .max_link_busy()
-            .max(self.fabric.xmesh.max_link_busy());
-        record.elink_busy_cycles = self.fabric.elink.busy_cycles();
+        let f = &self.fabric;
+        record.busiest_link_cycles = f.cmesh.max_link_busy().max(f.xmesh.max_link_busy());
+        record.elink_busy_cycles = f.elink.busy_cycles();
         record.sdram_row_hit_rate = self.sdram.row_hit_rate();
         record.faults = self.faults.totals();
 
         // Aggregate link statistics — present even with tracing off.
-        let f = &self.fabric;
-        record.counters.add("cmesh_byte_hops", f.cmesh.byte_hops());
-        record.counters.add("rmesh_byte_hops", f.rmesh.byte_hops());
-        record.counters.add("xmesh_byte_hops", f.xmesh.byte_hops());
-        record.counters.add(
-            "mesh_byte_hops",
-            f.cmesh.byte_hops() + f.rmesh.byte_hops() + f.xmesh.byte_hops(),
-        );
-        record.counters.add(
-            "mesh_transfers",
-            f.cmesh.transfers() + f.rmesh.transfers() + f.xmesh.transfers(),
-        );
-        record
-            .counters
-            .add("mesh_link_busy_cycles", f.total_link_busy().raw());
-        let mut lat = |name_p50: &'static str,
-                       name_p95: &'static str,
-                       name_max: &'static str,
-                       h: &Histogram| {
+        let c = &mut record.counters;
+        for m in f.meshes() {
+            let name = m.kind().label();
+            c.add(format!("{name}_byte_hops"), m.byte_hops());
+            let h = m.latency();
             if h.count() > 0 {
-                record.counters.add(name_p50, h.quantile(0.5).unwrap_or(0));
-                record.counters.add(name_p95, h.quantile(0.95).unwrap_or(0));
-                record.counters.add(name_max, h.max().unwrap_or(0));
+                c.add(format!("{name}_lat_p50"), h.quantile(0.5).unwrap_or(0));
+                c.add(format!("{name}_lat_p95"), h.quantile(0.95).unwrap_or(0));
+                c.add(format!("{name}_lat_max"), h.max().unwrap_or(0));
             }
-        };
-        lat(
-            "cmesh_lat_p50",
-            "cmesh_lat_p95",
-            "cmesh_lat_max",
-            f.cmesh.latency(),
-        );
-        lat(
-            "rmesh_lat_p50",
-            "rmesh_lat_p95",
-            "rmesh_lat_max",
-            f.rmesh.latency(),
-        );
-        lat(
-            "xmesh_lat_p50",
-            "xmesh_lat_p95",
-            "xmesh_lat_max",
-            f.xmesh.latency(),
-        );
+        }
+        c.add("mesh_byte_hops", f.total_byte_hops());
+        c.add("mesh_transfers", f.total_transfers());
+        c.add("mesh_link_busy_cycles", f.total_link_busy().raw());
         record.mesh_heatmap = Some(MeshHeatmap {
             cols: self.mesh.cols() as usize,
             rows: self.mesh.rows() as usize,
@@ -923,10 +886,12 @@ impl Chip {
                     0.0
                 }
             };
+            let [cmesh_byte_hops, rmesh_byte_hops, xmesh_byte_hops] =
+                std::array::from_fn(|i| now.byte_hops[i] - was.byte_hops[i]);
             let mesh = MeshUtilization {
-                cmesh_byte_hops: now.cmesh_byte_hops - was.cmesh_byte_hops,
-                rmesh_byte_hops: now.rmesh_byte_hops - was.rmesh_byte_hops,
-                xmesh_byte_hops: now.xmesh_byte_hops - was.xmesh_byte_hops,
+                cmesh_byte_hops,
+                rmesh_byte_hops,
+                xmesh_byte_hops,
                 transfers: now.transfers - was.transfers,
                 link_busy_cycles: link_deltas().sum(),
                 busiest_link_utilization: over_span(link_deltas().max().unwrap_or(0)),

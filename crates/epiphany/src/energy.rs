@@ -48,10 +48,7 @@ impl EnergyModel {
             sdram_bytes += offchip;
         }
 
-        let fabric = chip.fabric();
-        let byte_hops =
-            fabric.cmesh.byte_hops() + fabric.rmesh.byte_hops() + fabric.xmesh.byte_hops();
-        let mesh = byte_hops as f64 * p.pj_per_mesh_byte_hop;
+        let mesh = chip.fabric().total_byte_hops() as f64 * p.pj_per_mesh_byte_hop;
 
         let seconds = chip.elapsed_span().seconds();
         let static_j = (p.static_w_per_core * chip.cores() as f64 + p.static_w_chip) * seconds;

@@ -46,21 +46,13 @@ struct Halt {
 #[derive(Debug, Default)]
 struct Inner {
     seed: u64,
-    /// Per-mesh stall queues, indexed [cmesh, rmesh, xmesh].
+    /// Per-mesh stall queues, indexed by [`MeshKind::index`].
     mesh: [VecDeque<(Cycle, u64)>; 3],
     flags: VecDeque<(Cycle, FlagFault)>,
     elink: VecDeque<(Cycle, u64)>,
     sdram: VecDeque<Cycle>,
     halts: Vec<Halt>,
     totals: FaultRecord,
-}
-
-fn mesh_index(kind: MeshKind) -> usize {
-    match kind {
-        MeshKind::CMesh => 0,
-        MeshKind::RMesh => 1,
-        MeshKind::XMesh => 2,
-    }
 }
 
 /// Pop the front of `queue` iff it has armed by `now`, bumping the
@@ -104,7 +96,7 @@ impl FaultState {
         for &e in &plan.events {
             match e {
                 FaultEvent::MeshStall { mesh, at, extra } => {
-                    inner.mesh[mesh_index(mesh)].push_back((at, extra));
+                    inner.mesh[mesh.index()].push_back((at, extra));
                 }
                 FaultEvent::FlagDrop { at } => inner.flags.push_back((at, FlagFault::Drop)),
                 FaultEvent::FlagDelay { at, extra } => {
@@ -142,11 +134,7 @@ impl FaultState {
         let inner = self.inner.as_ref()?;
         let mut i = inner.borrow_mut();
         let Inner { mesh, totals, .. } = &mut *i;
-        pop_armed(
-            &mut mesh[mesh_index(kind)],
-            now,
-            &mut totals.faults_injected,
-        )
+        pop_armed(&mut mesh[kind.index()], now, &mut totals.faults_injected)
     }
 
     /// A posted flag write issues at `now`: how it is perturbed, if an

@@ -61,41 +61,32 @@ pub struct RdaWorkload {
 }
 
 impl RdaWorkload {
-    /// The paper-scale workload: the same six-target scene FFBP images,
-    /// but as raw echoes (1024 pulses x 1129 fast-time samples).
-    pub fn paper() -> RdaWorkload {
-        let geom = SarGeometry::paper_size();
-        let scene = Scene::six_targets(geom);
+    /// The six-target scene collected over `geom` as raw echoes of a
+    /// `chirp_samples`-sample chirp (fractional bandwidth 0.9), RCMC on.
+    pub fn of(geom: SarGeometry, chirp_samples: usize) -> RdaWorkload {
         let config = RdaConfig {
             chirp: ChirpParams {
-                samples: 128,
+                samples: chirp_samples,
                 fractional_bandwidth: 0.9,
             },
             rcmc: true,
         };
         RdaWorkload {
             geom,
-            raw: simulate_raw_echoes(&scene, config.chirp),
+            raw: simulate_raw_echoes(&Scene::six_targets(geom), config.chirp),
             config,
         }
     }
 
+    /// The paper-scale workload: the same six-target scene FFBP images,
+    /// but as raw echoes (1024 pulses x 1129 fast-time samples).
+    pub fn paper() -> RdaWorkload {
+        RdaWorkload::of(SarGeometry::paper_size(), 128)
+    }
+
     /// A small workload for tests (64 pulses x 193 fast-time samples).
     pub fn small() -> RdaWorkload {
-        let geom = SarGeometry::test_size();
-        let scene = Scene::six_targets(geom);
-        let config = RdaConfig {
-            chirp: ChirpParams {
-                samples: 64,
-                fractional_bandwidth: 0.9,
-            },
-            rcmc: true,
-        };
-        RdaWorkload {
-            geom,
-            raw: simulate_raw_echoes(&scene, config.chirp),
-            config,
-        }
+        RdaWorkload::of(SarGeometry::test_size(), 64)
     }
 
     /// Pixels in the output image.

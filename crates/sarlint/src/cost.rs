@@ -30,9 +30,9 @@
 //! between all-L1 and all-DRAM at the declared cache-line touch
 //! counts, and carries the paper's flat 17.5 W datasheet power.
 
-use desim::{Json, OpCounts};
-use emesh::routing::RouteIter;
-use emesh::{Direction, Mesh2D};
+use desim::{Json, MeshKind, OpCounts};
+use emesh::routing::{fabric_link_index, link_count, RouteIter};
+use emesh::{Mesh2D, NodeId};
 use epiphany::{CostBlock, EpiphanyParams};
 use refcpu::RefCpuParams;
 use sim_harness::{
@@ -184,30 +184,21 @@ impl CostReport {
     }
 }
 
-/// Per-round accumulators held densely: per core, or per directed link
-/// at [`link_index`]. An entry is `None` until something is added to it, so an
+/// Per-round accumulators held densely: per core, or per link of the
+/// whole fabric at [`fabric_link_index`] (by mesh, then node, then
+/// direction). An entry is `None` until something is added to it, so an
 /// untouched one leaves no term, and walking the touched entries in
 /// index order visits them in key order: every float fold below sees the
 /// same operands in the same order from process to process.
 type Tally = Vec<Option<Bound>>;
 
-/// The three meshes a [`link_index`] can be on: 0 cMesh, 1 rMesh, 2 xMesh.
-const MESHES: usize = 3;
-
-/// The [`Tally`] index of the link leaving `node` toward `dir` on mesh
-/// `mesh_id` of a `nodes`-node mesh: ordered by mesh, then node, then
-/// direction.
-fn link_index(nodes: usize, mesh_id: usize, node: usize, dir: Direction) -> usize {
-    (mesh_id * nodes + node) * Direction::ALL.len() + dir.index()
-}
-
 /// Accumulate `cycles` of serialization on every link of the XY route
-/// `from -> to` of mesh `mesh_id`. A load that may be nothing at all
+/// `from -> to` of mesh `kind`. A load that may be nothing at all
 /// leaves no entry (the upper bound sums over entries).
 fn load_route(
     loads: &mut Tally,
     mesh: &Mesh2D,
-    mesh_id: usize,
+    kind: MeshKind,
     from: usize,
     to: usize,
     cycles: Bound,
@@ -215,11 +206,8 @@ fn load_route(
     if cycles.hi <= 0.0 {
         return;
     }
-    let src = mesh.coord(emesh::NodeId(from as u16));
-    let dst = mesh.coord(emesh::NodeId(to as u16));
-    for hop in RouteIter::new(mesh, src, dst) {
-        let at = link_index(mesh.len(), mesh_id, mesh.node(hop.from).raw(), hop.dir);
-        *loads[at].get_or_insert_default() += cycles;
+    for hop in RouteIter::new(mesh, NodeId(from as u16), NodeId(to as u16)) {
+        *loads[fabric_link_index(mesh, kind, hop.link())].get_or_insert_default() += cycles;
     }
 }
 
@@ -271,7 +259,7 @@ fn epiphany_phase(
 
     // Per-round, per-core serial work, and per-link loads.
     let mut serial: Tally = vec![None; mesh.len()];
-    let mut links: Tally = vec![None; MESHES * mesh.len() * Direction::ALL.len()];
+    let mut links: Tally = vec![None; MeshKind::ALL.len() * link_count(mesh)];
     // Busiest core's pure compute (op-count) work — the reference the
     // SL013/SL014 lints compare resource occupancies against.
     let mut comp_max = Bound::zero();
@@ -280,7 +268,7 @@ fn epiphany_phase(
 
     for w in &ph.work {
         let s = serial[w.core].get_or_insert_default();
-        let coord = mesh.coord(emesh::NodeId(w.core as u16));
+        let coord = mesh.coord(NodeId(w.core as u16));
         let hops = f64::from(coord.manhattan(elink_coord));
         let hl = hops.max(1.0) * hop_lat;
 
@@ -353,16 +341,10 @@ fn epiphany_phase(
         // node, off-chip writes ride the xMesh toward it.
         let req = w.ext_read_msgs + w.dma_msgs;
         let (core, elink) = (w.core, elink.raw());
-        load_route(&mut links, mesh, 1, core, elink, req);
-        load_route(
-            &mut links,
-            mesh,
-            0,
-            elink,
-            core,
-            at(r_wire + d_wire, link_bpc),
-        );
-        load_route(&mut links, mesh, 2, core, elink, at(w_wire, link_bpc));
+        let (reply, write) = (at(r_wire + d_wire, link_bpc), at(w_wire, link_bpc));
+        load_route(&mut links, mesh, MeshKind::RMesh, core, elink, req);
+        load_route(&mut links, mesh, MeshKind::CMesh, elink, core, reply);
+        load_route(&mut links, mesh, MeshKind::XMesh, core, elink, write);
 
         // eLink occupancy: one request slot per read/DMA plus every
         // wire (reply payloads and write payloads) at eLink width.
@@ -385,15 +367,16 @@ fn epiphany_phase(
     // On-chip traffic: sender issue cycles, cMesh link loads along the
     // XY route, and a flight-latency allowance in the upper bound.
     for t in &ph.traffic {
-        let src = mesh.coord(emesh::NodeId(t.from as u16));
-        let dst = mesh.coord(emesh::NodeId(t.to as u16));
+        let src = mesh.coord(NodeId(t.from as u16));
+        let dst = mesh.coord(NodeId(t.to as u16));
         let hops = f64::from(src.manhattan(dst));
         let t_wire = wire(t.bytes, t.messages);
         *serial[t.from].get_or_insert_default() += Bound::range(
             wic * t.messages.lo.max(t.bytes.lo / 8.0),
             wic * (t.messages.hi + t.bytes.hi / 8.0),
         );
-        load_route(&mut links, mesh, 0, t.from, t.to, at(t_wire, link_bpc));
+        let load = at(t_wire, link_bpc);
+        load_route(&mut links, mesh, MeshKind::CMesh, t.from, t.to, load);
         // Hop latency of each message plus one landing-bank port hold.
         flight_hi += t.messages.hi * (hops.max(1.0) * hop_lat + 1.0) + t_wire.hi / link_bpc;
         energy.byte_hops += t_wire.scaled(hops).scaled(rounds);
@@ -618,12 +601,20 @@ pub fn cost_pair(
     workload: &Workload,
     platform: &dyn Platform,
 ) -> (CostReport, Report) {
+    let model = mapping.program_model(workload, platform);
+    cost_pair_with(mapping, platform, model.as_ref())
+}
+
+/// [`cost_pair`] with the pair's already-resolved program model
+/// ([`crate::pair_model`]).
+pub fn cost_pair_with(
+    mapping: &dyn Mapping,
+    platform: &dyn Platform,
+    model: Option<&ProgramModel>,
+) -> (CostReport, Report) {
     let mut report = Report::new();
     let subject = format!("{} x {}", mapping.name(), platform.label());
-    let model = mapping
-        .program_model(workload, platform)
-        .filter(ProgramModel::has_workload);
-    let Some(model) = model else {
+    let Some(model) = model.filter(|m| m.has_workload()) else {
         report.push(Diagnostic::note(
             "SL000",
             subject,
@@ -631,7 +622,7 @@ pub fn cost_pair(
         ));
         return (CostReport::unbounded(), report);
     };
-    let cost = cost_model(&model, platform);
+    let cost = cost_model(model, platform);
     if cost.bounded {
         lint(&cost, &mut report);
     } else {

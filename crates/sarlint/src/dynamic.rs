@@ -125,8 +125,20 @@ fn check_drift(model: &ProgramModel, record: &RunRecord, report: &mut Report) {
 /// landing against the model's declared buffers, plus the counter
 /// totals against the declared workload.
 pub fn cross_check(mapping: &dyn Mapping, workload: &Workload, platform: &dyn Platform) -> Report {
+    let model = mapping.program_model(workload, platform);
+    cross_check_with(mapping, workload, platform, model.as_ref())
+}
+
+/// [`cross_check`] with the pair's already-resolved program model
+/// ([`crate::pair_model`]).
+pub fn cross_check_with(
+    mapping: &dyn Mapping,
+    workload: &Workload,
+    platform: &dyn Platform,
+    model: Option<&ProgramModel>,
+) -> Report {
     let mut report = Report::new();
-    let Some(model) = mapping.program_model(workload, platform) else {
+    let Some(model) = model else {
         report.push(Diagnostic::note(
             "SL000",
             mapping.name().to_string(),
@@ -156,7 +168,7 @@ pub fn cross_check(mapping: &dyn Mapping, workload: &Workload, platform: &dyn Pl
         };
         seen += 1;
         landed_slots.insert((l.core, l.bank));
-        if !declared(&model, l) && flagged.insert(l) {
+        if !declared(model, l) && flagged.insert(l) {
             report.push(Diagnostic::hard(
                 "SL009",
                 mapping.name().to_string(),
@@ -194,7 +206,7 @@ pub fn cross_check(mapping: &dyn Mapping, workload: &Workload, platform: &dyn Pl
             }
         }
     }
-    check_drift(&model, &run.record, &mut report);
+    check_drift(model, &run.record, &mut report);
     report
 }
 

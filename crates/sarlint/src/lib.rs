@@ -51,32 +51,56 @@ pub fn analyze_model(model: &ProgramModel, sram: &SramParams) -> Report {
     report
 }
 
+/// The program model of a Mapping × Platform pair: `None` for an
+/// unsupported pair or a mapping that exports none. A caller that runs
+/// several checks on one pair resolves it once and hands it to
+/// [`analyze_pair_with`], [`cost::cost_pair_with`] and
+/// [`dynamic::cross_check_with`].
+pub fn pair_model(
+    mapping: &dyn Mapping,
+    workload: &Workload,
+    platform: &dyn Platform,
+) -> Option<ProgramModel> {
+    mapping
+        .supports(platform.kind())
+        .then(|| mapping.program_model(workload, platform))
+        .flatten()
+}
+
 /// Analyze one registered Mapping × Platform pair: resolve the model,
 /// pick the platform's SRAM geometry (default geometry for machines
 /// without banked local stores) and run the static checks. Unsupported
 /// pairs and model-less mappings report an `SL000` note.
 pub fn analyze_pair(mapping: &dyn Mapping, workload: &Workload, platform: &dyn Platform) -> Report {
+    analyze_pair_with(
+        mapping,
+        platform,
+        pair_model(mapping, workload, platform).as_ref(),
+    )
+}
+
+/// [`analyze_pair`] with the pair's already-resolved [`pair_model`].
+pub fn analyze_pair_with(
+    mapping: &dyn Mapping,
+    platform: &dyn Platform,
+    model: Option<&ProgramModel>,
+) -> Report {
     let mut report = Report::new();
+    let subject = format!("{} x {}", mapping.name(), platform.label());
     if !mapping.supports(platform.kind()) {
-        report.push(Diagnostic::note(
-            "SL000",
-            format!("{} x {}", mapping.name(), platform.label()),
-            "pair is not supported; nothing to analyze".to_string(),
-        ));
+        let message = "pair is not supported; nothing to analyze";
+        report.push(Diagnostic::note("SL000", subject, message));
         return report;
     }
-    let Some(model) = mapping.program_model(workload, platform) else {
-        report.push(Diagnostic::note(
-            "SL000",
-            format!("{} x {}", mapping.name(), platform.label()),
-            "mapping exports no program model; nothing claimed, nothing checked".to_string(),
-        ));
+    let Some(model) = model else {
+        let message = "mapping exports no program model; nothing claimed, nothing checked";
+        report.push(Diagnostic::note("SL000", subject, message));
         return report;
     };
     let sram = platform
         .epiphany_params()
         .map_or_else(SramParams::default, |p| p.sram);
-    report.merge(analyze_model(&model, &sram));
+    report.merge(analyze_model(model, &sram));
     report
 }
 

@@ -26,7 +26,7 @@ use std::process::ExitCode;
 
 use desim::Json;
 use sar_epiphany::selected;
-use sarlint::{analyze_pair, cost, dynamic};
+use sarlint::{analyze_pair_with, cost, dynamic, pair_model};
 use sim_harness::{BenchHarness, Diagnostic, Flag, Workload, RUN_RECORD_VERSION};
 
 /// Every flag the analyzer reads; it writes no document.
@@ -70,12 +70,13 @@ fn check(h: &BenchHarness) -> Result<usize, Diagnostic> {
     for pair in &pairs {
         let (m, p) = (pair.mapping.as_ref(), pair.platform.as_ref());
         let w = Workload::named(m.kernel(), h.small()).expect("a registered kernel has a workload");
-        let mut report = analyze_pair(m, &w, p);
+        let model = pair_model(m, &w, p);
+        let mut report = analyze_pair_with(m, p, model.as_ref());
         if h.flag("dynamic") && m.supports(p.kind()) {
-            report.merge(dynamic::cross_check(m, &w, p));
+            report.merge(dynamic::cross_check_with(m, &w, p, model.as_ref()));
         }
         let costed = (h.flag("cost") && m.supports(p.kind())).then(|| {
-            let (c, lints) = cost::cost_pair(m, &w, p);
+            let (c, lints) = cost::cost_pair_with(m, p, model.as_ref());
             report.merge(lints);
             c
         });

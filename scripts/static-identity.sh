@@ -12,11 +12,18 @@
 #   run --small --no-write --json --analyze --cost over every pair, with
 #     the registered placements and again with --placement scattered
 #     (the wall-clock host record left out: its cycles are measured);
-#   autotune --out, and what it prints.
+#   autotune --out, and what it prints;
+#   run --small --no-write --heatmap --power --trace, once on the
+#     epiphany and once on the e64 platform: the prose (per-link
+#     heatmaps, power timelines) and every numbered trace file;
+#   run --small --no-write --json --faults specs/faults_demo.json (the
+#     change tree's spec on both sides; host record left out), the
+#     mesh-stall attribution path.
 # Each command's stderr and exit status are kept beside its output.
 # Prints "identical" and exits 0 when every file matches; otherwise
-# names the first file that differs, shows the head of its diff and
-# exits 1. Run from anywhere; the files go to a temporary directory.
+# names the first file that differs (or is missing on one side), shows
+# the head of its diff and exits 1. Run from anywhere; the files go to
+# a temporary directory.
 set -eu
 
 [ $# -eq 1 ] || { sed -n '6p' "$0" >&2; exit 2; }
@@ -61,15 +68,27 @@ for side in parent change; do
         mv "$work/doc" "$out/run_$placement.out"
     done
     (cd "$out" && capture autotune "$bin/autotune" --out autotune.json)
+    for platform in epiphany e64; do
+        (cd "$out" && capture "trace_$platform" "$bin/run" --small --no-write \
+            --heatmap --power --platform "$platform" --trace "trace_$platform/trace.json")
+    done
+    capture faults "$bin/run" --small --no-write --json --faults "$change/specs/faults_demo.json"
+    drop_host < "$out/faults.out" > "$work/doc"
+    mv "$work/doc" "$out/faults.out"
 done
 
-for name in sarlint_small sarlint_paper run_registered run_scattered autotune; do
-    for file in "$name.out" "$name.err" "$name.status" autotune.json; do
-        [ "$file" != autotune.json ] || [ "$name" = autotune ] || continue
-        cmp -s "$work/parent/$file" "$work/change/$file" && continue
-        echo "static-identity: $file differs (parent <, change >)"
-        diff "$work/parent/$file" "$work/change/$file" | head -n 20
-        exit 1
-    done
-done
-echo "static-identity: identical ($(ls "$work/parent" | wc -l) files)"
+cd "$work/parent"
+find . -type f | sort > "$work/parent.files"
+(cd "$work/change" && find . -type f | sort) > "$work/change.files"
+if ! cmp -s "$work/parent.files" "$work/change.files"; then
+    echo "static-identity: the trees wrote different files (parent <, change >)"
+    diff "$work/parent.files" "$work/change.files" | head -n 20
+    exit 1
+fi
+while read -r file; do
+    cmp -s "$file" "$work/change/$file" && continue
+    echo "static-identity: $file differs (parent <, change >)"
+    diff "$file" "$work/change/$file" | head -n 20
+    exit 1
+done < "$work/parent.files"
+echo "static-identity: identical ($(wc -l < "$work/parent.files") files)"
