@@ -229,18 +229,19 @@ pub fn ffbp_with_autofocus(
     let total_merges = geom.merge_iterations();
 
     let (image, iterations) = merge_stages(data, geom, |mut stage, done| {
-        let out_grid = stage[0].grid.refined();
+        let out_grid = stage.grid.refined();
         let run_autofocus = out_grid.n_beams >= cfg.min_parent_beams.max(6)
             && done + cfg.last_merges >= total_merges;
         if run_autofocus {
-            for (pair_idx, pair) in stage.chunks_exact_mut(2).enumerate() {
-                let [a, b] = pair else { unreachable!() };
-                let delta_bins = estimate_pair_shift(a, b, geom, &out_grid, cfg, &mut counts);
+            for pair_idx in 0..stage.len() / 2 {
+                let (a, b) = (stage.sub(2 * pair_idx), stage.sub(2 * pair_idx + 1));
+                let delta_bins = estimate_pair_shift(&a, &b, geom, &out_grid, cfg, &mut counts);
                 // The leading child's responses sit `delta` bins late:
                 // it flew `delta * dr` farther out, i.e. `-delta * dr`
                 // closer; compensate accordingly.
                 let dx = -delta_bins * geom.dr;
                 if dx != 0.0 {
+                    let b = stage.beams_mut(2 * pair_idx + 1);
                     compensate_range_shift(b, dx, geom, &mut counts);
                     corrections.push(Correction {
                         iteration: done + 1,
@@ -350,10 +351,10 @@ mod tests {
                 .collect();
         }
         let mid = stage.len() / 2;
-        let (a, b) = (&stage[mid - 1], &stage[mid]);
+        let (a, b) = (stage[mid - 1].sub(0), stage[mid].sub(0));
         let out_grid = a.grid.refined();
         let cfg = IntegratedConfig::default();
-        let shift = estimate_pair_shift(a, b, &g, &out_grid, &cfg, &mut counts);
+        let shift = estimate_pair_shift(&a, &b, &g, &out_grid, &cfg, &mut counts);
         assert!(
             shift.abs() <= 0.5,
             "clean children should need < half-bin correction, got {shift}"

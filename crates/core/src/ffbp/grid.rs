@@ -1,8 +1,11 @@
-//! Polar subaperture grids.
+//! Polar subaperture grids, and the FFBP stage their subapertures make up.
+
+use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::complex::c32;
 use crate::geometry::SarGeometry;
-use crate::image::ComplexImage;
+use crate::image::{ComplexImage, ImageRows};
 
 /// The angular sampling of one subaperture image. Range sampling is
 /// shared with the raw data (`r0 + i * dr`, `num_bins` bins).
@@ -59,53 +62,190 @@ impl PolarGrid {
     }
 }
 
-/// One subaperture image: its centre position on the flight axis, its
-/// along-track length, its angular grid, and the complex samples
-/// (rows = beams, cols = range bins).
+/// One subaperture of a [`Stage`]: its centre on the flight axis, its
+/// along-track length, its angular grid, and its samples — rows `rows`
+/// of the stage's buffer (rows = beams, cols = range bins).
 #[derive(Debug, Clone)]
-pub struct Subaperture {
+pub struct Subaperture<'a> {
     /// Along-track coordinate of the subaperture centre, metres.
     pub center_y: f32,
     /// Along-track length covered, metres.
     pub length: f32,
     /// Angular sampling.
     pub grid: PolarGrid,
+    /// Its beams' rows in the stage's buffer: beam `j` is the stage's
+    /// global beam `rows.start + j`.
+    pub rows: Range<usize>,
     /// Samples.
-    pub data: ComplexImage,
+    pub data: ImageRows<'a>,
 }
 
-impl Subaperture {
-    /// Allocate a zeroed subaperture.
-    pub fn zeros(center_y: f32, length: f32, grid: PolarGrid, num_bins: usize) -> Subaperture {
-        Subaperture {
-            center_y,
-            length,
-            grid,
-            data: ComplexImage::zeros(grid.n_beams, num_bins),
+/// One FFBP stage: equally long subapertures on one angular grid, in
+/// along-track order, with every subaperture's beams back to back in
+/// one beam-major buffer — subaperture `s` holds rows `s * n_beams ..
+/// (s + 1) * n_beams` (the global-beam order of the modelled chip's
+/// external buffers). The stages merged from one another ping-pong two
+/// buffers, as the chip's do: a stage, dropped, leaves its buffer to
+/// the run, and [`Stage::merged`] forms the stage after next in it.
+#[derive(Debug)]
+pub struct Stage {
+    /// The angular grid every subaperture shares.
+    pub grid: PolarGrid,
+    /// Along-track length of each subaperture, metres.
+    pub length: f32,
+    /// Along-track centre of each subaperture, metres.
+    pub centers: Vec<f32>,
+    /// The samples.
+    pub data: ComplexImage,
+    /// The run's spare buffer, shared by the stages merged from one
+    /// another: filled by a stage when it is dropped, taken by
+    /// [`Stage::merged`].
+    spare: Arc<Mutex<Option<ComplexImage>>>,
+}
+
+impl Stage {
+    /// The stage-0 subapertures of `pulses`: one per pulse, a single
+    /// beam covering the whole sector, data equal to that pulse's
+    /// compressed range line.
+    pub fn of_pulses(data: &ComplexImage, geom: &SarGeometry, pulses: Range<usize>) -> Stage {
+        assert_eq!(
+            data.rows(),
+            geom.num_pulses,
+            "data rows must equal pulse count"
+        );
+        assert_eq!(data.cols(), geom.num_bins, "data cols must equal bin count");
+        let rows = data.rows_of(pulses.clone()).as_slice().to_vec();
+        Stage {
+            grid: PolarGrid::spanning(geom, 1),
+            length: geom.pulse_spacing,
+            data: ComplexImage::from_vec(pulses.len(), geom.num_bins, rows),
+            centers: pulses.map(|k| geom.platform_y(k)).collect(),
+            spare: Arc::default(),
         }
     }
 
-    /// The zeroed output of merging the adjacent children `a` and `b`:
-    /// centred midway between them, covering both lengths, on the
-    /// refined grid.
-    pub fn merged_shell(a: &Subaperture, b: &Subaperture, num_bins: usize) -> Subaperture {
-        Subaperture::zeros(
-            (a.center_y + b.center_y) / 2.0,
-            a.length + b.length,
-            a.grid.refined(),
-            num_bins,
-        )
+    /// The stage that merging every `base` adjacent subapertures of
+    /// `centers` (each `length` long, on `grid`) forms in `data`: each
+    /// output centred at its children's mean, covering their lengths,
+    /// on the grid refined `base` times. It leaves its buffer in
+    /// `spare` when dropped.
+    pub(crate) fn merging(
+        grid: PolarGrid,
+        length: f32,
+        centers: &[f32],
+        base: usize,
+        data: ComplexImage,
+        spare: Arc<Mutex<Option<ComplexImage>>>,
+    ) -> Stage {
+        assert!(
+            centers.len().is_multiple_of(base),
+            "stage of {} subapertures not divisible by base {base}",
+            centers.len()
+        );
+        let grid = grid.refined_by(base);
+        assert_eq!(data.rows(), centers.len() / base * grid.n_beams);
+        Stage {
+            grid,
+            length: std::iter::repeat_n(length, base).sum(),
+            centers: centers
+                .chunks(base)
+                .map(|group| merged_center(group.iter().copied()))
+                .collect(),
+            data,
+            spare,
+        }
     }
 
-    /// Bytes occupied by the sample matrix (complex64 pixels).
-    pub fn data_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<c32>()
+    /// The stage merging every `base` adjacent subapertures of this one
+    /// forms, its samples not yet written: in the run's spare buffer
+    /// (the stage before this one's, once dropped), in a fresh one if
+    /// there is none. Every row must be written before it is read.
+    pub fn merged(&self, base: usize) -> Stage {
+        let spare = lock(&self.spare).take();
+        let data = spare.unwrap_or_else(|| ComplexImage::zeros(self.data.rows(), self.data.cols()));
+        let spare = Arc::clone(&self.spare);
+        Stage::merging(self.grid, self.length, &self.centers, base, data, spare)
+    }
+
+    /// The samples, the stage given up: the image, for the last stage.
+    pub fn into_data(mut self) -> ComplexImage {
+        std::mem::take(&mut self.data)
+    }
+
+    /// Number of subapertures.
+    pub fn len(&self) -> usize {
+        self.centers.len()
+    }
+
+    /// Whether the stage has no subaperture.
+    pub fn is_empty(&self) -> bool {
+        self.centers.is_empty()
+    }
+
+    /// Subaperture `s`.
+    pub fn sub(&self, s: usize) -> Subaperture<'_> {
+        let n = self.grid.n_beams;
+        let rows = s * n..(s + 1) * n;
+        Subaperture {
+            center_y: self.centers[s],
+            length: self.length,
+            grid: self.grid,
+            data: self.data.rows_of(rows.clone()),
+            rows,
+        }
+    }
+
+    /// Every subaperture, in order.
+    pub fn subs(&self) -> impl Iterator<Item = Subaperture<'_>> {
+        (0..self.len()).map(|s| self.sub(s))
+    }
+
+    /// Subaperture `s`'s samples, its beams back to back, to modify in
+    /// place.
+    pub fn beams_mut(&mut self, s: usize) -> &mut [c32] {
+        let n = self.grid.n_beams * self.data.cols();
+        &mut self.data.as_mut_slice()[s * n..(s + 1) * n]
     }
 }
 
+impl Drop for Stage {
+    /// Leave the buffer to the run, unless it holds one already.
+    fn drop(&mut self) {
+        let mut spare = lock(&self.spare);
+        if spare.is_none() {
+            *spare = Some(std::mem::take(&mut self.data));
+        }
+    }
+}
+
+/// Lock the run's spare buffer, which a panic cannot leave half-made.
+fn lock(spare: &Mutex<Option<ComplexImage>>) -> std::sync::MutexGuard<'_, Option<ComplexImage>> {
+    spare.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The centre of merging subapertures centred at `centers`: their mean.
+pub(crate) fn merged_center(centers: impl ExactSizeIterator<Item = f32>) -> f32 {
+    let n = centers.len();
+    centers.sum::<f32>() / n as f32
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A copy of `sub` as a stage of its own.
+    pub(crate) fn alone(sub: &Subaperture<'_>) -> Stage {
+        let samples = sub.data.as_slice().to_vec();
+        let cols = samples.len() / sub.rows.len();
+        let data = ComplexImage::from_vec(sub.rows.len(), cols, samples);
+        Stage {
+            grid: sub.grid,
+            length: sub.length,
+            centers: vec![sub.center_y],
+            data,
+            spare: Arc::default(),
+        }
+    }
 
     #[test]
     fn spanning_grid_covers_sector() {
@@ -140,12 +280,23 @@ mod tests {
     }
 
     #[test]
-    fn subaperture_size_matches_paper_two_pulse_figure() {
-        // Two pulses of subaperture data = 2 x 1001 complex = 16,016
-        // bytes — the number the paper prefetches into two local banks.
-        let geom = SarGeometry::paper_size();
-        let g = PolarGrid::spanning(&geom, 2);
-        let s = Subaperture::zeros(0.0, 2.0, g, geom.num_bins);
-        assert_eq!(s.data_bytes(), 16_016);
+    fn a_stage_holds_its_subapertures_beams_back_to_back() {
+        let geom = SarGeometry::test_size();
+        let data = crate::scene::simulate_compressed_data(
+            &crate::scene::Scene::single_target(geom),
+            0.0,
+            0,
+        );
+        let stage = Stage::of_pulses(&data, &geom, 0..geom.num_pulses);
+        assert_eq!(stage.data.as_slice(), data.as_slice());
+        let next = stage.merged(4);
+        assert_eq!((next.len(), next.grid.n_beams), (geom.num_pulses / 4, 4));
+        assert_eq!(next.data.rows(), geom.num_pulses);
+        let sub = next.sub(3);
+        assert_eq!(sub.rows, 12..16);
+        assert_eq!(sub.data.as_slice(), next.data.rows_of(12..16).as_slice());
+        let mean = stage.centers[12..16].iter().sum::<f32>() / 4.0;
+        assert_eq!(sub.center_y.to_bits(), mean.to_bits());
+        assert_eq!(sub.length, 4.0 * geom.pulse_spacing);
     }
 }

@@ -223,19 +223,31 @@ fn value(sub: &Subaperture, (fr, fb): (f32, f32), (i, j): (isize, isize), kind: 
 mod tests {
     use super::*;
     use crate::ffbp::grid::PolarGrid;
+    use crate::image::ComplexImage;
 
-    fn test_sub() -> (Subaperture, SarGeometry) {
+    /// An 8-beam subaperture's samples: a smooth, separable ramp, so
+    /// interpolation is exact for linear kernels: v(j, i) = j * 10 + i
+    /// (real).
+    fn test_sub() -> (ComplexImage, SarGeometry) {
         let geom = SarGeometry::test_size();
-        let grid = PolarGrid::spanning(&geom, 8);
-        let mut sub = Subaperture::zeros(0.0, 8.0, grid, geom.num_bins);
-        // Fill with a smooth, separable ramp so interpolation is exact
-        // for linear kernels: v(j, i) = j * 10 + i (real).
+        let mut image = ComplexImage::zeros(8, geom.num_bins);
         for j in 0..8 {
             for i in 0..geom.num_bins {
-                *sub.data.at_mut(j, i) = c32::new(j as f32 * 10.0 + i as f32, 0.0);
+                *image.at_mut(j, i) = c32::new(j as f32 * 10.0 + i as f32, 0.0);
             }
         }
-        (sub, geom)
+        (image, geom)
+    }
+
+    /// [`test_sub`]'s samples as a subaperture spanning the sector.
+    fn view<'a>(image: &'a ComplexImage, geom: &SarGeometry) -> Subaperture<'a> {
+        Subaperture {
+            center_y: 0.0,
+            length: 8.0,
+            grid: PolarGrid::spanning(geom, 8),
+            rows: 0..8,
+            data: image.rows_of(0..8),
+        }
     }
 
     /// [`round_index`] and [`floor_index`] against `f32::round` and
@@ -289,7 +301,8 @@ mod tests {
 
     #[test]
     fn nearest_hits_exact_grid_points() {
-        let (sub, geom) = test_sub();
+        let (image, geom) = test_sub();
+        let sub = view(&image, &geom);
         let mut c = OpCounts::default();
         let r = geom.bin_range(40);
         let th = sub.grid.beam_theta(3);
@@ -300,7 +313,8 @@ mod tests {
 
     #[test]
     fn out_of_grid_is_zero_and_none() {
-        let (sub, geom) = test_sub();
+        let (image, geom) = test_sub();
+        let sub = view(&image, &geom);
         let mut c = OpCounts::default();
         let v = sample(
             &sub,
@@ -323,17 +337,15 @@ mod tests {
         // Beam index -0.8 is 0.3 beams below the sector's lower edge,
         // 7.8 as far above its upper one: the value is the edge beam's,
         // the reported element is none.
-        let (sub, geom) = test_sub();
+        let (image, geom) = test_sub();
+        let sub = view(&image, &geom);
         let mut c = OpCounts::default();
         let fr = 40.0;
         for kind in [InterpKind::Nearest, InterpKind::Linear, InterpKind::Cubic] {
             for (outside, edge) in [(-0.8, 0.0), (7.8, 7.0)] {
                 let v = sample_at(&sub, fr, outside, kind, &mut c);
                 assert_eq!(v, sample_at(&sub, fr, edge, kind, &mut c), "{kind:?}");
-                assert!(
-                    (v - sub.data.at(edge as usize, 40)).abs() < 1e-3,
-                    "{kind:?}"
-                );
+                assert!((v - image.at(edge as usize, 40)).abs() < 1e-3, "{kind:?}");
                 assert_eq!(nearest_at(&sub, geom.num_bins, fr, outside), None);
                 let at_edge = nearest_at(&sub, geom.num_bins, fr, edge);
                 assert_eq!(at_edge, Some((40, edge as usize)));
@@ -345,7 +357,8 @@ mod tests {
 
     #[test]
     fn linear_reproduces_linear_fields_exactly() {
-        let (sub, geom) = test_sub();
+        let (image, geom) = test_sub();
+        let sub = view(&image, &geom);
         let mut c = OpCounts::default();
         // Halfway between bins 40/41 and beams 3/4.
         let r = geom.bin_range(40) + 0.5 * geom.dr;
@@ -356,7 +369,8 @@ mod tests {
 
     #[test]
     fn cubic_reproduces_linear_fields_exactly() {
-        let (sub, geom) = test_sub();
+        let (image, geom) = test_sub();
+        let sub = view(&image, &geom);
         let mut c = OpCounts::default();
         let r = geom.bin_range(40) + 0.3 * geom.dr;
         let th = sub.grid.beam_theta(3);
@@ -400,7 +414,8 @@ mod tests {
 
     #[test]
     fn kernels_agree_on_grid_points() {
-        let (sub, geom) = test_sub();
+        let (image, geom) = test_sub();
+        let sub = view(&image, &geom);
         let r = geom.bin_range(50);
         let th = sub.grid.beam_theta(5);
         let mut c = OpCounts::default();
@@ -413,7 +428,8 @@ mod tests {
 
     #[test]
     fn cost_ordering_nearest_cheapest() {
-        let (sub, geom) = test_sub();
+        let (image, geom) = test_sub();
+        let sub = view(&image, &geom);
         let r = geom.bin_range(50) + 0.4;
         let th = sub.grid.beam_theta(5) + 0.3 * sub.grid.d_theta;
         let cost = |kind| {

@@ -8,16 +8,14 @@
 //! nest; [`crate::ffbp::pipeline::merge_stages`] is the stage loop
 //! around it.
 
-use std::cell::Cell;
-use std::thread::LocalKey;
-
 use desim::OpCounts;
 
 use crate::complex::c32;
-use crate::ffbp::grid::{PolarGrid, Subaperture};
+use crate::ffbp::grid::{merged_center, PolarGrid, Stage, Subaperture};
 use crate::ffbp::interp::{fractional_indices, sample, sample_and_element, sample_ops, InterpKind};
 use crate::ffbp::pipeline::FfbpConfig;
 use crate::geometry::{merge_geometry, SarGeometry};
+use crate::image::ComplexImage;
 
 /// The `(bin, beam)` element of a child subaperture that contributes
 /// to an output sample; `None` when the lookup falls outside the
@@ -42,9 +40,9 @@ struct BinPlan {
 /// stage they plan — `num_pulses / 16` rows, 2 MB at paper scale. A
 /// stage with more output beams than rows keeps its first beams' plans
 /// and plans the others, pair by pair, into the last row: the same
-/// plan → apply path with nothing kept.
-#[derive(Default)]
-pub(crate) struct StagePlans {
+/// plan → apply path with nothing kept. Each walk of a stage plans
+/// into a table of its own.
+pub struct StagePlans {
     /// `keys.len()` rows of `num_bins` bins, and what each row is a
     /// function of within the iteration: `l` to the bit, the output
     /// beam, the children's grid.
@@ -54,33 +52,32 @@ pub(crate) struct StagePlans {
     pub(crate) planned: usize,
 }
 
-thread_local! {
-    // This thread's plan table, handed from one `ThreadPlans` to the
-    // next across stages and runs. A block allocated and freed per stage
-    // or per run lands among the stage buffers the allocator is
-    // recycling and cost `table1_paper` 2 to 13 MB of peak RSS,
-    // differently from every working directory; one that stays put
-    // costs its size (EXPERIMENTS.md T7).
-    static STORAGE: Cell<StagePlans> = Cell::default();
-    // This thread's one-row table (`ThreadPlans::one_row`), kept for
-    // the same reason.
-    static ONE_ROW: Cell<StagePlans> = Cell::default();
-}
-
 impl StagePlans {
-    /// Resized to `rows` rows, none planned. With one row every
-    /// [`StagePlans::plan`] replans: scratch for rows that share nothing.
-    pub(crate) fn with_rows(mut self, rows: usize, num_bins: usize) -> StagePlans {
-        self.bins.resize(rows * num_bins, BinPlan::default());
-        self.keys.clear();
-        self.keys.resize(rows, None);
-        self.planned = 0;
-        self
+    /// The table for the rows of `stage`: a row per output beam, within
+    /// the budget.
+    pub fn for_stage(stage: &Stage, num_bins: usize) -> StagePlans {
+        let quarter = stage.data.rows() * std::mem::size_of::<c32>() / 4;
+        let budget = (quarter / std::mem::size_of::<BinPlan>()).max(1);
+        StagePlans::with_rows(budget.min(2 * stage.grid.n_beams), num_bins)
+    }
+
+    /// A one-row table, every row planned afresh: scratch for a walk
+    /// that plans too few of a stage's rows to reuse a plan.
+    pub fn one_row(num_bins: usize) -> StagePlans {
+        StagePlans::with_rows(1, num_bins)
+    }
+
+    fn with_rows(rows: usize, num_bins: usize) -> StagePlans {
+        StagePlans {
+            bins: vec![BinPlan::default(); rows * num_bins],
+            keys: vec![None; rows],
+            planned: 0,
+        }
     }
 
     /// `row` with its plan: the one in its beam's row if that was made
     /// for the same key, a fresh one otherwise.
-    pub(crate) fn plan<'p>(&'p mut self, mut row: MergeRow<'p>) -> MergeRow<'p> {
+    pub fn plan<'p>(&'p mut self, mut row: MergeRow<'p>) -> MergeRow<'p> {
         let num_bins = row.geom.num_bins;
         let slot = row.beam.min(self.keys.len() - 1);
         let key = Some((row.l.to_bits(), row.beam, row.a.grid));
@@ -97,68 +94,14 @@ impl StagePlans {
     }
 }
 
-/// A [`StagePlans`] of this thread's, handed back to the thread when
-/// dropped: how every walk that plans rows gets its table.
-pub struct ThreadPlans {
-    plans: StagePlans,
-    home: Option<&'static LocalKey<Cell<StagePlans>>>,
-}
-
-impl ThreadPlans {
-    /// The table for the rows of `stage`, within the budget.
-    pub fn for_stage(stage: &[Subaperture], num_bins: usize) -> ThreadPlans {
-        let stage_beams: usize = stage.iter().map(|sub| sub.grid.n_beams).sum();
-        let quarter = stage_beams * std::mem::size_of::<c32>() / 4;
-        let rows = (quarter / std::mem::size_of::<BinPlan>()).max(1);
-        // One row is scratch: it keeps nothing, and kept it would pin the
-        // heap under it (+27 % peak RSS on `static_pricing`'s probes).
-        let home = (rows > 1).then_some(&STORAGE);
-        ThreadPlans::from(home, rows, num_bins)
-    }
-
-    /// A one-row table, kept by the thread: every row planned afresh,
-    /// for a walk that plans too few of a stage's rows to reuse a plan.
-    pub fn one_row(num_bins: usize) -> ThreadPlans {
-        ThreadPlans::from(Some(&ONE_ROW), 1, num_bins)
-    }
-
-    fn from(
-        home: Option<&'static LocalKey<Cell<StagePlans>>>,
-        rows: usize,
-        num_bins: usize,
-    ) -> ThreadPlans {
-        let plans = match home {
-            Some(home) => home.take(),
-            None => StagePlans::default(),
-        };
-        ThreadPlans {
-            plans: plans.with_rows(rows, num_bins),
-            home,
-        }
-    }
-
-    /// `row` with its plan ([`StagePlans::plan`]).
-    pub fn plan<'p>(&'p mut self, row: MergeRow<'p>) -> MergeRow<'p> {
-        self.plans.plan(row)
-    }
-}
-
-impl Drop for ThreadPlans {
-    fn drop(&mut self) {
-        if let Some(home) = self.home {
-            home.set(std::mem::take(&mut self.plans));
-        }
-    }
-}
-
 /// One output row of a merge — output beam `beam` of pair `pair` — as
 /// the walk ([`StageRows`]) states it: everything the per-bin loop
 /// needs, and nothing about where a machine keeps the data.
 pub struct MergeRow<'a> {
     /// The trailing child.
-    pub a: &'a Subaperture,
+    pub a: &'a Subaperture<'a>,
     /// The leading child.
-    pub b: &'a Subaperture,
+    pub b: &'a Subaperture<'a>,
     /// Along-track distance between the children's centres.
     pub l: f32,
     /// Centre angle of the output beam.
@@ -177,8 +120,8 @@ impl<'a> MergeRow<'a> {
     /// Output beam `beam` of merging `a` and `b` (pair `pair` of its
     /// stage), not yet planned.
     fn new(
-        a: &'a Subaperture,
-        b: &'a Subaperture,
+        a: &'a Subaperture<'a>,
+        b: &'a Subaperture<'a>,
         pair: usize,
         beam: usize,
         geom: &'a SarGeometry,
@@ -290,22 +233,14 @@ fn check_pair(a: &Subaperture, b: &Subaperture) {
     );
 }
 
-/// The zeroed successors of `stage`, one per adjacent pair.
-pub fn merged_shells(stage: &[Subaperture], num_bins: usize) -> Vec<Subaperture> {
-    let pairs = stage.chunks(2);
-    pairs
-        .map(|p| Subaperture::merged_shell(&p[0], &p[1], num_bins))
-        .collect()
-}
-
 /// The walk of one merge iteration at merge base 2: the output rows of
 /// `stage` — pair by pair, beam by beam — by their position in that
-/// order, which is also the row's index across the merged stage
-/// ([`merged_shells`]). The rows are independent of one another, so a
+/// order, which is also the row's index in the merged stage's buffer
+/// ([`Stage::merged`]). The rows are independent of one another, so a
 /// caller may visit them in any order or on several threads, each
-/// planning through its own [`ThreadPlans`].
+/// planning through its own [`StagePlans`].
 pub struct StageRows<'a> {
-    stage: &'a [Subaperture],
+    subs: Vec<Subaperture<'a>>,
     geom: &'a SarGeometry,
     cfg: FfbpConfig,
     /// Output beams per pair.
@@ -313,27 +248,23 @@ pub struct StageRows<'a> {
 }
 
 impl<'a> StageRows<'a> {
-    /// The rows of `stage`, whose subapertures must share a grid.
-    pub fn new(stage: &'a [Subaperture], geom: &'a SarGeometry, cfg: &FfbpConfig) -> Self {
-        for pair in stage.chunks(2) {
+    /// The rows of `stage`.
+    pub fn new(stage: &'a Stage, geom: &'a SarGeometry, cfg: &FfbpConfig) -> Self {
+        let subs: Vec<_> = stage.subs().collect();
+        for pair in subs.chunks(2) {
             check_pair(&pair[0], &pair[1]);
         }
-        let grid = stage[0].grid;
-        assert!(
-            stage.iter().all(|sub| sub.grid == grid),
-            "a stage's subapertures must share a grid"
-        );
         StageRows {
-            stage,
+            subs,
             geom,
             cfg: *cfg,
-            out_beams: 2 * grid.n_beams,
+            out_beams: 2 * stage.grid.n_beams,
         }
     }
 
     /// Output rows of the stage.
     pub fn len(&self) -> usize {
-        self.stage.len() / 2 * self.out_beams
+        self.subs.len() / 2 * self.out_beams
     }
 
     /// Whether the stage has no pair to merge.
@@ -342,91 +273,84 @@ impl<'a> StageRows<'a> {
     }
 
     /// Row `k` of the walk, not yet planned.
-    pub fn row(&self, k: usize) -> MergeRow<'a> {
+    pub fn row(&self, k: usize) -> MergeRow<'_> {
         let (pair, beam) = (k / self.out_beams, k % self.out_beams);
-        let (a, b) = (&self.stage[2 * pair], &self.stage[2 * pair + 1]);
+        let (a, b) = (&self.subs[2 * pair], &self.subs[2 * pair + 1]);
         MergeRow::new(a, b, pair, beam, self.geom, self.cfg)
     }
 }
 
-/// Every row of [`StageRows`] in walk order with the slice of `next`
-/// ([`merged_shells`]) it fills.
-pub(crate) fn stage_rows<'a>(
-    stage: &'a [Subaperture],
-    next: &'a mut [Subaperture],
-    geom: &'a SarGeometry,
-    cfg: &FfbpConfig,
-) -> impl Iterator<Item = (MergeRow<'a>, &'a mut [c32])> {
-    let rows = StageRows::new(stage, geom, cfg);
-    let outs = next
-        .iter_mut()
-        .flat_map(|sub| sub.data.as_mut_slice().chunks_mut(geom.num_bins));
-    outs.enumerate().map(move |(k, out)| (rows.row(k), out))
-}
-
 /// One merge iteration, in walk order: hand every output row of
-/// `stage` to `row`, planned ([`ThreadPlans`], within its budget), with
-/// the slice it must [`MergeRow::combine`] into. Returns the merged stage.
+/// `stage` to `row`, planned ([`StagePlans`], within its budget), with
+/// the row of the merged stage's buffer it must [`MergeRow::combine`]
+/// into. Returns the merged stage ([`Stage::merged`]).
 pub fn merge_rows(
-    stage: &[Subaperture],
+    stage: &Stage,
     geom: &SarGeometry,
     cfg: &FfbpConfig,
     mut row: impl FnMut(&MergeRow<'_>, &mut [c32]),
-) -> Vec<Subaperture> {
-    let mut next = merged_shells(stage, geom.num_bins);
-    let mut plans = ThreadPlans::for_stage(stage, geom.num_bins);
-    for (merge_row, out) in stage_rows(stage, &mut next, geom, cfg) {
-        row(&plans.plan(merge_row), out);
+) -> Stage {
+    let mut next = stage.merged(2);
+    let rows = StageRows::new(stage, geom, cfg);
+    let mut plans = StagePlans::for_stage(stage, geom.num_bins);
+    let outs = next.data.as_mut_slice().chunks_mut(geom.num_bins);
+    for (k, out) in outs.enumerate() {
+        row(&plans.plan(rows.row(k)), out);
     }
     next
 }
 
-/// Merge two adjacent subapertures into one with doubled angular
-/// resolution. `a` must be the trailing child (smaller `center_y`).
+/// Merge two adjacent single-subaperture stages into one with doubled
+/// angular resolution. `a` must be the trailing child (smaller centre).
 pub fn merge_pair(
-    a: &Subaperture,
-    b: &Subaperture,
+    a: &Stage,
+    b: &Stage,
     geom: &SarGeometry,
     kind: InterpKind,
     phase_correct: bool,
     counts: &mut OpCounts,
-) -> Subaperture {
+) -> Stage {
+    assert_eq!((a.len(), b.len()), (1, 1), "a pair of single subapertures");
     let cfg = FfbpConfig {
         interp: kind,
         phase_correct,
         merge_base: 2,
     };
-    let mut out = Subaperture::merged_shell(a, b, geom.num_bins);
-    check_pair(a, b);
-    let mut plans = StagePlans::default().with_rows(1, geom.num_bins);
+    let (a, b) = (a.sub(0), b.sub(0));
+    check_pair(&a, &b);
+    let shape = ComplexImage::zeros(2 * a.grid.n_beams, geom.num_bins);
+    let centers = [a.center_y, b.center_y];
+    let mut out = Stage::merging(a.grid, a.length, &centers, 2, shape, Default::default());
+    let mut plans = StagePlans::one_row(geom.num_bins);
     let rows = out.data.as_mut_slice().chunks_mut(geom.num_bins);
     for (beam, row_out) in rows.enumerate() {
-        let row = MergeRow::new(a, b, 0, beam, geom, cfg);
+        let row = MergeRow::new(&a, &b, 0, beam, geom, cfg);
         plans.plan(row).merge_into(row_out, counts);
     }
     out
 }
 
-/// Merge `m >= 2` adjacent subapertures at once (merge base `m`),
-/// generalising eqs. (1)–(4) to children at offsets
-/// `(c - (m-1)/2) * l_child` from the merged centre.
+/// Merge `m >= 2` adjacent subapertures at once (merge base `m`) into
+/// `out`, the merged subaperture's beams back to back, generalising
+/// eqs. (1)–(4) to children at offsets `(c - (m-1)/2) * l_child` from
+/// the merged centre.
 pub fn merge_group(
-    children: &[Subaperture],
+    children: &[Subaperture<'_>],
+    out: &mut [c32],
     geom: &SarGeometry,
     kind: InterpKind,
     phase_correct: bool,
     counts: &mut OpCounts,
-) -> Subaperture {
+) {
     let m = children.len();
     assert!(m >= 2, "merge base must be at least 2");
     for w in children.windows(2) {
         assert!(w[0].center_y < w[1].center_y, "children must be ordered");
         assert_eq!(w[0].grid, w[1].grid, "children must share a grid");
     }
-    let center = children.iter().map(|c| c.center_y).sum::<f32>() / m as f32;
-    let total_len: f32 = children.iter().map(|c| c.length).sum();
+    let center = merged_center(children.iter().map(|c| c.center_y));
     let out_grid = children[0].grid.refined_by(m);
-    let mut out = Subaperture::zeros(center, total_len, out_grid, geom.num_bins);
+    assert_eq!(out.len(), out_grid.n_beams * geom.num_bins);
     let k = 4.0 * std::f32::consts::PI / geom.wavelength;
 
     for j in 0..out_grid.n_beams {
@@ -456,53 +380,59 @@ pub fn merge_group(
                     counts.flops += 2;
                 }
             }
-            *out.data.at_mut(j, i) = acc;
+            out[j * geom.num_bins + i] = acc;
             counts.stores += 2;
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ffbp::grid::PolarGrid;
-    use crate::ffbp::pipeline::stage0;
+    use crate::ffbp::grid::tests::alone;
     use crate::scene::{simulate_compressed_data, Scene};
 
-    fn two_pulse_children() -> (Vec<Subaperture>, SarGeometry) {
+    /// Stage 0 of the test scene.
+    fn two_pulse_children() -> (Stage, SarGeometry) {
         let geom = SarGeometry::test_size();
         let scene = Scene::single_target(geom);
         let data = simulate_compressed_data(&scene, 0.0, 0);
-        (stage0(&data, &geom), geom)
+        (Stage::of_pulses(&data, &geom, 0..geom.num_pulses), geom)
     }
 
-    /// One merge iteration through [`merge_rows`]: the merged stage and
-    /// how many rows it planned.
-    fn merged(stage: &[Subaperture], geom: &SarGeometry) -> (Vec<Subaperture>, usize) {
-        let cfg = FfbpConfig::default();
-        let next = merge_rows(stage, geom, &cfg, |row, out| {
+    /// One merge iteration as [`merge_rows`] walks it: the merged stage
+    /// and how many rows its table planned.
+    fn merged(stage: &Stage, geom: &SarGeometry) -> (Stage, usize) {
+        let mut next = stage.merged(2);
+        let rows = StageRows::new(stage, geom, &FfbpConfig::default());
+        let mut plans = StagePlans::for_stage(stage, geom.num_bins);
+        let outs = next.data.as_mut_slice().chunks_mut(geom.num_bins);
+        for (k, out) in outs.enumerate() {
+            plans
+                .plan(rows.row(k))
+                .merge_into(out, &mut OpCounts::default());
+        }
+        let image = merge_rows(stage, geom, &FfbpConfig::default(), |row, out| {
             row.merge_into(out, &mut OpCounts::default());
         });
-        let plans = STORAGE.take();
-        let planned = plans.planned;
-        STORAGE.set(plans);
-        (next, planned)
+        assert_eq!(next.data, image.data);
+        (next, plans.planned)
     }
 
     /// The same iteration pair by pair, each row planned from scratch.
-    fn merged_pairwise(stage: &[Subaperture], geom: &SarGeometry) -> Vec<Subaperture> {
+    fn merged_pairwise(stage: &Stage, geom: &SarGeometry) -> Vec<Stage> {
         let mut c = OpCounts::default();
-        let pairs = stage.chunks(2);
-        pairs
+        let subs: Vec<_> = stage.subs().map(|sub| alone(&sub)).collect();
+        subs.chunks(2)
             .map(|p| merge_pair(&p[0], &p[1], geom, InterpKind::Nearest, true, &mut c))
             .collect()
     }
 
-    fn assert_same(a: &[Subaperture], b: &[Subaperture]) {
+    fn assert_same(a: &Stage, b: &[Stage]) {
         assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
+        for (x, y) in a.subs().zip(b) {
             assert_eq!(x.data.as_slice(), y.data.as_slice());
+            assert_eq!(x.center_y.to_bits(), y.centers[0].to_bits());
         }
     }
 
@@ -527,7 +457,7 @@ mod tests {
         // other way to a planned row.
         let (stage0, geom) = two_pulse_children();
         let stage2 = merged(&merged(&stage0, &geom).0, &geom).0;
-        assert_eq!((stage2.len(), stage2[0].grid.n_beams), (16, 4));
+        assert_eq!((stage2.len(), stage2.grid.n_beams), (16, 4));
         let (stage3, planned) = merged(&stage2, &geom);
         assert_eq!(planned, 3 + 5 * 8);
         assert_same(&stage3, &merged_pairwise(&stage2, &geom));
@@ -539,8 +469,8 @@ mod tests {
         // others' 1.0: it cannot reuse pair 0's two plans, nor pair 2
         // its two — 6 rows planned where the dyadic stage plans 2.
         let (mut stage, geom) = two_pulse_children();
-        stage[2].center_y = 0.0;
-        stage[3].center_y = f32::from_bits(1.0f32.to_bits() + 1);
+        stage.centers[2] = 0.0;
+        stage.centers[3] = f32::from_bits(1.0f32.to_bits() + 1);
         let (next, planned) = merged(&stage, &geom);
         assert_eq!(planned, 6);
         assert_same(&next, &merged_pairwise(&stage, &geom));
@@ -551,24 +481,29 @@ mod tests {
             ..geom
         };
         let data = simulate_compressed_data(&Scene::single_target(geom), 0.0, 0);
-        let track = stage0(&data, &geom);
-        let ls = track
-            .chunks(2)
-            .map(|p| (p[1].center_y - p[0].center_y).to_bits());
+        let track = Stage::of_pulses(&data, &geom, 0..geom.num_pulses);
+        let ls = track.centers.chunks(2).map(|p| (p[1] - p[0]).to_bits());
         assert_eq!(ls.collect::<std::collections::BTreeSet<u32>>().len(), 5);
         let (stage1, planned) = merged(&track, &geom);
         assert!(planned > 2 && planned < 64, "{planned} rows planned");
         assert_same(&stage1, &merged_pairwise(&track, &geom));
     }
 
+    /// Stage 0's subapertures `k` and `k + 1`, each a stage of its own.
+    fn pulses(k: usize) -> (Stage, Stage, SarGeometry) {
+        let (stage, geom) = two_pulse_children();
+        (alone(&stage.sub(k)), alone(&stage.sub(k + 1)), geom)
+    }
+
     #[test]
     fn merge_doubles_beams_and_centers() {
-        let (subs, geom) = two_pulse_children();
+        let (a, b, geom) = pulses(0);
         let mut c = OpCounts::default();
-        let merged = merge_pair(&subs[0], &subs[1], &geom, InterpKind::Nearest, true, &mut c);
+        let merged = merge_pair(&a, &b, &geom, InterpKind::Nearest, true, &mut c);
         assert_eq!(merged.grid.n_beams, 2);
-        assert!((merged.center_y - (subs[0].center_y + subs[1].center_y) / 2.0).abs() < 1e-4);
-        assert!((merged.length - 2.0 * subs[0].length).abs() < 1e-4);
+        let mid = (a.centers[0] + b.centers[0]) / 2.0;
+        assert!((merged.centers[0] - mid).abs() < 1e-4);
+        assert!((merged.length - 2.0 * a.length).abs() < 1e-4);
         assert!(c.sqrts > 0 && c.stores > 0);
     }
 
@@ -576,18 +511,11 @@ mod tests {
     fn merged_energy_shows_coherent_gain() {
         // Merging two pulses that both contain the target response
         // should grow the peak beyond either child's (coherent sum).
-        let (subs, geom) = two_pulse_children();
+        let (a, b, geom) = pulses(30);
         let mut c = OpCounts::default();
-        let merged = merge_pair(
-            &subs[30],
-            &subs[31],
-            &geom,
-            InterpKind::Nearest,
-            true,
-            &mut c,
-        );
+        let merged = merge_pair(&a, &b, &geom, InterpKind::Nearest, true, &mut c);
         let (pm, _, _) = merged.data.peak();
-        let (p0, _, _) = subs[30].data.peak();
+        let (p0, _, _) = a.data.peak();
         assert!(pm > 1.5 * p0, "merged peak {pm} vs child {p0}");
     }
 
@@ -595,24 +523,10 @@ mod tests {
     fn phase_correction_matters() {
         // Without phase alignment the two-pulse sum is incoherent and
         // the peak is lower.
-        let (subs, geom) = two_pulse_children();
+        let (a, b, geom) = pulses(30);
         let mut c = OpCounts::default();
-        let with = merge_pair(
-            &subs[30],
-            &subs[31],
-            &geom,
-            InterpKind::Nearest,
-            true,
-            &mut c,
-        );
-        let without = merge_pair(
-            &subs[30],
-            &subs[31],
-            &geom,
-            InterpKind::Nearest,
-            false,
-            &mut c,
-        );
+        let with = merge_pair(&a, &b, &geom, InterpKind::Nearest, true, &mut c);
+        let without = merge_pair(&a, &b, &geom, InterpKind::Nearest, false, &mut c);
         // At a 1 m wavelength with metre-scale bins, dropping the
         // correction cannot beat the aligned sum.
         assert!(with.data.peak().0 >= 0.9 * without.data.peak().0);
@@ -620,29 +534,24 @@ mod tests {
 
     #[test]
     fn merge_group_base2_close_to_merge_pair() {
-        let (subs, geom) = two_pulse_children();
+        let (a, b, geom) = pulses(10);
         let mut c1 = OpCounts::default();
         let mut c2 = OpCounts::default();
-        let a = merge_pair(
-            &subs[10],
-            &subs[11],
-            &geom,
-            InterpKind::Linear,
-            true,
-            &mut c1,
-        );
-        let b = merge_group(
-            &[subs[10].clone(), subs[11].clone()],
+        let pair = merge_pair(&a, &b, &geom, InterpKind::Linear, true, &mut c1);
+        let mut group = vec![c32::ZERO; pair.data.len()];
+        let children = [a.sub(0), b.sub(0)];
+        merge_group(
+            &children,
+            &mut group,
             &geom,
             InterpKind::Linear,
             true,
             &mut c2,
         );
-        assert_eq!(a.grid.n_beams, b.grid.n_beams);
         // Same geometry expressed two ways: images should agree closely.
         let mut max_err = 0.0f32;
         let mut max_mag = 0.0f32;
-        for (x, y) in a.data.as_slice().iter().zip(b.data.as_slice()) {
+        for (x, y) in pair.data.as_slice().iter().zip(&group) {
             max_err = max_err.max((*x - *y).abs());
             max_mag = max_mag.max(x.abs());
         }
@@ -654,33 +563,42 @@ mod tests {
 
     #[test]
     fn group_of_four_quadruples_beams() {
-        let (subs, geom) = two_pulse_children();
+        let (stage, geom) = two_pulse_children();
         let mut c = OpCounts::default();
-        let four: Vec<_> = subs[0..4].to_vec();
-        let merged = merge_group(&four, &geom, InterpKind::Nearest, true, &mut c);
+        let four: Vec<_> = stage.subs().take(4).collect();
+        let mut out = vec![c32::ZERO; 4 * geom.num_bins];
+        merge_group(&four, &mut out, &geom, InterpKind::Nearest, true, &mut c);
+        assert!(out.iter().any(|v| *v != c32::ZERO));
+        let out = ComplexImage::from_vec(4, geom.num_bins, out);
+        let centers = &stage.centers[..4];
+        let merged = Stage::merging(
+            stage.grid,
+            stage.length,
+            centers,
+            4,
+            out,
+            Default::default(),
+        );
         assert_eq!(merged.grid.n_beams, 4);
-        assert!((merged.length - 4.0 * subs[0].length).abs() < 1e-4);
+        assert!((merged.length - 4.0 * stage.length).abs() < 1e-4);
     }
 
     #[test]
     #[should_panic(expected = "ordered along track")]
     fn wrong_order_rejected() {
-        let (subs, geom) = two_pulse_children();
+        let (a, b, geom) = pulses(0);
         let mut c = OpCounts::default();
-        let _ = merge_pair(&subs[1], &subs[0], &geom, InterpKind::Nearest, true, &mut c);
+        let _ = merge_pair(&b, &a, &geom, InterpKind::Nearest, true, &mut c);
     }
 
     #[test]
     #[should_panic(expected = "share a grid")]
     fn mismatched_grids_rejected() {
-        let (subs, geom) = two_pulse_children();
+        // Pulse 0 beside pulses 2 and 3 merged: one beam against two.
+        let (a, _, geom) = pulses(0);
+        let (c2, c3, _) = pulses(2);
         let mut c = OpCounts::default();
-        let mut b = subs[1].clone();
-        b.grid = PolarGrid {
-            n_beams: 2,
-            ..b.grid
-        };
-        b.data = crate::image::ComplexImage::zeros(2, geom.num_bins);
-        let _ = merge_pair(&subs[0], &b, &geom, InterpKind::Nearest, true, &mut c);
+        let b = merge_pair(&c2, &c3, &geom, InterpKind::Nearest, true, &mut c);
+        let _ = merge_pair(&a, &b, &geom, InterpKind::Nearest, true, &mut c);
     }
 }

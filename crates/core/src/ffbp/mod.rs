@@ -12,9 +12,7 @@ pub mod interp;
 pub mod merge;
 pub mod pipeline;
 
-pub use grid::{PolarGrid, Subaperture};
+pub use grid::{PolarGrid, Stage, Subaperture};
 pub use interp::InterpKind;
-pub use merge::{
-    merge_group, merge_pair, merge_rows, merged_shells, Hit, MergeRow, StageRows, ThreadPlans,
-};
-pub use pipeline::{ffbp, merge_stages, stage0, stage0_of, FfbpConfig, FfbpRun};
+pub use merge::{merge_group, merge_pair, merge_rows, Hit, MergeRow, StagePlans, StageRows};
+pub use pipeline::{ffbp, merge_stages, stage0, FfbpConfig, FfbpRun};

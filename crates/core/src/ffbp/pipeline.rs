@@ -2,11 +2,9 @@
 //! data, then iterative merging to the full aperture
 //! ([`merge_stages`], the one stage loop).
 
-use std::ops::Range;
-
 use desim::OpCounts;
 
-use crate::ffbp::grid::{PolarGrid, Subaperture};
+use crate::ffbp::grid::Stage;
 use crate::ffbp::interp::InterpKind;
 use crate::ffbp::merge::{merge_group, merge_rows};
 use crate::geometry::SarGeometry;
@@ -43,55 +41,35 @@ pub struct FfbpRun {
     pub iterations: u32,
 }
 
-/// Build the stage-0 subapertures: one per pulse, a single beam
-/// covering the whole sector, data equal to that pulse's compressed
-/// range line.
-pub fn stage0(data: &ComplexImage, geom: &SarGeometry) -> Vec<Subaperture> {
-    stage0_of(data, geom, 0..geom.num_pulses)
-}
-
-/// The [`stage0`] subapertures of `pulses` alone, for a caller that
-/// merges only a few of them.
-pub fn stage0_of(
-    data: &ComplexImage,
-    geom: &SarGeometry,
-    pulses: Range<usize>,
-) -> Vec<Subaperture> {
-    assert_eq!(
-        data.rows(),
-        geom.num_pulses,
-        "data rows must equal pulse count"
-    );
-    assert_eq!(data.cols(), geom.num_bins, "data cols must equal bin count");
-    let grid = PolarGrid::spanning(geom, 1);
+/// The stage-0 subapertures one by one, each a stage of its own (one
+/// pulse, one beam, that pulse's compressed range line): the children
+/// of [`crate::ffbp::merge_pair`], for a caller that merges pair by pair.
+pub fn stage0(data: &ComplexImage, geom: &SarGeometry) -> Vec<Stage> {
+    let pulses = 0..geom.num_pulses;
     pulses
-        .map(|k| {
-            let mut sub =
-                Subaperture::zeros(geom.platform_y(k), geom.pulse_spacing, grid, geom.num_bins);
-            sub.data.row_mut(0).copy_from_slice(data.row(k));
-            sub
-        })
+        .map(|k| Stage::of_pulses(data, geom, k..k + 1))
         .collect()
 }
 
 /// The stage loop of every FFBP: stage 0 from the pulse-compressed
 /// data, then `merge(stage, stage_idx)` — which owns the stage it is
-/// handed and returns its successor — per iteration until one
-/// subaperture, the image, is left. Returns the image and the number of
-/// iterations.
+/// handed and returns its successor, formed in [`Stage::merged`] — per
+/// iteration until one subaperture, the image, is left. Each stage is
+/// formed in the buffer of the stage two before it, so a run holds two
+/// image-sized buffers and the last one written is the image. Returns
+/// the image and the number of iterations.
 pub fn merge_stages(
     data: &ComplexImage,
     geom: &SarGeometry,
-    mut merge: impl FnMut(Vec<Subaperture>, u32) -> Vec<Subaperture>,
+    mut merge: impl FnMut(Stage, u32) -> Stage,
 ) -> (ComplexImage, u32) {
-    let mut stage = stage0(data, geom);
+    let mut stage = Stage::of_pulses(data, geom, 0..geom.num_pulses);
     let mut stage_idx = 0;
     while stage.len() > 1 {
         stage = merge(stage, stage_idx);
         stage_idx += 1;
     }
-    let full = stage.into_iter().next().expect("at least one subaperture");
-    (full.data, stage_idx)
+    (stage.into_data(), stage_idx)
 }
 
 /// Run FFBP over pulse-compressed `data`.
@@ -103,22 +81,21 @@ pub fn ffbp(data: &ComplexImage, geom: &SarGeometry, cfg: &FfbpConfig) -> FfbpRu
     );
     let mut counts = OpCounts::default();
     let (image, iterations) = merge_stages(data, geom, |stage, _| {
-        assert!(
-            stage.len().is_multiple_of(cfg.merge_base),
-            "stage of {} subapertures not divisible by base {}",
-            stage.len(),
-            cfg.merge_base
-        );
         if cfg.merge_base == 2 {
-            merge_rows(&stage, geom, cfg, |row, out| {
+            return merge_rows(&stage, geom, cfg, |row, out| {
                 row.merge_into(out, &mut counts);
-            })
-        } else {
-            let groups = stage.chunks(cfg.merge_base);
-            groups
-                .map(|g| merge_group(g, geom, cfg.interp, cfg.phase_correct, &mut counts))
-                .collect()
+            });
         }
+        let mut next = stage.merged(cfg.merge_base);
+        let groups = stage.subs().collect::<Vec<_>>();
+        let outs = next
+            .data
+            .as_mut_slice()
+            .chunks_mut(next.grid.n_beams * geom.num_bins);
+        for (group, out) in groups.chunks(cfg.merge_base).zip(outs) {
+            merge_group(group, out, geom, cfg.interp, cfg.phase_correct, &mut counts);
+        }
+        next
     });
     FfbpRun {
         image,
@@ -223,13 +200,37 @@ mod tests {
         let subs = stage0(&data, &geom);
         assert_eq!(subs.len(), geom.num_pulses);
         assert_eq!(subs[5].data.row(0), data.row(5));
-        assert!(subs[1].center_y > subs[0].center_y);
-        // A pulse range is the same subapertures, sliced.
-        let some = stage0_of(&data, &geom, 4..7);
+        assert!(subs[1].centers[0] > subs[0].centers[0]);
+        // A pulse range is the same subapertures, in one buffer.
+        let some = Stage::of_pulses(&data, &geom, 4..7);
         assert_eq!(some.len(), 3);
-        for (sub, whole) in some.iter().zip(&subs[4..7]) {
+        for (sub, whole) in some.subs().zip(&subs[4..7]) {
             assert_eq!(sub.data.as_slice(), whole.data.as_slice());
-            assert_eq!(sub.center_y.to_bits(), whole.center_y.to_bits());
+            assert_eq!(sub.center_y.to_bits(), whole.centers[0].to_bits());
         }
+    }
+
+    #[test]
+    fn a_run_ping_pongs_two_buffers_and_returns_the_last_one_written() {
+        // The address of each iteration's input buffer: stage 0's, then
+        // the first merge's fresh one, then those two in turn. A buffer
+        // allocated per stage would be a third address.
+        let geom = SarGeometry::test_size();
+        let data = simulate_compressed_data(&Scene::single_target(geom), 0.0, 0);
+        let cfg = FfbpConfig::default();
+        let mut inputs = Vec::new();
+        let (image, iterations) = merge_stages(&data, &geom, |stage, _| {
+            inputs.push(stage.data.as_slice().as_ptr());
+            merge_rows(&stage, &geom, &cfg, |row, out| {
+                row.merge_into(out, &mut OpCounts::default());
+            })
+        });
+        assert_eq!(iterations, 6);
+        assert_ne!(inputs[0], inputs[1]);
+        for (k, input) in inputs.iter().enumerate() {
+            assert_eq!(*input, inputs[k % 2], "stage {k} read a third buffer");
+        }
+        assert_eq!(image.as_slice().as_ptr(), inputs[iterations as usize % 2]);
+        assert_eq!(image.as_slice(), ffbp(&data, &geom, &cfg).image.as_slice());
     }
 }

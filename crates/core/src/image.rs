@@ -1,14 +1,16 @@
 //! Complex images (pulse/beam-major storage) and export helpers.
 
 use std::io::{self, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use crate::complex::c32;
 
 /// A dense complex image stored row-major. In raw radar data a row is a
 /// pulse (slow time) and a column is a range bin (fast time); in a
-/// formed image a row is a beam/azimuth line.
-#[derive(Debug, Clone, PartialEq)]
+/// formed image a row is a beam/azimuth line. The default is the empty
+/// image, a placeholder for one moved out.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComplexImage {
     rows: usize,
     cols: usize,
@@ -54,7 +56,7 @@ impl ComplexImage {
         self.data.len()
     }
 
-    /// Whether the image has zero pixels (never — kept for clippy).
+    /// Whether the image has zero pixels (only the default one has).
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
@@ -73,15 +75,20 @@ impl ComplexImage {
         &mut self.data[row * self.cols + col]
     }
 
-    /// Bounds-checked read returning zero outside the image (the
-    /// paper's "skip the additions with zero when the indices are out
-    /// of range" behaviour).
+    /// Bounds-checked read returning zero outside the image
+    /// ([`ImageRows::at_or_zero`]).
     #[inline]
     pub fn at_or_zero(&self, row: isize, col: isize) -> c32 {
-        if row < 0 || col < 0 || row as usize >= self.rows || col as usize >= self.cols {
-            c32::ZERO
-        } else {
-            self.data[row as usize * self.cols + col as usize]
+        self.whole().at_or_zero(row, col)
+    }
+
+    /// Rows `rows` as an image of their own, borrowed.
+    #[inline]
+    pub fn rows_of(&self, rows: Range<usize>) -> ImageRows<'_> {
+        ImageRows {
+            rows: rows.len(),
+            cols: self.cols,
+            data: &self.data[rows.start * self.cols..rows.end * self.cols],
         }
     }
 
@@ -105,18 +112,19 @@ impl ComplexImage {
         &mut self.data
     }
 
-    /// Peak magnitude and its `(row, col)`.
+    /// Peak magnitude and its `(row, col)` ([`ImageRows::peak`]).
     pub fn peak(&self) -> (f32, usize, usize) {
-        let mut best = (0.0f32, 0usize, 0usize);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let m = self.at(r, c).norm_sqr();
-                if m > best.0 {
-                    best = (m, r, c);
-                }
-            }
+        self.whole().peak()
+    }
+
+    /// Every row, borrowed.
+    #[inline]
+    fn whole(&self) -> ImageRows<'_> {
+        ImageRows {
+            rows: self.rows,
+            cols: self.cols,
+            data: &self.data,
         }
-        (best.0.sqrt(), best.1, best.2)
     }
 
     /// Sum of squared magnitudes (total image energy).
@@ -145,6 +153,48 @@ impl ComplexImage {
             out.push((t * 255.0).round().clamp(0.0, 255.0) as u8);
         }
         std::fs::write(path, out)
+    }
+}
+
+/// Whole rows of a [`ComplexImage`], borrowed: a block of a larger
+/// buffer read as an image of its own.
+#[derive(Debug, Clone, Copy)]
+pub struct ImageRows<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [c32],
+}
+
+impl<'a> ImageRows<'a> {
+    /// Bounds-checked read returning zero outside the rows (the
+    /// paper's "skip the additions with zero when the indices are out
+    /// of range" behaviour).
+    #[inline]
+    pub fn at_or_zero(&self, row: isize, col: isize) -> c32 {
+        if row < 0 || col < 0 || row as usize >= self.rows || col as usize >= self.cols {
+            c32::ZERO
+        } else {
+            self.data[row as usize * self.cols + col as usize]
+        }
+    }
+
+    /// Flat view of all pixels.
+    pub fn as_slice(&self) -> &'a [c32] {
+        self.data
+    }
+
+    /// Peak magnitude and its `(row, col)`.
+    pub fn peak(&self) -> (f32, usize, usize) {
+        let mut best = (0.0f32, 0usize, 0usize);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                let m = self.data[r * self.cols + c].norm_sqr();
+                if m > best.0 {
+                    best = (m, r, c);
+                }
+            }
+        }
+        (best.0.sqrt(), best.1, best.2)
     }
 }
 

@@ -7,7 +7,7 @@ use std::sync::Mutex;
 
 use desim::OpCounts;
 
-use crate::ffbp::merge::{merged_shells, stage_rows, StagePlans};
+use crate::ffbp::merge::{StagePlans, StageRows};
 use crate::ffbp::pipeline::{merge_stages, FfbpConfig, FfbpRun};
 use crate::geometry::SarGeometry;
 use crate::image::ComplexImage;
@@ -28,18 +28,20 @@ pub fn ffbp_parallel(
     assert_eq!(cfg.merge_base, 2, "parallel driver implements merge base 2");
     let mut counts = OpCounts::default();
     let (image, iterations) = merge_stages(data, geom, |stage, _| {
-        let mut next = merged_shells(&stage, geom.num_bins);
-        let rows = Mutex::new(stage_rows(&stage, &mut next, geom, cfg));
+        let mut next = stage.merged(2);
+        let rows = StageRows::new(&stage, geom, cfg);
+        let outs = next.data.as_mut_slice().chunks_mut(geom.num_bins);
+        let queue = Mutex::new(outs.enumerate());
         std::thread::scope(|scope| {
             let worker = || {
-                let mut plans = StagePlans::default().with_rows(1, geom.num_bins);
+                let mut plans = StagePlans::one_row(geom.num_bins);
                 let mut local = OpCounts::default();
                 loop {
                     // A `let`, so the queue is unlocked while the row
                     // is computed.
-                    let claimed = rows.lock().expect("no worker panics in `next`").next();
-                    let Some((row, out)) = claimed else { break };
-                    plans.plan(row).merge_into(out, &mut local);
+                    let claimed = queue.lock().expect("no worker panics in `next`").next();
+                    let Some((k, out)) = claimed else { break };
+                    plans.plan(rows.row(k)).merge_into(out, &mut local);
                 }
                 local
             };
@@ -48,7 +50,6 @@ pub fn ffbp_parallel(
                 counts.add(&w.join().expect("a merge worker panicked"));
             }
         });
-        drop(rows);
         next
     });
     FfbpRun {

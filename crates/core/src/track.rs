@@ -12,7 +12,6 @@ use desim::rng::SmallRng;
 use desim::OpCounts;
 
 use crate::complex::c32;
-use crate::ffbp::grid::Subaperture;
 use crate::ffbp::interp::neville4;
 use crate::geometry::SarGeometry;
 
@@ -96,12 +95,12 @@ impl FlightTrack {
 }
 
 /// Apply a range-shift motion compensation of `dx` metres to one
-/// subaperture image: every beam row is resampled `dx` closer (cubic
-/// Neville in range) and the two-way phase is rotated by
-/// `+4 pi dx / lambda`, so data collected `dx` nearer the scene lines
-/// up with data from the nominal track.
+/// subaperture image, its beams back to back: every beam row is
+/// resampled `dx` closer (cubic Neville in range) and the two-way phase
+/// is rotated by `+4 pi dx / lambda`, so data collected `dx` nearer the
+/// scene lines up with data from the nominal track.
 pub fn compensate_range_shift(
-    sub: &mut Subaperture,
+    beams: &mut [c32],
     dx: f32,
     geom: &SarGeometry,
     counts: &mut OpCounts,
@@ -116,8 +115,7 @@ pub fn compensate_range_shift(
     counts.trigs += 1;
     let n = geom.num_bins as isize;
     let mut scratch = vec![c32::ZERO; geom.num_bins];
-    for beam in 0..sub.grid.n_beams {
-        let row = sub.data.row(beam);
+    for row in beams.chunks_mut(geom.num_bins) {
         for (i, out) in scratch.iter_mut().enumerate() {
             // The target that belongs at bin i was recorded at i - shift.
             let pos = i as f32 - shift_bins;
@@ -136,14 +134,14 @@ pub fn compensate_range_shift(
             counts.fmas += 4;
             counts.stores += 2;
         }
-        sub.data.row_mut(beam).copy_from_slice(&scratch);
+        row.copy_from_slice(&scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ffbp::grid::PolarGrid;
+    use crate::image::ComplexImage;
     use crate::scene::{simulate_compressed_data, Scene};
 
     #[test]
@@ -189,11 +187,10 @@ mod tests {
             0,
         );
 
-        let grid = PolarGrid::spanning(&geom, 1);
-        let mut sub = Subaperture::zeros(0.0, 1.0, grid, geom.num_bins);
-        sub.data.row_mut(0).copy_from_slice(perturbed.row(32));
+        let mut sub = ComplexImage::zeros(1, geom.num_bins);
+        sub.row_mut(0).copy_from_slice(perturbed.row(32));
         let mut counts = OpCounts::default();
-        compensate_range_shift(&mut sub, dx, &geom, &mut counts);
+        compensate_range_shift(sub.as_mut_slice(), dx, &geom, &mut counts);
 
         // Peak lands on the straight-track bin...
         let want_bin = straight
@@ -203,12 +200,12 @@ mod tests {
             .max_by(|a, b| a.1.norm_sqr().total_cmp(&b.1.norm_sqr()))
             .unwrap()
             .0;
-        let (_, _, got_bin) = sub.data.peak();
+        let (_, _, got_bin) = sub.peak();
         assert!((got_bin as i64 - want_bin as i64).abs() <= 1);
 
         // ...with the straight-track phase (this is what makes the
         // coherent merge work; an inverted sign here would defocus).
-        let got = sub.data.at(0, got_bin);
+        let got = sub.at(0, got_bin);
         let want = straight.at(32, want_bin);
         let dphi = (got.arg() - want.arg()).rem_euclid(2.0 * std::f32::consts::PI);
         let dphi = dphi.min(2.0 * std::f32::consts::PI - dphi);
@@ -225,14 +222,13 @@ mod tests {
         let geom = crate::geometry::SarGeometry::test_size();
         let scene = Scene::single_target(geom);
         let data = simulate_compressed_data(&scene, 0.0, 0);
-        let grid = PolarGrid::spanning(&geom, 1);
-        let mut sub = Subaperture::zeros(0.0, 1.0, grid, geom.num_bins);
-        sub.data.row_mut(0).copy_from_slice(data.row(32));
-        let (_, _, bin0) = sub.data.peak();
+        let mut sub = ComplexImage::zeros(1, geom.num_bins);
+        sub.row_mut(0).copy_from_slice(data.row(32));
+        let (_, _, bin0) = sub.peak();
 
         let mut counts = OpCounts::default();
-        compensate_range_shift(&mut sub, 3.0, &geom, &mut counts);
-        let (_, _, bin_shifted) = sub.data.peak();
+        compensate_range_shift(sub.as_mut_slice(), 3.0, &geom, &mut counts);
+        let (_, _, bin_shifted) = sub.peak();
         assert_eq!(
             bin_shifted as i64,
             bin0 as i64 + 3,
@@ -243,13 +239,12 @@ mod tests {
     #[test]
     fn zero_shift_is_identity() {
         let geom = crate::geometry::SarGeometry::test_size();
-        let grid = PolarGrid::spanning(&geom, 2);
-        let mut sub = Subaperture::zeros(0.0, 2.0, grid, geom.num_bins);
-        *sub.data.at_mut(1, 40) = c32::new(2.0, -1.0);
-        let before = sub.data.clone();
+        let mut sub = ComplexImage::zeros(2, geom.num_bins);
+        *sub.at_mut(1, 40) = c32::new(2.0, -1.0);
+        let before = sub.clone();
         let mut counts = OpCounts::default();
-        compensate_range_shift(&mut sub, 0.0, &geom, &mut counts);
-        assert_eq!(sub.data, before);
+        compensate_range_shift(sub.as_mut_slice(), 0.0, &geom, &mut counts);
+        assert_eq!(sub, before);
         assert_eq!(counts, OpCounts::default());
     }
 }

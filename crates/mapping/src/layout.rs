@@ -204,6 +204,13 @@ mod tests {
     }
 
     #[test]
+    fn two_beams_are_the_papers_two_pulse_figure() {
+        // Two pulses of subaperture data = 2 x 1001 complex = 16,016
+        // bytes — the number the paper prefetches into two local banks.
+        assert_eq!(2 * ExternalLayout::new(1024, 1001).beam_bytes(), 16_016);
+    }
+
+    #[test]
     fn beam_fits_one_bank() {
         let l = ExternalLayout::new(1024, 1001);
         assert!(l.beam_bytes() <= 8 * 1024, "a beam must fit one 8 KB bank");

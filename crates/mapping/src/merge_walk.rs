@@ -26,10 +26,7 @@ use std::thread::{self, Thread};
 use desim::{OpCounts, RunRecord};
 use memsim::GlobalAddr;
 use sar_core::complex::c32;
-use sar_core::ffbp::{
-    merge_rows, merge_stages, merged_shells, stage0_of, Hit, MergeRow, StageRows, Subaperture,
-    ThreadPlans,
-};
+use sar_core::ffbp::{self, merge_rows, merge_stages, Hit, MergeRow, StagePlans, StageRows};
 use sar_core::image::ComplexImage;
 use sim_harness::{FfbpWorkload, ImageRun, RunContext};
 
@@ -88,9 +85,13 @@ struct Slot {
 
 /// One walk of one stage: run rows `first..end`.
 struct Job {
-    stage: Arc<Vec<Subaperture>>,
+    stage: Arc<ffbp::Stage>,
     first: usize,
     end: usize,
+    /// The helper's plans, made by the lead: every block a run sizes by
+    /// its stages comes from the one thread that outlives the run's
+    /// other threads.
+    plans: Mutex<StagePlans>,
 }
 
 /// One machine's place in the run.
@@ -165,7 +166,7 @@ impl Shared<'_> {
     fn help(&self) {
         while let Some(job) = self.next_job() {
             let rows = StageRows::new(&job.stage, &self.w.geom, &self.w.config);
-            let mut plans = ThreadPlans::for_stage(&job.stage, self.w.geom.num_bins);
+            let mut plans = lock(&job.plans);
             while let Some(k) = self.claim_ahead(&job) {
                 self.combine(&job, &rows, &mut plans, k);
             }
@@ -182,7 +183,7 @@ impl Shared<'_> {
 
     /// Combine run row `k` of `job` into its slot, mark it ready and
     /// wake the machines parked until it is.
-    fn combine(&self, job: &Job, rows: &StageRows<'_>, plans: &mut ThreadPlans, k: usize) {
+    fn combine(&self, job: &Job, rows: &StageRows<'_>, plans: &mut StagePlans, k: usize) {
         let slot = &self.slots[k % WINDOW];
         let row = plans.plan(rows.row(k - job.first));
         let mut combined = slot.row.write().unwrap_or_else(PoisonError::into_inner);
@@ -295,7 +296,7 @@ impl<'s> Stages<'s> {
         let w = shared.w;
         if m == 0 {
             let (image, _) = merge_stages(&w.data, &w.geom, |stage, idx| {
-                let next = RefCell::new(merged_shells(&stage, w.geom.num_bins));
+                let next = RefCell::new(stage.merged(2));
                 let (input, job) = (Arc::new(stage), None);
                 let stage = Stage {
                     shared,
@@ -335,34 +336,41 @@ impl<'s> Stages<'s> {
 pub(crate) struct Stage<'s> {
     shared: &'s Shared<'s>,
     m: usize,
-    input: Arc<Vec<Subaperture>>,
+    /// The host stage merged; dropped before `job`.
+    input: Arc<ffbp::Stage>,
     /// A follower's: the lead's walk of the stage.
     job: Option<Arc<Job>>,
     /// The lead's: the merged stage, which its walks fill in.
-    next: Option<RefCell<Vec<Subaperture>>>,
+    next: Option<RefCell<ffbp::Stage>>,
     /// The stage's number (the output is stage `idx + 1`).
     pub idx: u32,
 }
 
 impl Stage<'_> {
     /// Walk the stage: hand every output row to `price` in walk order,
-    /// combined and at its place in the [`ExternalLayout`] (a stage's
-    /// buffer holds its subapertures back to back, beam-major). The
-    /// lead may walk a stage again (checkpoint redo); a run of several
-    /// machines walks each stage once.
+    /// combined and at its place in the [`ExternalLayout`], which lays
+    /// out each stage as the host does ([`ffbp::Stage`]: subapertures
+    /// back to back, beam-major). The lead may walk a stage again
+    /// (checkpoint redo); a run of several machines walks each stage
+    /// once.
     pub fn laid_out_rows(&self, mut price: impl FnMut(&LaidOutRow<'_>)) {
         let (shared, m) = (self.shared, self.m);
         let w = shared.w;
-        let stage = &self.input[..];
-        let rows = StageRows::new(stage, &w.geom, &w.config);
+        let rows = StageRows::new(&self.input, &w.geom, &w.config);
         // The helper keeps the stage's reusable plans; a machine plans
         // afresh the rows it computes — at paper scale a few per stage,
         // before the helper is awake.
-        let mut plans = ThreadPlans::one_row(w.geom.num_bins);
+        let mut plans = StagePlans::one_row(w.geom.num_bins);
         let first = shared.pricers[m].priced.load(SeqCst);
         let job = self.job.clone().unwrap_or_else(|| {
             let (stage, end) = (Arc::clone(&self.input), first + rows.len());
-            let job = Arc::new(Job { stage, first, end });
+            let plans = Mutex::new(StagePlans::for_stage(&stage, w.geom.num_bins));
+            let job = Arc::new(Job {
+                stage,
+                first,
+                end,
+                plans,
+            });
             *lock(&shared.job) = Some(Arc::clone(&job));
             wake(&shared.helper);
             job
@@ -374,7 +382,6 @@ impl Stage<'_> {
         let mut next = self.next.as_ref().map(RefCell::borrow_mut);
 
         let layout = ExternalLayout::of(w);
-        let child_beams = stage[0].grid.n_beams;
         for i in 0..rows.len() {
             let k = first + i;
             while !shared.ready(k) {
@@ -394,17 +401,14 @@ impl Stage<'_> {
             }
             let slot = &shared.slots[k % WINDOW];
             let done = slot.row.read().unwrap_or_else(PoisonError::into_inner);
-            let (pair, beam) = (i / (2 * child_beams), i % (2 * child_beams));
             if let Some(next) = next.as_mut() {
-                next[pair].data.row_mut(beam).copy_from_slice(&done.samples);
+                next.data.row_mut(i).copy_from_slice(&done.samples);
             }
-            let base_a = (2 * pair * child_beams) as u32;
             price(&LaidOutRow {
                 row: rows.row(i),
                 ops: done.ops,
                 hits: &done.hits,
                 out_beam: i as u32,
-                child_base: [base_a, base_a + child_beams as u32],
                 stage: self.idx,
                 layout,
             });
@@ -422,8 +426,9 @@ impl Stage<'_> {
         if next.is_some() {
             // Once every machine has priced the stage, the other threads
             // let go of the walk (the helper when it finds no row to
-            // claim): then this stage's input is freed with its last
-            // owner here.
+            // claim) and of the stage (a follower's stage before its
+            // walk): the lead's is then the last hold on the stage, which
+            // leaves its buffer to the run for the stage after next.
             shared.wait(0, None, 0, || shared.floor() >= job.end);
             *lock(&shared.job) = None;
             shared.wait(0, None, 0, || Arc::strong_count(&job) == 1);
@@ -519,11 +524,10 @@ pub(crate) struct LaidOutRow<'a> {
     /// The row's op ledger, planning included: what the machine prices.
     pub ops: OpCounts,
     hits: &'a [Packed],
-    /// The row's beam index across the whole output stage — also its
-    /// position in the stage's row order (the SPMD work-unit number).
+    /// The row's beam index across the whole output stage — its row in
+    /// the merged stage's buffer, and its position in the walk (the
+    /// SPMD work-unit number).
     pub out_beam: u32,
-    /// Beam index of each child's beam 0 across the input stage.
-    child_base: [u32; 2],
     /// The stage the children belong to (the output is `stage + 1`).
     stage: u32,
     /// Where both stages live in external memory.
@@ -545,10 +549,11 @@ impl LaidOutRow<'_> {
     }
 
     /// External address of element `(bin, beam)` of child 0 (`a`) or
-    /// 1 (`b`).
+    /// 1 (`b`): its global beam is its row in the host stage's buffer.
     pub fn child_addr(&self, child: usize, (bin, beam): (usize, usize)) -> GlobalAddr {
-        self.layout
-            .addr(self.stage, self.child_base[child] + beam as u32, bin as u32)
+        let sub = [self.row.a, self.row.b][child];
+        let global_beam = sub.rows.start + beam;
+        self.layout.addr(self.stage, global_beam as u32, bin as u32)
     }
 
     /// External addresses of a sample's in-swath contributions, child
@@ -571,7 +576,7 @@ impl LaidOutRow<'_> {
 /// exact for every sample of the run — the models' declaration cannot
 /// drift from the kernel, because it *is* the kernel.
 pub(crate) fn probe_sample(w: &FfbpWorkload) -> OpCounts {
-    let pair = stage0_of(&w.data, &w.geom, 0..2);
+    let pair = ffbp::Stage::of_pulses(&w.data, &w.geom, 0..2);
     let mut ops = None;
     merge_rows(&pair, &w.geom, &w.config, |row, out| {
         ops.get_or_insert_with(|| row.combine(&mut out[..1], |_, _| {}));
@@ -582,6 +587,7 @@ pub(crate) fn probe_sample(w: &FfbpWorkload) -> OpCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::PIXEL_BYTES;
     use desim::trace::Tracer;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::mpsc;
@@ -635,7 +641,7 @@ mod tests {
             let layout = ExternalLayout::of(stages.workload());
             let mut seen = Vec::new();
             stages.each(|stage| {
-                let child_beams = stage.input[0].grid.n_beams as u32;
+                let child_beams = stage.input.grid.n_beams as u32;
                 stage.laid_out_rows(|row| {
                     match pace {
                         Pace::Patient => hold_for_the_helper(stage, row),
@@ -674,7 +680,7 @@ mod tests {
         // The plain walk: rows in order, combined where they are made.
         let mut plain: Vec<Priced> = Vec::new();
         let (image, _) = merge_stages(&w.data, &w.geom, |stage, idx| {
-            let out_beams = 2 * stage[0].grid.n_beams;
+            let out_beams = 2 * stage.grid.n_beams;
             merge_rows(&stage, &w.geom, &w.config, |row, out| {
                 let mut hits = Vec::new();
                 let ops = row.combine(out, |_, h| hits.push(h));
@@ -708,6 +714,47 @@ mod tests {
             }
             assert_eq!(image.as_slice(), reference.as_slice(), "walk {n}");
         }
+    }
+
+    #[test]
+    fn every_priced_address_is_its_host_rows_offset_in_the_layout() {
+        // For every row a small walk prices: each contribution's address
+        // is `stage_base + 8 (g * bins + bin)`, `g` the child's row in
+        // the host stage's buffer — which holds the child's sample — and
+        // the output's is the merged stage's row `out_beam`.
+        let machine: Machine<'static, usize> = Box::new(|_, stages| {
+            let layout = ExternalLayout::of(stages.workload());
+            let bins = u64::from(layout.num_bins);
+            let at = |stage: u32, g: usize, bin: usize| {
+                let offset = (g as u64 * bins + bin as u64) * PIXEL_BYTES;
+                GlobalAddr::external(layout.stage_base(stage) + offset as u32)
+            };
+            let mut checked = 0;
+            stages.each(|stage| {
+                let host = &stage.input.data;
+                stage.laid_out_rows(|row| {
+                    for hits in row.hits() {
+                        for (child, hit) in hits.into_iter().enumerate() {
+                            let Some((bin, beam)) = hit else { continue };
+                            let sub = [row.a, row.b][child];
+                            let g = sub.rows.start + beam;
+                            assert_eq!(row.child_addr(child, (bin, beam)), at(stage.idx, g, bin));
+                            let sample = sub.data.at_or_zero(beam as isize, bin as isize);
+                            assert_eq!(sample, host.at(g, bin));
+                            checked += 1;
+                        }
+                    }
+                    let last = layout.num_bins as usize - 1;
+                    for bin in [0, last] {
+                        let out = at(stage.idx + 1, row.out_beam as usize, bin);
+                        assert_eq!(row.out_addr(bin), out);
+                    }
+                });
+            });
+            checked
+        });
+        let (_, checked) = walk(&FfbpWorkload::small(), &RunContext::plain(), vec![machine]);
+        assert!(checked[0] > 0, "no contribution was priced");
     }
 
     #[test]

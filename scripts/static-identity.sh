@@ -1,7 +1,7 @@
 #!/bin/sh
-# Byte identity of everything static pricing prints, against another
-# tree: the check an edit to the cost model, the RDA census, the program
-# models or the placement evaluation must pass unchanged.
+# Byte identity of everything static pricing and Table I print, against
+# another tree: the check an edit to the cost model, the RDA census, the
+# program models, the placement evaluation or the FFBP walk must pass.
 #
 #   scripts/static-identity.sh <parent-tree>
 #
@@ -18,7 +18,10 @@
 #     heatmaps, power timelines) and every numbered trace file;
 #   run --small --no-write --json --faults specs/faults_demo.json (the
 #     change tree's spec on both sides; host record left out), the
-#     mesh-stall attribution path.
+#     mesh-stall attribution path;
+#   table1 --json --no-write at paper scale: the six records and the
+#     table (all simulated, no wall-clock field), the byte check of the
+#     paper-scale FFBP walk.
 # Each command's stderr and exit status are kept beside its output.
 # Prints "identical" and exits 0 when every file matches; otherwise
 # names the first file that differs (or is missing on one side), shows
@@ -75,6 +78,7 @@ for side in parent change; do
     capture faults "$bin/run" --small --no-write --json --faults "$change/specs/faults_demo.json"
     drop_host < "$out/faults.out" > "$work/doc"
     mv "$work/doc" "$out/faults.out"
+    capture table1_paper "$bin/table1" --json --no-write
 done
 
 cd "$work/parent"
